@@ -4,7 +4,8 @@
 //! theorem-vs-interval estimator ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pqr_qoi::{ge, BoundConfig, Estimator, SqrtMode};
+use pqr_qoi::program::{Columns, Pass};
+use pqr_qoi::{ge, BoundConfig, Estimator, QoiProgram, SqrtMode};
 
 fn bench_ge_qois(c: &mut Criterion) {
     let x = [30.0, 40.0, 5.0, 101_325.0, 1.2];
@@ -56,7 +57,10 @@ fn bench_estimator_ablation(c: &mut Criterion) {
 }
 
 fn bench_scan_like_loop(c: &mut Criterion) {
-    // the shape of Algorithm 2's inner loop: eval 6 QoIs over a point block
+    // the shape of Algorithm 2's inner loop: eval 6 QoIs over a point block —
+    // per point through each QoI's tree (the single-point definition, kept as
+    // the oracle's cost), and as the engine runs it: one compiled program,
+    // block by block
     let qois = ge::all();
     let cfg = BoundConfig::default();
     let n = 10_000;
@@ -86,6 +90,32 @@ fn bench_scan_like_loop(c: &mut Criterion) {
                     }
                 }
             }
+            worst
+        })
+    });
+    let fields: Vec<Vec<f64>> = (0..5)
+        .map(|i| points.iter().map(|p| p[i]).collect())
+        .collect();
+    let cols: Vec<&[f64]> = fields.iter().map(Vec::as_slice).collect();
+    let data = Columns::new(&cols);
+    let exprs: Vec<_> = qois.iter().map(|(_, q)| q).collect();
+    g.bench_function("six_qois_compiled_program", |b| {
+        b.iter(|| {
+            let program = QoiProgram::compile(&exprs);
+            let pass = Pass::Bounded {
+                eps: &eps,
+                cfg: &cfg,
+            };
+            let mut worst = 0.0f64;
+            program.for_each_block(&data, 0..n, pass, |block| {
+                for k in 0..exprs.len() {
+                    for &est in block.bounds(k).1 {
+                        if est > worst {
+                            worst = est;
+                        }
+                    }
+                }
+            });
             worst
         })
     });

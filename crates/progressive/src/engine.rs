@@ -40,7 +40,8 @@
 use crate::field::{Dataset, RefactoredDataset};
 use crate::fragstore::{FragmentId, FragmentSource, FragmentStage, Manifest, SourceStats};
 use crate::refactored::FieldReader;
-use pqr_qoi::{BoundConfig, QoiExpr};
+use pqr_qoi::program::{Columns, Pass};
+use pqr_qoi::{BoundConfig, QoiExpr, QoiProgram};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::par::{par_chunk_fill, par_chunk_reduce};
 use std::sync::Arc;
@@ -689,47 +690,58 @@ impl RetrievalEngine {
         s
     }
 
-    /// Max estimated error and its location for each QoI, under the current
-    /// reconstructions and the given per-field bounds.
+    /// `recons` (one reconstruction per field) with the mask overlay, in
+    /// the column form a compiled [`QoiProgram`] reads.
+    fn columns<'a>(&'a self, recons: &'a [&'a [f64]]) -> Columns<'a> {
+        let cols = Columns::new(recons);
+        match &self.manifest.mask {
+            Some(m) => cols.zeroed(m.fields(), m.words()),
+            None => cols,
+        }
+    }
+
+    /// Max estimated error and its location (the first point attaining it)
+    /// for each QoI, under the current reconstructions and the given
+    /// per-field bounds.
+    ///
+    /// The targets compile into one [`QoiProgram`] per call — subtrees they
+    /// share are estimated once per point, and only where some target's
+    /// region wants them — and each worker chunk runs it block by block; the
+    /// estimates are [`QoiExpr::eval_bounded`]'s bit for bit. A NaN estimate — `∞·0` inside a product bound once a value
+    /// overflows, or a NaN reconstruction — bounds nothing and counts as `∞`.
     pub fn scan_qois(&self, qois: &[QoiSpec], eps: &[f64]) -> Vec<(f64, usize)> {
         let ne = self.manifest.num_elements();
-        let nv = self.manifest.num_fields();
         if ne == 0 {
             return vec![(0.0, 0); qois.len()];
         }
+        let exprs: Vec<&QoiExpr> = qois.iter().map(|q| &q.expr).collect();
+        let mut program = QoiProgram::compile(&exprs);
+        for (k, q) in qois.iter().enumerate() {
+            if let Some((lo, hi)) = q.region {
+                program.restrict(k, lo..hi);
+            }
+        }
         let recons: Vec<&[f64]> = self.readers.iter().map(|r| r.data()).collect();
-        let mask = self.manifest.mask.as_ref();
-        let cfg = &self.cfg.bound_config;
+        let data = self.columns(&recons);
+        let pass = Pass::Bounded {
+            eps,
+            cfg: &self.cfg.bound_config,
+        };
 
         let chunk_scan = |start: usize, end: usize| {
             let mut local = vec![(0.0f64, 0usize); qois.len()];
-            let mut x = vec![0.0f64; nv];
-            let mut eps_pt = eps.to_vec();
-            for j in start..end {
-                let masked = mask.is_some_and(|m| m.is_masked(j));
-                for i in 0..nv {
-                    x[i] = recons[i][j];
-                    eps_pt[i] = eps[i];
-                }
-                if masked {
-                    // certified exact zeros on the masked fields
-                    for &i in mask.unwrap().fields() {
-                        x[i] = 0.0;
-                        eps_pt[i] = 0.0;
-                    }
-                }
-                for (k, q) in qois.iter().enumerate() {
-                    if let Some((lo, hi)) = q.region {
-                        if j < lo || j >= hi {
-                            continue; // outside this spec's region of interest
+            program.for_each_block(&data, start..end, pass, |block| {
+                for (k, best) in local.iter_mut().enumerate() {
+                    // the points of the block inside this spec's region
+                    let (first, bounds) = block.bounds(k);
+                    for (j, &b) in (first..).zip(bounds) {
+                        let est = sound_estimate(b);
+                        if est > best.0 {
+                            *best = (est, j);
                         }
                     }
-                    let est = q.expr.eval_bounded(&x, &eps_pt, cfg).bound;
-                    if est > local[k].0 {
-                        local[k] = (est, j);
-                    }
                 }
-            }
+            });
             local
         };
         if !self.cfg.parallel_scan {
@@ -763,6 +775,11 @@ impl RetrievalEngine {
     /// (`x`, `eps_pt`, both `num_fields` long) — the Algorithm-4
     /// tightening loop calls this once per candidate bound vector, so the
     /// per-call temporaries are hoisted out of the loop.
+    ///
+    /// This is the tree definition [`RetrievalEngine::scan_qois`] is held
+    /// to: at the scan's argmax and bounds it returns the scan's estimate
+    /// exactly, so the tightening loop always starts above the tolerance
+    /// the scan found violated.
     pub(crate) fn point_estimate_scratch(
         &self,
         expr: &QoiExpr,
@@ -784,44 +801,43 @@ impl RetrievalEngine {
                 }
             }
         }
-        expr.eval_bounded(x, eps_pt, &self.cfg.bound_config).bound
+        sound_estimate(expr.eval_bounded(x, eps_pt, &self.cfg.bound_config).bound)
     }
 
     /// Evaluates a QoI on the current reconstruction (what the analysis
-    /// task would consume), with the mask overlay applied. The per-point
-    /// evaluation fans across the engine's worker budget (unless
-    /// [`EngineConfig::parallel_scan`] is off); each worker hoists its
-    /// input scratch out of its chunk loop and the chunks write disjoint
+    /// task would consume), with the mask overlay applied. The evaluation
+    /// fans across the engine's worker budget (unless
+    /// [`EngineConfig::parallel_scan`] is off); the chunks write disjoint
     /// output ranges, so the result is identical at every worker count.
     pub fn qoi_values(&self, expr: &QoiExpr) -> Vec<f64> {
-        let ne = self.manifest.num_elements();
-        let nv = self.manifest.num_fields();
-        let recons: Vec<&[f64]> = self.readers.iter().map(|r| r.data()).collect();
-        let mask = self.manifest.mask.as_ref();
-        let mut out = vec![0.0f64; ne];
+        let program = QoiProgram::compile(&[expr]);
+        let mut out = vec![0.0f64; self.manifest.num_elements()];
         let workers = if self.cfg.parallel_scan {
             self.workers()
         } else {
             1
         };
+        let recons: Vec<&[f64]> = self.readers.iter().map(|r| r.data()).collect();
+        let data = self.columns(&recons);
         par_chunk_fill(&mut out, workers, |start, chunk| {
-            let mut x = vec![0.0f64; nv];
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let j = start + off;
-                for i in 0..nv {
-                    x[i] = recons[i][j];
-                }
-                if let Some(m) = mask {
-                    if m.is_masked(j) {
-                        for &i in m.fields() {
-                            x[i] = 0.0;
-                        }
-                    }
-                }
-                *slot = expr.eval(&x);
-            }
+            program.fill_values(&data, start, chunk)
         });
         out
+    }
+}
+
+/// An estimate the scan or the tightening loop may compare to a tolerance.
+///
+/// A NaN bound (`∞·0` inside a product bound once a value overflows, or a
+/// NaN reconstruction) compares false against everything, so taken as-is it
+/// would certify the point as if its error were 0. It bounds nothing:
+/// treat it as unboundable, like the `∞` the theorems return.
+#[inline]
+fn sound_estimate(bound: f64) -> f64 {
+    if bound.is_nan() {
+        f64::INFINITY
+    } else {
+        bound
     }
 }
 
@@ -1326,6 +1342,109 @@ mod tests {
             (r.total_fetched, r.max_est_errors[0].to_bits())
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn scan_equals_the_per_point_tree_reference() {
+        // the compiled block scan against Alg. 2 as written — every point
+        // through the tree (`point_estimate`), strict `>` so the first
+        // argmax wins — on domains that end before, on and after a block
+        // boundary, with a mask, with regions that start and end mid-block,
+        // sequential and chunk-parallel (4097 ≥ the parallel threshold; CI
+        // runs this at PQR_THREADS 1 and 4)
+        for ne in [0usize, 1, 255, 256, 257, 4097] {
+            let ds = velocity_dataset(ne, true);
+            let mut archive = ds.refactor(Scheme::Psz3Delta).unwrap();
+            // mask two fields only: the walls stay unboundable for the √
+            // QoI (equal ∞ estimates — ties), certified for the others
+            archive.set_mask(ds.zero_mask(&[0, 1])).unwrap();
+            let region = (ne / 3, (ne / 3 + ne / 2 + 1).min(ne));
+            let specs = [
+                QoiSpec::absolute("VTOT", velocity_magnitude(0, 3), 1e-2),
+                // ε₀ at every unmasked point: one long tie
+                QoiSpec::absolute("Vx", QoiExpr::var(0), 1e-2).restrict_to(region.0, region.1),
+                QoiSpec::absolute("VxVy", species_product(0, 1), 1e-2)
+                    .restrict_to(ne.min(250), ne.min(260)),
+                QoiSpec::absolute(
+                    "Vx/VTOT",
+                    QoiExpr::var(0).div(velocity_magnitude(0, 3)),
+                    1e-2,
+                ),
+                QoiSpec::absolute("none", QoiExpr::var(2).pow(2), 1e-2).restrict_to(0, 0),
+            ];
+            for parallel_scan in [true, false] {
+                for estimator in [pqr_qoi::Estimator::Theorems, pqr_qoi::Estimator::Interval] {
+                    let cfg = EngineConfig {
+                        parallel_scan,
+                        bound_config: BoundConfig {
+                            estimator,
+                            ..Default::default()
+                        },
+                        ..Default::default()
+                    };
+                    let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+                    engine.retrieve(&specs[2..3]).unwrap();
+                    let achieved: Vec<f64> = (0..3).map(|i| engine.field_bound(i)).collect();
+                    for eps in [achieved, vec![0.5, 0.0, 100.0]] {
+                        let want: Vec<(f64, usize)> = specs
+                            .iter()
+                            .map(|q| {
+                                let (lo, hi) = q.region.unwrap_or((0, ne));
+                                (lo..hi).fold((0.0f64, 0usize), |best, j| {
+                                    let est = engine.point_estimate(&q.expr, j, &eps);
+                                    if est > best.0 {
+                                        (est, j)
+                                    } else {
+                                        best
+                                    }
+                                })
+                            })
+                            .collect();
+                        let got = engine.scan_qois(&specs, &eps);
+                        let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                            v.iter().map(|&(e, j)| (e.to_bits(), j)).collect()
+                        };
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "ne={ne} parallel={parallel_scan} {estimator:?} eps={eps:?}: \
+                             {got:?} vs {want:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_estimate_is_unboundable_not_certified() {
+        // x²⁰⁰·2 at x = 1e10: the value overflows, the power bound is ∞ and
+        // the product bound computes ∞·0 = NaN. `NaN > tol` is false, so a
+        // scan that takes the estimate as-is certifies that point as if its
+        // error were 0.
+        let n = 300;
+        let mut ds = Dataset::new(&[n]);
+        let field = (0..n).map(|i| if i == 123 { 1e10 } else { 1.0 });
+        ds.add_field("x", field.collect()).unwrap();
+        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let mut engine = engine_for(&archive);
+        let spec = QoiSpec::absolute(
+            "2x^200",
+            QoiExpr::var(0).pow(200).mul(QoiExpr::constant(2.0)),
+            1.0,
+        );
+        assert!(spec
+            .expr
+            .eval_bounded(&[1e10], &[1e-3], &BoundConfig::default())
+            .bound
+            .is_nan());
+        let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
+        assert!(!report.satisfied, "a NaN estimate certifies nothing");
+        assert_eq!(report.max_est_errors[0], f64::INFINITY);
+        assert_eq!(
+            engine.scan_qois(&[spec], &[1e-3]),
+            vec![(f64::INFINITY, 123)]
+        );
     }
 
     #[test]

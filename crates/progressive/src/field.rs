@@ -9,7 +9,8 @@
 
 use crate::mask::ZeroMask;
 use crate::refactored::{default_snapshot_bounds, RefactoredField, Scheme};
-use pqr_qoi::QoiExpr;
+use pqr_qoi::program::{Columns, Pass};
+use pqr_qoi::{QoiExpr, QoiProgram};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::stats;
 
@@ -94,25 +95,23 @@ impl Dataset {
         }
         // one full-domain evaluation per registered QoI at archive-build
         // time — worth the parallel min/max reduction on large volumes
+        let program = QoiProgram::compile(&[qoi]);
+        let cols = self.columns();
+        let data = Columns::new(&cols);
         let (lo, hi) = pqr_util::par::par_chunk_reduce(
             ne,
             (f64::INFINITY, f64::NEG_INFINITY),
             |start, end| {
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
-                // eval only reads variables below `arity` (checked above),
-                // so gather just those — the tail of `x` stays 0.0 unused
-                let mut x = vec![0.0f64; self.num_fields()];
-                for j in start..end {
-                    for (i, f) in self.fields.iter().take(arity).enumerate() {
-                        x[i] = f[j];
+                program.for_each_block(&data, start..end, Pass::Values, |block| {
+                    for &v in block.values(0).1 {
+                        if v.is_finite() {
+                            lo = lo.min(v);
+                            hi = hi.max(v);
+                        }
                     }
-                    let v = qoi.eval(&x);
-                    if v.is_finite() {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                }
+                });
                 (lo, hi)
             },
             |a, b| (a.0.min(b.0), a.1.max(b.1)),
@@ -126,20 +125,19 @@ impl Dataset {
     /// True QoI values over the dataset (evaluation on original data) —
     /// used by the harnesses to measure *actual* QoI errors.
     pub fn qoi_values(&self, qoi: &QoiExpr) -> Vec<f64> {
-        let ne = self.num_elements();
-        let arity = qoi.arity().min(self.num_fields());
-        let mut out = vec![0.0f64; ne];
+        let program = QoiProgram::compile(&[qoi]);
+        let cols = self.columns();
+        let data = Columns::new(&cols);
+        let mut out = vec![0.0f64; self.num_elements()];
         pqr_util::par::par_chunk_fill(&mut out, pqr_util::par::worker_count(), |start, chunk| {
-            let mut x = vec![0.0f64; self.num_fields()];
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let j = start + off;
-                for (i, f) in self.fields.iter().take(arity).enumerate() {
-                    x[i] = f[j];
-                }
-                *slot = qoi.eval(&x);
-            }
+            program.fill_values(&data, start, chunk)
         });
         out
+    }
+
+    /// The fields as the per-variable slices a compiled QoI reads.
+    fn columns(&self) -> Vec<&[f64]> {
+        self.fields.iter().map(Vec::as_slice).collect()
     }
 
     /// Builds the zero-outlier mask over the given fields (§V-A): a point is

@@ -62,6 +62,12 @@ impl ZeroMask {
         (self.bits[j / 64] >> (j % 64)) & 1 == 1
     }
 
+    /// The packed bitmap: point `j` is masked iff bit `j % 64` of word
+    /// `j / 64` is set.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Whether field `i` is covered by this mask.
     #[inline]
     pub fn covers_field(&self, i: usize) -> bool {

@@ -23,6 +23,9 @@
 //! * [`expr`] — a QoI expression tree ([`QoiExpr`]) whose recursive
 //!   evaluation applies the composition rules (Thm 9 / Lemmas 1–2) to return
 //!   a [`Bounded`] `{value, bound}` pair;
+//! * [`program`] — the QoIs of one request compiled into a shared
+//!   subexpression DAG and evaluated a block of points at a time: what the
+//!   retrieval engine's whole-domain scans run, bit-identical to the trees;
 //! * [`ge`] — the six GE CFD QoIs of Eq. (1)–(6), pre-built;
 //! * [`library`] — additional ready-made QoIs (kinetic energy, momentum,
 //!   species products, …) demonstrating genericity (§IV-D).
@@ -67,9 +70,11 @@ pub mod ge;
 pub mod interval;
 pub mod library;
 pub mod parse;
+pub mod program;
 pub mod serial;
 
 pub use bounds::{BoundConfig, Estimator, SqrtMode};
 pub use expr::{Bounded, QoiExpr};
 pub use interval::{eval_interval, interval_bound, Interval};
 pub use parse::parse;
+pub use program::QoiProgram;

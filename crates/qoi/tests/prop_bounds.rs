@@ -8,8 +8,12 @@
 //!
 //! Expression trees, inputs, bounds and perturbations are all generated
 //! randomly; both √-estimator modes are exercised.
+//!
+//! The last property holds the compiled block evaluator
+//! ([`pqr_qoi::program`]) to the trees bit for bit.
 
-use pqr_qoi::{BoundConfig, QoiExpr, SqrtMode};
+use pqr_qoi::program::{Columns, Pass};
+use pqr_qoi::{BoundConfig, Estimator, QoiExpr, QoiProgram, SqrtMode};
 use proptest::prelude::*;
 
 const NVARS: usize = 4;
@@ -58,6 +62,149 @@ fn interval_cfg() -> BoundConfig {
     BoundConfig {
         estimator: pqr_qoi::Estimator::Interval,
         ..Default::default()
+    }
+}
+
+/// Points generated per case — enough for two full blocks and a tail.
+const MAX_POINTS: usize = 600;
+
+/// Mostly tame values, salted with what breaks estimators: exact zeros of
+/// both signs (zeros under `√`, poles of `1/x`) and magnitudes whose
+/// powers and exponentials overflow to `∞`.
+fn arb_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -2.0..2.0f64,
+        -2.0..2.0f64,
+        -2.0..2.0f64,
+        Just(0.0),
+        Just(-0.0),
+        1e100..1e200f64,
+    ]
+}
+
+/// Retrieval bounds including `ε = 0` (exact inputs) and bounds wide enough
+/// to reach the poles.
+fn arb_eps() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), 0.0..0.1f64, 0.0..0.1f64, 1.0..3.0f64]
+}
+
+/// Equal bits — with every NaN equal to every other: which operand's
+/// payload a NaN-producing `+`/`·` keeps is the code generator's choice, and
+/// the engine reads any NaN estimate as `∞`.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The compiled program is the trees, evaluated differently: for a set
+    /// of QoIs that share subtrees, over blocks that start and end anywhere,
+    /// with and without a zero mask, under every estimator configuration,
+    /// the value pass equals `eval` and the bounded pass equals
+    /// `eval_bounded`.
+    #[test]
+    fn program_matches_tree_bit_for_bit(
+        a in arb_expr(2),
+        b in arb_expr(2),
+        c in arb_expr(1),
+        cols in proptest::collection::vec(
+            proptest::collection::vec(arb_value(), MAX_POINTS), NVARS),
+        eps in proptest::collection::vec(arb_eps(), NVARS),
+        range in (0..MAX_POINTS, 1..MAX_POINTS),
+        mask in (proptest::bool::ANY, 0..NVARS,
+            proptest::collection::vec(proptest::arbitrary::any::<u64>(), MAX_POINTS.div_ceil(64))),
+        modes in (proptest::bool::ANY, proptest::bool::ANY, 0..4usize),
+        regions in proptest::collection::vec((0..MAX_POINTS, 0..MAX_POINTS), 3),
+    ) {
+        let set = [
+            a.clone(),
+            b.clone(),
+            a.clone().mul(b.clone()),
+            a.clone().sqrt(),                      // zeros and negatives under √
+            c.clone().div(a.clone()),              // Thm 6 pole wherever a = 0
+            b.clone().radical(0.0).add(a.clone()), // Thm 3 pole
+            // overflow: value ∞, bound ∞·0 = NaN
+            a.clone().scale(300.0).exp().mul(QoiExpr::constant(2.0)),
+            a.clone().mul(b.clone()).ln(),
+            QoiExpr::sum(vec![(1.0, a.clone()), (-1.0, a.clone()), (0.5, c.clone())]),
+            QoiExpr::sum(vec![]),
+            a.clone(),                             // the same root twice
+        ];
+        let exprs: Vec<&QoiExpr> = set.iter().collect();
+        let mut program = QoiProgram::compile(&exprs);
+        prop_assert!(program.num_slots() < set.iter().map(QoiExpr::node_count).sum::<usize>());
+        // three roots wanted on part of the domain only (possibly none of
+        // it): slots only they read are skipped elsewhere
+        let mut wanted = vec![0..MAX_POINTS; set.len()];
+        for (k, &(from, len)) in [2, 5, 7].into_iter().zip(&regions) {
+            wanted[k] = from..from + len;
+            program.restrict(k, wanted[k].clone());
+        }
+
+        let (exact_sqrt, inflate, interval) = (modes.0, modes.1, modes.2 == 0);
+        let cfg = BoundConfig {
+            sqrt_mode: if exact_sqrt { SqrtMode::Exact } else { SqrtMode::Paper },
+            inflate,
+            estimator: if interval { Estimator::Interval } else { Estimator::Theorems },
+        };
+        let (lo, hi) = (range.0, (range.0 + range.1).min(MAX_POINTS));
+        let (masked, zero_var, bitmap) = (mask.0, [mask.1], mask.2);
+        let col_refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        let data = Columns::new(&col_refs);
+        let data = if masked { data.zeroed(&zero_var, &bitmap) } else { data };
+        // the tree's inputs at point j: a per-point gather with the mask pinned
+        let point = |j: usize| {
+            let mut x: Vec<f64> = cols.iter().map(|c| c[j]).collect();
+            let mut e = eps.clone();
+            if masked && (bitmap[j / 64] >> (j % 64)) & 1 == 1 {
+                x[zero_var[0]] = 0.0;
+                e[zero_var[0]] = 0.0;
+            }
+            (x, e)
+        };
+
+        // the visitor cannot return early: collect the first mismatch
+        let mut failure = None;
+        let mut covered = vec![0usize; set.len()];
+        program.for_each_block(&data, lo..hi, Pass::Values, |block| {
+            for (k, expr) in set.iter().enumerate() {
+                let (first, values) = block.values(k);
+                covered[k] += values.len();
+                for (j, &got) in (first..).zip(values) {
+                    let want = expr.eval(&point(j).0);
+                    if !same_bits(got, want) {
+                        failure.get_or_insert(format!("eval {expr} @ {j}: {got:e} vs {want:e}"));
+                    }
+                }
+            }
+        });
+        let want_covered: Vec<usize> = wanted
+            .iter()
+            .map(|w| w.end.min(hi).saturating_sub(w.start.max(lo)))
+            .collect();
+        prop_assert_eq!(&covered, &want_covered);
+        let pass = Pass::Bounded { eps: &eps, cfg: &cfg };
+        program.for_each_block(&data, lo..hi, pass, |block| {
+            for (k, expr) in set.iter().enumerate() {
+                let ((first, values), (_, bounds)) = (block.values(k), block.bounds(k));
+                covered[k] += bounds.len();
+                for (j, (&value, &bound)) in (first..).zip(values.iter().zip(bounds)) {
+                    let (x, e) = point(j);
+                    let want = expr.eval_bounded(&x, &e, &cfg);
+                    if !(same_bits(value, want.value) && same_bits(bound, want.bound)) {
+                        failure.get_or_insert(format!(
+                            "eval_bounded {expr} @ {j} x={x:?} eps={e:?} {cfg:?}: \
+                             ({value:e}, {bound:e}) vs ({:e}, {:e})",
+                            want.value, want.bound
+                        ));
+                    }
+                }
+            }
+        });
+        let twice: Vec<usize> = want_covered.iter().map(|c| 2 * c).collect();
+        prop_assert_eq!(&covered, &twice);
+        prop_assert!(failure.is_none(), "{}", failure.unwrap());
     }
 }
 

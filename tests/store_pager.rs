@@ -16,7 +16,7 @@
 //! archive's fragment count (decode-once survives the chaos).
 
 use pqr::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn field_vx(n: usize) -> Vec<f64> {
@@ -227,59 +227,96 @@ fn chaos_demotions_under_concurrent_sessions_keep_every_guarantee() {
         .service_with_budget(Arc::new(StoreBudget::with_limit(64 << 10)))
         .unwrap();
 
+    // Every session keeps requesting until one of its requests *started
+    // after* a chaos demotion that landed after its first reply — when the
+    // fields it reads had decoded state to lose — so each session provably
+    // ran against the chaos instead of merely beside it, however fast a
+    // request is. The chaos thread counts a demotion only after `demote`
+    // returns, so the count can trail a landed demotion by one: a request
+    // that starts at `mark + 2` started after demotion `mark + 2` began,
+    // which was after `mark` was read.
+    let landed = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         // chaos: demote pseudo-random fields as fast as the locks allow
         let chaos_service = service.clone();
-        let stop_ref = &stop;
+        let (stop, landed) = (&stop, &landed);
         s.spawn(move || {
             let mut lcg = Lcg(0xc4a05);
-            while !stop_ref.load(Ordering::Relaxed) {
-                chaos_service.store().demote((lcg.next() % 2) as usize);
+            while !stop.load(Ordering::SeqCst) {
+                if chaos_service.store().demote((lcg.next() % 2) as usize) {
+                    landed.fetch_add(1, Ordering::SeqCst);
+                }
                 std::thread::yield_now();
             }
         });
 
         let tols = [1e-2, 1e-5, 1e-3, 1e-4];
-        for (k, &tol) in tols.iter().enumerate().cycle().take(8) {
-            let service = service.clone();
-            let name = ["V", "Vx2", "VxVy"][k % 3];
-            let truth_v = &truth_v;
-            s.spawn(move || {
-                let mut session = service.session().unwrap();
-                let report = session
-                    .execute(&RetrievalRequest::new().qoi(name, tol))
-                    .unwrap();
-                assert!(report.satisfied, "{name}@{tol}");
-                let t = &report.targets[0];
-                assert!(t.max_est_error <= t.tol_abs);
-                // sessions never decode, chaos or not
-                assert_eq!(session.fragments_decoded(), 0);
-                // the certified estimate really bounds the actual error
-                if name == "V" {
-                    let worst = session
-                        .qoi_values("V")
-                        .unwrap()
-                        .iter()
-                        .zip(truth_v)
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0f64, f64::max);
-                    assert!(
-                        worst <= t.tol_abs,
-                        "{name}@{tol}: actual error {worst} > certified {}",
-                        t.tol_abs
-                    );
-                }
-            });
+        let sessions: Vec<_> = tols
+            .iter()
+            .enumerate()
+            .cycle()
+            .take(8)
+            .map(|(k, &tol)| {
+                let service = service.clone();
+                let name = ["V", "Vx2", "VxVy"][k % 3];
+                let truth_v = &truth_v;
+                s.spawn(move || {
+                    let began = std::time::Instant::now();
+                    let mut mark = None;
+                    loop {
+                        let before = landed.load(Ordering::SeqCst);
+                        let mut session = service.session().unwrap();
+                        let report = session
+                            .execute(&RetrievalRequest::new().qoi(name, tol))
+                            .unwrap();
+                        assert!(report.satisfied, "{name}@{tol}");
+                        let t = &report.targets[0];
+                        assert!(t.max_est_error <= t.tol_abs);
+                        // sessions never decode, chaos or not
+                        assert_eq!(session.fragments_decoded(), 0);
+                        // the certified estimate really bounds the actual error
+                        if name == "V" {
+                            let worst = session
+                                .qoi_values("V")
+                                .unwrap()
+                                .iter()
+                                .zip(truth_v)
+                                .map(|(a, b)| (a - b).abs())
+                                .fold(0.0f64, f64::max);
+                            assert!(
+                                worst <= t.tol_abs,
+                                "{name}@{tol}: actual error {worst} > certified {}",
+                                t.tol_abs
+                            );
+                        }
+                        match mark {
+                            None => mark = Some(landed.load(Ordering::SeqCst)),
+                            Some(m) if before >= m + 2 => break,
+                            Some(_) => assert!(
+                                began.elapsed() < std::time::Duration::from_secs(60),
+                                "{name}@{tol}: chaos landed no demotion after the first reply"
+                            ),
+                        }
+                    }
+                })
+            })
+            .collect();
+        // the chaos loop races the sessions for as long as any is running
+        let results: Vec<_> = sessions.into_iter().map(|h| h.join()).collect();
+        stop.store(true, Ordering::SeqCst);
+        for r in results {
+            if let Err(panic) = r {
+                std::panic::resume_unwind(panic);
+            }
         }
-        // let the chaos loop race the sessions for a while, then stop it;
-        // the scope join waits for every session to finish its tail
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        stop.store(true, Ordering::Relaxed);
     });
 
     let stats = service.store_stats();
-    assert!(stats.evictions > 0, "chaos never landed a demotion");
+    let landed = landed.into_inner();
+    assert!(landed >= 2, "chaos never landed a demotion");
+    assert!(stats.evictions >= landed);
+    // a demotion landed on decoded state a later request needed back
     assert!(stats.rehydration_decodes > 0);
     // decode-once under chaos: advance decodes never exceed the number of
     // distinct fragments in the archive (8 cold engines would have paid
