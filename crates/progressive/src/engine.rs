@@ -6,7 +6,9 @@
 //!    primary-data bound (`progressive_construct`, Alg. 2 line 10).
 //! 2. **Estimate** the QoI error at every point from the reconstructed
 //!    values and the *achieved* bounds, using the §IV calculus
-//!    (Alg. 2 lines 13–24); record the max and its location.
+//!    (Alg. 2 lines 13–24); record the max and its location. A state the
+//!    engine has just estimated is not scanned again: the executor asks
+//!    through `RetrievalEngine::estimate`, which remembers its last result.
 //! 3. If some tolerance is exceeded, **tighten** the bounds of the involved
 //!    fields by the factor `c` until the estimate *at the worst point*
 //!    passes (Alg. 4 / `reassign_eb`), then go to 1.
@@ -259,6 +261,26 @@ pub struct RetrievalEngine {
     /// deltas per request.
     store: Option<Arc<crate::store::ProgressStore>>,
     cfg: EngineConfig,
+    /// The last estimate [`RetrievalEngine::estimate`] scanned.
+    last_scan: Option<RememberedScan>,
+}
+
+/// A [`RetrievalEngine::scan_qois`] result, with the
+/// [`RetrievalEngine::scan_key`] it was a function of.
+struct RememberedScan {
+    key: Vec<u8>,
+    scans: Vec<(f64, usize)>,
+}
+
+/// What [`RetrievalEngine::estimate`] hands the plan executor.
+pub(crate) struct Estimate {
+    /// `(max estimate, first argmax)` per target.
+    pub scans: Vec<(f64, usize)>,
+    /// The per-field bounds the estimate holds at: every reader's
+    /// [`FieldReader::guaranteed_bound`], read once.
+    pub bounds: Vec<f64>,
+    /// True when `scans` is the remembered result and no scan ran.
+    pub reused: bool,
 }
 
 impl RetrievalEngine {
@@ -334,6 +356,7 @@ impl RetrievalEngine {
             stage,
             store,
             cfg,
+            last_scan: None,
         })
     }
 
@@ -760,6 +783,76 @@ impl RetrievalEngine {
                 a
             },
         )
+    }
+
+    /// Alg. 2 lines 13–24 as the plan executor runs them:
+    /// [`RetrievalEngine::scan_qois`] at the readers' own bounds, evaluated
+    /// once per state. The scan does not read the tolerances, and a
+    /// progressive series mostly asks again over reconstructions its
+    /// previous request just certified (Alg. 3's `range·τ` is no tighter
+    /// than what the session holds, so round 1 fetches nothing). When
+    /// [`RetrievalEngine::scan_key`] is what it was at the previous call,
+    /// the remembered `(max estimate, argmax)` per target is what a scan
+    /// would return, bit for bit, and comes back marked `reused`;
+    /// otherwise this scans and remembers the result. The bounds are read
+    /// off the readers here, once, for the key, the scan and the caller.
+    pub(crate) fn estimate(&mut self, qois: &[QoiSpec]) -> Estimate {
+        let bounds: Vec<f64> = self.readers.iter().map(|r| r.guaranteed_bound()).collect();
+        let key = self.scan_key(qois, &bounds);
+        let (last, reused) = match self.last_scan.take() {
+            Some(last) if last.key == key => (last, true),
+            _ => {
+                let scans = self.scan_qois(qois, &bounds);
+                (RememberedScan { key, scans }, false)
+            }
+        };
+        let scans = last.scans.clone();
+        self.last_scan = Some(last);
+        Estimate {
+            scans,
+            bounds,
+            reused,
+        }
+    }
+
+    /// Everything `scan_qois(qois, bounds)` is a function of, and nothing
+    /// else — the mask and the [`BoundConfig`] being fixed per engine. Per
+    /// target: its region and its expression, by exact bits (the serialised
+    /// tree; under `PartialEq`, `Const(-0.0) == Const(0.0)`). Per field
+    /// some target reads: the bound's bits, the progress marker — the
+    /// identity of a reconstruction, as resume and the pager's rehydration
+    /// already take it — and whether a store view holds a demoted field's
+    /// cold placeholder (zeros under the demoted marker).
+    ///
+    /// The cold flag is a fault detector, not a state the executor can
+    /// produce: every round refines each field a target reads before it
+    /// estimates, and a cold view always reads through and rehydrates. It
+    /// is in the key so that the key stays a function of the scan's inputs
+    /// alone, whatever a future caller does between refinement and estimate.
+    fn scan_key(&self, qois: &[QoiSpec], bounds: &[f64]) -> Vec<u8> {
+        let mut w = pqr_util::byteio::ByteWriter::new();
+        let mut fields = std::collections::BTreeSet::new();
+        w.put_u32(qois.len() as u32);
+        for q in qois {
+            match q.region {
+                Some((lo, hi)) => {
+                    w.put_u8(1);
+                    w.put_u64(lo as u64);
+                    w.put_u64(hi as u64);
+                }
+                None => w.put_u8(0),
+            }
+            w.put_bytes(&pqr_qoi::serial::to_bytes(&q.expr));
+            fields.extend(q.expr.variables());
+        }
+        for j in fields {
+            let reader = &self.readers[j];
+            w.put_u32(j as u32);
+            w.put_f64(bounds[j]);
+            reader.progress().write(&mut w);
+            w.put_u8(reader.is_cold() as u8);
+        }
+        w.finish()
     }
 
     /// QoI error estimate at a single point under hypothetical bounds —
@@ -1445,6 +1538,177 @@ mod tests {
             engine.scan_qois(&[spec], &[1e-3]),
             vec![(f64::INFINITY, 123)]
         );
+    }
+
+    fn execute(engine: &mut RetrievalEngine, specs: &[QoiSpec]) -> crate::plan::PlanReport {
+        let plan = crate::plan::RetrievalPlan::resolve(engine, specs.to_vec(), None).unwrap();
+        crate::plan::PlanExecutor::new(engine)
+            .execute(&plan)
+            .unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn remembered_estimate_equals_a_memoryless_oracle_over_a_halving_series() {
+        // §III-B's incremental requester on one persistent engine, against
+        // an engine resumed from its progress before every step — same
+        // readers, nothing remembered. Every reply must agree bit for bit,
+        // and what the persistent engine reports must be a real scan's.
+        let ds = velocity_dataset(2500, true);
+        let base = [
+            QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1.0, &ds).unwrap(),
+            QoiSpec::relative("Vx2", QoiExpr::var(0).pow(2), 1.0, &ds).unwrap(),
+            QoiSpec::relative("VyVz", species_product(1, 2), 1.0, &ds).unwrap(),
+        ];
+        for scheme in Scheme::extended() {
+            let mut archive = ds.refactor(scheme).unwrap();
+            archive.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
+            let mut a = engine_for(&archive);
+            let mut reuses = 0;
+            for step in 0..12 {
+                let specs: Vec<QoiSpec> = base
+                    .iter()
+                    .map(|q| q.at_tolerance(0.1 * 0.5f64.powi(step)))
+                    .collect();
+                let mut b =
+                    RetrievalEngine::resume(&archive, EngineConfig::default(), &a.save_progress())
+                        .unwrap();
+                let (ra, rb) = (execute(&mut a, &specs), execute(&mut b, &specs));
+                let at = format!("{} step {step}", scheme.name());
+                assert!(ra.satisfied, "{at}");
+                for (ta, tb) in ra.targets.iter().zip(&rb.targets) {
+                    assert_eq!(
+                        (ta.max_est_error.to_bits(), ta.satisfied, ta.bytes),
+                        (tb.max_est_error.to_bits(), tb.satisfied, tb.bytes),
+                        "{at} {}",
+                        ta.name
+                    );
+                }
+                assert_eq!(bits(&ra.field_bounds), bits(&rb.field_bounds), "{at}");
+                assert_eq!(ra.iterations, rb.iterations, "{at}");
+                assert_eq!(ra.bytes_fetched, rb.bytes_fetched, "{at}");
+                assert_eq!(rb.estimate_reuses, 0, "{at}: the oracle remembers nothing");
+                let direct = a.scan_qois(&specs, &ra.field_bounds);
+                for (t, (est, _)) in ra.targets.iter().zip(direct) {
+                    assert_eq!(t.max_est_error.to_bits(), est.to_bits(), "{at} {}", t.name);
+                }
+                reuses += ra.estimate_reuses;
+            }
+            assert!(reuses > 0, "{}: no step repeated a state", scheme.name());
+        }
+    }
+
+    #[test]
+    fn remembered_estimate_is_keyed_on_all_a_scan_reads() {
+        let ds = velocity_dataset(1500, false);
+        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let mut engine = engine_for(&archive);
+        let a = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-2, &ds).unwrap();
+        let b = QoiSpec::relative("Vx2", QoiExpr::var(0).pow(2), 1e-2, &ds).unwrap();
+        let zero = |z: f64| {
+            let expr = species_product(0, 1).add(QoiExpr::constant(z));
+            QoiSpec::absolute("VxVy+0", expr, 10.0)
+        };
+        assert_eq!(
+            zero(0.0).expr,
+            zero(-0.0).expr,
+            "PartialEq cannot tell them"
+        );
+        // fetch deep once; every request below is loose, so no reader moves
+        let deep: Vec<QoiSpec> = [&a, &b, &zero(0.0)]
+            .iter()
+            .map(|q| q.at_tolerance(q.tol_rel * 1e-4))
+            .collect();
+        assert!(execute(&mut engine, &deep).satisfied);
+
+        let a_roi = a.clone().restrict_to(10, 700);
+        // each request differs from the one before it in the one way named
+        let series: [(&str, Vec<QoiSpec>, u64); 8] = [
+            ("one target dropped", vec![a.clone(), b.clone()], 0),
+            ("identical", vec![a.clone(), b.clone()], 1),
+            (
+                "looser, same targets",
+                vec![a.at_tolerance(0.5), b.clone()],
+                1,
+            ),
+            ("a different region", vec![a_roi.clone(), b.clone()], 0),
+            (
+                "one target added",
+                vec![a_roi.clone(), b.clone(), zero(0.0)],
+                0,
+            ),
+            (
+                "two targets reordered",
+                vec![b.clone(), a_roi.clone(), zero(0.0)],
+                0,
+            ),
+            (
+                "Const(-0.0) for Const(0.0)",
+                vec![b.clone(), a_roi.clone(), zero(-0.0)],
+                0,
+            ),
+            ("identical again", vec![b.clone(), a_roi, zero(-0.0)], 1),
+        ];
+        for (what, specs, want) in series {
+            let r = execute(&mut engine, &specs);
+            assert_eq!(r.bytes_fetched, 0, "{what}: a reader moved");
+            assert_eq!((r.iterations, r.estimate_reuses), (1, want), "{what}");
+            let direct = engine.scan_qois(&specs, &r.field_bounds);
+            for (t, (est, _)) in r.targets.iter().zip(direct) {
+                assert_eq!(
+                    t.max_est_error.to_bits(),
+                    est.to_bits(),
+                    "{what} {}",
+                    t.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn remembered_estimate_key_tells_a_cold_placeholder_from_its_rehydrated_snapshot() {
+        // a view that adopts a demoted field holds zeros at max|x| under
+        // the demoted marker; reading through at the true bound swaps in the
+        // rehydrated snapshot at that same marker
+        let ds = velocity_dataset(1200, false);
+        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let store = Arc::new(
+            crate::store::ProgressStore::open_with(
+                Arc::new(archive),
+                Arc::new(crate::pager::StoreBudget::unbounded()),
+            )
+            .unwrap(),
+        );
+        let specs = [QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap()];
+        let mut first =
+            RetrievalEngine::with_store(Arc::clone(&store), EngineConfig::default()).unwrap();
+        assert!(execute(&mut first, &specs).satisfied);
+        for f in 0..3 {
+            assert!(store.demote(f));
+        }
+
+        let mut view =
+            RetrievalEngine::with_store(Arc::clone(&store), EngineConfig::default()).unwrap();
+        assert!(view.readers.iter().all(|r| r.is_cold()));
+        let markers: Vec<_> = view.readers.iter().map(|r| r.progress()).collect();
+        // same bounds in both keys, so only the flag can tell them apart
+        let bounds = [0, 1, 2].map(|j| store.field_bound(j));
+        let cold_key = view.scan_key(&specs, &bounds);
+        let cold = view.estimate(&specs);
+        for (j, reader) in view.readers.iter_mut().enumerate() {
+            reader.refine_to(bounds[j]).unwrap();
+            assert!(!reader.is_cold());
+            assert_eq!(reader.progress(), markers[j]);
+        }
+        assert_ne!(view.scan_key(&specs, &bounds), cold_key);
+        let warm = view.estimate(&specs);
+        assert!(!warm.reused);
+        assert_eq!(bits(&warm.bounds), bits(&bounds));
+        assert_ne!(cold.scans[0].0.to_bits(), warm.scans[0].0.to_bits());
+        assert_eq!(warm.scans, first.scan_qois(&specs, &bounds));
     }
 
     #[test]

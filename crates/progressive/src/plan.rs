@@ -35,7 +35,7 @@
 //! [`RetrievalEngine::retrieve`]: crate::engine::RetrievalEngine::retrieve
 //! [`FragmentSource::read_many`]: crate::fragstore::FragmentSource::read_many
 
-use crate::engine::{QoiSpec, RetrievalEngine, RetrievalReport};
+use crate::engine::{Estimate, QoiSpec, RetrievalEngine, RetrievalReport};
 use crate::fragstore::{FragmentId, SourceStats};
 use pqr_util::error::{PqrError, Result};
 
@@ -234,6 +234,11 @@ pub struct PlanReport {
     pub satisfied: bool,
     /// Outer refine→estimate→tighten rounds used.
     pub iterations: usize,
+    /// Rounds whose estimate was answered from the one the engine
+    /// remembered — nothing it is a function of had moved since (see
+    /// `RetrievalEngine::estimate`). Whole-field estimator scans run:
+    /// `iterations − estimate_reuses`.
+    pub estimate_reuses: u64,
     /// Bytes newly fetched by this execution.
     pub bytes_fetched: usize,
     /// Cumulative bytes fetched by the engine (including metadata).
@@ -352,6 +357,7 @@ impl<'e> PlanExecutor<'e> {
         let tol_abs: Vec<f64> = qois.iter().map(|q| q.tol_abs()).collect();
         let mut max_est = vec![f64::INFINITY; qois.len()];
         let mut iterations = 0usize;
+        let mut estimate_reuses = 0u64;
         let mut budget_exhausted = false;
         let (satisfied, field_bounds) = loop {
             iterations += 1;
@@ -378,13 +384,14 @@ impl<'e> PlanExecutor<'e> {
             } else {
                 engine.refine_round(&requested, None)?;
             }
-            // Alg. 2 lines 13–24: estimate QoI errors everywhere.
-            let achieved: Vec<f64> = engine
-                .readers()
-                .iter()
-                .map(|r| r.guaranteed_bound())
-                .collect();
-            let scans = engine.scan_qois(qois, &achieved);
+            // Alg. 2 lines 13–24: estimate QoI errors everywhere — unless
+            // the engine just did, over this very state.
+            let Estimate {
+                scans,
+                bounds: achieved,
+                reused,
+            } = engine.estimate(qois);
+            estimate_reuses += u64::from(reused);
             let mut all_met = true;
             for (k, &(est, _)) in scans.iter().enumerate() {
                 max_est[k] = est;
@@ -497,6 +504,7 @@ impl<'e> PlanExecutor<'e> {
         Ok(PlanReport {
             satisfied,
             iterations,
+            estimate_reuses,
             bytes_fetched: total - fetched_before,
             total_fetched: total,
             field_bounds,

@@ -832,6 +832,14 @@ impl FieldReader {
         }
     }
 
+    /// True while a store-backed view holds the cold placeholder it adopted
+    /// from a demoted field: zeros at `max|x|` under the demoted field's
+    /// marker, so [`FieldReader::progress`] alone does not identify the
+    /// reconstruction. Decoding readers are never cold.
+    pub(crate) fn is_cold(&self) -> bool {
+        matches!(&self.state, ReaderState::Shared { snap, .. } if snap.cold)
+    }
+
     /// True when no further refinement is possible. For store-backed views
     /// this asks the shared store: the view can still improve while the
     /// store holds (or can decode) a deeper state than the view adopted.

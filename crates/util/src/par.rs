@@ -4,8 +4,10 @@
 //! (Algorithm 2, lines 14–24); these helpers parallelise such embarrassingly
 //! parallel scans without pulling in rayon (not on the approved dependency
 //! list). Work is split into contiguous chunks, one logical chunk per worker,
-//! so per-point state stays cache-friendly. `std::thread::scope` guarantees
-//! workers only borrow — no `Arc`, no data races (if it compiles, it's safe).
+//! so per-point state stays cache-friendly. The calling thread is one of the
+//! workers: a fan-out over `n` spawns `n − 1` threads. `std::thread::scope`
+//! guarantees workers only borrow — no `Arc`, no data races (if it compiles,
+//! it's safe).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -36,6 +38,32 @@ pub fn worker_count() -> usize {
 /// thread spawn cost for pointwise scans.
 const PAR_THRESHOLD: usize = 4096;
 
+/// Runs `run` on every share and returns the results in share order: one
+/// spawned thread per share after the first, which the calling thread takes
+/// itself instead of parking until the others finish.
+fn fork_join<T, R, F>(shares: impl IntoIterator<Item = T>, run: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let mut shares = shares.into_iter();
+    let Some(own) = shares.next() else {
+        return Vec::new();
+    };
+    let run = &run;
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = shares.map(|t| s.spawn(move || run(t))).collect();
+        let mut results = vec![run(own)];
+        results.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("pqr worker panicked")),
+        );
+        results
+    })
+}
+
 /// Applies `f` to each index chunk `[start, end)` of `0..len` in parallel and
 /// reduces the per-chunk results with `reduce`.
 pub fn par_chunk_reduce<R, F, G>(len: usize, identity: R, f: F, reduce: G) -> R
@@ -49,27 +77,11 @@ where
         return reduce(identity, f(0, len));
     }
     let chunk = len.div_ceil(workers);
-    let mut results: Vec<R> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(len);
-            if start >= end {
-                break;
-            }
-            let f = &f;
-            handles.push(s.spawn(move || f(start, end)));
-        }
-        for h in handles {
-            results.push(h.join().expect("pqr worker panicked"));
-        }
-    });
-    let mut acc = identity;
-    for r in results {
-        acc = reduce(acc, r);
-    }
-    acc
+    fork_join((0..len).step_by(chunk), |start| {
+        f(start, (start + chunk).min(len))
+    })
+    .into_iter()
+    .fold(identity, reduce)
 }
 
 /// Fills `out[i] = f(i)` in parallel over contiguous chunks.
@@ -78,30 +90,9 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let len = out.len();
-    let workers = worker_count().min(len.max(1));
-    if workers <= 1 || len < PAR_THRESHOLD {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(workers);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut base = 0usize;
-        let f = &f;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let start = base;
-            s.spawn(move || {
-                for (off, slot) in head.iter_mut().enumerate() {
-                    *slot = f(start + off);
-                }
-            });
-            rest = tail;
-            base += take;
+    par_chunk_fill(out, worker_count(), |start, chunk| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            *slot = f(start + off);
         }
     });
 }
@@ -126,18 +117,8 @@ where
         return;
     }
     let chunk = len.div_ceil(workers);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut base = 0usize;
-        let f = &f;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let start = base;
-            s.spawn(move || f(start, head));
-            rest = tail;
-            base += take;
-        }
+    fork_join(out.chunks_mut(chunk).enumerate(), |(c, head)| {
+        f(c * chunk, head)
     });
 }
 
@@ -164,6 +145,29 @@ impl IndexDispenser {
     }
 }
 
+/// `workers` threads (the caller among them) each claim indices of `0..len`
+/// until none is left and run `work` on them; results come back indexed.
+fn dispense<R, F>(len: usize, workers: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let dispenser = IndexDispenser::new(len);
+    let mut pairs: Vec<(usize, R)> = fork_join(0..workers, |_| {
+        let mut local = Vec::new();
+        while let Some(i) = dispenser.claim() {
+            local.push((i, work(i)));
+        }
+        local
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    pairs.sort_by_key(|(i, _)| *i);
+    debug_assert_eq!(pairs.len(), len);
+    pairs.into_iter().map(|(_, v)| v).collect()
+}
+
 /// Runs `work(i)` for every `i` in `0..len` on `workers` threads with dynamic
 /// load balancing; results come back indexed by `i`.
 pub fn par_dynamic<T, F>(len: usize, workers: usize, work: F) -> Vec<T>
@@ -175,29 +179,7 @@ where
     if workers <= 1 {
         return (0..len).map(&work).collect();
     }
-    let dispenser = IndexDispenser::new(len);
-    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(len));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let dispenser = &dispenser;
-            let collected = &collected;
-            let work = &work;
-            s.spawn(move || {
-                let mut local: Vec<(usize, T)> = Vec::new();
-                while let Some(i) = dispenser.claim() {
-                    local.push((i, work(i)));
-                }
-                collected
-                    .lock()
-                    .expect("collector poisoned")
-                    .append(&mut local);
-            });
-        }
-    });
-    let mut pairs = collected.into_inner().expect("collector poisoned");
-    pairs.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(pairs.len(), len);
-    pairs.into_iter().map(|(_, v)| v).collect()
+    dispense(len, workers, work)
 }
 
 /// Runs `work(i, &mut items[i])` for every item on `workers` threads with
@@ -222,39 +204,17 @@ where
             .map(|(i, t)| work(i, t))
             .collect();
     }
-    let len = items.len();
     // one uncontended Mutex per element hands each worker exclusive &mut
     // access without unsafe slice partitioning
     let slots: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-    let dispenser = IndexDispenser::new(len);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(len));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let dispenser = &dispenser;
-            let slots = &slots;
-            let collected = &collected;
-            let work = &work;
-            s.spawn(move || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                while let Some(i) = dispenser.claim() {
-                    let item = slots[i]
-                        .lock()
-                        .expect("slot poisoned")
-                        .take()
-                        .expect("each index claimed once");
-                    local.push((i, work(i, item)));
-                }
-                collected
-                    .lock()
-                    .expect("collector poisoned")
-                    .append(&mut local);
-            });
-        }
-    });
-    let mut pairs = collected.into_inner().expect("collector poisoned");
-    pairs.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(pairs.len(), len);
-    pairs.into_iter().map(|(_, v)| v).collect()
+    dispense(slots.len(), workers, |i| {
+        let item = slots[i]
+            .lock()
+            .expect("slot poisoned")
+            .take()
+            .expect("each index claimed once");
+        work(i, item)
+    })
 }
 
 #[cfg(test)]
@@ -316,6 +276,88 @@ mod tests {
         for w in [2, 4, 7] {
             assert_eq!(fill(w), serial);
         }
+    }
+
+    #[test]
+    fn caller_runs_a_share_and_results_keep_their_order() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        use std::thread::{current, ThreadId};
+        let caller = current().id();
+        let len = 3 * PAR_THRESHOLD + 17;
+        let distinct = |ids: &[ThreadId]| ids.iter().collect::<HashSet<_>>().len();
+        for workers in [1usize, 2, 3, 8] {
+            // chunked: one closure call per chunk, the first on the caller
+            let ran = Mutex::new(Vec::new());
+            let mut out = vec![0usize; len];
+            par_chunk_fill(&mut out, workers, |start, chunk| {
+                ran.lock()
+                    .unwrap()
+                    .push((start, chunk.len(), current().id()));
+                for (k, slot) in chunk.iter_mut().enumerate() {
+                    *slot = start + k;
+                }
+            });
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i));
+            let mut ran = ran.into_inner().unwrap();
+            ran.sort_by_key(|r| r.0);
+            let chunk = len.div_ceil(workers);
+            assert_eq!(ran.len(), len.div_ceil(chunk), "workers={workers}");
+            for (c, &(start, n, _)) in ran.iter().enumerate() {
+                assert_eq!((start, n), (c * chunk, chunk.min(len - c * chunk)));
+            }
+            assert_eq!(ran[0].2, caller, "workers={workers}");
+            assert_eq!(
+                distinct(&ran.iter().map(|r| r.2).collect::<Vec<_>>()),
+                ran.len()
+            );
+
+            // dynamic: the first `workers` items meet at a barrier, so each
+            // of exactly `workers` threads holds one of them — the caller
+            // must be one, or the barrier never opens
+            let barrier = Barrier::new(workers);
+            let out = par_dynamic(64, workers, |i| {
+                if i < workers {
+                    barrier.wait();
+                }
+                (i, current().id())
+            });
+            assert!(out.iter().enumerate().all(|(i, r)| r.0 == i));
+            let ids: Vec<ThreadId> = out.iter().map(|r| r.1).collect();
+            assert!(ids.contains(&caller), "workers={workers}");
+            assert_eq!(distinct(&ids), workers);
+
+            let mut items: Vec<usize> = (0..64).collect();
+            let ids = par_dynamic_mut(&mut items, workers, |i, v| {
+                if i < workers {
+                    barrier.wait();
+                }
+                *v += i;
+                current().id()
+            });
+            assert!(items.iter().enumerate().all(|(i, &v)| v == 2 * i));
+            assert!(ids.contains(&caller), "workers={workers}");
+            assert_eq!(distinct(&ids), workers);
+        }
+
+        // the two helpers that size themselves from `worker_count()`:
+        // chunks reduce in index order whichever thread finishes first
+        let ranges = par_chunk_reduce(
+            len,
+            Vec::new(),
+            |start, end| vec![(start, end, current().id())],
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        );
+        assert_eq!(ranges[0].0, 0);
+        assert_eq!(ranges[ranges.len() - 1].1, len);
+        assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0));
+        assert_eq!(ranges[0].2, caller);
+        let mut out = vec![0usize; len];
+        par_map_into(&mut out, |i| i * 3);
+        assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
     }
 
     #[test]

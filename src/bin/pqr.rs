@@ -527,12 +527,13 @@ fn cmd_retrieve_multi(flags: &Flags<'_>, qoi_flags: &[&str]) -> Result<()> {
         );
     }
     println!(
-        "shared fragments saved {} B across {} targets; fetched {} B total ({} new) in {} rounds",
+        "shared fragments saved {} B across {} targets; fetched {} B total ({} new) in {} rounds, {} estimated",
         report.shared_bytes_saved,
         report.targets.len(),
         report.total_fetched,
         report.bytes_fetched,
-        report.iterations
+        report.iterations,
+        report.iterations as u64 - report.estimate_reuses
     );
     let stats = archive.source_stats();
     eprintln!(

@@ -40,6 +40,22 @@ fn save_archive(tag: &str) -> std::path::PathBuf {
     path
 }
 
+/// Opens the archive at `path`; when the environment sets a store budget
+/// its sessions refine one field at a time. Under a tight
+/// `PQR_STORE_BUDGET` the pager demotes whichever of two fields refined in
+/// parallel it finds unlocked — a race — and a test that holds a store's
+/// state against another run field by field needs the demotion order fixed.
+fn open_with_a_fixed_demotion_order(path: &std::path::Path) -> Archive {
+    let mut archive = Archive::open(path).unwrap();
+    if StoreBudget::from_env().unwrap().is_bounded() {
+        archive.set_engine_config(EngineConfig {
+            workers: 1,
+            ..Default::default()
+        });
+    }
+    archive
+}
+
 #[test]
 fn batched_multi_qoi_reads_strictly_fewer_bytes_than_sequential_requests() {
     let path = save_archive("bytes");
@@ -256,7 +272,7 @@ fn sequential_service_sessions_match_one_legacy_engine_byte_for_byte() {
     let path = save_archive("service_equiv");
     let requests: [(&str, f64); 4] = [("V", 1e-2), ("Vx2", 1e-3), ("V", 1e-5), ("VxVy", 1e-3)];
 
-    let service_archive = Archive::open(&path).unwrap();
+    let service_archive = open_with_a_fixed_demotion_order(&path);
     let service = service_archive.service().unwrap();
     let legacy_archive = Archive::open(&path).unwrap();
     let mut legacy = legacy_archive.session().unwrap();
@@ -331,5 +347,48 @@ fn concurrent_mixed_tolerance_sessions_stress() {
         shared_bytes <= cold_bytes + rehydrated,
         "shared {shared_bytes} B read more than cold sum {cold_bytes} B + rehydrated {rehydrated} B"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn remembered_estimate_survives_demotion_and_never_crosses_sessions() {
+    // a session's views keep the snapshots they adopted when the pager
+    // demotes the fields under them, so the identical request again is
+    // answered from the remembered estimate; a fresh session adopts cold
+    // placeholders, rehydrates on its first refinement, remembers nothing —
+    // and certifies the very same numbers
+    let path = save_archive("estimate_reuse");
+    let archive = Archive::open(&path).unwrap();
+    let service = archive.service().unwrap();
+    let mut request = RetrievalRequest::new();
+    for (name, tol) in TOLS {
+        request = request.qoi(name, tol);
+    }
+    let reply = |r: &PlanReport| {
+        let per_target: Vec<(u64, bool)> = r
+            .targets
+            .iter()
+            .map(|t| (t.max_est_error.to_bits(), t.satisfied))
+            .collect();
+        let bounds: Vec<u64> = r.field_bounds.iter().map(|b| b.to_bits()).collect();
+        (per_target, bounds, r.satisfied, r.total_fetched)
+    };
+
+    let mut session = service.session().unwrap();
+    let first = session.execute(&request).unwrap();
+    assert!(first.satisfied);
+    for field in 0..service.store().num_fields() {
+        service.store().demote(field); // already demoted under a tight budget
+    }
+    let again = session.execute(&request).unwrap();
+    assert_eq!(reply(&again), reply(&first));
+    assert_eq!(again.store_fragments_decoded, 0);
+    assert_eq!((again.iterations, again.estimate_reuses), (1, 1));
+
+    let mut fresh = service.session().unwrap();
+    let cold_start = fresh.execute(&request).unwrap();
+    assert_eq!(reply(&cold_start), reply(&first));
+    assert_eq!(cold_start.estimate_reuses, 0);
+    assert!(service.store_stats().rehydration_decodes > 0);
     std::fs::remove_file(&path).ok();
 }

@@ -141,14 +141,33 @@ fn smoke_open_retrieve_stats_close_and_remote_shutdown() {
     assert_eq!(final_stats.retrieves, 1);
 }
 
+/// Opens the archive at `path`; when the environment sets a store budget
+/// its sessions refine one field at a time. Under a tight
+/// `PQR_STORE_BUDGET` the pager demotes whichever of two fields refined in
+/// parallel it finds unlocked — a race — and a test that holds two stores
+/// against each other counter by counter needs the demotion order fixed.
+fn open_with_a_fixed_demotion_order(path: &std::path::Path) -> Archive {
+    let mut archive = Archive::open(path).unwrap();
+    if StoreBudget::from_env().unwrap().is_bounded() {
+        archive.set_engine_config(EngineConfig {
+            workers: 1,
+            ..Default::default()
+        });
+    }
+    archive
+}
+
 #[test]
 fn sequential_socket_series_is_counter_identical_to_in_process_service() {
     let path = save_archive("seq");
-    let (server, addr) = start_server(Archive::open(&path).unwrap(), ServerConfig::default());
+    let (server, addr) = start_server(
+        open_with_a_fixed_demotion_order(&path),
+        ServerConfig::default(),
+    );
 
     // the same tolerance-tightening series, remote and in-process
     let series = [("V", 1e-2), ("V", 1e-4), ("Vx2", 1e-4), ("VxVy", 1e-3)];
-    let local_archive = Archive::open(&path).unwrap();
+    let local_archive = open_with_a_fixed_demotion_order(&path);
     let local_service = local_archive.service().unwrap();
     let mut local = local_service.session().unwrap();
 
