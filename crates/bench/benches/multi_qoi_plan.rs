@@ -1,8 +1,7 @@
 //! Criterion: plan/execute retrieval — one QoI versus three QoIs deriving
 //! from shared fields, per storage backend. The 3-QoI batched plan
 //! schedules each shared field's fragments once, so its cost should sit
-//! far closer to the 1-QoI arm than to 3× it; the per-fragment
-//! (`batch_io: false`) arm isolates what range coalescing buys on files.
+//! far closer to the 1-QoI arm than to 3× it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
@@ -73,18 +72,6 @@ fn bench_multi_qoi_plan(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new(arm, "file_batched"), |b| {
             b.iter(|| execute_plan(file.clone(), &sp, EngineConfig::default()))
-        });
-        g.bench_function(BenchmarkId::new(arm, "file_per_fragment"), |b| {
-            b.iter(|| {
-                execute_plan(
-                    file.clone(),
-                    &sp,
-                    EngineConfig {
-                        batch_io: false,
-                        ..Default::default()
-                    },
-                )
-            })
         });
     }
     g.finish();

@@ -7,9 +7,7 @@ use crate::transform::{decompose_with_workers, gather_level, Basis};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 
-/// Magic bytes identifying a pqr-mgard stream.
-const MAGIC: &[u8; 4] = b"PQMG";
-/// Format version.
+/// Metadata format version.
 const VERSION: u8 = 1;
 
 /// Produces progressive multilevel streams (PMGARD / PMGARD-HB refactoring,
@@ -121,7 +119,9 @@ impl MgardRefactorer {
 ///
 /// The stream is the archive-side artifact; [`MgardStream::reader`] opens a
 /// progressive reader that fetches segments on demand and accounts for the
-/// bytes a remote retrieval would move.
+/// bytes a remote retrieval would move. It has no serialized form of its
+/// own: an archive stores [`MgardStream::meta`] and each plane payload as
+/// separate fragments.
 #[derive(Debug, Clone)]
 pub struct MgardStream {
     pub(crate) basis: Basis,
@@ -225,9 +225,11 @@ impl MgardMeta {
         w.finish()
     }
 
-    /// Deserializes metadata, enforcing the same structural invariants as
-    /// [`MgardStream::from_bytes`]: the level structure must match what the
-    /// shape implies, or downstream decoding would panic.
+    /// Deserializes metadata. The level structure is fully determined by
+    /// the shape: the cursor indexes one decoder per stride and
+    /// `scatter_level` trusts each level's exact coefficient count, so
+    /// metadata that disagrees with `level_strides(dims)` would panic (or
+    /// allocate without bound) downstream and is rejected here.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
         if r.get_raw(4)? != META_MAGIC {
@@ -334,184 +336,18 @@ impl MgardStream {
         }
     }
 
-    /// Reassembles a stream from metadata plus the plane payloads in
-    /// storage order (level-major, MSB plane first within a level) — the
-    /// inverse of splitting a stream into fragments.
-    pub fn from_parts(meta: MgardMeta, mut planes: Vec<Vec<u8>>) -> Result<Self> {
-        if planes.len() != meta.total_planes() {
-            return Err(PqrError::CorruptStream(format!(
-                "{} plane payloads for metadata declaring {}",
-                planes.len(),
-                meta.total_planes()
-            )));
-        }
-        let mut levels = Vec::with_capacity(meta.levels.len());
-        let mut rest = planes.drain(..);
-        for lm in &meta.levels {
-            levels.push(EncodedLevel {
-                exponent: lm.exponent,
-                count: lm.count,
-                planes: rest.by_ref().take(lm.num_planes as usize).collect(),
-            });
-        }
-        Ok(Self {
-            basis: meta.basis,
-            dims: meta.dims,
-            root: meta.root,
-            levels,
-        })
-    }
-
-    /// Metadata bytes a retrieval must always move: header, shape, root,
-    /// per-level exponents/counts and the per-plane size table.
-    pub fn metadata_bytes(&self) -> usize {
-        // magic + version + basis + nd + dims + root + level count
-        let mut b = 4 + 1 + 1 + 1 + 8 * self.dims.len() + 8 + 4;
-        for lvl in &self.levels {
-            // exponent presence + exponent + count + plane count + sizes
-            b += 1 + 4 + 8 + 4 + 4 * lvl.planes.len();
-        }
-        b
-    }
-
-    /// Per-plane payload sizes across all levels, finest level first —
-    /// the individually fetchable segments after the metadata.
-    pub fn segment_sizes(&self) -> Vec<usize> {
-        self.levels
-            .iter()
-            .flat_map(|l| l.planes.iter().map(Vec::len))
-            .collect()
-    }
-
     /// The plane payloads in storage order (level-major, MSB plane first
-    /// within a level) — the order [`MgardStream::from_parts`] reassembles.
+    /// within a level) — the fragments that follow the metadata.
     pub fn plane_payloads(&self) -> impl Iterator<Item = &[u8]> {
         self.levels
             .iter()
             .flat_map(|l| l.planes.iter().map(Vec::as_slice))
     }
 
-    /// The `flat`-th plane payload in storage order (the
-    /// [`MgardStream::plane_payloads`] order), addressed in O(levels).
-    pub fn plane(&self, flat: usize) -> Option<&[u8]> {
-        let mut k = flat;
-        for l in &self.levels {
-            if k < l.planes.len() {
-                return Some(&l.planes[k]);
-            }
-            k -= l.planes.len();
-        }
-        None
-    }
-
-    /// Total archived size (metadata + all plane payloads).
-    pub fn total_bytes(&self) -> usize {
-        self.metadata_bytes()
-            + self
-                .levels
-                .iter()
-                .map(|l| l.planes.iter().map(Vec::len).sum::<usize>())
-                .sum::<usize>()
-    }
-
-    /// Serializes the stream (archival format).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(self.total_bytes() + 64);
-        w.put_raw(MAGIC);
-        w.put_u8(VERSION);
-        w.put_u8(self.basis.tag());
-        w.put_u8(self.dims.len() as u8);
-        for &d in &self.dims {
-            w.put_u64(d as u64);
-        }
-        w.put_f64(self.root);
-        w.put_u32(self.levels.len() as u32);
-        for lvl in &self.levels {
-            match lvl.exponent {
-                Some(e) => {
-                    w.put_u8(1);
-                    w.put_u32(e as u32);
-                }
-                None => {
-                    w.put_u8(0);
-                    w.put_u32(0);
-                }
-            }
-            w.put_u64(lvl.count as u64);
-            w.put_u32(lvl.planes.len() as u32);
-            for p in &lvl.planes {
-                w.put_u32(p.len() as u32);
-                w.put_raw(p);
-            }
-        }
-        w.finish()
-    }
-
-    /// Deserializes a stream from [`MgardStream::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        if r.get_raw(4)? != MAGIC {
-            return Err(PqrError::CorruptStream("bad magic".into()));
-        }
-        if r.get_u8()? != VERSION {
-            return Err(PqrError::CorruptStream("unsupported version".into()));
-        }
-        let basis = Basis::from_tag(r.get_u8()?)
-            .ok_or_else(|| PqrError::CorruptStream("unknown basis".into()))?;
-        let nd = r.get_u8()? as usize;
-        let mut dims = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            dims.push(r.get_u64()? as usize);
-        }
-        pqr_util::byteio::check_dims(&dims)?;
-        let root = r.get_f64()?;
-        // The level structure is fully determined by the shape: the reader
-        // indexes `decoders[l]` per stride and `scatter_level` trusts each
-        // level's exact coefficient count, so a stream that disagrees with
-        // `level_strides(dims)` would panic downstream — reject it here.
-        let expected = level_strides(&dims);
-        let nlevels = r.get_u32()? as usize;
-        if nlevels != expected.len() {
-            return Err(PqrError::CorruptStream(format!(
-                "{nlevels} levels for dims {dims:?} (shape implies {})",
-                expected.len()
-            )));
-        }
-        let mut levels = Vec::with_capacity(nlevels);
-        for &stride in &expected {
-            let has_exp = r.get_u8()? != 0;
-            let e = r.get_u32()? as i32;
-            let exponent = has_exp.then_some(e);
-            let count = r.get_u64()? as usize;
-            let want = level_coefficient_count(&dims, stride);
-            if count != want {
-                return Err(PqrError::CorruptStream(format!(
-                    "level stride {stride} declares {count} coefficients, shape implies {want}"
-                )));
-            }
-            let nplanes = r.get_u32()? as usize;
-            if nplanes > PLANES as usize {
-                return Err(PqrError::CorruptStream(format!(
-                    "plane count {nplanes} exceeds {PLANES}"
-                )));
-            }
-            let mut planes = Vec::with_capacity(nplanes);
-            for _ in 0..nplanes {
-                let len = r.get_u32()? as usize;
-                planes.push(r.get_raw(len)?.to_vec());
-            }
-            levels.push(EncodedLevel {
-                exponent,
-                count,
-                planes,
-            });
-        }
-        Ok(Self {
-            basis,
-            dims,
-            root,
-            levels,
-        })
+    /// [`MgardStream::plane_payloads`] by value, for an archive writer that
+    /// keeps the payloads and drops the stream.
+    pub fn into_plane_payloads(self) -> impl Iterator<Item = Vec<u8>> {
+        self.levels.into_iter().flat_map(|l| l.planes)
     }
 }
 
@@ -536,36 +372,15 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip() {
+    fn metadata_roundtrips() {
         let data = field(257);
         for basis in [Basis::Hierarchical, Basis::Orthogonal] {
-            let s = MgardRefactorer::new(basis).refactor(&data, &[257]).unwrap();
-            let bytes = s.to_bytes();
-            let s2 = MgardStream::from_bytes(&bytes).unwrap();
-            assert_eq!(s2.basis(), basis);
-            assert_eq!(s2.dims(), s.dims());
-            assert_eq!(s2.root, s.root);
-            assert_eq!(s2.levels.len(), s.levels.len());
-            for (a, b) in s.levels.iter().zip(&s2.levels) {
-                assert_eq!(a.exponent, b.exponent);
-                assert_eq!(a.count, b.count);
-                assert_eq!(a.planes, b.planes);
-            }
+            let meta = MgardRefactorer::new(basis)
+                .refactor(&data, &[257])
+                .unwrap()
+                .meta();
+            assert_eq!(MgardMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
         }
-    }
-
-    #[test]
-    fn metadata_accounting_consistent_with_serialization() {
-        let data = field(500);
-        let s = MgardRefactorer::default().refactor(&data, &[500]).unwrap();
-        let serialized = s.to_bytes().len();
-        // serialized = metadata + payloads (length prefixes counted as meta)
-        let payloads: usize = s
-            .levels
-            .iter()
-            .map(|l| l.planes.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        assert_eq!(serialized, s.metadata_bytes() + payloads);
     }
 
     #[test]
@@ -585,18 +400,17 @@ mod tests {
     fn empty_array_ok() {
         let s = MgardRefactorer::default().refactor(&[], &[0]).unwrap();
         assert_eq!(s.num_levels(), 0);
-        let bytes = s.to_bytes();
-        let s2 = MgardStream::from_bytes(&bytes).unwrap();
-        assert_eq!(s2.dims(), &[0]);
+        let meta = MgardMeta::from_bytes(&s.meta().to_bytes()).unwrap();
+        assert_eq!(meta.dims(), &[0]);
         // the degenerate stream must also be readable, not just parseable
-        assert!(s2.reader().reconstruct().is_empty());
+        assert!(s.reader().reconstruct().is_empty());
     }
 
-    /// Builds stream bytes for dims `[16]` with the given level headers
-    /// (`(count, nplanes)` per level, no plane payloads).
-    fn crafted_stream(level_counts: &[(u64, u32)]) -> Vec<u8> {
+    /// Builds metadata bytes for dims `[16]` with the given level headers
+    /// (`(count, nplanes)` per level).
+    fn crafted_meta(level_counts: &[(u64, u32)]) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_raw(MAGIC);
+        w.put_raw(META_MAGIC);
         w.put_u8(VERSION);
         w.put_u8(Basis::Hierarchical.tag());
         w.put_u8(1); // nd
@@ -614,36 +428,53 @@ mod tests {
 
     #[test]
     fn hostile_level_structure_rejected() {
-        // The reader's decoders allocate `count` slots and `scatter_level`
-        // trusts the exact per-level counts, so streams whose declared
-        // structure disagrees with the shape must fail at parse time —
-        // accepting them would turn `reader()`/`reconstruct()` into an
-        // abort or an index panic.
+        // The cursor's decoders allocate `count` slots and `scatter_level`
+        // trusts the exact per-level counts, so metadata whose declared
+        // structure disagrees with the shape must fail at parse time — this
+        // is the parser every archive open runs — or opening a reader would
+        // become an abort or an index panic.
 
         // u64::MAX coefficients in a single level (allocation bomb)
-        assert!(MgardStream::from_bytes(&crafted_stream(&[(u64::MAX, 0)])).is_err());
+        assert!(MgardMeta::from_bytes(&crafted_meta(&[(u64::MAX, 0)])).is_err());
+        // a level count the remaining bytes cannot back
+        let mut bomb = crafted_meta(&[]);
+        let at = bomb.len() - 4;
+        bomb[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(MgardMeta::from_bytes(&bomb).is_err());
         // too few levels for the shape ([16] implies strides 1,2,4,8)
-        assert!(MgardStream::from_bytes(&crafted_stream(&[(5, 0)])).is_err());
+        assert!(MgardMeta::from_bytes(&crafted_meta(&[(5, 0)])).is_err());
         // right level count, one wrong coefficient count (true: 8,4,2,1)
+        assert!(MgardMeta::from_bytes(&crafted_meta(&[(8, 0), (5, 0), (2, 0), (1, 0)])).is_err());
+        // more planes than the coder has
         assert!(
-            MgardStream::from_bytes(&crafted_stream(&[(8, 0), (5, 0), (2, 0), (1, 0)])).is_err()
+            MgardMeta::from_bytes(&crafted_meta(&[(8, PLANES + 1), (4, 0), (2, 0), (1, 0)]))
+                .is_err()
         );
-        // the structurally correct headers parse fine
-        let ok = MgardStream::from_bytes(&crafted_stream(&[(8, 0), (4, 0), (2, 0), (1, 0)]));
+        // the structurally correct headers parse fine...
+        let good = crafted_meta(&[(8, 3), (4, 0), (2, 0), (1, 0)]);
+        let ok = MgardMeta::from_bytes(&good);
         assert!(ok.is_ok(), "{ok:?}");
-        // ...and the parsed stream is readable without panicking
-        assert_eq!(ok.unwrap().reader().reconstruct().len(), 16);
+        // ...and a cursor over them rebuilds without panicking
+        let cursor = crate::retrieve::MgardCursor::new(ok.unwrap());
+        assert_eq!(cursor.reconstruct().len(), 16);
+        // trailing bytes, and every strict prefix
+        let mut long = good.clone();
+        long.push(0);
+        assert!(MgardMeta::from_bytes(&long).is_err());
+        for cut in 0..good.len() {
+            assert!(MgardMeta::from_bytes(&good[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]
-    fn corrupt_stream_rejected() {
+    fn corrupt_metadata_rejected() {
         let data = field(64);
         let s = MgardRefactorer::default().refactor(&data, &[64]).unwrap();
-        let bytes = s.to_bytes();
-        assert!(MgardStream::from_bytes(&bytes[..20]).is_err());
+        let bytes = s.meta().to_bytes();
+        assert!(MgardMeta::from_bytes(&bytes[..20]).is_err());
         let mut bad = bytes.clone();
         bad[0] = b'Z';
-        assert!(MgardStream::from_bytes(&bad).is_err());
+        assert!(MgardMeta::from_bytes(&bad).is_err());
     }
 
     #[test]
@@ -653,6 +484,6 @@ mod tests {
             .refactor(&data, &[24, 18])
             .unwrap();
         assert!(s.num_levels() >= 4);
-        assert!(s.total_bytes() > s.metadata_bytes());
+        assert!(s.plane_payloads().count() > 0);
     }
 }

@@ -18,12 +18,12 @@ use pqr_util::error::Result;
 /// Push-based progressive decoder over [`MgardMeta`].
 ///
 /// A cursor holds only the stream's *metadata* plus decode state — it never
-/// sees where the plane payloads live. The owner asks [`MgardCursor::
-/// next_plane`] which `(level, plane)` the greedy schedule wants, fetches
-/// those bytes from wherever the stream is stored (memory, a file range, a
-/// remote store), and pushes them in with [`MgardCursor::push_plane`]. The
-/// borrowing [`MgardReader`] and the fragment-addressed sources in
-/// `pqr-progressive` both drive the same cursor, so the refinement schedule
+/// sees where the plane payloads live. The owner asks [`MgardCursor::front`]
+/// which `(level, plane)` pushes the greedy schedule wants, fetches those
+/// bytes from wherever the stream is stored (memory, a file range, a remote
+/// store), and pushes them in with [`MgardCursor::push_plane`]. The
+/// borrowing [`MgardReader`] and the fragment-addressed backend in
+/// `pqr-progressive` both consume that one walk, so the refinement schedule
 /// and the error model cannot drift between local and remote paths.
 #[derive(Debug, Clone)]
 pub struct MgardCursor {
@@ -68,46 +68,18 @@ impl MgardCursor {
         self.decoders.iter().map(|d| d.planes_read()).collect()
     }
 
-    /// The `(level, plane_index)` the greedy schedule wants next — the
-    /// level whose next plane removes the most modeled error — or `None`
-    /// when every level is exhausted. Pure planning: the cursor state only
-    /// advances when the owner pushes the plane's bytes.
-    pub fn next_plane(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (l, d) in self.decoders.iter().enumerate() {
-            if d.planes_read() >= self.meta.levels()[l].num_planes {
-                continue;
-            }
-            let contribution =
-                level_weight(self.meta.basis(), self.meta.dims(), l) * d.error_bound();
-            match best {
-                Some((_, c)) if c >= contribution => {}
-                _ => best = Some((l, contribution)),
-            }
-        }
-        best.map(|(l, _)| (l, self.decoders[l].planes_read() as usize))
-    }
-
-    /// The `(level, plane)` pushes the greedy schedule will perform, in
-    /// order, to bring [`MgardCursor::guaranteed_bound`] to at most `eb` —
-    /// computed without consuming anything. The bound model is a function
-    /// of per-level consumed-plane counts only (`truncation_error` over the
-    /// metadata exponents), so the prediction matches the fetch-and-push
-    /// path exactly; batched retrieval plans its fragment schedule from
-    /// this before a single payload byte moves.
-    pub fn plan_to_bound(&self, eb: f64) -> Vec<(usize, usize)> {
-        self.plan_to_bound_with_bounds(eb)
-            .into_iter()
-            .map(|(l, p, _)| (l, p))
-            .collect()
-    }
-
-    /// [`MgardCursor::plan_to_bound`] annotated with the guaranteed bound
-    /// the model reaches *after* each push. With `eb = 0.0` this is the
-    /// full remaining refinement front down to the representation floor —
-    /// what a plan-front cache stores once and cuts prefixes from, since
-    /// the walk is the same greedy schedule for every target.
-    pub fn plan_to_bound_with_bounds(&self, eb: f64) -> Vec<(usize, usize, f64)> {
+    /// The `(level, plane, bound after it)` pushes the greedy schedule will
+    /// perform, in order, to bring [`MgardCursor::guaranteed_bound`] to at
+    /// most `eb` — each step takes the level whose next plane removes the
+    /// most modeled error — computed without consuming anything. The bound
+    /// model is a function of per-level consumed-plane counts only
+    /// (`truncation_error` over the metadata exponents), so the prediction
+    /// matches the fetch-and-push path exactly; this is the one place the
+    /// walk is written, and every consumer (planning, refinement, the
+    /// shared store's front cache) reads it. With `eb = 0.0` it is the full
+    /// remaining front down to the representation floor, of which every
+    /// tighter target's front is a prefix.
+    pub fn front(&self, eb: f64) -> Vec<(usize, usize, f64)> {
         use crate::bitplane::truncation_error;
         let basis = self.meta.basis();
         let dims = self.meta.dims();
@@ -120,8 +92,6 @@ impl MgardCursor {
             .collect();
         let mut out = Vec::new();
         while recon_bound(basis, dims, &errs) > eb {
-            // mirror `next_plane`: the level whose next plane removes the
-            // most modeled error
             let mut best: Option<(usize, f64)> = None;
             for (l, lm) in levels.iter().enumerate() {
                 if planes[l] >= lm.num_planes {
@@ -254,8 +224,9 @@ impl MgardCursor {
 /// Progressive reader over an [`MgardStream`]: an [`MgardCursor`] whose
 /// plane fetches are served from the borrowed, fully resident stream.
 ///
-/// Created via [`MgardStream::reader`]. Byte accounting starts at the
-/// stream's metadata size (a remote retrieval always moves the metadata).
+/// Created via [`MgardStream::reader`]. Byte accounting starts at the size
+/// of the stream's serialized metadata (a remote retrieval always moves the
+/// metadata fragment).
 #[derive(Debug, Clone)]
 pub struct MgardReader<'a> {
     stream: &'a MgardStream,
@@ -265,10 +236,11 @@ pub struct MgardReader<'a> {
 
 impl<'a> MgardReader<'a> {
     pub(crate) fn new(stream: &'a MgardStream) -> Self {
+        let meta = stream.meta();
         Self {
             stream,
-            cursor: MgardCursor::new(stream.meta()),
-            fetched: stream.metadata_bytes(),
+            fetched: meta.to_bytes().len(),
+            cursor: MgardCursor::new(meta),
         }
     }
 
@@ -289,16 +261,16 @@ impl<'a> MgardReader<'a> {
         self.cursor.fully_fetched()
     }
 
-    /// Serves the cursor's next wanted plane from the resident stream.
-    /// Returns the plane's byte size, or `None` when exhausted.
-    fn fetch_next(&mut self) -> Result<Option<usize>> {
-        let Some((l, p)) = self.cursor.next_plane() else {
-            return Ok(None);
-        };
-        let seg = &self.stream.levels[l].planes[p];
-        self.cursor.push_plane(l, seg)?;
-        self.fetched += seg.len();
-        Ok(Some(seg.len()))
+    /// Serves the first `limit` pushes of the cursor's front towards `eb`
+    /// from the resident stream. Returns the newly fetched bytes.
+    fn consume(&mut self, eb: f64, limit: usize) -> Result<usize> {
+        let before = self.fetched;
+        for (l, p, _) in self.cursor.front(eb).into_iter().take(limit) {
+            let seg = &self.stream.levels[l].planes[p];
+            self.cursor.push_plane(l, seg)?;
+            self.fetched += seg.len();
+        }
+        Ok(self.fetched - before)
     }
 
     /// Fetches planes (greedy, largest-contribution level first) until the
@@ -309,14 +281,7 @@ impl<'a> MgardReader<'a> {
     /// is fully fetched (near-lossless floor) — Definition 1's "or a
     /// full-fidelity representation is retrieved".
     pub fn refine_to(&mut self, eb: f64) -> Result<usize> {
-        let mut newly = 0usize;
-        while self.cursor.guaranteed_bound() > eb {
-            match self.fetch_next()? {
-                Some(n) => newly += n,
-                None => break, // exhausted
-            }
-        }
-        Ok(newly)
+        self.consume(eb, usize::MAX)
     }
 
     /// Planes consumed so far, per level — the reader's resumable progress
@@ -325,47 +290,10 @@ impl<'a> MgardReader<'a> {
         self.cursor.planes_read()
     }
 
-    /// Restores a reader to a previously recorded per-level plane state by
-    /// replaying the stored segments (deterministic: same stream + same
-    /// counts ⇒ identical reconstruction and byte accounting). Must be
-    /// called on a fresh reader.
-    pub fn restore(&mut self, planes_per_level: &[u32]) -> Result<usize> {
-        if planes_per_level.len() != self.stream.levels.len() {
-            return Err(pqr_util::error::PqrError::InvalidRequest(format!(
-                "progress has {} levels, stream has {}",
-                planes_per_level.len(),
-                self.stream.levels.len()
-            )));
-        }
-        let mut newly = 0usize;
-        for (l, &k) in planes_per_level.iter().enumerate() {
-            if k as usize > self.stream.levels[l].planes.len() {
-                return Err(pqr_util::error::PqrError::InvalidRequest(format!(
-                    "progress wants {k} planes of level {l}, stream has {}",
-                    self.stream.levels[l].planes.len()
-                )));
-            }
-            for idx in self.cursor.planes_read()[l] as usize..k as usize {
-                let seg = &self.stream.levels[l].planes[idx];
-                self.cursor.push_plane(l, seg)?;
-                newly += seg.len();
-                self.fetched += seg.len();
-            }
-        }
-        Ok(newly)
-    }
-
-    /// Fetches `k` more planes round-robin-greedily regardless of a target —
+    /// Fetches `k` more planes in greedy order regardless of a target —
     /// used by benches exploring fixed-budget retrieval.
     pub fn fetch_planes(&mut self, k: usize) -> Result<usize> {
-        let mut newly = 0usize;
-        for _ in 0..k {
-            match self.fetch_next()? {
-                Some(n) => newly += n,
-                None => break,
-            }
-        }
-        Ok(newly)
+        self.consume(f64::NEG_INFINITY, k)
     }
 
     /// Recomposes the data representation from the planes fetched so far.
@@ -502,7 +430,7 @@ mod tests {
         let data = field(128);
         let stream = MgardRefactorer::default().refactor(&data, &[128]).unwrap();
         let reader = stream.reader();
-        assert_eq!(reader.total_fetched(), stream.metadata_bytes());
+        assert_eq!(reader.total_fetched(), stream.meta().to_bytes().len());
         assert!(reader.guaranteed_bound().is_finite());
     }
 
@@ -705,36 +633,28 @@ mod tests {
     }
 
     #[test]
-    fn plan_to_bound_predicts_the_exact_push_sequence() {
+    fn front_plans_without_advancing_and_predicts_the_bound_it_reaches() {
         let data = field(600);
         for basis in [Basis::Hierarchical, Basis::Orthogonal] {
             let stream = MgardRefactorer::new(basis).refactor(&data, &[600]).unwrap();
-            // flat plane index of (level, plane) in storage order
-            let level_base: Vec<usize> = {
-                let mut bases = Vec::new();
-                let mut base = 0usize;
-                for lm in stream.meta().levels() {
-                    bases.push(base);
-                    base += lm.num_planes as usize;
-                }
-                bases
-            };
-            let mut cursor = MgardCursor::new(stream.meta());
+            let mut reader = stream.reader();
             for eb in [1.0, 1e-2, 1e-5, 1e-9, 0.0] {
-                let plan = cursor.plan_to_bound(eb);
-                let mut executed = Vec::new();
-                while cursor.guaranteed_bound() > eb {
-                    let Some((l, p)) = cursor.next_plane() else {
-                        break;
-                    };
-                    let bytes = stream.plane(level_base[l] + p).unwrap();
-                    cursor.push_plane(l, bytes).unwrap();
-                    executed.push((l, p));
+                let front = reader.cursor.front(eb);
+                assert_eq!(front, reader.cursor.front(eb), "{basis:?} eb={eb}");
+                // every tighter target's front extends this one
+                let full = reader.cursor.front(0.0);
+                assert_eq!(front[..], full[..front.len()], "{basis:?} eb={eb}");
+                reader.refine_to(eb).unwrap();
+                if let Some(&(_, _, after)) = front.last() {
+                    assert_eq!(
+                        after.to_bits(),
+                        reader.guaranteed_bound().to_bits(),
+                        "{basis:?} eb={eb}"
+                    );
                 }
-                assert_eq!(plan, executed, "{basis:?} eb={eb}");
-                // planning must not advance the cursor
-                assert!(cursor.plan_to_bound(eb).is_empty(), "{basis:?} eb={eb}");
+                assert!(reader.cursor.front(eb).is_empty(), "{basis:?} eb={eb}");
             }
+            assert!(reader.fully_fetched());
         }
     }
 }

@@ -118,20 +118,28 @@ proptest! {
     }
 
     #[test]
-    fn serialization_roundtrip_any_input(
+    fn metadata_roundtrip_any_input(
         n in 1usize..300,
         basis in arb_basis(),
         seed in 0u64..10_000,
     ) {
+        // the stream's stored form is its metadata fragment plus its plane
+        // payloads: a cursor over the re-parsed metadata, fed the payloads,
+        // lands where the borrowed reader does
         let data = data_for(n, seed);
         let stream = MgardRefactorer::new(basis).refactor(&data, &[n]).unwrap();
-        let back = pqr_mgard::MgardStream::from_bytes(&stream.to_bytes()).unwrap();
-        let mut r1 = stream.reader();
-        let mut r2 = back.reader();
-        r1.refine_to(1e-6).unwrap();
-        r2.refine_to(1e-6).unwrap();
-        prop_assert_eq!(r1.total_fetched(), r2.total_fetched());
-        prop_assert_eq!(r1.reconstruct(), r2.reconstruct());
+        let meta = pqr_mgard::MgardMeta::from_bytes(&stream.meta().to_bytes()).unwrap();
+        prop_assert_eq!(&meta, &stream.meta());
+        let mut cursor = pqr_mgard::MgardCursor::new(meta.clone());
+        let mut payloads = stream.plane_payloads();
+        for (l, lm) in meta.levels().iter().enumerate() {
+            for _ in 0..lm.num_planes {
+                cursor.push_plane(l, payloads.next().unwrap()).unwrap();
+            }
+        }
+        let mut reader = stream.reader();
+        reader.refine_to(0.0).unwrap();
+        prop_assert_eq!(cursor.reconstruct(), reader.reconstruct());
     }
 
     #[test]

@@ -147,12 +147,6 @@ pub struct EngineConfig {
     /// parallelises at a coarser granularity (e.g. the per-block transfer
     /// pipeline) — nested thread pools oversubscribe and distort timings.
     pub parallel_scan: bool,
-    /// Batch each refinement round's fragment schedule through
-    /// [`FragmentSource::read_many`] (coalesced ranges on files, one
-    /// round-trip per batch on remote stores) before the readers consume
-    /// it. Disable to force the legacy per-fragment fetch path — useful
-    /// for I/O comparisons; the bytes moved are identical either way.
-    pub batch_io: bool,
     /// Worker-thread budget — the shared knob for per-field decode during
     /// plan execution here and for the encode fan-out on the write path
     /// (`Dataset::refactor_with_workers` takes the same value; the CLI
@@ -189,7 +183,6 @@ impl Default for EngineConfig {
             max_tightenings: 512,
             bound_config: BoundConfig::default(),
             parallel_scan: true,
-            batch_io: true,
             workers: 0,
             overlap_io: true,
             store_budget_bytes: None,
@@ -469,10 +462,8 @@ impl RetrievalEngine {
         if r.remaining() != 0 {
             return Err(PqrError::CorruptStream("trailing progress bytes".into()));
         }
-        if cfg.batch_io {
-            engine.source_order(&mut ids);
-            engine.prefetch(&ids)?;
-        }
+        engine.manifest.storage_order(&mut ids);
+        engine.prefetch(&ids)?;
         for (i, p) in markers.iter().enumerate() {
             engine.readers[i].restore(p)?;
         }
@@ -537,9 +528,8 @@ impl RetrievalEngine {
     /// This is now a thin wrapper over plan execution: the specs resolve
     /// into a [`crate::plan::RetrievalPlan`] and a
     /// [`crate::plan::PlanExecutor`] drives the refine→estimate→tighten
-    /// loop with batched fragment I/O (unless
-    /// [`EngineConfig::batch_io`] is off) — there is exactly one fetch
-    /// code path. Use the plan API directly for per-target reporting,
+    /// loop with batched fragment I/O — there is exactly one fetch code
+    /// path. Use the plan API directly for per-target reporting,
     /// byte budgets and shared-fragment accounting.
     pub fn retrieve(&mut self, qois: &[QoiSpec]) -> Result<RetrievalReport> {
         let plan = crate::plan::RetrievalPlan::resolve(self, qois.to_vec(), None)?;
@@ -557,17 +547,6 @@ impl RetrievalEngine {
     /// The engine configuration (crate-internal).
     pub(crate) fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// Sorts fragment ids into storage order (ascending directory offset)
-    /// so a batch presents the backend maximal coalescing opportunities.
-    pub(crate) fn source_order(&self, ids: &mut [FragmentId]) {
-        ids.sort_by_key(|&id| {
-            self.manifest
-                .fragment(id)
-                .map(|f| f.offset)
-                .unwrap_or(u64::MAX)
-        });
     }
 
     /// Batches `ids` through the source's [`FragmentSource::read_many`]
@@ -596,63 +575,56 @@ impl RetrievalEngine {
     /// overlapped with decode when [`EngineConfig::overlap_io`] allows),
     /// then refines every field with a finite requested bound — in
     /// parallel across fields, since their cursors are independent.
+    /// Whatever the batch does not deliver, the readers fetch per
+    /// fragment as they consume.
     ///
     /// With `workers = 1` and overlap off this is exactly the
     /// legacy prefetch-then-refine sequence; the parallel/overlapped
     /// variants produce bit-identical reconstructions and byte accounting
     /// (asserted by `prop_plan_equivalence` and the engine tests below).
-    pub(crate) fn refine_round(
-        &mut self,
-        requested: &[f64],
-        schedule: Option<&[FragmentId]>,
-    ) -> Result<()> {
+    pub(crate) fn refine_round(&mut self, requested: &[f64], ids: &[FragmentId]) -> Result<()> {
         let workers = self.workers();
-        match schedule {
-            Some(ids) if self.cfg.overlap_io && ids.len() >= OVERLAP_MIN_FRAGMENTS => {
-                let source = Arc::clone(&self.source);
-                let stage = Arc::clone(&self.stage);
-                let chunk = ids.len().div_ceil(OVERLAP_CHUNKS).max(1);
-                let (io_before, wait_before) = (stage.io_nanos(), stage.wait_nanos());
-                stage.begin_round(ids);
-                let decoded = std::thread::scope(|s| {
-                    let io = s.spawn({
-                        let stage = Arc::clone(&stage);
-                        move || -> Result<()> {
-                            let _guard = RoundGuard(&stage);
-                            let t0 = std::time::Instant::now();
-                            for chunk_ids in ids.chunks(chunk) {
-                                let payloads = source.read_many(chunk_ids)?;
-                                for (&id, payload) in chunk_ids.iter().zip(payloads) {
-                                    stage.put(id, payload);
-                                }
-                            }
-                            stage.add_io_nanos(t0.elapsed().as_nanos() as u64);
-                            Ok(())
-                        }
-                    });
-                    let decoded = self.refine_fields(requested, workers);
-                    // decode's verdict wins: it fell back to direct fetches
-                    // for anything the prefetcher failed to deliver, so a
-                    // prefetch error with a clean decode is only lost overlap
-                    let _ = io.join().expect("prefetcher panicked");
-                    decoded
-                });
-                // credit this round's hidden I/O (clamped per round, so a
-                // stall-heavy round cannot erase another round's saving)
-                let io = stage.io_nanos() - io_before;
-                let wait = stage.wait_nanos() - wait_before;
-                stage.add_saved_nanos(io.saturating_sub(wait));
-                decoded
-            }
-            Some(ids) => {
-                // mirror the overlapped arm's error contract: a failed
-                // batch degrades to the readers' per-fragment fallback
-                // fetches, and decode's verdict decides the round
-                let _ = self.prefetch(ids);
-                self.refine_fields(requested, workers)
-            }
-            None => self.refine_fields(requested, workers),
+        if !self.cfg.overlap_io || ids.len() < OVERLAP_MIN_FRAGMENTS {
+            // mirror the overlapped arm's error contract: a failed batch
+            // degrades to the readers' per-fragment fallback fetches, and
+            // decode's verdict decides the round
+            let _ = self.prefetch(ids);
+            return self.refine_fields(requested, workers);
         }
+        let source = Arc::clone(&self.source);
+        let stage = Arc::clone(&self.stage);
+        let chunk = ids.len().div_ceil(OVERLAP_CHUNKS).max(1);
+        let (io_before, wait_before) = (stage.io_nanos(), stage.wait_nanos());
+        stage.begin_round(ids);
+        let decoded = std::thread::scope(|s| {
+            let io = s.spawn({
+                let stage = Arc::clone(&stage);
+                move || -> Result<()> {
+                    let _guard = RoundGuard(&stage);
+                    let t0 = std::time::Instant::now();
+                    for chunk_ids in ids.chunks(chunk) {
+                        let payloads = source.read_many(chunk_ids)?;
+                        for (&id, payload) in chunk_ids.iter().zip(payloads) {
+                            stage.put(id, payload);
+                        }
+                    }
+                    stage.add_io_nanos(t0.elapsed().as_nanos() as u64);
+                    Ok(())
+                }
+            });
+            let decoded = self.refine_fields(requested, workers);
+            // decode's verdict wins: it fell back to direct fetches for
+            // anything the prefetcher failed to deliver, so a prefetch
+            // error with a clean decode is only lost overlap
+            let _ = io.join().expect("prefetcher panicked");
+            decoded
+        });
+        // credit this round's hidden I/O (clamped per round, so a
+        // stall-heavy round cannot erase another round's saving)
+        let io = stage.io_nanos() - io_before;
+        let wait = stage.wait_nanos() - wait_before;
+        stage.add_saved_nanos(io.saturating_sub(wait));
+        decoded
     }
 
     /// Refines every field with a finite requested bound, fanning the

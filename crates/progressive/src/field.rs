@@ -420,9 +420,7 @@ impl crate::fragstore::FragmentSource for RefactoredDataset {
             .fields
             .get(id.field as usize)
             .ok_or_else(|| PqrError::InvalidRequest(format!("field {} out of range", id.field)))?;
-        Ok(std::sync::Arc::new(crate::fragstore::fetch_field_payload(
-            field, id.index,
-        )?))
+        field.fragment(id.index)
     }
 }
 

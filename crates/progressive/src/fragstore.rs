@@ -38,14 +38,12 @@
 //! ascending and non-overlapping — a corrupt or malicious directory fails
 //! at parse time, not as an allocation bomb or an out-of-range read later.
 
+use crate::backend;
 use crate::mask::ZeroMask;
-use crate::refactored::{Body, RefactoredField, Scheme, Snapshot};
-use pqr_mgard::{MgardMeta, MgardStream};
+use crate::refactored::{RefactoredField, Scheme};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::cache::LruCache;
 use pqr_util::error::{PqrError, Result};
-use pqr_zfp::{ZfpMeta, ZfpStream};
-use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,6 +139,13 @@ impl Manifest {
     /// Field index by name.
     pub fn field_index(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
+    }
+
+    /// Sorts fragment ids into storage order (ascending directory offset;
+    /// ids the directory does not hold go last) so a batch presents the
+    /// backend maximal coalescing opportunities.
+    pub fn storage_order(&self, ids: &mut [FragmentId]) {
+        ids.sort_by_key(|&id| self.fragment(id).map_or(u64::MAX, |f| f.offset));
     }
 
     /// The directory entry for `id`, or a corrupt-request error.
@@ -401,66 +406,19 @@ fn coalesce_ranges(manifest: &Manifest, ids: &[FragmentId]) -> Result<Vec<Coales
 // Splitting a resident field into fragments
 // ---------------------------------------------------------------------------
 
-/// The payloads of one field in fragment-index order, each with its
-/// directory bound (`eb_abs`; `0.0` for non-snapshot fragments). Metadata
-/// fragments are serialized on the fly; plane/blob payloads are borrowed.
-pub(crate) fn field_payloads(field: &RefactoredField) -> Vec<(f64, Cow<'_, [u8]>)> {
-    match &field.body {
-        Body::Snapshots(snaps) => snaps
-            .iter()
-            .map(|s| (s.eb_abs, Cow::from(s.blob.as_slice())))
-            .collect(),
-        Body::Mgard(m) => {
-            let mut v = vec![(0.0, Cow::from(m.meta().to_bytes()))];
-            v.extend(m.plane_payloads().map(|p| (0.0, Cow::from(p))));
-            v
-        }
-        Body::Zfp(z) => {
-            let mut v = vec![(0.0, Cow::from(z.meta().to_bytes()))];
-            v.extend(z.plane_payloads().map(|p| (0.0, Cow::from(p))));
-            v
-        }
-    }
-}
-
-/// One fragment's payload from a resident field, without materialising the
-/// whole payload list — the per-fetch path of the resident sources (the
-/// metadata fragment is serialized on demand; plane/blob fetches are a
-/// single indexed copy).
-pub(crate) fn fetch_field_payload(field: &RefactoredField, index: u32) -> Result<Vec<u8>> {
-    let idx = index as usize;
-    let missing = || PqrError::InvalidRequest(format!("fragment {index} out of range"));
-    match &field.body {
-        Body::Snapshots(snaps) => snaps.get(idx).map(|s| s.blob.clone()).ok_or_else(missing),
-        Body::Mgard(m) => {
-            if idx == 0 {
-                Ok(m.meta().to_bytes())
-            } else {
-                m.plane(idx - 1).map(<[u8]>::to_vec).ok_or_else(missing)
-            }
-        }
-        Body::Zfp(z) => {
-            if idx == 0 {
-                Ok(z.meta().to_bytes())
-            } else {
-                z.plane(idx - 1).map(<[u8]>::to_vec).ok_or_else(missing)
-            }
-        }
-    }
-}
-
 /// Builds a field's directory entry with offsets starting at `*offset`
 /// (advanced past the field's payloads).
 fn entry_for(name: &str, field: &RefactoredField, offset: &mut u64) -> FieldEntry {
-    let fragments = field_payloads(field)
+    let fragments = field
+        .frags
         .iter()
-        .map(|(eb, payload)| {
+        .map(|(eb_abs, payload)| {
             let info = FragmentInfo {
                 offset: *offset,
                 len: payload.len() as u64,
-                eb_abs: *eb,
+                eb_abs: *eb_abs,
             };
-            *offset += payload.len() as u64;
+            *offset += info.len;
             info
         })
         .collect();
@@ -625,29 +583,12 @@ pub(crate) fn write_container(
     w.put_u64(mbytes.len() as u64);
     w.put_raw(&mbytes);
     for (_, field) in fields {
-        for (_, payload) in field_payloads(field) {
-            w.put_raw(&payload);
+        for (_, payload) in &field.frags {
+            w.put_raw(payload);
         }
     }
     debug_assert_eq!(w.len(), total);
     w.finish()
-}
-
-/// Upper bound on how many fragments a field of `scheme` over `dims` can
-/// produce from a `num_bounds`-step ladder. The streaming writer sizes its
-/// manifest reservation from this before any field has been encoded.
-fn max_fragments(scheme: Scheme, dims: &[usize], num_bounds: usize) -> usize {
-    match scheme {
-        // one snapshot (or residual) per requested bound
-        Scheme::Psz3 | Scheme::Psz3Delta => num_bounds,
-        // metadata + one fragment per (level, bitplane)
-        Scheme::PmgardHb | Scheme::PmgardOb => {
-            1 + pqr_mgard::hierarchy::level_strides(dims).len()
-                * pqr_mgard::bitplane::PLANES as usize
-        }
-        // metadata + one fragment per digit plane
-        Scheme::Pzfp => 1 + pqr_zfp::MAX_TOTAL_PLANES as usize,
-    }
 }
 
 /// Streams a container to `path` while fields are still being encoded.
@@ -660,7 +601,7 @@ fn max_fragments(scheme: Scheme, dims: &[usize], num_bounds: usize) -> usize {
 ///
 /// The manifest must precede the payloads it addresses, so its space is
 /// reserved up front: fragment directory entries are fixed-width, which
-/// means a manifest carrying every field at its [`max_fragments`] ceiling
+/// means a manifest carrying every field at its [`backend::max_fragments`] ceiling
 /// upper-bounds the real one byte-for-byte. Payloads start right after the
 /// reservation and the actual manifest is back-patched at the end, with the
 /// slack zero-filled. [`manifest_from_bytes`] only requires fragment offsets
@@ -695,7 +636,7 @@ where
                 len: 0,
                 eb_abs: 0.0,
             };
-            max_fragments(scheme, dims, num_bounds)
+            backend::max_fragments(scheme, dims, num_bounds)
         ];
         let probe = Manifest {
             dims: dims.to_vec(),
@@ -731,9 +672,8 @@ where
                        field: &RefactoredField|
      -> Result<()> {
         entries.push(entry_for(&names[i], field, offset));
-        for (_, payload) in field_payloads(field) {
-            file.write_all(&payload)
-                .map_err(|e| io("cannot write", e))?;
+        for (_, payload) in &field.frags {
+            file.write_all(payload).map_err(|e| io("cannot write", e))?;
         }
         Ok(())
     };
@@ -844,73 +784,35 @@ fn read_preamble(head: &[u8], total_len: u64) -> Result<(usize, u64)> {
 
 /// Rebuilds one resident [`RefactoredField`] by fetching every fragment of
 /// field `i` through `source` — the materialising path (deserialization,
-/// debugging); retrieval paths should refine through readers instead.
+/// debugging); retrieval paths should refine through readers instead. The
+/// field passes the structural validation a reader's open would run on it,
+/// so a hostile archive fails here, not at the first retrieval.
 pub(crate) fn load_field(
     source: &dyn FragmentSource,
     manifest: &Manifest,
     i: usize,
 ) -> Result<RefactoredField> {
     let entry = &manifest.fields[i];
-    let field = i as u32;
-    let nfrag = entry.fragments.len();
-    let fetch = |index: usize| {
-        source.fetch(FragmentId {
-            field,
-            index: index as u32,
+    let frags = entry
+        .fragments
+        .iter()
+        .enumerate()
+        .map(|(index, info)| {
+            let id = FragmentId {
+                field: i as u32,
+                index: index as u32,
+            };
+            Ok((info.eb_abs, source.fetch(id)?))
         })
-    };
-    let body = match entry.scheme {
-        Scheme::Psz3 | Scheme::Psz3Delta => {
-            let mut snaps = Vec::with_capacity(nfrag);
-            for (k, info) in entry.fragments.iter().enumerate() {
-                snaps.push(Snapshot {
-                    eb_abs: info.eb_abs,
-                    blob: fetch(k)?.to_vec(),
-                });
-            }
-            Body::Snapshots(snaps)
-        }
-        Scheme::PmgardHb | Scheme::PmgardOb => {
-            if nfrag == 0 {
-                return Err(PqrError::CorruptStream("mgard field without meta".into()));
-            }
-            let meta = MgardMeta::from_bytes(&fetch(0)?)?;
-            check_meta_dims(&entry.name, meta.dims(), &manifest.dims)?;
-            let planes: Vec<Vec<u8>> = (1..nfrag)
-                .map(|k| fetch(k).map(|b| b.to_vec()))
-                .collect::<Result<_>>()?;
-            Body::Mgard(MgardStream::from_parts(meta, planes)?)
-        }
-        Scheme::Pzfp => {
-            if nfrag == 0 {
-                return Err(PqrError::CorruptStream("zfp field without meta".into()));
-            }
-            let meta = ZfpMeta::from_bytes(&fetch(0)?)?;
-            check_meta_dims(&entry.name, meta.dims(), &manifest.dims)?;
-            let planes: Vec<Vec<u8>> = (1..nfrag)
-                .map(|k| fetch(k).map(|b| b.to_vec()))
-                .collect::<Result<_>>()?;
-            Body::Zfp(ZfpStream::from_parts(meta, planes)?)
-        }
-    };
+        .collect::<Result<backend::Fragments>>()?;
+    backend::open(entry, &manifest.dims, || Ok(Arc::clone(&frags[0].1)))?;
     Ok(RefactoredField {
         scheme: entry.scheme,
         dims: manifest.dims.clone(),
         range: entry.range,
         max_abs: entry.max_abs,
-        body,
+        frags,
     })
-}
-
-/// A field's embedded metadata must agree with the manifest shape —
-/// readers trust the manifest's element count for their buffers.
-fn check_meta_dims(name: &str, meta_dims: &[usize], manifest_dims: &[usize]) -> Result<()> {
-    if meta_dims != manifest_dims {
-        return Err(PqrError::ShapeMismatch(format!(
-            "field '{name}' metadata shape {meta_dims:?} disagrees with manifest {manifest_dims:?}"
-        )));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1285,7 +1187,13 @@ mod tests {
                 let rebuilt = load_field(&src, &m, i).unwrap();
                 assert_eq!(rebuilt.scheme(), scheme);
                 assert_eq!(rebuilt.dims(), &[400]);
+                // a field's archived size is what the directory stores
+                assert_eq!(rebuilt.total_bytes(), f.total_bytes());
             }
+            let resident = dataset(400)
+                .refactor_with_bounds(scheme, &[1e-1, 1e-3, 1e-5])
+                .unwrap();
+            assert_eq!(resident.total_bytes(), m.total_payload_bytes());
         }
     }
 

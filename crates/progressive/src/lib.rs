@@ -9,7 +9,8 @@
 //! * [`field`] — named fields and multi-field datasets with refactor-time
 //!   metadata (value ranges, QoI ranges).
 //! * [`refactored`] — the three §V-B progressive representations behind one
-//!   interface:
+//!   interface (underneath, one crate-private component-expansion `Backend`
+//!   per representation — the only code that tells them apart):
 //!   [`Scheme::Psz3`] (multi-snapshot error-bounded compression),
 //!   [`Scheme::Psz3Delta`] (residual/delta compression),
 //!   [`Scheme::PmgardHb`] / [`Scheme::PmgardOb`] (multilevel + bitplanes),
@@ -71,6 +72,7 @@
 //! assert_eq!(recon.len(), n);
 //! ```
 
+mod backend;
 pub mod engine;
 pub mod field;
 pub mod fragstore;

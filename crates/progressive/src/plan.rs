@@ -195,7 +195,7 @@ fn round_schedule(engine: &RetrievalEngine, requested: &[f64]) -> Result<(Vec<Fr
             );
         }
     }
-    engine.source_order(&mut ids);
+    engine.manifest().storage_order(&mut ids);
     let mut bytes = 0usize;
     for &id in &ids {
         bytes += engine.manifest().fragment(id)?.len as usize;
@@ -364,26 +364,22 @@ impl<'e> PlanExecutor<'e> {
             // batch the round's fragment schedule through read_many —
             // overlapping the chunked I/O with decode and fanning the
             // independent per-field cursors across decode workers (see
-            // `RetrievalEngine::refine_round`); the per-fragment path stays
-            // available as the fallback and the `batch_io: false` arm.
-            // Alg. 2 line 10 (progressive_construct each involved field)
-            // happens inside the round.
-            if engine.config().batch_io {
-                // round 1 reuses the schedule resolve() already computed,
-                // unless the engine advanced in between (then some of that
-                // schedule may already be consumed and must be re-planned)
-                let replanned;
-                let ids: &[FragmentId] =
-                    if iterations == 1 && fetched_before == plan.resolved_at_fetched {
-                        &plan.schedule
-                    } else {
-                        replanned = round_schedule(engine, &requested)?.0;
-                        &replanned
-                    };
-                engine.refine_round(&requested, Some(ids))?;
-            } else {
-                engine.refine_round(&requested, None)?;
-            }
+            // `RetrievalEngine::refine_round`); the readers' per-fragment
+            // fetch stays underneath as the fallback. Alg. 2 line 10
+            // (progressive_construct each involved field) happens inside
+            // the round.
+            // round 1 reuses the schedule resolve() already computed,
+            // unless the engine advanced in between (then some of that
+            // schedule may already be consumed and must be re-planned)
+            let replanned;
+            let ids: &[FragmentId] =
+                if iterations == 1 && fetched_before == plan.resolved_at_fetched {
+                    &plan.schedule
+                } else {
+                    replanned = round_schedule(engine, &requested)?.0;
+                    &replanned
+                };
+            engine.refine_round(&requested, ids)?;
             // Alg. 2 lines 13–24: estimate QoI errors everywhere — unless
             // the engine just did, over this very state.
             let Estimate {

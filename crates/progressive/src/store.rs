@@ -38,7 +38,7 @@
 
 use crate::fragstore::{FragmentId, FragmentSource, FragmentStage, Manifest};
 use crate::pager::{plan_evictions, EvictionCandidate, StoreBudget};
-use crate::refactored::{FieldReader, ReaderProgress, Scheme};
+use crate::refactored::{FieldReader, ReaderProgress};
 use pqr_util::error::{PqrError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
@@ -223,6 +223,15 @@ struct MasterField {
     state: MasterState,
     /// Bytes currently charged against the budget for this field.
     charged: u64,
+}
+
+/// The master reader of a field [`ProgressStore::ensure_resident`] has
+/// just left resident.
+fn resident(g: &mut MasterField) -> &mut FieldReader {
+    match &mut g.state {
+        MasterState::Resident { reader } => reader,
+        MasterState::Demoted(_) => unreachable!("ensure_resident leaves the field resident"),
+    }
 }
 
 /// Cumulative tallies of a [`ProgressStore`].
@@ -591,17 +600,22 @@ impl ProgressStore {
         let cell = &self.published[field];
         self.touch_cell(cell);
         self.ensure_resident(&mut g, field)?;
-        let MasterState::Resident { reader } = &mut g.state else {
-            unreachable!("ensure_resident leaves the field resident");
-        };
+        let mut published = cell.snapshot();
+        if resident(&mut g).guaranteed_bound().to_bits() != published.bound.to_bits() {
+            // the master's certified bound moved without a publication: it
+            // advanced under a request that then failed (see below). What
+            // it certifies now is what sessions get — and what the
+            // schedule is planned from
+            published = self.publish_master(&mut g, field, 0);
+        }
         // another session may have decoded this depth while we waited (or
         // the rehydrated depth already satisfies the request)
-        let published = cell.snapshot();
         if published.bound <= eb || published.exhausted {
             self.reuses.fetch_add(1, Ordering::Relaxed);
             self.adoptions.fetch_add(1, Ordering::Relaxed);
             return Ok(published);
         }
+        let reader = resident(&mut g);
         // batch the delta schedule — served by the plan-front cache — in
         // storage order; a failed prefetch degrades to the reader's
         // per-fragment fallback fetches
@@ -614,12 +628,7 @@ impl ProgressStore {
             })
             .collect();
         if ids.len() > 1 {
-            ids.sort_by_key(|&id| {
-                self.manifest
-                    .fragment(id)
-                    .map(|f| f.offset)
-                    .unwrap_or(u64::MAX)
-            });
+            self.manifest.storage_order(&mut ids);
             if let Ok(payloads) = self.source.read_many(&ids) {
                 for (&id, payload) in ids.iter().zip(payloads) {
                     self.budget
@@ -632,29 +641,49 @@ impl ProgressStore {
         let recon_base = recon_counters(reader);
         let refined = reader.refine_to(eb);
         self.absorb_recon_counters(reader, recon_base);
-        refined?;
         let delta = reader.fragments_decoded() - before;
+        self.decoded.fetch_add(delta, Ordering::Relaxed);
+        if let Err(e) = refined {
+            // the master keeps what it decoded before the fault, folded
+            // into what it certifies, so the front cached for the published
+            // epoch no longer starts at its state; the next request to get
+            // here publishes it
+            if delta > 0 {
+                *self.fronts[field].lock().unwrap_or_else(|e| e.into_inner()) = None;
+            }
+            return Err(e);
+        }
+        self.adoptions.fetch_add(1, Ordering::Relaxed);
         if delta == 0 {
             // nothing decoded ⇒ reader state (and hence the snapshot) is
             // unchanged: keep the published `Arc` — no republish — and
             // count the request as a reuse
             self.reuses.fetch_add(1, Ordering::Relaxed);
-            self.adoptions.fetch_add(1, Ordering::Relaxed);
             return Ok(published);
         }
-        self.decoded.fetch_add(delta, Ordering::Relaxed);
         self.advances.fetch_add(1, Ordering::Relaxed);
-        self.adoptions.fetch_add(1, Ordering::Relaxed);
-        let epoch = cell.next_epoch();
-        let snap = Arc::new(snapshot_of(reader, epoch));
+        Ok(self.publish_master(&mut g, field, delta as usize))
+    }
+
+    /// Publishes the resident master's state as the field's next epoch,
+    /// carries the plan-front cache across it minus the `consumed`
+    /// fragments the advance decoded, and swaps the old epoch's budget
+    /// charge for the new one's in a single operation.
+    fn publish_master(
+        &self,
+        g: &mut MasterField,
+        field: usize,
+        consumed: usize,
+    ) -> Arc<FieldSnapshot> {
+        let reader = resident(g);
+        let cell = &self.published[field];
+        let snap = Arc::new(snapshot_of(reader, cell.next_epoch()));
         cell.publish(Arc::clone(&snap), snap.bound, snap.exhausted, false);
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.retire_front(field, epoch, delta as usize);
-        // epoch retirement: the old epoch's charge is swapped for the new
-        // one's in a single budget operation
+        self.retire_front(field, snap.epoch, consumed);
         let cost = master_cost(reader);
-        self.recharge(&mut g, cost);
-        Ok(snap)
+        self.recharge(g, cost);
+        snap
     }
 
     /// The fragment schedule a refinement of `field` to `eb` should batch,
@@ -726,14 +755,9 @@ impl ProgressStore {
         reader.attach_stage(Arc::clone(&self.stage));
         reader.set_workers(pqr_util::par::worker_count());
         let plan = reader.plan_restore(&d.progress)?;
-        // multilevel/transform schemes re-fetch their metadata fragment at
-        // open — that is source traffic rehydration caused
-        let mut refetched: u64 = match reader.scheme() {
-            Scheme::PmgardHb | Scheme::PmgardOb | Scheme::Pzfp => {
-                self.manifest.fields[field].fragments[0].len
-            }
-            _ => 0,
-        };
+        // whatever opening fetched (a metadata fragment, where the
+        // representation has one) is source traffic rehydration caused
+        let mut refetched = reader.total_fetched() as u64;
         let mut missing: Vec<FragmentId> = Vec::new();
         for &index in &plan {
             let id = FragmentId {
@@ -746,12 +770,7 @@ impl ProgressStore {
             }
         }
         if !missing.is_empty() {
-            missing.sort_by_key(|&id| {
-                self.manifest
-                    .fragment(id)
-                    .map(|f| f.offset)
-                    .unwrap_or(u64::MAX)
-            });
+            self.manifest.storage_order(&mut missing);
             match self.source.read_many(&missing) {
                 Ok(payloads) => {
                     for (&id, payload) in missing.iter().zip(payloads) {
@@ -784,14 +803,9 @@ impl ProgressStore {
             .fetch_add(refetched, Ordering::Relaxed);
         // publish the rehydrated state as a new epoch: cold views adopt the
         // warm snapshot again, and the stale plan-front slot (keyed to a
-        // pre-demotion epoch) simply misses and recomputes
-        let cell = &self.published[field];
-        let snap = Arc::new(snapshot_of(&reader, cell.next_epoch()));
-        cell.publish(Arc::clone(&snap), snap.bound, snap.exhausted, false);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        let cost = master_cost(&reader);
+        // pre-demotion epoch) is dropped and recomputed
         g.state = MasterState::Resident { reader };
-        self.recharge(g, cost);
+        self.publish_master(g, field, 0);
         Ok(())
     }
 
@@ -929,10 +943,7 @@ impl ProgressStore {
         let out = {
             let mut g = self.write_field(field);
             self.ensure_resident(&mut g, field)?;
-            let MasterState::Resident { reader } = &g.state else {
-                unreachable!("ensure_resident leaves the field resident");
-            };
-            reader.reconstruct_at_resolution(drop_finest)
+            resident(&mut g).reconstruct_at_resolution(drop_finest)
         };
         self.maybe_enforce(Some(field));
         out

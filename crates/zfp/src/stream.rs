@@ -65,7 +65,9 @@ fn exp2(e: i32) -> f64 {
     f64::from(e).exp2()
 }
 
-/// A refactored ZFP-style progressive stream (archive-side artifact).
+/// A refactored ZFP-style progressive stream (archive-side artifact). It has
+/// no serialized form of its own: an archive stores [`ZfpStream::meta`] and
+/// each plane payload as separate fragments.
 #[derive(Debug, Clone)]
 pub struct ZfpStream {
     dims: Vec<usize>,
@@ -440,27 +442,6 @@ pub struct ZfpMeta {
     num_planes: u32,
 }
 
-/// The shared error model: guaranteed L∞ bound after `k` fetched planes.
-fn bound_after_impl(
-    nd: usize,
-    num_planes: u32,
-    capped: bool,
-    max_e: i32,
-    a_max: i32,
-    k: u32,
-) -> f64 {
-    if num_planes == 0 {
-        return 0.0; // all-zero field
-    }
-    let rounding = 0.5 * exp2(max_e - Q);
-    if !capped && k >= num_planes {
-        // every digit fetched ⇒ integer-exact coefficients
-        return rounding * (1.0 + 1e-12);
-    }
-    let trunc = recon_error_factor(nd) * exp2(a_max + 1 - k.min(num_planes) as i32);
-    (trunc + 1.5 * rounding) * (1.0 + 1e-12)
-}
-
 impl ZfpMeta {
     /// Array shape.
     pub fn dims(&self) -> &[usize] {
@@ -472,16 +453,21 @@ impl ZfpMeta {
         self.num_planes
     }
 
-    /// The guaranteed L∞ bound after `k` fetched planes.
+    /// The guaranteed L∞ bound after `k` fetched planes — the error model
+    /// of the module docs, and what the retrieval engine consumes as the
+    /// primary-data ε.
     pub fn bound_after(&self, k: u32) -> f64 {
-        bound_after_impl(
-            self.dims.len(),
-            self.num_planes,
-            self.capped,
-            self.max_e,
-            self.a_max,
-            k,
-        )
+        if self.num_planes == 0 {
+            return 0.0; // all-zero field
+        }
+        let rounding = 0.5 * exp2(self.max_e - Q);
+        if !self.capped && k >= self.num_planes {
+            // every digit fetched ⇒ integer-exact coefficients
+            return rounding * (1.0 + 1e-12);
+        }
+        let trunc = recon_error_factor(self.dims.len())
+            * exp2(self.a_max + 1 - k.min(self.num_planes) as i32);
+        (trunc + 1.5 * rounding) * (1.0 + 1e-12)
     }
 
     /// Serializes the metadata (the field's always-fetched fragment).
@@ -501,14 +487,53 @@ impl ZfpMeta {
         w.finish()
     }
 
-    /// Deserializes metadata, enforcing the same structural invariants as
-    /// [`ZfpStream::from_bytes`].
+    /// Deserializes metadata, validating every structural invariant the
+    /// cursor relies on (rank, digit width, plane count, and an exponent
+    /// table exactly as long as the shape's block grid).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
         if r.get_raw(4)? != b"PQZM" {
             return Err(PqrError::CorruptStream("bad zfp meta magic".into()));
         }
-        let (dims, max_e, a_max, coeff_bits, capped, exponents) = read_header(&mut r)?;
+        let nd = r.get_u8()? as usize;
+        if !(1..=3).contains(&nd) {
+            return Err(PqrError::CorruptStream(format!("zfp ndims {nd}")));
+        }
+        let mut dims = Vec::with_capacity(nd);
+        for _ in 0..nd {
+            dims.push(r.get_u64()? as usize);
+        }
+        let max_e = i32::try_from(r.get_i64()?)
+            .map_err(|_| PqrError::CorruptStream("max_e out of range".into()))?;
+        let a_max = i32::try_from(r.get_i64()?)
+            .map_err(|_| PqrError::CorruptStream("a_max out of range".into()))?;
+        let coeff_bits = r.get_u32()?;
+        if coeff_bits == 0 || coeff_bits > 64 {
+            return Err(PqrError::CorruptStream(format!("coeff_bits {coeff_bits}")));
+        }
+        let capped = r.get_u8()? != 0;
+        // Hostile dims must not overflow the block/element products (the
+        // exponent-table length check below bounds the real size, but only
+        // if `num_blocks * 2` itself cannot panic first).
+        pqr_util::byteio::check_dims(&dims)?;
+        let grid = BlockGrid::new(&dims);
+        let eb = rle::decode_bytes(r.get_bytes()?)?;
+        if eb.len() != grid.num_blocks() * 2 {
+            return Err(PqrError::CorruptStream(format!(
+                "exponent table {} B for {} blocks",
+                eb.len(),
+                grid.num_blocks()
+            )));
+        }
+        let mut prev = 0i16;
+        let exponents: Vec<i32> = eb
+            .chunks_exact(2)
+            .map(|c| {
+                let d = i16::from_le_bytes(c.try_into().unwrap());
+                prev = prev.wrapping_add(d);
+                exponent_from_i16(prev)
+            })
+            .collect();
         let num_planes = r.get_u32()?;
         if num_planes > MAX_TOTAL_PLANES {
             return Err(PqrError::CorruptStream(format!("{num_planes} planes")));
@@ -528,8 +553,11 @@ impl ZfpMeta {
     }
 }
 
-/// Delta-codes + RLE-compresses the per-block exponent table (see
-/// [`ZfpStream::to_bytes`] for why the deltas compress well).
+/// Delta-codes + RLE-compresses the per-block exponent table. Exponents
+/// travel as delta-coded i16: neighbouring blocks of smooth data share
+/// exponents, so the delta stream is mostly zero bytes and the byte-RLE
+/// collapses the table to a few bytes per long run — the per-block metadata
+/// tax matters for 1-D data (one block per 4 samples).
 fn encode_exponent_table(exponents: &[i32]) -> Vec<u8> {
     let mut eb = Vec::with_capacity(exponents.len() * 2);
     let mut prev = 0i16;
@@ -539,52 +567,6 @@ fn encode_exponent_table(exponents: &[i32]) -> Vec<u8> {
         prev = cur;
     }
     rle::encode_bytes(&eb)
-}
-
-/// Reads the shared zfp header body (everything between the magic and the
-/// plane section), validating dims and the exponent table length.
-type HeaderParts = (Vec<usize>, i32, i32, u32, bool, Vec<i32>);
-fn read_header(r: &mut ByteReader<'_>) -> Result<HeaderParts> {
-    let nd = r.get_u8()? as usize;
-    if !(1..=3).contains(&nd) {
-        return Err(PqrError::CorruptStream(format!("zfp ndims {nd}")));
-    }
-    let mut dims = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        dims.push(r.get_u64()? as usize);
-    }
-    let max_e = i32::try_from(r.get_i64()?)
-        .map_err(|_| PqrError::CorruptStream("max_e out of range".into()))?;
-    let a_max = i32::try_from(r.get_i64()?)
-        .map_err(|_| PqrError::CorruptStream("a_max out of range".into()))?;
-    let coeff_bits = r.get_u32()?;
-    if coeff_bits == 0 || coeff_bits > 64 {
-        return Err(PqrError::CorruptStream(format!("coeff_bits {coeff_bits}")));
-    }
-    let capped = r.get_u8()? != 0;
-    // Hostile dims must not overflow the block/element products (the
-    // exponent-table length check below bounds the real size, but only
-    // if `num_blocks * 2` itself cannot panic first).
-    pqr_util::byteio::check_dims(&dims)?;
-    let grid = BlockGrid::new(&dims);
-    let eb = rle::decode_bytes(r.get_bytes()?)?;
-    if eb.len() != grid.num_blocks() * 2 {
-        return Err(PqrError::CorruptStream(format!(
-            "exponent table {} B for {} blocks",
-            eb.len(),
-            grid.num_blocks()
-        )));
-    }
-    let mut prev = 0i16;
-    let exponents: Vec<i32> = eb
-        .chunks_exact(2)
-        .map(|c| {
-            let d = i16::from_le_bytes(c.try_into().unwrap());
-            prev = prev.wrapping_add(d);
-            exponent_from_i16(prev)
-        })
-        .collect();
-    Ok((dims, max_e, a_max, coeff_bits, capped, exponents))
 }
 
 impl ZfpStream {
@@ -606,41 +588,21 @@ impl ZfpStream {
         }
     }
 
-    /// Reassembles a stream from metadata plus the plane payloads in fetch
-    /// order — the inverse of splitting a stream into fragments.
-    pub fn from_parts(meta: ZfpMeta, planes: Vec<Vec<u8>>) -> Result<Self> {
-        if planes.len() != meta.num_planes as usize {
-            return Err(PqrError::CorruptStream(format!(
-                "{} plane payloads for metadata declaring {}",
-                planes.len(),
-                meta.num_planes
-            )));
-        }
-        Ok(Self {
-            dims: meta.dims,
-            exponents: meta.exponents,
-            max_e: meta.max_e,
-            a_max: meta.a_max,
-            coeff_bits: meta.coeff_bits,
-            capped: meta.capped,
-            planes,
-        })
-    }
-
     /// Number of stored plane segments.
     pub fn num_planes(&self) -> usize {
         self.planes.len()
     }
 
-    /// Sizes of the individually fetchable plane segments, in fetch order.
-    pub fn segment_sizes(&self) -> Vec<usize> {
-        self.planes.iter().map(Vec::len).collect()
-    }
-
-    /// The plane payloads in fetch order — the order
-    /// [`ZfpStream::from_parts`] reassembles.
+    /// The plane payloads in fetch order — the fragments that follow the
+    /// metadata.
     pub fn plane_payloads(&self) -> impl Iterator<Item = &[u8]> {
         self.planes.iter().map(Vec::as_slice)
+    }
+
+    /// [`ZfpStream::plane_payloads`] by value, for an archive writer that
+    /// keeps the payloads and drops the stream.
+    pub fn into_plane_payloads(self) -> Vec<Vec<u8>> {
+        self.planes
     }
 
     /// The `i`-th plane payload in fetch order, addressed in O(1).
@@ -648,88 +610,15 @@ impl ZfpStream {
         self.planes.get(i).map(Vec::as_slice)
     }
 
-    /// Serialized metadata size: everything a reader must hold before the
-    /// first plane arrives (header + per-block exponents).
-    pub fn metadata_bytes(&self) -> usize {
-        self.to_bytes().len() - self.planes.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Total archived bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.to_bytes().len()
-    }
-
-    /// Opens a progressive reader at zero fetched planes.
+    /// Opens a progressive reader at zero fetched planes. Byte accounting
+    /// starts at the size of the serialized metadata fragment.
     pub fn reader(&self) -> ZfpReader<'_> {
+        let meta = self.meta();
         ZfpReader {
             stream: self,
-            cursor: ZfpCursor::new(self.meta()),
-            fetched: self.metadata_bytes(),
+            fetched: meta.to_bytes().len(),
+            cursor: ZfpCursor::new(meta),
         }
-    }
-
-    /// The guaranteed L∞ bound after `k` fetched planes — the model the
-    /// retrieval engine consumes as the primary-data ε.
-    pub fn bound_after(&self, k: u32) -> f64 {
-        bound_after_impl(
-            self.dims.len(),
-            self.planes.len() as u32,
-            self.capped,
-            self.max_e,
-            self.a_max,
-            k,
-        )
-    }
-
-    /// Serializes the stream.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_raw(b"PQRZ");
-        w.put_u8(self.dims.len() as u8);
-        for &d in &self.dims {
-            w.put_u64(d as u64);
-        }
-        w.put_i64(i64::from(self.max_e));
-        w.put_i64(i64::from(self.a_max));
-        w.put_u32(self.coeff_bits);
-        w.put_u8(u8::from(self.capped));
-        // Exponents as delta-coded i16: neighbouring blocks of smooth data
-        // share exponents, so the delta stream is mostly zero bytes and the
-        // byte-RLE collapses the table to a few bytes per long run — the
-        // per-block metadata tax matters for 1-D data (one block per 4
-        // samples).
-        w.put_bytes(&encode_exponent_table(&self.exponents));
-        w.put_u32(self.planes.len() as u32);
-        for p in &self.planes {
-            w.put_bytes(p);
-        }
-        w.finish()
-    }
-
-    /// Deserializes a stream, validating structural invariants.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        if r.get_raw(4)? != b"PQRZ" {
-            return Err(PqrError::CorruptStream("bad zfp magic".into()));
-        }
-        let (dims, max_e, a_max, coeff_bits, capped, exponents) = read_header(&mut r)?;
-        let np = r.get_u32()?;
-        if np > MAX_TOTAL_PLANES {
-            return Err(PqrError::CorruptStream(format!("{np} planes")));
-        }
-        let mut planes = Vec::with_capacity(np as usize);
-        for _ in 0..np {
-            planes.push(r.get_bytes()?.to_vec());
-        }
-        Ok(Self {
-            dims,
-            exponents,
-            max_e,
-            a_max,
-            coeff_bits,
-            capped,
-            planes,
-        })
     }
 }
 
@@ -862,6 +751,19 @@ impl ZfpCursor {
     /// Planes consumed so far — also the index of the next wanted plane.
     pub fn planes_read(&self) -> u32 {
         self.planes_read
+    }
+
+    /// The `(plane, bound after it)` pushes that bring
+    /// [`ZfpCursor::guaranteed_bound`] to at most `eb`, in order, without
+    /// consuming anything: planes are strictly ordered and the bound model
+    /// reads only the consumed-plane count, so the prediction is exact.
+    /// This is the one place the walk is written; with `eb = 0.0` it is the
+    /// full remaining front, of which every tighter target's is a prefix.
+    pub fn front(&self, eb: f64) -> Vec<(u32, f64)> {
+        (self.planes_read..self.meta.num_planes)
+            .take_while(|&k| self.meta.bound_after(k) > eb)
+            .map(|k| (k, self.meta.bound_after(k + 1)))
+            .collect()
     }
 
     /// Consumes the next plane's bytes (planes must arrive in order; the
@@ -1102,8 +1004,8 @@ impl ZfpCursor {
 /// Progressive reader over a [`ZfpStream`]: a [`ZfpCursor`] whose plane
 /// fetches are served from the borrowed, fully resident stream.
 ///
-/// Byte accounting starts at the stream's metadata size (a remote retrieval
-/// always moves the header and exponent table first).
+/// Byte accounting starts at the size of the metadata fragment (a remote
+/// retrieval always moves the header and exponent table first).
 #[derive(Debug, Clone)]
 pub struct ZfpReader<'a> {
     stream: &'a ZfpStream,
@@ -1140,30 +1042,24 @@ impl ZfpReader<'_> {
         if eb < 0.0 || eb.is_nan() {
             return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
         }
-        let mut newly = 0;
-        while self.guaranteed_bound() > eb && !self.fully_fetched() {
-            newly += self.push_next_plane()?;
-        }
-        Ok(newly)
+        self.consume(eb, usize::MAX)
     }
 
     /// Fetches `k` more planes regardless of a target — fixed-budget mode.
     pub fn fetch_planes(&mut self, k: usize) -> Result<usize> {
-        let mut newly = 0;
-        for _ in 0..k {
-            if self.fully_fetched() {
-                break;
-            }
-            newly += self.push_next_plane()?;
-        }
-        Ok(newly)
+        self.consume(f64::NEG_INFINITY, k)
     }
 
-    fn push_next_plane(&mut self) -> Result<usize> {
-        let seg = &self.stream.planes[self.cursor.planes_read() as usize];
-        self.cursor.push_plane(seg)?;
-        self.fetched += seg.len();
-        Ok(seg.len())
+    /// Serves the first `limit` pushes of the cursor's front towards `eb`
+    /// from the resident stream.
+    fn consume(&mut self, eb: f64, limit: usize) -> Result<usize> {
+        let before = self.fetched;
+        for (p, _) in self.cursor.front(eb).into_iter().take(limit) {
+            let seg = &self.stream.planes[p as usize];
+            self.cursor.push_plane(seg)?;
+            self.fetched += seg.len();
+        }
+        Ok(self.fetched - before)
     }
 
     /// Reconstructs the data representation from the planes fetched so far.
@@ -1541,15 +1437,13 @@ mod tests {
                 *v *= 1e-9;
             }
             let r = ZfpRefactorer::new();
-            let serial = r.refactor(&data, &dims).unwrap().to_bytes();
+            let stored = |s: ZfpStream| (s.meta().to_bytes(), s.planes);
+            let serial = stored(r.refactor(&data, &dims).unwrap());
             for workers in [2usize, 8] {
-                let par = r
-                    .refactor_with_workers(&data, &dims, workers)
-                    .unwrap()
-                    .to_bytes();
+                let par = stored(r.refactor_with_workers(&data, &dims, workers).unwrap());
                 assert_eq!(par, serial, "dims {dims:?} workers {workers}");
             }
-            let scalar = r.refactor_scalar(&data, &dims).unwrap().to_bytes();
+            let scalar = stored(r.refactor_scalar(&data, &dims).unwrap());
             assert_eq!(scalar, serial, "dims {dims:?} scalar oracle");
         }
     }
@@ -1614,7 +1508,7 @@ mod tests {
         let data = field(4000);
         let stream = ZfpRefactorer::new().refactor(&data, &[4000]).unwrap();
         let mut reader = stream.reader();
-        assert_eq!(reader.total_fetched(), stream.metadata_bytes());
+        assert_eq!(reader.total_fetched(), stream.meta().to_bytes().len());
         let b1 = reader.refine_to(1e-2).unwrap();
         let t1 = reader.total_fetched();
         let b2 = reader.refine_to(1e-8).unwrap();
@@ -1664,38 +1558,63 @@ mod tests {
             *v = 1000.0;
         }
         let stream = ZfpRefactorer::new().refactor(&data, &[4096]).unwrap();
-        let sizes = stream.segment_sizes();
+        let sizes: Vec<usize> = stream.plane_payloads().map(<[u8]>::len).collect();
         let early: usize = sizes[..10].iter().sum();
         let late: usize = sizes[sizes.len() - 10..].iter().sum();
         assert!(early * 4 < late, "early {early} B vs late {late} B");
     }
 
     #[test]
-    fn serialization_roundtrip() {
-        let data = field(777);
-        let stream = ZfpRefactorer::new().refactor(&data, &[777]).unwrap();
-        let bytes = stream.to_bytes();
-        let stream2 = ZfpStream::from_bytes(&bytes).unwrap();
-        let mut a = stream.reader();
-        let mut b = stream2.reader();
-        a.refine_to(1e-7).unwrap();
-        b.refine_to(1e-7).unwrap();
-        assert_eq!(a.reconstruct(), b.reconstruct());
-        assert_eq!(a.total_fetched(), b.total_fetched());
+    fn metadata_roundtrips() {
+        let mut data = field(777);
+        for v in data.iter_mut().skip(5).step_by(17) {
+            *v *= 1e-9; // mixed block exponents
+        }
+        let meta = ZfpRefactorer::new().refactor(&data, &[777]).unwrap().meta();
+        assert_eq!(ZfpMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
     }
 
     #[test]
-    fn corrupt_streams_rejected_not_panicking() {
+    fn hostile_metadata_rejected_not_panicking() {
+        // `ZfpMeta::from_bytes` is the parser every archive open runs; the
+        // cursor sizes its digit state from what it returns
         let data = field(64);
-        let stream = ZfpRefactorer::new().refactor(&data, &[64]).unwrap();
-        let bytes = stream.to_bytes();
-        assert!(ZfpStream::from_bytes(&bytes[..10]).is_err());
-        let mut bad = bytes.clone();
+        let meta = ZfpRefactorer::new().refactor(&data, &[64]).unwrap().meta();
+        let good = meta.to_bytes();
+        assert!(ZfpMeta::from_bytes(&good).is_ok());
+        let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(ZfpStream::from_bytes(&bad).is_err());
-        for cut in [5usize, 20, bytes.len() / 2] {
-            let _ = ZfpStream::from_bytes(&bytes[..cut]); // must not panic
+        assert!(ZfpMeta::from_bytes(&bad).is_err());
+        // trailing bytes, and every strict prefix
+        let mut long = good.clone();
+        long.push(0);
+        assert!(ZfpMeta::from_bytes(&long).is_err());
+        for cut in 0..good.len() {
+            assert!(ZfpMeta::from_bytes(&good[..cut]).is_err(), "cut {cut}");
         }
+        // field offsets in the 1-D layout: magic 4, nd 1, dim 8, max_e 8,
+        // a_max 8, coeff_bits 4, capped 1, then the exponent table
+        let patch = |at: usize, bytes: &[u8]| {
+            let mut b = good.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            ZfpMeta::from_bytes(&b)
+        };
+        // rank outside 1..=3
+        assert!(patch(4, &[0]).is_err());
+        assert!(patch(4, &[4]).is_err());
+        // a shape whose block grid the exponent table cannot back — the
+        // allocation bomb: 2^60 elements declared over a 16-block table
+        assert!(patch(5, &(1u64 << 60).to_le_bytes()).is_err());
+        assert!(patch(5, &u64::MAX.to_le_bytes()).is_err());
+        // one block more than the table holds
+        assert!(patch(5, &68u64.to_le_bytes()).is_err());
+        // digit widths the word kernels cannot shift by
+        assert!(patch(29, &0u32.to_le_bytes()).is_err());
+        assert!(patch(29, &65u32.to_le_bytes()).is_err());
+        // exponents beyond i32
+        assert!(patch(13, &i64::MAX.to_le_bytes()).is_err());
+        // more planes than the ladder cap (the last four bytes)
+        assert!(patch(good.len() - 4, &(MAX_TOTAL_PLANES + 1).to_le_bytes()).is_err());
     }
 
     #[test]
@@ -1719,10 +1638,13 @@ mod tests {
     #[test]
     fn bound_decreases_monotonically() {
         let data = field(1000);
-        let stream = ZfpRefactorer::new().refactor(&data, &[1000]).unwrap();
+        let meta = ZfpRefactorer::new()
+            .refactor(&data, &[1000])
+            .unwrap()
+            .meta();
         let mut prev = f64::INFINITY;
-        for k in 0..=stream.num_planes() as u32 {
-            let b = stream.bound_after(k);
+        for k in 0..=meta.num_planes() {
+            let b = meta.bound_after(k);
             assert!(b <= prev, "k={k}: {b} > {prev}");
             prev = b;
         }

@@ -3,7 +3,7 @@
 //! every structural codec must roundtrip or fail cleanly.
 
 use pqr_util::stats::max_abs_diff;
-use pqr_zfp::{transform, ZfpRefactorer, ZfpStream};
+use pqr_zfp::{transform, ZfpCursor, ZfpMeta, ZfpRefactorer};
 use proptest::prelude::*;
 
 /// Arbitrary finite f64 fields with wildly mixed scales.
@@ -83,24 +83,30 @@ proptest! {
     }
 
     #[test]
-    fn serialization_roundtrips(data in field_strategy(300)) {
+    fn metadata_roundtrips(data in field_strategy(300)) {
+        // the stream's stored form is its metadata fragment plus its plane
+        // payloads: a cursor over the re-parsed metadata, fed the payloads,
+        // lands where the borrowed reader does
         let dims = vec![data.len()];
         let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-        let stream2 = ZfpStream::from_bytes(&stream.to_bytes()).unwrap();
-        let mut a = stream.reader();
-        let mut b = stream2.reader();
-        a.refine_to(1e-6).unwrap();
-        b.refine_to(1e-6).unwrap();
-        prop_assert_eq!(a.reconstruct(), b.reconstruct());
+        let meta = ZfpMeta::from_bytes(&stream.meta().to_bytes()).unwrap();
+        prop_assert_eq!(&meta, &stream.meta());
+        let mut cursor = ZfpCursor::new(meta);
+        let mut reader = stream.reader();
+        reader.refine_to(1e-6).unwrap();
+        for p in 0..reader.planes_read() as usize {
+            cursor.push_plane(stream.plane(p).unwrap()).unwrap();
+        }
+        prop_assert_eq!(cursor.reconstruct(), reader.reconstruct());
     }
 
     #[test]
-    fn hostile_streams_never_panic(junk in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let _ = ZfpStream::from_bytes(&junk);
+    fn hostile_metadata_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..300)) {
+        let _ = ZfpMeta::from_bytes(&junk);
         // junk with a valid magic prefix digs deeper into the parser
-        let mut prefixed = b"PQRZ".to_vec();
+        let mut prefixed = b"PQZM".to_vec();
         prefixed.extend_from_slice(&junk);
-        let _ = ZfpStream::from_bytes(&prefixed);
+        let _ = ZfpMeta::from_bytes(&prefixed);
     }
 
     #[test]
