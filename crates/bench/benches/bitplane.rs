@@ -16,7 +16,7 @@ fn coeffs(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn bench_encode(c: &mut Criterion) {
+fn encode(c: &mut Criterion) {
     let n = 100_000;
     let data = coeffs(n);
     let mut g = c.benchmark_group("bitplane");
@@ -25,7 +25,7 @@ fn bench_encode(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_decode(c: &mut Criterion) {
+fn progressive_decode(c: &mut Criterion) {
     let n = 100_000;
     let data = coeffs(n);
     let enc = encode_level(&data);
@@ -44,5 +44,5 @@ fn bench_decode(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode);
+criterion_group!(benches, encode, progressive_decode);
 criterion_main!(benches);

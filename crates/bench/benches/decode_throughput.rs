@@ -2,9 +2,9 @@
 //! word-parallel bitplane kernels (PMGARD level coder, ZFP negabinary
 //! planes) and plan execution at 1 vs N decode workers.
 //!
-//! The recorded perf trajectory lives in `BENCH_decode.json` (see the
-//! `bench_decode` binary); this bench is the interactive magnifying glass
-//! over the same kernels.
+//! End-to-end figures live with the standalone benchmark under
+//! `benchmark/`; this bench is the interactive magnifying glass over the
+//! kernels it replays.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pqr_mgard::bitplane::{encode_level, encode_level_scalar, LevelDecoder};

@@ -8,10 +8,9 @@
 //! backends.
 //!
 //! The same cases also pin the parallel decode pipeline: executing the
-//! request with sequential decode and plain prefetch (`workers: 1`,
-//! `overlap_io: false`) versus 8 decode workers with the overlapped
-//! prefetcher must produce byte-identical reconstructions, identical
-//! `PlanReport` bounds/certifications, and identical byte accounting.
+//! request with sequential decode (`workers: 1`) versus 8 decode workers
+//! must produce byte-identical reconstructions, identical `PlanReport`
+//! bounds/certifications, and identical byte accounting.
 
 use pqr_core::prelude::*;
 use proptest::prelude::*;
@@ -127,13 +126,12 @@ proptest! {
         let report = session.execute(&request).unwrap();
         let batched_bytes = session.total_fetched();
 
-        // parallel decode + overlapped I/O must be invisible in results:
-        // sequential/plain-prefetch vs 8 workers/overlapped, byte for byte
-        let run_parallel_arm = |workers: usize, overlap_io: bool| {
+        // parallel decode must be invisible in results: sequential vs 8
+        // workers, byte for byte
+        let run_parallel_arm = |workers: usize| {
             let mut archive = open_backend(&bytes, &path, backend);
             archive.set_engine_config(EngineConfig {
                 workers,
-                overlap_io,
                 ..Default::default()
             });
             let mut s = archive.session().unwrap();
@@ -147,8 +145,8 @@ proptest! {
             let sats: Vec<bool> = r.targets.iter().map(|t| t.satisfied).collect();
             (recons, bounds, ests, sats, r.bytes_fetched, s.total_fetched())
         };
-        let sequential = run_parallel_arm(1, false);
-        let parallel = run_parallel_arm(8, true);
+        let sequential = run_parallel_arm(1);
+        let parallel = run_parallel_arm(8);
         prop_assert_eq!(
             &sequential, &parallel,
             "{}: parallel decode pipeline changed results", scheme.name()

@@ -157,14 +157,6 @@ pub struct EngineConfig {
     /// knob); `1` runs the exact sequential field order, bit-identical to
     /// the pre-parallel executor.
     pub workers: usize,
-    /// Overlap fragment I/O with decode: a scoped prefetcher thread issues
-    /// the round's [`FragmentSource::read_many`] in chunks while the
-    /// readers decode payloads that have already landed. Reconstructions,
-    /// bounds and byte accounting are identical either way; only backend
-    /// read-op tallies differ (a chunked round is several smaller batches).
-    /// Disable when the caller already parallelises at a coarser
-    /// granularity (e.g. the per-block transfer pipeline).
-    pub overlap_io: bool,
     /// Byte budget for shared decoded state when this config builds a
     /// [`ProgressStore`](crate::store::ProgressStore)-backed service:
     /// `Some(0)` = explicitly unbounded, `Some(n)` = cap decoded
@@ -184,27 +176,8 @@ impl Default for EngineConfig {
             bound_config: BoundConfig::default(),
             parallel_scan: true,
             workers: 0,
-            overlap_io: true,
             store_budget_bytes: None,
         }
-    }
-}
-
-/// Rounds below this many scheduled fragments skip the overlapped
-/// prefetcher: spawning a thread costs more than the I/O it would hide.
-const OVERLAP_MIN_FRAGMENTS: usize = 8;
-/// Chunks an overlapped round's schedule is split into — the prefetch
-/// pipeline depth (first chunk decodes while the second is in flight).
-const OVERLAP_CHUNKS: usize = 4;
-
-/// Clears the stage's promise set when the prefetcher exits — on success,
-/// failure or panic — so no decode worker can wait on a payload that will
-/// never arrive.
-struct RoundGuard<'a>(&'a FragmentStage);
-
-impl Drop for RoundGuard<'_> {
-    fn drop(&mut self) {
-        self.0.end_round();
     }
 }
 
@@ -333,7 +306,7 @@ impl RetrievalEngine {
                 None => FieldReader::open(Arc::clone(&source), &manifest, i),
             })
             .collect::<Result<Vec<_>>>()?;
-        let stage = Arc::new(FragmentStage::new());
+        let stage = Arc::new(FragmentStage::default());
         let workers = match cfg.workers {
             0 => pqr_util::par::worker_count(),
             n => n,
@@ -552,7 +525,7 @@ impl RetrievalEngine {
     /// Batches `ids` through the source's [`FragmentSource::read_many`]
     /// and parks the payloads on the engine's stage, where the readers'
     /// per-fragment consume path picks them up.
-    pub(crate) fn prefetch(&self, ids: &[FragmentId]) -> Result<()> {
+    fn prefetch(&self, ids: &[FragmentId]) -> Result<()> {
         if ids.is_empty() {
             return Ok(());
         }
@@ -571,60 +544,22 @@ impl RetrievalEngine {
         }
     }
 
-    /// Executes one refinement round: stages `schedule` (batched, and
-    /// overlapped with decode when [`EngineConfig::overlap_io`] allows),
-    /// then refines every field with a finite requested bound — in
-    /// parallel across fields, since their cursors are independent.
-    /// Whatever the batch does not deliver, the readers fetch per
-    /// fragment as they consume.
+    /// Executes one refinement round: stages `ids` through one batched
+    /// read, then refines every field with a finite requested bound — in
+    /// parallel across fields, since their cursors are independent. A
+    /// failed batch degrades to the readers' per-fragment fallback fetches,
+    /// and decode's verdict decides the round. Whatever of the batch no
+    /// reader took (a field failed, or never ran after one did) leaves the
+    /// stage with the round.
     ///
-    /// With `workers = 1` and overlap off this is exactly the
-    /// legacy prefetch-then-refine sequence; the parallel/overlapped
-    /// variants produce bit-identical reconstructions and byte accounting
-    /// (asserted by `prop_plan_equivalence` and the engine tests below).
+    /// Every worker count produces bit-identical reconstructions and byte
+    /// accounting (asserted by `prop_plan_equivalence` and the engine tests
+    /// below).
     pub(crate) fn refine_round(&mut self, requested: &[f64], ids: &[FragmentId]) -> Result<()> {
-        let workers = self.workers();
-        if !self.cfg.overlap_io || ids.len() < OVERLAP_MIN_FRAGMENTS {
-            // mirror the overlapped arm's error contract: a failed batch
-            // degrades to the readers' per-fragment fallback fetches, and
-            // decode's verdict decides the round
-            let _ = self.prefetch(ids);
-            return self.refine_fields(requested, workers);
-        }
-        let source = Arc::clone(&self.source);
-        let stage = Arc::clone(&self.stage);
-        let chunk = ids.len().div_ceil(OVERLAP_CHUNKS).max(1);
-        let (io_before, wait_before) = (stage.io_nanos(), stage.wait_nanos());
-        stage.begin_round(ids);
-        let decoded = std::thread::scope(|s| {
-            let io = s.spawn({
-                let stage = Arc::clone(&stage);
-                move || -> Result<()> {
-                    let _guard = RoundGuard(&stage);
-                    let t0 = std::time::Instant::now();
-                    for chunk_ids in ids.chunks(chunk) {
-                        let payloads = source.read_many(chunk_ids)?;
-                        for (&id, payload) in chunk_ids.iter().zip(payloads) {
-                            stage.put(id, payload);
-                        }
-                    }
-                    stage.add_io_nanos(t0.elapsed().as_nanos() as u64);
-                    Ok(())
-                }
-            });
-            let decoded = self.refine_fields(requested, workers);
-            // decode's verdict wins: it fell back to direct fetches for
-            // anything the prefetcher failed to deliver, so a prefetch
-            // error with a clean decode is only lost overlap
-            let _ = io.join().expect("prefetcher panicked");
-            decoded
-        });
-        // credit this round's hidden I/O (clamped per round, so a
-        // stall-heavy round cannot erase another round's saving)
-        let io = stage.io_nanos() - io_before;
-        let wait = stage.wait_nanos() - wait_before;
-        stage.add_saved_nanos(io.saturating_sub(wait));
-        decoded
+        let _ = self.prefetch(ids);
+        let refined = self.refine_fields(requested, self.workers());
+        self.stage.discard(ids);
+        refined
     }
 
     /// Refines every field with a finite requested bound, fanning the
@@ -676,13 +611,9 @@ impl RetrievalEngine {
         results.into_iter().collect()
     }
 
-    /// Cumulative fetch tallies of the engine's source, with the
-    /// executor-side [`SourceStats::overlap_saved_ms`] counter overlaid
-    /// (raw sources always report zero there).
+    /// Cumulative fetch tallies of the engine's source.
     pub fn source_stats(&self) -> SourceStats {
-        let mut s = self.source.stats();
-        s.overlap_saved_ms = self.stage.overlap_saved_ms();
-        s
+        self.source.stats()
     }
 
     /// `recons` (one reconstruction per field) with the mask overlay, in
@@ -1288,72 +1219,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlapped_io_is_bit_identical_to_plain_prefetch() {
-        // the double-buffered prefetcher changes only *when* payloads land,
-        // never what is decoded: reconstructions, bounds, bytes and
-        // fragment counts must match the single-batch path exactly
-        let ds = velocity_dataset(4000, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
-        let bytes = {
-            let mut a = archive.clone();
-            a.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
-            a.to_bytes()
-        };
-        let run = |overlap_io: bool| {
-            let src = Arc::new(crate::fragstore::InMemorySource::new(bytes.clone()).unwrap());
-            let cfg = EngineConfig {
-                overlap_io,
-                ..Default::default()
-            };
-            let mut engine = RetrievalEngine::from_source(src, cfg).unwrap();
-            let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-6, &ds).unwrap();
-            let r = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
-            let stats = engine.source_stats();
-            (
-                r.total_fetched,
-                r.max_est_errors[0].to_bits(),
-                (0..3)
-                    .map(|i| engine.reconstruction(i).to_vec())
-                    .collect::<Vec<_>>(),
-                stats.fetches,
-                stats.fetched_bytes,
-            )
-        };
-        let (tf_a, est_a, rec_a, frags_a, bytes_a) = run(true);
-        let (tf_b, est_b, rec_b, frags_b, bytes_b) = run(false);
-        assert_eq!(tf_a, tf_b);
-        assert_eq!(est_a, est_b);
-        assert_eq!(rec_a, rec_b);
-        assert_eq!(
-            frags_a, frags_b,
-            "every fragment still fetched exactly once"
-        );
-        assert_eq!(bytes_a, bytes_b);
+    /// Serves `inner` with `bad`'s payload emptied: every batch lands, and
+    /// decoding `bad` fails.
+    struct EmptyPayload {
+        inner: crate::fragstore::InMemorySource,
+        bad: FragmentId,
+    }
+
+    impl FragmentSource for EmptyPayload {
+        fn manifest(&self) -> Result<Manifest> {
+            self.inner.manifest()
+        }
+        fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
+            if id == self.bad {
+                return Ok(Arc::new(Vec::new()));
+            }
+            self.inner.fetch(id)
+        }
     }
 
     #[test]
-    fn stage_promise_protocol_unblocks_on_round_end() {
-        // a waiter blocked on a promised fragment must fall back (None)
-        // once the round ends, and receive the payload if it arrives first
-        let stage = FragmentStage::new();
-        let id = FragmentId { field: 0, index: 3 };
-        assert_eq!(stage.take_or_wait(id), None, "unpromised: no blocking");
-        std::thread::scope(|s| {
-            stage.begin_round(&[id]);
-            let waiter = s.spawn(|| stage.take_or_wait(id));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            stage.put(id, Arc::new(vec![7u8; 3]));
-            assert_eq!(waiter.join().unwrap().unwrap().as_slice(), &[7u8; 3]);
-
-            let id2 = FragmentId { field: 1, index: 0 };
-            stage.begin_round(&[id2]);
-            let stage_ref = &stage;
-            let waiter = s.spawn(move || stage_ref.take_or_wait(id2));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            stage.end_round(); // prefetcher aborts: waiter must not hang
-            assert_eq!(waiter.join().unwrap(), None);
-        });
+    fn failed_round_leaves_nothing_staged() {
+        // field 0's first fragment fails to decode: the rest of its front,
+        // and the fronts of the fields that never ran, must not stay staged
+        let ds = velocity_dataset(1500, false);
+        let bytes = ds.refactor(Scheme::Psz3Delta).unwrap().to_bytes();
+        let source = EmptyPayload {
+            inner: crate::fragstore::InMemorySource::new(bytes).unwrap(),
+            bad: FragmentId { field: 0, index: 0 },
+        };
+        let cfg = EngineConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let mut engine = RetrievalEngine::from_source(Arc::new(source), cfg).unwrap();
+        let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &ds).unwrap();
+        assert!(engine.retrieve(&[spec]).is_err(), "the fault must surface");
+        assert!(
+            engine.stage.is_empty(),
+            "a failed round left payloads staged"
+        );
     }
 
     #[test]

@@ -208,8 +208,7 @@ impl Dataset {
 
     /// Refactors and **streams** the archive to `path`: with `overlap_io`,
     /// finished fields' fragments go to disk while later fields are still
-    /// encoding — the write-side mirror of the retrieval engine's
-    /// overlapped prefetcher. `mask_fields` builds and embeds the
+    /// encoding. `mask_fields` builds and embeds the
     /// zero-outlier mask; `app_meta` is stored verbatim. The on-disk
     /// container is byte-identical for every `workers` / `overlap_io`
     /// combination. Returns the total bytes written; on error the partial

@@ -44,10 +44,11 @@ use crate::refactored::{RefactoredField, Scheme};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::cache::LruCache;
 use pqr_util::error::{PqrError, Result};
+use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Container magic.
 const MAGIC: &[u8; 4] = b"PQRX";
@@ -178,15 +179,6 @@ pub struct SourceStats {
     /// (adjacent fragments collapse into one seek+read), so batched
     /// execution is observable as `read_ops < fetches`.
     pub read_ops: u64,
-    /// Milliseconds of backend I/O wall time hidden behind concurrent
-    /// decode by the plan executor's overlapped prefetcher (I/O time minus
-    /// the time decode actually blocked waiting for a promised payload).
-    /// Raw sources report zero — the counter lives on the engine's
-    /// [`FragmentStage`] and is overlaid by
-    /// [`RetrievalEngine::source_stats`].
-    ///
-    /// [`RetrievalEngine::source_stats`]: crate::engine::RetrievalEngine::source_stats
-    pub overlap_saved_ms: u64,
 }
 
 /// Serves progressive fragments by id — the seam between the retrieval
@@ -236,139 +228,43 @@ impl<S: FragmentSource + ?Sized> FragmentSource for &S {
     }
 }
 
-/// A staging area for prefetched fragment payloads: plan execution batches
-/// a round's schedule through [`FragmentSource::read_many`] and parks the
-/// payloads here; the per-fragment reader fetches then consume from the
-/// stage instead of re-reading the backend. Entries are removed on
-/// consumption, so a stage never holds more than one in-flight round.
-///
-/// The stage also carries the hand-off protocol of the executor's
-/// **overlapped** rounds: a background prefetcher *promises* the round's
-/// fragment ids up front ([`FragmentStage::begin_round`]), delivers
-/// payloads as its chunked `read_many` calls complete, and decode blocks in
-/// [`FragmentStage::take_or_wait`] only for payloads that are promised but
-/// not yet delivered. Clearing the promise set
-/// ([`FragmentStage::end_round`] — always reached, the prefetcher holds a
-/// drop guard) wakes every waiter into the per-fragment fallback path, so
-/// a failed or aborted prefetch degrades to direct fetches instead of a
-/// deadlock. Wait and I/O wall-clock tallies make the overlap observable
-/// ([`FragmentStage::overlap_saved_ms`]).
+/// A staging area for batched fragment payloads: the engine and the shared
+/// store read a round's schedule through one [`FragmentSource::read_many`]
+/// and park the payloads here, where the readers' per-fragment consume path
+/// takes them instead of re-reading the backend. Whoever stages a batch
+/// discards what is left of it before returning, so a round that fails
+/// part-way leaves nothing behind.
 #[derive(Debug, Default)]
-pub struct FragmentStage {
-    inner: Mutex<StageInner>,
-    arrived: std::sync::Condvar,
-    /// Nanoseconds decode spent blocked on promised-but-undelivered
-    /// payloads (summed across workers — conservative: N workers blocked
-    /// on one read each add their full wall time).
-    wait_nanos: AtomicU64,
-    /// Nanoseconds background prefetchers spent inside `read_many`.
-    io_nanos: AtomicU64,
-    /// Nanoseconds of I/O hidden behind decode, accumulated **per round**
-    /// by the executor (`io − wait` deltas clamped at zero round by round,
-    /// so one stall-heavy round cannot erase another round's saving).
-    saved_nanos: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct StageInner {
-    staged: std::collections::HashMap<FragmentId, Arc<Vec<u8>>>,
-    /// Fragments an in-flight prefetch round has promised to deliver.
-    promised: std::collections::HashSet<FragmentId>,
-}
+pub(crate) struct FragmentStage(Mutex<HashMap<FragmentId, Arc<Vec<u8>>>>);
 
 impl FragmentStage {
-    /// An empty stage.
-    pub fn new() -> Self {
-        Self::default()
+    fn lock(&self) -> MutexGuard<'_, HashMap<FragmentId, Arc<Vec<u8>>>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, StageInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    /// Parks a prefetched payload.
+    pub(crate) fn put(&self, id: FragmentId, payload: Arc<Vec<u8>>) {
+        self.lock().insert(id, payload);
     }
 
-    /// Parks a prefetched payload (and fulfils its promise, waking waiters).
-    pub fn put(&self, id: FragmentId, payload: Arc<Vec<u8>>) {
-        let mut inner = self.lock();
-        inner.promised.remove(&id);
-        inner.staged.insert(id, payload);
-        drop(inner);
-        self.arrived.notify_all();
+    /// Takes a staged payload out (consumed at most once).
+    pub(crate) fn take(&self, id: FragmentId) -> Option<Arc<Vec<u8>>> {
+        self.lock().remove(&id)
     }
 
-    /// Takes a staged payload out without waiting (consumed at most once).
-    pub fn take(&self, id: FragmentId) -> Option<Arc<Vec<u8>>> {
-        self.lock().staged.remove(&id)
-    }
-
-    /// Takes a staged payload, blocking while `id` is promised by an
-    /// in-flight prefetch round. Returns `None` when the payload is neither
-    /// staged nor promised — the caller's cue to fetch directly.
-    pub fn take_or_wait(&self, id: FragmentId) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(p) = inner.staged.remove(&id) {
-                return Some(p);
-            }
-            if !inner.promised.contains(&id) {
-                return None;
-            }
-            let t0 = std::time::Instant::now();
-            inner = self.arrived.wait(inner).unwrap_or_else(|e| e.into_inner());
-            self.wait_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Drops whatever of `ids` is still staged, leaving every other entry
+    /// alone: a shared store's stage also holds other fields' rounds.
+    pub(crate) fn discard(&self, ids: &[FragmentId]) {
+        let mut staged = self.lock();
+        for id in ids {
+            staged.remove(id);
         }
     }
 
-    /// Declares the fragments an overlapped round will deliver.
-    pub fn begin_round(&self, ids: &[FragmentId]) {
-        self.lock().promised.extend(ids.iter().copied());
-    }
-
-    /// Withdraws every outstanding promise, waking all waiters into their
-    /// fallback path. Idempotent; staged payloads are unaffected.
-    pub fn end_round(&self) {
-        self.lock().promised.clear();
-        self.arrived.notify_all();
-    }
-
-    /// Tallies background prefetch I/O wall time.
-    pub fn add_io_nanos(&self, nanos: u64) {
-        self.io_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Cumulative decode wait on promised payloads, in nanoseconds
-    /// (summed across workers).
-    pub fn wait_nanos(&self) -> u64 {
-        self.wait_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative background prefetch `read_many` wall time, in
-    /// nanoseconds.
-    pub fn io_nanos(&self) -> u64 {
-        self.io_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Credits `nanos` of I/O as hidden behind decode (called by the
-    /// executor with each overlapped round's clamped `io − wait` delta).
-    pub fn add_saved_nanos(&self, nanos: u64) {
-        self.saved_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Milliseconds of prefetch I/O hidden behind concurrent decode,
-    /// accumulated round by round. Conservative: a round's multi-worker
-    /// wait is summed, so the true saving is at least this.
-    pub fn overlap_saved_ms(&self) -> u64 {
-        self.saved_nanos.load(Ordering::Relaxed) / 1_000_000
-    }
-
-    /// Number of payloads currently staged.
-    pub fn len(&self) -> usize {
-        self.lock().staged.len()
-    }
-
     /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lock().is_empty()
     }
 }
 
@@ -853,7 +749,6 @@ impl AtomicStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             read_ops: self.read_ops.load(Ordering::Relaxed),
-            overlap_saved_ms: 0,
         }
     }
 }

@@ -85,8 +85,8 @@ pub mod store;
 pub use engine::{EngineConfig, QoiSpec, RetrievalEngine, RetrievalReport};
 pub use field::{Dataset, RefactoredDataset};
 pub use fragstore::{
-    CachedSource, FileSource, FragmentCache, FragmentId, FragmentSource, FragmentStage,
-    InMemorySource, Manifest, SourceStats,
+    CachedSource, FileSource, FragmentCache, FragmentId, FragmentSource, InMemorySource, Manifest,
+    SourceStats,
 };
 pub use mask::ZeroMask;
 pub use pager::{parse_budget, StoreBudget};

@@ -260,11 +260,6 @@ pub struct PlanReport {
     pub read_ops: u64,
     /// Fragments served during execution (same source delta).
     pub fragments_read: u64,
-    /// Milliseconds of fragment I/O the overlapped prefetcher hid behind
-    /// concurrent decode during this execution (see
-    /// [`SourceStats::overlap_saved_ms`]). Zero when overlap was off, the
-    /// rounds were too small to overlap, or the source is resident.
-    pub overlap_saved_ms: u64,
     /// Milliseconds this request waited for admission before execution
     /// began. Always zero for in-process execution; the serving layer
     /// (`pqr-serve`) fills it with the decode-permit queue wait so remote
@@ -361,13 +356,12 @@ impl<'e> PlanExecutor<'e> {
         let mut budget_exhausted = false;
         let (satisfied, field_bounds) = loop {
             iterations += 1;
-            // batch the round's fragment schedule through read_many —
-            // overlapping the chunked I/O with decode and fanning the
-            // independent per-field cursors across decode workers (see
-            // `RetrievalEngine::refine_round`); the readers' per-fragment
-            // fetch stays underneath as the fallback. Alg. 2 line 10
-            // (progressive_construct each involved field) happens inside
-            // the round.
+            // batch the round's fragment schedule through one read_many,
+            // then fan the independent per-field cursors across decode
+            // workers (see `RetrievalEngine::refine_round`); the readers'
+            // per-fragment fetch stays underneath as the fallback. Alg. 2
+            // line 10 (progressive_construct each involved field) happens
+            // inside the round.
             // round 1 reuses the schedule resolve() already computed,
             // unless the engine advanced in between (then some of that
             // schedule may already be consumed and must be re-planned)
@@ -509,7 +503,6 @@ impl<'e> PlanExecutor<'e> {
             budget_exhausted,
             read_ops: delta(stats_after, stats_before, |s| s.read_ops),
             fragments_read: delta(stats_after, stats_before, |s| s.fetches),
-            overlap_saved_ms: delta(stats_after, stats_before, |s| s.overlap_saved_ms),
             queue_wait_ms: 0,
             store_fragments_decoded: store_decoded,
             store_refine_reuses: store_reuses,

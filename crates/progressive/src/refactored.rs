@@ -409,18 +409,16 @@ struct Fetcher {
 
 impl Fetcher {
     /// Fetches payload fragment `index` of this field, accounting its bytes.
-    /// Staged (batch-prefetched) payloads are consumed first — blocking
-    /// briefly when an overlapped prefetch round has promised the fragment
-    /// but not yet delivered it; anything neither staged nor promised falls
-    /// back to a per-fragment source fetch, so the consume path is correct
-    /// whether or not a plan prefetched (and degrades cleanly if a
-    /// prefetcher fails mid-round).
+    /// Staged (batch-prefetched) payloads are consumed first; anything not
+    /// staged falls back to a per-fragment source fetch, so the consume
+    /// path is correct whether or not a plan prefetched (and whether or not
+    /// its batch read succeeded).
     fn fetch(&mut self, index: u32) -> Result<Arc<Vec<u8>>> {
         let id = FragmentId {
             field: self.field,
             index,
         };
-        let payload = match self.stage.as_ref().and_then(|s| s.take_or_wait(id)) {
+        let payload = match self.stage.as_ref().and_then(|s| s.take(id)) {
             Some(staged) => staged,
             None => self.source.fetch(id)?,
         };
@@ -623,7 +621,7 @@ impl FieldReader {
     /// staged payloads before falling back to the source. The retrieval
     /// engine shares one stage across its readers so batched rounds land
     /// where the per-fragment consume path expects them.
-    pub fn attach_stage(&mut self, stage: Arc<FragmentStage>) {
+    pub(crate) fn attach_stage(&mut self, stage: Arc<FragmentStage>) {
         self.io.stage = Some(stage);
     }
 

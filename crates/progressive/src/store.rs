@@ -364,7 +364,6 @@ impl ProgressStore {
     /// (possibly shared) [`StoreBudget`].
     pub fn open_with(source: Arc<dyn FragmentSource>, budget: Arc<StoreBudget>) -> Result<Self> {
         let manifest = source.manifest()?;
-        let stage = Arc::new(FragmentStage::new());
         let mut store = Self {
             source,
             manifest,
@@ -372,7 +371,7 @@ impl ProgressStore {
             published: Vec::new(),
             fronts: Vec::new(),
             zero_recon: OnceLock::new(),
-            stage,
+            stage: Arc::default(),
             store_id: budget.register_store(),
             budget,
             tick: AtomicU64::new(0),
@@ -640,6 +639,7 @@ impl ProgressStore {
         let before = reader.fragments_decoded();
         let recon_base = recon_counters(reader);
         let refined = reader.refine_to(eb);
+        self.stage.discard(&ids);
         self.absorb_recon_counters(reader, recon_base);
         let delta = reader.fragments_decoded() - before;
         self.decoded.fetch_add(delta, Ordering::Relaxed);
@@ -758,12 +758,15 @@ impl ProgressStore {
         // whatever opening fetched (a metadata fragment, where the
         // representation has one) is source traffic rehydration caused
         let mut refetched = reader.total_fetched() as u64;
-        let mut missing: Vec<FragmentId> = Vec::new();
-        for &index in &plan {
-            let id = FragmentId {
+        let ids: Vec<FragmentId> = plan
+            .iter()
+            .map(|&index| FragmentId {
                 field: field as u32,
                 index,
-            };
+            })
+            .collect();
+        let mut missing: Vec<FragmentId> = Vec::new();
+        for &id in &ids {
             match self.budget.tier_get(&(self.store_id, id.field, id.index)) {
                 Some(payload) => self.stage.put(id, payload),
                 None => missing.push(id),
@@ -782,14 +785,17 @@ impl ProgressStore {
                 }
                 Err(_) => {
                     // restore() falls back to per-fragment source fetches;
-                    // the directory records the bytes it will move
+                    // the directory records the bytes it will move (an id
+                    // it lacks fails that fetch, and with it the restore)
                     for &id in &missing {
-                        refetched += self.manifest.fragment(id)?.len;
+                        refetched += self.manifest.fragment(id).map_or(0, |f| f.len);
                     }
                 }
             }
         }
-        reader.restore(&d.progress)?;
+        let restored = reader.restore(&d.progress);
+        self.stage.discard(&ids);
+        restored?;
         self.absorb_recon_counters(&reader, ReconCounters(0, 0, 0));
         debug_assert_eq!(
             reader.guaranteed_bound().to_bits(),
@@ -1119,6 +1125,53 @@ mod tests {
             );
             assert!(s.rehydration_decodes > 0, "{}", scheme.name());
         }
+    }
+
+    /// Serves `inner`, except that while the switch is on `bad`'s payload
+    /// comes back empty: every batch lands, and decoding `bad` fails.
+    struct EmptyPayload {
+        inner: Arc<dyn FragmentSource>,
+        bad: FragmentId,
+        on: std::sync::atomic::AtomicBool,
+    }
+
+    impl FragmentSource for EmptyPayload {
+        fn manifest(&self) -> Result<Manifest> {
+            self.inner.manifest()
+        }
+        fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
+            if id == self.bad && self.on.load(Ordering::SeqCst) {
+                return Ok(Arc::new(Vec::new()));
+            }
+            self.inner.fetch(id)
+        }
+    }
+
+    #[test]
+    fn failed_refine_and_rehydration_leave_nothing_staged() {
+        let source = Arc::new(EmptyPayload {
+            inner: shared_source(Scheme::Psz3Delta),
+            bad: FragmentId { field: 0, index: 2 },
+            on: true.into(),
+        });
+        let budget = Arc::new(StoreBudget::unbounded());
+        let store = ProgressStore::open_with(source.clone(), budget).unwrap();
+        // an advance batches the whole front and fails on its third fragment
+        assert!(store.refine_to(0, 0.0).is_err(), "the fault must surface");
+        assert!(
+            store.stage.is_empty(),
+            "a failed advance left payloads staged"
+        );
+        // a rehydration replays the same front and fails there too
+        source.on.store(false, Ordering::SeqCst);
+        store.refine_to(0, 0.0).unwrap();
+        assert!(store.demote(0));
+        source.on.store(true, Ordering::SeqCst);
+        assert!(store.refine_to(0, 0.0).is_err(), "the fault must surface");
+        assert!(
+            store.stage.is_empty(),
+            "a failed rehydration left payloads staged"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use pqr_progressive::fragstore::SourceStats;
 use pqr_progressive::store::StoreStats;
 use pqr_util::byteio::{ByteReader, ByteWriter};
-use pqr_util::error::Result;
+use pqr_util::error::{PqrError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free server counters (one instance per [`Server`](crate::Server),
@@ -251,7 +251,6 @@ impl StatsSnapshot {
                 d.source.cache_hits,
                 d.source.cache_misses,
                 d.source.read_ops,
-                d.source.overlap_saved_ms,
             ] {
                 w.put_u64(v);
             }
@@ -259,7 +258,9 @@ impl StatsSnapshot {
         w.finish()
     }
 
-    /// Parses a snapshot (count-checked before allocation).
+    /// Parses a snapshot (count-checked before allocation; trailing bytes
+    /// are an error, so a frame with another column count cannot
+    /// mis-align its rows silently).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
         let mut scalars = [0u64; 15];
@@ -267,12 +268,12 @@ impl StatsSnapshot {
             *s = r.get_u64()?;
         }
         let raw = r.get_u64()? as usize;
-        // each dataset row costs at least a name prefix + 22 counters
-        let n = r.check_count(raw, 8 + 176)?;
+        // each dataset row costs at least a name prefix + 21 counters
+        let n = r.check_count(raw, 8 + 168)?;
         let mut datasets = Vec::with_capacity(n);
         for _ in 0..n {
             let name = crate::wire::get_name(&mut r)?;
-            let mut c = [0u64; 22];
+            let mut c = [0u64; 21];
             for v in &mut c {
                 *v = r.get_u64()?;
             }
@@ -302,9 +303,11 @@ impl StatsSnapshot {
                     cache_hits: c[18],
                     cache_misses: c[19],
                     read_ops: c[20],
-                    overlap_saved_ms: c[21],
                 },
             });
+        }
+        if r.remaining() != 0 {
+            return Err(PqrError::CorruptStream("trailing stats bytes".into()));
         }
         Ok(Self {
             connections: scalars[0],
@@ -331,9 +334,37 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn snapshot_roundtrips_with_dataset_rows() {
-        let snap = StatsSnapshot {
+    /// A snapshot with every counter distinct and two dataset rows.
+    fn sample() -> StatsSnapshot {
+        let row = |name: &str, k: u64| DatasetStats {
+            name: name.into(),
+            store: StoreStats {
+                fragments_decoded: 10 * k,
+                refine_advances: 5 * k,
+                refine_reuses: 20 * k,
+                adoptions: 7 * k,
+                evictions: 2 * k,
+                rehydration_decodes: 6 * k,
+                rehydration_bytes: 2048 * k,
+                snapshot_publishes: 11 * k,
+                epoch_short_circuits: 42 * k,
+                plan_front_hits: 9 * k,
+                plan_front_misses: 3 * k,
+                resident_bytes: k << 20,
+                budget_bytes: k << 22,
+                recompose_passes: 64 * k,
+                recon_cache_hits: 13 * k,
+                reconstruct_nanos: 1_500_000 * k,
+            },
+            source: SourceStats {
+                fetches: 100 * k,
+                fetched_bytes: 4096 * k,
+                cache_hits: k,
+                cache_misses: 99 * k,
+                read_ops: 12 * k,
+            },
+        };
+        StatsSnapshot {
             connections: 3,
             requests: 17,
             retrieves: 9,
@@ -349,36 +380,13 @@ mod tests {
             coalesced_requests: 14,
             coalesce_fallbacks: 1,
             service_ms_total: 260,
-            datasets: vec![DatasetStats {
-                name: "ge".into(),
-                store: StoreStats {
-                    fragments_decoded: 10,
-                    refine_advances: 5,
-                    refine_reuses: 20,
-                    adoptions: 7,
-                    evictions: 2,
-                    rehydration_decodes: 6,
-                    rehydration_bytes: 2048,
-                    snapshot_publishes: 11,
-                    epoch_short_circuits: 42,
-                    plan_front_hits: 9,
-                    plan_front_misses: 3,
-                    resident_bytes: 1 << 20,
-                    budget_bytes: 4 << 20,
-                    recompose_passes: 64,
-                    recon_cache_hits: 13,
-                    reconstruct_nanos: 1_500_000,
-                },
-                source: SourceStats {
-                    fetches: 100,
-                    fetched_bytes: 4096,
-                    cache_hits: 1,
-                    cache_misses: 99,
-                    read_ops: 12,
-                    overlap_saved_ms: 3,
-                },
-            }],
-        };
+            datasets: vec![row("ge", 1), row("s3d", 3)],
+        }
+    }
+
+    #[test]
+    fn snapshot_roundtrips_with_dataset_rows() {
+        let snap = sample();
         assert_eq!(StatsSnapshot::from_bytes(&snap.to_bytes()).unwrap(), snap);
     }
 
@@ -437,8 +445,17 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_is_an_error() {
-        let snap = StatsSnapshot::default();
-        let bytes = snap.to_bytes();
-        assert!(StatsSnapshot::from_bytes(&bytes[..bytes.len() - 4]).is_err());
+        let mut bytes = sample().to_bytes();
+        for len in 0..bytes.len() {
+            assert!(
+                StatsSnapshot::from_bytes(&bytes[..len]).is_err(),
+                "prefix of {len} bytes parsed"
+            );
+        }
+        bytes.push(0);
+        assert!(
+            StatsSnapshot::from_bytes(&bytes).is_err(),
+            "a trailing byte parsed"
+        );
     }
 }

@@ -34,11 +34,9 @@ impl Default for PipelineConfig {
             network: NetworkModel::globus_mcc_to_anvil(),
             engine: EngineConfig {
                 // blocks are the parallel unit — nested scan/decode threads
-                // (or a per-round prefetcher thread per block) would
-                // oversubscribe and distort per-block timings
+                // would oversubscribe and distort per-block timings
                 parallel_scan: false,
                 workers: 1,
-                overlap_io: false,
                 ..EngineConfig::default()
             },
         }

@@ -266,8 +266,6 @@ impl FragmentSource for RemoteBlockSource {
             cache_hits: c.hits as u64,
             cache_misses: c.fragments as u64,
             read_ops: c.requests as u64,
-            // overlap is an executor-side tally (see SourceStats docs)
-            overlap_saved_ms: 0,
         }
     }
 }

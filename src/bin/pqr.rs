@@ -66,11 +66,11 @@ USAGE:
                prints an encode-throughput line)
   pqr info <archive>
   pqr retrieve <archive> --qoi NAME --tol REL [--estimator E]
-               [--workers N] [--overlap-io on|off]
+               [--workers N]
                [--resume PROGRESS] [--save-progress PROGRESS]
                [--out PATH] [--field NAME --out-field PATH]
   pqr retrieve <archive> (--qoi NAME=TOL)... [--budget BYTES]
-               [--estimator E] [--workers N] [--overlap-io on|off]
+               [--estimator E] [--workers N]
                [--resume P] [--save-progress P]
                [--field NAME --out-field PATH]
                (batched: QoIs sharing fields fetch them once; prints the
@@ -109,8 +109,8 @@ USAGE:
 ESTIMATORS: paper (default) | exact-sqrt | interval
 WORKERS:    worker threads (0 = the PQR_THREADS env default) — decode
             threads per refinement round on retrieve, encode threads on
-            refactor; --overlap-io overlaps fragment I/O with compute on
-            both paths (on by default)
+            refactor; refactor's --overlap-io (on by default) streams
+            finished fields to disk while the rest encode
 PROGRESS:   a small progress file; --resume continues a previous retrieval
             incrementally, --save-progress records where this one stopped
 
@@ -120,12 +120,36 @@ EXPRS:   pqr_qoi::parse grammar; x0, x1, … index the --field list"
     );
 }
 
-/// Pulls `--flag value` pairs and repeated flags out of an arg list.
+/// One subcommand's arguments: `--flag value` pairs (possibly repeated),
+/// valueless switches, and the first token that is neither.
 struct Flags<'a> {
     args: &'a [String],
+    positional: Option<&'a str>,
 }
 
 impl<'a> Flags<'a> {
+    /// Checks `args` against the flags `pqr cmd` declares (space-separated):
+    /// each of `valued` takes the next token as its value, each of
+    /// `switches` takes none, and any other `--…` token is an error rather
+    /// than silently ignored.
+    fn parse(cmd: &str, args: &'a [String], valued: &str, switches: &str) -> Result<Self> {
+        let declared = |list: &str, arg: &str| list.split_whitespace().any(|f| f == arg);
+        let mut positional = None;
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(arg) = tokens.next() {
+            if declared(valued, arg) {
+                tokens.next();
+            } else if !arg.starts_with("--") {
+                positional = positional.or(Some(arg));
+            } else if !declared(switches, arg) {
+                return Err(PqrError::InvalidRequest(format!(
+                    "unknown flag '{arg}' for `pqr {cmd}` (try `pqr help`)"
+                )));
+            }
+        }
+        Ok(Self { args, positional })
+    }
+
     fn get(&self, flag: &str) -> Option<&'a str> {
         self.args
             .windows(2)
@@ -139,19 +163,6 @@ impl<'a> Flags<'a> {
             .filter(|w| w[0] == flag)
             .map(|w| w[1].as_str())
             .collect()
-    }
-
-    fn positional(&self) -> Option<&'a str> {
-        // first token that is not a flag or a flag's value
-        let mut i = 0;
-        while i < self.args.len() {
-            if self.args[i].starts_with("--") {
-                i += 2;
-            } else {
-                return Some(self.args[i].as_str());
-            }
-        }
-        None
     }
 }
 
@@ -217,8 +228,11 @@ fn parse_scheme(s: &str) -> Result<Scheme> {
     }
 }
 
+/// The flags `pqr refactor` takes, each with a value.
+const REFACTOR_FLAGS: &str = "--out --scheme --field --qoi --mask --workers --overlap-io";
+
 fn cmd_refactor(args: &[String]) -> Result<()> {
-    let flags = Flags { args };
+    let flags = Flags::parse("refactor", args, REFACTOR_FLAGS, "")?;
     let out = flags
         .get("--out")
         .ok_or_else(|| PqrError::InvalidRequest("refactor needs --out".into()))?;
@@ -297,7 +311,7 @@ fn cmd_refactor(args: &[String]) -> Result<()> {
 /// on-disk size (for the partial-read report).
 fn load_archive(flags: &Flags<'_>) -> Result<(Archive, u64)> {
     let path = flags
-        .positional()
+        .positional
         .ok_or_else(|| PqrError::InvalidRequest("missing archive path".into()))?;
     let size = fs::metadata(path)
         .map_err(|e| PqrError::InvalidRequest(format!("cannot stat '{path}': {e}")))?
@@ -306,7 +320,7 @@ fn load_archive(flags: &Flags<'_>) -> Result<(Archive, u64)> {
 }
 
 fn cmd_info(args: &[String]) -> Result<()> {
-    let flags = Flags { args };
+    let flags = Flags::parse("info", args, "", "")?;
     let (archive, file_size) = load_archive(&flags)?;
     // everything `info` prints comes from the manifest — no payload
     // fragment is touched
@@ -365,9 +379,8 @@ fn parse_bool(flag: &str, s: &str) -> Result<bool> {
 }
 
 /// Builds the retrieval engine configuration from the shared retrieve
-/// flags: `--estimator`, `--workers` (decode threads per refinement round;
-/// 0 = the `PQR_THREADS` env default) and `--overlap-io` (the chunked
-/// prefetcher that hides fragment I/O behind decode).
+/// flags: `--estimator` and `--workers` (decode threads per refinement
+/// round; 0 = the `PQR_THREADS` env default).
 fn engine_config_from_flags(flags: &Flags<'_>) -> Result<EngineConfig> {
     let mut cfg = EngineConfig::default();
     if let Some(est) = flags.get("--estimator") {
@@ -377,9 +390,6 @@ fn engine_config_from_flags(flags: &Flags<'_>) -> Result<EngineConfig> {
         cfg.workers = w
             .parse()
             .map_err(|_| PqrError::InvalidRequest(format!("bad --workers '{w}' (want a count)")))?;
-    }
-    if let Some(o) = flags.get("--overlap-io") {
-        cfg.overlap_io = parse_bool("--overlap-io", o)?;
     }
     Ok(cfg)
 }
@@ -401,8 +411,12 @@ fn parse_estimator(s: &str) -> Result<BoundConfig> {
     }
 }
 
+/// The flags `pqr retrieve` takes (either form), each with a value.
+const RETRIEVE_FLAGS: &str =
+    "--qoi --tol --estimator --workers --budget --resume --save-progress --out --field --out-field";
+
 fn cmd_retrieve(args: &[String]) -> Result<()> {
-    let flags = Flags { args };
+    let flags = Flags::parse("retrieve", args, RETRIEVE_FLAGS, "")?;
     let qoi_flags = flags.get_all("--qoi");
     if qoi_flags.iter().any(|s| s.contains('=')) {
         return cmd_retrieve_multi(&flags, &qoi_flags);
@@ -544,12 +558,6 @@ fn cmd_retrieve_multi(flags: &Flags<'_>, qoi_flags: &[&str]) -> Result<()> {
         file_size,
         100.0 * stats.fetched_bytes as f64 / file_size.max(1) as f64
     );
-    if report.overlap_saved_ms > 0 {
-        eprintln!(
-            "overlap: {} ms of fragment I/O hidden behind decode",
-            report.overlap_saved_ms
-        );
-    }
     if let Some(path) = flags.get("--save-progress") {
         fs::write(path, session.save_progress())
             .map_err(|e| PqrError::InvalidRequest(format!("cannot write '{path}': {e}")))?;
@@ -584,7 +592,7 @@ struct ServeArm {
 /// and fragments decoded for both arms. The shared arm decodes each
 /// bitplane once for everyone; the cold arm re-decodes per session.
 fn cmd_serve_bench(args: &[String]) -> Result<()> {
-    let flags = Flags { args };
+    let flags = Flags::parse("serve-bench", args, "--qoi --sessions --out", "")?;
     let qoi_flags = flags.get_all("--qoi");
     if qoi_flags.is_empty() || qoi_flags.iter().any(|s| !s.contains('=')) {
         return Err(PqrError::InvalidRequest(
@@ -608,7 +616,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<()> {
         return Err(PqrError::InvalidRequest("--sessions must be ≥ 1".into()));
     }
     let path = flags
-        .positional()
+        .positional
         .ok_or_else(|| PqrError::InvalidRequest("missing archive path".into()))?;
 
     // shared arm: one service, N concurrent sessions reading through one
@@ -710,13 +718,18 @@ fn parse_u64_flag(flags: &Flags<'_>, flag: &str) -> Result<Option<u64>> {
         .transpose()
 }
 
+/// The flags `pqr serve` takes, each with a value.
+const SERVE_FLAGS: &str = "--listen --dataset --store-budget --workers --queue --permits \
+    --busy-wait --retry-after --byte-budget --time-budget --coalesce --coalesce-window \
+    --coalesce-batch";
+
 /// `pqr serve` — a multi-tenant TCP server over the registered archives.
 /// Archives are opened lazily; every client session of one dataset shares
 /// its decode store. Runs until a client sends a `shutdown` frame
 /// (`pqr client ADDR --shutdown`), then prints the final stats summary.
 fn cmd_serve(args: &[String]) -> Result<()> {
     use pqr::serve::{Registry, Server, ServerConfig};
-    let flags = Flags { args };
+    let flags = Flags::parse("serve", args, SERVE_FLAGS, "")?;
     let listen = flags
         .get("--listen")
         .ok_or_else(|| PqrError::InvalidRequest("serve needs --listen ADDR".into()))?;
@@ -807,14 +820,19 @@ fn cmd_serve(args: &[String]) -> Result<()> {
     Ok(())
 }
 
+/// The flags `pqr client` takes with a value (`--stats` and `--shutdown`
+/// take none).
+const CLIENT_FLAGS: &str =
+    "--dataset --qoi --budget --values --out --resume --save-progress --retries";
+
 /// `pqr client` — one protocol exchange with a `pqr serve` endpoint:
 /// retrieve (with Busy retries per the server's hint), `--stats`, or
 /// `--shutdown`.
 fn cmd_client(args: &[String]) -> Result<()> {
     use pqr::serve::{Reply, ServeClient};
-    let flags = Flags { args };
+    let flags = Flags::parse("client", args, CLIENT_FLAGS, "--stats --shutdown")?;
     let addr = flags
-        .positional()
+        .positional
         .ok_or_else(|| PqrError::InvalidRequest("client needs the server ADDR".into()))?;
     let mut client = ServeClient::connect(addr)?;
     client.set_io_timeout(Some(std::time::Duration::from_secs(120)))?;

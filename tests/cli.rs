@@ -581,7 +581,7 @@ fn multi_qoi_retrieve_prints_per_target_table_and_savings() {
 }
 
 #[test]
-fn workers_and_overlap_flags_change_nothing_but_are_validated() {
+fn workers_flag_changes_nothing_but_is_validated() {
     let dir = std::env::temp_dir().join(format!("pqr-cli-workers-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let n = 4000;
@@ -604,8 +604,8 @@ fn workers_and_overlap_flags_change_nothing_but_are_validated() {
         .unwrap();
     assert!(out.status.success());
 
-    // the decode-parallelism knobs are now CLI flags (no PQR_THREADS env
-    // needed); results must be identical across the worker/overlap matrix
+    // the decode-parallelism knob is a CLI flag (no PQR_THREADS env
+    // needed); results must be identical across worker counts
     let run = |extra: &[&str]| {
         let mut args = vec![
             "retrieve",
@@ -630,9 +630,9 @@ fn workers_and_overlap_flags_change_nothing_but_are_validated() {
             .to_string()
     };
     let baseline = run(&[]);
-    assert_eq!(baseline, run(&["--workers", "1", "--overlap-io", "off"]));
-    assert_eq!(baseline, run(&["--workers", "4", "--overlap-io", "on"]));
-    // multi-target form accepts them too
+    assert_eq!(baseline, run(&["--workers", "1"]));
+    assert_eq!(baseline, run(&["--workers", "4"]));
+    // multi-target form accepts it too
     let out = pqr()
         .args([
             "retrieve",
@@ -641,8 +641,6 @@ fn workers_and_overlap_flags_change_nothing_but_are_validated() {
             "u2=1e-4",
             "--workers",
             "2",
-            "--overlap-io",
-            "true",
         ])
         .output()
         .unwrap();
@@ -652,8 +650,13 @@ fn workers_and_overlap_flags_change_nothing_but_are_validated() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // bad values fail loudly
-    for bad in [["--workers", "many"], ["--overlap-io", "maybe"]] {
+    // bad values fail loudly, and so do flags retrieve does not take: the
+    // read-side --overlap-io is gone, and a misspelt flag is not ignored
+    for bad in [
+        ["--workers", "many"],
+        ["--overlap-io", "off"],
+        ["--worker", "4"],
+    ] {
         let out = pqr()
             .args([
                 "retrieve",
@@ -669,6 +672,23 @@ fn workers_and_overlap_flags_change_nothing_but_are_validated() {
             .unwrap();
         assert!(!out.status.success(), "{bad:?} should be rejected");
     }
+    let out = pqr()
+        .args([
+            "retrieve",
+            archive.to_str().unwrap(),
+            "--qoi",
+            "u2=1e-4",
+            "--overlap-io",
+            "on",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "multi-target --overlap-io accepted");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag '--overlap-io'"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
