@@ -33,7 +33,6 @@ fn main() -> ExitCode {
         Some("refactor") => cmd_refactor(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("retrieve") => cmd_retrieve(&args[1..]),
-        Some("serve-bench") => cmd_serve_bench(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
@@ -76,11 +75,6 @@ USAGE:
                (batched: QoIs sharing fields fetch them once; prints the
                per-target report table and shared-fragment savings;
                --out is single-target only — use --out-field here)
-  pqr serve-bench <archive> (--qoi NAME=TOL)... [--sessions N]
-               [--out JSON]
-               (drives N concurrent shared-store sessions with the given
-               mixed-tolerance targets against N independent cold engines
-               and prints the throughput / decode-reuse comparison)
   pqr serve --listen ADDR (--dataset NAME=ARCHIVE)...
                [--workers N] [--queue N] [--permits N]
                [--busy-wait MS] [--retry-after MS]
@@ -577,137 +571,6 @@ fn cmd_retrieve_multi(flags: &Flags<'_>, qoi_flags: &[&str]) -> Result<()> {
     Ok(())
 }
 
-/// One serve-bench arm's aggregate outcome.
-struct ServeArm {
-    wall_ms: f64,
-    source_bytes: u64,
-    fragments_decoded: u64,
-    satisfied: usize,
-}
-
-/// `pqr serve-bench` — drives N concurrent **shared-store** sessions
-/// (one `DatasetService`, mixed tolerances round-robined over the `--qoi`
-/// targets) against N **independent cold engines** (each its own lazily
-/// opened archive), and reports aggregate throughput, source bytes read
-/// and fragments decoded for both arms. The shared arm decodes each
-/// bitplane once for everyone; the cold arm re-decodes per session.
-fn cmd_serve_bench(args: &[String]) -> Result<()> {
-    let flags = Flags::parse("serve-bench", args, "--qoi --sessions --out", "")?;
-    let qoi_flags = flags.get_all("--qoi");
-    if qoi_flags.is_empty() || qoi_flags.iter().any(|s| !s.contains('=')) {
-        return Err(PqrError::InvalidRequest(
-            "serve-bench wants one or more --qoi NAME=TOL targets".into(),
-        ));
-    }
-    let mut targets: Vec<(String, f64)> = Vec::new();
-    for spec in &qoi_flags {
-        let (name, tol_text) = spec.split_once('=').expect("checked above");
-        let tol: f64 = tol_text
-            .parse()
-            .map_err(|_| PqrError::InvalidRequest(format!("bad tolerance in --qoi '{spec}'")))?;
-        targets.push((name.to_string(), tol));
-    }
-    let sessions: usize = flags
-        .get("--sessions")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| PqrError::InvalidRequest("bad --sessions (want a count)".into()))?;
-    if sessions == 0 {
-        return Err(PqrError::InvalidRequest("--sessions must be ≥ 1".into()));
-    }
-    let path = flags
-        .positional
-        .ok_or_else(|| PqrError::InvalidRequest("missing archive path".into()))?;
-
-    // shared arm: one service, N concurrent sessions reading through one
-    // decode store; the service's one-time open is inside the timed
-    // region, mirroring the cold arm's per-session opens
-    let shared = {
-        let t0 = std::time::Instant::now();
-        let archive = Archive::open(path)?;
-        let service = archive.service()?;
-        let satisfied = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| -> Result<()> {
-            let handles: Vec<_> = (0..sessions)
-                .map(|k| {
-                    let service = service.clone();
-                    let (name, tol) = targets[k % targets.len()].clone();
-                    let satisfied = &satisfied;
-                    s.spawn(move || -> Result<()> {
-                        let mut session = service.session()?;
-                        if session.request(&name, tol)?.satisfied {
-                            satisfied.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("serve-bench session panicked")?;
-            }
-            Ok(())
-        })?;
-        ServeArm {
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            source_bytes: service.source_stats().fetched_bytes,
-            fragments_decoded: service.store_stats().fragments_decoded,
-            satisfied: satisfied.load(std::sync::atomic::Ordering::Relaxed),
-        }
-    };
-
-    // cold arm: N independent engines, each its own archive handle and
-    // decode state (the pre-service workflow)
-    let cold = {
-        let t0 = std::time::Instant::now();
-        let bytes = std::sync::atomic::AtomicU64::new(0);
-        let decoded = std::sync::atomic::AtomicU64::new(0);
-        let satisfied = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| -> Result<()> {
-            let handles: Vec<_> = (0..sessions)
-                .map(|k| {
-                    let (name, tol) = targets[k % targets.len()].clone();
-                    let (bytes, decoded, satisfied) = (&bytes, &decoded, &satisfied);
-                    s.spawn(move || -> Result<()> {
-                        let archive = Archive::open(path)?;
-                        let mut session = archive.session()?;
-                        if session.request(&name, tol)?.satisfied {
-                            satisfied.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        bytes.fetch_add(
-                            archive.source_stats().fetched_bytes,
-                            std::sync::atomic::Ordering::Relaxed,
-                        );
-                        decoded.fetch_add(
-                            session.fragments_decoded(),
-                            std::sync::atomic::Ordering::Relaxed,
-                        );
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("serve-bench session panicked")?;
-            }
-            Ok(())
-        })?;
-        ServeArm {
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            source_bytes: bytes.load(std::sync::atomic::Ordering::Relaxed),
-            fragments_decoded: decoded.load(std::sync::atomic::Ordering::Relaxed),
-            satisfied: satisfied.load(std::sync::atomic::Ordering::Relaxed),
-        }
-    };
-
-    let json = serve_bench_json(sessions, &targets, &shared, &cold);
-    println!("{json}");
-    if let Some(out) = flags.get("--out") {
-        fs::write(out, json.as_bytes())
-            .map_err(|e| PqrError::InvalidRequest(format!("cannot write '{out}': {e}")))?;
-        eprintln!("wrote serve-bench report → {out}");
-    }
-    Ok(())
-}
-
 fn parse_u64_flag(flags: &Flags<'_>, flag: &str) -> Result<Option<u64>> {
     flags
         .get(flag)
@@ -1014,45 +877,4 @@ fn cmd_client(args: &[String]) -> Result<()> {
         ));
     }
     Ok(())
-}
-
-/// Renders the serve-bench comparison as the `pqr-bench-serve/1` JSON
-/// schema (shared with the committed `BENCH_serve.json`).
-fn serve_bench_json(
-    sessions: usize,
-    targets: &[(String, f64)],
-    shared: &ServeArm,
-    cold: &ServeArm,
-) -> String {
-    let per_s = |arm: &ServeArm| sessions as f64 / (arm.wall_ms / 1e3).max(1e-9);
-    let ratio = |a: u64, b: u64| a as f64 / b.max(1) as f64;
-    let arm = |a: &ServeArm| {
-        format!(
-            "{{\"wall_ms\": {:.2}, \"requests_per_s\": {:.2}, \"source_bytes\": {}, \
-             \"fragments_decoded\": {}, \"satisfied\": {}}}",
-            a.wall_ms,
-            per_s(a),
-            a.source_bytes,
-            a.fragments_decoded,
-            a.satisfied
-        )
-    };
-    // QoI names are user-supplied strings — escape them for JSON
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let tol_list = targets
-        .iter()
-        .map(|(n, t)| format!("{{\"qoi\": \"{}\", \"tol\": {t:e}}}", escape(n)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\n  \"schema\": \"pqr-bench-serve/1\",\n  \"sessions\": {sessions},\n  \
-         \"targets\": [{tol_list}],\n  \"shared\": {},\n  \"cold\": {},\n  \
-         \"speedup\": {:.3},\n  \"decode_reuse_ratio\": {:.3},\n  \
-         \"bytes_read_ratio\": {:.3}\n}}",
-        arm(shared),
-        arm(cold),
-        cold.wall_ms / shared.wall_ms.max(1e-9),
-        ratio(cold.fragments_decoded, shared.fragments_decoded),
-        ratio(cold.source_bytes, shared.source_bytes),
-    )
 }

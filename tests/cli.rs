@@ -450,6 +450,7 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("refactor"));
     assert!(text.contains("retrieve"));
+    assert!(!text.contains("serve-bench"), "{text}");
 }
 
 #[test]
@@ -690,6 +691,19 @@ fn workers_flag_changes_nothing_but_is_validated() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // serving is measured by the benchmark's serve_warm and store_paged
+    // workloads, not by a CLI subcommand
+    let out = pqr()
+        .args(["serve-bench", archive.to_str().unwrap(), "--qoi", "V=1e-5"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "serve-bench accepted");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown command 'serve-bench'"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -802,96 +816,6 @@ fn refactor_workers_and_overlap_flags_stream_identical_archives() {
         assert!(!out.status.success(), "{bad:?} should be rejected");
         assert!(!target.exists(), "{bad:?} left a partial archive");
     }
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn serve_bench_reports_shared_vs_cold() {
-    let dir = std::env::temp_dir().join(format!("pqr-cli-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let n = 6000;
-    let vx: Vec<f64> = (0..n)
-        .map(|i| (i as f64 * 0.012).sin() * 25.0 + 40.0)
-        .collect();
-    let vy: Vec<f64> = (0..n)
-        .map(|i| (i as f64 * 0.019).cos() * 12.0 + 30.0)
-        .collect();
-    write_f64(&dir.join("vx.f64"), &vx);
-    write_f64(&dir.join("vy.f64"), &vy);
-    let archive = dir.join("serve.pqr");
-    let out = pqr()
-        .args([
-            "refactor",
-            "--out",
-            archive.to_str().unwrap(),
-            "--field",
-            &format!("Vx:{}", dir.join("vx.f64").display()),
-            "--field",
-            &format!("Vy:{}", dir.join("vy.f64").display()),
-            "--qoi",
-            "V=sqrt(x0^2 + x1^2)",
-            "--qoi",
-            "Vx2=x0^2",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    let report = dir.join("serve.json");
-    let out = pqr()
-        .args([
-            "serve-bench",
-            archive.to_str().unwrap(),
-            "--qoi",
-            "V=1e-5",
-            "--qoi",
-            "Vx2=1e-2",
-            "--sessions",
-            "4",
-            "--out",
-            report.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(&report).unwrap();
-    for key in [
-        "pqr-bench-serve/1",
-        "decode_reuse_ratio",
-        "bytes_read_ratio",
-        "\"satisfied\": 4",
-    ] {
-        assert!(json.contains(key), "missing '{key}' in:\n{json}");
-    }
-    // decode-once in numbers: the shared arm must decode strictly fewer
-    // fragments and read strictly fewer source bytes than the cold arm
-    let field = |arm: &str, key: &str| -> f64 {
-        let arm_json = json.split(&format!("\"{arm}\": {{")).nth(1).unwrap();
-        arm_json
-            .split(&format!("\"{key}\": "))
-            .nth(1)
-            .unwrap()
-            .split([',', '}'])
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap()
-    };
-    assert!(field("shared", "fragments_decoded") < field("cold", "fragments_decoded"));
-    assert!(field("shared", "source_bytes") < field("cold", "source_bytes"));
-
-    // targets are mandatory
-    let out = pqr()
-        .args(["serve-bench", archive.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -240,6 +240,29 @@ fn file_backend_coalesced_replies_match_union_first_serial() {
 
     let oracle = union_first_oracle(&Archive::open(&path).unwrap(), &work);
     assert_matches_oracle("file", &work, &replies, &oracle);
+
+    // the same jittered fleet with coalescing off forms no rounds at all.
+    // Uncoalesced replies depend on arrival order (a loose request served
+    // before a tight one certifies from a shallower store), so one client
+    // sends the union first, as the oracle does
+    let config = ServerConfig {
+        coalesce: false,
+        ..coalescing_config(k)
+    };
+    let (server, addr) = start(Archive::open(&path).unwrap(), config);
+    let reqs: Vec<_> = work.iter().map(|(_, r)| r.clone()).collect();
+    let mut c = ServeClient::connect(addr).unwrap();
+    c.open("ds").unwrap().expect_ok("open");
+    c.retrieve(&merge_requests(&reqs), &[], false)
+        .unwrap()
+        .expect_ok("union retrieve");
+    c.close().unwrap();
+    let replies = concurrent_replies(addr, &work, 0xF11E);
+    let snap = server.shutdown();
+    assert_eq!(snap.retrieves, k as u64 + 1);
+    assert_eq!(snap.coalesced_rounds, 0);
+    assert_eq!(snap.coalesced_requests, 0);
+    assert_matches_oracle("file, coalescing off", &work, &replies, &oracle);
     std::fs::remove_file(&path).ok();
 }
 

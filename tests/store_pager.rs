@@ -14,6 +14,11 @@
 //! mixed-tolerance sessions: every certified reply still meets its
 //! tolerance against ground truth, and advance decodes never exceed the
 //! archive's fragment count (decode-once survives the chaos).
+//!
+//! A third test bounds residency: on a six-field archive under a budget of
+//! ⅛ of the working set, a series that streams every field and then
+//! revisits some must evict, rehydrate, and never hold more than the
+//! budget plus one field.
 
 use pqr::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -338,4 +343,76 @@ fn chaos_demotions_under_concurrent_sessions_keep_every_guarantee() {
     // pass at this quiesce point recovers the tier to its ceiling
     service.store().enforce();
     assert!(!service.store().budget().over_decoded_limit());
+}
+
+/// Streams all six fields, revisits three tight, then one loose: each
+/// request derives from one field, the store's eviction granularity.
+const RESIDENCY_SERIES: [(&str, f64); 10] = [
+    ("Vx2", 1e-4),
+    ("Vy2", 1e-4),
+    ("Vz2", 1e-4),
+    ("P2", 1e-4),
+    ("T2", 1e-4),
+    ("Rho2", 1e-4),
+    ("Vx2", 1e-7),
+    ("Vy2", 1e-7),
+    ("Vz2", 1e-7),
+    ("Vx2", 1e-2),
+];
+
+/// Runs [`RESIDENCY_SERIES`], one session per request, under `budget`.
+fn run_residency_series(archive: &Archive, budget: &Arc<StoreBudget>) -> StoreStats {
+    let service = archive.service_with_budget(Arc::clone(budget)).unwrap();
+    for (name, tol) in RESIDENCY_SERIES {
+        let report = service
+            .session()
+            .unwrap()
+            .execute(&RetrievalRequest::new().qoi(name, tol))
+            .unwrap();
+        assert!(report.satisfied, "{name}@{tol}");
+    }
+    service.store_stats()
+}
+
+#[test]
+fn eighth_budget_peak_stays_within_one_field_of_the_limit() {
+    let n = 3000;
+    let mut builder = ArchiveBuilder::new(&[n]);
+    for (f, name) in ["Vx", "Vy", "Vz", "P", "T", "Rho"].iter().enumerate() {
+        // smooth flow plus xorshift noise, so deep planes carry real decode
+        let mut s = 0x9e37_79b9_7f4a_7c15u64 ^ (f as u64);
+        let values = (0..n)
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let noise = (s as f64 / u64::MAX as f64 - 0.5) * 2.0;
+                let x = i as f64 / n as f64;
+                (x * (7.0 + f as f64)).sin() * 20.0 + (x * 31.0).cos() * 3.0 + noise + 40.0
+            })
+            .collect();
+        builder = builder
+            .field(name, values)
+            .qoi(&format!("{name}2"), QoiExpr::var(f).pow(2));
+    }
+    let archive = builder.build().unwrap();
+
+    let free = Arc::new(StoreBudget::unbounded());
+    run_residency_series(&archive, &free);
+    let working_set = free.peak_resident_bytes();
+    assert!(working_set > 0, "peak tracking is broken");
+
+    let limit = working_set / 8;
+    let tight = Arc::new(StoreBudget::with_limit(limit));
+    let stats = run_residency_series(&archive, &tight);
+    assert!(stats.evictions > 0, "an eighth budget must evict");
+    assert!(stats.rehydration_decodes > 0, "revisits must rehydrate");
+    // eviction is per field, so a field being charged can overshoot the
+    // limit before enforcement runs: by at most one field of six
+    let slack = working_set / 4;
+    let peak = tight.peak_resident_bytes();
+    assert!(
+        peak <= limit + slack,
+        "peak {peak} B over limit {limit} B + slack {slack} B (working set {working_set} B)"
+    );
 }
