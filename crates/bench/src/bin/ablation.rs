@@ -71,7 +71,7 @@ fn main() {
             println!(
                 "{name}\t{label}\t{:.4}\t{:.3e}\t{:.3e}",
                 report.bitrate,
-                report.max_est_errors[0] / qrange,
+                report.targets[0].max_est_error / qrange,
                 actual / qrange,
             );
         }

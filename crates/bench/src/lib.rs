@@ -98,7 +98,7 @@ pub fn qoi_sweep(
         out.push((
             tol,
             report.bitrate,
-            report.max_est_errors[0] / range,
+            report.targets[0].max_est_error / range,
             actual / range,
         ));
     }

@@ -19,7 +19,7 @@
 //! looser request for free.
 
 use crate::request::{RequestTarget, RetrievalRequest, ToleranceMode};
-use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine, RetrievalReport};
+use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::{Dataset, RefactoredDataset};
 use pqr_progressive::fragstore::{
     FileSource, FragmentSource, InMemorySource, Manifest, SourceStats,
@@ -433,7 +433,7 @@ impl Archive {
 ///         std::thread::spawn(move || {
 ///             let mut session = svc.session().unwrap();
 ///             let tol = if k % 2 == 0 { 1e-2 } else { 1e-5 };
-///             session.request("u2", tol).unwrap().satisfied
+///             session.execute(&RetrievalRequest::new().qoi("u2", tol)).unwrap().satisfied
 ///         })
 ///     })
 ///     .collect();
@@ -565,20 +565,6 @@ impl Session {
         self.qois.get(name).map(|(e, _)| e)
     }
 
-    /// Requests one registered QoI at a relative tolerance.
-    ///
-    /// This is the **convenience form** of the plan/execute API: it
-    /// resolves a single-target plan and runs the batched executor, so it
-    /// shares the one fetch code path with [`Session::execute`]. Reach for
-    /// [`RetrievalRequest`] when an analysis derives several QoIs from the
-    /// same fields — shared fields are then fetched once instead of per
-    /// request — or when you need per-target reports, absolute tolerances
-    /// in a batch, or a byte budget.
-    pub fn request(&mut self, name: &str, tol_rel: f64) -> Result<RetrievalReport> {
-        let spec = self.spec(name, tol_rel)?;
-        self.engine.retrieve(&[spec])
-    }
-
     /// Resolves a multi-target [`RetrievalRequest`] against the archive's
     /// QoI registry and the session's current progress, without fetching:
     /// which fields each target derives from, the Algorithm-3 refinement
@@ -589,7 +575,8 @@ impl Session {
         RetrievalPlan::resolve(&self.engine, specs, request.budget())
     }
 
-    /// Plans and executes a multi-target request: each refinement round's
+    /// Plans and executes a request — the one way a session retrieves,
+    /// whether it names one target or many: each refinement round's
     /// fragment schedule rides one batched
     /// [`FragmentSource::read_many`] call (coalesced range reads on files,
     /// one round-trip per batch on remote stores), the §IV error bounds
@@ -630,33 +617,6 @@ impl Session {
             spec = spec.restrict_to(lo, hi);
         }
         Ok(spec)
-    }
-
-    /// Requests a registered QoI with the tolerance restricted to the
-    /// half-open linearized index range `lo..hi` (region of interest).
-    /// Points outside the region carry no error constraint, which typically
-    /// retrieves far fewer fragments than a whole-domain request.
-    pub fn request_region(
-        &mut self,
-        name: &str,
-        tol_rel: f64,
-        lo: usize,
-        hi: usize,
-    ) -> Result<RetrievalReport> {
-        let spec = self.spec(name, tol_rel)?.restrict_to(lo, hi);
-        self.engine.retrieve(&[spec])
-    }
-
-    /// Requests several QoIs at once (`(name, tol_rel)` pairs) and returns
-    /// the aggregate legacy report. Sugar over the plan path — use
-    /// [`Session::execute`] with a [`RetrievalRequest`] for the per-target
-    /// report, absolute tolerances, regions, or a byte budget.
-    pub fn request_many(&mut self, requests: &[(&str, f64)]) -> Result<RetrievalReport> {
-        let specs = requests
-            .iter()
-            .map(|(n, t)| self.spec(n, *t))
-            .collect::<Result<Vec<_>>>()?;
-        self.engine.retrieve(&specs)
     }
 
     /// Current reconstruction of a field, by name.
@@ -750,6 +710,10 @@ mod tests {
             .unwrap()
     }
 
+    fn one(name: &str, tol: f64) -> RetrievalRequest {
+        RetrievalRequest::new().qoi(name, tol)
+    }
+
     #[test]
     fn build_and_query_metadata() {
         let archive = build();
@@ -763,7 +727,7 @@ mod tests {
     fn session_requests_and_reads() {
         let archive = build();
         let mut s = archive.session().unwrap();
-        let r = s.request("V", 1e-3).unwrap();
+        let r = s.execute(&one("V", 1e-3)).unwrap();
         assert!(r.satisfied);
         assert_eq!(s.reconstruction("Vx").unwrap().len(), 600);
         assert_eq!(s.qoi_values("V").unwrap().len(), 600);
@@ -772,13 +736,13 @@ mod tests {
     }
 
     #[test]
-    fn request_many_and_incremental() {
+    fn two_targets_then_incremental() {
         let archive = build();
         let mut s = archive.session().unwrap();
-        let r1 = s.request_many(&[("V", 1e-2), ("Vx2", 1e-2)]).unwrap();
+        let r1 = s.execute(&one("V", 1e-2).qoi("Vx2", 1e-2)).unwrap();
         assert!(r1.satisfied);
         let t1 = s.total_fetched();
-        let r2 = s.request("V", 1e-5).unwrap();
+        let r2 = s.execute(&one("V", 1e-5)).unwrap();
         assert!(r2.satisfied);
         assert!(s.total_fetched() >= t1);
     }
@@ -791,7 +755,7 @@ mod tests {
         let archive_bytes = archive.to_bytes();
         let progress = {
             let mut s = archive.session().unwrap();
-            s.request("V", 1e-2).unwrap();
+            s.execute(&one("V", 1e-2)).unwrap();
             s.save_progress()
         };
 
@@ -799,7 +763,7 @@ mod tests {
         let mut resumed = restored.resume_session(&progress).unwrap();
         let fetched_at_resume = resumed.total_fetched();
         assert!(fetched_at_resume > 0);
-        let r = resumed.request("V", 1e-6).unwrap();
+        let r = resumed.execute(&one("V", 1e-6)).unwrap();
         assert!(r.satisfied);
         // only the increment was newly fetched
         assert_eq!(r.total_fetched, resumed.total_fetched());
@@ -807,8 +771,8 @@ mod tests {
 
         // equivalent to a never-interrupted session
         let mut uninterrupted = restored.session().unwrap();
-        uninterrupted.request("V", 1e-2).unwrap();
-        uninterrupted.request("V", 1e-6).unwrap();
+        uninterrupted.execute(&one("V", 1e-2)).unwrap();
+        uninterrupted.execute(&one("V", 1e-6)).unwrap();
         assert_eq!(uninterrupted.total_fetched(), resumed.total_fetched());
         assert_eq!(
             uninterrupted.reconstruction("Vx").unwrap(),
@@ -820,22 +784,22 @@ mod tests {
     fn region_requests_through_the_facade() {
         let archive = build();
         let mut s = archive.session().unwrap();
-        let r = s.request_region("V", 1e-6, 100, 160).unwrap();
+        let r = s.execute(&one("V", 1e-6).region(100, 160)).unwrap();
         assert!(r.satisfied);
         let regional_bytes = s.total_fetched();
         // following up with the global request costs extra bytes
-        let g = s.request("V", 1e-6).unwrap();
+        let g = s.execute(&one("V", 1e-6)).unwrap();
         assert!(g.satisfied);
         assert!(s.total_fetched() >= regional_bytes);
         // invalid regions error
-        assert!(s.request_region("V", 1e-3, 500, 700).is_err());
+        assert!(s.execute(&one("V", 1e-3).region(500, 700)).is_err());
     }
 
     #[test]
     fn resolution_progression_through_the_facade() {
         let archive = build(); // PMGARD-HB default scheme
         let mut s = archive.session().unwrap();
-        s.request("V", 1e-6).unwrap();
+        s.execute(&one("V", 1e-6)).unwrap();
         let full = s.reconstruction("Vx").unwrap().to_vec();
         let (coarse, dims) = s.reconstruction_at_resolution("Vx", 2).unwrap();
         assert_eq!(dims, vec![150]); // 600 / 2^2
@@ -859,7 +823,7 @@ mod tests {
             .build()
             .unwrap();
         let mut s = archive.session().unwrap();
-        s.request("u2", 1e-3).unwrap();
+        s.execute(&one("u2", 1e-3)).unwrap();
         assert!(matches!(
             s.reconstruction_at_resolution("u", 1),
             Err(PqrError::Unsupported(_))
@@ -870,7 +834,7 @@ mod tests {
     fn unknown_names_are_errors() {
         let archive = build();
         let mut s = archive.session().unwrap();
-        assert!(s.request("missing", 1e-3).is_err());
+        assert!(s.execute(&one("missing", 1e-3)).is_err());
         assert!(s.reconstruction("missing").is_err());
         assert!(s.qoi_values("missing").is_err());
         assert!(s.field_bound("missing").is_err());
@@ -899,8 +863,8 @@ mod tests {
         // restored archive retrieves identically
         let mut s1 = archive.session().unwrap();
         let mut s2 = restored.session().unwrap();
-        let r1 = s1.request("V", 1e-4).unwrap();
-        let r2 = s2.request("V", 1e-4).unwrap();
+        let r1 = s1.execute(&one("V", 1e-4)).unwrap();
+        let r2 = s2.execute(&one("V", 1e-4)).unwrap();
         assert_eq!(r1.total_fetched, r2.total_fetched);
         assert_eq!(
             s1.reconstruction("Vx").unwrap(),
@@ -922,7 +886,7 @@ mod tests {
             .build()
             .unwrap();
         let mut s = archive.session().unwrap();
-        let r = s.request("u2", 1e-6).unwrap();
+        let r = s.execute(&one("u2", 1e-6)).unwrap();
         assert!(r.satisfied);
         // the guarantee holds against the exact widened values
         let truth: Vec<f64> = data32.iter().map(|&v| f64::from(v).powi(2)).collect();
@@ -932,7 +896,7 @@ mod tests {
             .zip(&derived)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
-        assert!(worst <= r.max_est_errors[0]);
+        assert!(worst <= r.targets[0].max_est_error);
     }
 
     #[test]
@@ -954,8 +918,8 @@ mod tests {
         // the resident one...
         let mut ls = lazy.session().unwrap();
         let mut rs = archive.session().unwrap();
-        let lr = ls.request("V", 1e-2).unwrap();
-        let rr = rs.request("V", 1e-2).unwrap();
+        let lr = ls.execute(&one("V", 1e-2)).unwrap();
+        let rr = rs.execute(&one("V", 1e-2)).unwrap();
         assert!(lr.satisfied && rr.satisfied);
         assert_eq!(lr.total_fetched, rr.total_fetched);
         assert_eq!(
@@ -1013,26 +977,9 @@ mod tests {
         // fetched once
         assert!(report.shared_bytes_saved > 0);
         assert!(!report.budget_exhausted);
-        // aggregate view matches the legacy report shape
-        let legacy = report.as_legacy();
-        assert_eq!(legacy.total_fetched, s.total_fetched());
-        assert_eq!(legacy.max_est_errors.len(), 2);
-    }
-
-    #[test]
-    fn execute_matches_legacy_single_target_request() {
-        let archive = build();
-        let mut a = archive.session().unwrap();
-        let mut b = archive.session().unwrap();
-        let legacy = a.request("V", 1e-4).unwrap();
-        let plan = b.execute(&RetrievalRequest::new().qoi("V", 1e-4)).unwrap();
-        assert_eq!(legacy.satisfied, plan.satisfied);
-        assert_eq!(legacy.total_fetched, plan.total_fetched);
-        assert_eq!(legacy.max_est_errors[0], plan.targets[0].max_est_error);
-        assert_eq!(
-            a.reconstruction("Vx").unwrap(),
-            b.reconstruction("Vx").unwrap()
-        );
+        // the engine-level accounting rides the same report
+        assert_eq!(report.total_fetched, s.total_fetched());
+        assert_eq!(report.field_bounds.len(), 2);
     }
 
     #[test]

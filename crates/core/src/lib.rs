@@ -20,10 +20,9 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! // 2. retrieval side: open a session and execute a (possibly
-//! //    multi-target) retrieval request — targets sharing fields schedule
-//! //    those fields' fragments once; `session.request("V", 1e-4)` is the
-//! //    single-target convenience form of the same pipeline
+//! // 2. retrieval side: open a session and execute a retrieval request —
+//! //    one target here; add more with `.qoi(..)`, and targets sharing
+//! //    fields schedule those fields' fragments once
 //! let mut session = archive.session().unwrap();
 //! let report = session
 //!     .execute(&RetrievalRequest::new().qoi("V", 1e-4))

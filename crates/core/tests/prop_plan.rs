@@ -1,11 +1,11 @@
 //! Property test of the plan/execute API's contract (`prop_plan_equivalence`):
 //! for random archives, schemes, QoI mixes and tolerances, a multi-QoI
 //! [`RetrievalRequest`] must certify the **same per-target outcomes** as
-//! the legacy path — each target satisfied exactly when an independent
-//! `Session::request` at the same tolerance satisfies, with the certified
-//! bound within the same tolerance — while reading **no more** than the
-//! legacy total bytes, across the in-memory, file-backed and cached
-//! backends.
+//! independent single-target execution — each target satisfied exactly
+//! when a one-target request at the same tolerance on its own fresh
+//! session satisfies, with the certified bound within the same tolerance —
+//! while reading **no more** than those sessions' total bytes, across the
+//! in-memory, file-backed and cached backends.
 //!
 //! The same cases also pin the parallel decode pipeline: executing the
 //! request with sequential decode (`workers: 1`) versus 8 decode workers
@@ -60,6 +60,10 @@ fn build_archive_bytes(n: usize, seed: u64, scheme: Scheme) -> Vec<u8> {
         .build()
         .unwrap()
         .to_bytes()
+}
+
+fn one(name: &str, tol: f64) -> RetrievalRequest {
+    RetrievalRequest::new().qoi(name, tol)
 }
 
 fn temp_archive(bytes: &[u8], tag: &str) -> std::path::PathBuf {
@@ -156,7 +160,7 @@ proptest! {
         // through one DatasetService, run sequentially, must be
         // byte-identical — per-request certified bounds, reconstructions
         // and cumulative byte accounting — to the same request series on
-        // one fresh persistent engine (the service's sharing layer is
+        // one fresh persistent session (the service's sharing layer is
         // invisible in results); and the K sessions run *concurrently*
         // must certify identically while never decoding a fragment twice
         {
@@ -166,12 +170,12 @@ proptest! {
             let mut persistent = legacy_archive.session().unwrap();
             for (name, &tol) in targets.iter().zip(&tols) {
                 let mut s = service.session().unwrap();
-                let rs = s.request(name, tol).unwrap();
-                let rl = persistent.request(name, tol).unwrap();
+                let rs = s.execute(&one(name, tol)).unwrap();
+                let rl = persistent.execute(&one(name, tol)).unwrap();
                 prop_assert_eq!(rs.satisfied, rl.satisfied, "{}: {}@{}", scheme.name(), name, tol);
                 prop_assert_eq!(
-                    rs.max_est_errors[0].to_bits(),
-                    rl.max_est_errors[0].to_bits(),
+                    rs.targets[0].max_est_error.to_bits(),
+                    rl.targets[0].max_est_error.to_bits(),
                     "{}: {}@{} certified bound drifted", scheme.name(), name, tol
                 );
                 prop_assert_eq!(rs.total_fetched, rl.total_fetched);
@@ -201,7 +205,7 @@ proptest! {
                         let name = name.to_string();
                         scope.spawn(move || {
                             let mut s = svc.session().unwrap();
-                            let r = s.request(&name, tol).unwrap();
+                            let r = s.execute(&one(&name, tol)).unwrap();
                             (r.satisfied, s.fragments_decoded())
                         })
                     })
@@ -214,7 +218,7 @@ proptest! {
                 // exactly where the sequential one did
                 let solo = open_backend(&bytes, &path, backend);
                 let mut s = solo.session().unwrap();
-                let expect = s.request(name, tol).unwrap().satisfied;
+                let expect = s.execute(&one(name, tol)).unwrap().satisfied;
                 prop_assert_eq!(*sat, expect, "{}: {}@{} concurrent", scheme.name(), name, tol);
                 prop_assert_eq!(*decoded, 0u64);
             }
@@ -223,7 +227,7 @@ proptest! {
             for (name, &tol) in targets.iter().zip(&tols) {
                 let solo = open_backend(&bytes, &path, backend);
                 let mut s = solo.session().unwrap();
-                s.request(name, tol).unwrap();
+                s.execute(&one(name, tol)).unwrap();
                 cold_sum += solo.source_stats().fetched_bytes;
             }
             prop_assert!(
@@ -232,14 +236,14 @@ proptest! {
             );
         }
 
-        // legacy: every target as an independent request on its own
-        // fresh session (the pre-plan workflow the plan API replaces)
+        // independent: every target as a one-target request on its own
+        // fresh session
         let mut legacy_bytes = 0usize;
         let mut legacy = Vec::new();
         for (name, &tol) in targets.iter().zip(&tols) {
             let solo = open_backend(&bytes, &path, backend);
             let mut s = solo.session().unwrap();
-            let r = s.request(name, tol).unwrap();
+            let r = s.execute(&one(name, tol)).unwrap();
             legacy_bytes += s.total_fetched();
             legacy.push(r);
         }
@@ -254,7 +258,7 @@ proptest! {
             );
             if t.satisfied {
                 prop_assert!(t.max_est_error <= t.tol_abs);
-                prop_assert!(l.max_est_errors[0] <= t.tol_abs);
+                prop_assert!(l.targets[0].max_est_error <= t.tol_abs);
             }
         }
         // ...while never reading more than the legacy total

@@ -143,19 +143,17 @@ pub struct EngineConfig {
     pub max_tightenings: usize,
     /// QoI bound evaluation options (√ estimator variant, float guard).
     pub bound_config: BoundConfig,
-    /// Parallelise the per-point QoI scans. Disable when the caller already
-    /// parallelises at a coarser granularity (e.g. the per-block transfer
-    /// pipeline) — nested thread pools oversubscribe and distort timings.
-    pub parallel_scan: bool,
-    /// Worker-thread budget — the shared knob for per-field decode during
-    /// plan execution here and for the encode fan-out on the write path
-    /// (`Dataset::refactor_with_workers` takes the same value; the CLI
-    /// feeds both from one `--workers` flag). Fields are independent, so
-    /// each round's cursor advancement fans out through
-    /// `pqr_util::par::par_dynamic`-style dispatch. `0` (the default)
+    /// Worker-thread budget — the shared knob for per-field decode and the
+    /// per-point QoI scans during plan execution here, and for the encode
+    /// fan-out on the write path (`Dataset::refactor_with_workers` takes
+    /// the same value; the CLI feeds both from one `--workers` flag).
+    /// Fields are independent, so each round's cursor advancement fans out
+    /// through `pqr_util::par::par_dynamic`-style dispatch, and the scans
+    /// split the points into one chunk per worker. `0` (the default)
     /// resolves to [`pqr_util::par::worker_count`] (the `PQR_THREADS`
-    /// knob); `1` runs the exact sequential field order, bit-identical to
-    /// the pre-parallel executor.
+    /// knob); `1` runs everything on the calling thread, which is what a
+    /// caller that parallelises at a coarser granularity (the per-block
+    /// transfer pipeline) wants. Every count is bit-identical.
     pub workers: usize,
     /// Byte budget for shared decoded state when this config builds a
     /// [`ProgressStore`](crate::store::ProgressStore)-backed service:
@@ -174,30 +172,10 @@ impl Default for EngineConfig {
             max_iterations: 64,
             max_tightenings: 512,
             bound_config: BoundConfig::default(),
-            parallel_scan: true,
             workers: 0,
             store_budget_bytes: None,
         }
     }
-}
-
-/// Outcome of a [`RetrievalEngine::retrieve`] call.
-#[derive(Debug, Clone)]
-pub struct RetrievalReport {
-    /// Whether every QoI tolerance was met (estimated error ≤ tolerance).
-    pub satisfied: bool,
-    /// Outer iterations used.
-    pub iterations: usize,
-    /// Bytes newly fetched by this call.
-    pub bytes_fetched: usize,
-    /// Cumulative bytes fetched by the engine (including metadata).
-    pub total_fetched: usize,
-    /// Max estimated QoI error per spec, after the final refinement.
-    pub max_est_errors: Vec<f64>,
-    /// Achieved primary-data L∞ bound per field.
-    pub field_bounds: Vec<f64>,
-    /// Bitrate: cumulative fetched bits per element over all fields.
-    pub bitrate: f64,
 }
 
 /// The QoI-preserving progressive retrieval engine (Fig. 1's retrieval box).
@@ -498,16 +476,14 @@ impl RetrievalEngine {
     /// is exhausted. Engines persist across calls, so issuing progressively
     /// tighter requests retrieves incrementally (§III-B).
     ///
-    /// This is now a thin wrapper over plan execution: the specs resolve
-    /// into a [`crate::plan::RetrievalPlan`] and a
+    /// The one-call form of plan execution: the specs resolve into a
+    /// [`crate::plan::RetrievalPlan`] without a byte budget and a
     /// [`crate::plan::PlanExecutor`] drives the refine→estimate→tighten
-    /// loop with batched fragment I/O — there is exactly one fetch code
-    /// path. Use the plan API directly for per-target reporting,
-    /// byte budgets and shared-fragment accounting.
-    pub fn retrieve(&mut self, qois: &[QoiSpec]) -> Result<RetrievalReport> {
+    /// loop with batched fragment I/O. Resolve the plan yourself to
+    /// inspect its schedule or to cap the bytes it may fetch.
+    pub fn retrieve(&mut self, qois: &[QoiSpec]) -> Result<crate::plan::PlanReport> {
         let plan = crate::plan::RetrievalPlan::resolve(self, qois.to_vec(), None)?;
-        let report = crate::plan::PlanExecutor::new(self).execute(&plan)?;
-        Ok(report.as_legacy())
+        crate::plan::PlanExecutor::new(self).execute(&plan)
     }
 
     /// The engine's readers, in field order (crate-internal: the plan
@@ -670,11 +646,9 @@ impl RetrievalEngine {
             });
             local
         };
-        if !self.cfg.parallel_scan {
-            return chunk_scan(0, ne);
-        }
         par_chunk_reduce(
             ne,
+            self.workers(),
             vec![(0.0f64, 0usize); qois.len()],
             chunk_scan,
             |mut a, b| {
@@ -802,20 +776,14 @@ impl RetrievalEngine {
 
     /// Evaluates a QoI on the current reconstruction (what the analysis
     /// task would consume), with the mask overlay applied. The evaluation
-    /// fans across the engine's worker budget (unless
-    /// [`EngineConfig::parallel_scan`] is off); the chunks write disjoint
+    /// fans across the engine's worker budget; the chunks write disjoint
     /// output ranges, so the result is identical at every worker count.
     pub fn qoi_values(&self, expr: &QoiExpr) -> Vec<f64> {
         let program = QoiProgram::compile(&[expr]);
         let mut out = vec![0.0f64; self.manifest.num_elements()];
-        let workers = if self.cfg.parallel_scan {
-            self.workers()
-        } else {
-            1
-        };
         let recons: Vec<&[f64]> = self.readers.iter().map(|r| r.data()).collect();
         let data = self.columns(&recons);
-        par_chunk_fill(&mut out, workers, |start, chunk| {
+        par_chunk_fill(&mut out, self.workers(), |start, chunk| {
             program.fill_values(&data, start, chunk)
         });
         out
@@ -898,7 +866,7 @@ mod tests {
             let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
             let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
             assert!(report.satisfied, "{}: not satisfied", scheme.name());
-            assert_guarantee(&ds, &engine, &spec, report.max_est_errors[0]);
+            assert_guarantee(&ds, &engine, &spec, report.targets[0].max_est_error);
         }
     }
 
@@ -915,7 +883,7 @@ mod tests {
         let mut engine = engine_for(&archive_masked);
         let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
         assert!(report.satisfied, "masked retrieval should satisfy");
-        assert_guarantee(&ds, &engine, &spec, report.max_est_errors[0]);
+        assert_guarantee(&ds, &engine, &spec, report.targets[0].max_est_error);
 
         // without the mask: paper-mode √ estimate is unboundable at the
         // exact-zero walls, so the engine must exhaust and report failure
@@ -957,7 +925,7 @@ mod tests {
         let spec = QoiSpec::relative("x0*x1", species_product(0, 1), 1e-5, &ds).unwrap();
         let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
         assert!(report.satisfied);
-        assert_guarantee(&ds, &engine, &spec, report.max_est_errors[0]);
+        assert_guarantee(&ds, &engine, &spec, report.targets[0].max_est_error);
     }
 
     #[test]
@@ -1064,8 +1032,8 @@ mod tests {
         let worst_in = (1000..1200)
             .map(|j| (truth[j] - derived[j]).abs())
             .fold(0.0f64, f64::max);
-        assert!(worst_in <= r.max_est_errors[0]);
-        assert!(r.max_est_errors[0] <= spec.tol_abs());
+        assert!(worst_in <= r.targets[0].max_est_error);
+        assert!(r.targets[0].max_est_error <= spec.tol_abs());
     }
 
     #[test]
@@ -1085,7 +1053,7 @@ mod tests {
         let empty = QoiSpec::with_range("v", vtot, 1e-9, range).restrict_to(10, 10);
         let r = engine.retrieve(&[empty]).unwrap();
         assert!(r.satisfied);
-        assert_eq!(r.max_est_errors[0], 0.0);
+        assert_eq!(r.targets[0].max_est_error, 0.0);
     }
 
     #[test]
@@ -1101,7 +1069,7 @@ mod tests {
         let report = engine.retrieve(&specs).unwrap();
         assert!(report.satisfied);
         for (k, spec) in specs.iter().enumerate() {
-            assert_guarantee(&ds, &engine, spec, report.max_est_errors[k]);
+            assert_guarantee(&ds, &engine, spec, report.targets[k].max_est_error);
         }
     }
 
@@ -1207,7 +1175,7 @@ mod tests {
                 let bounds: Vec<u64> = (0..3).map(|i| engine.field_bound(i).to_bits()).collect();
                 (
                     r.total_fetched,
-                    r.max_est_errors[0].to_bits(),
+                    r.targets[0].max_est_error.to_bits(),
                     recons,
                     bounds,
                 )
@@ -1298,20 +1266,20 @@ mod tests {
     }
 
     #[test]
-    fn sequential_scan_equals_parallel_scan() {
+    fn scan_is_identical_at_one_and_four_workers() {
         let ds = velocity_dataset(6000, false);
         let archive = ds.refactor(Scheme::PmgardHb).unwrap();
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
-        let run = |parallel_scan: bool| {
+        let run = |workers: usize| {
             let cfg = EngineConfig {
-                parallel_scan,
+                workers,
                 ..Default::default()
             };
             let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
             let r = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
-            (r.total_fetched, r.max_est_errors[0].to_bits())
+            (r.total_fetched, r.targets[0].max_est_error.to_bits())
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(4), run(1));
     }
 
     #[test]
@@ -1320,8 +1288,8 @@ mod tests {
         // through the tree (`point_estimate`), strict `>` so the first
         // argmax wins — on domains that end before, on and after a block
         // boundary, with a mask, with regions that start and end mid-block,
-        // sequential and chunk-parallel (4097 ≥ the parallel threshold; CI
-        // runs this at PQR_THREADS 1 and 4)
+        // on one worker and chunk-parallel on four (4097 ≥ the parallel
+        // threshold)
         for ne in [0usize, 1, 255, 256, 257, 4097] {
             let ds = velocity_dataset(ne, true);
             let mut archive = ds.refactor(Scheme::Psz3Delta).unwrap();
@@ -1342,10 +1310,10 @@ mod tests {
                 ),
                 QoiSpec::absolute("none", QoiExpr::var(2).pow(2), 1e-2).restrict_to(0, 0),
             ];
-            for parallel_scan in [true, false] {
+            for workers in [4, 1] {
                 for estimator in [pqr_qoi::Estimator::Theorems, pqr_qoi::Estimator::Interval] {
                     let cfg = EngineConfig {
-                        parallel_scan,
+                        workers,
                         bound_config: BoundConfig {
                             estimator,
                             ..Default::default()
@@ -1377,7 +1345,7 @@ mod tests {
                         assert_eq!(
                             bits(&got),
                             bits(&want),
-                            "ne={ne} parallel={parallel_scan} {estimator:?} eps={eps:?}: \
+                            "ne={ne} workers={workers} {estimator:?} eps={eps:?}: \
                              {got:?} vs {want:?}"
                         );
                     }
@@ -1410,18 +1378,11 @@ mod tests {
             .is_nan());
         let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
         assert!(!report.satisfied, "a NaN estimate certifies nothing");
-        assert_eq!(report.max_est_errors[0], f64::INFINITY);
+        assert_eq!(report.targets[0].max_est_error, f64::INFINITY);
         assert_eq!(
             engine.scan_qois(&[spec], &[1e-3]),
             vec![(f64::INFINITY, 123)]
         );
-    }
-
-    fn execute(engine: &mut RetrievalEngine, specs: &[QoiSpec]) -> crate::plan::PlanReport {
-        let plan = crate::plan::RetrievalPlan::resolve(engine, specs.to_vec(), None).unwrap();
-        crate::plan::PlanExecutor::new(engine)
-            .execute(&plan)
-            .unwrap()
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1453,7 +1414,7 @@ mod tests {
                 let mut b =
                     RetrievalEngine::resume(&archive, EngineConfig::default(), &a.save_progress())
                         .unwrap();
-                let (ra, rb) = (execute(&mut a, &specs), execute(&mut b, &specs));
+                let (ra, rb) = (a.retrieve(&specs).unwrap(), b.retrieve(&specs).unwrap());
                 let at = format!("{} step {step}", scheme.name());
                 assert!(ra.satisfied, "{at}");
                 for (ta, tb) in ra.targets.iter().zip(&rb.targets) {
@@ -1499,7 +1460,7 @@ mod tests {
             .iter()
             .map(|q| q.at_tolerance(q.tol_rel * 1e-4))
             .collect();
-        assert!(execute(&mut engine, &deep).satisfied);
+        assert!(engine.retrieve(&deep).unwrap().satisfied);
 
         let a_roi = a.clone().restrict_to(10, 700);
         // each request differs from the one before it in the one way named
@@ -1530,7 +1491,7 @@ mod tests {
             ("identical again", vec![b.clone(), a_roi, zero(-0.0)], 1),
         ];
         for (what, specs, want) in series {
-            let r = execute(&mut engine, &specs);
+            let r = engine.retrieve(&specs).unwrap();
             assert_eq!(r.bytes_fetched, 0, "{what}: a reader moved");
             assert_eq!((r.iterations, r.estimate_reuses), (1, want), "{what}");
             let direct = engine.scan_qois(&specs, &r.field_bounds);
@@ -1562,7 +1523,7 @@ mod tests {
         let specs = [QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap()];
         let mut first =
             RetrievalEngine::with_store(Arc::clone(&store), EngineConfig::default()).unwrap();
-        assert!(execute(&mut first, &specs).satisfied);
+        assert!(first.retrieve(&specs).unwrap().satisfied);
         for f in 0..3 {
             assert!(store.demote(f));
         }

@@ -100,6 +100,7 @@ impl Dataset {
         let data = Columns::new(&cols);
         let (lo, hi) = pqr_util::par::par_chunk_reduce(
             ne,
+            pqr_util::par::worker_count(),
             (f64::INFINITY, f64::NEG_INFINITY),
             |start, end| {
                 let mut lo = f64::INFINITY;

@@ -82,7 +82,7 @@ pub mod plan;
 pub mod refactored;
 pub mod store;
 
-pub use engine::{EngineConfig, QoiSpec, RetrievalEngine, RetrievalReport};
+pub use engine::{EngineConfig, QoiSpec, RetrievalEngine};
 pub use field::{Dataset, RefactoredDataset};
 pub use fragstore::{
     CachedSource, FileSource, FragmentCache, FragmentId, FragmentSource, InMemorySource, Manifest,

@@ -24,18 +24,17 @@
 //!    tightening as soon as its tolerance certifies.
 //! 3. **Report** — [`PlanReport`] carries per-target outcomes
 //!    ([`TargetReport`]: satisfied/bound/bytes), the shared-fragment
-//!    savings, and backend read-op counts, plus the aggregate fields the
-//!    legacy [`RetrievalReport`] exposed.
+//!    savings, backend read-op counts, and the engine-level accounting.
 //!
-//! [`RetrievalEngine::retrieve`] is a thin wrapper over this pipeline, so
-//! single-target legacy requests, resumed sessions and batched multi-QoI
-//! plans all move bytes through exactly one fetch code path.
+//! [`RetrievalEngine::retrieve`] is the one-call form of this pipeline and
+//! `pqr_core`'s `Session::execute` resolves registered QoI names into it,
+//! so every request — one target or many, fresh or resumed — moves bytes
+//! through exactly one fetch code path and returns one [`PlanReport`].
 //!
-//! [`RetrievalReport`]: crate::engine::RetrievalReport
 //! [`RetrievalEngine::retrieve`]: crate::engine::RetrievalEngine::retrieve
 //! [`FragmentSource::read_many`]: crate::fragstore::FragmentSource::read_many
 
-use crate::engine::{Estimate, QoiSpec, RetrievalEngine, RetrievalReport};
+use crate::engine::{Estimate, QoiSpec, RetrievalEngine};
 use crate::fragstore::{FragmentId, SourceStats};
 use pqr_util::error::{PqrError, Result};
 
@@ -294,23 +293,6 @@ pub struct PlanReport {
     pub reconstruct_ms: u64,
 }
 
-impl PlanReport {
-    /// The aggregate view the legacy single-call API returns: per-target
-    /// max estimated errors in request order, plus the engine-level
-    /// accounting.
-    pub fn as_legacy(&self) -> RetrievalReport {
-        RetrievalReport {
-            satisfied: self.satisfied,
-            iterations: self.iterations,
-            bytes_fetched: self.bytes_fetched,
-            total_fetched: self.total_fetched,
-            max_est_errors: self.targets.iter().map(|t| t.max_est_error).collect(),
-            field_bounds: self.field_bounds.clone(),
-            bitrate: self.bitrate,
-        }
-    }
-}
-
 /// Drives a [`RetrievalPlan`] through the engine: batched prefetch per
 /// round, §IV re-evaluation after every round, per-target certification,
 /// Algorithm-4 tightening for the still-unmet targets, and the optional
@@ -320,8 +302,8 @@ pub struct PlanExecutor<'e> {
 }
 
 impl<'e> PlanExecutor<'e> {
-    /// An executor over `engine` (which persists across executions, so
-    /// plans retrieve incrementally like legacy request series).
+    /// An executor over `engine` (which persists across executions, so a
+    /// series of plans retrieves incrementally).
     pub fn new(engine: &'e mut RetrievalEngine) -> Self {
         Self { engine }
     }
@@ -520,6 +502,6 @@ fn delta(after: SourceStats, before: SourceStats, f: impl Fn(&SourceStats) -> u6
     f(&after).saturating_sub(f(&before))
 }
 
-// (tests exercising the plan path live in `engine`'s suite — every legacy
-// `retrieve` now runs through the executor — plus the dedicated multi-QoI
+// (tests exercising the plan path live in `engine`'s suite — every
+// `retrieve` runs through the executor — plus the dedicated multi-QoI
 // integration and property suites at the workspace root and in `pqr-core`.)

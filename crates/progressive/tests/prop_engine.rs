@@ -111,14 +111,14 @@ proptest! {
         let derived = engine.qoi_values(&qoi);
         let actual = stats::max_abs_diff(&truth, &derived);
         prop_assert!(
-            actual <= report.max_est_errors[0],
+            actual <= report.targets[0].max_est_error,
             "actual {actual} > estimated {}",
-            report.max_est_errors[0]
+            report.targets[0].max_est_error
         );
         prop_assert!(
-            report.max_est_errors[0] <= tol_abs,
+            report.targets[0].max_est_error <= tol_abs,
             "estimated {} > tolerance {tol_abs}",
-            report.max_est_errors[0]
+            report.targets[0].max_est_error
         );
     }
 
@@ -149,11 +149,11 @@ proptest! {
         let derived = engine.qoi_values(&qoi);
         let actual = stats::max_abs_diff(&truth, &derived);
         prop_assert!(
-            actual <= report.max_est_errors[0],
+            actual <= report.targets[0].max_est_error,
             "qoi {qoi}: actual {actual} > estimated {}",
-            report.max_est_errors[0]
+            report.targets[0].max_est_error
         );
-        prop_assert!(report.max_est_errors[0] <= tol_abs);
+        prop_assert!(report.targets[0].max_est_error <= tol_abs);
     }
 
     #[test]
@@ -188,11 +188,11 @@ proptest! {
         let derived = engine.qoi_values(&qoi);
         let actual = stats::max_abs_diff(&truth, &derived);
         prop_assert!(
-            actual <= report.max_est_errors[0],
+            actual <= report.targets[0].max_est_error,
             "interval: actual {actual} > estimated {}",
-            report.max_est_errors[0]
+            report.targets[0].max_est_error
         );
-        prop_assert!(report.max_est_errors[0] <= tol_abs);
+        prop_assert!(report.targets[0].max_est_error <= tol_abs);
     }
 
     #[test]

@@ -35,7 +35,6 @@ impl Default for PipelineConfig {
             engine: EngineConfig {
                 // blocks are the parallel unit — nested scan/decode threads
                 // would oversubscribe and distort per-block timings
-                parallel_scan: false,
                 workers: 1,
                 ..EngineConfig::default()
             },
@@ -147,7 +146,7 @@ pub fn run_pipeline(
             Ok(report) => BlockResult {
                 bytes: report.total_fetched,
                 satisfied: report.satisfied,
-                max_est_error: report.max_est_errors.first().copied().unwrap_or(0.0),
+                max_est_error: report.targets.first().map_or(0.0, |t| t.max_est_error),
                 iterations: report.iterations,
                 secs: t0.elapsed().as_secs_f64(),
             },

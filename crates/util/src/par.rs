@@ -64,15 +64,17 @@ where
     })
 }
 
-/// Applies `f` to each index chunk `[start, end)` of `0..len` in parallel and
-/// reduces the per-chunk results with `reduce`.
-pub fn par_chunk_reduce<R, F, G>(len: usize, identity: R, f: F, reduce: G) -> R
+/// Applies `f` to each index chunk `[start, end)` of `0..len` on `workers`
+/// threads and reduces the per-chunk results with `reduce`, in chunk order.
+/// With `workers <= 1` (or a small `len`) `f` runs once over the whole
+/// range on the calling thread.
+pub fn par_chunk_reduce<R, F, G>(len: usize, workers: usize, identity: R, f: F, reduce: G) -> R
 where
     R: Send,
     F: Fn(usize, usize) -> R + Sync,
     G: Fn(R, R) -> R,
 {
-    let workers = worker_count().min(len.max(1));
+    let workers = workers.max(1).min(len.max(1));
     if workers <= 1 || len < PAR_THRESHOLD {
         return reduce(identity, f(0, len));
     }
@@ -226,6 +228,7 @@ mod tests {
         let data: Vec<f64> = (0..100_000).map(|i| i as f64).collect();
         let total = par_chunk_reduce(
             data.len(),
+            worker_count(),
             0.0f64,
             |s, e| data[s..e].iter().sum::<f64>(),
             |a, b| a + b,
@@ -236,7 +239,7 @@ mod tests {
 
     #[test]
     fn chunk_reduce_small_input_sequential_path() {
-        let v = par_chunk_reduce(10, 0usize, |s, e| e - s, |a, b| a + b);
+        let v = par_chunk_reduce(10, 4, 0usize, |s, e| e - s, |a, b| a + b);
         assert_eq!(v, 10);
     }
 
@@ -245,6 +248,7 @@ mod tests {
         let data: Vec<f64> = (0..50_000).map(|i| ((i * 37) % 1000) as f64).collect();
         let m = par_chunk_reduce(
             data.len(),
+            worker_count(),
             f64::NEG_INFINITY,
             |s, e| data[s..e].iter().copied().fold(f64::NEG_INFINITY, f64::max),
             f64::max,
@@ -340,10 +344,11 @@ mod tests {
             assert_eq!(distinct(&ids), workers);
         }
 
-        // the two helpers that size themselves from `worker_count()`:
-        // chunks reduce in index order whichever thread finishes first
+        // chunks reduce in index order whichever thread finishes first, and
+        // the helper that sizes itself from `worker_count()` fills in order
         let ranges = par_chunk_reduce(
             len,
+            3,
             Vec::new(),
             |start, end| vec![(start, end, current().id())],
             |mut a, b| {

@@ -69,7 +69,8 @@ fn main() -> Result<()> {
     for (label, cfg) in estimators {
         let archive = build(cfg)?;
         let mut session = archive.session()?;
-        let report = session.request_many(&[("rate", 1e-5), ("log_c", 1e-5)])?;
+        let report =
+            session.execute(&RetrievalRequest::new().qoi("rate", 1e-5).qoi("log_c", 1e-5))?;
         println!(
             "\n{label}: satisfied={} bitrate={:.3} ({} B fetched)",
             report.satisfied, report.bitrate, report.total_fetched

@@ -48,11 +48,11 @@ fn main() -> Result<()> {
         "qoi", "tol", "bytes", "est err"
     );
     for (name, _) in qois {
-        let r = session.request(name, 1e-5)?;
+        let r = session.execute(&RetrievalRequest::new().qoi(name, 1e-5))?;
         assert!(r.satisfied);
         println!(
             "{:>12} {:>10.0e} {:>12} {:>12.2e}",
-            name, 1e-5, r.total_fetched, r.max_est_errors[0]
+            name, 1e-5, r.total_fetched, r.targets[0].max_est_error
         );
     }
 

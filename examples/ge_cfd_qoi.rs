@@ -37,17 +37,17 @@ fn main() -> Result<()> {
 
     // Analysis 1: a visual inspection only needs Mach to 1e-3.
     let mut session = archive.session()?;
-    let r = session.request("Mach", 1e-3)?;
+    let r = session.execute(&RetrievalRequest::new().qoi("Mach", 1e-3))?;
     println!(
         "\nMach @ 1e-3   → {:>9} B fetched (bitrate {:.2}), estimated err {:.2e}",
-        r.total_fetched, r.bitrate, r.max_est_errors[0]
+        r.total_fetched, r.bitrate, r.targets[0].max_est_error
     );
 
     // Analysis 2: the solver-validation pass wants total pressure tight.
-    let r = session.request("PT", 1e-5)?;
+    let r = session.execute(&RetrievalRequest::new().qoi("PT", 1e-5))?;
     println!(
         "PT   @ 1e-5   → {:>9} B fetched (bitrate {:.2}), estimated err {:.2e}",
-        r.total_fetched, r.bitrate, r.max_est_errors[0]
+        r.total_fetched, r.bitrate, r.targets[0].max_est_error
     );
 
     // Analysis 3: everything at once, production fidelity.
@@ -59,7 +59,10 @@ fn main() -> Result<()> {
         ("PT", 1e-4),
         ("mu", 1e-5),
     ];
-    let r = session.request_many(&all)?;
+    let request = all
+        .iter()
+        .fold(RetrievalRequest::new(), |r, (n, t)| r.qoi(n, *t));
+    let r = session.execute(&request)?;
     println!(
         "all 6 QoIs    → {:>9} B fetched (bitrate {:.2}), satisfied: {}",
         r.total_fetched, r.bitrate, r.satisfied
@@ -85,7 +88,7 @@ fn main() -> Result<()> {
         }
         let derived = session.qoi_values(name)?;
         let actual = stats::max_abs_diff(&truth, &derived) / range;
-        let est = r.max_est_errors[i] / range;
+        let est = r.targets[i].max_est_error / range;
         println!(
             "{:>6} {:>14.3e} {:>14.3e} {:>12.0e}",
             name, actual, est, all[i].1

@@ -52,7 +52,7 @@ fn main() -> Result<()> {
     let mut session = archive.session()?;
 
     // 1. locate the eye at 5% tolerance
-    let r = session.request("VTOT", 5e-2)?;
+    let r = session.execute(&RetrievalRequest::new().qoi("VTOT", 5e-2))?;
     let approx = session.qoi_values("VTOT")?;
     let peak = argmax(&approx[..ny * nx]);
     println!(
@@ -64,7 +64,7 @@ fn main() -> Result<()> {
     );
 
     // 2. quantify the peak at 0.5%
-    let r = session.request("VTOT", 5e-3)?;
+    let r = session.execute(&RetrievalRequest::new().qoi("VTOT", 5e-3))?;
     let approx = session.qoi_values("VTOT")?;
     let peak_v = approx[argmax(&approx[..ny * nx])];
     println!(
@@ -76,7 +76,7 @@ fn main() -> Result<()> {
     );
 
     // 3. model-grade field at 1e-5
-    let r = session.request("VTOT", 1e-5)?;
+    let r = session.execute(&RetrievalRequest::new().qoi("VTOT", 1e-5))?;
     let approx = session.qoi_values("VTOT")?;
     let worst = stats::max_abs_diff(&truth, &approx);
     println!(
@@ -84,9 +84,9 @@ fn main() -> Result<()> {
         r.total_fetched,
         100.0 * r.total_fetched as f64 / raw_bytes as f64,
         worst,
-        r.max_est_errors[0]
+        r.targets[0].max_est_error
     );
-    assert!(worst <= r.max_est_errors[0]);
+    assert!(worst <= r.targets[0].max_est_error);
     println!("\neach question paid only its increment — the archive was refactored once.");
 
     // 4. Region-of-interest follow-up: once the eye is located, a zoomed

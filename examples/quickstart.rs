@@ -38,7 +38,7 @@ fn main() -> Result<()> {
         "tol(rel)", "satisfied", "bytes so far", "bitrate"
     );
     for tol in [1e-2, 1e-4, 1e-6] {
-        let report = session.request("invT", tol)?;
+        let report = session.execute(&RetrievalRequest::new().qoi("invT", tol))?;
         println!(
             "{:>10.0e} {:>12} {:>14} {:>12.3}",
             tol, report.satisfied, report.total_fetched, report.bitrate

@@ -124,10 +124,7 @@ fn main() -> Result<()> {
     )];
     let mut engine = RetrievalEngine::from_source(
         std::sync::Arc::new(probe.block_source(0)?),
-        EngineConfig {
-            parallel_scan: false,
-            ..Default::default()
-        },
+        EngineConfig::default(),
     )?;
     let report = engine.retrieve(&probe_spec)?;
     assert!(report.satisfied);

@@ -40,11 +40,11 @@ fn main() -> Result<()> {
     );
     for tol in [1e-3, 1e-6] {
         for name in &names {
-            let r = session.request(name, tol)?;
+            let r = session.execute(&RetrievalRequest::new().qoi(name, tol))?;
             assert!(r.satisfied);
             println!(
                 "{:>12} {:>10.0e} {:>12} {:>10.2e}",
-                name, tol, r.total_fetched, r.max_est_errors[0]
+                name, tol, r.total_fetched, r.targets[0].max_est_error
             );
         }
     }
@@ -95,7 +95,7 @@ fn main() -> Result<()> {
     );
     let rop_archive = rb.qoi("rop", rop.clone()).build()?;
     let mut rop_session = rop_archive.session()?;
-    let r = rop_session.request("rop", 1e-5)?;
+    let r = rop_session.execute(&RetrievalRequest::new().qoi("rop", 1e-5))?;
     assert!(r.satisfied);
 
     let mut inputs = vec![temperature];

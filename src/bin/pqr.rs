@@ -14,7 +14,8 @@
 //! # retrieve a QoI at a relative tolerance; writes the derived values
 //! pqr retrieve data.pqr --qoi VTOT --tol 1e-5 --out vtot.f64
 //!
-//! # batched multi-QoI retrieval: targets sharing fields fetch them once
+//! # the same request spelt NAME=TOL, which also takes several targets:
+//! # targets sharing fields fetch them once
 //! pqr retrieve data.pqr --qoi VTOT=1e-5 --qoi KE=1e-4
 //! ```
 //!
@@ -64,17 +65,13 @@ USAGE:
                streams finished fields to disk while the rest encode;
                prints an encode-throughput line)
   pqr info <archive>
-  pqr retrieve <archive> --qoi NAME --tol REL [--estimator E]
-               [--workers N]
+  pqr retrieve <archive> ((--qoi NAME=TOL)... | --qoi NAME --tol REL)
+               [--budget BYTES] [--estimator E] [--workers N]
                [--resume PROGRESS] [--save-progress PROGRESS]
                [--out PATH] [--field NAME --out-field PATH]
-  pqr retrieve <archive> (--qoi NAME=TOL)... [--budget BYTES]
-               [--estimator E] [--workers N]
-               [--resume P] [--save-progress P]
-               [--field NAME --out-field PATH]
-               (batched: QoIs sharing fields fetch them once; prints the
-               per-target report table and shared-fragment savings;
-               --out is single-target only — use --out-field here)
+               (one batched request: QoIs sharing fields fetch them once;
+               prints the per-target report table and shared-fragment
+               savings; --out writes a lone target's derived values)
   pqr serve --listen ADDR (--dataset NAME=ARCHIVE)...
                [--workers N] [--queue N] [--permits N]
                [--busy-wait MS] [--retry-after MS]
@@ -405,111 +402,27 @@ fn parse_estimator(s: &str) -> Result<BoundConfig> {
     }
 }
 
-/// The flags `pqr retrieve` takes (either form), each with a value.
+/// The flags `pqr retrieve` takes (either spelling), each with a value.
 const RETRIEVE_FLAGS: &str =
     "--qoi --tol --estimator --workers --budget --resume --save-progress --out --field --out-field";
 
+/// `pqr retrieve` — one `RetrievalRequest` from either spelling (see
+/// [`retrieve_request`]), so targets sharing fields fetch those fields'
+/// fragments once. Prints the per-target report table plus the
+/// shared-fragment savings and read-op lines.
 fn cmd_retrieve(args: &[String]) -> Result<()> {
     let flags = Flags::parse("retrieve", args, RETRIEVE_FLAGS, "")?;
-    let qoi_flags = flags.get_all("--qoi");
-    if qoi_flags.iter().any(|s| s.contains('=')) {
-        return cmd_retrieve_multi(&flags, &qoi_flags);
-    }
-    let (mut archive, file_size) = load_archive(&flags)?;
-    let qoi = flags
-        .get("--qoi")
-        .ok_or_else(|| PqrError::InvalidRequest("retrieve needs --qoi NAME".into()))?;
-    let tol: f64 = flags
-        .get("--tol")
-        .ok_or_else(|| PqrError::InvalidRequest("retrieve needs --tol REL".into()))?
-        .parse()
-        .map_err(|_| PqrError::InvalidRequest("bad --tol".into()))?;
-    archive.set_engine_config(engine_config_from_flags(&flags)?);
-
-    let mut session = match flags.get("--resume") {
-        Some(path) => {
-            let progress = fs::read(path)
-                .map_err(|e| PqrError::InvalidRequest(format!("cannot read '{path}': {e}")))?;
-            archive.resume_session(&progress)?
-        }
-        None => archive.session()?,
-    };
-    let report = session.request(qoi, tol)?;
-    eprintln!(
-        "satisfied: {}  fetched {} B ({} new)  bitrate {:.3}  est err {:.3e} (tolerance {:.3e})",
-        report.satisfied,
-        report.total_fetched,
-        report.bytes_fetched,
-        report.bitrate,
-        report.max_est_errors[0],
-        tol * archive.qoi_range(qoi).unwrap_or(1.0)
-    );
-    let stats = archive.source_stats();
-    eprintln!(
-        "disk: {} fragment reads, {} B of the {} B archive ({:.1}%)",
-        stats.fetches,
-        stats.fetched_bytes,
-        file_size,
-        100.0 * stats.fetched_bytes as f64 / file_size.max(1) as f64
-    );
-    if let Some(path) = flags.get("--save-progress") {
-        fs::write(path, session.save_progress())
-            .map_err(|e| PqrError::InvalidRequest(format!("cannot write '{path}': {e}")))?;
-        eprintln!("saved retrieval progress → {path}");
-    }
-    if !report.satisfied {
-        return Err(PqrError::UnboundableQoi(format!(
-            "representation exhausted before '{qoi}' reached {tol:.1e}"
-        )));
-    }
-    if let Some(out) = flags.get("--out") {
-        write_float_file(out, &session.qoi_values(qoi)?)?;
-        eprintln!("wrote derived QoI values → {out}");
-    }
-    if let (Some(field), Some(path)) = (flags.get("--field"), flags.get("--out-field")) {
-        write_float_file(path, session.reconstruction(field)?)?;
-        eprintln!("wrote reconstructed field '{field}' → {path}");
-    }
-    Ok(())
-}
-
-/// Batched multi-QoI retrieval: repeated `--qoi NAME=TOL` flags resolve
-/// into one `RetrievalRequest`, so targets sharing fields fetch those
-/// fields' fragments once. Prints the per-target report table plus the
-/// shared-fragment savings and read-op lines.
-fn cmd_retrieve_multi(flags: &Flags<'_>, qoi_flags: &[&str]) -> Result<()> {
-    if flags.get("--tol").is_some() || qoi_flags.iter().any(|s| !s.contains('=')) {
-        return Err(PqrError::InvalidRequest(
-            "mixing --qoi NAME=TOL with --qoi NAME/--tol is ambiguous; \
-             use one form"
-                .into(),
-        ));
-    }
-    if flags.get("--out").is_some() {
+    let request = retrieve_request(&flags)?;
+    if request.targets().len() > 1 && flags.get("--out").is_some() {
         return Err(PqrError::InvalidRequest(
             "--out is ambiguous with several targets; use \
-             --field NAME --out-field PATH for a reconstruction, or the \
-             single-target form (--qoi NAME --tol REL --out PATH) for \
-             derived QoI values"
+             --field NAME --out-field PATH for a reconstruction, or one \
+             target (--qoi NAME=TOL --out PATH) for derived QoI values"
                 .into(),
         ));
     }
-    let (mut archive, file_size) = load_archive(flags)?;
-    archive.set_engine_config(engine_config_from_flags(flags)?);
-    let mut request = RetrievalRequest::new();
-    for spec in qoi_flags {
-        let (name, tol_text) = spec.split_once('=').expect("filtered above");
-        let tol: f64 = tol_text
-            .parse()
-            .map_err(|_| PqrError::InvalidRequest(format!("bad tolerance in --qoi '{spec}'")))?;
-        request = request.qoi(name, tol);
-    }
-    if let Some(budget) = flags.get("--budget") {
-        request =
-            request.byte_budget(budget.parse().map_err(|_| {
-                PqrError::InvalidRequest("bad --budget (want a byte count)".into())
-            })?);
-    }
+    let (mut archive, file_size) = load_archive(&flags)?;
+    archive.set_engine_config(engine_config_from_flags(&flags)?);
     let mut session = match flags.get("--resume") {
         Some(path) => {
             let progress = fs::read(path)
@@ -564,11 +477,50 @@ fn cmd_retrieve_multi(flags: &Flags<'_>, qoi_flags: &[&str]) -> Result<()> {
             "representation exhausted before every target certified".into()
         }));
     }
+    if let Some(out) = flags.get("--out") {
+        write_float_file(out, &session.qoi_values(&request.targets()[0].name)?)?;
+        eprintln!("wrote derived QoI values → {out}");
+    }
     if let (Some(field), Some(path)) = (flags.get("--field"), flags.get("--out-field")) {
         write_float_file(path, session.reconstruction(field)?)?;
         eprintln!("wrote reconstructed field '{field}' → {path}");
     }
     Ok(())
+}
+
+/// The request `pqr retrieve` names: one `--qoi NAME` with `--tol REL`, or
+/// one or more `--qoi NAME=TOL` — one spelling, never both — plus the
+/// optional `--budget`.
+fn retrieve_request(flags: &Flags<'_>) -> Result<RetrievalRequest> {
+    let mut request = RetrievalRequest::new();
+    match (flags.get_all("--qoi").as_slice(), flags.get("--tol")) {
+        (&[name], Some(tol)) if !name.contains('=') => {
+            let tol = tol
+                .parse()
+                .map_err(|_| PqrError::InvalidRequest("bad --tol".into()))?;
+            request = request.qoi(name, tol);
+        }
+        (specs, None) if !specs.is_empty() && specs.iter().all(|s| s.contains('=')) => {
+            for spec in specs {
+                let (name, tol) = spec.split_once('=').expect("checked by the match");
+                let tol = tol.parse().map_err(|_| {
+                    PqrError::InvalidRequest(format!("bad tolerance in --qoi '{spec}'"))
+                })?;
+                request = request.qoi(name, tol);
+            }
+        }
+        _ => {
+            return Err(PqrError::InvalidRequest(
+                "retrieve wants one --qoi NAME with --tol REL, or one or more \
+                 --qoi NAME=TOL; mixing the two spellings is ambiguous"
+                    .into(),
+            ))
+        }
+    }
+    if let Some(budget) = parse_u64_flag(flags, "--budget")? {
+        request = request.byte_budget(budget as usize);
+    }
+    Ok(request)
 }
 
 fn parse_u64_flag(flags: &Flags<'_>, flag: &str) -> Result<Option<u64>> {

@@ -28,7 +28,7 @@
 //!     .build()
 //!     .unwrap();
 //! let mut session = archive.session().unwrap();
-//! assert!(session.request("f2", 1e-4).unwrap().satisfied);
+//! assert!(session.execute(&RetrievalRequest::new().qoi("f2", 1e-4)).unwrap().satisfied);
 //! ```
 //!
 //! The repository's `README.md` gives the workspace tour (building, the

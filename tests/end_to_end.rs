@@ -23,16 +23,16 @@ fn assert_guarantee(ds: &Dataset, archive: &RefactoredDataset, spec: &QoiSpec) {
     let derived = engine.qoi_values(&spec.expr);
     let actual = stats::max_abs_diff(&truth, &derived);
     assert!(
-        actual <= report.max_est_errors[0],
+        actual <= report.targets[0].max_est_error,
         "{}: actual {actual} > estimated {}",
         spec.name,
-        report.max_est_errors[0]
+        report.targets[0].max_est_error
     );
     assert!(
-        report.max_est_errors[0] <= spec.tol_abs(),
+        report.targets[0].max_est_error <= spec.tol_abs(),
         "{}: estimated {} > tolerance {}",
         spec.name,
-        report.max_est_errors[0],
+        report.targets[0].max_est_error,
         spec.tol_abs()
     );
 }

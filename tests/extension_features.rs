@@ -21,6 +21,10 @@ fn flame(n: usize) -> (Vec<f64>, Vec<f64>) {
     (t, c)
 }
 
+fn one(name: &str, tol: f64) -> RetrievalRequest {
+    RetrievalRequest::new().qoi(name, tol)
+}
+
 #[test]
 fn pzfp_archive_serves_extension_qois() {
     let n = 8000;
@@ -35,7 +39,7 @@ fn pzfp_archive_serves_extension_qois() {
         .unwrap();
 
     let mut session = archive.session().unwrap();
-    let report = session.request("rate", 1e-5).unwrap();
+    let report = session.execute(&one("rate", 1e-5)).unwrap();
     assert!(report.satisfied);
 
     let truth: Vec<f64> = t
@@ -45,7 +49,7 @@ fn pzfp_archive_serves_extension_qois() {
         .collect();
     let derived = session.qoi_values("rate").unwrap();
     let actual = stats::max_abs_diff(&truth, &derived);
-    assert!(actual <= report.max_est_errors[0]);
+    assert!(actual <= report.targets[0].max_est_error);
 }
 
 #[test]
@@ -66,8 +70,8 @@ fn pzfp_archive_roundtrips_through_serialization() {
     );
     let mut a = archive.session().unwrap();
     let mut b = restored.session().unwrap();
-    let ra = a.request("lnT", 1e-6).unwrap();
-    let rb = b.request("lnT", 1e-6).unwrap();
+    let ra = a.execute(&one("lnT", 1e-6)).unwrap();
+    let rb = b.execute(&one("lnT", 1e-6)).unwrap();
     assert!(ra.satisfied && rb.satisfied);
     assert_eq!(ra.total_fetched, rb.total_fetched);
     assert_eq!(a.qoi_values("lnT").unwrap(), b.qoi_values("lnT").unwrap());
@@ -99,15 +103,15 @@ fn all_schemes_and_estimators_agree_on_the_guarantee() {
                 .build()
                 .unwrap();
             let mut session = archive.session().unwrap();
-            let report = session.request("q", 1e-4).unwrap();
+            let report = session.execute(&one("q", 1e-4)).unwrap();
             assert!(report.satisfied, "{:?}/{est:?}", scheme.name());
             let derived = session.qoi_values("q").unwrap();
             let actual = stats::max_abs_diff(&truth, &derived);
+            let bound = report.targets[0].max_est_error;
             assert!(
-                actual <= report.max_est_errors[0] && report.max_est_errors[0] <= 1e-4 * range,
-                "{}/{est:?}: actual {actual}, est {}, tol {}",
+                actual <= bound && bound <= 1e-4 * range,
+                "{}/{est:?}: actual {actual}, est {bound}, tol {}",
                 scheme.name(),
-                report.max_est_errors[0],
                 1e-4 * range
             );
         }
@@ -131,13 +135,13 @@ fn pzfp_multidimensional_through_facade() {
         .build()
         .unwrap();
     let mut session = archive.session().unwrap();
-    let report = session.request("u2", 1e-6).unwrap();
+    let report = session.execute(&one("u2", 1e-6)).unwrap();
     assert!(report.satisfied);
     let recon = session.reconstruction("u").unwrap();
     assert_eq!(recon.len(), n);
     let truth: Vec<f64> = data.iter().map(|v| v * v).collect();
     let derived = session.qoi_values("u2").unwrap();
-    assert!(stats::max_abs_diff(&truth, &derived) <= report.max_est_errors[0]);
+    assert!(stats::max_abs_diff(&truth, &derived) <= report.targets[0].max_est_error);
 }
 
 #[test]
@@ -173,7 +177,7 @@ fn interval_estimator_composes_with_the_mask() {
         .build()
         .unwrap();
     let mut s = archive.session().unwrap();
-    let r = s.request("VTOT", 1e-5).unwrap();
+    let r = s.execute(&one("VTOT", 1e-5)).unwrap();
     assert!(r.satisfied);
     // masked points reconstruct to exactly zero VTOT
     let derived = s.qoi_values("VTOT").unwrap();
@@ -219,12 +223,12 @@ fn interval_estimator_succeeds_where_paper_blows_up() {
 
     let paper = build(Estimator::Theorems);
     let mut sp = paper.session().unwrap();
-    let rp = sp.request("VTOT", 1e-3).unwrap();
+    let rp = sp.execute(&one("VTOT", 1e-3)).unwrap();
     assert!(!rp.satisfied, "paper estimator must fail without the mask");
 
     let interval = build(Estimator::Interval);
     let mut si = interval.session().unwrap();
-    let ri = si.request("VTOT", 1e-3).unwrap();
+    let ri = si.execute(&one("VTOT", 1e-3)).unwrap();
     assert!(ri.satisfied, "interval estimator must succeed");
     assert!(si.total_fetched() < sp.total_fetched());
 }

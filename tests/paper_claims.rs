@@ -91,9 +91,9 @@ fn fig4_estimates_dominate_actuals_over_sweep() {
             let derived = engine.qoi_values(&expr);
             let actual = stats::max_abs_diff(&truth, &derived);
             assert!(
-                actual <= report.max_est_errors[0],
+                actual <= report.targets[0].max_est_error,
                 "{name} τ step {i}: actual {actual} > est {}",
-                report.max_est_errors[0]
+                report.targets[0].max_est_error
             );
         }
     }
@@ -133,7 +133,7 @@ fn mask_vs_exact_sqrt_ablation() {
     );
     let truth = ds.qoi_values(&spec.expr);
     let derived = engine2.qoi_values(&spec.expr);
-    assert!(stats::max_abs_diff(&truth, &derived) <= r2.max_est_errors[0]);
+    assert!(stats::max_abs_diff(&truth, &derived) <= r2.targets[0].max_est_error);
 }
 
 /// Table IV shape: PMGARD-HB refactoring (one decomposition + bitplanes)

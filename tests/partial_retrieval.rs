@@ -39,7 +39,9 @@ fn loose_retrieval_reads_a_fraction_of_the_archive() {
 
     let lazy = Archive::open(&path).unwrap();
     let mut session = lazy.session().unwrap();
-    let report = session.request("VTOT", 1e-2).unwrap();
+    let report = session
+        .execute(&RetrievalRequest::new().qoi("VTOT", 1e-2))
+        .unwrap();
     assert!(report.satisfied);
 
     let stats = lazy.source_stats();
@@ -69,7 +71,9 @@ fn tighter_tolerances_read_more_disk_bytes_incrementally() {
     let mut session = lazy.session().unwrap();
     let mut last = 0u64;
     for tol in [1e-1, 1e-2, 1e-3, 1e-4] {
-        let report = session.request("VTOT", tol).unwrap();
+        let report = session
+            .execute(&RetrievalRequest::new().qoi("VTOT", tol))
+            .unwrap();
         assert!(report.satisfied, "τ={tol}");
         let read = lazy.source_stats().fetched_bytes;
         assert!(read >= last, "disk reads must be cumulative");

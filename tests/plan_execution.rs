@@ -2,8 +2,8 @@
 //!
 //! 1. A 3-QoI [`RetrievalRequest`] over QoIs sharing a field reads
 //!    **strictly fewer source bytes** than the same three tolerances
-//!    issued as independent legacy `Session::request` calls (the shared
-//!    field's fragments move once instead of three times).
+//!    executed as independent one-target requests on separate sessions
+//!    (the shared field's fragments move once instead of three times).
 //! 2. Batched execution over a [`FileSource`] performs **strictly fewer
 //!    read operations** than per-fragment execution for identical bytes
 //!    (adjacent fragments coalesce into single range reads).
@@ -30,6 +30,10 @@ fn build_archive() -> Archive {
         .qoi("VxVy", species_product(0, 1))
         .build()
         .unwrap()
+}
+
+fn one(name: &str, tol: f64) -> RetrievalRequest {
+    RetrievalRequest::new().qoi(name, tol)
 }
 
 fn save_archive(tag: &str) -> std::path::PathBuf {
@@ -77,14 +81,14 @@ fn batched_multi_qoi_reads_strictly_fewer_bytes_than_sequential_requests() {
     assert!(report.shared_bytes_saved > 0);
     let batched_bytes = batched.source_stats().fetched_bytes;
 
-    // sequential legacy: the same three tolerances, each as an independent
-    // `Session::request` against its own lazily opened archive — the
-    // pre-plan workflow, where every request re-reads the shared field
+    // sequential: the same three tolerances, each as a one-target request
+    // on its own session over its own lazily opened archive, where every
+    // request re-reads the shared field
     let mut sequential_bytes = 0u64;
     for (name, tol) in TOLS {
         let solo = Archive::open(&path).unwrap();
         let mut s = solo.session().unwrap();
-        let r = s.request(name, tol).unwrap();
+        let r = s.execute(&one(name, tol)).unwrap();
         assert!(r.satisfied);
         sequential_bytes += solo.source_stats().fetched_bytes;
     }
@@ -204,7 +208,7 @@ fn shared_store_decodes_once_and_serves_looser_sessions_for_free() {
     let service = archive.service().unwrap();
 
     let mut tight = service.session().unwrap();
-    let r1 = tight.request("V", 1e-5).unwrap();
+    let r1 = tight.execute(&one("V", 1e-5)).unwrap();
     assert!(r1.satisfied);
     assert_eq!(
         tight.fragments_decoded(),
@@ -216,7 +220,7 @@ fn shared_store_decodes_once_and_serves_looser_sessions_for_free() {
     assert!(store_after_tight.fragments_decoded > 0);
 
     let mut loose = service.session().unwrap();
-    let r2 = loose.request("V", 1e-2).unwrap();
+    let r2 = loose.execute(&one("V", 1e-2)).unwrap();
     assert!(r2.satisfied);
     let store_after_loose = service.store_stats();
     let source_after_loose = service.source_stats();
@@ -253,8 +257,8 @@ fn shared_store_decodes_once_and_serves_looser_sessions_for_free() {
 fn sequential_service_sessions_match_one_legacy_engine_byte_for_byte() {
     // the sharing layer must be invisible in results: K sessions run one
     // after another through the service reproduce exactly what a single
-    // persistent legacy session produces for the same request series —
-    // reconstructions, certified bounds and cumulative byte accounting
+    // persistent independent session produces for the same request series
+    // — reconstructions, certified bounds and cumulative byte accounting
     let path = save_archive("service_equiv");
     let requests: [(&str, f64); 4] = [("V", 1e-2), ("Vx2", 1e-3), ("V", 1e-5), ("VxVy", 1e-3)];
 
@@ -265,12 +269,12 @@ fn sequential_service_sessions_match_one_legacy_engine_byte_for_byte() {
 
     for (name, tol) in requests {
         let mut s = service.session().unwrap();
-        let rs = s.request(name, tol).unwrap();
-        let rl = legacy.request(name, tol).unwrap();
+        let rs = s.execute(&one(name, tol)).unwrap();
+        let rl = legacy.execute(&one(name, tol)).unwrap();
         assert_eq!(rs.satisfied, rl.satisfied, "{name}@{tol}");
         assert_eq!(
-            rs.max_est_errors[0].to_bits(),
-            rl.max_est_errors[0].to_bits(),
+            rs.targets[0].max_est_error.to_bits(),
+            rl.targets[0].max_est_error.to_bits(),
             "{name}@{tol}: certified bound drifted"
         );
         assert_eq!(rs.total_fetched, rl.total_fetched, "{name}@{tol}");
@@ -309,7 +313,7 @@ fn concurrent_mixed_tolerance_sessions_stress() {
             let name = ["V", "Vx2", "VxVy"][k % 3];
             scope.spawn(move || {
                 let mut session = service.session().unwrap();
-                let report = session.request(name, tol).unwrap();
+                let report = session.execute(&one(name, tol)).unwrap();
                 assert!(report.satisfied, "session {k}: {name}@{tol}");
                 assert_eq!(session.fragments_decoded(), 0);
             });
@@ -321,7 +325,7 @@ fn concurrent_mixed_tolerance_sessions_stress() {
     for (k, &tol) in tols.iter().enumerate() {
         let solo = Archive::open(&path).unwrap();
         let mut s = solo.session().unwrap();
-        let r = s.request(["V", "Vx2", "VxVy"][k % 3], tol).unwrap();
+        let r = s.execute(&one(["V", "Vx2", "VxVy"][k % 3], tol)).unwrap();
         assert!(r.satisfied);
         cold_bytes += solo.source_stats().fetched_bytes;
     }

@@ -188,5 +188,5 @@ fn mask_points_contribute_zero_error_budget() {
     let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
     let report = engine.retrieve(&[spec]).unwrap();
     assert!(report.satisfied);
-    assert_eq!(report.max_est_errors[0], 0.0);
+    assert_eq!(report.targets[0].max_est_error, 0.0);
 }

@@ -74,7 +74,7 @@ fn hurricane_engine_guarantee_through_3d_pipeline() {
         let truth = ds.qoi_values(&spec.expr);
         let derived = engine.qoi_values(&spec.expr);
         let actual = stats::max_abs_diff(&truth, &derived);
-        assert!(actual <= report.max_est_errors[0]);
+        assert!(actual <= report.targets[0].max_est_error);
     }
 }
 
@@ -106,7 +106,7 @@ fn nyx_kinetic_energy_multifield_3d() {
     assert!(report.satisfied);
     let truth = ds.qoi_values(&ke);
     let derived = engine.qoi_values(&ke);
-    assert!(stats::max_abs_diff(&truth, &derived) <= report.max_est_errors[0]);
+    assert!(stats::max_abs_diff(&truth, &derived) <= report.targets[0].max_est_error);
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn pzfp_3d_volume_through_the_engine() {
         assert!(report.satisfied, "tol {tol}");
         let derived = engine.qoi_values(&vtot);
         let actual = stats::max_abs_diff(&truth, &derived);
-        assert!(actual <= report.max_est_errors[0], "tol {tol}");
-        assert!(report.max_est_errors[0] <= tol * range, "tol {tol}");
+        assert!(actual <= report.targets[0].max_est_error, "tol {tol}");
+        assert!(report.targets[0].max_est_error <= tol * range, "tol {tol}");
     }
 }
