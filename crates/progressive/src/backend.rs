@@ -543,8 +543,7 @@ pub(crate) fn encode(
             let mut residual = data.to_vec();
             for &rb in rel_bounds {
                 let eb = rb * scale;
-                let blob = sz.compress(&residual, dims, eb)?;
-                let (recon, _) = sz.decompress(&blob)?;
+                let (blob, recon) = sz.compress_with_recon(&residual, dims, eb)?;
                 for (r, d) in residual.iter_mut().zip(&recon) {
                     *r -= d;
                 }

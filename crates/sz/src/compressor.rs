@@ -36,6 +36,20 @@ impl SzCompressor {
     /// Compresses `data` (row-major, shape `dims`) under the absolute error
     /// bound `eb`. Returns a self-describing blob.
     pub fn compress(&self, data: &[f64], dims: &[usize], eb: f64) -> Result<Vec<u8>> {
+        Ok(self.compress_with_recon(data, dims, eb)?.0)
+    }
+
+    /// [`SzCompressor::compress`], also returning the reconstruction its
+    /// predictor loop ran on. That is bit for bit what
+    /// [`SzCompressor::decompress`] returns for the blob: both sides
+    /// traverse in the same order, code the same predictions with the same
+    /// arithmetic, and escapes travel as their exact bits.
+    pub fn compress_with_recon(
+        &self,
+        data: &[f64],
+        dims: &[usize],
+        eb: f64,
+    ) -> Result<(Vec<u8>, Vec<f64>)> {
         let n: usize = dims.iter().product();
         if n != data.len() {
             return Err(PqrError::ShapeMismatch(format!(
@@ -87,7 +101,7 @@ impl SzCompressor {
         }
         w.put_bytes(&packed);
         w.put_f64_slice(&escapes);
-        Ok(w.finish())
+        Ok((w.finish(), recon))
     }
 
     /// Decompresses a blob from [`SzCompressor::compress`]; returns the
@@ -290,6 +304,55 @@ mod tests {
         for (i, (&a, &b)) in data.iter().zip(&recon).enumerate() {
             if a.is_finite() {
                 assert!((a - b).abs() <= 1e-3, "idx {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn returned_reconstruction_is_what_decompress_returns() {
+        // the reconstruction `compress_with_recon` hands back must be the
+        // decoder's, bit for bit, including escapes: NaN, ±∞, magnitudes
+        // the quantizer cannot code, and a radius small enough that large
+        // residuals escape
+        let mut escapes = smooth_1d(600);
+        escapes[3] = f64::NAN;
+        escapes[4] = f64::from_bits(0x7ff0_0000_dead_beef); // signalling NaN
+        escapes[100] = f64::INFINITY;
+        escapes[101] = f64::NEG_INFINITY;
+        escapes[200] = 1e18 + 0.5;
+        escapes[201] = -1e300;
+        escapes[400] = 5.0e3;
+        let (cube, cube_dims) = smooth_3d([9, 12, 7]);
+        let mut noisy_cube = cube.clone();
+        noisy_cube[17] = f64::NAN;
+        noisy_cube[300] = -f64::INFINITY;
+        noisy_cube[500] = 3e15;
+        let cases: Vec<(Vec<f64>, Vec<usize>)> = vec![
+            (smooth_1d(1000), vec![1000]),
+            (escapes.clone(), vec![600]),
+            (cube, cube_dims.clone()),
+            (noisy_cube, cube_dims),
+            (Vec::new(), vec![0]),
+        ];
+        let small_radius = SzConfig {
+            quant_radius: 8,
+            ..SzConfig::default()
+        };
+        for cfg in [
+            SzConfig::default(),
+            SzConfig::lorenzo(),
+            SzConfig::interp_linear(),
+            small_radius,
+        ] {
+            let c = SzCompressor::new(cfg);
+            for (data, dims) in &cases {
+                for eb in [1e-1, 1e-6] {
+                    let (blob, recon) = c.compress_with_recon(data, dims, eb).unwrap();
+                    assert_eq!(blob, c.compress(data, dims, eb).unwrap());
+                    let (decoded, _) = c.decompress(&blob).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&recon), bits(&decoded), "{cfg:?} {dims:?} eb={eb}");
+                }
             }
         }
     }

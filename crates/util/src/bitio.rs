@@ -4,15 +4,20 @@
 //! packed most-significant-bit first within each byte, which keeps the
 //! encoded planes byte-aligned per plane and makes the streams easy to
 //! inspect in tests.
+//!
+//! Both sides move whole words: the writer stages bits in a `u64` and
+//! appends it once full, the reader serves
+//! [`BitReader::peek_bits`] from one big-endian word load, so table-driven
+//! decoders pay per symbol rather than per bit.
 
 /// Accumulates bits MSB-first into a byte vector.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Current partial byte (bits already placed at the top).
-    cur: u8,
-    /// Number of valid bits in `cur` (0..8).
-    nbits: u8,
+    /// Pending bits: the low `nbits` bits of `acc`, oldest most significant.
+    acc: u64,
+    /// Number of pending bits (0..64 between calls).
+    nbits: u32,
 }
 
 impl BitWriter {
@@ -24,8 +29,8 @@ impl BitWriter {
     /// Creates a writer with space reserved for `bits` bits.
     pub fn with_capacity_bits(bits: usize) -> Self {
         Self {
-            buf: Vec::with_capacity(bits / 8 + 1),
-            cur: 0,
+            buf: Vec::with_capacity(bits / 8 + 8),
+            acc: 0,
             nbits: 0,
         }
     }
@@ -33,22 +38,34 @@ impl BitWriter {
     /// Appends a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {
-        self.cur = (self.cur << 1) | u8::from(bit);
-        self.nbits += 1;
-        if self.nbits == 8 {
-            self.buf.push(self.cur);
-            self.cur = 0;
-            self.nbits = 0;
-        }
+        self.put_bits(u64::from(bit), 1);
     }
 
     /// Appends the low `n` bits of `v`, most-significant first. `n <= 64`.
+    /// Bits are staged in one word, which is appended whole once full.
     #[inline]
     pub fn put_bits(&mut self, v: u64, n: u32) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.put_bit((v >> i) & 1 == 1);
+        if n == 0 {
+            return;
         }
+        let v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
+        let free = 64 - self.nbits;
+        if n < free {
+            self.acc = (self.acc << n) | v;
+            self.nbits += n;
+            return;
+        }
+        // the top `free` bits of `v` complete the staged word
+        let rest = n - free;
+        let word = if free == 64 {
+            v
+        } else {
+            (self.acc << free) | (v >> rest)
+        };
+        self.buf.extend_from_slice(&word.to_be_bytes());
+        self.acc = v & ((1u64 << rest) - 1);
+        self.nbits = rest;
     }
 
     /// Total number of bits written so far.
@@ -56,11 +73,13 @@ impl BitWriter {
         self.buf.len() * 8 + self.nbits as usize
     }
 
-    /// Flushes the partial byte (zero-padded) and returns the byte stream.
+    /// Flushes the staged bits (zero-padded to a byte) and returns the
+    /// byte stream.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
-            self.cur <<= 8 - self.nbits;
-            self.buf.push(self.cur);
+            let tail = (self.acc << (64 - self.nbits)).to_be_bytes();
+            self.buf
+                .extend_from_slice(&tail[..self.nbits.div_ceil(8) as usize]);
         }
         self.buf
     }
@@ -97,12 +116,56 @@ impl<'a> BitReader<'a> {
     /// Reads `n` bits MSB-first into the low bits of the result. `n <= 64`.
     #[inline]
     pub fn get_bits(&mut self, n: u32) -> u64 {
-        debug_assert!(n <= 64);
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | u64::from(self.get_bit());
-        }
+        let v = self.peek_bits(n);
+        self.skip(n as usize);
         v
+    }
+
+    /// The next `k` bits MSB-first in the low bits of the result, without
+    /// consuming them; bits past the end read as zero. `k <= 64`.
+    #[inline]
+    pub fn peek_bits(&self, k: u32) -> u64 {
+        debug_assert!(k <= 64);
+        if k == 0 {
+            return 0;
+        }
+        self.window() >> (64 - k)
+    }
+
+    /// Advances past `k` bits (past the end is allowed, as with
+    /// [`BitReader::get_bit`]).
+    #[inline]
+    pub fn skip(&mut self, k: usize) {
+        self.pos += k;
+    }
+
+    /// The next 64 bits MSB-first, zero past the end.
+    #[inline]
+    fn window(&self) -> u64 {
+        let byte = self.pos / 8;
+        let off = (self.pos % 8) as u32;
+        let word = self.be_word(byte);
+        if off == 0 {
+            word
+        } else {
+            let next = self.buf.get(byte + 8).copied().unwrap_or(0);
+            (word << off) | (u64::from(next) >> (8 - off))
+        }
+    }
+
+    /// Big-endian load of bytes `byte..byte + 8`, zero past the end.
+    #[inline]
+    fn be_word(&self, byte: usize) -> u64 {
+        match self.buf.get(byte..byte + 8) {
+            Some(b) => u64::from_be_bytes(b.try_into().unwrap()),
+            None => {
+                let mut tail = [0u8; 8];
+                if let Some(rest) = self.buf.get(byte..) {
+                    tail[..rest.len()].copy_from_slice(rest);
+                }
+                u64::from_be_bytes(tail)
+            }
+        }
     }
 
     /// Number of bits left before the physical end of the buffer.
@@ -167,6 +230,44 @@ mod tests {
         w.put_bits(0xff, 0);
         assert_eq!(w.len_bits(), 0);
         assert!(w.finish().is_empty());
+    }
+
+    #[test]
+    fn peek_and_skip_match_bit_serial_reads_at_every_offset() {
+        // 11 bytes: every offset forces the window across a ninth byte,
+        // and the last offsets read zeros past the end
+        let bytes: Vec<u8> = (0..11u8).map(|i| i.wrapping_mul(0x9d) ^ 0x5a).collect();
+        for start in 0..bytes.len() * 8 + 3 {
+            for k in [0u32, 1, 7, 12, 33, 57, 64] {
+                let mut serial = BitReader::new(&bytes);
+                let mut fast = BitReader::new(&bytes);
+                serial.skip(start);
+                fast.skip(start);
+                let want = (0..k).fold(0u64, |v, _| (v << 1) | u64::from(serial.get_bit()));
+                assert_eq!(fast.peek_bits(k), want, "start {start} k {k}");
+                assert_eq!(fast.get_bits(k), want, "start {start} k {k}");
+                assert_eq!(fast.position(), serial.position());
+                assert_eq!(fast.remaining_bits(), serial.remaining_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_writes_equal_bit_serial_writes() {
+        // every width at every staged offset, so writes straddle the
+        // staged word at every split point
+        let mut chunked = BitWriter::new();
+        let mut serial = BitWriter::new();
+        let mut v = 0x0123_4567_89ab_cdefu64;
+        for n in (0..=64u32).chain((0..=64).rev()) {
+            v = v.rotate_left(7) ^ 0x9e37_79b9_7f4a_7c15;
+            chunked.put_bits(v, n);
+            for i in (0..n).rev() {
+                serial.put_bit((v >> i) & 1 == 1);
+            }
+            assert_eq!(chunked.len_bits(), serial.len_bits());
+        }
+        assert_eq!(chunked.finish(), serial.finish());
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! the classic depth-limited reassignment; for the symbol distributions the
 //! quantizer produces (sharply peaked around the zero code) this never costs
 //! measurable rate.
+//!
+//! Decoding looks up the next 12 payload bits in a per-blob table that
+//! yields up to two symbols at once; longer codes are matched against one
+//! peeked window. Whatever no table covers (unassigned prefixes, codes that
+//! run into the end of the payload) is read by the bit-serial canonical
+//! loop that defines the format, so every path accepts the same streams and
+//! returns the same symbols and errors.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::byteio::{ByteReader, ByteWriter};
@@ -141,17 +148,25 @@ fn limit_lengths(lengths: &mut [u32], max_len: u32) {
     }
 }
 
+/// Present symbols in canonical order, by (length, symbol).
+fn canonical_order(lengths: &[u32]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..lengths.len() as u32)
+        .filter(|&s| lengths[s as usize] > 0)
+        .collect();
+    // stable, so equal lengths keep ascending symbol order
+    order.sort_by_key(|&s| lengths[s as usize]);
+    order
+}
+
 /// Assigns canonical codes from lengths: symbols sorted by (length, symbol).
 fn canonical_codes(lengths: &[u32]) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
-    order.sort_by_key(|&i| (lengths[i], i));
     let mut codes = vec![0u32; lengths.len()];
     let mut code = 0u32;
     let mut prev_len = 0u32;
-    for &sym in &order {
-        let len = lengths[sym];
+    for sym in canonical_order(lengths) {
+        let len = lengths[sym as usize];
         code <<= len - prev_len;
-        codes[sym] = code;
+        codes[sym as usize] = code;
         code += 1;
         prev_len = len;
     }
@@ -162,12 +177,6 @@ impl CodeBook {
     /// Builds a canonical code book from symbol frequencies.
     pub fn from_freqs(freqs: &[u64]) -> Self {
         let lengths = code_lengths(freqs);
-        let codes = canonical_codes(&lengths);
-        Self { lengths, codes }
-    }
-
-    /// Rebuilds the code book from serialized lengths.
-    pub fn from_lengths(lengths: Vec<u32>) -> Self {
         let codes = canonical_codes(&lengths);
         Self { lengths, codes }
     }
@@ -255,43 +264,14 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
             lengths.len()
         )));
     }
-    let book = CodeBook::from_lengths(lengths);
     let payload = r.get_bytes()?;
-
-    // Canonical decoding via first-code tables per length.
-    let max_len = book.lengths.iter().copied().max().unwrap_or(0);
-    if max_len == 0 {
+    let Some(dec) = Decoder::new(&lengths) else {
         return if count == 0 {
             Ok(Vec::new())
         } else {
             Err(PqrError::CorruptStream("no codes but nonzero count".into()))
         };
-    }
-    // symbols sorted by (length, symbol); first_code/first_index per length.
-    let mut order: Vec<usize> = (0..book.lengths.len())
-        .filter(|&i| book.lengths[i] > 0)
-        .collect();
-    order.sort_by_key(|&i| (book.lengths[i], i));
-    let mut first_code = vec![0u64; (max_len + 2) as usize];
-    let mut first_idx = vec![0usize; (max_len + 2) as usize];
-    {
-        let mut code = 0u64;
-        let mut i = 0usize;
-        for len in 1..=max_len {
-            code <<= 1;
-            first_code[len as usize] = code;
-            first_idx[len as usize] = i;
-            while i < order.len() && book.lengths[order[i]] == len {
-                code += 1;
-                i += 1;
-            }
-        }
-    }
-    // count of codes at each length, for bounds checks
-    let mut count_at = vec![0usize; (max_len + 2) as usize];
-    for &s in &order {
-        count_at[book.lengths[s] as usize] += 1;
-    }
+    };
 
     // Every symbol consumes at least one payload bit, so a count beyond the
     // payload's bit length can only come from a corrupt header.
@@ -302,28 +282,174 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
     }
     let mut bits = BitReader::new(payload);
     let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
+    let tb = dec.table_bits;
+    while out.len() < count {
+        // Decode from one 64-bit window while a whole table width is left
+        // in it. A symbol takes the table path only if the table has an
+        // entry for it and its code ends inside the payload; anything else
+        // goes to `decode_past_table`, one symbol at a time.
+        let window = bits.peek_bits(64);
+        let limit = bits.remaining_bits().min(64) as u32;
+        let mut used = 0u32;
+        while used + tb <= 64 && out.len() < count {
+            let entry = dec.table[((window << used) >> (64 - tb)) as usize];
+            let len = (entry & 0xff) as u32;
+            if len == 0 || used + len > limit {
+                break;
+            }
+            out.push((entry >> 16) as u32 & 0xff_ffff);
+            used += len;
+            let len2 = ((entry >> 8) & 0xff) as u32;
+            if len2 != 0 && used + len2 <= limit && out.len() < count {
+                out.push((entry >> 40) as u32);
+                used += len2;
+            }
+        }
+        bits.skip(used as usize);
+        if used == 0 {
+            out.push(dec.decode_past_table(&mut bits)?);
+        }
+    }
+    Ok(out)
+}
+
+/// Width of the first-level decode table: codes up to this long decode
+/// with one lookup.
+const TABLE_BITS: u32 = 12;
+
+/// Canonical decoding state for one blob's length table.
+struct Decoder {
+    /// Present symbols by (length, symbol).
+    order: Vec<u32>,
+    max_len: u32,
+    /// Per length: the first canonical code, its index in `order`, and how
+    /// many codes have that length.
+    first_code: Vec<u64>,
+    first_idx: Vec<usize>,
+    count_at: Vec<usize>,
+    /// `min(max_len, TABLE_BITS)`.
+    table_bits: u32,
+    /// Indexed by the next `table_bits` payload bits. Bits 0–7 hold the
+    /// length of the code [`Decoder::decode_serial`] would match first
+    /// (0 when it matches none within `table_bits` bits) and bits 16–39
+    /// its symbol. When the bits after that code also hold a whole code,
+    /// bits 8–15 and 40–63 hold its length and symbol, so one lookup
+    /// decodes two symbols.
+    table: Vec<u64>,
+}
+
+impl Decoder {
+    /// `None` when no symbol has a code.
+    fn new(lengths: &[u32]) -> Option<Self> {
+        let max_len = lengths.iter().copied().max().unwrap_or(0);
+        if max_len == 0 {
+            return None;
+        }
+        let order = canonical_order(lengths);
+        let slots = (max_len + 2) as usize;
+        let (mut first_code, mut first_idx, mut count_at) =
+            (vec![0u64; slots], vec![0usize; slots], vec![0usize; slots]);
+        for &s in &order {
+            count_at[lengths[s as usize] as usize] += 1;
+        }
         let mut code = 0u64;
-        let mut len = 0u32;
+        let mut i = 0usize;
+        for len in 1..=max_len as usize {
+            code <<= 1;
+            first_code[len] = code;
+            first_idx[len] = i;
+            code += count_at[len] as u64;
+            i += count_at[len];
+        }
+
+        // One symbol per index first: `symbol << 16 | len`. Canonical
+        // ranges never share a prefix (`first_code` doubles past every
+        // shorter range), so each index gets at most one code. A hostile
+        // length table can assign codes wider than their length; the
+        // serial loop never matches those, so they get no entry.
+        let table_bits = max_len.min(TABLE_BITS);
+        let size = 1usize << table_bits;
+        let mut table = vec![0u64; size];
+        for len in 1..=table_bits {
+            let (lo, cnt) = (first_code[len as usize], count_at[len as usize] as u64);
+            let hi = (lo + cnt).min(1 << len);
+            let shift = table_bits - len;
+            for c in lo..hi {
+                let sym = order[first_idx[len as usize] + (c - lo) as usize];
+                let entry = (u64::from(sym) << 16) | u64::from(len);
+                table[(c << shift) as usize..((c + 1) << shift) as usize].fill(entry);
+            }
+        }
+        // Then pair each entry with the code that follows it when that code
+        // fits in the index bits left over: its entry depends only on those
+        // bits, so it is what a lookup at the next position would return.
+        for idx in 0..size {
+            let len = (table[idx] & 0xff) as u32;
+            if len == 0 || len >= table_bits {
+                continue;
+            }
+            let next = table[(idx << len) & (size - 1)];
+            let len2 = (next & 0xff) as u32;
+            if len2 != 0 && len2 <= table_bits - len {
+                table[idx] |= (u64::from(len2) << 8) | (((next >> 16) & 0xff_ffff) << 40);
+            }
+        }
+        Some(Self {
+            order,
+            max_len,
+            first_code,
+            first_idx,
+            count_at,
+            table_bits,
+            table,
+        })
+    }
+
+    /// Decodes one symbol the table could not. A code longer than the
+    /// table whose bits all lie in the payload is matched against each
+    /// longer length of one window in turn, with the serial loop's test;
+    /// everything else (prefixes no code matches, codes that reach the end
+    /// of the payload) runs [`Decoder::decode_serial`].
+    fn decode_past_table(&self, bits: &mut BitReader<'_>) -> Result<u32> {
+        let window = bits.peek_bits(64);
+        let entry = self.table[(window >> (64 - self.table_bits)) as usize];
+        // no entry: the serial loop matches no length up to `table_bits`
+        if entry & 0xff == 0 && bits.remaining_bits() >= self.max_len as usize {
+            for len in self.table_bits as usize + 1..=self.max_len as usize {
+                let code = window >> (64 - len);
+                let (fc, cnt) = (self.first_code[len], self.count_at[len] as u64);
+                if code >= fc && code - fc < cnt {
+                    bits.skip(len);
+                    return Ok(self.order[self.first_idx[len] + (code - fc) as usize]);
+                }
+            }
+        }
+        self.decode_serial(bits)
+    }
+
+    /// Decodes one symbol a bit at a time: the definition every faster
+    /// path reproduces, and the path for prefixes no code matches and for
+    /// codes that reach the end of the payload (whose first bit may be the
+    /// phantom zero past it).
+    fn decode_serial(&self, bits: &mut BitReader<'_>) -> Result<u32> {
+        let mut code = 0u64;
+        let mut len = 0usize;
         loop {
             if bits.remaining_bits() == 0 && len > 0 {
                 return Err(PqrError::CorruptStream("huffman payload truncated".into()));
             }
             code = (code << 1) | u64::from(bits.get_bit());
             len += 1;
-            if len > max_len {
+            if len > self.max_len as usize {
                 return Err(PqrError::CorruptStream("invalid huffman code".into()));
             }
-            let fc = first_code[len as usize];
-            let cnt = count_at[len as usize];
+            let fc = self.first_code[len];
+            let cnt = self.count_at[len];
             if cnt > 0 && code >= fc && code < fc + cnt as u64 {
-                let idx = first_idx[len as usize] + (code - fc) as usize;
-                out.push(order[idx] as u32);
-                break;
+                return Ok(self.order[self.first_idx[len] + (code - fc) as usize]);
             }
         }
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -374,6 +500,201 @@ mod tests {
         let blob = encode(&syms, 7).unwrap();
         let truncated = &blob[..blob.len() - 2];
         assert!(decode(truncated).is_err());
+    }
+
+    /// The bit-serial definition of [`decode`]: header parsing, a sorted
+    /// canonical order and one bit per loop iteration, with no table.
+    fn decode_reference(bytes: &[u8]) -> Result<Vec<u32>> {
+        let mut r = ByteReader::new(bytes);
+        let alphabet = r.get_u32()? as usize;
+        let count = r.get_u64()? as usize;
+        let nruns = r.get_u32()? as usize;
+        if alphabet > MAX_ALPHABET {
+            return Err(PqrError::CorruptStream("alphabet".into()));
+        }
+        let mut lengths = Vec::new();
+        for _ in 0..nruns {
+            let l = u32::from(r.get_u8()?);
+            let run = r.get_u32()? as usize;
+            if l > MAX_CODE_LEN || run > alphabet - lengths.len() {
+                return Err(PqrError::CorruptStream("length table".into()));
+            }
+            lengths.resize(lengths.len() + run, l);
+        }
+        if lengths.len() != alphabet {
+            return Err(PqrError::CorruptStream("length table".into()));
+        }
+        let payload = r.get_bytes()?;
+        let max_len = lengths.iter().copied().max().unwrap_or(0);
+        if max_len == 0 {
+            return match count {
+                0 => Ok(Vec::new()),
+                _ => Err(PqrError::CorruptStream("no codes".into())),
+            };
+        }
+        let mut order: Vec<usize> = (0..alphabet).filter(|&i| lengths[i] > 0).collect();
+        order.sort_by_key(|&i| (lengths[i], i));
+        let slots = (max_len + 2) as usize;
+        let (mut first_code, mut first_idx, mut count_at) =
+            (vec![0u64; slots], vec![0usize; slots], vec![0usize; slots]);
+        let (mut code, mut i) = (0u64, 0usize);
+        for len in 1..=max_len {
+            code <<= 1;
+            first_code[len as usize] = code;
+            first_idx[len as usize] = i;
+            while i < order.len() && lengths[order[i]] == len {
+                count_at[len as usize] += 1;
+                code += 1;
+                i += 1;
+            }
+        }
+        if count > payload.len().saturating_mul(8) {
+            return Err(PqrError::CorruptStream("count".into()));
+        }
+        let mut bits = BitReader::new(payload);
+        let mut out = Vec::new();
+        for _ in 0..count {
+            let (mut code, mut len) = (0u64, 0usize);
+            loop {
+                if bits.remaining_bits() == 0 && len > 0 {
+                    return Err(PqrError::CorruptStream("truncated".into()));
+                }
+                code = (code << 1) | u64::from(bits.get_bit());
+                len += 1;
+                if len > max_len as usize {
+                    return Err(PqrError::CorruptStream("invalid code".into()));
+                }
+                let (fc, cnt) = (first_code[len], count_at[len] as u64);
+                if cnt > 0 && code >= fc && code < fc + cnt {
+                    out.push(order[first_idx[len] + (code - fc) as usize] as u32);
+                    break;
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Quantizer-like symbols peaked at `centre`, within `spread` of it.
+    fn peaked(n: usize, spread: u32, centre: u32) -> Vec<u32> {
+        let mut s = 0xfeed_beefu64;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                // squaring a uniform draw concentrates mass at the centre
+                let u = ((s >> 11) as f64) / (1u64 << 53) as f64;
+                let g = (u * u * f64::from(spread)) as i64;
+                let g = if s & 1 == 0 { g } else { -g };
+                (i64::from(centre) + g) as u32
+            })
+            .collect()
+    }
+
+    /// A blob with a hand-written length table (`(length, run)` pairs).
+    fn crafted(runs: &[(u8, u32)], count: u64, payload: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(runs.iter().map(|&(_, r)| r).sum());
+        w.put_u64(count);
+        w.put_u32(runs.len() as u32);
+        for &(l, r) in runs {
+            w.put_u8(l);
+            w.put_u32(r);
+        }
+        w.put_bytes(payload);
+        w.finish()
+    }
+
+    /// A complete code with one symbol at every length 1..=32.
+    fn deepest_code_blob(count: u64) -> Vec<u8> {
+        let mut runs: Vec<(u8, u32)> = (1..MAX_CODE_LEN as u8).map(|l| (l, 1)).collect();
+        runs.push((MAX_CODE_LEN as u8, 2));
+        let mut s = 0x1234_5678u64;
+        // the code of length l is l − 1 ones then a zero (the last is all
+        // ones), so stretches of ones walk the deep end of the code
+        let payload: Vec<u8> = (0..count)
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                if (i / 8) % 2 == 0 {
+                    0xff
+                } else {
+                    s as u8
+                }
+            })
+            .collect();
+        crafted(&runs, count, &payload)
+    }
+
+    #[test]
+    fn table_decode_equals_the_bit_serial_reference_on_valid_streams() {
+        let mut blobs: Vec<Vec<u8>> = [2u32, 64, 2048]
+            .iter()
+            .map(|&spread| encode(&peaked(20_000, spread, 32768), 65536).unwrap())
+            .collect();
+        blobs.push(encode(&[7u32; 999], 16).unwrap());
+        blobs.push(encode(&[0u32], 1).unwrap());
+        // frequencies 2^k give code lengths up to 16, past the table
+        let mut geometric = Vec::new();
+        for k in 0..16u32 {
+            geometric.extend(std::iter::repeat_n(k, 1 << k));
+        }
+        blobs.push(encode(&geometric, 16).unwrap());
+        // codes up to MAX_CODE_LEN
+        blobs.push(deepest_code_blob(4000));
+        for blob in &blobs {
+            let want = decode_reference(blob).unwrap();
+            assert_eq!(decode(blob).unwrap(), want);
+        }
+        let deep = decode(blobs.last().unwrap()).unwrap();
+        assert!(
+            deep.iter().any(|&s| s >= 30),
+            "no code of length ≥ 30 decoded"
+        );
+    }
+
+    #[test]
+    fn table_decode_fails_exactly_when_the_reference_does() {
+        let blobs = [
+            encode(&peaked(300, 2, 3), 6).unwrap(),
+            encode(&peaked(200, 64, 65), 130).unwrap(),
+            encode(&peaked(64, 2048, 2049), 4098).unwrap(),
+            encode(&[5u32; 40], 8).unwrap(),
+            deepest_code_blob(24),
+        ];
+        for blob in &blobs {
+            let mut hostile: Vec<Vec<u8>> =
+                (0..blob.len()).map(|cut| blob[..cut].to_vec()).collect();
+            // the payload cut short under a consistent length field, so
+            // codes and pairs straddle its end at every byte
+            let nruns = u32::from_le_bytes(blob[12..16].try_into().unwrap()) as usize;
+            let header = 16 + 5 * nruns;
+            let payload = &blob[header + 8..];
+            for cut in 0..payload.len() {
+                let mut short = blob[..header].to_vec();
+                short.extend_from_slice(&(cut as u64).to_le_bytes());
+                short.extend_from_slice(&payload[..cut]);
+                hostile.push(short);
+            }
+            for bit in 0..blob.len() * 8 {
+                let mut bad = blob.clone();
+                bad[bit / 8] ^= 0x80 >> (bit % 8);
+                hostile.push(bad);
+            }
+            for bytes in &hostile {
+                let (table, reference) = (decode(bytes), decode_reference(bytes));
+                assert_eq!(
+                    table.is_err(),
+                    reference.is_err(),
+                    "blob len {}",
+                    bytes.len()
+                );
+                if let (Ok(t), Ok(r)) = (table, reference) {
+                    assert_eq!(t, r);
+                }
+            }
+        }
     }
 
     #[test]

@@ -531,17 +531,36 @@ fn decode_bits_words(bytes: &[u8], n: usize) -> Result<Vec<u64>> {
 fn put_gamma(w: &mut BitWriter, v: u64) {
     debug_assert!(v >= 1);
     let nbits = 64 - v.leading_zeros();
-    for _ in 0..nbits - 1 {
-        w.put_bit(false);
-    }
+    w.put_bits(0, nbits - 1);
     w.put_bits(v, nbits);
 }
 
+/// Reads one gamma code. The zero count comes from `leading_zeros` of a
+/// peeked window whenever the whole code lies inside it; otherwise
+/// [`get_gamma_bitwise`] reads it. Bits past the end peek as zero, so a
+/// leading one found in the window is a real bit, every zero before it is
+/// followed by one, and the bit loop would return the same value and
+/// position (its tail bits may run past the end too).
 fn get_gamma(r: &mut BitReader<'_>) -> Result<u64> {
+    let window = r.peek_bits(64);
+    let zeros = window.leading_zeros();
+    if zeros < 32 {
+        let len = 2 * zeros + 1;
+        r.skip(len as usize);
+        return Ok(window >> (64 - len));
+    }
+    get_gamma_bitwise(r)
+}
+
+/// The bit-at-a-time gamma reader: the definition [`get_gamma`] reproduces,
+/// and its path for codes longer than one window (or with no one before
+/// the end of the stream).
+fn get_gamma_bitwise(r: &mut BitReader<'_>) -> Result<u64> {
     let mut zeros = 0u32;
     while !r.get_bit() {
         zeros += 1;
-        if zeros > 64 {
+        // a u64 has at most 63 zeros before its leading one
+        if zeros > 63 {
             return Err(PqrError::CorruptStream("gamma code too long".into()));
         }
         if r.remaining_bits() == 0 {
@@ -747,6 +766,122 @@ mod tests {
                     assert_eq!(s, &crate::bitplane_simd::unpack_bits(w, want));
                 }
             }
+        }
+    }
+
+    /// Every strict prefix and every single-bit flip of `enc`.
+    fn prefixes_and_flips(enc: &[u8]) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..enc.len()).map(|cut| enc[..cut].to_vec()).collect();
+        for bit in 0..enc.len() * 8 {
+            let mut bad = enc.to_vec();
+            bad[bit / 8] ^= 0x80 >> (bit % 8);
+            out.push(bad);
+        }
+        out
+    }
+
+    /// [`decode_bits`] with every gamma code read by the bit loop alone.
+    fn decode_bits_bitwise(bytes: &[u8], n: usize) -> Result<Vec<bool>> {
+        let mut out = Vec::with_capacity(n);
+        if n == 0 {
+            return Ok(out);
+        }
+        let mut r = BitReader::new(bytes);
+        let mut val = r.get_bit();
+        while out.len() < n {
+            if r.remaining_bits() == 0 {
+                return Err(PqrError::CorruptStream("bit-run stream truncated".into()));
+            }
+            let run = get_gamma_bitwise(&mut r)? as usize;
+            if run == 0 || out.len() + run > n {
+                return Err(PqrError::CorruptStream("bad bit-run length".into()));
+            }
+            out.resize(out.len() + run, val);
+            val = !val;
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn gamma_fast_path_matches_the_bit_loop_at_every_position() {
+        // the patterns' run codes, plus codes past one window's reach
+        let mut long = BitWriter::new();
+        for v in [
+            1u64,
+            1 << 31,
+            3,
+            (1 << 32) + 5,
+            1 << 40,
+            7,
+            1 << 63,
+            u64::MAX,
+            2,
+        ] {
+            put_gamma(&mut long, v);
+        }
+        let mut streams: Vec<Vec<u8>> = test_patterns().iter().map(|b| encode_bits(b)).collect();
+        streams.push(long.finish());
+        for enc in streams {
+            for start in 0..=enc.len() * 8 {
+                let mut fast = BitReader::new(&enc);
+                fast.skip(start);
+                let mut slow = fast.clone();
+                match (get_gamma(&mut fast), get_gamma_bitwise(&mut slow)) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a, b, "start {start}");
+                        assert_eq!(fast.position(), slow.position());
+                    }
+                    (a, b) => assert_eq!(a.is_err(), b.is_err(), "start {start}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gamma_fast_path_fails_exactly_when_the_bit_loop_does() {
+        // valid streams, their strict prefixes and single-bit flips, each
+        // decoded through the fast gamma path (scalar and word decoders)
+        // and through the bit loop alone
+        for bits in test_patterns() {
+            let n = bits.len();
+            let enc = encode_bits(&bits);
+            let mut streams = prefixes_and_flips(&enc);
+            streams.push(enc);
+            for bytes in streams {
+                let reference = decode_bits_bitwise(&bytes, n);
+                let scalar = decode_bits(&bytes, n);
+                let word = decode_bits_words(&bytes, n);
+                assert_eq!(scalar.is_err(), reference.is_err(), "len {n}");
+                assert_eq!(word.is_err(), reference.is_err(), "len {n}");
+                if let (Ok(r), Ok(s), Ok(w)) = (&reference, &scalar, &word) {
+                    assert_eq!(s, r);
+                    assert_eq!(&crate::bitplane_simd::unpack_bits(w, n), r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sixty_four_zero_gamma_prefix_is_corrupt() {
+        // a start bit, 64 zeros, a one, then 64 bits: no u64 has a gamma
+        // code this long, so both decoders must reject it (it used to
+        // overflow `1 << zeros`)
+        let mut w = BitWriter::new();
+        w.put_bit(false);
+        w.put_bits(0, 64);
+        w.put_bit(true);
+        w.put_bits(0, 64);
+        let mut stream = vec![MODE_RLE];
+        stream.extend(w.finish());
+        for n in [1usize, 2, 1000] {
+            assert!(matches!(
+                decode_bits_auto(&stream, n),
+                Err(PqrError::CorruptStream(_))
+            ));
+            assert!(matches!(
+                decode_bits_auto_words(&stream, n),
+                Err(PqrError::CorruptStream(_))
+            ));
         }
     }
 
