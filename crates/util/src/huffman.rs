@@ -9,12 +9,12 @@
 //! quantizer produces (sharply peaked around the zero code) this never costs
 //! measurable rate.
 //!
-//! Decoding looks up the next 12 payload bits in a per-blob table that
-//! yields up to two symbols at once; longer codes are matched against one
-//! peeked window. Whatever no table covers (unassigned prefixes, codes that
-//! run into the end of the payload) is read by the bit-serial canonical
-//! loop that defines the format, so every path accepts the same streams and
-//! returns the same symbols and errors.
+//! Decoding looks up the next 12 payload bits in a per-blob table. Whatever
+//! the table does not cover (longer codes, unassigned prefixes, codes that
+//! run into the end of the payload) is matched length by length against
+//! one peeked window with the test of the bit-serial canonical loop that
+//! defines the format, so both paths accept the same streams and return
+//! the same symbols and errors.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::byteio::{ByteReader, ByteWriter};
@@ -287,27 +287,22 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
         // Decode from one 64-bit window while a whole table width is left
         // in it. A symbol takes the table path only if the table has an
         // entry for it and its code ends inside the payload; anything else
-        // goes to `decode_past_table`, one symbol at a time.
+        // goes to `decode_canonical`, one symbol at a time.
         let window = bits.peek_bits(64);
         let limit = bits.remaining_bits().min(64) as u32;
         let mut used = 0u32;
         while used + tb <= 64 && out.len() < count {
             let entry = dec.table[((window << used) >> (64 - tb)) as usize];
-            let len = (entry & 0xff) as u32;
+            let len = entry & 0xff;
             if len == 0 || used + len > limit {
                 break;
             }
-            out.push((entry >> 16) as u32 & 0xff_ffff);
+            out.push(entry >> 8);
             used += len;
-            let len2 = ((entry >> 8) & 0xff) as u32;
-            if len2 != 0 && used + len2 <= limit && out.len() < count {
-                out.push((entry >> 40) as u32);
-                used += len2;
-            }
         }
         bits.skip(used as usize);
         if used == 0 {
-            out.push(dec.decode_past_table(&mut bits)?);
+            out.push(dec.decode_canonical(&mut bits)?);
         }
     }
     Ok(out)
@@ -330,12 +325,10 @@ struct Decoder {
     /// `min(max_len, TABLE_BITS)`.
     table_bits: u32,
     /// Indexed by the next `table_bits` payload bits. Bits 0–7 hold the
-    /// length of the code [`Decoder::decode_serial`] would match first
-    /// (0 when it matches none within `table_bits` bits) and bits 16–39
-    /// its symbol. When the bits after that code also hold a whole code,
-    /// bits 8–15 and 40–63 hold its length and symbol, so one lookup
-    /// decodes two symbols.
-    table: Vec<u64>,
+    /// length of the code [`Decoder::decode_canonical`] would match (0 when
+    /// it matches none within `table_bits` bits) and bits 8–31 its symbol
+    /// (symbols are below [`MAX_ALPHABET`] = 2²⁴).
+    table: Vec<u32>,
 }
 
 impl Decoder {
@@ -362,36 +355,22 @@ impl Decoder {
             i += count_at[len];
         }
 
-        // One symbol per index first: `symbol << 16 | len`. Canonical
-        // ranges never share a prefix (`first_code` doubles past every
-        // shorter range), so each index gets at most one code. A hostile
-        // length table can assign codes wider than their length; the
-        // serial loop never matches those, so they get no entry.
+        // Each index holds `symbol << 8 | len`. Canonical ranges never
+        // share a prefix (`first_code` doubles past every shorter range), so
+        // each index gets at most one code. A hostile length table can
+        // assign codes wider than their length; the canonical match never
+        // matches those, so they get no entry.
         let table_bits = max_len.min(TABLE_BITS);
         let size = 1usize << table_bits;
-        let mut table = vec![0u64; size];
+        let mut table = vec![0u32; size];
         for len in 1..=table_bits {
             let (lo, cnt) = (first_code[len as usize], count_at[len as usize] as u64);
             let hi = (lo + cnt).min(1 << len);
             let shift = table_bits - len;
             for c in lo..hi {
                 let sym = order[first_idx[len as usize] + (c - lo) as usize];
-                let entry = (u64::from(sym) << 16) | u64::from(len);
+                let entry = (sym << 8) | len;
                 table[(c << shift) as usize..((c + 1) << shift) as usize].fill(entry);
-            }
-        }
-        // Then pair each entry with the code that follows it when that code
-        // fits in the index bits left over: its entry depends only on those
-        // bits, so it is what a lookup at the next position would return.
-        for idx in 0..size {
-            let len = (table[idx] & 0xff) as u32;
-            if len == 0 || len >= table_bits {
-                continue;
-            }
-            let next = table[(idx << len) & (size - 1)];
-            let len2 = (next & 0xff) as u32;
-            if len2 != 0 && len2 <= table_bits - len {
-                table[idx] |= (u64::from(len2) << 8) | (((next >> 16) & 0xff_ffff) << 40);
             }
         }
         Some(Self {
@@ -405,50 +384,31 @@ impl Decoder {
         })
     }
 
-    /// Decodes one symbol the table could not. A code longer than the
-    /// table whose bits all lie in the payload is matched against each
-    /// longer length of one window in turn, with the serial loop's test;
-    /// everything else (prefixes no code matches, codes that reach the end
-    /// of the payload) runs [`Decoder::decode_serial`].
-    fn decode_past_table(&self, bits: &mut BitReader<'_>) -> Result<u32> {
+    /// Decodes one symbol the table could not: codes longer than the
+    /// table, prefixes no code matches, and codes that reach the end of the
+    /// payload (whose first bit may be the phantom zero past it). Every code
+    /// fits in one peeked window, so each length is tested on that window
+    /// in turn, as the bit-serial canonical loop tests it after reading one
+    /// more bit; that loop reports truncation before reading a code's
+    /// second or later bit at the payload end.
+    fn decode_canonical(&self, bits: &mut BitReader<'_>) -> Result<u32> {
         let window = bits.peek_bits(64);
-        let entry = self.table[(window >> (64 - self.table_bits)) as usize];
-        // no entry: the serial loop matches no length up to `table_bits`
-        if entry & 0xff == 0 && bits.remaining_bits() >= self.max_len as usize {
-            for len in self.table_bits as usize + 1..=self.max_len as usize {
-                let code = window >> (64 - len);
-                let (fc, cnt) = (self.first_code[len], self.count_at[len] as u64);
-                if code >= fc && code - fc < cnt {
-                    bits.skip(len);
-                    return Ok(self.order[self.first_idx[len] + (code - fc) as usize]);
-                }
-            }
-        }
-        self.decode_serial(bits)
-    }
-
-    /// Decodes one symbol a bit at a time: the definition every faster
-    /// path reproduces, and the path for prefixes no code matches and for
-    /// codes that reach the end of the payload (whose first bit may be the
-    /// phantom zero past it).
-    fn decode_serial(&self, bits: &mut BitReader<'_>) -> Result<u32> {
-        let mut code = 0u64;
-        let mut len = 0usize;
-        loop {
-            if bits.remaining_bits() == 0 && len > 0 {
+        let remaining = bits.remaining_bits();
+        for len in 1..=self.max_len as usize {
+            if len >= 2 && remaining < len {
                 return Err(PqrError::CorruptStream("huffman payload truncated".into()));
             }
-            code = (code << 1) | u64::from(bits.get_bit());
-            len += 1;
-            if len > self.max_len as usize {
-                return Err(PqrError::CorruptStream("invalid huffman code".into()));
-            }
-            let fc = self.first_code[len];
-            let cnt = self.count_at[len];
-            if cnt > 0 && code >= fc && code < fc + cnt as u64 {
+            let code = window >> (64 - len);
+            let (fc, cnt) = (self.first_code[len], self.count_at[len] as u64);
+            if code >= fc && code - fc < cnt {
+                bits.skip(len);
                 return Ok(self.order[self.first_idx[len] + (code - fc) as usize]);
             }
         }
+        if remaining <= self.max_len as usize {
+            return Err(PqrError::CorruptStream("huffman payload truncated".into()));
+        }
+        Err(PqrError::CorruptStream("invalid huffman code".into()))
     }
 }
 
