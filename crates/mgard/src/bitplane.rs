@@ -19,14 +19,15 @@
 //! Both directions run word-parallel by default: the encoder transposes the
 //! fixed-point magnitudes into plane-major packed words once (64
 //! coefficients per [`transpose64`] tile) and emits each plane through the
-//! word RLE codec; the decoder keeps its accumulated state *in the
-//! plane-major orientation* — consuming a plane is an `O(count / 64)` word
-//! append plus word-level significance tracking, and the coefficient-major
-//! magnitudes are recovered by one transpose per reconstruction. The
-//! streams and the reconstructed values are byte-identical to the scalar
-//! reference ([`encode_level_scalar`], [`LevelDecoder::new_scalar`]), which
-//! stays available for cross-checking and benchmarking and serves requests
-//! when `PQR_SCALAR_KERNELS=1`.
+//! word RLE codec. The decoder keeps coefficient-major magnitudes; consuming
+//! a plane is an `O(count / 64)` word append plus word-level significance
+//! tracking, and [`LevelDecoder::fold`] later ORs the appended planes into
+//! the magnitudes — so a rebuild costs what was pushed since the last one,
+//! not every plane the level holds. The streams and the reconstructed
+//! values are byte-identical to the scalar reference
+//! ([`encode_level_scalar`], [`LevelDecoder::new_scalar`]), which stays
+//! available for cross-checking and benchmarking and serves requests when
+//! `PQR_SCALAR_KERNELS=1`.
 
 use pqr_util::bitplane_simd::{scalar_kernels, transpose64};
 use pqr_util::byteio::{ByteReader, ByteWriter};
@@ -214,6 +215,14 @@ pub fn encode_level_scalar(coeffs: &[f64]) -> EncodedLevel {
     }
 }
 
+/// Pending planes from which a fold or read merges them into a tile's
+/// magnitudes by one [`transpose64`]; below it each pending plane's set
+/// bits are spread one by one. On one thread of an x86-64 Xeon the
+/// transpose costs ~3.3 ns per coefficient whatever the count, spreading
+/// ~0.6 ns per coefficient per half-dense plane (less for the sparse top
+/// planes), so the two cross between five and six planes.
+pub(crate) const TRANSPOSE_MIN_PLANES: usize = 6;
+
 /// Incremental decoder: feed planes in order, read out coefficient values.
 #[derive(Debug, Clone)]
 pub struct LevelDecoder {
@@ -223,11 +232,10 @@ pub struct LevelDecoder {
     state: DecodeState,
 }
 
-/// The decoder's accumulated per-coefficient state, in one of two
-/// orientations.
+/// The decoder's accumulated per-coefficient state.
 #[derive(Debug, Clone)]
 enum DecodeState {
-    /// Coefficient-major scalar reference: magnitudes accumulate bit by bit.
+    /// Scalar reference: magnitudes accumulate bit by bit.
     Scalar {
         /// Accumulated magnitudes (fixed point).
         ms: Vec<u64>,
@@ -235,17 +243,57 @@ enum DecodeState {
         negs: Vec<bool>,
         significant: Vec<bool>,
     },
-    /// Plane-major word state: consumed planes stay packed as decoded;
-    /// magnitudes are recovered by transpose on demand.
+    /// Word state: the same coefficient-major magnitudes, brought up to
+    /// date by [`LevelDecoder::fold`]; the planes pushed since stay packed
+    /// as decoded, and every read combines the two.
     Words {
-        /// Consumed planes' packed bits, plane-major (`planes_read` rows of
-        /// `count.div_ceil(64)` words).
-        planes: Vec<u64>,
+        /// Magnitudes (fixed point) of the first `folded` planes; empty
+        /// until the first fold.
+        ms: Vec<u64>,
+        /// Planes pushed since the last fold, plane-major
+        /// (`planes_read - folded` rows of `count.div_ceil(64)` words).
+        pending: Vec<u64>,
+        folded: u32,
         /// Packed significance bits.
         sig: Vec<u64>,
         /// Packed sign bits (valid once significant).
         negs: Vec<u64>,
     },
+}
+
+/// ORs word `c` of each of `rows` pending planes (plane-major rows of
+/// `nchunks` words, the first being plane `first`) into the magnitudes `m`
+/// of coefficients `64c..64c + m.len()`.
+fn merge_pending(
+    pending: &[u64],
+    nchunks: usize,
+    rows: usize,
+    first: u32,
+    c: usize,
+    m: &mut [u64],
+) {
+    if rows == 0 {
+        return;
+    }
+    let top = (PLANES - 1 - first) as usize;
+    if rows >= TRANSPOSE_MIN_PLANES {
+        let mut tile = [0u64; 64];
+        for r in 0..rows {
+            tile[top - r] = pending[r * nchunks + c];
+        }
+        transpose64(&mut tile);
+        for (mj, t) in m.iter_mut().zip(&tile) {
+            *mj |= t;
+        }
+    } else {
+        for r in 0..rows {
+            let mut w = pending[r * nchunks + c];
+            while w != 0 {
+                m[w.trailing_zeros() as usize] |= 1u64 << (top - r);
+                w &= w - 1;
+            }
+        }
+    }
 }
 
 impl LevelDecoder {
@@ -261,7 +309,9 @@ impl LevelDecoder {
             count,
             planes_read: 0,
             state: DecodeState::Words {
-                planes: Vec::new(),
+                ms: Vec::new(),
+                pending: Vec::new(),
+                folded: 0,
                 sig: vec![0; nchunks],
                 negs: vec![0; nchunks],
             },
@@ -335,7 +385,9 @@ impl LevelDecoder {
                     negs[j] = sign;
                 }
             }
-            DecodeState::Words { planes, sig, negs } => {
+            DecodeState::Words {
+                pending, sig, negs, ..
+            } => {
                 let words = decode_bits_auto_words(bit_blob, self.count)?;
                 let nsigns: usize = words
                     .iter()
@@ -356,70 +408,110 @@ impl LevelDecoder {
                         newly &= newly - 1;
                     }
                 }
-                planes.extend_from_slice(&words);
+                pending.extend_from_slice(&words);
             }
         }
         self.planes_read += 1;
         Ok(())
     }
 
+    /// ORs the planes pushed since the last fold into the coefficient-major
+    /// magnitudes and drops their words, so the next reads cost what the
+    /// level holds, not what it was pushed. Reads are the same with or
+    /// without it; a level with nothing pending is left alone.
+    pub fn fold(&mut self) {
+        let DecodeState::Words {
+            ms,
+            pending,
+            folded,
+            ..
+        } = &mut self.state
+        else {
+            return;
+        };
+        let rows = (self.planes_read - *folded) as usize;
+        if rows == 0 {
+            return;
+        }
+        let nchunks = self.count.div_ceil(64);
+        ms.resize(self.count, 0);
+        for (c, m) in ms.chunks_mut(64).enumerate() {
+            merge_pending(pending, nchunks, rows, *folded, c, m);
+        }
+        *pending = Vec::new();
+        *folded = self.planes_read;
+    }
+
     /// Reconstructs coefficient `j` from the planes received so far.
-    #[inline]
     pub fn coefficient(&self, j: usize) -> f64 {
         let Some(e) = self.exponent else {
             return 0.0;
         };
-        let (m, neg) = match &self.state {
-            DecodeState::Scalar { ms, negs, .. } => (ms[j], negs[j]),
-            DecodeState::Words { planes, negs, .. } => {
-                let nchunks = self.count.div_ceil(64);
-                let (c, b) = (j / 64, j % 64);
-                let mut m = 0u64;
-                for p in 0..self.planes_read {
-                    let bit = (planes[p as usize * nchunks + c] >> b) & 1;
-                    m |= bit << (PLANES - 1 - p);
+        match &self.state {
+            DecodeState::Scalar { ms, negs, .. } => {
+                let v = ms[j] as f64 * exp2(e - PLANES as i32);
+                if negs[j] {
+                    -v
+                } else {
+                    v
                 }
-                (m, (negs[c] >> b) & 1 == 1)
             }
-        };
-        let v = m as f64 * exp2(e - PLANES as i32);
-        if neg {
-            -v
-        } else {
-            v
+            DecodeState::Words { .. } => {
+                let mut tile = [0.0; 64];
+                self.tile_values(j / 64, &mut tile);
+                tile[j % 64]
+            }
         }
     }
 
     /// All coefficients at current precision.
     pub fn coefficients(&self) -> Vec<f64> {
-        let Some(e) = self.exponent else {
-            return vec![0.0; self.count];
-        };
-        match &self.state {
-            DecodeState::Scalar { .. } => (0..self.count).map(|j| self.coefficient(j)).collect(),
-            DecodeState::Words { planes, negs, .. } => {
-                // transpose the consumed planes back to coefficient-major
-                // magnitudes, one 64×64 tile per 64 coefficients
-                let scale = exp2(e - PLANES as i32);
-                let nchunks = self.count.div_ceil(64);
-                let mut out = Vec::with_capacity(self.count);
-                let mut tile = [0u64; 64];
-                for c in 0..nchunks {
-                    tile.fill(0);
-                    for p in 0..self.planes_read as usize {
-                        tile[PLANES as usize - 1 - p] = planes[p * nchunks + c];
-                    }
-                    transpose64(&mut tile);
-                    let neg = negs[c];
-                    let take = (self.count - c * 64).min(64);
-                    for (j, &m) in tile[..take].iter().enumerate() {
-                        let v = m as f64 * scale;
-                        out.push(if (neg >> j) & 1 == 1 { -v } else { v });
-                    }
-                }
-                out
-            }
+        let mut out = Vec::with_capacity(self.count);
+        let mut tile = [0.0; 64];
+        for c in 0..self.count.div_ceil(64) {
+            let take = self.tile_values(c, &mut tile);
+            out.extend_from_slice(&tile[..take]);
         }
+        out
+    }
+
+    /// Writes the values of coefficients `64c..` into `out` and returns how
+    /// many there are (64 but in the last tile) — the unit every read of a
+    /// word decoder is made of.
+    pub(crate) fn tile_values(&self, c: usize, out: &mut [f64; 64]) -> usize {
+        let lo = c * 64;
+        let take = (self.count - lo).min(64);
+        let (
+            Some(e),
+            DecodeState::Words {
+                ms,
+                pending,
+                folded,
+                negs,
+                ..
+            },
+        ) = (self.exponent, &self.state)
+        else {
+            for (k, v) in out[..take].iter_mut().enumerate() {
+                *v = self.coefficient(lo + k);
+            }
+            return take;
+        };
+        let mut m = [0u64; 64];
+        if let Some(held) = ms.get(lo..lo + take) {
+            m[..take].copy_from_slice(held);
+        }
+        let rows = (self.planes_read - folded) as usize;
+        let nchunks = self.count.div_ceil(64);
+        merge_pending(pending, nchunks, rows, *folded, c, &mut m[..take]);
+        // magnitudes are non-negative, so setting the sign bit negates
+        let scale = exp2(e - PLANES as i32);
+        let neg = negs[c];
+        for (k, (v, &mk)) in out[..take].iter_mut().zip(&m).enumerate() {
+            let sign = ((neg >> k) & 1) << 63;
+            *v = f64::from_bits((mk as f64 * scale).to_bits() | sign);
+        }
+        take
     }
 }
 
@@ -486,11 +578,50 @@ mod tests {
         }
     }
 
+    /// Bit patterns of every coefficient — reads compared exactly.
+    fn bits(d: &LevelDecoder) -> Vec<u64> {
+        d.coefficients().iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// A word decoder `k` planes in, its planes pending (`fold == false`)
+    /// or folded, beside the scalar decoder at the same progress.
+    fn decoders_at(enc: &EncodedLevel, k: usize, fold: bool) -> (LevelDecoder, LevelDecoder) {
+        let mut dw = LevelDecoder::new(enc.exponent, enc.count);
+        let mut ds = LevelDecoder::new_scalar(enc.exponent, enc.count);
+        for seg in &enc.planes[..k] {
+            dw.push_plane(seg).unwrap();
+            ds.push_plane(seg).unwrap();
+        }
+        if fold {
+            dw.fold();
+        }
+        (dw, ds)
+    }
+
+    /// Pushes `bad` into both decoders: the outcomes (errors included) must
+    /// match, and a failed push must leave every read as it was.
+    fn push_both(dw: &mut LevelDecoder, ds: &mut LevelDecoder, bad: &[u8], case: &str) {
+        let (before, read) = (bits(dw), dw.planes_read());
+        assert_eq!(before, bits(ds), "{case}: decoders differ before the push");
+        let rw = dw.push_plane(bad).map_err(|e| e.to_string());
+        let rs = ds.push_plane(bad).map_err(|e| e.to_string());
+        assert_eq!(rw, rs, "{case}: outcomes diverged");
+        if rw.is_err() {
+            assert_eq!(dw.planes_read(), read, "{case}: state advanced");
+            assert_eq!(bits(dw), before, "{case}: word state mutated");
+            assert_eq!(bits(ds), before, "{case}: scalar state mutated");
+        } else {
+            // the valid oversized-trailing case must also decode identically
+            assert_eq!(bits(dw), bits(ds), "{case}");
+        }
+    }
+
     #[test]
     fn hostile_segments_fail_identically_through_both_decoders() {
         let coeffs = sample_coeffs(200, 1.1);
         let enc = encode_level(&coeffs);
-        let seg = &enc.planes[2];
+        let k = 2;
+        let seg = &enc.planes[k];
         let mut hostile: Vec<Vec<u8>> = Vec::new();
         for cut in [0usize, 2, 5, seg.len() / 2, seg.len() - 1] {
             hostile.push(seg[..cut].to_vec());
@@ -508,25 +639,11 @@ mod tests {
         bad_mode[4] = 0x77;
         hostile.push(bad_mode);
 
-        for (i, bad) in hostile.iter().enumerate() {
-            let mut dw = decode_k(&enc, 2);
-            let mut ds = {
-                let mut d = LevelDecoder::new_scalar(enc.exponent, enc.count);
-                for p in 0..2 {
-                    d.push_plane(&enc.planes[p]).unwrap();
-                }
-                d
-            };
-            let rw = dw.push_plane(bad);
-            let rs = ds.push_plane(bad);
-            assert_eq!(
-                rw.is_err(),
-                rs.is_err(),
-                "case {i} diverged: {rw:?} vs {rs:?}"
-            );
-            // the valid oversized-trailing case must also decode identically
-            if rw.is_ok() {
-                assert_eq!(dw.coefficients(), ds.coefficients(), "case {i}");
+        // the word decoder's first planes still pending, then just folded
+        for fold in [false, true] {
+            for (i, bad) in hostile.iter().enumerate() {
+                let (mut dw, mut ds) = decoders_at(&enc, k, fold);
+                push_both(&mut dw, &mut ds, bad, &format!("case {i} fold={fold}"));
             }
         }
     }
@@ -534,27 +651,29 @@ mod tests {
     #[test]
     fn corrupt_sign_blob_leaves_both_decoders_untouched() {
         // a plane whose bit blob is intact but whose sign blob is corrupt
-        // must fail without mutating state, identically in both decoders
+        // must fail without mutating state, identically in both decoders —
+        // on a fresh decoder, with planes pending, and right after a fold
         let coeffs = sample_coeffs(300, 1.4);
         let enc = encode_level(&coeffs);
-        let seg = &enc.planes[0];
-        let mut r = ByteReader::new(seg);
-        let bit_len = r.get_u32().unwrap() as usize;
-        let bit_blob = r.get_raw(bit_len).unwrap().to_vec();
-        let sign_len = r.get_u32().unwrap() as usize;
-        let sign_blob = r.get_raw(sign_len).unwrap().to_vec();
-        assert!(sign_len > 1, "plane 0 must introduce significances");
-        let bad = frame_plane(bit_blob, sign_blob[..1].to_vec());
-        for mut d in [
-            LevelDecoder::new(enc.exponent, enc.count),
-            LevelDecoder::new_scalar(enc.exponent, enc.count),
-        ] {
-            assert!(d.push_plane(&bad).is_err());
-            assert_eq!(d.planes_read(), 0);
-            assert_eq!(d.coefficients(), vec![0.0; enc.count], "state mutated");
-            // the decoder is still usable: the intact segment now applies
-            d.push_plane(seg).unwrap();
-            assert_eq!(d.planes_read(), 1);
+        for (k, fold) in [(0usize, false), (3, false), (3, true)] {
+            let seg = &enc.planes[k];
+            let mut r = ByteReader::new(seg);
+            let bit_len = r.get_u32().unwrap() as usize;
+            let bit_blob = r.get_raw(bit_len).unwrap().to_vec();
+            let sign_len = r.get_u32().unwrap() as usize;
+            let sign_blob = r.get_raw(sign_len).unwrap().to_vec();
+            assert!(sign_len > 1, "plane {k} must introduce significances");
+            let bad = frame_plane(bit_blob, sign_blob[..1].to_vec());
+            let (mut dw, mut ds) = decoders_at(&enc, k, fold);
+            let case = format!("plane {k} fold={fold}");
+            push_both(&mut dw, &mut ds, &bad, &case);
+            assert_eq!(dw.planes_read(), k as u32, "{case}");
+            if k == 0 {
+                assert_eq!(dw.coefficients(), vec![0.0; enc.count], "{case}");
+            }
+            // both decoders are still usable: the intact segment now applies
+            push_both(&mut dw, &mut ds, seg, &case);
+            assert_eq!(dw.planes_read(), k as u32 + 1, "{case}");
         }
     }
 

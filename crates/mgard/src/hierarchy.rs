@@ -96,6 +96,50 @@ pub fn for_each_point(
     }
 }
 
+/// Enumerates the fine set of the `axis` pass at stride `s` as runs along
+/// the last axis, in [`for_each_point`]'s order: `f(first, len)` once per
+/// run, whose points are the flat indices `first + 2s·k` for `k < len`
+/// (along the last axis every pass steps by `2s`: it is either the active
+/// axis or one not yet refined).
+pub fn for_each_pass_row(dims: &[usize], axis: usize, s: usize, mut f: impl FnMut(usize, usize)) {
+    let last = dims.len() - 1;
+    if s >= dims[axis] {
+        return;
+    }
+    let st = strides(dims);
+    let start = if axis == last { s } else { 0 };
+    let len = (dims[last] - 1 - start) / (2 * s) + 1;
+    // odometer over the outer axes
+    let mut coord = vec![0usize; last];
+    if axis < last {
+        coord[axis] = s;
+    }
+    'rows: loop {
+        let base: usize = coord.iter().zip(&st).map(|(c, k)| c * k).sum();
+        f(base + start, len);
+        let mut a = last;
+        loop {
+            if a == 0 {
+                break 'rows;
+            }
+            a -= 1;
+            coord[a] += if a < axis { s } else { 2 * s };
+            if coord[a] < dims[a] {
+                break;
+            }
+            coord[a] = if a == axis { s } else { 0 };
+        }
+    }
+}
+
+/// [`for_each_pass_row`] over every axis pass of the level at stride `s`:
+/// the level's coefficients in coefficient order, run by run.
+pub fn for_each_level_row(dims: &[usize], s: usize, mut f: impl FnMut(usize, usize)) {
+    for axis in 0..dims.len() {
+        for_each_pass_row(dims, axis, s, &mut f);
+    }
+}
+
 /// Enumerates the *lines* of an axis pass at stride `s`: calls
 /// `f(base_flat_index)` once per line, where a line is the set of points
 /// sharing all non-axis coordinates (axes before the active one on the
@@ -179,6 +223,33 @@ mod tests {
         assert_eq!(level_strides(&[64]), vec![1, 2, 4, 8, 16, 32]);
         assert_eq!(level_strides(&[65]), vec![1, 2, 4, 8, 16, 32, 64]);
         assert_eq!(level_strides(&[3, 9]), vec![1, 2, 4, 8]);
+    }
+
+    #[test]
+    fn level_rows_visit_the_points_in_point_order() {
+        for dims in [
+            vec![1usize],
+            vec![2],
+            vec![17],
+            vec![5, 1],
+            vec![1, 6],
+            vec![7, 5],
+            vec![4, 3, 7],
+            vec![1, 9, 2],
+            vec![8, 9, 10],
+        ] {
+            for &s in &level_strides(&dims) {
+                let mut want = Vec::new();
+                for axis in 0..dims.len() {
+                    for_each_point(&dims, axis, s, PointSet::Fine, |idx, _| want.push(idx));
+                }
+                let mut got = Vec::new();
+                for_each_level_row(&dims, s, |first, len| {
+                    got.extend((0..len).map(|k| first + 2 * s * k));
+                });
+                assert_eq!(got, want, "dims {dims:?} s={s}");
+            }
+        }
     }
 
     /// The union of all (level, axis) fine sets plus the origin must tile the

@@ -3,7 +3,7 @@
 use crate::bitplane::{encode_level, encode_level_scalar, EncodedLevel, PLANES};
 use crate::hierarchy::{level_coefficient_count, level_strides};
 use crate::retrieve::MgardReader;
-use crate::transform::{decompose_with_workers, gather_level, Basis};
+use crate::transform::{decompose, gather_level, Basis};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 
@@ -41,11 +41,9 @@ impl MgardRefactorer {
         self.refactor_impl(data, dims, 1, true)
     }
 
-    /// [`MgardRefactorer::refactor`] with both stages fanned out to
-    /// `workers` threads (1 = exactly the serial loop): the decomposition's
-    /// axis passes run pencil-parallel (levels depend on each other, but
-    /// the lines within a pass do not — and the parallel passes are
-    /// bit-identical to serial), and each level's bitplane encode is
+    /// [`MgardRefactorer::refactor`] with the per-level bitplane encodes
+    /// fanned out to `workers` threads (1 = exactly the serial loop): the
+    /// decomposition runs serially, and each level's encode is
     /// independent, so the stream is byte-identical at any worker count.
     pub fn refactor_with_workers(
         &self,
@@ -85,15 +83,7 @@ impl MgardRefactorer {
             ));
         }
         let mut work = data.to_vec();
-        // the pencil-parallel passes are bit-identical to serial, so the
-        // stream stays byte-identical at any worker count; the scalar
-        // cross-check path pins workers to 1 (the serial oracle)
-        decompose_with_workers(
-            &mut work,
-            dims,
-            self.basis,
-            if scalar { 1 } else { workers },
-        );
+        decompose(&mut work, dims, self.basis);
         let root = work[0];
         let strides = level_strides(dims);
         let levels = if scalar {

@@ -12,7 +12,7 @@ use crate::bitplane::LevelDecoder;
 use crate::error_est::{level_weight, recon_bound};
 use crate::hierarchy::level_strides;
 use crate::refactor::{MgardMeta, MgardStream};
-use crate::transform::{recompose_with_workers, scatter_level, Basis};
+use crate::transform::{recompose, scatter_tiles, Basis};
 use pqr_util::error::Result;
 
 /// Push-based progressive decoder over [`MgardMeta`].
@@ -131,20 +131,29 @@ impl MgardCursor {
         self.decoders[level].push_plane(bytes)
     }
 
+    /// Folds every level's newly pushed planes into its magnitudes (see
+    /// [`LevelDecoder::fold`]), so the next reconstruction reads each level
+    /// once. Reconstructions are the same with or without it.
+    pub fn fold(&mut self) {
+        for d in &mut self.decoders {
+            d.fold();
+        }
+    }
+
     /// Recomposes the data representation from the planes consumed so far.
     pub fn reconstruct(&self) -> Vec<f64> {
         let mut v = Vec::new();
-        self.reconstruct_into(&mut v, 1);
+        self.reconstruct_into(&mut v);
         v
     }
 
-    /// [`MgardCursor::reconstruct`] into a caller-provided (pooled) buffer,
-    /// with the recompose passes fanned across `workers` threads — the
-    /// result is bit-identical at every worker count (see
-    /// [`crate::transform::recompose_with_workers`]). Reusing `out` across
-    /// refinement rounds removes the per-round full-field allocation.
-    /// Returns the number of recompose passes executed.
-    pub fn reconstruct_into(&self, out: &mut Vec<f64>, workers: usize) -> u64 {
+    /// [`MgardCursor::reconstruct`] into a caller-provided (pooled) buffer:
+    /// each level is written straight from its decoder into its positions,
+    /// run by run along the last axis, then one serial recompose runs.
+    /// Reusing `out` across refinement rounds removes the per-round
+    /// full-field allocation. Returns the number of recompose passes
+    /// executed.
+    pub fn reconstruct_into(&self, out: &mut Vec<f64>) -> u64 {
         let dims = self.meta.dims();
         let n: usize = dims.iter().product();
         out.clear();
@@ -154,9 +163,10 @@ impl MgardCursor {
         }
         out[0] = self.meta.root();
         for (l, &s) in level_strides(dims).iter().enumerate() {
-            scatter_level(out, dims, s, &self.decoders[l].coefficients());
+            let dec = &self.decoders[l];
+            scatter_tiles(out, dims, s, |c, tile| dec.tile_values(c, tile));
         }
-        recompose_with_workers(out, dims, self.meta.basis(), workers)
+        recompose(out, dims, self.meta.basis())
     }
 
     /// Progression in **resolution** (the other PMGARD axis, §II): drops the
@@ -170,25 +180,24 @@ impl MgardCursor {
     /// to full resolution (the PMGARD "both progressions" property).
     pub fn reconstruct_at_resolution(&self, drop_finest: usize) -> (Vec<f64>, Vec<usize>) {
         let mut out = Vec::new();
-        let coarse_dims = self.reconstruct_at_resolution_into(drop_finest, &mut out, 1);
+        let coarse_dims = self.reconstruct_at_resolution_into(drop_finest, &mut out);
         (out, coarse_dims)
     }
 
     /// [`MgardCursor::reconstruct_at_resolution`] into a caller-provided
-    /// buffer with `workers`-way recompose. The multilevel hierarchy is
-    /// self-similar, so the coarse view is recomposed **directly on the
-    /// coarse grid**: the kept levels' strides scale down by `2^drop`, which
-    /// preserves every per-axis grid count (`ceil(d/2^k) = (d-1)/2^k + 1`).
-    /// No full-resolution scratch buffer and no sampling pass — and the
-    /// values are bit-identical to recomposing in full and sampling the
-    /// subgrid, because a dropped level's interpolation pass writes only
-    /// non-subgrid points and its correction solves an all-zero load (an
-    /// exact no-op on the coarse nodes). Returns the coarse dims.
+    /// buffer. The multilevel hierarchy is self-similar, so the coarse view
+    /// is recomposed **directly on the coarse grid**: the kept levels'
+    /// strides scale down by `2^drop`, which preserves every per-axis grid
+    /// count (`ceil(d/2^k) = (d-1)/2^k + 1`). No full-resolution scratch
+    /// buffer and no sampling pass — and the values are bit-identical to
+    /// recomposing in full and sampling the subgrid, because a dropped
+    /// level's interpolation pass writes only non-subgrid points and its
+    /// correction solves an all-zero load (an exact no-op on the coarse
+    /// nodes). Returns the coarse dims.
     pub fn reconstruct_at_resolution_into(
         &self,
         drop_finest: usize,
         out: &mut Vec<f64>,
-        workers: usize,
     ) -> Vec<usize> {
         let dims = self.meta.dims();
         let n: usize = dims.iter().product();
@@ -204,14 +213,12 @@ impl MgardCursor {
         out.resize(coarse_dims.iter().product(), 0.0);
         out[0] = self.meta.root();
         for (l, &s) in levels.iter().enumerate().skip(drop) {
-            scatter_level(
-                out,
-                &coarse_dims,
-                s >> drop,
-                &self.decoders[l].coefficients(),
-            );
+            let dec = &self.decoders[l];
+            scatter_tiles(out, &coarse_dims, s >> drop, |c, tile| {
+                dec.tile_values(c, tile)
+            });
         }
-        recompose_with_workers(out, &coarse_dims, self.meta.basis(), workers);
+        recompose(out, &coarse_dims, self.meta.basis());
         coarse_dims
     }
 
@@ -270,6 +277,7 @@ impl<'a> MgardReader<'a> {
             self.cursor.push_plane(l, seg)?;
             self.fetched += seg.len();
         }
+        self.cursor.fold();
         Ok(self.fetched - before)
     }
 
@@ -301,11 +309,11 @@ impl<'a> MgardReader<'a> {
         self.cursor.reconstruct()
     }
 
-    /// [`MgardCursor::reconstruct_into`]: pooled-buffer, `workers`-way
-    /// reconstruction (bit-identical to [`MgardReader::reconstruct`]).
-    /// Returns the number of recompose passes executed.
-    pub fn reconstruct_into(&self, out: &mut Vec<f64>, workers: usize) -> u64 {
-        self.cursor.reconstruct_into(out, workers)
+    /// [`MgardCursor::reconstruct_into`]: pooled-buffer reconstruction
+    /// (bit-identical to [`MgardReader::reconstruct`]). Returns the number
+    /// of recompose passes executed.
+    pub fn reconstruct_into(&self, out: &mut Vec<f64>) -> u64 {
+        self.cursor.reconstruct_into(out)
     }
 
     /// Progression in **resolution** — see
@@ -323,7 +331,7 @@ impl<'a> MgardReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refactor::MgardRefactorer;
+    use crate::refactor::{MgardMeta, MgardRefactorer};
     use pqr_util::stats::max_abs_diff;
 
     fn field(n: usize) -> Vec<f64> {
@@ -501,21 +509,151 @@ mod tests {
         assert!((c - f).abs() < 0.2, "coarse {c} vs full {f}");
     }
 
-    #[test]
-    fn reconstruct_into_pooled_and_parallel_bit_identical() {
-        let data = field(20_000);
-        let stream = MgardRefactorer::new(Basis::Orthogonal)
-            .refactor(&data, &[20_000])
-            .unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(1e-6).unwrap();
-        let serial = reader.reconstruct();
-        // dirty pooled buffer of the wrong size must not leak through
-        let mut buf = vec![1.23f64; 7];
-        for workers in [1usize, 2, 4] {
-            let passes = reader.reconstruct_into(&mut buf, workers);
-            assert!(passes > 0);
-            assert_eq!(buf, serial, "workers={workers}");
+    /// A cursor on the scalar reference decoders.
+    fn scalar_cursor(meta: MgardMeta) -> MgardCursor {
+        let decoders = meta
+            .levels()
+            .iter()
+            .map(|l| LevelDecoder::new_scalar(l.exponent, l.count))
+            .collect();
+        MgardCursor { meta, decoders }
+    }
+
+    /// The per-point reference scatter: each level's coefficient vector
+    /// written through [`for_each_point`]'s odometer, then recomposed.
+    fn pointwise_reconstruct(cursor: &MgardCursor) -> Vec<f64> {
+        use crate::hierarchy::{for_each_point, PointSet};
+        let dims = cursor.meta.dims();
+        let mut v = vec![0.0f64; dims.iter().product()];
+        if v.is_empty() {
+            return v;
+        }
+        v[0] = cursor.meta.root();
+        for (l, &s) in level_strides(dims).iter().enumerate() {
+            let mut coeffs = cursor.decoders[l].coefficients().into_iter();
+            for axis in 0..dims.len() {
+                for_each_point(dims, axis, s, PointSet::Fine, |idx, _| {
+                    v[idx] = coeffs.next().unwrap();
+                });
+            }
+        }
+        crate::transform::recompose(&mut v, dims, cursor.meta.basis());
+        v
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every read of `word` equals, bit for bit, the same read of the
+    /// scalar-decoder cursor `oracle` at the same progress.
+    fn assert_reads_match(word: &MgardCursor, oracle: &MgardCursor, drop: usize, case: &str) {
+        assert_eq!(word.planes_read(), oracle.planes_read(), "{case}");
+        // a dirty pooled buffer of the wrong size must not leak through
+        let mut got = vec![1.23f64; 7];
+        let passes = word.reconstruct_into(&mut got);
+        let mut want = Vec::new();
+        assert_eq!(passes, oracle.reconstruct_into(&mut want), "{case}");
+        assert_eq!(bits(&got), bits(&want), "{case}: reconstruct_into");
+        assert_eq!(
+            bits(&got),
+            bits(&pointwise_reconstruct(oracle)),
+            "{case}: row scatter"
+        );
+        let mut coarse = vec![-4.5f64; 3];
+        let dims = word.reconstruct_at_resolution_into(drop, &mut coarse);
+        let (want, want_dims) = oracle.reconstruct_at_resolution(drop);
+        assert_eq!(dims, want_dims, "{case}");
+        assert_eq!(bits(&coarse), bits(&want), "{case}: resolution drop={drop}");
+        for (l, (dw, ds)) in word.decoders.iter().zip(&oracle.decoders).enumerate() {
+            assert_eq!(
+                bits(&dw.coefficients()),
+                bits(&ds.coefficients()),
+                "{case} level {l}"
+            );
+            let n = ds.coefficients().len();
+            for j in [0, 1, 63, 64, n / 2, n.saturating_sub(1)] {
+                if j < n {
+                    assert_eq!(
+                        dw.coefficient(j).to_bits(),
+                        ds.coefficient(j).to_bits(),
+                        "{case} level {l} coefficient {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Plane counts a push step takes: none, fewer than the transpose
+    /// cut-off, exactly it, beyond it, and a whole level.
+    fn arb_push() -> impl proptest::strategy::Strategy<Value = usize> {
+        use crate::bitplane::TRANSPOSE_MIN_PLANES as CUT;
+        use proptest::prelude::*;
+        prop_oneof![Just(0usize), 1..CUT, Just(CUT), CUT + 1..60, Just(60usize)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn fold_and_row_scatter_match_the_scalar_oracle(
+            rank in 1usize..=3,
+            d0 in 1usize..40,
+            d1 in 1usize..12,
+            d2 in 1usize..7,
+            hb in proptest::bool::ANY,
+            constant in 0usize..8,
+            seed in 0usize..10_000,
+            schedule in proptest::collection::vec(
+                (0usize..16, arb_push(), proptest::bool::ANY, 0usize..4),
+                1..10,
+            ),
+        ) {
+            let dims = match rank {
+                1 => vec![d0 * d1],
+                2 => vec![d0, d1],
+                _ => vec![d0, d1, d2],
+            };
+            let n: usize = dims.iter().product();
+            let basis = if hb { Basis::Hierarchical } else { Basis::Orthogonal };
+            // one case in eight is constant: every level all-zero
+            let data: Vec<f64> = if constant == 0 {
+                vec![2.5; n]
+            } else {
+                field(n + seed)[seed..].to_vec()
+            };
+            let stream = MgardRefactorer::new(basis).refactor(&data, &dims).unwrap();
+            let mut word = MgardCursor::new(stream.meta());
+            let mut oracle = scalar_cursor(stream.meta());
+            assert_reads_match(&word, &oracle, 0, "fresh");
+            let nlev = stream.levels.len().max(1);
+            for (step, &(level, push, fold, drop)) in schedule.iter().enumerate() {
+                let l = level % nlev;
+                if let Some(lev) = stream.levels.get(l) {
+                    let from = word.planes_read()[l] as usize;
+                    for seg in lev.planes.iter().skip(from).take(push) {
+                        word.push_plane(l, seg).unwrap();
+                        oracle.push_plane(l, seg).unwrap();
+                    }
+                }
+                let case = format!("{dims:?} {basis:?} step {step}");
+                assert_reads_match(&word, &oracle, drop, &format!("{case} pending"));
+                if fold {
+                    word.fold();
+                    assert_reads_match(&word, &oracle, drop, &format!("{case} folded"));
+                }
+            }
+            // and at full depth, folded or not
+            for (l, lev) in stream.levels.iter().enumerate() {
+                let from = word.planes_read()[l] as usize;
+                for seg in &lev.planes[from..] {
+                    word.push_plane(l, seg).unwrap();
+                    oracle.push_plane(l, seg).unwrap();
+                }
+            }
+            assert_reads_match(&word, &oracle, 1, "all planes pending");
+            word.fold();
+            assert_reads_match(&word, &oracle, 1, "all planes folded");
         }
     }
 
@@ -531,7 +669,12 @@ mod tests {
         v[0] = cursor.meta.root();
         for (l, &s) in levels.iter().enumerate() {
             if l >= drop {
-                scatter_level(&mut v, dims, s, &cursor.decoders[l].coefficients());
+                crate::transform::scatter_level(
+                    &mut v,
+                    dims,
+                    s,
+                    &cursor.decoders[l].coefficients(),
+                );
             }
         }
         crate::transform::recompose(&mut v, dims, cursor.meta.basis());

@@ -7,11 +7,16 @@
 //! exact mirror (coarse→fine, forward axis order, correction subtracted
 //! before interpolation), so `recompose(decompose(x)) == x` up to float
 //! round-off.
+//!
+//! Every pass runs on the calling thread, walking its fine nodes in runs
+//! along the last axis ([`for_each_pass_row`]). Retrieval already decodes
+//! fields in parallel, one field per worker, so a multilevel rebuild gets
+//! no threads of its own.
 
-use crate::hierarchy::{for_each_line, for_each_point, level_strides, strides, PointSet};
+use crate::hierarchy::{
+    for_each_level_row, for_each_line, for_each_pass_row, level_strides, strides,
+};
 use crate::projection::{load_vector, solve_mass_tridiagonal};
-use pqr_util::bitplane_simd::scalar_kernels;
-use pqr_util::par::{par_dynamic, par_dynamic_mut};
 
 /// Decomposition basis (§V-B of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,47 +50,22 @@ impl Basis {
 /// In-place multilevel decomposition of a row-major array.
 ///
 /// On return, `data[0]` holds the root nodal value and every other entry
-/// holds the multilevel coefficient of its (level, axis) fine set.
-pub fn decompose(data: &mut [f64], dims: &[usize], basis: Basis) {
-    decompose_with_workers(data, dims, basis, 1);
-}
-
-/// In-place recomposition — the exact inverse of [`decompose`].
-pub fn recompose(data: &mut [f64], dims: &[usize], basis: Basis) {
-    recompose_with_workers(data, dims, basis, 1);
-}
-
-/// [`decompose`] with every axis pass fanned across `workers` threads.
-///
-/// Each pass operates on independent 1-D pencils: the interpolation pass
-/// writes only fine nodes from (unwritten) coarse neighbours, and the L2
-/// correction writes only coarse nodes from per-line solves, so the array is
-/// split into disjoint slabs (plus one copied halo row per slab boundary)
-/// and every written value is computed by exactly the serial arithmetic —
-/// bit-identical to `workers == 1` by construction. `workers <= 1`, small
-/// passes, and `PQR_SCALAR_KERNELS=1` take the scalar serial loops verbatim.
-///
-/// Returns the number of axis passes (interpolation + correction) executed.
-pub fn decompose_with_workers(
-    data: &mut [f64],
-    dims: &[usize],
-    basis: Basis,
-    workers: usize,
-) -> u64 {
+/// holds the multilevel coefficient of its (level, axis) fine set. Returns
+/// the number of axis passes (interpolation + correction) executed.
+pub fn decompose(data: &mut [f64], dims: &[usize], basis: Basis) -> u64 {
     let n: usize = dims.iter().product();
     assert_eq!(data.len(), n, "shape mismatch");
     let st = strides(dims);
-    let workers = effective_workers(workers);
     let mut passes = 0u64;
     for &s in &level_strides(dims) {
         for axis in (0..dims.len()).rev() {
             if s >= dims[axis] {
                 continue;
             }
-            interp_pass(data, dims, &st, axis, s, false, workers);
+            interp_pass(data, dims, &st, axis, s, false);
             passes += 1;
             if basis == Basis::Orthogonal {
-                correction_pass(data, dims, &st, axis, s, 1.0, workers);
+                apply_correction(data, dims, &st, axis, s, 1.0);
                 passes += 1;
             }
         }
@@ -93,19 +73,12 @@ pub fn decompose_with_workers(
     passes
 }
 
-/// [`recompose`] with every axis pass fanned across `workers` threads —
-/// same slab/halo scheme (and the same bit-identical guarantee) as
-/// [`decompose_with_workers`]. Returns the number of axis passes executed.
-pub fn recompose_with_workers(
-    data: &mut [f64],
-    dims: &[usize],
-    basis: Basis,
-    workers: usize,
-) -> u64 {
+/// In-place recomposition — the exact inverse of [`decompose`]. Returns
+/// the number of axis passes executed.
+pub fn recompose(data: &mut [f64], dims: &[usize], basis: Basis) -> u64 {
     let n: usize = dims.iter().product();
     assert_eq!(data.len(), n, "shape mismatch");
     let st = strides(dims);
-    let workers = effective_workers(workers);
     let mut passes = 0u64;
     for &s in level_strides(dims).iter().rev() {
         for axis in 0..dims.len() {
@@ -113,73 +86,72 @@ pub fn recompose_with_workers(
                 continue;
             }
             if basis == Basis::Orthogonal {
-                correction_pass(data, dims, &st, axis, s, -1.0, workers);
+                apply_correction(data, dims, &st, axis, s, -1.0);
                 passes += 1;
             }
-            interp_pass(data, dims, &st, axis, s, true, workers);
+            interp_pass(data, dims, &st, axis, s, true);
             passes += 1;
         }
     }
     passes
 }
 
-/// Worker count after the global scalar-kernel override: `PQR_SCALAR_KERNELS`
-/// pins every pass to the serial oracle (the cross-check harness flips it).
-fn effective_workers(workers: usize) -> usize {
-    if scalar_kernels() {
-        1
-    } else {
-        workers.max(1)
-    }
+/// [`decompose`]; `workers` is ignored (the passes run on the calling
+/// thread). Kept for callers written against the former per-pass fan-out.
+pub fn decompose_with_workers(
+    data: &mut [f64],
+    dims: &[usize],
+    basis: Basis,
+    _workers: usize,
+) -> u64 {
+    decompose(data, dims, basis)
 }
 
-/// Points a parallel pass must touch before thread fan-out pays for itself.
-const PAR_PASS_MIN: usize = 4096;
+/// [`recompose`]; `workers` is ignored, as in [`decompose_with_workers`].
+pub fn recompose_with_workers(
+    data: &mut [f64],
+    dims: &[usize],
+    basis: Basis,
+    _workers: usize,
+) -> u64 {
+    recompose(data, dims, basis)
+}
 
-/// Fine-node count of the `(axis, s)` pass — the parallel-dispatch guard.
-fn pass_points(dims: &[usize], axis: usize, s: usize) -> usize {
-    let mut p = (dims[axis] - 1 - s) / (2 * s) + 1;
-    for (a, &d) in dims.iter().enumerate() {
-        if a == axis {
-            continue;
+/// One interpolation pass over the fine nodes of `(axis, s)`, run by run
+/// along the last axis: `add == false` is the decompose residual
+/// (`value -= interp`), `add == true` the recompose inverse
+/// (`value += interp`). The interpolant is linear in the two coarse
+/// neighbours along the axis (the left copy at the right edge) — a convex
+/// combination, amplification ≤ 1, the fact behind the tight HB error
+/// estimate. A fine node reads only coarse nodes, which the pass never
+/// writes, so the visiting order does not change a bit.
+fn interp_pass(data: &mut [f64], dims: &[usize], st: &[usize], axis: usize, s: usize, add: bool) {
+    let dim = dims[axis];
+    let off = s * st[axis];
+    let along = axis == dims.len() - 1;
+    for_each_pass_row(dims, axis, s, |first, len| {
+        // the run's coordinate along `axis`: stepping when the run lies
+        // along it, fixed otherwise
+        let (c0, dc) = if along {
+            (s, 2 * s)
+        } else {
+            ((first / st[axis]) % dim, 0)
+        };
+        for k in 0..len {
+            let idx = first + 2 * s * k;
+            let left = data[idx - off];
+            let pred = if c0 + dc * k + s < dim {
+                0.5 * (left + data[idx + off])
+            } else {
+                left
+            };
+            if add {
+                data[idx] += pred;
+            } else {
+                data[idx] -= pred;
+            }
         }
-        let step = if a < axis { s } else { 2 * s };
-        p *= (d - 1) / step + 1;
-    }
-    p
-}
-
-/// Fine-node residual pass: `coef = value − interp(coarse neighbours)`.
-fn axis_decompose(data: &mut [f64], dims: &[usize], st: &[usize], axis: usize, s: usize) {
-    let dim = dims[axis];
-    let stride = st[axis];
-    for_each_point(dims, axis, s, PointSet::Fine, |idx, c| {
-        let pred = interp(data, dim, stride, idx, c, s);
-        data[idx] -= pred;
     });
-}
-
-/// Inverse fine-node pass: `value = interp(coarse neighbours) + coef`.
-fn axis_recompose(data: &mut [f64], dims: &[usize], st: &[usize], axis: usize, s: usize) {
-    let dim = dims[axis];
-    let stride = st[axis];
-    for_each_point(dims, axis, s, PointSet::Fine, |idx, c| {
-        let pred = interp(data, dim, stride, idx, c, s);
-        data[idx] += pred;
-    });
-}
-
-/// Linear interpolation from the two coarse neighbours along the axis
-/// (left copy at the right edge). A convex combination — amplification ≤ 1,
-/// the fact behind the tight HB error estimate.
-#[inline]
-fn interp(data: &[f64], dim: usize, stride: usize, idx: usize, c: usize, s: usize) -> f64 {
-    let left = data[idx - s * stride];
-    if c + s < dim {
-        0.5 * (left + data[idx + s * stride])
-    } else {
-        left
-    }
 }
 
 /// Applies `sign · w` to the coarse nodes of the (axis, s) pass, where `w`
@@ -213,217 +185,130 @@ fn apply_correction(
     });
 }
 
-/// One interpolation pass, parallel when it pays: `add == false` is the
-/// decompose residual (`value -= interp`), `add == true` the recompose
-/// inverse (`value += interp`).
-fn interp_pass(
-    data: &mut [f64],
-    dims: &[usize],
-    st: &[usize],
-    axis: usize,
-    s: usize,
-    add: bool,
-    workers: usize,
-) {
-    if workers <= 1 || pass_points(dims, axis, s) < PAR_PASS_MIN {
-        if add {
-            axis_recompose(data, dims, st, axis, s);
-        } else {
-            axis_decompose(data, dims, st, axis, s);
-        }
-        return;
-    }
-    par_interp_pass(data, dims, st, axis, s, add, workers);
-}
-
-/// One slab of a parallel pass: its disjoint slice, first row index along
-/// the active axis, and the copied halo row (the next slab's first row).
-type SlabJob<'a> = (&'a mut [f64], usize, Option<Vec<f64>>);
-
-/// Pencil-parallel interpolation pass.
-///
-/// The pass's index space factors as `prefix + f·stride + suffix`: prefixes
-/// enumerate the (already refined, step `s`) axes before `axis`, suffixes
-/// the (step `2s`) axes after it, and `f` walks the active axis. Each prefix
-/// owns the contiguous block `[P, P + dim·stride)`, which is cut into slabs
-/// at coarse-row boundaries (`f ≡ 0 mod 2s`). A fine row `f` reads only the
-/// coarse rows `f ± s` — never another fine row — so the single cross-slab
-/// read (`f + s` landing on the next slab's first row) is satisfied by a
-/// halo copy taken before any write. Every written value therefore sees
-/// exactly the operands the serial pass sees: bit-identical by construction.
-/// Slabs double as cache blocking for non-contiguous axes — each job walks
-/// a bounded contiguous window instead of striding across the whole field.
-fn par_interp_pass(
-    data: &mut [f64],
-    dims: &[usize],
-    st: &[usize],
-    axis: usize,
-    s: usize,
-    add: bool,
-    workers: usize,
-) {
-    let dim = dims[axis];
-    let stride = st[axis];
-    let prefixes = grid_offsets(dims, st, 0, axis, s);
-    let suffixes = grid_offsets(dims, st, axis + 1, dims.len(), 2 * s);
-    // slab height in rows along the axis: a multiple of 2s sized for a few
-    // slabs per worker across all blocks
-    let coarse_rows = (dim - 1) / (2 * s) + 1;
-    let target = (workers * 4).div_ceil(prefixes.len()).max(1);
-    let span = coarse_rows.div_ceil(target).max(1) * 2 * s;
-
-    // (start, len, first_row) of every slab, ascending by start
-    let mut spec: Vec<(usize, usize, usize)> = Vec::new();
-    for &p in &prefixes {
-        let mut f0 = 0usize;
-        while f0 < dim {
-            let f1 = (f0 + span).min(dim);
-            spec.push((p + f0 * stride, (f1 - f0) * stride, f0));
-            f0 = f1;
-        }
-    }
-    // halo: the first (coarse) row of the next slab, copied before any write
-    let halos: Vec<Option<Vec<f64>>> = spec
-        .iter()
-        .map(|&(start, len, f0)| {
-            let f1 = f0 + len / stride;
-            (f1 < dim).then(|| data[start + len..start + len + stride].to_vec())
-        })
-        .collect();
-    // carve the disjoint slab slices (skipping inter-block gaps when s > 1)
-    let mut jobs: Vec<SlabJob> = Vec::with_capacity(spec.len());
-    let mut rest: &mut [f64] = data;
-    let mut pos = 0usize;
-    for (&(start, len, f0), halo) in spec.iter().zip(halos) {
-        let r = std::mem::take(&mut rest);
-        let (_gap, r) = r.split_at_mut(start - pos);
-        let (slab, tail) = r.split_at_mut(len);
-        jobs.push((slab, f0, halo));
-        rest = tail;
-        pos = start + len;
-    }
-    par_dynamic_mut(&mut jobs, workers, |_, job| {
-        let (slab, f0, halo) = job;
-        let f1 = *f0 + slab.len() / stride;
-        let mut f = *f0 + s;
-        while f < f1 {
-            let row = (f - *f0) * stride;
-            for &u in &suffixes {
-                let i = row + u;
-                let left = slab[i - s * stride];
-                let pred = if f + s < dim {
-                    let right = if f + s < f1 {
-                        slab[i + s * stride]
-                    } else {
-                        halo.as_ref().expect("slab boundary halo")[u]
-                    };
-                    0.5 * (left + right)
-                } else {
-                    left
-                };
-                if add {
-                    slab[i] += pred;
-                } else {
-                    slab[i] -= pred;
-                }
-            }
-            f += 2 * s;
-        }
-    });
-}
-
-/// One L2-correction pass, parallel when it pays: the per-line gather +
-/// tridiagonal solve fans across workers over a read-only borrow (fine
-/// coefficients are never written by this pass), then a serial scatter adds
-/// each line's solved correction to its disjoint coarse nodes — the same
-/// per-line arithmetic, in the same within-line order, as the serial pass.
-fn correction_pass(
-    data: &mut [f64],
-    dims: &[usize],
-    st: &[usize],
-    axis: usize,
-    s: usize,
-    sign: f64,
-    workers: usize,
-) {
-    if workers <= 1 || pass_points(dims, axis, s) < PAR_PASS_MIN {
-        apply_correction(data, dims, st, axis, s, sign);
-        return;
-    }
-    let dim = dims[axis];
-    let stride = st[axis];
-    let n_coarse = (dim - 1) / (2 * s) + 1;
-    let n_fine = (dim - 1 - s) / (2 * s) + 1;
-    let mut bases = Vec::new();
-    for_each_line(dims, axis, s, |base| bases.push(base));
-    let shared: &[f64] = data;
-    let solved = par_dynamic(bases.len(), workers, |i| {
-        let base = bases[i];
-        let mut w = load_vector(n_coarse, n_fine, |k| {
-            shared[base + (s + 2 * s * k) * stride]
-        });
-        solve_mass_tridiagonal(&mut w);
-        w
-    });
-    for (&base, w) in bases.iter().zip(&solved) {
-        for (j, wj) in w.iter().enumerate() {
-            data[base + 2 * s * j * stride] += sign * wj;
-        }
-    }
-}
-
-/// Ascending flat offsets of the odometer over axes `lo..hi`, stepping by
-/// `step` coordinates per axis (an empty range yields the single offset 0).
-fn grid_offsets(dims: &[usize], st: &[usize], lo: usize, hi: usize, step: usize) -> Vec<usize> {
-    let mut out = vec![0usize];
-    for a in lo..hi {
-        let count = (dims[a] - 1) / step + 1;
-        let mut next = Vec::with_capacity(out.len() * count);
-        for &o in &out {
-            for k in 0..count {
-                next.push(o + k * step * st[a]);
-            }
-        }
-        out = next;
-    }
-    out
-}
-
 /// Gathers the coefficients of the level with stride `s` into a vector, in
 /// the canonical (axis-ascending, odometer) order used everywhere.
 pub fn gather_level(data: &[f64], dims: &[usize], s: usize) -> Vec<f64> {
     let mut out = Vec::new();
-    for axis in 0..dims.len() {
-        if s >= dims[axis] {
-            continue;
-        }
-        for_each_point(dims, axis, s, PointSet::Fine, |idx, _| {
-            out.push(data[idx]);
-        });
-    }
+    for_each_level_row(dims, s, |first, len| {
+        out.extend(data[first..].iter().step_by(2 * s).take(len));
+    });
     out
 }
 
 /// Scatters a level's coefficients back into their array positions —
 /// the inverse of [`gather_level`].
 pub fn scatter_level(data: &mut [f64], dims: &[usize], s: usize, coeffs: &[f64]) {
-    let mut i = 0usize;
-    for axis in 0..dims.len() {
-        if s >= dims[axis] {
-            continue;
+    scatter_tiles(data, dims, s, |c, tile| {
+        let src = &coeffs[64 * c..coeffs.len().min(64 * c + 64)];
+        tile[..src.len()].copy_from_slice(src);
+        src.len()
+    });
+}
+
+/// [`scatter_level`] drawing the coefficients 64 at a time from
+/// `tile(c, buf)`, which fills `buf` with coefficients `64c..` and returns
+/// how many it wrote; they are written run by run along the last axis.
+pub(crate) fn scatter_tiles(
+    data: &mut [f64],
+    dims: &[usize],
+    s: usize,
+    mut tile: impl FnMut(usize, &mut [f64; 64]) -> usize,
+) {
+    let mut buf = [0.0; 64];
+    let (mut next, mut pos, mut have) = (0usize, 0usize, 0usize);
+    for_each_level_row(dims, s, |first, len| {
+        let (mut dst, mut left) = (first, len);
+        while left > 0 {
+            if pos == have {
+                have = tile(next, &mut buf);
+                assert!(have > 0, "level has fewer coefficients than positions");
+                (next, pos) = (next + 1, 0);
+            }
+            let take = left.min(have - pos);
+            for (x, &v) in data[dst..]
+                .iter_mut()
+                .step_by(2 * s)
+                .zip(&buf[pos..pos + take])
+            {
+                *x = v;
+            }
+            (dst, pos, left) = (dst + 2 * s * take, pos + take, left - take);
         }
-        for_each_point(dims, axis, s, PointSet::Fine, |idx, _| {
-            data[idx] = coeffs[i];
-            i += 1;
-        });
-    }
-    debug_assert_eq!(i, coeffs.len(), "coefficient count mismatch");
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::{for_each_point, PointSet};
     use pqr_util::stats::max_abs_diff;
+    use proptest::prelude::*;
+
+    /// The per-point reference of both transforms: every pass enumerates
+    /// its fine nodes one by one through [`for_each_point`]'s odometer.
+    fn pointwise(data: &mut [f64], dims: &[usize], basis: Basis, inverse: bool) {
+        let st = strides(dims);
+        let mut levels = level_strides(dims);
+        let mut axes: Vec<usize> = (0..dims.len()).collect();
+        if !inverse {
+            axes.reverse();
+        } else {
+            levels.reverse();
+        }
+        let sign = if inverse { -1.0 } else { 1.0 };
+        for &s in &levels {
+            for &axis in &axes {
+                if s >= dims[axis] {
+                    continue;
+                }
+                if inverse && basis == Basis::Orthogonal {
+                    apply_correction(data, dims, &st, axis, s, sign);
+                }
+                let (dim, off) = (dims[axis], s * st[axis]);
+                for_each_point(dims, axis, s, PointSet::Fine, |idx, c| {
+                    let left = data[idx - off];
+                    let pred = if c + s < dim {
+                        0.5 * (left + data[idx + off])
+                    } else {
+                        left
+                    };
+                    data[idx] -= sign * pred;
+                });
+                if !inverse && basis == Basis::Orthogonal {
+                    apply_correction(data, dims, &st, axis, s, sign);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn row_passes_are_bit_identical_to_the_pointwise_reference(
+            rank in 1usize..=3,
+            d0 in 1usize..40,
+            d1 in 1usize..24,
+            d2 in 1usize..12,
+            hb in any::<bool>(),
+        ) {
+            let dims = match rank {
+                1 => vec![d0 * d1],
+                2 => vec![d0, d1],
+                _ => vec![d0, d1, d2],
+            };
+            let basis = if hb { Basis::Hierarchical } else { Basis::Orthogonal };
+            let orig = wavy_nd(&dims);
+            let (mut rows, mut points) = (orig.clone(), orig);
+            decompose(&mut rows, &dims, basis);
+            pointwise(&mut points, &dims, basis, false);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&rows), bits(&points), "decompose {:?} {:?}", dims, basis);
+            recompose(&mut rows, &dims, basis);
+            pointwise(&mut points, &dims, basis, true);
+            prop_assert_eq!(bits(&rows), bits(&points), "recompose {:?} {:?}", dims, basis);
+        }
+    }
 
     fn wavy(n: usize) -> Vec<f64> {
         (0..n)

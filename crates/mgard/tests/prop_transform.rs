@@ -2,7 +2,7 @@
 //! reader: exact invertibility on arbitrary shapes, and the guaranteed
 //! bound dominating the real reconstruction error at arbitrary fetch depth.
 
-use pqr_mgard::transform::{decompose, decompose_with_workers, recompose, recompose_with_workers};
+use pqr_mgard::transform::{decompose, recompose};
 use pqr_mgard::{Basis, MgardRefactorer};
 use proptest::prelude::*;
 
@@ -41,39 +41,6 @@ proptest! {
         for (a, b) in orig.iter().zip(&v) {
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn parallel_transform_bit_identical_any_shape(
-        rank in 1usize..=3,
-        d0 in 1usize..40,
-        d1 in 1usize..24,
-        d2 in 1usize..12,
-        basis in arb_basis(),
-        workers in 2usize..=4,
-        seed in 0u64..10_000,
-    ) {
-        // the pencil-parallel passes must be *byte*-identical to the scalar
-        // serial oracle on every shape, not merely close (the suite runs
-        // under the PQR_THREADS={1,4} CI matrix; `workers` here exercises
-        // the explicit fan-out independently of the env)
-        let dims = match rank {
-            1 => vec![d0 * d1],
-            2 => vec![d0, d1],
-            _ => vec![d0, d1, d2],
-        };
-        let n: usize = dims.iter().product();
-        let orig = data_for(n, seed);
-        let mut serial = orig.clone();
-        decompose(&mut serial, &dims, basis);
-        let mut par = orig.clone();
-        decompose_with_workers(&mut par, &dims, basis, workers);
-        prop_assert_eq!(&serial, &par);
-        let mut rec_serial = serial.clone();
-        recompose(&mut rec_serial, &dims, basis);
-        let mut rec_par = serial.clone();
-        recompose_with_workers(&mut rec_par, &dims, basis, workers);
-        prop_assert_eq!(&rec_serial, &rec_par);
     }
 
     #[test]
@@ -156,35 +123,6 @@ proptest! {
             let b = reader.guaranteed_bound();
             prop_assert!(b <= last * (1.0 + 1e-12));
             last = b;
-        }
-    }
-}
-
-/// Shapes whose finest passes exceed the parallel-dispatch threshold, so the
-/// slab/halo code path (not just the serial fallback) is what's compared.
-#[test]
-fn parallel_transform_bit_identical_large_shapes() {
-    for dims in [vec![16_385usize], vec![129, 127], vec![33, 31, 35]] {
-        let n: usize = dims.iter().product();
-        let orig = data_for(n, 42);
-        for basis in [Basis::Hierarchical, Basis::Orthogonal] {
-            let mut serial = orig.clone();
-            decompose(&mut serial, &dims, basis);
-            for workers in [2usize, 4] {
-                let mut par = orig.clone();
-                decompose_with_workers(&mut par, &dims, basis, workers);
-                assert_eq!(serial, par, "decompose {dims:?} {basis:?} w={workers}");
-            }
-            let mut rec_serial = serial.clone();
-            recompose(&mut rec_serial, &dims, basis);
-            for workers in [2usize, 4] {
-                let mut rec_par = serial.clone();
-                recompose_with_workers(&mut rec_par, &dims, basis, workers);
-                assert_eq!(
-                    rec_serial, rec_par,
-                    "recompose {dims:?} {basis:?} w={workers}"
-                );
-            }
         }
     }
 }

@@ -79,9 +79,10 @@ pub(crate) trait Backend: Send + Sync {
         false
     }
 
-    /// Writes the reconstruction of the current state into `out` with
-    /// `workers`-way fan-out (bit-identical at every worker count). Returns
-    /// the multilevel recompose passes run.
+    /// Writes the reconstruction of the current state into `out`, with
+    /// `workers`-way fan-out where the representation has one
+    /// (bit-identical at every worker count). Returns the multilevel
+    /// recompose passes run.
     fn rebuild(&mut self, out: &mut Vec<f64>, workers: usize) -> u64;
 
     /// The resumable marker of the current state. `fetched` is the
@@ -305,8 +306,9 @@ impl Backend for Multilevel {
         self.cursor.push_plane(level, bytes)
     }
 
-    fn rebuild(&mut self, out: &mut Vec<f64>, workers: usize) -> u64 {
-        self.cursor.reconstruct_into(out, workers)
+    fn rebuild(&mut self, out: &mut Vec<f64>, _workers: usize) -> u64 {
+        self.cursor.fold();
+        self.cursor.reconstruct_into(out)
     }
 
     fn progress(&self, _fetched: u64) -> ReaderProgress {
@@ -320,16 +322,18 @@ impl Backend for Multilevel {
     }
 
     fn state_bytes(&self) -> usize {
-        // coefficient and decoder buffers on the order of two field copies
+        // what the decoders hold between rebuilds: 8 B per coefficient of
+        // folded magnitudes plus one sign and one significance word per 64
+        // coefficients (0.25 B) — a field has one coefficient per element
+        // bar the root. The planes pushed since the last rebuild wait as
+        // packed words (1/8 B per coefficient per plane, ≤ 60 planes:
+        // 7.5 B) until the rebuild folds and drops them, so 16 B per
+        // element bounds the peak as well
         self.cursor.meta().dims().iter().product::<usize>() * 16
     }
 
-    fn at_resolution(&self, drop_finest: usize, workers: usize) -> Result<(Vec<f64>, Vec<usize>)> {
-        let mut out = Vec::new();
-        let dims = self
-            .cursor
-            .reconstruct_at_resolution_into(drop_finest, &mut out, workers);
-        Ok((out, dims))
+    fn at_resolution(&self, drop_finest: usize, _workers: usize) -> Result<(Vec<f64>, Vec<usize>)> {
+        Ok(self.cursor.reconstruct_at_resolution(drop_finest))
     }
 }
 

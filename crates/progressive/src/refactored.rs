@@ -436,9 +436,10 @@ struct Held {
     recon: Arc<Vec<f64>>,
     /// Guaranteed L∞ bound of `recon` versus the original.
     bound: f64,
-    /// Worker budget for reconstruction fan-out (multilevel recompose /
-    /// block decode). `1` until the owner configures it; every worker
-    /// count reconstructs bit-identically.
+    /// Worker budget for reconstruction fan-out: PZFP's block decode
+    /// splits across it; multilevel rebuilds fold and recompose on the
+    /// calling thread and ignore it. `1` until the owner configures it;
+    /// every worker count reconstructs bit-identically.
     workers: usize,
     /// Multilevel recompose axis passes performed rebuilding `recon`
     /// (zero for non-multilevel schemes).
@@ -593,9 +594,10 @@ impl FieldReader {
         })
     }
 
-    /// Sets the worker budget for reconstruction fan-out. Reconstructions
-    /// are bit-identical at every worker count, so this only affects wall
-    /// clock, never results.
+    /// Sets the worker budget for reconstruction fan-out (PZFP's block
+    /// decode; multilevel rebuilds run on the calling thread).
+    /// Reconstructions are bit-identical at every worker count, so this
+    /// only affects wall clock, never results.
     pub fn set_workers(&mut self, workers: usize) {
         self.held.workers = workers.max(1);
     }
