@@ -132,8 +132,8 @@ impl ArchiveBuilder {
 
     /// Refactors and streams the archive straight to `path` — the
     /// parallel-ingest counterpart of [`ArchiveBuilder::build`] +
-    /// [`Archive::save`]. Fields encode across `workers` threads (`0`
-    /// resolves to the `PQR_THREADS` worker count) and, with `overlap_io`,
+    /// [`Archive::save`]. Fields encode one per thread, up to `workers` at
+    /// once (`0` resolves to the `PQR_THREADS` worker count) and, with `overlap_io`,
     /// completed fields' fragments hit the disk while later fields are
     /// still encoding. The container is byte-identical for every
     /// workers/overlap combination; reopen it with [`Archive::open`].

@@ -30,37 +30,17 @@ impl MgardRefactorer {
 
     /// Refactors a row-major array into a progressive multilevel stream.
     pub fn refactor(&self, data: &[f64], dims: &[usize]) -> Result<MgardStream> {
-        self.refactor_with_workers(data, dims, 1)
+        self.refactor_impl(data, dims, false)
     }
 
     /// [`MgardRefactorer::refactor`] pinned to the scalar reference plane
     /// encoder regardless of `PQR_SCALAR_KERNELS` — the oracle the
-    /// word-parallel and parallel-worker encodes are property-tested
-    /// against.
+    /// word-parallel encode is property-tested against.
     pub fn refactor_scalar(&self, data: &[f64], dims: &[usize]) -> Result<MgardStream> {
-        self.refactor_impl(data, dims, 1, true)
+        self.refactor_impl(data, dims, true)
     }
 
-    /// [`MgardRefactorer::refactor`] with the per-level bitplane encodes
-    /// fanned out to `workers` threads (1 = exactly the serial loop): the
-    /// decomposition runs serially, and each level's encode is
-    /// independent, so the stream is byte-identical at any worker count.
-    pub fn refactor_with_workers(
-        &self,
-        data: &[f64],
-        dims: &[usize],
-        workers: usize,
-    ) -> Result<MgardStream> {
-        self.refactor_impl(data, dims, workers, false)
-    }
-
-    fn refactor_impl(
-        &self,
-        data: &[f64],
-        dims: &[usize],
-        workers: usize,
-        scalar: bool,
-    ) -> Result<MgardStream> {
+    fn refactor_impl(&self, data: &[f64], dims: &[usize], scalar: bool) -> Result<MgardStream> {
         let n: usize = dims.iter().product();
         if n != data.len() {
             return Err(PqrError::ShapeMismatch(format!(
@@ -86,16 +66,15 @@ impl MgardRefactorer {
         decompose(&mut work, dims, self.basis);
         let root = work[0];
         let strides = level_strides(dims);
-        let levels = if scalar {
-            strides
-                .iter()
-                .map(|&s| encode_level_scalar(&gather_level(&work, dims, s)))
-                .collect()
+        let encode = if scalar {
+            encode_level_scalar
         } else {
-            pqr_util::par::par_dynamic(strides.len(), workers, |l| {
-                encode_level(&gather_level(&work, dims, strides[l]))
-            })
+            encode_level
         };
+        let levels = strides
+            .iter()
+            .map(|&s| encode(&gather_level(&work, dims, s)))
+            .collect();
         Ok(MgardStream {
             basis: self.basis,
             dims: dims.to_vec(),

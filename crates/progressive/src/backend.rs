@@ -32,7 +32,6 @@ use crate::refactored::{ReaderProgress, Scheme};
 use pqr_mgard::{Basis, MgardCursor, MgardMeta, MgardRefactorer};
 use pqr_sz::{SzCompressor, SzConfig};
 use pqr_util::error::{PqrError, Result};
-use pqr_util::par::par_dynamic;
 use pqr_zfp::{ZfpCursor, ZfpMeta, ZfpRefactorer};
 use std::sync::Arc;
 
@@ -79,11 +78,10 @@ pub(crate) trait Backend: Send + Sync {
         false
     }
 
-    /// Writes the reconstruction of the current state into `out`, with
-    /// `workers`-way fan-out where the representation has one
-    /// (bit-identical at every worker count). Returns the multilevel
-    /// recompose passes run.
-    fn rebuild(&mut self, out: &mut Vec<f64>, workers: usize) -> u64;
+    /// Writes the reconstruction of the current state into `out` on the
+    /// calling thread (parallelism lives across fields, one rebuild per
+    /// thread). Returns the multilevel recompose passes run.
+    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64;
 
     /// The resumable marker of the current state. `fetched` is the
     /// reader's cumulative byte count, which the snapshot marker carries.
@@ -98,11 +96,7 @@ pub(crate) trait Backend: Send + Sync {
 
     /// Progression in resolution: the reconstruction on the subgrid that
     /// drops the `drop_finest` finest levels, with its shape.
-    fn at_resolution(
-        &self,
-        _drop_finest: usize,
-        _workers: usize,
-    ) -> Result<(Vec<f64>, Vec<usize>)> {
+    fn at_resolution(&self, _drop_finest: usize) -> Result<(Vec<f64>, Vec<usize>)> {
         Err(PqrError::Unsupported(
             "this representation has no resolution hierarchy".into(),
         ))
@@ -212,7 +206,7 @@ impl Backend for Ladder {
         self.delta
     }
 
-    fn rebuild(&mut self, out: &mut Vec<f64>, _workers: usize) -> u64 {
+    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
         match self.pending.take() {
             Some(part) if self.delta => {
                 for (acc, p) in out.iter_mut().zip(&part) {
@@ -306,7 +300,7 @@ impl Backend for Multilevel {
         self.cursor.push_plane(level, bytes)
     }
 
-    fn rebuild(&mut self, out: &mut Vec<f64>, _workers: usize) -> u64 {
+    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
         self.cursor.fold();
         self.cursor.reconstruct_into(out)
     }
@@ -332,7 +326,7 @@ impl Backend for Multilevel {
         self.cursor.meta().dims().iter().product::<usize>() * 16
     }
 
-    fn at_resolution(&self, drop_finest: usize, _workers: usize) -> Result<(Vec<f64>, Vec<usize>)> {
+    fn at_resolution(&self, drop_finest: usize) -> Result<(Vec<f64>, Vec<usize>)> {
         Ok(self.cursor.reconstruct_at_resolution(drop_finest))
     }
 }
@@ -380,8 +374,8 @@ impl Backend for BlockTransform {
         self.cursor.push_plane(bytes)
     }
 
-    fn rebuild(&mut self, out: &mut Vec<f64>, workers: usize) -> u64 {
-        self.cursor.reconstruct_into(out, workers);
+    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
+        self.cursor.reconstruct_into(out, 1);
         0
     }
 
@@ -506,18 +500,14 @@ pub(crate) fn open(
 
 /// Refactors `data` into `scheme`'s fragments. `rel_bounds` is the snapshot
 /// ladder as fractions of `scale` (the value range; ignored by the
-/// ladder-free representations). `workers` parallelises *inside* the field
-/// — PSZ3 fans its independent per-bound compressions out, the PMGARD
-/// variants encode their levels concurrently, PZFP splits its block pass —
-/// and the fragments are byte-identical at every worker count; PSZ3-delta's
-/// residual chain is inherently sequential.
+/// ladder-free representations). Runs on the calling thread: the write
+/// path parallelises across fields, one encode per thread.
 pub(crate) fn encode(
     scheme: Scheme,
     data: &[f64],
     dims: &[usize],
     rel_bounds: &[f64],
     scale: f64,
-    workers: usize,
 ) -> Result<Fragments> {
     // metadata first, then the plane payloads in storage order
     fn with_meta(meta: Vec<u8>, planes: impl Iterator<Item = Vec<u8>>) -> Fragments {
@@ -527,20 +517,23 @@ pub(crate) fn encode(
             .collect()
     }
     let mgard = |basis| -> Result<Fragments> {
-        let stream = MgardRefactorer::new(basis).refactor_with_workers(data, dims, workers)?;
+        let stream = MgardRefactorer::new(basis).refactor(data, dims)?;
         Ok(with_meta(
             stream.meta().to_bytes(),
             stream.into_plane_payloads(),
         ))
     };
     match scheme {
-        Scheme::Psz3 => par_dynamic(rel_bounds.len(), workers, |k| {
-            let eb = rel_bounds[k] * scale;
-            let blob = SzCompressor::new(SzConfig::default()).compress(data, dims, eb)?;
-            Ok((eb, Arc::new(blob)))
-        })
-        .into_iter()
-        .collect(),
+        Scheme::Psz3 => {
+            let sz = SzCompressor::new(SzConfig::default());
+            rel_bounds
+                .iter()
+                .map(|&rb| {
+                    let eb = rb * scale;
+                    Ok((eb, Arc::new(sz.compress(data, dims, eb)?)))
+                })
+                .collect()
+        }
         Scheme::Psz3Delta => {
             let sz = SzCompressor::new(SzConfig::default());
             let mut snaps = Vec::with_capacity(rel_bounds.len());
@@ -558,7 +551,7 @@ pub(crate) fn encode(
         Scheme::PmgardHb => mgard(Basis::Hierarchical),
         Scheme::PmgardOb => mgard(Basis::Orthogonal),
         Scheme::Pzfp => {
-            let stream = ZfpRefactorer::new().refactor_with_workers(data, dims, workers)?;
+            let stream = ZfpRefactorer::new().refactor(data, dims)?;
             Ok(with_meta(
                 stream.meta().to_bytes(),
                 stream.into_plane_payloads().into_iter(),
@@ -644,7 +637,7 @@ mod tests {
                 .unwrap()
                 .backend;
             let mut recon = vec![0.0; N];
-            backend.rebuild(&mut recon, 1);
+            backend.rebuild(&mut recon);
             assert!(
                 max_abs_diff(&data, &recon) <= backend.bound(),
                 "{name}: open"
@@ -669,7 +662,7 @@ mod tests {
                         backend.bound() <= before,
                         "{name} #{index}: bound regressed"
                     );
-                    backend.rebuild(&mut recon, 2);
+                    backend.rebuild(&mut recon);
                     let real = max_abs_diff(&data, &recon);
                     assert!(real <= backend.bound(), "{name} #{index}: {real}");
                 }

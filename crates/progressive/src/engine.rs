@@ -143,13 +143,13 @@ pub struct EngineConfig {
     pub max_tightenings: usize,
     /// QoI bound evaluation options (√ estimator variant, float guard).
     pub bound_config: BoundConfig,
-    /// Worker-thread budget — the shared knob for per-field decode and the
-    /// per-point QoI scans during plan execution here, and for the encode
-    /// fan-out on the write path (`Dataset::refactor_with_workers` takes
-    /// the same value; the CLI feeds both from one `--workers` flag).
-    /// Fields are independent, so each round's cursor advancement fans out
-    /// through `pqr_util::par::par_dynamic`-style dispatch, and the scans
-    /// split the points into one chunk per worker. `0` (the default)
+    /// Worker-thread budget: how many fields refine at once and how many
+    /// chunks the per-point QoI scans split into during plan execution
+    /// here, and how many fields encode at once on the write path
+    /// (`Dataset::refactor_with_workers` takes the same value; the CLI
+    /// feeds both from one `--workers` flag). Parallelism lives across
+    /// fields only: each field decodes and encodes on one thread, so
+    /// workers beyond the field count help only the scans. `0` (the default)
     /// resolves to [`pqr_util::par::worker_count`] (the `PQR_THREADS`
     /// knob); `1` runs everything on the calling thread, which is what a
     /// caller that parallelises at a coarser granularity (the per-block
@@ -285,13 +285,8 @@ impl RetrievalEngine {
             })
             .collect::<Result<Vec<_>>>()?;
         let stage = Arc::new(FragmentStage::default());
-        let workers = match cfg.workers {
-            0 => pqr_util::par::worker_count(),
-            n => n,
-        };
         for r in &mut readers {
             r.attach_stage(Arc::clone(&stage));
-            r.set_workers(workers);
         }
         Ok(Self {
             source,
@@ -512,7 +507,7 @@ impl RetrievalEngine {
         Ok(())
     }
 
-    /// The effective per-field decode worker count.
+    /// The effective worker count: fields refined at once, scan chunks.
     fn workers(&self) -> usize {
         match self.cfg.workers {
             0 => pqr_util::par::worker_count(),

@@ -176,26 +176,18 @@ impl Dataset {
     /// [`Dataset::refactor_with_bounds`] with an explicit worker budget
     /// (`0` resolves to [`pqr_util::par::worker_count`]).
     ///
-    /// Workers split across fields first; when fields are scarcer than
-    /// workers the surplus moves *inside* each field
-    /// ([`RefactoredField::refactor_with_bounds_workers`]) to parallelise
-    /// snapshot ladders, mgard levels and zfp block rounds. Output is
-    /// byte-identical at every worker count.
+    /// Each field encodes on one thread, so at most [`field_workers`]
+    /// fields encode at once and workers beyond the field count sit idle.
+    /// Output is byte-identical at every worker count.
     pub fn refactor_with_workers(
         &self,
         scheme: Scheme,
         rel_bounds: &[f64],
         workers: usize,
     ) -> Result<RefactoredDataset> {
-        let (outer, inner) = split_workers(workers, self.fields.len());
-        let fields = pqr_util::par::par_dynamic(self.fields.len(), outer, |i| {
-            RefactoredField::refactor_with_bounds_workers(
-                scheme,
-                &self.fields[i],
-                &self.dims,
-                rel_bounds,
-                inner,
-            )
+        let workers = field_workers(workers, self.fields.len());
+        let fields = pqr_util::par::par_dynamic(self.fields.len(), workers, |i| {
+            RefactoredField::refactor_with_bounds(scheme, &self.fields[i], &self.dims, rel_bounds)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
@@ -226,7 +218,6 @@ impl Dataset {
         overlap_io: bool,
     ) -> Result<u64> {
         let mask = mask_fields.map(|idx| self.zero_mask(idx));
-        let (outer, inner) = split_workers(workers, self.fields.len());
         let path = path.as_ref();
         let res = crate::fragstore::write_container_streaming(
             path,
@@ -236,15 +227,14 @@ impl Dataset {
             rel_bounds.len(),
             mask.as_ref(),
             app_meta,
-            outer,
+            field_workers(workers, self.fields.len()),
             overlap_io,
             |i| {
-                RefactoredField::refactor_with_bounds_workers(
+                RefactoredField::refactor_with_bounds(
                     scheme,
                     &self.fields[i],
                     &self.dims,
                     rel_bounds,
-                    inner,
                 )
             },
         );
@@ -255,17 +245,16 @@ impl Dataset {
     }
 }
 
-/// Splits a worker budget across `nfields` fields: fields first (outer),
-/// remaining depth inside each field (inner). `total == 0` resolves to
-/// [`pqr_util::par::worker_count`].
-fn split_workers(total: usize, nfields: usize) -> (usize, usize) {
+/// The encode threads a worker budget of `total` yields over `nfields`
+/// fields: one field per thread, so the budget clamps to the field count.
+/// `total == 0` resolves to [`pqr_util::par::worker_count`].
+pub fn field_workers(total: usize, nfields: usize) -> usize {
     let total = if total == 0 {
         pqr_util::par::worker_count()
     } else {
         total
     };
-    let outer = total.clamp(1, nfields.max(1));
-    (outer, (total / outer).max(1))
+    total.clamp(1, nfields.max(1))
 }
 
 /// A refactored multi-field archive: what the storage system holds and what

@@ -132,23 +132,6 @@ impl RefactoredField {
         dims: &[usize],
         rel_bounds: &[f64],
     ) -> Result<Self> {
-        Self::refactor_with_bounds_workers(scheme, data, dims, rel_bounds, 1)
-    }
-
-    /// [`RefactoredField::refactor_with_bounds`] with round parallelism
-    /// *inside* one field: PSZ3 fans the independent per-bound compressions
-    /// out, the PMGARD variants encode their levels concurrently, and PZFP
-    /// splits its coefficient-block pass. The produced fragments are
-    /// byte-identical at every worker count (`workers ≤ 1` runs the exact
-    /// serial order); PSZ3-delta's residual chain is inherently sequential
-    /// and stays serial regardless of `workers`.
-    pub fn refactor_with_bounds_workers(
-        scheme: Scheme,
-        data: &[f64],
-        dims: &[usize],
-        rel_bounds: &[f64],
-        workers: usize,
-    ) -> Result<Self> {
         let n: usize = dims.iter().product();
         if n != data.len() {
             return Err(PqrError::ShapeMismatch(format!(
@@ -166,7 +149,7 @@ impl RefactoredField {
             dims: dims.to_vec(),
             range,
             max_abs: lo.abs().max(hi.abs()),
-            frags: backend::encode(scheme, data, dims, rel_bounds, scale, workers)?,
+            frags: backend::encode(scheme, data, dims, rel_bounds, scale)?,
         })
     }
 
@@ -436,11 +419,6 @@ struct Held {
     recon: Arc<Vec<f64>>,
     /// Guaranteed L∞ bound of `recon` versus the original.
     bound: f64,
-    /// Worker budget for reconstruction fan-out: PZFP's block decode
-    /// splits across it; multilevel rebuilds fold and recompose on the
-    /// calling thread and ignore it. `1` until the owner configures it;
-    /// every worker count reconstructs bit-identically.
-    workers: usize,
     /// Multilevel recompose axis passes performed rebuilding `recon`
     /// (zero for non-multilevel schemes).
     recompose_passes: u64,
@@ -471,7 +449,7 @@ impl Held {
                 Vec::new()
             }
         });
-        self.recompose_passes += backend.rebuild(&mut buf, self.workers);
+        self.recompose_passes += backend.rebuild(&mut buf);
         self.reconstruct_nanos += t0.elapsed().as_nanos() as u64;
         self.recon = Arc::new(buf);
         self.bound = bound;
@@ -541,7 +519,6 @@ impl FieldReader {
             held: Held {
                 recon: Arc::new(vec![0.0; manifest.num_elements()]),
                 bound: opened.start_bound,
-                workers: 1,
                 recompose_passes: 0,
                 reconstruct_nanos: 0,
             },
@@ -585,7 +562,6 @@ impl FieldReader {
             held: Held {
                 recon: Arc::clone(&snap.recon),
                 bound: snap.bound,
-                workers: 1,
                 recompose_passes: 0,
                 reconstruct_nanos: 0,
             },
@@ -594,13 +570,11 @@ impl FieldReader {
         })
     }
 
-    /// Sets the worker budget for reconstruction fan-out (PZFP's block
-    /// decode; multilevel rebuilds run on the calling thread).
-    /// Reconstructions are bit-identical at every worker count, so this
-    /// only affects wall clock, never results.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.held.workers = workers.max(1);
-    }
+    /// Does nothing: every rebuild runs on the calling thread, and
+    /// parallelism lives across fields (the engine refines one field per
+    /// thread). It stays only because the `benchmark` package's replay
+    /// still calls it.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// Multilevel recompose axis passes performed rebuilding this reader's
     /// reconstruction (interp and correction passes each count one).
@@ -722,9 +696,7 @@ impl FieldReader {
     /// store's (deepest) state, at least as refined as what it adopted.
     pub fn reconstruct_at_resolution(&self, drop_finest: usize) -> Result<(Vec<f64>, Vec<usize>)> {
         match &self.state {
-            State::Decoding { backend, .. } => {
-                backend.at_resolution(drop_finest, self.held.workers)
-            }
+            State::Decoding { backend, .. } => backend.at_resolution(drop_finest),
             State::View { store, .. } => {
                 store.reconstruct_at_resolution(self.io.field as usize, drop_finest)
             }
@@ -1060,26 +1032,5 @@ mod tests {
         // a looser request is also served from the memo
         assert_eq!(reader.refine_to(1e-2 * range).unwrap(), 0);
         assert_eq!(reader.recompose_passes(), passes);
-    }
-
-    #[test]
-    fn parallel_reader_reconstruction_bit_identical() {
-        let data = field_data(20_000);
-        let range = stats::value_range(&data);
-        for scheme in [Scheme::PmgardHb, Scheme::PmgardOb, Scheme::Pzfp] {
-            let rf = RefactoredField::refactor(scheme, &data, &[20_000]).unwrap();
-            let run = |workers: usize| {
-                let mut reader = rf.reader();
-                reader.set_workers(workers);
-                for rel in [1e-2, 1e-4, 1e-6] {
-                    reader.refine_to(rel * range).unwrap();
-                }
-                (reader.data().to_vec(), reader.guaranteed_bound().to_bits())
-            };
-            let serial = run(1);
-            for workers in [2usize, 4] {
-                assert_eq!(serial, run(workers), "{} w={workers}", scheme.name());
-            }
-        }
     }
 }

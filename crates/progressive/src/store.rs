@@ -398,7 +398,6 @@ impl ProgressStore {
         for i in 0..store.manifest.num_fields() {
             let mut reader = FieldReader::open(Arc::clone(&store.source), &store.manifest, i)?;
             reader.attach_stage(Arc::clone(&store.stage));
-            reader.set_workers(pqr_util::par::worker_count());
             store.absorb_recon_counters(&reader, ReconCounters(0, 0, 0));
             let snap = Arc::new(snapshot_of(&reader, 1));
             let cost = master_cost(&reader);
@@ -753,7 +752,6 @@ impl ProgressStore {
         };
         let mut reader = FieldReader::open(Arc::clone(&self.source), &self.manifest, field)?;
         reader.attach_stage(Arc::clone(&self.stage));
-        reader.set_workers(pqr_util::par::worker_count());
         let plan = reader.plan_restore(&d.progress)?;
         // whatever opening fetched (a metadata fragment, where the
         // representation has one) is source traffic rehydration caused

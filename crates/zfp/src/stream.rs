@@ -37,7 +37,6 @@ use crate::transform::{self, recon_error_factor};
 use pqr_util::bitplane_simd::{deposit_bits, extract_bits, scalar_kernels, transpose64};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
-use pqr_util::par::{par_dynamic, par_dynamic_mut};
 use pqr_util::rle;
 
 /// Fixed-point fraction bits. 52 keeps `|q| ≤ 2^52 < 2^53`, so the scaled
@@ -102,38 +101,17 @@ impl ZfpRefactorer {
     /// stream. Rejects non-finite values: a NaN/Inf cannot be bounded by any
     /// L∞ ladder and would poison every block statistic downstream.
     pub fn refactor(&self, data: &[f64], dims: &[usize]) -> Result<ZfpStream> {
-        self.refactor_with_workers(data, dims, 1)
+        self.refactor_impl(data, dims, scalar_kernels())
     }
 
     /// [`ZfpRefactorer::refactor`] pinned to the scalar reference plane
     /// encoder regardless of `PQR_SCALAR_KERNELS` — the oracle the
-    /// word-parallel and parallel-worker encodes are property-tested
-    /// against.
+    /// word-parallel encode is property-tested against.
     pub fn refactor_scalar(&self, data: &[f64], dims: &[usize]) -> Result<ZfpStream> {
-        self.refactor_impl(data, dims, 1, true)
+        self.refactor_impl(data, dims, true)
     }
 
-    /// [`ZfpRefactorer::refactor`] with the per-block quantize/transform
-    /// pass and the per-plane RLE encodes fanned out to `workers` threads
-    /// (1 = exactly the serial loop). The stream is byte-identical at any
-    /// worker count: block state is written positionally and each plane's
-    /// RLE encode is independent.
-    pub fn refactor_with_workers(
-        &self,
-        data: &[f64],
-        dims: &[usize],
-        workers: usize,
-    ) -> Result<ZfpStream> {
-        self.refactor_impl(data, dims, workers, scalar_kernels())
-    }
-
-    fn refactor_impl(
-        &self,
-        data: &[f64],
-        dims: &[usize],
-        workers: usize,
-        scalar: bool,
-    ) -> Result<ZfpStream> {
+    fn refactor_impl(&self, data: &[f64], dims: &[usize], scalar: bool) -> Result<ZfpStream> {
         if dims.is_empty() || dims.len() > 3 {
             return Err(PqrError::ShapeMismatch(format!(
                 "zfp supports 1-3 dims, got {dims:?}"
@@ -158,66 +136,36 @@ impl ZfpRefactorer {
         let coeff_bits =
             negabinary::digits_for_magnitude_bits(Q as u32 + transform::growth_bits(nd));
 
-        // Pass 1: per-block fixed point + transform + negabinary. Blocks
-        // are independent, so contiguous chunks of the exponent and digit
-        // arrays fan out to workers; writes are positional, keeping the
-        // result identical at any worker count.
+        // Pass 1: per-block fixed point + transform + negabinary.
         let mut exponents = vec![EMPTY; nblocks];
         let mut words = vec![0u64; nblocks * blen];
-        let workers = workers.max(1).min(nblocks.max(1));
-        let chunk_blocks = nblocks.div_ceil(workers);
-        let mut chunks: Vec<(usize, &mut [i32], &mut [u64])> = Vec::with_capacity(workers);
+        let mut fblk = vec![0.0f64; blen];
+        let mut iblk = vec![0i64; blen];
+        let (mut max_e, mut min_e) = (i32::MIN, i32::MAX);
+        for (b, (exp_slot, wblk)) in exponents
+            .iter_mut()
+            .zip(words.chunks_exact_mut(blen))
+            .enumerate()
         {
-            let mut erest = exponents.as_mut_slice();
-            let mut wrest = words.as_mut_slice();
-            let mut start = 0usize;
-            while start < nblocks {
-                let take = chunk_blocks.min(nblocks - start);
-                let (ehead, etail) = erest.split_at_mut(take);
-                let (whead, wtail) = wrest.split_at_mut(take * blen);
-                chunks.push((start, ehead, whead));
-                erest = etail;
-                wrest = wtail;
-                start += take;
+            grid.gather(data, b, &mut fblk);
+            let m = fblk.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+            if m == 0.0 {
+                continue;
             }
-        }
-        let extremes = par_dynamic_mut(&mut chunks, workers, |_, chunk| {
-            let (start, exps, wchunk) = chunk;
-            let mut fblk = vec![0.0f64; blen];
-            let mut iblk = vec![0i64; blen];
-            let (mut max_e, mut min_e) = (i32::MIN, i32::MAX);
-            for (off, exp_slot) in exps.iter_mut().enumerate() {
-                grid.gather(data, *start + off, &mut fblk);
-                let m = fblk.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-                if m == 0.0 {
-                    continue;
-                }
-                let e = alignment_exponent(m);
-                *exp_slot = e;
-                max_e = max_e.max(e);
-                min_e = min_e.min(e);
-                let scale = exp2(Q - e);
-                for (q, &x) in iblk.iter_mut().zip(fblk.iter()) {
-                    *q = (x * scale).round() as i64;
-                    debug_assert!(q.unsigned_abs() <= 1u64 << Q);
-                }
-                transform::forward(&mut iblk, nd);
-                for (w, &c) in wchunk[off * blen..(off + 1) * blen]
-                    .iter_mut()
-                    .zip(iblk.iter())
-                {
-                    debug_assert!(c.unsigned_abs() < 1u64 << (coeff_bits - 1));
-                    *w = negabinary::encode(c);
-                }
+            let e = alignment_exponent(m);
+            *exp_slot = e;
+            max_e = max_e.max(e);
+            min_e = min_e.min(e);
+            let scale = exp2(Q - e);
+            for (q, &x) in iblk.iter_mut().zip(fblk.iter()) {
+                *q = (x * scale).round() as i64;
+                debug_assert!(q.unsigned_abs() <= 1u64 << Q);
             }
-            (max_e, min_e)
-        });
-        drop(chunks);
-        let mut max_e = i32::MIN;
-        let mut min_e = i32::MAX;
-        for (mx, mn) in extremes {
-            max_e = max_e.max(mx);
-            min_e = min_e.min(mn);
+            transform::forward(&mut iblk, nd);
+            for (w, &c) in wblk.iter_mut().zip(iblk.iter()) {
+                debug_assert!(c.unsigned_abs() < 1u64 << (coeff_bits - 1));
+                *w = negabinary::encode(c);
+            }
         }
 
         if max_e == i32::MIN {
@@ -240,8 +188,7 @@ impl ZfpRefactorer {
 
         // Pass 2: regroup digits into global absolute planes. Word-parallel
         // by default; `PQR_SCALAR_KERNELS=1` pins the scalar reference the
-        // property tests compare against. The per-plane RLE encodes are
-        // independent, so they fan out to the same workers.
+        // property tests compare against.
         let geom = PlaneGeometry {
             blen,
             coeff_bits,
@@ -252,9 +199,10 @@ impl ZfpRefactorer {
             encode_planes_scalar(&exponents, &words, &geom)
         } else {
             let (participants, bufs) = build_plane_bufs(&exponents, &words, &geom);
-            par_dynamic(bufs.len(), workers, |p| {
-                rle::encode_bits_auto_words(&bufs[p], participants[p] * blen)
-            })
+            bufs.iter()
+                .zip(&participants)
+                .map(|(buf, &k)| rle::encode_bits_auto_words(buf, k * blen))
+                .collect()
         };
 
         Ok(ZfpStream {
@@ -912,57 +860,21 @@ impl ZfpCursor {
         out
     }
 
-    /// [`ZfpCursor::reconstruct`] into a caller-provided (pooled) buffer
-    /// with the per-block decode + inverse transform fanned across
-    /// `workers` threads. Blocks are independent and scatter to disjoint
-    /// array regions, and each block's arithmetic is unchanged, so the
-    /// result is bit-identical at every worker count (`workers <= 1` and
-    /// `PQR_SCALAR_KERNELS=1` run the exact serial loop).
-    pub fn reconstruct_into(&self, out: &mut Vec<f64>, workers: usize) {
+    /// [`ZfpCursor::reconstruct`] into a caller-provided (pooled) buffer,
+    /// decoding blocks serially on the calling thread. `workers` is
+    /// ignored: parallelism lives across fields (one field's rebuild per
+    /// thread), and the argument stays only because the `benchmark`
+    /// package's replay still passes it.
+    pub fn reconstruct_into(&self, out: &mut Vec<f64>, _workers: usize) {
         let words = self.digit_words_cow();
-        let n = self.grid.num_elements();
         out.clear();
-        out.resize(n, 0.0);
-        let nblocks = self.meta.exponents.len();
+        out.resize(self.grid.num_elements(), 0.0);
         let blen = self.grid.block_len();
-        let workers = if scalar_kernels() { 1 } else { workers.max(1) };
-        if workers <= 1 || n < 4096 {
-            // serial path with per-block scratch hoisted out of the loop
-            let mut iblk = vec![0i64; blen];
-            let mut fblk = vec![0.0f64; blen];
-            for b in 0..nblocks {
-                if self.decode_block(&words, b, &mut iblk, &mut fblk) {
-                    self.grid.scatter(out, b, &fblk);
-                }
-            }
-            return;
-        }
-        // fan out chunks of consecutive blocks; scatter serially (block
-        // regions are disjoint, so the write order is immaterial)
-        let chunk = nblocks.div_ceil(workers * 4).max(1);
-        let nchunks = nblocks.div_ceil(chunk);
-        let words_ref: &[u64] = &words;
-        let decoded = par_dynamic(nchunks, workers, |ci| {
-            let b0 = ci * chunk;
-            let b1 = ((ci + 1) * chunk).min(nblocks);
-            let mut buf = vec![0.0f64; (b1 - b0) * blen];
-            let mut iblk = vec![0i64; blen];
-            let mut any = false;
-            for b in b0..b1 {
-                let fblk = &mut buf[(b - b0) * blen..(b - b0 + 1) * blen];
-                any |= self.decode_block(words_ref, b, &mut iblk, fblk);
-            }
-            any.then_some(buf)
-        });
-        for (ci, buf) in decoded.iter().enumerate() {
-            let Some(buf) = buf else { continue };
-            let b0 = ci * chunk;
-            let b1 = ((ci + 1) * chunk).min(nblocks);
-            for b in b0..b1 {
-                if self.meta.exponents[b] != EMPTY {
-                    self.grid
-                        .scatter(out, b, &buf[(b - b0) * blen..(b - b0 + 1) * blen]);
-                }
+        let mut iblk = vec![0i64; blen];
+        let mut fblk = vec![0.0f64; blen];
+        for b in 0..self.meta.exponents.len() {
+            if self.decode_block(&words, b, &mut iblk, &mut fblk) {
+                self.grid.scatter(out, b, &fblk);
             }
         }
     }
@@ -1266,31 +1178,6 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_into_pooled_and_parallel_bit_identical() {
-        // shapes above the parallel-dispatch threshold so the chunked
-        // fan-out (not just the serial fallback) is what's compared
-        for dims in [vec![6000usize], vec![80, 70], vec![20, 18, 16]] {
-            let n: usize = dims.iter().product();
-            let data = field(n);
-            let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-            let mut cursor = ZfpCursor::new(stream.meta());
-            for (p, plane) in stream.plane_payloads().enumerate() {
-                cursor.push_plane(plane).unwrap();
-                if p % 9 != 0 && p + 1 != stream.num_planes() {
-                    continue;
-                }
-                let serial = cursor.reconstruct();
-                for workers in [1usize, 2, 4] {
-                    // dirty pooled buffer: reconstruct_into must fully reset it
-                    let mut out = vec![f64::NAN; 7];
-                    cursor.reconstruct_into(&mut out, workers);
-                    assert_eq!(serial, out, "dims {dims:?} plane {p} w={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn word_cursor_matches_scalar_cursor_bit_for_bit() {
         for dims in [vec![300usize], vec![23, 17], vec![9, 10, 11]] {
             let n: usize = dims.iter().product();
@@ -1308,11 +1195,12 @@ mod tests {
                         cs.digit_words(),
                         "dims {dims:?} plane {p}"
                     );
-                    assert_eq!(
-                        cw.reconstruct(),
-                        cs.reconstruct(),
-                        "dims {dims:?} plane {p}"
-                    );
+                    let expect = cs.reconstruct();
+                    assert_eq!(cw.reconstruct(), expect, "dims {dims:?} plane {p}");
+                    // dirty pooled buffer: reconstruct_into must fully reset it
+                    let mut out = vec![f64::NAN; 7];
+                    cw.reconstruct_into(&mut out, 1);
+                    assert_eq!(out, expect, "dims {dims:?} plane {p} pooled");
                 }
             }
         }
@@ -1429,7 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_refactor_is_byte_identical_to_serial_and_scalar() {
+    fn refactor_is_byte_identical_to_scalar_oracle() {
         for dims in [vec![2048usize], vec![40, 25], vec![9, 10, 11]] {
             let n: usize = dims.iter().product();
             let mut data = field(n);
@@ -1438,13 +1326,9 @@ mod tests {
             }
             let r = ZfpRefactorer::new();
             let stored = |s: ZfpStream| (s.meta().to_bytes(), s.planes);
-            let serial = stored(r.refactor(&data, &dims).unwrap());
-            for workers in [2usize, 8] {
-                let par = stored(r.refactor_with_workers(&data, &dims, workers).unwrap());
-                assert_eq!(par, serial, "dims {dims:?} workers {workers}");
-            }
+            let word = stored(r.refactor(&data, &dims).unwrap());
             let scalar = stored(r.refactor_scalar(&data, &dims).unwrap());
-            assert_eq!(scalar, serial, "dims {dims:?} scalar oracle");
+            assert_eq!(scalar, word, "dims {dims:?} scalar oracle");
         }
     }
 

@@ -61,7 +61,7 @@ USAGE:
   pqr refactor --out <archive> [--scheme S] [--mask f1,f2,..]
                [--workers N] [--overlap-io on|off]
                (--field NAME:PATH)... (--qoi 'NAME=EXPR')...
-               (encodes fields across N workers and, with overlap on,
+               (encodes one field per worker, N at once, and, with overlap on,
                streams finished fields to disk while the rest encode;
                prints an encode-throughput line)
   pqr info <archive>
@@ -287,11 +287,8 @@ fn cmd_refactor(args: &[String]) -> Result<()> {
         field_specs.len() as f64 / secs,
         raw_bytes as f64 / 1e6 / secs,
         secs * 1e3,
-        if workers == 0 {
-            "auto".to_string()
-        } else {
-            workers.to_string()
-        },
+        // one field per encoder thread: what ran, not what was asked for
+        pqr::progressive::field::field_workers(workers, field_specs.len()),
         if overlap_io { "on" } else { "off" },
     );
     Ok(())
@@ -370,8 +367,8 @@ fn parse_bool(flag: &str, s: &str) -> Result<bool> {
 }
 
 /// Builds the retrieval engine configuration from the shared retrieve
-/// flags: `--estimator` and `--workers` (decode threads per refinement
-/// round; 0 = the `PQR_THREADS` env default).
+/// flags: `--estimator` and `--workers` (fields refined and scan chunks
+/// run at once; 0 = the `PQR_THREADS` env default).
 fn engine_config_from_flags(flags: &Flags<'_>) -> Result<EngineConfig> {
     let mut cfg = EngineConfig::default();
     if let Some(est) = flags.get("--estimator") {

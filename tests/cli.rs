@@ -700,20 +700,28 @@ fn refactor_workers_and_overlap_flags_stream_identical_archives() {
             String::from_utf8_lossy(&out.stderr).to_string(),
         )
     };
-    let (baseline, log) = run("w1off", &["--workers", "1", "--overlap-io", "off"]);
-    assert!(
+    // the encode line reports the encoder threads that ran: one per
+    // field, so a budget of 4 over these 2 fields runs 2
+    let encode_line = |log: &str| -> String {
         log.lines()
-            .any(|l| l.starts_with("encode:") && l.contains("fields/s")),
-        "missing encode-throughput line: {log}"
-    );
-    for (tag, extra) in [
-        ("w1on", ["--workers", "1", "--overlap-io", "on"]),
-        ("w4off", ["--workers", "4", "--overlap-io", "off"]),
-        ("w4on", ["--workers", "4", "--overlap-io", "on"]),
+            .find(|l| l.starts_with("encode:") && l.contains("fields/s"))
+            .unwrap_or_else(|| panic!("missing encode-throughput line: {log}"))
+            .to_string()
+    };
+    let (baseline, log) = run("w1off", &["--workers", "1", "--overlap-io", "off"]);
+    assert!(encode_line(&log).contains("(1 workers"), "{log}");
+    for (tag, extra, used) in [
+        ("w1on", ["--workers", "1", "--overlap-io", "on"], 1),
+        ("w4off", ["--workers", "4", "--overlap-io", "off"], 2),
+        ("w4on", ["--workers", "4", "--overlap-io", "on"], 2),
     ] {
         let (bytes, log) = run(tag, &extra);
         assert_eq!(baseline, bytes, "{extra:?} changed archive bytes");
-        assert!(log.contains("encode:"), "{extra:?} log: {log}");
+        let line = encode_line(&log);
+        assert!(
+            line.contains(&format!("({used} workers")),
+            "{extra:?}: {line}"
+        );
     }
 
     // the streamed archive retrieves with the guarantee intact

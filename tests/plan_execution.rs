@@ -16,13 +16,14 @@ use pqr::prelude::*;
 /// V = √(Vx²+Vy²), KE-ish Vx² and the product Vx·Vy.
 const TOLS: [(&str, f64); 3] = [("V", 1e-4), ("Vx2", 1e-4), ("VxVy", 1e-3)];
 
-fn build_archive() -> Archive {
+fn build_archive(scheme: Scheme) -> Archive {
     let n = 3000;
     let vx: Vec<f64> = (0..n)
         .map(|i| (i as f64 * 0.013).sin() * 30.0 + 50.0)
         .collect();
     let vy: Vec<f64> = (0..n).map(|i| (i as f64 * 0.021).cos() * 15.0).collect();
     ArchiveBuilder::new(&[n])
+        .scheme(scheme)
         .field("Vx", vx)
         .field("Vy", vy)
         .qoi("V", velocity_magnitude(0, 2))
@@ -36,11 +37,15 @@ fn one(name: &str, tol: f64) -> RetrievalRequest {
     RetrievalRequest::new().qoi(name, tol)
 }
 
-fn save_archive(tag: &str) -> std::path::PathBuf {
+fn save_archive(tag: &str, scheme: Scheme) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("pqr_plan_execution_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}_{}.pqrx", std::process::id()));
-    build_archive().save(&path).unwrap();
+    let path = dir.join(format!(
+        "{tag}_{}_{}.pqrx",
+        scheme.name(),
+        std::process::id()
+    ));
+    build_archive(scheme).save(&path).unwrap();
     path
 }
 
@@ -62,7 +67,7 @@ fn open_with_a_fixed_demotion_order(path: &std::path::Path) -> Archive {
 
 #[test]
 fn batched_multi_qoi_reads_strictly_fewer_bytes_than_sequential_requests() {
-    let path = save_archive("bytes");
+    let path = save_archive("bytes", Scheme::default());
 
     // batched: one session, one 3-target request
     let batched = Archive::open(&path).unwrap();
@@ -106,7 +111,7 @@ fn batched_multi_qoi_reads_strictly_fewer_bytes_than_sequential_requests() {
 
 #[test]
 fn file_batched_execution_uses_strictly_fewer_read_ops_for_identical_bytes() {
-    let path = save_archive("readops");
+    let path = save_archive("readops", Scheme::default());
     let archive = Archive::open(&path).unwrap();
     let mut session = archive.session().unwrap();
     let mut request = RetrievalRequest::new();
@@ -132,14 +137,13 @@ fn file_batched_execution_uses_strictly_fewer_read_ops_for_identical_bytes() {
 
 #[test]
 fn decode_workers_do_not_change_results() {
-    // the decode parallelism matrix over a real file-backed archive:
-    // reconstructions, certified bounds and byte accounting must be
-    // identical in every cell (CI re-runs this whole file under
-    // PQR_THREADS=1 and =4, which covers the env-driven default worker
-    // count as well)
-    let path = save_archive("matrix");
-    let run = |workers: usize| {
-        let mut archive = Archive::open(&path).unwrap();
+    // the decode parallelism matrix — fields refined at once — over a
+    // real file-backed archive of every scheme: reconstructions, certified
+    // bounds and byte accounting must be identical in every cell (CI
+    // re-runs this whole file under PQR_THREADS=1 and =4, which covers the
+    // env-driven default worker count as well)
+    let run = |path: &std::path::Path, workers: usize| {
+        let mut archive = Archive::open(path).unwrap();
         archive.set_engine_config(EngineConfig {
             workers,
             ..Default::default()
@@ -170,16 +174,24 @@ fn decode_workers_do_not_change_results() {
             stats.fetched_bytes,
         )
     };
-    let baseline = run(1); // the pre-parallel executor, exactly
-    for workers in [2, 4, 8] {
-        assert_eq!(baseline, run(workers), "workers={workers} changed results");
+    for scheme in Scheme::extended() {
+        let path = save_archive("matrix", scheme);
+        let baseline = run(&path, 1); // the pre-parallel executor, exactly
+        for workers in [2, 4, 8] {
+            assert_eq!(
+                baseline,
+                run(&path, workers),
+                "{} workers={workers} changed results",
+                scheme.name()
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn plan_report_read_ops_reflect_the_backend() {
-    let path = save_archive("report_ops");
+    let path = save_archive("report_ops", Scheme::default());
     let archive = Archive::open(&path).unwrap();
     let mut session = archive.session().unwrap();
     let report = session
@@ -203,7 +215,7 @@ fn shared_store_decodes_once_and_serves_looser_sessions_for_free() {
     // the store to a tight depth; session 2 at a looser tolerance must
     // perform 0 source fetches and 0 bitplane decodes — served entirely
     // from the shared decode state
-    let path = save_archive("decode_once");
+    let path = save_archive("decode_once", Scheme::default());
     let archive = Archive::open(&path).unwrap();
     let service = archive.service().unwrap();
 
@@ -259,7 +271,7 @@ fn sequential_service_sessions_match_one_legacy_engine_byte_for_byte() {
     // after another through the service reproduce exactly what a single
     // persistent independent session produces for the same request series
     // — reconstructions, certified bounds and cumulative byte accounting
-    let path = save_archive("service_equiv");
+    let path = save_archive("service_equiv", Scheme::default());
     let requests: [(&str, f64); 4] = [("V", 1e-2), ("Vx2", 1e-3), ("V", 1e-5), ("VxVy", 1e-3)];
 
     let service_archive = open_with_a_fixed_demotion_order(&path);
@@ -302,7 +314,7 @@ fn concurrent_mixed_tolerance_sessions_stress() {
     // under PQR_THREADS=1 and =4): every session certifies, the guarantee
     // holds per session, and the shared arm reads no more source bytes
     // than the per-session sum of independent cold engines
-    let path = save_archive("stress");
+    let path = save_archive("stress", Scheme::default());
     let tols = [1e-2, 1e-5, 1e-3, 1e-4, 1e-2, 1e-5, 1e-4, 1e-3];
 
     let shared_archive = Archive::open(&path).unwrap();
@@ -347,7 +359,7 @@ fn remembered_estimate_survives_demotion_and_never_crosses_sessions() {
     // answered from the remembered estimate; a fresh session adopts cold
     // placeholders, rehydrates on its first refinement, remembers nothing —
     // and certifies the very same numbers
-    let path = save_archive("estimate_reuse");
+    let path = save_archive("estimate_reuse", Scheme::default());
     let archive = Archive::open(&path).unwrap();
     let service = archive.service().unwrap();
     let mut request = RetrievalRequest::new();
