@@ -29,10 +29,11 @@
 //! The refine→estimate→tighten loop itself lives in [`crate::plan`]:
 //! [`RetrievalEngine::retrieve`] resolves its specs into a
 //! [`crate::plan::RetrievalPlan`] and runs the
-//! [`crate::plan::PlanExecutor`], which batches each round's fragment
-//! schedule through [`FragmentSource::read_many`] before the readers
-//! consume it — single-target requests, multi-QoI plans and resumed
-//! sessions share exactly one fetch code path.
+//! [`crate::plan::PlanExecutor`], which reads each round's fragment
+//! schedule through one [`FragmentSource::read_many`] and hands every
+//! reader its own field's payloads for that round — single-target
+//! requests, multi-QoI plans and resumed sessions share exactly one fetch
+//! code path.
 
 // The point-scan loops index several parallel arrays (recons, eps, x) by
 // the same point/field index; iterator zips would obscure the correspondence
@@ -40,7 +41,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::field::{Dataset, RefactoredDataset};
-use crate::fragstore::{FragmentId, FragmentSource, FragmentStage, Manifest, SourceStats};
+use crate::fragstore::{self, Batch, FragmentId, FragmentSource, Manifest, SourceStats};
 use crate::refactored::FieldReader;
 use pqr_qoi::program::{Columns, Pass};
 use pqr_qoi::{BoundConfig, QoiExpr, QoiProgram};
@@ -197,9 +198,6 @@ pub struct RetrievalEngine {
     source: Arc<dyn FragmentSource>,
     manifest: Manifest,
     readers: Vec<FieldReader>,
-    /// Shared prefetch stage: plan execution parks batched payloads here
-    /// and the readers' per-fragment consume path drains it.
-    stage: Arc<FragmentStage>,
     /// The shared progress store, when this engine was built with one —
     /// retained so plan execution can report store-level decode/reuse
     /// deltas per request.
@@ -278,21 +276,16 @@ impl RetrievalEngine {
                 )));
             }
         }
-        let mut readers = (0..manifest.num_fields())
+        let readers = (0..manifest.num_fields())
             .map(|i| match &store {
                 Some(store) => FieldReader::open_shared(Arc::clone(store), &manifest, i),
                 None => FieldReader::open(Arc::clone(&source), &manifest, i),
             })
             .collect::<Result<Vec<_>>>()?;
-        let stage = Arc::new(FragmentStage::default());
-        for r in &mut readers {
-            r.attach_stage(Arc::clone(&stage));
-        }
         Ok(Self {
             source,
             manifest,
             readers,
-            stage,
             store,
             cfg,
             last_scan: None,
@@ -370,9 +363,10 @@ impl RetrievalEngine {
     /// The replay is itself plan execution: each field's restore schedule
     /// is derived from its progress marker without fetching, the combined
     /// schedule rides one source-ordered
-    /// [`FragmentSource::read_many`] batch, and the readers then consume
-    /// the staged payloads — the same single fetch code path a
-    /// [`crate::plan::RetrievalPlan`] drives.
+    /// [`FragmentSource::read_many`] batch, and each reader then restores
+    /// from its own field's payloads — the same single fetch code path a
+    /// [`crate::plan::RetrievalPlan`] drives, falling back to per-fragment
+    /// fetches when the batch fails.
     pub fn resume_from_source(
         source: Arc<dyn FragmentSource>,
         cfg: EngineConfig,
@@ -409,9 +403,9 @@ impl RetrievalEngine {
             return Err(PqrError::CorruptStream("trailing progress bytes".into()));
         }
         engine.manifest.storage_order(&mut ids);
-        engine.prefetch(&ids)?;
-        for (i, p) in markers.iter().enumerate() {
-            engine.readers[i].restore(p)?;
+        let batches = fragstore::read_batches(engine.source.as_ref(), &engine.manifest, &ids);
+        for ((reader, p), batch) in engine.readers.iter_mut().zip(&markers).zip(batches) {
+            reader.restore_with(p, batch)?;
         }
         Ok(engine)
     }
@@ -493,20 +487,6 @@ impl RetrievalEngine {
         &self.cfg
     }
 
-    /// Batches `ids` through the source's [`FragmentSource::read_many`]
-    /// and parks the payloads on the engine's stage, where the readers'
-    /// per-fragment consume path picks them up.
-    fn prefetch(&self, ids: &[FragmentId]) -> Result<()> {
-        if ids.is_empty() {
-            return Ok(());
-        }
-        let payloads = self.source.read_many(ids)?;
-        for (&id, payload) in ids.iter().zip(payloads) {
-            self.stage.put(id, payload);
-        }
-        Ok(())
-    }
-
     /// The effective worker count: fields refined at once, scan chunks.
     fn workers(&self) -> usize {
         match self.cfg.workers {
@@ -515,39 +495,38 @@ impl RetrievalEngine {
         }
     }
 
-    /// Executes one refinement round: stages `ids` through one batched
+    /// Executes one refinement round: reads `ids` through one batched
     /// read, then refines every field with a finite requested bound — in
-    /// parallel across fields, since their cursors are independent. A
-    /// failed batch degrades to the readers' per-fragment fallback fetches,
-    /// and decode's verdict decides the round. Whatever of the batch no
-    /// reader took (a field failed, or never ran after one did) leaves the
-    /// stage with the round.
+    /// parallel across fields, since their cursors are independent — each
+    /// from its own field's share of the batch. A failed batch degrades to
+    /// the readers' per-fragment fallback fetches, and decode's verdict
+    /// decides the round. Whatever of the batch no reader took (a field
+    /// failed, or never ran after one did) is dropped with the round.
     ///
     /// Every worker count produces bit-identical reconstructions and byte
     /// accounting (asserted by `prop_plan_equivalence` and the engine tests
     /// below).
     pub(crate) fn refine_round(&mut self, requested: &[f64], ids: &[FragmentId]) -> Result<()> {
-        let _ = self.prefetch(ids);
-        let refined = self.refine_fields(requested, self.workers());
-        self.stage.discard(ids);
-        refined
+        let batches = fragstore::read_batches(self.source.as_ref(), &self.manifest, ids);
+        self.refine_fields(requested, batches)
     }
 
-    /// Refines every field with a finite requested bound, fanning the
-    /// independent per-field cursors across `workers` threads.
+    /// Refines every field with a finite requested bound from its batch,
+    /// fanning the independent per-field cursors across the worker
+    /// threads.
     ///
-    /// A failing field stops further work: sequentially that is the legacy
-    /// short-circuit exactly; in parallel, in-flight fields finish but no
-    /// new field starts once a failure is flagged, and the first error in
-    /// field order is returned.
-    fn refine_fields(&mut self, requested: &[f64], workers: usize) -> Result<()> {
-        // Lock-free pre-pass: count fields whose certified bound is still
-        // above the request. Coalesced serve rounds mostly arrive here with
-        // every field already published at depth (adoption-only rounds);
-        // spinning up the worker pool to confirm "nothing to do" per field
-        // would serialize on pool dispatch instead. Fewer than two pending
-        // fields never benefits from parallelism, so take the sequential
-        // arm — bit-identical by construction, each reader refines alone.
+    /// A failing field stops further work: no field starts once a failure
+    /// is flagged (sequentially, that is a short-circuit; in parallel,
+    /// in-flight fields finish), and the first error in field order is
+    /// returned.
+    fn refine_fields(&mut self, requested: &[f64], batches: Vec<Batch>) -> Result<()> {
+        // Fewer than two fields whose certified bound is still above the
+        // request never benefit from parallelism: coalesced serve rounds
+        // mostly arrive here with every field already published at depth
+        // (adoption-only rounds), and spawning scoped threads to confirm
+        // "nothing to do" per field would cost more than the work. Such
+        // rounds run on the calling thread — bit-identical by construction,
+        // each reader refines alone.
         let pending = self
             .readers
             .iter()
@@ -558,22 +537,17 @@ impl RetrievalEngine {
                     .is_some_and(|eb| eb.is_finite() && reader.guaranteed_bound() > *eb)
             })
             .count();
-        if workers <= 1 || pending < 2 {
-            for (j, reader) in self.readers.iter_mut().enumerate() {
-                if requested.get(j).is_some_and(|eb| eb.is_finite()) {
-                    reader.refine_to(requested[j])?;
-                }
-            }
-            return Ok(());
-        }
+        let workers = if pending < 2 { 1 } else { self.workers() };
+        let mut work: Vec<(&mut FieldReader, Batch)> =
+            self.readers.iter_mut().zip(batches).collect();
         let failed = std::sync::atomic::AtomicBool::new(false);
-        let results = pqr_util::par::par_dynamic_mut(&mut self.readers, workers, |j, reader| {
+        let results = pqr_util::par::par_dynamic_mut(&mut work, workers, |j, (reader, batch)| {
             if failed.load(std::sync::atomic::Ordering::Relaxed) {
                 return Ok(()); // another field already failed: stop fetching
             }
             match requested.get(j) {
                 Some(&eb) if eb.is_finite() => reader
-                    .refine_to(eb)
+                    .refine_with(eb, std::mem::take(batch))
                     .map(|_| ())
                     .inspect_err(|_| failed.store(true, std::sync::atomic::Ordering::Relaxed)),
                 _ => Ok(()),
@@ -803,6 +777,7 @@ fn sound_estimate(bound: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragstore::InMemorySource;
     use crate::refactored::Scheme;
     use pqr_qoi::library::{species_product, velocity_magnitude};
     use pqr_util::stats;
@@ -1185,7 +1160,7 @@ mod tests {
     /// Serves `inner` with `bad`'s payload emptied: every batch lands, and
     /// decoding `bad` fails.
     struct EmptyPayload {
-        inner: crate::fragstore::InMemorySource,
+        inner: InMemorySource,
         bad: FragmentId,
     }
 
@@ -1202,13 +1177,13 @@ mod tests {
     }
 
     #[test]
-    fn failed_round_leaves_nothing_staged() {
-        // field 0's first fragment fails to decode: the rest of its front,
-        // and the fronts of the fields that never ran, must not stay staged
+    fn failed_round_surfaces_the_fault() {
+        // field 0's first fragment fails to decode: the round must fail,
+        // with the rest of the batch dropped along with it
         let ds = velocity_dataset(1500, false);
         let bytes = ds.refactor(Scheme::Psz3Delta).unwrap().to_bytes();
         let source = EmptyPayload {
-            inner: crate::fragstore::InMemorySource::new(bytes).unwrap(),
+            inner: InMemorySource::new(bytes).unwrap(),
             bad: FragmentId { field: 0, index: 0 },
         };
         let cfg = EngineConfig {
@@ -1218,10 +1193,57 @@ mod tests {
         let mut engine = RetrievalEngine::from_source(Arc::new(source), cfg).unwrap();
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &ds).unwrap();
         assert!(engine.retrieve(&[spec]).is_err(), "the fault must surface");
-        assert!(
-            engine.stage.is_empty(),
-            "a failed round left payloads staged"
-        );
+    }
+
+    /// Serves `inner` one fragment at a time: every batch read fails.
+    struct NoBatches(InMemorySource);
+
+    impl FragmentSource for NoBatches {
+        fn manifest(&self) -> Result<Manifest> {
+            self.0.manifest()
+        }
+        fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
+            self.0.fetch(id)
+        }
+        fn read_many(&self, _ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
+            Err(PqrError::InvalidRequest("batch reads unavailable".into()))
+        }
+    }
+
+    #[test]
+    fn resume_falls_back_to_single_fetches_when_batches_fail() {
+        let ds = velocity_dataset(1500, false);
+        let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &ds).unwrap();
+        let cfg = EngineConfig::default();
+        for scheme in Scheme::extended() {
+            let bytes = ds.refactor(scheme).unwrap().to_bytes();
+            let healthy = || Arc::new(InMemorySource::new(bytes.clone()).unwrap());
+            let mut engine = RetrievalEngine::from_source(healthy(), cfg).unwrap();
+            engine.retrieve(std::slice::from_ref(&spec)).unwrap();
+            let progress = engine.save_progress();
+            let batched = RetrievalEngine::resume_from_source(healthy(), cfg, &progress).unwrap();
+            let single = RetrievalEngine::resume_from_source(
+                Arc::new(NoBatches(InMemorySource::new(bytes).unwrap())),
+                cfg,
+                &progress,
+            )
+            .unwrap();
+            assert_eq!(
+                single.total_fetched(),
+                batched.total_fetched(),
+                "{}",
+                scheme.name()
+            );
+            for i in 0..3 {
+                assert_eq!(single.reconstruction(i), batched.reconstruction(i));
+                assert_eq!(
+                    single.field_bound(i).to_bits(),
+                    batched.field_bound(i).to_bits(),
+                    "{} field {i}",
+                    scheme.name()
+                );
+            }
+        }
     }
 
     #[test]

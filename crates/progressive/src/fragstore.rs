@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Container magic.
 const MAGIC: &[u8; 4] = b"PQRX";
@@ -228,44 +228,34 @@ impl<S: FragmentSource + ?Sized> FragmentSource for &S {
     }
 }
 
-/// A staging area for batched fragment payloads: the engine and the shared
-/// store read a round's schedule through one [`FragmentSource::read_many`]
-/// and park the payloads here, where the readers' per-fragment consume path
-/// takes them instead of re-reading the backend. Whoever stages a batch
-/// discards what is left of it before returning, so a round that fails
-/// part-way leaves nothing behind.
-#[derive(Debug, Default)]
-pub(crate) struct FragmentStage(Mutex<HashMap<FragmentId, Arc<Vec<u8>>>>);
+/// One field's share of a batched read, by fragment index: handed by value
+/// to the reader that consumes it for that one call, which falls back to
+/// [`FragmentSource::fetch`] for any fragment the batch lacks and drops
+/// whatever it did not take when the call returns.
+pub(crate) type Batch = HashMap<u32, Arc<Vec<u8>>>;
 
-impl FragmentStage {
-    fn lock(&self) -> MutexGuard<'_, HashMap<FragmentId, Arc<Vec<u8>>>> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+/// Reads `ids` (in the order given) through one
+/// [`FragmentSource::read_many`] and groups the payloads by field: entry
+/// `f` of the result is field `f`'s [`Batch`], one per field of
+/// `manifest`. An empty schedule reads nothing, and a failed batch hands
+/// every reader an empty one, so each fetches its fragments one by one.
+pub(crate) fn read_batches(
+    source: &dyn FragmentSource,
+    manifest: &Manifest,
+    ids: &[FragmentId],
+) -> Vec<Batch> {
+    let mut batches = vec![Batch::new(); manifest.num_fields()];
+    if ids.is_empty() {
+        return batches;
     }
-
-    /// Parks a prefetched payload.
-    pub(crate) fn put(&self, id: FragmentId, payload: Arc<Vec<u8>>) {
-        self.lock().insert(id, payload);
-    }
-
-    /// Takes a staged payload out (consumed at most once).
-    pub(crate) fn take(&self, id: FragmentId) -> Option<Arc<Vec<u8>>> {
-        self.lock().remove(&id)
-    }
-
-    /// Drops whatever of `ids` is still staged, leaving every other entry
-    /// alone: a shared store's stage also holds other fields' rounds.
-    pub(crate) fn discard(&self, ids: &[FragmentId]) {
-        let mut staged = self.lock();
-        for id in ids {
-            staged.remove(id);
+    if let Ok(payloads) = source.read_many(ids) {
+        for (id, payload) in ids.iter().zip(payloads) {
+            if let Some(batch) = batches.get_mut(id.field as usize) {
+                batch.insert(id.index, payload);
+            }
         }
     }
-
-    /// True when nothing is staged.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
+    batches
 }
 
 /// One coalesced read: `(run_offset, run_len, members)` where each member

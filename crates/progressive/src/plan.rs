@@ -16,10 +16,11 @@
 //!    [`FragmentSource::read_many`]: each refine→estimate→tighten round
 //!    first *plans* every involved field's refinement front from metadata
 //!    alone (the §V bound models are functions of consumed-fragment
-//!    counts, never payload contents, so the prediction is exact), batches
-//!    the round in storage order — files coalesce adjacent ranges into
-//!    single reads, remote stores serve the batch in one round-trip — and
-//!    only then lets the readers consume. After each round the §IV error
+//!    counts, never payload contents, so the prediction is exact), reads
+//!    the round as one batch in storage order — files coalesce adjacent
+//!    ranges into single reads, remote stores serve the batch in one
+//!    round-trip — and hands each reader its own field's payloads to
+//!    consume in that round. After each round the §IV error
 //!    bounds are re-evaluated and each target stops influencing further
 //!    tightening as soon as its tolerance certifies.
 //! 3. **Report** — [`PlanReport`] carries per-target outcomes
@@ -293,7 +294,7 @@ pub struct PlanReport {
     pub reconstruct_ms: u64,
 }
 
-/// Drives a [`RetrievalPlan`] through the engine: batched prefetch per
+/// Drives a [`RetrievalPlan`] through the engine: one batched read per
 /// round, §IV re-evaluation after every round, per-target certification,
 /// Algorithm-4 tightening for the still-unmet targets, and the optional
 /// byte budget.
@@ -338,10 +339,11 @@ impl<'e> PlanExecutor<'e> {
         let mut budget_exhausted = false;
         let (satisfied, field_bounds) = loop {
             iterations += 1;
-            // batch the round's fragment schedule through one read_many,
-            // then fan the independent per-field cursors across decode
-            // workers (see `RetrievalEngine::refine_round`); the readers'
-            // per-fragment fetch stays underneath as the fallback. Alg. 2
+            // read the round's fragment schedule through one read_many,
+            // then fan the independent per-field cursors, each with its
+            // own field's payloads, across decode workers (see
+            // `RetrievalEngine::refine_round`); the readers' per-fragment
+            // fetch stays underneath as the fallback. Alg. 2
             // line 10 (progressive_construct each involved field) happens
             // inside the round.
             // round 1 reuses the schedule resolve() already computed,

@@ -14,7 +14,7 @@
 //! recompose incrementally as more fragments arrive.
 
 use crate::backend::{self, Backend, Fragments};
-use crate::fragstore::{self, FragmentId, FragmentSource, FragmentStage, Manifest};
+use crate::fragstore::{self, Batch, FragmentId, FragmentSource, Manifest};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::stats;
@@ -375,13 +375,11 @@ pub struct FieldReader {
     state: State,
 }
 
-/// Where a reader's fragments come from, and the tally of what it took.
+/// Where a reader's fragments come from — the batch a call hands in, then
+/// the source — and the tally of what it took.
 struct Fetcher {
     source: Arc<dyn FragmentSource>,
     field: u32,
-    /// Prefetch stage consulted before the source (plan execution parks
-    /// batched payloads here; `None` = always fetch per fragment).
-    stage: Option<Arc<FragmentStage>>,
     /// Cumulative fetched bytes.
     fetched: usize,
     /// Payload fragments this reader itself fetched and decoded. Shared
@@ -392,18 +390,17 @@ struct Fetcher {
 
 impl Fetcher {
     /// Fetches payload fragment `index` of this field, accounting its bytes.
-    /// Staged (batch-prefetched) payloads are consumed first; anything not
-    /// staged falls back to a per-fragment source fetch, so the consume
-    /// path is correct whether or not a plan prefetched (and whether or not
-    /// its batch read succeeded).
-    fn fetch(&mut self, index: u32) -> Result<Arc<Vec<u8>>> {
-        let id = FragmentId {
-            field: self.field,
-            index,
-        };
-        let payload = match self.stage.as_ref().and_then(|s| s.take(id)) {
-            Some(staged) => staged,
-            None => self.source.fetch(id)?,
+    /// A payload the call's `batch` holds is taken from it; anything else
+    /// falls back to a per-fragment source fetch, so the consume path is
+    /// correct whether or not the round batched (and whether or not its
+    /// batch read succeeded).
+    fn fetch(&mut self, index: u32, batch: &mut Batch) -> Result<Arc<Vec<u8>>> {
+        let payload = match batch.remove(&index) {
+            Some(batched) => batched,
+            None => self.source.fetch(FragmentId {
+                field: self.field,
+                index,
+            })?,
         };
         self.fetched += payload.len();
         self.consumed += 1;
@@ -511,7 +508,6 @@ impl FieldReader {
             io: Fetcher {
                 source,
                 field: fid,
-                stage: None,
                 fetched: opened.meta_bytes,
                 consumed: 0,
             },
@@ -530,7 +526,7 @@ impl FieldReader {
         };
         // the opening state may already beat the zero vector (PMGARD's
         // metadata carries the root value)
-        reader.consume(&[])?;
+        reader.consume(&[], Batch::new())?;
         Ok(reader)
     }
 
@@ -555,7 +551,6 @@ impl FieldReader {
             io: Fetcher {
                 source: Arc::clone(store.source()),
                 field: field as u32,
-                stage: None,
                 fetched: snap.fetched,
                 consumed: 0,
             },
@@ -591,14 +586,6 @@ impl FieldReader {
     /// Wall-clock nanoseconds spent rebuilding reconstructions.
     pub fn reconstruct_nanos(&self) -> u64 {
         self.held.reconstruct_nanos
-    }
-
-    /// Attaches a prefetch stage: subsequent fragment fetches consume
-    /// staged payloads before falling back to the source. The retrieval
-    /// engine shares one stage across its readers so batched rounds land
-    /// where the per-fragment consume path expects them.
-    pub(crate) fn attach_stage(&mut self, stage: Arc<FragmentStage>) {
-        self.io.stage = Some(stage);
     }
 
     /// Payload fragments this reader fetched **and decoded** itself.
@@ -746,6 +733,13 @@ impl FieldReader {
     /// Fetches fragments until the guaranteed bound is ≤ `eb` (absolute) or
     /// the representation is exhausted. Returns newly fetched bytes.
     pub fn refine_to(&mut self, eb: f64) -> Result<usize> {
+        self.refine_with(eb, Batch::new())
+    }
+
+    /// [`FieldReader::refine_to`] consuming the payloads of `batch` (this
+    /// field's share of a batched round read) before fetching the rest.
+    /// A store-backed view fetches nothing itself and ignores it.
+    pub(crate) fn refine_with(&mut self, eb: f64, batch: Batch) -> Result<usize> {
         if eb < 0.0 || eb.is_nan() {
             return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
         }
@@ -776,7 +770,7 @@ impl FieldReader {
                 }
                 None => self.recon_cache_hits += 1,
             }
-        } else if !self.consume(&self.plan_refine_to(eb))? {
+        } else if !self.consume(&self.plan_refine_to(eb), batch)? {
             self.recon_cache_hits += 1;
         }
         Ok(self.io.fetched - before)
@@ -786,8 +780,14 @@ impl FieldReader {
     /// by deterministically replaying the recorded fetches through the
     /// reader's fragment source.
     pub fn restore(&mut self, progress: &ReaderProgress) -> Result<()> {
+        self.restore_with(progress, Batch::new())
+    }
+
+    /// [`FieldReader::restore`] consuming the payloads of `batch` before
+    /// fetching the rest.
+    pub(crate) fn restore_with(&mut self, progress: &ReaderProgress, batch: Batch) -> Result<()> {
         let front = self.plan_restore(progress)?;
-        self.consume(&front)?;
+        self.consume(&front, batch)?;
         if let Some(fetched) = progress.recorded_fetched() {
             self.io.fetched = fetched;
         }
@@ -795,16 +795,17 @@ impl FieldReader {
     }
 
     /// The one routine behind [`FieldReader::refine_to`] and
-    /// [`FieldReader::restore`]: fetches and pushes `front` fragment by
-    /// fragment, then rebuilds **whenever the decoded state is ahead of the
-    /// reconstruction held** — keyed on the state, not on whether this call
-    /// pushed — and adopts the rebuild iff the backend's bound is no worse
-    /// than the held one. Returns whether a rebuild was adopted.
+    /// [`FieldReader::restore`]: takes `front` fragment by fragment from
+    /// `batch` or, failing that, the source, and pushes it; then rebuilds
+    /// **whenever the decoded state is ahead of the reconstruction held** —
+    /// keyed on the state, not on whether this call pushed — and adopts
+    /// the rebuild iff the backend's bound is no worse than the held one.
+    /// Returns whether a rebuild was adopted.
     ///
     /// A fetch or decode that fails mid-front stops the pushing, not the
     /// rebuild: what did arrive is folded in before the error surfaces, so
     /// a reader never certifies a reconstruction its marker has moved past.
-    fn consume(&mut self, front: &[u32]) -> Result<bool> {
+    fn consume(&mut self, front: &[u32], mut batch: Batch) -> Result<bool> {
         let State::Decoding { backend, ahead } = &mut self.state else {
             return Err(view_only());
         };
@@ -813,7 +814,7 @@ impl FieldReader {
         for &index in front {
             pushed = self
                 .io
-                .fetch(index)
+                .fetch(index, &mut batch)
                 .and_then(|bytes| backend.push(index, &bytes));
             if pushed.is_err() {
                 break;

@@ -36,7 +36,7 @@
 //! *advance* decodes only, so decode-once accounting degrades exactly by
 //! the explicitly-counted rehydration replays and nothing else.
 
-use crate::fragstore::{FragmentId, FragmentSource, FragmentStage, Manifest};
+use crate::fragstore::{self, Batch, FragmentId, FragmentSource, Manifest};
 use crate::pager::{plan_evictions, EvictionCandidate, StoreBudget};
 use crate::refactored::{FieldReader, ReaderProgress};
 use pqr_util::error::{PqrError, Result};
@@ -307,10 +307,6 @@ pub struct ProgressStore {
     /// fields (or adopting a demoted field N times) costs one allocation
     /// total, not N.
     zero_recon: OnceLock<Arc<Vec<f64>>>,
-    /// Stage the master readers consume batched prefetches from
-    /// ([`ProgressStore::refine_to`] rides each delta through
-    /// [`FragmentSource::read_many`] before the master decodes it).
-    stage: Arc<FragmentStage>,
     /// The byte budget decoded state is charged against (possibly shared
     /// with other stores — the serving layer hands one budget to every
     /// dataset).
@@ -371,7 +367,6 @@ impl ProgressStore {
             published: Vec::new(),
             fronts: Vec::new(),
             zero_recon: OnceLock::new(),
-            stage: Arc::default(),
             store_id: budget.register_store(),
             budget,
             tick: AtomicU64::new(0),
@@ -396,8 +391,7 @@ impl ProgressStore {
         // it is opened, so charging the whole fleet before enforcing once
         // would spike a bounded open to the entire working set
         for i in 0..store.manifest.num_fields() {
-            let mut reader = FieldReader::open(Arc::clone(&store.source), &store.manifest, i)?;
-            reader.attach_stage(Arc::clone(&store.stage));
+            let reader = FieldReader::open(Arc::clone(&store.source), &store.manifest, i)?;
             store.absorb_recon_counters(&reader, ReconCounters(0, 0, 0));
             let snap = Arc::new(snapshot_of(&reader, 1));
             let cost = master_cost(&reader);
@@ -614,31 +608,14 @@ impl ProgressStore {
             return Ok(published);
         }
         let reader = resident(&mut g);
-        // batch the delta schedule — served by the plan-front cache — in
-        // storage order; a failed prefetch degrades to the reader's
-        // per-fragment fallback fetches
-        let mut ids: Vec<FragmentId> = self
-            .front_schedule(field, reader, eb)
-            .into_iter()
-            .map(|index| FragmentId {
-                field: field as u32,
-                index,
-            })
-            .collect();
-        if ids.len() > 1 {
-            self.manifest.storage_order(&mut ids);
-            if let Ok(payloads) = self.source.read_many(&ids) {
-                for (&id, payload) in ids.iter().zip(payloads) {
-                    self.budget
-                        .tier_put((self.store_id, id.field, id.index), Arc::clone(&payload));
-                    self.stage.put(id, payload);
-                }
-            }
-        }
+        // batch the delta schedule — served by the plan-front cache; a
+        // failed batch degrades to the reader's per-fragment fallback
+        // fetches
+        let plan = self.front_schedule(field, reader, eb);
+        let batch = self.read_tiered(field, &plan);
         let before = reader.fragments_decoded();
         let recon_base = recon_counters(reader);
-        let refined = reader.refine_to(eb);
-        self.stage.discard(&ids);
+        let refined = reader.refine_with(eb, batch);
         self.absorb_recon_counters(reader, recon_base);
         let delta = reader.fragments_decoded() - before;
         self.decoded.fetch_add(delta, Ordering::Relaxed);
@@ -740,60 +717,64 @@ impl ProgressStore {
         }
     }
 
-    /// Rebuilds a demoted field's decoded state bit-identically: a fresh
-    /// master replays the exact restore plan for the demoted marker,
-    /// staging payloads from the compressed RAM tier first and batching
-    /// the misses through one [`FragmentSource::read_many`]. Counts the
-    /// replayed fragments and the source bytes the tier could not absorb.
-    fn ensure_resident(&self, g: &mut MasterField, field: usize) -> Result<()> {
-        let d = match &g.state {
-            MasterState::Resident { .. } => return Ok(()),
-            MasterState::Demoted(d) => d.clone(),
-        };
-        let mut reader = FieldReader::open(Arc::clone(&self.source), &self.manifest, field)?;
-        reader.attach_stage(Arc::clone(&self.stage));
-        let plan = reader.plan_restore(&d.progress)?;
-        // whatever opening fetched (a metadata fragment, where the
-        // representation has one) is source traffic rehydration caused
-        let mut refetched = reader.total_fetched() as u64;
-        let ids: Vec<FragmentId> = plan
+    /// Reads fragments `indices` of `field` as one storage-ordered batch
+    /// (see [`fragstore::read_batches`]) and offers every payload that
+    /// arrived to the budget's compressed RAM tier, in storage order.
+    fn read_tiered(&self, field: usize, indices: &[u32]) -> Batch {
+        let mut ids: Vec<FragmentId> = indices
             .iter()
             .map(|&index| FragmentId {
                 field: field as u32,
                 index,
             })
             .collect();
-        let mut missing: Vec<FragmentId> = Vec::new();
-        for &id in &ids {
-            match self.budget.tier_get(&(self.store_id, id.field, id.index)) {
-                Some(payload) => self.stage.put(id, payload),
-                None => missing.push(id),
+        self.manifest.storage_order(&mut ids);
+        let batch =
+            fragstore::read_batches(self.source.as_ref(), &self.manifest, &ids).swap_remove(field);
+        for id in &ids {
+            if let Some(payload) = batch.get(&id.index) {
+                self.budget
+                    .tier_put((self.store_id, id.field, id.index), Arc::clone(payload));
             }
         }
-        if !missing.is_empty() {
-            self.manifest.storage_order(&mut missing);
-            match self.source.read_many(&missing) {
-                Ok(payloads) => {
-                    for (&id, payload) in missing.iter().zip(payloads) {
-                        refetched += payload.len() as u64;
-                        self.budget
-                            .tier_put((self.store_id, id.field, id.index), Arc::clone(&payload));
-                        self.stage.put(id, payload);
-                    }
+        batch
+    }
+
+    /// Rebuilds a demoted field's decoded state bit-identically: a fresh
+    /// master replays the exact restore plan for the demoted marker, taking
+    /// payloads from the compressed RAM tier first and batching the misses
+    /// through one [`FragmentSource::read_many`]. Counts the replayed
+    /// fragments and the source bytes the tier could not absorb.
+    fn ensure_resident(&self, g: &mut MasterField, field: usize) -> Result<()> {
+        let d = match &g.state {
+            MasterState::Resident { .. } => return Ok(()),
+            MasterState::Demoted(d) => d.clone(),
+        };
+        let mut reader = FieldReader::open(Arc::clone(&self.source), &self.manifest, field)?;
+        let plan = reader.plan_restore(&d.progress)?;
+        // whatever opening fetched (a metadata fragment, where the
+        // representation has one) is source traffic rehydration caused
+        let mut refetched = reader.total_fetched() as u64;
+        let (mut batch, mut missing) = (Batch::new(), Vec::new());
+        for &index in &plan {
+            match self.budget.tier_get(&(self.store_id, field as u32, index)) {
+                Some(payload) => {
+                    batch.insert(index, payload);
                 }
-                Err(_) => {
-                    // restore() falls back to per-fragment source fetches;
-                    // the directory records the bytes it will move (an id
-                    // it lacks fails that fetch, and with it the restore)
-                    for &id in &missing {
-                        refetched += self.manifest.fragment(id).map_or(0, |f| f.len);
-                    }
-                }
+                None => missing.push(index),
             }
         }
-        let restored = reader.restore(&d.progress);
-        self.stage.discard(&ids);
-        restored?;
+        batch.extend(self.read_tiered(field, &missing));
+        reader.restore_with(&d.progress, batch)?;
+        // the restore moved every tier miss from the source, batched or
+        // (after a failed batch) one by one: the directory records its bytes
+        for &index in &missing {
+            let id = FragmentId {
+                field: field as u32,
+                index,
+            };
+            refetched += self.manifest.fragment(id).map_or(0, |f| f.len);
+        }
         self.absorb_recon_counters(&reader, ReconCounters(0, 0, 0));
         debug_assert_eq!(
             reader.guaranteed_bound().to_bits(),
@@ -1146,7 +1127,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_refine_and_rehydration_leave_nothing_staged() {
+    fn failed_refine_and_rehydration_surface_the_fault() {
         let source = Arc::new(EmptyPayload {
             inner: shared_source(Scheme::Psz3Delta),
             bad: FragmentId { field: 0, index: 2 },
@@ -1156,20 +1137,49 @@ mod tests {
         let store = ProgressStore::open_with(source.clone(), budget).unwrap();
         // an advance batches the whole front and fails on its third fragment
         assert!(store.refine_to(0, 0.0).is_err(), "the fault must surface");
-        assert!(
-            store.stage.is_empty(),
-            "a failed advance left payloads staged"
-        );
         // a rehydration replays the same front and fails there too
         source.on.store(false, Ordering::SeqCst);
         store.refine_to(0, 0.0).unwrap();
         assert!(store.demote(0));
         source.on.store(true, Ordering::SeqCst);
         assert!(store.refine_to(0, 0.0).is_err(), "the fault must surface");
-        assert!(
-            store.stage.is_empty(),
-            "a failed rehydration left payloads staged"
-        );
+    }
+
+    #[test]
+    fn one_fragment_advances_reach_the_ram_tier() {
+        for scheme in [Scheme::Psz3Delta, Scheme::PmgardOb, Scheme::PmgardHb] {
+            let name = scheme.name();
+            let source = shared_source(scheme);
+            let budget = Arc::new(StoreBudget::with_limit(1 << 30));
+            let store = ProgressStore::open_with(Arc::clone(&source), budget).unwrap();
+            let manifest = store.manifest().clone();
+            let open_fetches = || {
+                let before = source.stats().fetches;
+                FieldReader::open(Arc::clone(&source), &manifest, 0).unwrap();
+                source.stats().fetches - before
+            };
+            let opened = open_fetches();
+            let steps = FieldReader::open(Arc::clone(&source), &manifest, 0)
+                .unwrap()
+                .plan_refine_with_bounds()
+                .unwrap();
+            // four advances of one fragment each, then one of several
+            for &(_, eb) in &steps[..4] {
+                let decoded = store.stats().fragments_decoded;
+                store.refine_to(0, eb).unwrap();
+                assert_eq!(store.stats().fragments_decoded, decoded + 1, "{name}");
+            }
+            let deep = steps[(steps.len() + 4) / 2].1;
+            let decoded = store.stats().fragments_decoded;
+            store.refine_to(0, deep).unwrap();
+            assert!(store.stats().fragments_decoded > decoded + 1, "{name}");
+            assert!(store.demote(0));
+            // every payload rehydrates from the tier: the source serves
+            // only what opening a reader fetches
+            let before = source.stats().fetches;
+            store.refine_to(0, deep).unwrap();
+            assert_eq!(source.stats().fetches - before, opened, "{name}");
+        }
     }
 
     #[test]
