@@ -675,7 +675,7 @@ impl Session {
         &mut self.engine
     }
 
-    /// Payload fragments this session's own readers fetched and decoded.
+    /// Payload fragments this session fetched and decoded for itself.
     /// Sessions on a [`DatasetService`] report zero — their decodes happen
     /// once, in the shared store.
     pub fn fragments_decoded(&self) -> u64 {

@@ -1,6 +1,8 @@
 //! QoI-preserved data retrieval — Algorithms 2, 3 and 4 of the paper.
 //!
-//! The engine owns one progressive reader per field and iterates:
+//! The engine holds one view per field onto a
+//! [`ProgressStore`] — the private store a solo engine opens for itself,
+//! or a service's shared one — and iterates:
 //!
 //! 1. **Refine** every involved field to its currently requested
 //!    primary-data bound (`progressive_construct`, Alg. 2 line 10).
@@ -29,11 +31,10 @@
 //! The refine→estimate→tighten loop itself lives in [`crate::plan`]:
 //! [`RetrievalEngine::retrieve`] resolves its specs into a
 //! [`crate::plan::RetrievalPlan`] and runs the
-//! [`crate::plan::PlanExecutor`], which reads each round's fragment
-//! schedule through one [`FragmentSource::read_many`] and hands every
-//! reader its own field's payloads for that round — single-target
-//! requests, multi-QoI plans and resumed sessions share exactly one fetch
-//! code path.
+//! [`crate::plan::PlanExecutor`], whose rounds refine every field through
+//! its store. The store reads each field's delta through one
+//! [`FragmentSource::read_many`] — single-target requests, multi-QoI plans,
+//! shared sessions and resumed ones share exactly one fetch code path.
 
 // The point-scan loops index several parallel arrays (recons, eps, x) by
 // the same point/field index; iterator zips would obscure the correspondence
@@ -41,8 +42,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::field::{Dataset, RefactoredDataset};
-use crate::fragstore::{self, Batch, FragmentId, FragmentSource, Manifest, SourceStats};
-use crate::refactored::FieldReader;
+use crate::fragstore::{FragmentSource, Manifest, SourceStats};
+use crate::pager::StoreBudget;
+use crate::refactored::ReaderProgress;
+use crate::store::{FieldView, ProgressStore};
 use pqr_qoi::program::{Columns, Pass};
 use pqr_qoi::{BoundConfig, QoiExpr, QoiProgram};
 use pqr_util::error::{PqrError, Result};
@@ -157,12 +160,13 @@ pub struct EngineConfig {
     /// transfer pipeline) wants. Every count is bit-identical.
     pub workers: usize,
     /// Byte budget for shared decoded state when this config builds a
-    /// [`ProgressStore`](crate::store::ProgressStore)-backed service:
+    /// [`ProgressStore`]-backed service:
     /// `Some(0)` = explicitly unbounded, `Some(n)` = cap decoded
     /// snapshots plus master state at `n` bytes (cold fields demote and
     /// rehydrate — see [`crate::pager`]), `None` (the default) = defer
     /// to the `PQR_STORE_BUDGET` environment variable (unset ⇒
-    /// unbounded). Engines opened directly (no store) ignore it.
+    /// unbounded). A solo engine's private store is always unbounded and
+    /// ignores it.
     pub store_budget_bytes: Option<u64>,
 }
 
@@ -189,19 +193,17 @@ impl Default for EngineConfig {
 /// move across threads, outlive the scope that opened them, and many can
 /// share one source concurrently (its [`SourceStats`] tally atomically).
 ///
-/// Engines built with [`RetrievalEngine::with_store`] additionally share a
-/// [`ProgressStore`](crate::store::ProgressStore): their readers are views
-/// onto per-field decode state that advances monotonically across *all*
-/// engines on the store, so a request the store already reached performs
-/// zero fetches and zero decodes.
+/// Every engine's fields are views onto per-field decode state in a
+/// [`ProgressStore`] that advances monotonically. A solo engine opens a
+/// private, unbounded store; engines built with
+/// [`RetrievalEngine::with_store`] share one, so a request the store
+/// already reached performs zero fetches and zero decodes.
 pub struct RetrievalEngine {
-    source: Arc<dyn FragmentSource>,
-    manifest: Manifest,
-    readers: Vec<FieldReader>,
-    /// The shared progress store, when this engine was built with one —
-    /// retained so plan execution can report store-level decode/reuse
-    /// deltas per request.
-    store: Option<Arc<crate::store::ProgressStore>>,
+    store: Arc<ProgressStore>,
+    /// True when `store` came from [`RetrievalEngine::with_store`] (and
+    /// other engines may share it); false for a solo engine's own.
+    shared: bool,
+    views: Vec<FieldView>,
     cfg: EngineConfig,
     /// The last estimate [`RetrievalEngine::estimate`] scanned.
     last_scan: Option<RememberedScan>,
@@ -218,8 +220,8 @@ struct RememberedScan {
 pub(crate) struct Estimate {
     /// `(max estimate, first argmax)` per target.
     pub scans: Vec<(f64, usize)>,
-    /// The per-field bounds the estimate holds at: every reader's
-    /// [`FieldReader::guaranteed_bound`], read once.
+    /// The per-field bounds the estimate holds at: every view's bound, read
+    /// once.
     pub bounds: Vec<f64>,
     /// True when `scans` is the remembered result and no scan ran.
     pub reused: bool,
@@ -237,30 +239,34 @@ impl RetrievalEngine {
         Self::from_source(Arc::new(archive.clone()), cfg)
     }
 
-    /// Opens readers on every field of the archive behind `source`,
+    /// Opens a solo engine on every field of the archive behind `source`,
     /// fetching only the manifest and the per-field metadata fragments.
     pub fn from_source(source: Arc<dyn FragmentSource>, cfg: EngineConfig) -> Result<Self> {
-        let manifest = source.manifest()?;
-        Self::build(source, manifest, cfg, None)
+        Self::solo(source, cfg, &[])
     }
 
-    /// Opens an engine whose readers are **views onto a shared
-    /// [`ProgressStore`](crate::store::ProgressStore)**: refinement reads
-    /// through (and monotonically advances) the store's per-field decode
-    /// state instead of fetching and decoding locally. All engines on one
-    /// store collectively decode each bitplane exactly once.
-    pub fn with_store(store: Arc<crate::store::ProgressStore>, cfg: EngineConfig) -> Result<Self> {
-        let source = Arc::clone(store.source());
-        let manifest = store.manifest().clone();
-        Self::build(source, manifest, cfg, Some(store))
-    }
-
-    fn build(
+    /// A solo engine: views onto a private, unbounded store, its field
+    /// `i` replayed to `markers[i]` where one is given.
+    fn solo(
         source: Arc<dyn FragmentSource>,
-        manifest: Manifest,
         cfg: EngineConfig,
-        store: Option<Arc<crate::store::ProgressStore>>,
+        markers: &[ReaderProgress],
     ) -> Result<Self> {
+        let budget = Arc::new(StoreBudget::unbounded());
+        let store = ProgressStore::open_at(source, budget, markers, true)?;
+        Self::build(Arc::new(store), false, cfg)
+    }
+
+    /// Opens an engine whose fields are **views onto a shared
+    /// [`ProgressStore`]**: refinement reads through (and monotonically
+    /// advances) the store's per-field decode state. All engines on one
+    /// store collectively decode each bitplane exactly once.
+    pub fn with_store(store: Arc<ProgressStore>, cfg: EngineConfig) -> Result<Self> {
+        Self::build(store, true, cfg)
+    }
+
+    fn build(store: Arc<ProgressStore>, shared: bool, cfg: EngineConfig) -> Result<Self> {
+        let manifest = store.manifest();
         if cfg.reduction_factor <= 1.0 {
             return Err(PqrError::InvalidRequest(format!(
                 "reduction factor must exceed 1, got {}",
@@ -276,17 +282,13 @@ impl RetrievalEngine {
                 )));
             }
         }
-        let readers = (0..manifest.num_fields())
-            .map(|i| match &store {
-                Some(store) => FieldReader::open_shared(Arc::clone(store), &manifest, i),
-                None => FieldReader::open(Arc::clone(&source), &manifest, i),
-            })
+        let views = (0..manifest.num_fields())
+            .map(|i| FieldView::open(&store, i))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
-            source,
-            manifest,
-            readers,
             store,
+            shared,
+            views,
             cfg,
             last_scan: None,
         })
@@ -294,58 +296,57 @@ impl RetrievalEngine {
 
     /// The fragment source this engine fetches through.
     pub fn source(&self) -> &dyn FragmentSource {
-        self.source.as_ref()
+        self.store.source().as_ref()
     }
 
     /// A shared handle to the engine's fragment source (for spawning more
     /// engines or querying stats after the engine is gone).
     pub fn shared_source(&self) -> Arc<dyn FragmentSource> {
-        Arc::clone(&self.source)
+        Arc::clone(self.store.source())
     }
 
-    /// The shared [`ProgressStore`](crate::store::ProgressStore) this
-    /// engine refines through, if it was built with
-    /// [`RetrievalEngine::with_store`]. Independent engines return `None`.
-    pub fn shared_store(&self) -> Option<&Arc<crate::store::ProgressStore>> {
-        self.store.as_ref()
+    /// The shared [`ProgressStore`] this engine refines through, if it was
+    /// built with [`RetrievalEngine::with_store`]. Solo engines return
+    /// `None`.
+    pub fn shared_store(&self) -> Option<&Arc<ProgressStore>> {
+        self.shared.then_some(&self.store)
     }
 
-    /// Payload fragments this engine's own readers fetched and decoded.
-    /// Engines on a shared store report zero — decodes happen once, in the
-    /// store (see [`crate::store::StoreStats`]).
+    /// The tallies of a solo engine's own store; `None` when shared.
+    fn own_stats(&self) -> Option<crate::store::StoreStats> {
+        (!self.shared).then(|| self.store.stats())
+    }
+
+    /// Payload fragments this engine fetched and decoded: a solo engine's
+    /// advances plus resume replays. Engines on a shared store report zero
+    /// — decodes happen once, in the store ([`crate::store::StoreStats`]).
     pub fn fragments_decoded(&self) -> u64 {
-        self.readers
-            .iter()
-            .map(FieldReader::fragments_decoded)
-            .sum()
+        self.own_stats()
+            .map_or(0, |s| s.fragments_decoded + s.rehydration_decodes)
     }
 
-    /// Multilevel recompose axis passes this engine's readers performed
-    /// rebuilding reconstructions. Store-backed engines report zero — the
-    /// rebuilds happen once, in the store (see
-    /// [`crate::store::StoreStats::recompose_passes`]).
+    /// Multilevel recompose axis passes run rebuilding this engine's
+    /// reconstructions. Engines on a shared store report zero, as above.
     pub fn recompose_passes(&self) -> u64 {
-        self.readers.iter().map(FieldReader::recompose_passes).sum()
+        self.own_stats().map_or(0, |s| s.recompose_passes)
     }
 
-    /// Refinement rounds the readers answered from their memoized
-    /// reconstruction — zero decodes, zero recompose passes.
+    /// Refinement rounds answered from a memoized reconstruction — zero
+    /// decodes, zero recompose passes.
     pub fn recon_cache_hits(&self) -> u64 {
-        self.readers.iter().map(FieldReader::recon_cache_hits).sum()
+        let views: u64 = self.views.iter().map(FieldView::recon_cache_hits).sum();
+        views + self.own_stats().map_or(0, |s| s.recon_cache_hits)
     }
 
-    /// Wall-clock nanoseconds the readers spent rebuilding
-    /// reconstructions.
+    /// Wall-clock nanoseconds spent rebuilding this engine's
+    /// reconstructions (zero for store-backed engines, as above).
     pub fn reconstruct_nanos(&self) -> u64 {
-        self.readers
-            .iter()
-            .map(FieldReader::reconstruct_nanos)
-            .sum()
+        self.own_stats().map_or(0, |s| s.reconstruct_nanos)
     }
 
     /// The archive manifest the engine retrieves against.
     pub fn manifest(&self) -> &Manifest {
-        &self.manifest
+        self.store.manifest()
     }
 
     /// Creates an engine restored to a previously saved progress blob
@@ -360,54 +361,34 @@ impl RetrievalEngine {
 
     /// [`RetrievalEngine::resume`] over an arbitrary fragment source.
     ///
-    /// The replay is itself plan execution: each field's restore schedule
-    /// is derived from its progress marker without fetching, the combined
-    /// schedule rides one source-ordered
-    /// [`FragmentSource::read_many`] batch, and each reader then restores
-    /// from its own field's payloads — the same single fetch code path a
-    /// [`crate::plan::RetrievalPlan`] drives, falling back to per-fragment
-    /// fetches when the batch fails.
+    /// Resuming is opening the private store at the saved markers: each
+    /// field's master is replayed by the store's one replay routine — the
+    /// one a demoted field rehydrates through — reading its restore
+    /// schedule as one batch, with per-fragment fetches when that fails.
+    /// A marker that does not fit its field is refused.
     pub fn resume_from_source(
         source: Arc<dyn FragmentSource>,
         cfg: EngineConfig,
         progress: &[u8],
     ) -> Result<Self> {
-        let mut engine = Self::from_source(source, cfg)?;
+        let fields = source.manifest()?.num_fields();
         let mut r = pqr_util::byteio::ByteReader::new(progress);
         if r.get_raw(4)? != b"PQRP" {
             return Err(PqrError::CorruptStream("bad progress magic".into()));
         }
         let nv = r.get_u32()? as usize;
-        if nv != engine.manifest.num_fields() {
+        if nv != fields {
             return Err(PqrError::ShapeMismatch(format!(
-                "progress has {nv} fields, archive has {}",
-                engine.manifest.num_fields()
+                "progress has {nv} fields, archive has {fields}"
             )));
         }
-        let mut markers = Vec::with_capacity(nv);
-        let mut ids: Vec<FragmentId> = Vec::new();
-        for i in 0..nv {
-            let p = crate::refactored::ReaderProgress::read(&mut r)?;
-            ids.extend(
-                engine.readers[i]
-                    .plan_restore(&p)?
-                    .into_iter()
-                    .map(|index| FragmentId {
-                        field: i as u32,
-                        index,
-                    }),
-            );
-            markers.push(p);
-        }
+        let markers = (0..nv)
+            .map(|_| ReaderProgress::read(&mut r))
+            .collect::<Result<Vec<_>>>()?;
         if r.remaining() != 0 {
             return Err(PqrError::CorruptStream("trailing progress bytes".into()));
         }
-        engine.manifest.storage_order(&mut ids);
-        let batches = fragstore::read_batches(engine.source.as_ref(), &engine.manifest, &ids);
-        for ((reader, p), batch) in engine.readers.iter_mut().zip(&markers).zip(batches) {
-            reader.restore_with(p, batch)?;
-        }
-        Ok(engine)
+        Self::solo(source, cfg, &markers)
     }
 
     /// Serializes the engine's retrieval progress (per-field fetch markers)
@@ -416,22 +397,22 @@ impl RetrievalEngine {
     pub fn save_progress(&self) -> Vec<u8> {
         let mut w = pqr_util::byteio::ByteWriter::new();
         w.put_raw(b"PQRP");
-        w.put_u32(self.readers.len() as u32);
-        for r in &self.readers {
-            r.progress().write(&mut w);
+        w.put_u32(self.views.len() as u32);
+        for v in &self.views {
+            v.snapshot().progress.write(&mut w);
         }
         w.finish()
     }
 
     /// Current reconstruction of field `i`.
     pub fn reconstruction(&self, i: usize) -> &[f64] {
-        self.readers[i].data()
+        &self.views[i].snapshot().recon
     }
 
-    /// The resumable progress marker of field `i`'s reader (the per-field
-    /// unit [`RetrievalEngine::save_progress`] concatenates).
-    pub fn reader_progress(&self, i: usize) -> crate::refactored::ReaderProgress {
-        self.readers[i].progress()
+    /// The resumable progress marker of field `i` (the per-field unit
+    /// [`RetrievalEngine::save_progress`] concatenates).
+    pub fn reader_progress(&self, i: usize) -> ReaderProgress {
+        self.views[i].snapshot().progress.clone()
     }
 
     /// Resolution-progressive reconstruction of field `i` from the bytes
@@ -443,20 +424,24 @@ impl RetrievalEngine {
         i: usize,
         drop_finest: usize,
     ) -> Result<(Vec<f64>, Vec<usize>)> {
-        self.readers[i].reconstruct_at_resolution(drop_finest)
+        self.store.reconstruct_at_resolution(i, drop_finest)
     }
 
     /// Achieved primary-data bound of field `i`.
     pub fn field_bound(&self, i: usize) -> f64 {
-        self.readers[i].guaranteed_bound()
+        self.views[i].snapshot().bound
     }
 
     /// Cumulative fetched bytes (metadata + fragments + mask).
     pub fn total_fetched(&self) -> usize {
-        let mask_bytes = self.manifest.mask.as_ref().map_or(0, |m| m.storage_bytes());
-        self.readers
+        let mask_bytes = self
+            .manifest()
+            .mask
+            .as_ref()
+            .map_or(0, |m| m.storage_bytes());
+        self.views
             .iter()
-            .map(|r| r.total_fetched())
+            .map(|v| v.snapshot().fetched)
             .sum::<usize>()
             + mask_bytes
     }
@@ -475,11 +460,11 @@ impl RetrievalEngine {
         crate::plan::PlanExecutor::new(self).execute(&plan)
     }
 
-    /// The engine's readers, in field order (crate-internal: the plan
-    /// executor plans and reports through these; consumption goes through
+    /// The engine's views, in field order (crate-internal: the plan
+    /// executor plans and reports through these; refinement goes through
     /// [`RetrievalEngine::refine_round`]).
-    pub(crate) fn readers(&self) -> &[FieldReader] {
-        &self.readers
+    pub(crate) fn views(&self) -> &[FieldView] {
+        &self.views
     }
 
     /// The engine configuration (crate-internal).
@@ -495,59 +480,43 @@ impl RetrievalEngine {
         }
     }
 
-    /// Executes one refinement round: reads `ids` through one batched
-    /// read, then refines every field with a finite requested bound — in
-    /// parallel across fields, since their cursors are independent — each
-    /// from its own field's share of the batch. A failed batch degrades to
-    /// the readers' per-fragment fallback fetches, and decode's verdict
-    /// decides the round. Whatever of the batch no reader took (a field
-    /// failed, or never ran after one did) is dropped with the round.
+    /// Executes one refinement round: refines every field with a finite
+    /// requested bound through its store — in parallel across fields,
+    /// since each field advances under its own lock. A failing field stops
+    /// further work: no field starts once a failure is flagged
+    /// (sequentially, that is a short-circuit; in parallel, in-flight
+    /// fields finish), and the first error in field order is returned.
     ///
     /// Every worker count produces bit-identical reconstructions and byte
     /// accounting (asserted by `prop_plan_equivalence` and the engine tests
     /// below).
-    pub(crate) fn refine_round(&mut self, requested: &[f64], ids: &[FragmentId]) -> Result<()> {
-        let batches = fragstore::read_batches(self.source.as_ref(), &self.manifest, ids);
-        self.refine_fields(requested, batches)
-    }
-
-    /// Refines every field with a finite requested bound from its batch,
-    /// fanning the independent per-field cursors across the worker
-    /// threads.
-    ///
-    /// A failing field stops further work: no field starts once a failure
-    /// is flagged (sequentially, that is a short-circuit; in parallel,
-    /// in-flight fields finish), and the first error in field order is
-    /// returned.
-    fn refine_fields(&mut self, requested: &[f64], batches: Vec<Batch>) -> Result<()> {
+    pub(crate) fn refine_round(&mut self, requested: &[f64]) -> Result<()> {
         // Fewer than two fields whose certified bound is still above the
         // request never benefit from parallelism: coalesced serve rounds
         // mostly arrive here with every field already published at depth
         // (adoption-only rounds), and spawning scoped threads to confirm
         // "nothing to do" per field would cost more than the work. Such
         // rounds run on the calling thread — bit-identical by construction,
-        // each reader refines alone.
+        // each field refines alone.
         let pending = self
-            .readers
+            .views
             .iter()
             .enumerate()
-            .filter(|(j, reader)| {
+            .filter(|(j, view)| {
                 requested
                     .get(*j)
-                    .is_some_and(|eb| eb.is_finite() && reader.guaranteed_bound() > *eb)
+                    .is_some_and(|eb| eb.is_finite() && view.snapshot().bound > *eb)
             })
             .count();
         let workers = if pending < 2 { 1 } else { self.workers() };
-        let mut work: Vec<(&mut FieldReader, Batch)> =
-            self.readers.iter_mut().zip(batches).collect();
         let failed = std::sync::atomic::AtomicBool::new(false);
-        let results = pqr_util::par::par_dynamic_mut(&mut work, workers, |j, (reader, batch)| {
+        let results = pqr_util::par::par_dynamic_mut(&mut self.views, workers, |j, view| {
             if failed.load(std::sync::atomic::Ordering::Relaxed) {
                 return Ok(()); // another field already failed: stop fetching
             }
             match requested.get(j) {
-                Some(&eb) if eb.is_finite() => reader
-                    .refine_with(eb, std::mem::take(batch))
+                Some(&eb) if eb.is_finite() => view
+                    .refine_to(eb)
                     .map(|_| ())
                     .inspect_err(|_| failed.store(true, std::sync::atomic::Ordering::Relaxed)),
                 _ => Ok(()),
@@ -558,14 +527,14 @@ impl RetrievalEngine {
 
     /// Cumulative fetch tallies of the engine's source.
     pub fn source_stats(&self) -> SourceStats {
-        self.source.stats()
+        self.source().stats()
     }
 
     /// `recons` (one reconstruction per field) with the mask overlay, in
     /// the column form a compiled [`QoiProgram`] reads.
     fn columns<'a>(&'a self, recons: &'a [&'a [f64]]) -> Columns<'a> {
         let cols = Columns::new(recons);
-        match &self.manifest.mask {
+        match &self.manifest().mask {
             Some(m) => cols.zeroed(m.fields(), m.words()),
             None => cols,
         }
@@ -581,7 +550,7 @@ impl RetrievalEngine {
     /// estimates are [`QoiExpr::eval_bounded`]'s bit for bit. A NaN estimate — `∞·0` inside a product bound once a value
     /// overflows, or a NaN reconstruction — bounds nothing and counts as `∞`.
     pub fn scan_qois(&self, qois: &[QoiSpec], eps: &[f64]) -> Vec<(f64, usize)> {
-        let ne = self.manifest.num_elements();
+        let ne = self.manifest().num_elements();
         if ne == 0 {
             return vec![(0.0, 0); qois.len()];
         }
@@ -592,7 +561,9 @@ impl RetrievalEngine {
                 program.restrict(k, lo..hi);
             }
         }
-        let recons: Vec<&[f64]> = self.readers.iter().map(|r| r.data()).collect();
+        let recons: Vec<&[f64]> = (0..self.views.len())
+            .map(|i| self.reconstruction(i))
+            .collect();
         let data = self.columns(&recons);
         let pass = Pass::Bounded {
             eps,
@@ -641,9 +612,9 @@ impl RetrievalEngine {
     /// the remembered `(max estimate, argmax)` per target is what a scan
     /// would return, bit for bit, and comes back marked `reused`;
     /// otherwise this scans and remembers the result. The bounds are read
-    /// off the readers here, once, for the key, the scan and the caller.
+    /// off the views here, once, for the key, the scan and the caller.
     pub(crate) fn estimate(&mut self, qois: &[QoiSpec]) -> Estimate {
-        let bounds: Vec<f64> = self.readers.iter().map(|r| r.guaranteed_bound()).collect();
+        let bounds: Vec<f64> = self.views.iter().map(|v| v.snapshot().bound).collect();
         let key = self.scan_key(qois, &bounds);
         let (last, reused) = match self.last_scan.take() {
             Some(last) if last.key == key => (last, true),
@@ -692,11 +663,11 @@ impl RetrievalEngine {
             fields.extend(q.expr.variables());
         }
         for j in fields {
-            let reader = &self.readers[j];
+            let snap = self.views[j].snapshot();
             w.put_u32(j as u32);
             w.put_f64(bounds[j]);
-            reader.progress().write(&mut w);
-            w.put_u8(reader.is_cold() as u8);
+            snap.progress.write(&mut w);
+            w.put_u8(snap.cold as u8);
         }
         w.finish()
     }
@@ -704,7 +675,7 @@ impl RetrievalEngine {
     /// QoI error estimate at a single point under hypothetical bounds —
     /// the `estimate_error` of Algorithm 4.
     pub fn point_estimate(&self, expr: &QoiExpr, j: usize, eps: &[f64]) -> f64 {
-        let nv = self.manifest.num_fields();
+        let nv = self.manifest().num_fields();
         let mut x = vec![0.0f64; nv];
         let mut eps_pt = vec![0.0f64; nv];
         self.point_estimate_scratch(expr, j, eps, &mut x, &mut eps_pt)
@@ -727,12 +698,12 @@ impl RetrievalEngine {
         x: &mut [f64],
         eps_pt: &mut [f64],
     ) -> f64 {
-        let nv = self.manifest.num_fields();
+        let nv = self.manifest().num_fields();
         for i in 0..nv {
-            x[i] = self.readers[i].data()[j];
+            x[i] = self.reconstruction(i)[j];
             eps_pt[i] = eps[i];
         }
-        if let Some(m) = self.manifest.mask.as_ref() {
+        if let Some(m) = self.manifest().mask.as_ref() {
             if m.is_masked(j) {
                 for &i in m.fields() {
                     x[i] = 0.0;
@@ -749,8 +720,10 @@ impl RetrievalEngine {
     /// output ranges, so the result is identical at every worker count.
     pub fn qoi_values(&self, expr: &QoiExpr) -> Vec<f64> {
         let program = QoiProgram::compile(&[expr]);
-        let mut out = vec![0.0f64; self.manifest.num_elements()];
-        let recons: Vec<&[f64]> = self.readers.iter().map(|r| r.data()).collect();
+        let mut out = vec![0.0f64; self.manifest().num_elements()];
+        let recons: Vec<&[f64]> = (0..self.views.len())
+            .map(|i| self.reconstruction(i))
+            .collect();
         let data = self.columns(&recons);
         par_chunk_fill(&mut out, self.workers(), |start, chunk| {
             program.fill_values(&data, start, chunk)
@@ -777,7 +750,7 @@ fn sound_estimate(bound: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragstore::InMemorySource;
+    use crate::fragstore::{FragmentId, InMemorySource};
     use crate::refactored::Scheme;
     use pqr_qoi::library::{species_product, velocity_magnitude};
     use pqr_util::stats;
@@ -948,7 +921,7 @@ mod tests {
         let archive = ds.refactor(Scheme::PmgardHb).unwrap();
         let mut engine = engine_for(&archive);
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-2, &ds).unwrap();
-        engine.retrieve(&[spec]).unwrap();
+        engine.retrieve(std::slice::from_ref(&spec)).unwrap();
         let blob = engine.save_progress();
 
         // corrupt magic
@@ -967,6 +940,43 @@ mod tests {
             .refactor_with_bounds(Scheme::Psz3, &[1e-1, 1e-2])
             .unwrap();
         assert!(RetrievalEngine::resume(&other, EngineConfig::default(), &blob).is_err());
+        // a hostile byte count in a snapshot marker: more than any field
+        // can hold (the engine's byte total would overflow), or less than
+        // the marker's own replay moves
+        let mut psz3 = engine_for(&other);
+        psz3.retrieve(&[spec]).unwrap();
+        let saved = psz3.save_progress();
+        // past "PQRP", the field count, field 0's tag and snapshot index
+        let at = 4 + 4 + 1 + 4;
+        for fetched in [u64::MAX - 10, 0] {
+            let mut hostile = saved.clone();
+            hostile[at..at + 8].copy_from_slice(&fetched.to_le_bytes());
+            let resumed = RetrievalEngine::resume(&other, EngineConfig::default(), &hostile);
+            assert!(
+                matches!(resumed, Err(PqrError::CorruptStream(_))),
+                "fetched {fetched} accepted"
+            );
+        }
+        assert!(RetrievalEngine::resume(&other, EngineConfig::default(), &saved).is_ok());
+    }
+
+    #[test]
+    fn an_advance_rebuilds_in_place() {
+        // nothing but a solo engine's own store holds what its master
+        // rebuilds, so the rebuild reuses that buffer: the multilevel
+        // recompose clears and refills it, the delta rebuild adds into it
+        let ds = velocity_dataset(3000, false);
+        for scheme in [Scheme::PmgardHb, Scheme::Psz3Delta] {
+            let archive = ds.refactor(scheme).unwrap();
+            let mut engine = engine_for(&archive);
+            let spec = QoiSpec::relative("Vx2", QoiExpr::var(0).pow(2), 1e-2, &ds).unwrap();
+            engine.retrieve(std::slice::from_ref(&spec)).unwrap();
+            let (held, fetched) = (engine.reconstruction(0).as_ptr(), engine.total_fetched());
+            engine.retrieve(&[spec.at_tolerance(1e-6)]).unwrap();
+            let name = scheme.name();
+            assert!(engine.total_fetched() > fetched, "{name}: no advance");
+            assert_eq!(engine.reconstruction(0).as_ptr(), held, "{name}");
+        }
     }
 
     #[test]
@@ -1076,8 +1086,8 @@ mod tests {
         engine.retrieve(&[spec]).unwrap();
         // the unused field's reader fetched nothing (snapshot schemes start
         // at 0 fetched bytes)
-        assert_eq!(engine.readers[1].total_fetched(), 0);
-        assert!(engine.readers[0].total_fetched() > 0);
+        assert_eq!(engine.views[1].snapshot().fetched, 0);
+        assert!(engine.views[0].snapshot().fetched > 0);
     }
 
     #[test]
@@ -1547,16 +1557,16 @@ mod tests {
 
         let mut view =
             RetrievalEngine::with_store(Arc::clone(&store), EngineConfig::default()).unwrap();
-        assert!(view.readers.iter().all(|r| r.is_cold()));
-        let markers: Vec<_> = view.readers.iter().map(|r| r.progress()).collect();
+        assert!(view.views.iter().all(|v| v.snapshot().cold));
+        let markers: Vec<_> = (0..3).map(|j| view.reader_progress(j)).collect();
         // same bounds in both keys, so only the flag can tell them apart
         let bounds = [0, 1, 2].map(|j| store.field_bound(j));
         let cold_key = view.scan_key(&specs, &bounds);
         let cold = view.estimate(&specs);
-        for (j, reader) in view.readers.iter_mut().enumerate() {
-            reader.refine_to(bounds[j]).unwrap();
-            assert!(!reader.is_cold());
-            assert_eq!(reader.progress(), markers[j]);
+        for (j, v) in view.views.iter_mut().enumerate() {
+            v.refine_to(bounds[j]).unwrap();
+            assert!(!v.snapshot().cold);
+            assert_eq!(v.snapshot().progress, markers[j]);
         }
         assert_ne!(view.scan_key(&specs, &bounds), cold_key);
         let warm = view.estimate(&specs);

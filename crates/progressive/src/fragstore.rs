@@ -228,35 +228,11 @@ impl<S: FragmentSource + ?Sized> FragmentSource for &S {
     }
 }
 
-/// One field's share of a batched read, by fragment index: handed by value
-/// to the reader that consumes it for that one call, which falls back to
+/// One field's batched read, by fragment index: handed by value to the
+/// reader that consumes it for that one call, which falls back to
 /// [`FragmentSource::fetch`] for any fragment the batch lacks and drops
 /// whatever it did not take when the call returns.
 pub(crate) type Batch = HashMap<u32, Arc<Vec<u8>>>;
-
-/// Reads `ids` (in the order given) through one
-/// [`FragmentSource::read_many`] and groups the payloads by field: entry
-/// `f` of the result is field `f`'s [`Batch`], one per field of
-/// `manifest`. An empty schedule reads nothing, and a failed batch hands
-/// every reader an empty one, so each fetches its fragments one by one.
-pub(crate) fn read_batches(
-    source: &dyn FragmentSource,
-    manifest: &Manifest,
-    ids: &[FragmentId],
-) -> Vec<Batch> {
-    let mut batches = vec![Batch::new(); manifest.num_fields()];
-    if ids.is_empty() {
-        return batches;
-    }
-    if let Ok(payloads) = source.read_many(ids) {
-        for (id, payload) in ids.iter().zip(payloads) {
-            if let Some(batch) = batches.get_mut(id.field as usize) {
-                batch.insert(id.index, payload);
-            }
-        }
-    }
-    batches
-}
 
 /// One coalesced read: `(run_offset, run_len, members)` where each member
 /// is `(position_in_request, directory_entry)`.

@@ -25,11 +25,12 @@
 //!   partial retrieval is partial in bytes *read*, not just bytes counted.
 //! * [`engine`] — Algorithms 2–4: iterative QoI-preserved retrieval with a
 //!   primary-data error-bound assigner and a QoI error estimator.
-//! * [`store`] — the shared-state service layer's cross-request decode
-//!   cache: one master reader per field behind a `RwLock`, advanced
-//!   monotonically, so concurrent sessions ([`FieldReader::open_shared`]
-//!   views sharing one [`store::ProgressStore`]) decode every bitplane
-//!   exactly once and serve looser requests without touching the source.
+//! * [`store`] — the cross-request decode cache every engine refines
+//!   through: one master [`FieldReader`] per field behind a `RwLock`,
+//!   advanced monotonically. A solo engine views a private store; the
+//!   sessions of a service view one shared [`store::ProgressStore`], so
+//!   they decode every bitplane exactly once and serve looser requests
+//!   without touching the source.
 //! * [`pager`] — the bounded-memory tier manager behind the store: decoded
 //!   state is charged against a global [`StoreBudget`]; over budget, cold
 //!   fields demote to their [`ReaderProgress`] marker (backed by a

@@ -12,17 +12,17 @@
 //!    bound per field — the *min* over the targets reading it, which is
 //!    where cross-target fragment **dedup** happens), and the first
 //!    round's deduplicated, source-ordered fragment schedule.
-//! 2. **Execute** — [`PlanExecutor`] drives the schedule through
-//!    [`FragmentSource::read_many`]: each refine→estimate→tighten round
-//!    first *plans* every involved field's refinement front from metadata
-//!    alone (the §V bound models are functions of consumed-fragment
-//!    counts, never payload contents, so the prediction is exact), reads
-//!    the round as one batch in storage order — files coalesce adjacent
-//!    ranges into single reads, remote stores serve the batch in one
-//!    round-trip — and hands each reader its own field's payloads to
-//!    consume in that round. After each round the §IV error
-//!    bounds are re-evaluated and each target stops influencing further
-//!    tightening as soon as its tolerance certifies.
+//! 2. **Execute** — [`PlanExecutor`] runs refine→estimate→tighten
+//!    rounds. Each round refines every involved field through the engine's
+//!    [`ProgressStore`](crate::store::ProgressStore), which plans the
+//!    field's refinement front from metadata alone (the §V bound models
+//!    are functions of consumed-fragment counts, never payload contents,
+//!    so the prediction is exact) and reads it through one
+//!    [`FragmentSource::read_many`] in storage order — files coalesce
+//!    adjacent ranges into single reads, remote stores serve the batch in
+//!    one round-trip. After each round the §IV error bounds are
+//!    re-evaluated and each target stops influencing further tightening as
+//!    soon as its tolerance certifies.
 //! 3. **Report** — [`PlanReport`] carries per-target outcomes
 //!    ([`TargetReport`]: satisfied/bound/bytes), the shared-fragment
 //!    savings, backend read-op counts, and the engine-level accounting.
@@ -60,9 +60,6 @@ pub struct RetrievalPlan {
     /// Optional ceiling on newly fetched bytes (round-granular: execution
     /// stops scheduling further rounds once exceeded).
     byte_budget: Option<usize>,
-    /// `engine.total_fetched()` at resolve time — lets the executor reuse
-    /// the round-1 schedule only when the engine has not advanced since.
-    resolved_at_fetched: usize,
 }
 
 impl RetrievalPlan {
@@ -127,7 +124,7 @@ impl RetrievalPlan {
             .collect();
         // never loosen bounds below what previous calls already achieved
         for (j, b) in initial_bounds.iter_mut().enumerate() {
-            *b = b.min(engine.readers()[j].guaranteed_bound());
+            *b = b.min(engine.field_bound(j));
         }
 
         let (schedule, scheduled_bytes) = round_schedule(engine, &initial_bounds)?;
@@ -138,7 +135,6 @@ impl RetrievalPlan {
             schedule,
             scheduled_bytes,
             byte_budget,
-            resolved_at_fetched: engine.total_fetched(),
         })
     }
 
@@ -179,13 +175,14 @@ impl RetrievalPlan {
 
 /// The per-field refinement fronts at the given requested bounds, merged
 /// into one deduplicated schedule sorted by storage offset (with the
-/// directory bytes it will move).
+/// directory bytes it will move). A demoted field of a shared store plans
+/// nothing: its rehydration is a replay, not a front.
 fn round_schedule(engine: &RetrievalEngine, requested: &[f64]) -> Result<(Vec<FragmentId>, usize)> {
     let mut ids = Vec::new();
     for (j, &eb) in requested.iter().enumerate() {
         if eb.is_finite() {
             ids.extend(
-                engine.readers()[j]
+                engine.views()[j]
                     .plan_refine_to(eb)
                     .into_iter()
                     .map(|index| FragmentId {
@@ -266,36 +263,37 @@ pub struct PlanReport {
     /// clients can see contention separately from retrieval work.
     pub queue_wait_ms: u64,
     /// Fragments the shared [`ProgressStore`](crate::store::ProgressStore)
-    /// decoded *during this execution* (store-level delta). Zero for
-    /// engines without a store. Under concurrent sessions the delta
-    /// includes decodes triggered by other sessions in the window.
+    /// decoded *during this execution* (store-level delta). Zero for solo
+    /// engines, whose store is private. Under concurrent sessions the
+    /// delta includes decodes triggered by other sessions in the window.
     pub store_fragments_decoded: u64,
     /// Store refinement requests served entirely from already-decoded
-    /// state during this execution (same delta caveat). Zero without a
-    /// store.
+    /// state during this execution (same delta caveat). Zero for solo
+    /// engines.
     pub store_refine_reuses: u64,
     /// Refinement schedules the store's plan-front cache served as a
     /// prefix of a cached front during this execution (same store-level
-    /// delta caveat). Zero without a store.
+    /// delta caveat). Zero for solo engines.
     pub plan_front_hits: u64,
     /// Refinement schedules the store recomputed from the bound model
-    /// during this execution (same delta caveat). Zero without a store.
+    /// during this execution (same delta caveat). Zero for solo engines.
     pub plan_front_misses: u64,
     /// Multilevel recompose axis passes run rebuilding reconstructions
-    /// during this execution — the engine's own readers plus the shared
-    /// store's masters (store-level delta, same caveat).
+    /// during this execution — a solo engine's own, or the shared store's
+    /// (store-level delta, same caveat).
     pub recompose_passes: u64,
     /// Refinement rounds answered from a memoized reconstruction during
-    /// this execution (engine readers + store masters): zero decodes,
-    /// zero recompose passes.
+    /// this execution (the engine's views + the store's masters): zero
+    /// decodes, zero recompose passes.
     pub recon_cache_hits: u64,
     /// Milliseconds spent rebuilding reconstructions during this
-    /// execution (engine readers + store masters).
+    /// execution (a solo engine's own, or the shared store's).
     pub reconstruct_ms: u64,
 }
 
-/// Drives a [`RetrievalPlan`] through the engine: one batched read per
-/// round, §IV re-evaluation after every round, per-target certification,
+/// Drives a [`RetrievalPlan`] through the engine: one refinement of every
+/// involved field per round, §IV re-evaluation after every round,
+/// per-target certification,
 /// Algorithm-4 tightening for the still-unmet targets, and the optional
 /// byte budget.
 pub struct PlanExecutor<'e> {
@@ -317,8 +315,11 @@ impl<'e> PlanExecutor<'e> {
         let qois = &plan.specs;
         let involved = &plan.involved;
         let fetched_before = engine.total_fetched();
-        let per_field_before: Vec<usize> =
-            engine.readers().iter().map(|r| r.total_fetched()).collect();
+        let per_field_before: Vec<usize> = engine
+            .views()
+            .iter()
+            .map(|v| v.snapshot().fetched)
+            .collect();
         let stats_before = engine.source_stats();
         let store_before = engine.shared_store().map(|s| s.stats());
         let recompose_before = engine.recompose_passes();
@@ -329,7 +330,7 @@ impl<'e> PlanExecutor<'e> {
         // advanced between resolve and execute
         let mut requested = plan.initial_bounds.clone();
         for (j, b) in requested.iter_mut().enumerate() {
-            *b = b.min(engine.readers()[j].guaranteed_bound());
+            *b = b.min(engine.field_bound(j));
         }
 
         let tol_abs: Vec<f64> = qois.iter().map(|q| q.tol_abs()).collect();
@@ -339,25 +340,9 @@ impl<'e> PlanExecutor<'e> {
         let mut budget_exhausted = false;
         let (satisfied, field_bounds) = loop {
             iterations += 1;
-            // read the round's fragment schedule through one read_many,
-            // then fan the independent per-field cursors, each with its
-            // own field's payloads, across decode workers (see
-            // `RetrievalEngine::refine_round`); the readers' per-fragment
-            // fetch stays underneath as the fallback. Alg. 2
-            // line 10 (progressive_construct each involved field) happens
-            // inside the round.
-            // round 1 reuses the schedule resolve() already computed,
-            // unless the engine advanced in between (then some of that
-            // schedule may already be consumed and must be re-planned)
-            let replanned;
-            let ids: &[FragmentId] =
-                if iterations == 1 && fetched_before == plan.resolved_at_fetched {
-                    &plan.schedule
-                } else {
-                    replanned = round_schedule(engine, &requested)?.0;
-                    &replanned
-                };
-            engine.refine_round(&requested, ids)?;
+            // Alg. 2 line 10 (progressive_construct each involved field),
+            // fanned across fields (see `RetrievalEngine::refine_round`)
+            engine.refine_round(&requested)?;
             // Alg. 2 lines 13–24: estimate QoI errors everywhere — unless
             // the engine just did, over this very state.
             let Estimate {
@@ -413,7 +398,7 @@ impl<'e> PlanExecutor<'e> {
                 for &i in &involved[k] {
                     if eps_local[i] < requested[i] {
                         requested[i] = eps_local[i];
-                        if !engine.readers()[i].exhausted() {
+                        if !engine.views()[i].exhausted() {
                             progress = true;
                         }
                     }
@@ -428,10 +413,10 @@ impl<'e> PlanExecutor<'e> {
 
         let total = engine.total_fetched();
         let per_field_delta: Vec<usize> = engine
-            .readers()
+            .views()
             .iter()
             .zip(&per_field_before)
-            .map(|(r, &before)| r.total_fetched() - before)
+            .map(|(v, &before)| v.snapshot().fetched - before)
             .collect();
         let targets: Vec<TargetReport> = qois
             .iter()
@@ -459,9 +444,9 @@ impl<'e> PlanExecutor<'e> {
                 ),
                 _ => (0, 0, 0, 0),
             };
-        // reconstruction work: the engine's own readers plus the shared
-        // store's masters (store-level delta — concurrent sessions in the
-        // window contribute, same caveat as the decode counters)
+        // reconstruction work: a solo engine's own plus the shared store's
+        // masters (store-level delta — concurrent sessions in the window
+        // contribute, same caveat as the decode counters)
         let (store_passes, store_hits, store_nanos) = match (store_before, store_after) {
             (Some(b), Some(a)) => (
                 a.recompose_passes.saturating_sub(b.recompose_passes),

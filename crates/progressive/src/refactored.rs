@@ -333,16 +333,13 @@ impl ReaderProgress {
     pub(crate) fn write(&self, w: &mut ByteWriter) {
         w.put_raw(&self.to_bytes());
     }
-
-    /// The cumulative fetched bytes the marker records, where a replay
-    /// cannot re-derive them.
-    pub(crate) fn recorded_fetched(&self) -> Option<usize> {
-        match self {
-            ReaderProgress::Snapshots { fetched, .. } => Some(*fetched as usize),
-            _ => None,
-        }
-    }
 }
+
+/// Largest cumulative byte count a progress marker may record for one
+/// field: 2^48 B (256 TiB). Far above any archive, and low enough that a
+/// field's tally plus everything it can still fetch, summed over up to
+/// 2^15 fields, stays within a 64-bit count.
+const MAX_RECORDED_FETCHED: u64 = 1 << 48;
 
 /// Progressive reader over one field of a fragment-addressed archive.
 ///
@@ -354,15 +351,14 @@ impl ReaderProgress {
 /// so sessions built on them can move across threads and outlive the scope
 /// that opened them.
 ///
-/// What the representation is never shows here: a decoding reader drives
-/// one crate-private `Backend` per representation —
-/// [`FieldReader::refine_to`] and [`FieldReader::restore`] are one consume
-/// routine over the backend's front — and everything else is accounting.
+/// What the representation is never shows here: the reader drives one
+/// crate-private `Backend` per representation — [`FieldReader::refine_to`]
+/// and [`FieldReader::restore`] are one consume routine over the backend's
+/// front — and everything else is accounting.
 ///
-/// A reader opened through [`FieldReader::open_shared`] is a **view onto a
-/// [`ProgressStore`]** instead: it never decodes or fetches itself — every
-/// refinement adopts the store's shared decode state, so concurrent
-/// sessions pay for each bitplane exactly once.
+/// This is the decoding reader behind every session: a
+/// [`ProgressStore`] holds one per field as its master, and an engine's
+/// fields are views onto those masters.
 ///
 /// [`ProgressStore`]: crate::store::ProgressStore
 pub struct FieldReader {
@@ -372,7 +368,10 @@ pub struct FieldReader {
     /// Refinement rounds answered from the memoized reconstruction —
     /// rounds that rebuilt nothing.
     recon_cache_hits: u64,
-    state: State,
+    backend: Box<dyn Backend>,
+    /// True while the decoded state is ahead of the reconstruction held:
+    /// something was pushed that no adopted rebuild reflects.
+    ahead: bool,
 }
 
 /// Where a reader's fragments come from — the batch a call hands in, then
@@ -382,9 +381,7 @@ struct Fetcher {
     field: u32,
     /// Cumulative fetched bytes.
     fetched: usize,
-    /// Payload fragments this reader itself fetched and decoded. Shared
-    /// (store-backed) readers never decode, so theirs stays zero — the
-    /// counter the decode-once tests assert on.
+    /// Payload fragments this reader fetched and decoded.
     consumed: u64,
 }
 
@@ -409,9 +406,9 @@ impl Fetcher {
 }
 
 /// The reconstruction a reader currently holds and certifies, with the
-/// work rebuilding it has cost. The buffer is `Arc`-wrapped so a shared
-/// store can **publish** its master's reconstruction — and a view adopt a
-/// published one — by a refcount bump, never an O(n) copy.
+/// work rebuilding it has cost. The buffer is `Arc`-wrapped so a store can
+/// **publish** its master's reconstruction — and a view adopt a published
+/// one — by a refcount bump, never an O(n) copy.
 struct Held {
     recon: Arc<Vec<f64>>,
     /// Guaranteed L∞ bound of `recon` versus the original.
@@ -454,39 +451,6 @@ impl Held {
     }
 }
 
-enum State {
-    /// The reader fetches and decodes for itself.
-    Decoding {
-        backend: Box<dyn Backend>,
-        /// True while the decoded state is ahead of the reconstruction
-        /// held: something was pushed that no adopted rebuild reflects.
-        ahead: bool,
-    },
-    /// A view onto a shared per-field decode state: refinement adopts the
-    /// store's snapshots instead of fetching/decoding locally.
-    View {
-        store: Arc<crate::store::ProgressStore>,
-        snap: Arc<crate::store::FieldSnapshot>,
-    },
-}
-
-fn field_entry(manifest: &Manifest, field: usize) -> Result<&fragstore::FieldEntry> {
-    manifest.fields.get(field).ok_or_else(|| {
-        PqrError::InvalidRequest(format!(
-            "field {field} out of range ({} fields)",
-            manifest.num_fields()
-        ))
-    })
-}
-
-fn view_only() -> PqrError {
-    PqrError::Unsupported(
-        "store-backed session views do not replay progress; \
-         open a fresh session on the service instead"
-            .into(),
-    )
-}
-
 impl FieldReader {
     /// Opens a reader on field `field` of `manifest`, fetching the field's
     /// metadata fragment (multilevel/transform schemes) through `source`.
@@ -495,7 +459,12 @@ impl FieldReader {
         manifest: &Manifest,
         field: usize,
     ) -> Result<Self> {
-        let entry = field_entry(manifest, field)?;
+        let entry = manifest.fields.get(field).ok_or_else(|| {
+            PqrError::InvalidRequest(format!(
+                "field {field} out of range ({} fields)",
+                manifest.num_fields()
+            ))
+        })?;
         let fid = field as u32;
         let opened = backend::open(entry, &manifest.dims, || {
             source.fetch(FragmentId {
@@ -519,50 +488,13 @@ impl FieldReader {
                 reconstruct_nanos: 0,
             },
             recon_cache_hits: 0,
-            state: State::Decoding {
-                backend: opened.backend,
-                ahead: true,
-            },
+            backend: opened.backend,
+            ahead: true,
         };
         // the opening state may already beat the zero vector (PMGARD's
         // metadata carries the root value)
         reader.consume(&[], Batch::new())?;
         Ok(reader)
-    }
-
-    /// Opens a reader as a **view** onto field `field` of a shared
-    /// [`ProgressStore`]: no metadata fetch, no local cursor — the reader
-    /// adopts the store's current snapshot immediately and every
-    /// [`FieldReader::refine_to`] call reads through (and monotonically
-    /// advances) the shared decode state. A view never touches the source
-    /// itself, so a request the store has already reached costs zero
-    /// fetches and zero decodes.
-    ///
-    /// [`ProgressStore`]: crate::store::ProgressStore
-    pub fn open_shared(
-        store: Arc<crate::store::ProgressStore>,
-        manifest: &Manifest,
-        field: usize,
-    ) -> Result<Self> {
-        let entry = field_entry(manifest, field)?;
-        let snap = store.adopt(field)?;
-        Ok(Self {
-            scheme: entry.scheme,
-            io: Fetcher {
-                source: Arc::clone(store.source()),
-                field: field as u32,
-                fetched: snap.fetched,
-                consumed: 0,
-            },
-            held: Held {
-                recon: Arc::clone(&snap.recon),
-                bound: snap.bound,
-                recompose_passes: 0,
-                reconstruct_nanos: 0,
-            },
-            recon_cache_hits: 0,
-            state: State::View { store, snap },
-        })
     }
 
     /// Does nothing: every rebuild runs on the calling thread, and
@@ -588,9 +520,7 @@ impl FieldReader {
         self.held.reconstruct_nanos
     }
 
-    /// Payload fragments this reader fetched **and decoded** itself.
-    /// Store-backed views report zero forever — their decodes happen once,
-    /// in the shared [`ProgressStore`](crate::store::ProgressStore).
+    /// Payload fragments this reader fetched **and decoded**.
     pub fn fragments_decoded(&self) -> u64 {
         self.io.consumed
     }
@@ -620,24 +550,14 @@ impl FieldReader {
         self.io.fetched
     }
 
-    /// The backend of a decoding reader; `None` for a store-backed view.
-    fn backend(&self) -> Option<&dyn Backend> {
-        match &self.state {
-            State::Decoding { backend, .. } => Some(backend.as_ref()),
-            State::View { .. } => None,
-        }
-    }
-
-    /// Approximate heap bytes of this reader's decoded state — what the
-    /// shared store charges against its [`StoreBudget`] for a resident
-    /// master: the reconstruction in full, plus whatever the backend's
-    /// cursor holds. Store-backed views own nothing (their adopted `Arc`s
-    /// are charged to the store).
+    /// Approximate heap bytes of this reader's decoded state — what a
+    /// store charges against its [`StoreBudget`] for a resident master:
+    /// the reconstruction in full, plus whatever the backend's cursor
+    /// holds.
     ///
     /// [`StoreBudget`]: crate::pager::StoreBudget
     pub fn resident_bytes(&self) -> usize {
-        self.backend()
-            .map_or(0, |b| self.held.recon.len() * 8 + b.state_bytes())
+        self.held.recon.len() * 8 + self.backend.state_bytes()
     }
 
     /// The representation this reader refines.
@@ -647,30 +567,12 @@ impl FieldReader {
 
     /// The reader's resumable progress marker (see [`ReaderProgress`]).
     pub fn progress(&self) -> ReaderProgress {
-        match &self.state {
-            State::Decoding { backend, .. } => backend.progress(self.io.fetched as u64),
-            State::View { snap, .. } => snap.progress.clone(),
-        }
+        self.backend.progress(self.io.fetched as u64)
     }
 
-    /// True while a store-backed view holds the cold placeholder it adopted
-    /// from a demoted field: zeros at `max|x|` under the demoted field's
-    /// marker, so [`FieldReader::progress`] alone does not identify the
-    /// reconstruction. Decoding readers are never cold.
-    pub(crate) fn is_cold(&self) -> bool {
-        matches!(&self.state, State::View { snap, .. } if snap.cold)
-    }
-
-    /// True when no further refinement is possible. For store-backed views
-    /// this asks the shared store: the view can still improve while the
-    /// store holds (or can decode) a deeper state than the view adopted.
+    /// True when no further refinement is possible.
     pub fn exhausted(&self) -> bool {
-        match &self.state {
-            State::Decoding { backend, .. } => backend.exhausted(),
-            State::View { store, .. } => {
-                !store.can_improve(self.io.field as usize, self.held.bound)
-            }
-        }
+        self.backend.exhausted()
     }
 
     /// Progression in **resolution** (the second PMGARD axis, §II): drops
@@ -679,15 +581,9 @@ impl FieldReader {
     ///
     /// Only multilevel representations carry a resolution hierarchy;
     /// snapshot- and block-transform-based schemes return
-    /// [`PqrError::Unsupported`]. A view reads the *shared* cursor — the
-    /// store's (deepest) state, at least as refined as what it adopted.
+    /// [`PqrError::Unsupported`].
     pub fn reconstruct_at_resolution(&self, drop_finest: usize) -> Result<(Vec<f64>, Vec<usize>)> {
-        match &self.state {
-            State::Decoding { backend, .. } => backend.at_resolution(drop_finest),
-            State::View { store, .. } => {
-                store.reconstruct_at_resolution(self.io.field as usize, drop_finest)
-            }
-        }
+        self.backend.at_resolution(drop_finest)
     }
 
     /// The fragment indices [`FieldReader::refine_to`]`(eb)` would fetch
@@ -695,15 +591,13 @@ impl FieldReader {
     /// the per-field refinement front a retrieval plan schedules. Exact by
     /// construction: every representation's bound model is a function of
     /// consumed-fragment counts and directory/metadata values only, never
-    /// of payload contents. Store-backed views schedule nothing themselves:
-    /// the shared store fetches (and batches) whatever delta it still needs.
+    /// of payload contents.
     pub fn plan_refine_to(&self, eb: f64) -> Vec<u32> {
         if eb.is_nan() || eb < 0.0 || self.held.bound <= eb {
             return Vec::new(); // mirrors refine_to's early exits
         }
-        self.backend().map_or_else(Vec::new, |b| {
-            b.front(eb).into_iter().map(|(index, _)| index).collect()
-        })
+        let front = self.backend.front(eb);
+        front.into_iter().map(|(index, _)| index).collect()
     }
 
     /// The **full remaining refinement front** from the current state down
@@ -712,22 +606,18 @@ impl FieldReader {
     /// epoch so every tighter request cuts a prefix instead of re-walking
     /// the bound model. `None` for representations without a
     /// prefix-monotone front (plain PSZ3, whose schedule depends on the
-    /// target, not just the state), and for store-backed views.
+    /// target, not just the state).
     pub fn plan_refine_with_bounds(&self) -> Option<Vec<(u32, f64)>> {
-        self.backend()
-            .filter(|b| b.prefix_front())
-            .map(|b| b.front(0.0))
+        self.backend.prefix_front().then(|| self.backend.front(0.0))
     }
 
     /// The fragment indices [`FieldReader::restore`]`(progress)` will fetch
     /// from a *fresh* reader, in consume order, without fetching — the
-    /// restore schedule a resumed session batches through
+    /// restore schedule a replay batches through
     /// [`FragmentSource::read_many`]. Validates the marker against the
     /// field exactly as `restore` does.
     pub fn plan_restore(&self, progress: &ReaderProgress) -> Result<Vec<u32>> {
-        self.backend()
-            .ok_or_else(view_only)?
-            .restore_front(progress)
+        self.backend.restore_front(progress)
     }
 
     /// Fetches fragments until the guaranteed bound is ≤ `eb` (absolute) or
@@ -737,40 +627,13 @@ impl FieldReader {
     }
 
     /// [`FieldReader::refine_to`] consuming the payloads of `batch` (this
-    /// field's share of a batched round read) before fetching the rest.
-    /// A store-backed view fetches nothing itself and ignores it.
+    /// field's share of a batched read) before fetching the rest.
     pub(crate) fn refine_with(&mut self, eb: f64, batch: Batch) -> Result<usize> {
         if eb < 0.0 || eb.is_nan() {
             return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
         }
-        // whatever is held already satisfies the request — for a cold view
-        // (adopted from a demoted field) that is the placeholder bound
-        // max|x| over a zero reconstruction: a sound, if coarse, certified
-        // state, answered without wiring the field back in
-        if self.held.bound <= eb {
-            self.recon_cache_hits += 1;
-            return Ok(0);
-        }
         let before = self.io.fetched;
-        if let State::View { store, snap } = &mut self.state {
-            // read through the shared decode state: the store advances its
-            // master reader only past what any previous request reached, so
-            // this view pays (at most) the delta — and nothing at all when
-            // a deeper request already decoded this far. The call carries
-            // the adopted snapshot's epoch: `None` back means that snapshot
-            // still is the published state and nothing tighter is
-            // decodable, so the view keeps what it holds — no clone, no
-            // adoption
-            match store.refine_from(self.io.field as usize, eb, snap.epoch)? {
-                Some(next) => {
-                    self.held.recon = Arc::clone(&next.recon);
-                    self.held.bound = next.bound;
-                    self.io.fetched = next.fetched;
-                    *snap = next;
-                }
-                None => self.recon_cache_hits += 1,
-            }
-        } else if !self.consume(&self.plan_refine_to(eb), batch)? {
+        if self.held.bound <= eb || !self.consume(&self.plan_refine_to(eb), batch)? {
             self.recon_cache_hits += 1;
         }
         Ok(self.io.fetched - before)
@@ -785,11 +648,22 @@ impl FieldReader {
 
     /// [`FieldReader::restore`] consuming the payloads of `batch` before
     /// fetching the rest.
+    ///
+    /// A marker is outside input (a resume file, a wire frame): the bytes
+    /// it records may neither undercount what its own replay moved nor
+    /// exceed [`MAX_RECORDED_FETCHED`].
     pub(crate) fn restore_with(&mut self, progress: &ReaderProgress, batch: Batch) -> Result<()> {
         let front = self.plan_restore(progress)?;
         self.consume(&front, batch)?;
-        if let Some(fetched) = progress.recorded_fetched() {
-            self.io.fetched = fetched;
+        // a snapshot marker records the bytes a replay cannot re-derive
+        if let &ReaderProgress::Snapshots { fetched, .. } = progress {
+            if fetched < self.io.fetched as u64 || fetched > MAX_RECORDED_FETCHED {
+                return Err(PqrError::CorruptStream(format!(
+                    "progress records {fetched} fetched bytes; its replay moved {}",
+                    self.io.fetched
+                )));
+            }
+            self.io.fetched = fetched as usize;
         }
         Ok(())
     }
@@ -806,9 +680,7 @@ impl FieldReader {
     /// rebuild: what did arrive is folded in before the error surfaces, so
     /// a reader never certifies a reconstruction its marker has moved past.
     fn consume(&mut self, front: &[u32], mut batch: Batch) -> Result<bool> {
-        let State::Decoding { backend, ahead } = &mut self.state else {
-            return Err(view_only());
-        };
+        let backend = self.backend.as_mut();
         let mut adopted = false;
         let mut pushed = Ok(());
         for &index in front {
@@ -819,13 +691,13 @@ impl FieldReader {
             if pushed.is_err() {
                 break;
             }
-            *ahead = true;
-            if backend.incremental() && self.held.adopt(backend.as_mut()) {
-                (*ahead, adopted) = (false, true);
+            self.ahead = true;
+            if backend.incremental() && self.held.adopt(backend) {
+                (self.ahead, adopted) = (false, true);
             }
         }
-        if *ahead && self.held.adopt(backend.as_mut()) {
-            (*ahead, adopted) = (false, true);
+        if self.ahead && self.held.adopt(backend) {
+            (self.ahead, adopted) = (false, true);
         }
         pushed.map(|()| adopted)
     }

@@ -6,12 +6,18 @@
 //! tightest request so far reached satisfies every looser request for
 //! free. A [`ProgressStore`] holds, per field, one **master**
 //! [`FieldReader`] (the only place fragments of that field are ever
-//! fetched and decoded) plus its last published [`FieldSnapshot`]. Session
-//! readers opened with [`FieldReader::open_shared`] are views: they adopt
-//! snapshots and, when they need a tighter bound than any previous request
-//! reached, advance the master **once** past the delta — under the field's
-//! write lock, so concurrent sessions racing for the same depth decode it
-//! exactly once.
+//! fetched and decoded) plus its last published [`FieldSnapshot`]. Every
+//! [`RetrievalEngine`](crate::engine::RetrievalEngine)'s fields are views
+//! onto a store — a service's shared one, or the private, unbounded store
+//! a solo engine opens for itself: they adopt snapshots and, when they
+//! need a tighter bound than any previous request reached, advance the
+//! master **once** past the delta — under the field's write lock, so
+//! concurrent sessions racing for the same depth decode it exactly once.
+//!
+//! Two routines read fragments to refine, both here: the advance
+//! (`refine_locked`) and the replay (`replay`), which rebuilds a master at
+//! a progress marker — for a demoted field's rehydration and for a resumed
+//! session's open alike.
 //!
 //! The store's counters make decode-once *assertable*: master decodes are
 //! tallied in [`StoreStats::fragments_decoded`], and a refinement served
@@ -36,7 +42,7 @@
 //! *advance* decodes only, so decode-once accounting degrades exactly by
 //! the explicitly-counted rehydration replays and nothing else.
 
-use crate::fragstore::{self, Batch, FragmentId, FragmentSource, Manifest};
+use crate::fragstore::{Batch, FragmentId, FragmentSource, Manifest};
 use crate::pager::{plan_evictions, EvictionCandidate, StoreBudget};
 use crate::refactored::{FieldReader, ReaderProgress};
 use pqr_util::error::{PqrError, Result};
@@ -85,6 +91,19 @@ fn snapshot_of(reader: &FieldReader, epoch: u64) -> FieldSnapshot {
         cold: false,
         epoch,
     }
+}
+
+/// `snap` without its reconstruction, marked cold: the marker and
+/// accounting a demoted field keeps, and what a view holds — and a parked
+/// cell publishes — while a master rebuilds the buffer in place. Sessions
+/// never adopt one: [`ProgressStore::adopt`] hands out the cold
+/// placeholder over the shared zero reconstruction instead.
+fn released(snap: &FieldSnapshot) -> Arc<FieldSnapshot> {
+    Arc::new(FieldSnapshot {
+        recon: Arc::default(),
+        cold: true,
+        ..snap.clone()
+    })
 }
 
 const FLAG_EXHAUSTED: u64 = 1;
@@ -195,17 +214,6 @@ fn cut_front(steps: &[(u32, f64)], eb: f64) -> usize {
     n
 }
 
-/// What survives a demotion: the exact restore marker plus the published
-/// accounting, so rehydration and session adoption both stay
-/// bit-faithful. A few dozen bytes against megabytes of decoded state.
-#[derive(Debug, Clone)]
-struct DemotedField {
-    progress: ReaderProgress,
-    bound: f64,
-    fetched: usize,
-    exhausted: bool,
-}
-
 // one entry per field: a Demoted marker occupying a Resident-sized slot
 // costs nothing at that scale, and boxing the hot variant would put an
 // indirection on every refine
@@ -215,8 +223,11 @@ enum MasterState {
     /// this field's fragments. Its published snapshot lives in the
     /// field's [`PublishedField`] cell, outside this lock.
     Resident { reader: FieldReader },
-    /// Decoded state dropped by the pager; only the marker survives.
-    Demoted(DemotedField),
+    /// Decoded state dropped by the pager: only the [`released`] snapshot
+    /// survives — the exact restore marker plus the published accounting,
+    /// so rehydration and session adoption both stay bit-faithful. A few
+    /// dozen bytes against megabytes of decoded state.
+    Demoted(Arc<FieldSnapshot>),
 }
 
 struct MasterField {
@@ -313,6 +324,9 @@ pub struct ProgressStore {
     budget: Arc<StoreBudget>,
     /// This store's id within the budget's fragment-tier key namespace.
     store_id: u64,
+    /// A solo engine's own store: one view per field, so an advance may
+    /// [`park`](ProgressStore::park) the field's cell.
+    private: bool,
     /// Recency clock for the eviction policy.
     tick: AtomicU64,
     /// This store's own decoded-resident bytes (the per-dataset view of
@@ -359,6 +373,18 @@ impl ProgressStore {
     /// Opens a store charging its decoded state against an explicit
     /// (possibly shared) [`StoreBudget`].
     pub fn open_with(source: Arc<dyn FragmentSource>, budget: Arc<StoreBudget>) -> Result<Self> {
+        Self::open_at(source, budget, &[], false)
+    }
+
+    /// [`ProgressStore::open_with`] with field `i`'s master replayed to
+    /// `markers[i]` where one is given — how a resumed session opens its
+    /// private store. `private` marks a solo engine's own store.
+    pub(crate) fn open_at(
+        source: Arc<dyn FragmentSource>,
+        budget: Arc<StoreBudget>,
+        markers: &[ReaderProgress],
+        private: bool,
+    ) -> Result<Self> {
         let manifest = source.manifest()?;
         let mut store = Self {
             source,
@@ -368,6 +394,7 @@ impl ProgressStore {
             fronts: Vec::new(),
             zero_recon: OnceLock::new(),
             store_id: budget.register_store(),
+            private,
             budget,
             tick: AtomicU64::new(0),
             resident: AtomicU64::new(0),
@@ -391,7 +418,10 @@ impl ProgressStore {
         // it is opened, so charging the whole fleet before enforcing once
         // would spike a bounded open to the entire working set
         for i in 0..store.manifest.num_fields() {
-            let reader = FieldReader::open(Arc::clone(&store.source), &store.manifest, i)?;
+            let reader = match markers.get(i) {
+                Some(progress) => store.replay(i, progress)?,
+                None => FieldReader::open(Arc::clone(&store.source), &store.manifest, i)?,
+            };
             store.absorb_recon_counters(&reader, ReconCounters(0, 0, 0));
             let snap = Arc::new(snapshot_of(&reader, 1));
             let cost = master_cost(&reader);
@@ -477,27 +507,28 @@ impl ProgressStore {
         let cell = self.cell(field)?;
         self.touch_cell(cell);
         self.adoptions.fetch_add(1, Ordering::Relaxed);
-        Ok(cell.snapshot())
-    }
-
-    fn cold_snapshot(&self, field: usize, d: &DemotedField, epoch: u64) -> FieldSnapshot {
-        let entry = &self.manifest.fields[field];
-        FieldSnapshot {
-            recon: self.zero_recon(),
-            bound: entry.max_abs,
-            fetched: d.fetched,
-            exhausted: d.exhausted && d.bound >= entry.max_abs,
-            progress: d.progress.clone(),
-            cold: true,
-            epoch,
+        let snap = cell.snapshot();
+        if snap.recon.len() == self.manifest.num_elements() {
+            return Ok(snap);
         }
+        // parked while its master rebuilds in place (see `park`)
+        Ok(self.cold(field, &snap))
     }
 
-    fn zero_recon(&self) -> Arc<Vec<f64>> {
-        Arc::clone(
-            self.zero_recon
-                .get_or_init(|| Arc::new(vec![0.0; self.manifest.num_elements()])),
-        )
+    /// The cold placeholder for a state with `snap`'s accounting: the
+    /// shared zero reconstruction at the always-valid `max|x|` bound.
+    fn cold(&self, field: usize, snap: &FieldSnapshot) -> Arc<FieldSnapshot> {
+        let max_abs = self.manifest.fields[field].max_abs;
+        let zero = self
+            .zero_recon
+            .get_or_init(|| Arc::new(vec![0.0; self.manifest.num_elements()]));
+        Arc::new(FieldSnapshot {
+            recon: Arc::clone(zero),
+            bound: max_abs,
+            exhausted: snap.exhausted && snap.bound >= max_abs,
+            cold: true,
+            ..snap.clone()
+        })
     }
 
     /// The publication epoch of `field` (0 for an out-of-range field —
@@ -529,7 +560,7 @@ impl ProgressStore {
     /// Refines `field` to bound `eb`, sharing work across sessions: if the
     /// store is already at least this deep the call is a lock-free read of
     /// the publication cell (no fetch, no decode, no master lock);
-    /// otherwise the master decodes exactly the delta — batched through
+    /// otherwise the master decodes exactly the delta — read through one
     /// [`FragmentSource::read_many`] — under the field's write lock, and a
     /// new epoch is published by `Arc` swap. A demoted field is rehydrated
     /// first (compressed RAM tier, then source) and the replay tallied in
@@ -552,7 +583,23 @@ impl ProgressStore {
         eb: f64,
         have_epoch: u64,
     ) -> Result<Option<Arc<FieldSnapshot>>> {
-        let cell = self.cell(field)?;
+        match self.published_answer(self.cell(field)?, eb, have_epoch) {
+            Some(answer) => Ok(answer),
+            None => self.advance(field, eb).map(Some),
+        }
+    }
+
+    /// The answer [`ProgressStore::refine_from`] gives from the
+    /// publication cell alone: `Some(None)` keeps the caller's snapshot,
+    /// `Some(Some(..))` hands it the published one, and `None` means the
+    /// master has to advance — by then the clone taken to decide is gone,
+    /// so it cannot pin the reconstruction the advance rebuilds.
+    fn published_answer(
+        &self,
+        cell: &PublishedField,
+        eb: f64,
+        have_epoch: u64,
+    ) -> Option<Option<Arc<FieldSnapshot>>> {
         // Lock-free epoch short-circuit: one load of the packed
         // (epoch, flags) word. When the caller's epoch is current and the
         // published state is exhausted, the caller already holds the
@@ -565,24 +612,30 @@ impl ProgressStore {
             self.touch_cell(cell);
             self.reuses.fetch_add(1, Ordering::Relaxed);
             self.short_circuits.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
+            return Some(None);
         }
         // Published-snapshot fast path: the tiny snap read-lock for an
         // `Arc` clone — never the master lock, so a decode in progress on
         // this field cannot block it. Decisions are taken from the
         // immutable snapshot itself, so they cannot race.
         let snap = cell.snapshot();
-        if !snap.cold && (snap.bound <= eb || snap.exhausted) {
-            self.touch_cell(cell);
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            if snap.epoch == have_epoch {
-                self.short_circuits.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-            self.adoptions.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(snap));
+        if snap.cold || (snap.bound > eb && !snap.exhausted) {
+            return None;
         }
-        let out = self.refine_locked(field, eb).map(Some);
+        self.touch_cell(cell);
+        self.reuses.fetch_add(1, Ordering::Relaxed);
+        if snap.epoch == have_epoch {
+            self.short_circuits.fetch_add(1, Ordering::Relaxed);
+            return Some(None);
+        }
+        self.adoptions.fetch_add(1, Ordering::Relaxed);
+        Some(Some(snap))
+    }
+
+    /// Advances the master of `field` to `eb` (or rehydrates it), then
+    /// runs the eviction policy with the field pinned.
+    fn advance(&self, field: usize, eb: f64) -> Result<Arc<FieldSnapshot>> {
+        let out = self.refine_locked(field, eb);
         self.maybe_enforce(Some(field));
         out
     }
@@ -593,11 +646,12 @@ impl ProgressStore {
         self.touch_cell(cell);
         self.ensure_resident(&mut g, field)?;
         let mut published = cell.snapshot();
-        if resident(&mut g).guaranteed_bound().to_bits() != published.bound.to_bits() {
-            // the master's certified bound moved without a publication: it
-            // advanced under a request that then failed (see below). What
-            // it certifies now is what sessions get — and what the
-            // schedule is planned from
+        let bound = resident(&mut g).guaranteed_bound();
+        if published.cold || bound.to_bits() != published.bound.to_bits() {
+            // the master's certified state moved without a publication: it
+            // advanced under a request that then failed (see below), or a
+            // panic left the cell parked. What it certifies now is what
+            // sessions get — and what the schedule is planned from
             published = self.publish_master(&mut g, field, 0);
         }
         // another session may have decoded this depth while we waited (or
@@ -607,12 +661,14 @@ impl ProgressStore {
             self.adoptions.fetch_add(1, Ordering::Relaxed);
             return Ok(published);
         }
+        drop(published);
         let reader = resident(&mut g);
         // batch the delta schedule — served by the plan-front cache; a
         // failed batch degrades to the reader's per-fragment fallback
         // fetches
         let plan = self.front_schedule(field, reader, eb);
         let batch = self.read_tiered(field, &plan);
+        let parked = self.private && !plan.is_empty() && self.park(field);
         let before = reader.fragments_decoded();
         let recon_base = recon_counters(reader);
         let refined = reader.refine_with(eb, batch);
@@ -623,19 +679,23 @@ impl ProgressStore {
             // the master keeps what it decoded before the fault, folded
             // into what it certifies, so the front cached for the published
             // epoch no longer starts at its state; the next request to get
-            // here publishes it
+            // here publishes it — at once if the cell is parked
             if delta > 0 {
                 *self.fronts[field].lock().unwrap_or_else(|e| e.into_inner()) = None;
+            }
+            if parked {
+                self.publish_master(&mut g, field, 0);
             }
             return Err(e);
         }
         self.adoptions.fetch_add(1, Ordering::Relaxed);
         if delta == 0 {
             // nothing decoded ⇒ reader state (and hence the snapshot) is
-            // unchanged: keep the published `Arc` — no republish — and
-            // count the request as a reuse
+            // unchanged (and, with an empty front, not parked): keep the
+            // published `Arc` — no republish — and count the request as a
+            // reuse
             self.reuses.fetch_add(1, Ordering::Relaxed);
-            return Ok(published);
+            return Ok(cell.snapshot());
         }
         self.advances.fetch_add(1, Ordering::Relaxed);
         Ok(self.publish_master(&mut g, field, delta as usize))
@@ -660,6 +720,31 @@ impl ProgressStore {
         let cost = master_cost(reader);
         self.recharge(g, cost);
         snap
+    }
+
+    /// Swaps the published snapshot of `field` for its [`released`] form at
+    /// the same epoch when nothing but the cell and the master holds its
+    /// reconstruction, so the master's next rebuild reuses that buffer
+    /// instead of allocating (and, for an incremental backend, copying) a
+    /// fresh one. A session that clones the snapshot meanwhile pins the
+    /// buffer again, and the rebuild then allocates, as it would have
+    /// anyway. Returns whether the cell was parked; the advance publishes
+    /// after, and until then adoption hands out the cold placeholder.
+    /// Only a private store parks: there each field has one view, which
+    /// is the one advancing. In a shared store a session arriving
+    /// mid-rebuild would find the cell cold and queue behind the decode
+    /// instead of adopting the published state, so a shared master
+    /// rebuilds into a fresh buffer.
+    fn park(&self, field: usize) -> bool {
+        let cell = &self.published[field];
+        let snap = cell.snapshot();
+        // the cell and `snap` hold the snapshot; the master and the
+        // snapshot hold the reconstruction
+        if Arc::strong_count(&snap) > 2 || Arc::strong_count(&snap.recon) > 2 {
+            return false;
+        }
+        cell.publish(released(&snap), snap.bound, snap.exhausted, true);
+        true
     }
 
     /// The fragment schedule a refinement of `field` to `eb` should batch,
@@ -717,9 +802,11 @@ impl ProgressStore {
         }
     }
 
-    /// Reads fragments `indices` of `field` as one storage-ordered batch
-    /// (see [`fragstore::read_batches`]) and offers every payload that
-    /// arrived to the budget's compressed RAM tier, in storage order.
+    /// Reads fragments `indices` of `field` through one storage-ordered
+    /// [`FragmentSource::read_many`] and offers every payload to the
+    /// budget's compressed RAM tier, in storage order. An empty schedule
+    /// reads nothing; a failed read gives an empty batch, and the reader
+    /// it is handed to fetches fragment by fragment instead.
     fn read_tiered(&self, field: usize, indices: &[u32]) -> Batch {
         let mut ids: Vec<FragmentId> = indices
             .iter()
@@ -729,31 +816,33 @@ impl ProgressStore {
             })
             .collect();
         self.manifest.storage_order(&mut ids);
-        let batch =
-            fragstore::read_batches(self.source.as_ref(), &self.manifest, &ids).swap_remove(field);
-        for id in &ids {
-            if let Some(payload) = batch.get(&id.index) {
+        let mut batch = Batch::new();
+        if ids.is_empty() {
+            return batch;
+        }
+        if let Ok(payloads) = self.source.read_many(&ids) {
+            for (id, payload) in ids.iter().zip(payloads) {
                 self.budget
-                    .tier_put((self.store_id, id.field, id.index), Arc::clone(payload));
+                    .tier_put((self.store_id, id.field, id.index), Arc::clone(&payload));
+                batch.insert(id.index, payload);
             }
         }
         batch
     }
 
-    /// Rebuilds a demoted field's decoded state bit-identically: a fresh
-    /// master replays the exact restore plan for the demoted marker, taking
-    /// payloads from the compressed RAM tier first and batching the misses
-    /// through one [`FragmentSource::read_many`]. Counts the replayed
-    /// fragments and the source bytes the tier could not absorb.
-    fn ensure_resident(&self, g: &mut MasterField, field: usize) -> Result<()> {
-        let d = match &g.state {
-            MasterState::Resident { .. } => return Ok(()),
-            MasterState::Demoted(d) => d.clone(),
-        };
+    /// The one replay routine: a fresh master for `field`, brought to
+    /// `progress` by the marker's exact restore plan — payloads from the
+    /// compressed RAM tier first, the misses read as one batch — so it
+    /// lands bit-identically where the marker was taken. Serves both a
+    /// demoted field's rehydration and a resumed session's open, and
+    /// tallies the replayed fragments and the source bytes the tier could
+    /// not absorb. A marker that does not fit the field, or records bytes
+    /// its replay cannot account for, is refused.
+    fn replay(&self, field: usize, progress: &ReaderProgress) -> Result<FieldReader> {
         let mut reader = FieldReader::open(Arc::clone(&self.source), &self.manifest, field)?;
-        let plan = reader.plan_restore(&d.progress)?;
+        let plan = reader.plan_restore(progress)?;
         // whatever opening fetched (a metadata fragment, where the
-        // representation has one) is source traffic rehydration caused
+        // representation has one) is source traffic the replay caused
         let mut refetched = reader.total_fetched() as u64;
         let (mut batch, mut missing) = (Batch::new(), Vec::new());
         for &index in &plan {
@@ -765,7 +854,7 @@ impl ProgressStore {
             }
         }
         batch.extend(self.read_tiered(field, &missing));
-        reader.restore_with(&d.progress, batch)?;
+        reader.restore_with(progress, batch)?;
         // the restore moved every tier miss from the source, batched or
         // (after a failed batch) one by one: the directory records its bytes
         for &index in &missing {
@@ -775,6 +864,21 @@ impl ProgressStore {
             };
             refetched += self.manifest.fragment(id).map_or(0, |f| f.len);
         }
+        self.rehydrated
+            .fetch_add(plan.len() as u64, Ordering::Relaxed);
+        self.rehydrated_bytes
+            .fetch_add(refetched, Ordering::Relaxed);
+        Ok(reader)
+    }
+
+    /// Rebuilds a demoted field's decoded state bit-identically through
+    /// [`ProgressStore::replay`] and publishes it.
+    fn ensure_resident(&self, g: &mut MasterField, field: usize) -> Result<()> {
+        let MasterState::Demoted(d) = &g.state else {
+            return Ok(());
+        };
+        let d = Arc::clone(d);
+        let reader = self.replay(field, &d.progress)?;
         self.absorb_recon_counters(&reader, ReconCounters(0, 0, 0));
         debug_assert_eq!(
             reader.guaranteed_bound().to_bits(),
@@ -782,10 +886,6 @@ impl ProgressStore {
             "rehydration must land on the demoted bound exactly"
         );
         debug_assert_eq!(reader.total_fetched(), d.fetched);
-        self.rehydrated
-            .fetch_add(plan.len() as u64, Ordering::Relaxed);
-        self.rehydrated_bytes
-            .fetch_add(refetched, Ordering::Relaxed);
         // publish the rehydrated state as a new epoch: cold views adopt the
         // warm snapshot again, and the stale plan-front slot (keyed to a
         // pre-demotion epoch) is dropped and recomputed
@@ -828,18 +928,12 @@ impl ProgressStore {
         let MasterState::Resident { reader } = &g.state else {
             return false;
         };
-        let d = DemotedField {
-            progress: reader.progress(),
-            bound: reader.guaranteed_bound(),
-            fetched: reader.total_fetched(),
-            exhausted: reader.exhausted(),
-        };
         // publish the cold placeholder as a new epoch; the true demoted
         // bound and exhaustion survive in the cell's advisory word, so
         // metadata answers stay exact without rehydrating
         let cell = &self.published[field];
-        let cold = Arc::new(self.cold_snapshot(field, &d, cell.next_epoch()));
-        cell.publish(cold, d.bound, d.exhausted, true);
+        let d = released(&snapshot_of(reader, cell.next_epoch()));
+        cell.publish(self.cold(field, &d), d.bound, d.exhausted, true);
         self.publishes.fetch_add(1, Ordering::Relaxed);
         g.state = MasterState::Demoted(d);
         self.budget.discharge(g.charged);
@@ -959,6 +1053,102 @@ impl ProgressStore {
             recon_cache_hits: self.recon_cache_hits.load(Ordering::Relaxed),
             reconstruct_nanos: self.reconstruct_nanos.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One field of a session, as a view onto a [`ProgressStore`]: the
+/// snapshot it adopted, which it never decodes or fetches past itself —
+/// every refinement reads through the store, so a request the store
+/// already reached costs zero fetches and zero decodes.
+pub(crate) struct FieldView {
+    store: Arc<ProgressStore>,
+    field: usize,
+    snap: Arc<FieldSnapshot>,
+    /// Refinements answered from what the view already held.
+    recon_cache_hits: u64,
+}
+
+impl FieldView {
+    /// A view on `field`, adopting the store's current snapshot (cold for
+    /// a demoted field — see [`ProgressStore::adopt`]).
+    pub(crate) fn open(store: &Arc<ProgressStore>, field: usize) -> Result<Self> {
+        Ok(Self {
+            snap: store.adopt(field)?,
+            store: Arc::clone(store),
+            field,
+            recon_cache_hits: 0,
+        })
+    }
+
+    /// The adopted snapshot: reconstruction, bound, byte accounting and
+    /// marker.
+    pub(crate) fn snapshot(&self) -> &FieldSnapshot {
+        &self.snap
+    }
+
+    /// Refinements answered from what the view already held.
+    pub(crate) fn recon_cache_hits(&self) -> u64 {
+        self.recon_cache_hits
+    }
+
+    /// True when the store can neither serve nor decode anything deeper
+    /// than what the view holds.
+    pub(crate) fn exhausted(&self) -> bool {
+        !self.store.can_improve(self.field, self.snap.bound)
+    }
+
+    /// The fragments [`FieldView::refine_to`]`(eb)` would have the store
+    /// fetch, in consume order, without fetching: the resident master's
+    /// front. A demoted field plans nothing — its replay is not a front.
+    pub(crate) fn plan_refine_to(&self, eb: f64) -> Vec<u32> {
+        if eb.is_nan() || eb < 0.0 || self.snap.bound <= eb {
+            return Vec::new();
+        }
+        let g = self.store.fields[self.field]
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
+        match &g.state {
+            MasterState::Resident { reader } => reader.plan_refine_to(eb),
+            MasterState::Demoted(_) => Vec::new(),
+        }
+    }
+
+    /// Refines to bound `eb` through the store, which advances its master
+    /// only past what any previous request reached: the view pays at most
+    /// the delta, and nothing when the store is already this deep. Returns
+    /// the newly fetched bytes.
+    pub(crate) fn refine_to(&mut self, eb: f64) -> Result<usize> {
+        if eb < 0.0 || eb.is_nan() {
+            return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
+        }
+        let before = self.snap.fetched;
+        // whatever is held already satisfies the request — for a cold view
+        // (adopted from a demoted field) that is the placeholder bound
+        // max|x| over a zero reconstruction: a sound, if coarse, certified
+        // state, answered without wiring the field back in
+        if self.snap.bound <= eb {
+            self.recon_cache_hits += 1;
+            return Ok(0);
+        }
+        let store = &self.store;
+        match store.published_answer(&store.published[self.field], eb, self.snap.epoch) {
+            Some(Some(next)) => self.snap = next,
+            Some(None) => self.recon_cache_hits += 1,
+            None => {
+                // let go of the held reconstruction for the advance: when
+                // no other session holds it either, the master rebuilds
+                // that very buffer instead of a copy
+                self.snap = released(&self.snap);
+                match store.advance(self.field, eb) {
+                    Ok(next) => self.snap = next,
+                    Err(e) => {
+                        self.snap = store.adopt(self.field)?;
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(self.snap.fetched - before)
     }
 }
 
@@ -1085,6 +1275,7 @@ mod tests {
             );
             // metadata answers survive demotion without rehydrating
             assert_eq!(store.field_bound(0).to_bits(), deep.bound.to_bits());
+            let (demoted, other) = (store.adopt(0).unwrap(), store.adopt(1).unwrap());
             let s = store.stats();
             assert_eq!(s.evictions, 1);
             assert_eq!(s.rehydration_decodes, 0, "{}", scheme.name());
@@ -1103,6 +1294,27 @@ mod tests {
                 scheme.name()
             );
             assert!(s.rehydration_decodes > 0, "{}", scheme.name());
+
+            // resuming at the demoted marker replays to the same state
+            let mut w = pqr_util::byteio::ByteWriter::new();
+            w.put_raw(b"PQRP");
+            w.put_u32(2);
+            demoted.progress.write(&mut w);
+            other.progress.write(&mut w);
+            let cfg = crate::engine::EngineConfig::default();
+            let resumed =
+                crate::engine::RetrievalEngine::resume_from_source(source, cfg, &w.finish())
+                    .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(resumed.reconstruction(0)),
+                bits(&back.recon),
+                "{}",
+                scheme.name()
+            );
+            assert_eq!(resumed.field_bound(0).to_bits(), back.bound.to_bits());
+            assert_eq!(resumed.total_fetched(), back.fetched + other.fetched);
+            assert_eq!(resumed.reader_progress(0), back.progress);
         }
     }
 
@@ -1186,14 +1398,12 @@ mod tests {
     fn exhausted_views_short_circuit_without_publishing() {
         let source = shared_source(Scheme::PmgardHb);
         let store = Arc::new(ProgressStore::open(Arc::clone(&source)).unwrap());
-        let manifest = store.manifest().clone();
-        let mut view =
-            crate::refactored::FieldReader::open_shared(Arc::clone(&store), &manifest, 0).unwrap();
+        let mut view = FieldView::open(&store, 0).unwrap();
         // drive the shared state to its representation floor through the view
         view.refine_to(0.0).unwrap();
         let base = store.stats();
         assert!(base.snapshot_publishes > 0);
-        let held = view.share_recon();
+        let held = Arc::clone(&view.snapshot().recon);
 
         // repeat-tolerance session: every repeat is answered by the packed
         // epoch word — no adoption, no publish, no recon clone
@@ -1213,7 +1423,7 @@ mod tests {
             "no publish on repeats"
         );
         assert!(
-            Arc::ptr_eq(&held, &view.share_recon()),
+            Arc::ptr_eq(&held, &view.snapshot().recon),
             "the view must keep the very same reconstruction Arc"
         );
     }
