@@ -200,9 +200,6 @@ impl Default for EngineConfig {
 /// already reached performs zero fetches and zero decodes.
 pub struct RetrievalEngine {
     store: Arc<ProgressStore>,
-    /// True when `store` came from [`RetrievalEngine::with_store`] (and
-    /// other engines may share it); false for a solo engine's own.
-    shared: bool,
     views: Vec<FieldView>,
     cfg: EngineConfig,
     /// The last estimate [`RetrievalEngine::estimate`] scanned.
@@ -254,7 +251,7 @@ impl RetrievalEngine {
     ) -> Result<Self> {
         let budget = Arc::new(StoreBudget::unbounded());
         let store = ProgressStore::open_at(source, budget, markers, true)?;
-        Self::build(Arc::new(store), false, cfg)
+        Self::build(Arc::new(store), cfg)
     }
 
     /// Opens an engine whose fields are **views onto a shared
@@ -262,10 +259,10 @@ impl RetrievalEngine {
     /// advances) the store's per-field decode state. All engines on one
     /// store collectively decode each bitplane exactly once.
     pub fn with_store(store: Arc<ProgressStore>, cfg: EngineConfig) -> Result<Self> {
-        Self::build(store, true, cfg)
+        Self::build(store, cfg)
     }
 
-    fn build(store: Arc<ProgressStore>, shared: bool, cfg: EngineConfig) -> Result<Self> {
+    fn build(store: Arc<ProgressStore>, cfg: EngineConfig) -> Result<Self> {
         let manifest = store.manifest();
         if cfg.reduction_factor <= 1.0 {
             return Err(PqrError::InvalidRequest(format!(
@@ -287,7 +284,6 @@ impl RetrievalEngine {
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             store,
-            shared,
             views,
             cfg,
             last_scan: None,
@@ -309,39 +305,31 @@ impl RetrievalEngine {
     /// built with [`RetrievalEngine::with_store`]. Solo engines return
     /// `None`.
     pub fn shared_store(&self) -> Option<&Arc<ProgressStore>> {
-        self.shared.then_some(&self.store)
+        (!self.store.is_private()).then_some(&self.store)
     }
 
-    /// The tallies of a solo engine's own store; `None` when shared.
-    fn own_stats(&self) -> Option<crate::store::StoreStats> {
-        (!self.shared).then(|| self.store.stats())
+    /// The store this engine refines through: a solo engine's private one
+    /// or the shared one it was built with.
+    pub(crate) fn store(&self) -> &ProgressStore {
+        &self.store
     }
 
     /// Payload fragments this engine fetched and decoded: a solo engine's
     /// advances plus resume replays. Engines on a shared store report zero
     /// — decodes happen once, in the store ([`crate::store::StoreStats`]).
     pub fn fragments_decoded(&self) -> u64 {
-        self.own_stats()
-            .map_or(0, |s| s.fragments_decoded + s.rehydration_decodes)
+        if !self.store.is_private() {
+            return 0;
+        }
+        let s = self.store.stats();
+        s.fragments_decoded + s.rehydration_decodes
     }
 
-    /// Multilevel recompose axis passes run rebuilding this engine's
-    /// reconstructions. Engines on a shared store report zero, as above.
-    pub fn recompose_passes(&self) -> u64 {
-        self.own_stats().map_or(0, |s| s.recompose_passes)
-    }
-
-    /// Refinement rounds answered from a memoized reconstruction — zero
-    /// decodes, zero recompose passes.
-    pub fn recon_cache_hits(&self) -> u64 {
-        let views: u64 = self.views.iter().map(FieldView::recon_cache_hits).sum();
-        views + self.own_stats().map_or(0, |s| s.recon_cache_hits)
-    }
-
-    /// Wall-clock nanoseconds spent rebuilding this engine's
-    /// reconstructions (zero for store-backed engines, as above).
-    pub fn reconstruct_nanos(&self) -> u64 {
-        self.own_stats().map_or(0, |s| s.reconstruct_nanos)
+    /// Refinement rounds this engine's views answered from the snapshot
+    /// they already held (the store's masters count their own in
+    /// [`crate::store::StoreStats::recon_cache_hits`]).
+    pub(crate) fn recon_cache_hits(&self) -> u64 {
+        self.views.iter().map(FieldView::recon_cache_hits).sum()
     }
 
     /// The archive manifest the engine retrieves against.
@@ -1257,6 +1245,36 @@ mod tests {
     }
 
     #[test]
+    fn a_solo_engine_reports_its_private_store_deltas() {
+        // one accounting path: a solo engine's report reads the deltas of
+        // its private store, exactly as a shared engine's reads its store's
+        let ds = velocity_dataset(3000, false);
+        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let mut engine = engine_for(&archive);
+        assert!(engine.shared_store().is_none());
+        let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
+        let before = engine.fragments_decoded();
+        let first = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
+        let decoded = engine.fragments_decoded() - before;
+        assert!(decoded > 0);
+        assert_eq!(first.store_fragments_decoded, decoded);
+
+        // a repeat is answered by the views from the snapshots they hold
+        let repeat = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
+        assert_eq!(repeat.store_fragments_decoded, 0);
+        assert_eq!(engine.fragments_decoded() - before, decoded);
+        assert!(repeat.recon_cache_hits > 0);
+
+        // past the representation's floor the views ask the store, which
+        // answers from its exhausted masters: reuses, no decodes
+        let floor = spec.at_tolerance(1e-300);
+        engine.retrieve(std::slice::from_ref(&floor)).unwrap();
+        let again = engine.retrieve(&[floor]).unwrap();
+        assert_eq!(again.store_fragments_decoded, 0);
+        assert!(again.store_refine_reuses > 0);
+    }
+
+    #[test]
     fn zero_decode_round_performs_zero_recompose() {
         // the epoch-memoization contract: a retrieval round that decodes
         // nothing must also rebuild nothing — repeated (or looser)
@@ -1267,9 +1285,10 @@ mod tests {
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
         let r1 = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
         assert!(r1.satisfied);
-        let passes = engine.recompose_passes();
-        assert!(passes > 0, "the deep retrieve must have run recompose");
-        let hits = engine.recon_cache_hits();
+        assert!(
+            r1.recompose_passes > 0,
+            "the deep retrieve must have run recompose"
+        );
         let recon_before: Vec<Vec<f64>> =
             (0..3).map(|i| engine.reconstruction(i).to_vec()).collect();
 
@@ -1278,15 +1297,13 @@ mod tests {
         assert!(r2.satisfied);
         assert_eq!(r2.bytes_fetched, 0);
         assert_eq!(
-            engine.recompose_passes(),
-            passes,
+            r2.recompose_passes, 0,
             "zero-decode round must perform zero recompose passes"
         );
-        assert!(engine.recon_cache_hits() > hits);
+        assert!(r2.recon_cache_hits > 0);
         // and a looser request is equally free
         let loose = spec.at_tolerance(1e-2);
-        engine.retrieve(&[loose]).unwrap();
-        assert_eq!(engine.recompose_passes(), passes);
+        assert_eq!(engine.retrieve(&[loose]).unwrap().recompose_passes, 0);
         for i in 0..3 {
             assert_eq!(recon_before[i], engine.reconstruction(i), "field {i}");
         }

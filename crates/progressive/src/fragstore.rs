@@ -163,22 +163,23 @@ impl Manifest {
     }
 }
 
-/// Cumulative fetch tallies of a [`FragmentSource`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SourceStats {
-    /// Fragment fetches served (including cache hits).
-    pub fetches: u64,
-    /// Payload bytes handed out (including cache hits).
-    pub fetched_bytes: u64,
-    /// Fetches served from a cache without touching the backend.
-    pub cache_hits: u64,
-    /// Fetches that had to go to the backend.
-    pub cache_misses: u64,
-    /// Backend read operations performed: one per single-fragment fetch,
-    /// one per *coalesced range* in a [`FragmentSource::read_many`] batch
-    /// (adjacent fragments collapse into one seek+read), so batched
-    /// execution is observable as `read_ops < fetches`.
-    pub read_ops: u64,
+pqr_util::tally! {
+    /// Cumulative fetch tallies of a [`FragmentSource`].
+    pub struct SourceStats / AtomicSourceStats {
+        /// Fragment fetches served (including cache hits).
+        fetches,
+        /// Payload bytes handed out (including cache hits).
+        fetched_bytes,
+        /// Fetches served from a cache without touching the backend.
+        cache_hits,
+        /// Fetches that had to go to the backend.
+        cache_misses,
+        /// Backend read operations performed: one per single-fragment fetch,
+        /// one per *coalesced range* in a [`FragmentSource::read_many`] batch
+        /// (adjacent fragments collapse into one seek+read), so batched
+        /// execution is observable as `read_ops < fetches`.
+        read_ops,
+    }
 }
 
 /// Serves progressive fragments by id — the seam between the retrieval
@@ -681,16 +682,7 @@ pub(crate) fn load_field(
 // Backends
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct AtomicStats {
-    fetches: AtomicU64,
-    fetched_bytes: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    read_ops: AtomicU64,
-}
-
-impl AtomicStats {
+impl AtomicSourceStats {
     fn record(&self, bytes: usize, hit: bool) {
         self.fetches.fetch_add(1, Ordering::Relaxed);
         self.fetched_bytes
@@ -707,16 +699,6 @@ impl AtomicStats {
     fn record_ops(&self, ops: u64) {
         self.read_ops.fetch_add(ops, Ordering::Relaxed);
     }
-
-    fn snapshot(&self) -> SourceStats {
-        SourceStats {
-            fetches: self.fetches.load(Ordering::Relaxed),
-            fetched_bytes: self.fetched_bytes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            read_ops: self.read_ops.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// A serialized fragment-addressed archive held fully in memory. Fetches
@@ -726,7 +708,7 @@ impl AtomicStats {
 pub struct InMemorySource {
     bytes: Vec<u8>,
     manifest: Manifest,
-    stats: AtomicStats,
+    stats: AtomicSourceStats,
 }
 
 impl InMemorySource {
@@ -747,7 +729,7 @@ impl InMemorySource {
         Ok(Self {
             bytes,
             manifest,
-            stats: AtomicStats::default(),
+            stats: AtomicSourceStats::default(),
         })
     }
 
@@ -807,7 +789,7 @@ pub struct FileSource {
     file: Mutex<std::fs::File>,
     manifest: Manifest,
     header_bytes: usize,
-    stats: AtomicStats,
+    stats: AtomicSourceStats,
 }
 
 fn io_err(path: &Path, op: &str, e: std::io::Error) -> PqrError {
@@ -836,7 +818,7 @@ impl FileSource {
             file: Mutex::new(file),
             manifest,
             header_bytes: PREAMBLE + mlen,
-            stats: AtomicStats::default(),
+            stats: AtomicSourceStats::default(),
         })
     }
 
@@ -928,7 +910,7 @@ pub struct CachedSource<S> {
     inner: S,
     cache: Arc<FragmentCache>,
     salt: u64,
-    stats: AtomicStats,
+    stats: AtomicSourceStats,
 }
 
 impl<S: FragmentSource> CachedSource<S> {
@@ -938,7 +920,7 @@ impl<S: FragmentSource> CachedSource<S> {
             inner,
             cache,
             salt: NEXT_SALT.fetch_add(1, Ordering::Relaxed),
-            stats: AtomicStats::default(),
+            stats: AtomicSourceStats::default(),
         }
     }
 

@@ -36,7 +36,7 @@
 //! [`FragmentSource::read_many`]: crate::fragstore::FragmentSource::read_many
 
 use crate::engine::{Estimate, QoiSpec, RetrievalEngine};
-use crate::fragstore::{FragmentId, SourceStats};
+use crate::fragstore::FragmentId;
 use pqr_util::error::{PqrError, Result};
 
 /// A resolved multi-target retrieval plan: the targets, the fields they
@@ -252,7 +252,8 @@ pub struct PlanReport {
     /// tolerances still unmet.
     pub budget_exhausted: bool,
     /// Backend read operations during execution (coalesced range reads /
-    /// batch round-trips), from the source's [`SourceStats`] delta; zero
+    /// batch round-trips), from the source's
+    /// [`SourceStats`](crate::fragstore::SourceStats) delta; zero
     /// for resident sources, which do not track memory copies.
     pub read_ops: u64,
     /// Fragments served during execution (same source delta).
@@ -262,32 +263,30 @@ pub struct PlanReport {
     /// (`pqr-serve`) fills it with the decode-permit queue wait so remote
     /// clients can see contention separately from retrieval work.
     pub queue_wait_ms: u64,
-    /// Fragments the shared [`ProgressStore`](crate::store::ProgressStore)
-    /// decoded *during this execution* (store-level delta). Zero for solo
-    /// engines, whose store is private. Under concurrent sessions the
-    /// delta includes decodes triggered by other sessions in the window.
+    /// Fragments the engine's [`ProgressStore`](crate::store::ProgressStore)
+    /// decoded *during this execution* (store-level delta): a solo
+    /// engine's private store, or a service's shared one. Under concurrent
+    /// sessions on a shared store the delta includes decodes triggered by
+    /// other sessions in the window.
     pub store_fragments_decoded: u64,
     /// Store refinement requests served entirely from already-decoded
-    /// state during this execution (same delta caveat). Zero for solo
-    /// engines.
+    /// state during this execution (same delta caveat).
     pub store_refine_reuses: u64,
     /// Refinement schedules the store's plan-front cache served as a
-    /// prefix of a cached front during this execution (same store-level
-    /// delta caveat). Zero for solo engines.
+    /// prefix of a cached front during this execution (same delta caveat).
     pub plan_front_hits: u64,
     /// Refinement schedules the store recomputed from the bound model
-    /// during this execution (same delta caveat). Zero for solo engines.
+    /// during this execution (same delta caveat).
     pub plan_front_misses: u64,
-    /// Multilevel recompose axis passes run rebuilding reconstructions
-    /// during this execution — a solo engine's own, or the shared store's
-    /// (store-level delta, same caveat).
+    /// Multilevel recompose axis passes the store's masters ran rebuilding
+    /// reconstructions during this execution (same delta caveat).
     pub recompose_passes: u64,
     /// Refinement rounds answered from a memoized reconstruction during
     /// this execution (the engine's views + the store's masters): zero
     /// decodes, zero recompose passes.
     pub recon_cache_hits: u64,
-    /// Milliseconds spent rebuilding reconstructions during this
-    /// execution (a solo engine's own, or the shared store's).
+    /// Milliseconds the store's masters spent rebuilding reconstructions
+    /// during this execution (same delta caveat).
     pub reconstruct_ms: u64,
 }
 
@@ -320,11 +319,9 @@ impl<'e> PlanExecutor<'e> {
             .iter()
             .map(|v| v.snapshot().fetched)
             .collect();
-        let stats_before = engine.source_stats();
-        let store_before = engine.shared_store().map(|s| s.stats());
-        let recompose_before = engine.recompose_passes();
-        let recon_hits_before = engine.recon_cache_hits();
-        let recon_nanos_before = engine.reconstruct_nanos();
+        let source_before = engine.source_stats();
+        let store_before = engine.store().stats();
+        let view_hits_before = engine.recon_cache_hits();
 
         // the plan's Algorithm-3 bounds, re-clamped in case the engine
         // advanced between resolve and execute
@@ -432,33 +429,10 @@ impl<'e> PlanExecutor<'e> {
             .collect();
         let attributed: usize = targets.iter().map(|t| t.bytes).sum();
         let actual_payload: usize = per_field_delta.iter().sum();
-        let stats_after = engine.source_stats();
-        let store_after = engine.shared_store().map(|s| s.stats());
-        let (store_decoded, store_reuses, front_hits, front_misses) =
-            match (store_before, store_after) {
-                (Some(b), Some(a)) => (
-                    a.fragments_decoded.saturating_sub(b.fragments_decoded),
-                    a.refine_reuses.saturating_sub(b.refine_reuses),
-                    a.plan_front_hits.saturating_sub(b.plan_front_hits),
-                    a.plan_front_misses.saturating_sub(b.plan_front_misses),
-                ),
-                _ => (0, 0, 0, 0),
-            };
-        // reconstruction work: a solo engine's own plus the shared store's
-        // masters (store-level delta — concurrent sessions in the window
-        // contribute, same caveat as the decode counters)
-        let (store_passes, store_hits, store_nanos) = match (store_before, store_after) {
-            (Some(b), Some(a)) => (
-                a.recompose_passes.saturating_sub(b.recompose_passes),
-                a.recon_cache_hits.saturating_sub(b.recon_cache_hits),
-                a.reconstruct_nanos.saturating_sub(b.reconstruct_nanos),
-            ),
-            _ => (0, 0, 0),
-        };
-        let recompose_passes = engine.recompose_passes() - recompose_before + store_passes;
-        let recon_cache_hits = engine.recon_cache_hits() - recon_hits_before + store_hits;
-        let reconstruct_ms =
-            (engine.reconstruct_nanos() - recon_nanos_before + store_nanos) / 1_000_000;
+        // store- and source-level deltas: the engine's own store when solo;
+        // a shared store's includes other sessions' work in the window
+        let source = engine.source_stats().since(&source_before);
+        let store = engine.store().stats().since(&store_before);
         let elements = engine.manifest().num_elements() * engine.manifest().num_fields();
         Ok(PlanReport {
             satisfied,
@@ -470,23 +444,19 @@ impl<'e> PlanExecutor<'e> {
             bitrate: pqr_util::stats::bitrate(total, elements),
             shared_bytes_saved: attributed.saturating_sub(actual_payload),
             budget_exhausted,
-            read_ops: delta(stats_after, stats_before, |s| s.read_ops),
-            fragments_read: delta(stats_after, stats_before, |s| s.fetches),
+            read_ops: source.read_ops,
+            fragments_read: source.fetches,
             queue_wait_ms: 0,
-            store_fragments_decoded: store_decoded,
-            store_refine_reuses: store_reuses,
-            plan_front_hits: front_hits,
-            plan_front_misses: front_misses,
-            recompose_passes,
-            recon_cache_hits,
-            reconstruct_ms,
+            store_fragments_decoded: store.fragments_decoded,
+            store_refine_reuses: store.refine_reuses,
+            plan_front_hits: store.plan_front_hits,
+            plan_front_misses: store.plan_front_misses,
+            recompose_passes: store.recompose_passes,
+            recon_cache_hits: engine.recon_cache_hits() - view_hits_before + store.recon_cache_hits,
+            reconstruct_ms: store.reconstruct_nanos / 1_000_000,
             targets,
         })
     }
-}
-
-fn delta(after: SourceStats, before: SourceStats, f: impl Fn(&SourceStats) -> u64) -> u64 {
-    f(&after).saturating_sub(f(&before))
 }
 
 // (tests exercising the plan path live in `engine`'s suite — every

@@ -245,59 +245,61 @@ fn resident(g: &mut MasterField) -> &mut FieldReader {
     }
 }
 
-/// Cumulative tallies of a [`ProgressStore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Payload fragments the masters fetched and decoded **to advance** —
-    /// each depth counted exactly once no matter how many sessions needed
-    /// it, and never re-counted by rehydration replays.
-    pub fragments_decoded: u64,
-    /// Refinement requests that had to advance a master (decode work).
-    pub refine_advances: u64,
-    /// Refinement requests fully served by already-decoded state: zero
-    /// source fetches, zero decodes.
-    pub refine_reuses: u64,
-    /// Snapshots handed to session views (at open and on refinement).
-    pub adoptions: u64,
-    /// Fields demoted by the pager (decoded state dropped to the marker).
-    pub evictions: u64,
-    /// Fragments re-decoded while rehydrating demoted fields — the exact
-    /// price of eviction, kept separate from `fragments_decoded`.
-    pub rehydration_decodes: u64,
-    /// Bytes re-fetched **from the source** during rehydration (metadata +
-    /// fragments the compressed RAM tier could not serve).
-    pub rehydration_bytes: u64,
-    /// Snapshot publications (epoch bumps): every advance, rehydration and
-    /// demotion publishes exactly one new epoch. A request served entirely
-    /// from published state publishes nothing — the zero-copy assertion of
-    /// the epoch design.
-    pub snapshot_publishes: u64,
-    /// Refinements answered with "your epoch is current" — the caller's
-    /// adopted snapshot already is the published one and nothing tighter
-    /// is decodable, so the store takes no lock, clones no `Arc`, copies
-    /// nothing (see [`ProgressStore::refine_from`]).
-    pub epoch_short_circuits: u64,
-    /// Refinement schedules served from the plan-front cache: the cached
-    /// front for the current epoch covered the request as a prefix.
-    pub plan_front_hits: u64,
-    /// Refinement schedules that recomputed the front from the bound
-    /// model (first request at an epoch, or a scheme without a
-    /// prefix-monotone front).
-    pub plan_front_misses: u64,
-    /// Decoded bytes this store currently holds resident (its share of the
-    /// budget's global tally).
-    pub resident_bytes: u64,
-    /// The budget ceiling in bytes; 0 = unbounded.
-    pub budget_bytes: u64,
-    /// Multilevel recompose axis passes the masters performed rebuilding
-    /// reconstructions (open + advance + rehydration).
-    pub recompose_passes: u64,
-    /// Master refinement rounds answered from the memoized reconstruction
-    /// — zero decodes, zero recompose passes.
-    pub recon_cache_hits: u64,
-    /// Wall-clock nanoseconds the masters spent rebuilding
-    /// reconstructions.
-    pub reconstruct_nanos: u64,
+pqr_util::tally! {
+    /// Cumulative tallies of a [`ProgressStore`]. `resident_bytes` and
+    /// `budget_bytes` are levels, not counts: their `since` is meaningless.
+    pub struct StoreStats / AtomicStoreStats {
+        /// Payload fragments the masters fetched and decoded **to advance** —
+        /// each depth counted exactly once no matter how many sessions needed
+        /// it, and never re-counted by rehydration replays.
+        fragments_decoded,
+        /// Refinement requests that had to advance a master (decode work).
+        refine_advances,
+        /// Refinement requests fully served by already-decoded state: zero
+        /// source fetches, zero decodes.
+        refine_reuses,
+        /// Snapshots handed to session views (at open and on refinement).
+        adoptions,
+        /// Fields demoted by the pager (decoded state dropped to the marker).
+        evictions,
+        /// Fragments re-decoded while rehydrating demoted fields — the exact
+        /// price of eviction, kept separate from `fragments_decoded`.
+        rehydration_decodes,
+        /// Bytes re-fetched **from the source** during rehydration (metadata +
+        /// fragments the compressed RAM tier could not serve).
+        rehydration_bytes,
+        /// Snapshot publications (epoch bumps): every advance, rehydration and
+        /// demotion publishes exactly one new epoch. A request served entirely
+        /// from published state publishes nothing — the zero-copy assertion of
+        /// the epoch design.
+        snapshot_publishes,
+        /// Refinements answered with "your epoch is current" — the caller's
+        /// adopted snapshot already is the published one and nothing tighter
+        /// is decodable, so the store takes no lock, clones no `Arc`, copies
+        /// nothing (see [`ProgressStore::refine_from`]).
+        epoch_short_circuits,
+        /// Refinement schedules served from the plan-front cache: the cached
+        /// front for the current epoch covered the request as a prefix.
+        plan_front_hits,
+        /// Refinement schedules that recomputed the front from the bound
+        /// model (first request at an epoch, or a scheme without a
+        /// prefix-monotone front).
+        plan_front_misses,
+        /// Decoded bytes this store currently holds resident (its share of the
+        /// budget's global tally).
+        resident_bytes,
+        /// The budget ceiling in bytes; 0 = unbounded.
+        budget_bytes,
+        /// Multilevel recompose axis passes the masters performed rebuilding
+        /// reconstructions (open + advance + rehydration).
+        recompose_passes,
+        /// Master refinement rounds answered from the memoized reconstruction
+        /// — zero decodes, zero recompose passes.
+        recon_cache_hits,
+        /// Wall-clock nanoseconds the masters spent rebuilding
+        /// reconstructions.
+        reconstruct_nanos,
+    }
 }
 
 /// Shared, monotonically-deepening decode state for every field of one
@@ -329,23 +331,10 @@ pub struct ProgressStore {
     private: bool,
     /// Recency clock for the eviction policy.
     tick: AtomicU64,
-    /// This store's own decoded-resident bytes (the per-dataset view of
+    /// The tallies [`ProgressStore::stats`] reports; `resident_bytes` is
+    /// this store's own decoded-resident bytes (the per-dataset view of
     /// the budget's global tally).
-    resident: AtomicU64,
-    decoded: AtomicU64,
-    advances: AtomicU64,
-    reuses: AtomicU64,
-    adoptions: AtomicU64,
-    evictions: AtomicU64,
-    rehydrated: AtomicU64,
-    rehydrated_bytes: AtomicU64,
-    publishes: AtomicU64,
-    short_circuits: AtomicU64,
-    front_hits: AtomicU64,
-    front_misses: AtomicU64,
-    recompose_passes: AtomicU64,
-    recon_cache_hits: AtomicU64,
-    reconstruct_nanos: AtomicU64,
+    counters: AtomicStoreStats,
 }
 
 /// Snapshot of one reader's reconstruction counters, for delta capture
@@ -397,21 +386,7 @@ impl ProgressStore {
             private,
             budget,
             tick: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
-            decoded: AtomicU64::new(0),
-            advances: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            adoptions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            rehydrated: AtomicU64::new(0),
-            rehydrated_bytes: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-            short_circuits: AtomicU64::new(0),
-            front_hits: AtomicU64::new(0),
-            front_misses: AtomicU64::new(0),
-            recompose_passes: AtomicU64::new(0),
-            recon_cache_hits: AtomicU64::new(0),
-            reconstruct_nanos: AtomicU64::new(0),
+            counters: AtomicStoreStats::default(),
         };
         // construct, charge and enforce one master at a time: a reader
         // (recon + decode cursor) costs its full footprint from the moment
@@ -432,7 +407,10 @@ impl ProgressStore {
                 state: MasterState::Resident { reader },
                 charged: cost,
             }));
-            store.resident.fetch_add(cost, Ordering::Relaxed);
+            store
+                .counters
+                .resident_bytes
+                .fetch_add(cost, Ordering::Relaxed);
             store.budget.charge(cost);
             store.maybe_enforce(None);
         }
@@ -459,6 +437,11 @@ impl ProgressStore {
         &self.budget
     }
 
+    /// True for a solo engine's own store, false for a shared one.
+    pub(crate) fn is_private(&self) -> bool {
+        self.private
+    }
+
     fn write_field(&self, field: usize) -> RwLockWriteGuard<'_, MasterField> {
         self.fields[field]
             .write()
@@ -479,11 +462,14 @@ impl ProgressStore {
     /// readers are dropped on demotion, so counters are absorbed
     /// incrementally, never at teardown.
     fn absorb_recon_counters(&self, reader: &FieldReader, base: ReconCounters) {
-        self.recompose_passes
+        self.counters
+            .recompose_passes
             .fetch_add(reader.recompose_passes() - base.0, Ordering::Relaxed);
-        self.recon_cache_hits
+        self.counters
+            .recon_cache_hits
             .fetch_add(reader.recon_cache_hits() - base.1, Ordering::Relaxed);
-        self.reconstruct_nanos
+        self.counters
+            .reconstruct_nanos
             .fetch_add(reader.reconstruct_nanos() - base.2, Ordering::Relaxed);
     }
 
@@ -506,7 +492,7 @@ impl ProgressStore {
     pub fn adopt(&self, field: usize) -> Result<Arc<FieldSnapshot>> {
         let cell = self.cell(field)?;
         self.touch_cell(cell);
-        self.adoptions.fetch_add(1, Ordering::Relaxed);
+        self.counters.adoptions.fetch_add(1, Ordering::Relaxed);
         let snap = cell.snapshot();
         if snap.recon.len() == self.manifest.num_elements() {
             return Ok(snap);
@@ -610,8 +596,10 @@ impl ProgressStore {
         let meta = cell.meta.load(Ordering::Acquire);
         if meta == pack_meta(have_epoch, true, false) {
             self.touch_cell(cell);
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            self.short_circuits.fetch_add(1, Ordering::Relaxed);
+            self.counters.refine_reuses.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .epoch_short_circuits
+                .fetch_add(1, Ordering::Relaxed);
             return Some(None);
         }
         // Published-snapshot fast path: the tiny snap read-lock for an
@@ -623,12 +611,14 @@ impl ProgressStore {
             return None;
         }
         self.touch_cell(cell);
-        self.reuses.fetch_add(1, Ordering::Relaxed);
+        self.counters.refine_reuses.fetch_add(1, Ordering::Relaxed);
         if snap.epoch == have_epoch {
-            self.short_circuits.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .epoch_short_circuits
+                .fetch_add(1, Ordering::Relaxed);
             return Some(None);
         }
-        self.adoptions.fetch_add(1, Ordering::Relaxed);
+        self.counters.adoptions.fetch_add(1, Ordering::Relaxed);
         Some(Some(snap))
     }
 
@@ -657,8 +647,8 @@ impl ProgressStore {
         // another session may have decoded this depth while we waited (or
         // the rehydrated depth already satisfies the request)
         if published.bound <= eb || published.exhausted {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            self.adoptions.fetch_add(1, Ordering::Relaxed);
+            self.counters.refine_reuses.fetch_add(1, Ordering::Relaxed);
+            self.counters.adoptions.fetch_add(1, Ordering::Relaxed);
             return Ok(published);
         }
         drop(published);
@@ -674,7 +664,9 @@ impl ProgressStore {
         let refined = reader.refine_with(eb, batch);
         self.absorb_recon_counters(reader, recon_base);
         let delta = reader.fragments_decoded() - before;
-        self.decoded.fetch_add(delta, Ordering::Relaxed);
+        self.counters
+            .fragments_decoded
+            .fetch_add(delta, Ordering::Relaxed);
         if let Err(e) = refined {
             // the master keeps what it decoded before the fault, folded
             // into what it certifies, so the front cached for the published
@@ -688,16 +680,18 @@ impl ProgressStore {
             }
             return Err(e);
         }
-        self.adoptions.fetch_add(1, Ordering::Relaxed);
+        self.counters.adoptions.fetch_add(1, Ordering::Relaxed);
         if delta == 0 {
             // nothing decoded ⇒ reader state (and hence the snapshot) is
             // unchanged (and, with an empty front, not parked): keep the
             // published `Arc` — no republish — and count the request as a
             // reuse
-            self.reuses.fetch_add(1, Ordering::Relaxed);
+            self.counters.refine_reuses.fetch_add(1, Ordering::Relaxed);
             return Ok(cell.snapshot());
         }
-        self.advances.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .refine_advances
+            .fetch_add(1, Ordering::Relaxed);
         Ok(self.publish_master(&mut g, field, delta as usize))
     }
 
@@ -715,7 +709,9 @@ impl ProgressStore {
         let cell = &self.published[field];
         let snap = Arc::new(snapshot_of(reader, cell.next_epoch()));
         cell.publish(Arc::clone(&snap), snap.bound, snap.exhausted, false);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .snapshot_publishes
+            .fetch_add(1, Ordering::Relaxed);
         self.retire_front(field, snap.epoch, consumed);
         let cost = master_cost(reader);
         self.recharge(g, cost);
@@ -773,9 +769,13 @@ impl ProgressStore {
             None => reader.plan_refine_to(eb),
         };
         if hit {
-            self.front_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .plan_front_hits
+                .fetch_add(1, Ordering::Relaxed);
         } else {
-            self.front_misses.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .plan_front_misses
+                .fetch_add(1, Ordering::Relaxed);
         }
         debug_assert_eq!(
             out,
@@ -864,9 +864,11 @@ impl ProgressStore {
             };
             refetched += self.manifest.fragment(id).map_or(0, |f| f.len);
         }
-        self.rehydrated
+        self.counters
+            .rehydration_decodes
             .fetch_add(plan.len() as u64, Ordering::Relaxed);
-        self.rehydrated_bytes
+        self.counters
+            .rehydration_bytes
             .fetch_add(refetched, Ordering::Relaxed);
         Ok(reader)
     }
@@ -901,9 +903,13 @@ impl ProgressStore {
     fn recharge(&self, g: &mut MasterField, cost: u64) {
         self.budget.swap_charge(g.charged, cost);
         if cost >= g.charged {
-            self.resident.fetch_add(cost - g.charged, Ordering::Relaxed);
+            self.counters
+                .resident_bytes
+                .fetch_add(cost - g.charged, Ordering::Relaxed);
         } else {
-            self.resident.fetch_sub(g.charged - cost, Ordering::Relaxed);
+            self.counters
+                .resident_bytes
+                .fetch_sub(g.charged - cost, Ordering::Relaxed);
         }
         g.charged = cost;
     }
@@ -934,12 +940,16 @@ impl ProgressStore {
         let cell = &self.published[field];
         let d = released(&snapshot_of(reader, cell.next_epoch()));
         cell.publish(self.cold(field, &d), d.bound, d.exhausted, true);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .snapshot_publishes
+            .fetch_add(1, Ordering::Relaxed);
         g.state = MasterState::Demoted(d);
         self.budget.discharge(g.charged);
-        self.resident.fetch_sub(g.charged, Ordering::Relaxed);
+        self.counters
+            .resident_bytes
+            .fetch_sub(g.charged, Ordering::Relaxed);
         g.charged = 0;
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -1030,28 +1040,14 @@ impl ProgressStore {
 
     /// Decoded bytes this store currently holds resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
+        self.counters.resident_bytes.load(Ordering::Relaxed)
     }
 
     /// Cumulative store tallies.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            fragments_decoded: self.decoded.load(Ordering::Relaxed),
-            refine_advances: self.advances.load(Ordering::Relaxed),
-            refine_reuses: self.reuses.load(Ordering::Relaxed),
-            adoptions: self.adoptions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            rehydration_decodes: self.rehydrated.load(Ordering::Relaxed),
-            rehydration_bytes: self.rehydrated_bytes.load(Ordering::Relaxed),
-            snapshot_publishes: self.publishes.load(Ordering::Relaxed),
-            epoch_short_circuits: self.short_circuits.load(Ordering::Relaxed),
-            plan_front_hits: self.front_hits.load(Ordering::Relaxed),
-            plan_front_misses: self.front_misses.load(Ordering::Relaxed),
-            resident_bytes: self.resident.load(Ordering::Relaxed),
             budget_bytes: self.budget.limit_bytes(),
-            recompose_passes: self.recompose_passes.load(Ordering::Relaxed),
-            recon_cache_hits: self.recon_cache_hits.load(Ordering::Relaxed),
-            reconstruct_nanos: self.reconstruct_nanos.load(Ordering::Relaxed),
+            ..self.counters.snapshot()
         }
     }
 }

@@ -14,49 +14,57 @@ use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+pqr_util::tally! {
+    /// The server counters a `stats` frame carries, in wire order.
+    pub struct ServeCounters / AtomicServeCounters {
+        /// Connections accepted into the worker pool.
+        connections,
+        /// Frames processed (any kind).
+        requests,
+        /// Retrieve frames executed (admitted past the decode gate).
+        retrieves,
+        /// Error frames sent.
+        errors,
+        /// Connections shed at accept because the pending queue was full.
+        shed_admission,
+        /// Retrieves shed because the decode pool stayed saturated past the
+        /// configured wait.
+        shed_busy,
+        /// Request bytes read off the wire (headers included).
+        bytes_in,
+        /// Response bytes written to the wire (headers included).
+        bytes_out,
+        /// Total milliseconds retrieves waited for a decode permit.
+        queue_wait_ms_total,
+        /// Worst single decode-permit wait observed, in milliseconds.
+        queue_wait_ms_max,
+        /// Connections that died mid-request (the peer vanished between a
+        /// request frame and its reply).
+        disconnects_mid_request,
+        /// Coalesced rounds executed: batches of ≥ 2 overlapping retrieves
+        /// whose union plan ran once through the shared store.
+        coalesced_rounds,
+        /// Retrieves served as members of a coalesced round (the union ran on
+        /// their behalf; their own execution was a permit-free reply
+        /// projection from the shared epoch state).
+        coalesced_requests,
+        /// Coalesced rounds that fell back to individual gated execution
+        /// (union error or no decode permit within the wait).
+        coalesce_fallbacks,
+        /// Total milliseconds retrieves spent executing (permit grant →
+        /// reply built) — `service_ms_total / retrieves_completed` is the
+        /// observed per-request service time the dynamic `Busy` retry-after
+        /// hint derives from.
+        service_ms_total,
+    }
+}
+
 /// Lock-free server counters (one instance per [`Server`](crate::Server),
 /// shared by the accept loop and every worker).
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    /// Connections accepted into the worker pool.
-    pub connections: AtomicU64,
-    /// Frames processed (any kind).
-    pub requests: AtomicU64,
-    /// Retrieve frames executed (admitted past the decode gate).
-    pub retrieves: AtomicU64,
-    /// Error frames sent.
-    pub errors: AtomicU64,
-    /// Connections shed at accept because the pending queue was full.
-    pub shed_admission: AtomicU64,
-    /// Retrieves shed because the decode pool stayed saturated past the
-    /// configured wait.
-    pub shed_busy: AtomicU64,
-    /// Request bytes read off the wire (headers included).
-    pub bytes_in: AtomicU64,
-    /// Response bytes written to the wire (headers included).
-    pub bytes_out: AtomicU64,
-    /// Total milliseconds retrieves waited for a decode permit.
-    pub queue_wait_ms_total: AtomicU64,
-    /// Worst single decode-permit wait observed, in milliseconds.
-    pub queue_wait_ms_max: AtomicU64,
-    /// Connections that died mid-request (the peer vanished between a
-    /// request frame and its reply).
-    pub disconnects_mid_request: AtomicU64,
-    /// Coalesced rounds executed: batches of ≥ 2 overlapping retrieves
-    /// whose union plan ran once through the shared store.
-    pub coalesced_rounds: AtomicU64,
-    /// Retrieves served as members of a coalesced round (the union ran on
-    /// their behalf; their own execution was a permit-free reply
-    /// projection from the shared epoch state).
-    pub coalesced_requests: AtomicU64,
-    /// Coalesced rounds that fell back to individual gated execution
-    /// (union error or no decode permit within the wait).
-    pub coalesce_fallbacks: AtomicU64,
-    /// Total milliseconds retrieves spent executing (permit grant →
-    /// reply built) — `service_ms_total / retrieves_completed` is the
-    /// observed per-request service time the dynamic `Busy` retry-after
-    /// hint derives from.
-    pub service_ms_total: AtomicU64,
+    /// The counters the `stats` frame serialises.
+    pub counters: AtomicServeCounters,
     /// Retrieves that completed execution (the denominator of the
     /// observed service time). Not serialized — server-local.
     pub retrieves_completed: AtomicU64,
@@ -79,13 +87,16 @@ impl ServeStats {
 
     /// Records one decode-permit wait.
     pub fn record_queue_wait(&self, ms: u64) {
-        self.queue_wait_ms_total.fetch_add(ms, Ordering::Relaxed);
-        self.queue_wait_ms_max.fetch_max(ms, Ordering::Relaxed);
+        let c = &self.counters;
+        c.queue_wait_ms_total.fetch_add(ms, Ordering::Relaxed);
+        c.queue_wait_ms_max.fetch_max(ms, Ordering::Relaxed);
     }
 
     /// Records one completed retrieve's service time.
     pub fn record_service(&self, ms: u64) {
-        self.service_ms_total.fetch_add(ms, Ordering::Relaxed);
+        self.counters
+            .service_ms_total
+            .fetch_add(ms, Ordering::Relaxed);
         self.retrieves_completed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -96,7 +107,7 @@ impl ServeStats {
     pub fn busy_hint_now(&self, extra_waiting: u64, permits: u64, fallback: u64) -> u64 {
         busy_hint(
             self.decode_inflight.load(Ordering::Relaxed) + extra_waiting,
-            self.service_ms_total.load(Ordering::Relaxed),
+            self.counters.service_ms_total.load(Ordering::Relaxed),
             self.retrieves_completed.load(Ordering::Relaxed),
             permits,
             fallback,
@@ -107,21 +118,7 @@ impl ServeStats {
     /// server, which owns the registry).
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            retrieves: self.retrieves.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            shed_admission: self.shed_admission.load(Ordering::Relaxed),
-            shed_busy: self.shed_busy.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            queue_wait_ms_total: self.queue_wait_ms_total.load(Ordering::Relaxed),
-            queue_wait_ms_max: self.queue_wait_ms_max.load(Ordering::Relaxed),
-            disconnects_mid_request: self.disconnects_mid_request.load(Ordering::Relaxed),
-            coalesced_rounds: self.coalesced_rounds.load(Ordering::Relaxed),
-            coalesced_requests: self.coalesced_requests.load(Ordering::Relaxed),
-            coalesce_fallbacks: self.coalesce_fallbacks.load(Ordering::Relaxed),
-            service_ms_total: self.service_ms_total.load(Ordering::Relaxed),
+            counters: self.counters.snapshot(),
             datasets: Vec::new(),
         }
     }
@@ -166,92 +163,37 @@ pub struct DatasetStats {
     pub source: SourceStats,
 }
 
-/// What a `stats` frame returns.
+/// What a `stats` frame returns. The server counters read through
+/// [`Deref`](std::ops::Deref): `snap.retrieves` is `snap.counters.retrieves`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Frames processed.
-    pub requests: u64,
-    /// Retrieves executed.
-    pub retrieves: u64,
-    /// Error replies sent.
-    pub errors: u64,
-    /// Connections shed at admission.
-    pub shed_admission: u64,
-    /// Retrieves shed at the decode gate.
-    pub shed_busy: u64,
-    /// Wire bytes in.
-    pub bytes_in: u64,
-    /// Wire bytes out.
-    pub bytes_out: u64,
-    /// Total decode-permit wait.
-    pub queue_wait_ms_total: u64,
-    /// Worst decode-permit wait.
-    pub queue_wait_ms_max: u64,
-    /// Peers that vanished mid-request.
-    pub disconnects_mid_request: u64,
-    /// Coalesced union rounds executed.
-    pub coalesced_rounds: u64,
-    /// Retrieves served via a coalesced round.
-    pub coalesced_requests: u64,
-    /// Coalesced rounds that fell back to individual execution.
-    pub coalesce_fallbacks: u64,
-    /// Total retrieve execution time (permit grant → reply built).
-    pub service_ms_total: u64,
+    /// The server-wide counters.
+    pub counters: ServeCounters,
     /// Per-dataset store/source rows.
     pub datasets: Vec<DatasetStats>,
 }
 
+impl std::ops::Deref for StatsSnapshot {
+    type Target = ServeCounters;
+
+    fn deref(&self) -> &ServeCounters {
+        &self.counters
+    }
+}
+
 impl StatsSnapshot {
-    /// Serialises the snapshot for the `stats` reply frame.
+    /// Serialises the snapshot for the `stats` reply frame: the server
+    /// counters, then per dataset its name, store and source counters, each
+    /// set in declaration order.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        for v in [
-            self.connections,
-            self.requests,
-            self.retrieves,
-            self.errors,
-            self.shed_admission,
-            self.shed_busy,
-            self.bytes_in,
-            self.bytes_out,
-            self.queue_wait_ms_total,
-            self.queue_wait_ms_max,
-            self.disconnects_mid_request,
-            self.coalesced_rounds,
-            self.coalesced_requests,
-            self.coalesce_fallbacks,
-            self.service_ms_total,
-        ] {
+        for v in self.counters.words() {
             w.put_u64(v);
         }
         w.put_u64(self.datasets.len() as u64);
         for d in &self.datasets {
             w.put_bytes(d.name.as_bytes());
-            for v in [
-                d.store.fragments_decoded,
-                d.store.refine_advances,
-                d.store.refine_reuses,
-                d.store.adoptions,
-                d.store.evictions,
-                d.store.rehydration_decodes,
-                d.store.rehydration_bytes,
-                d.store.snapshot_publishes,
-                d.store.epoch_short_circuits,
-                d.store.plan_front_hits,
-                d.store.plan_front_misses,
-                d.store.resident_bytes,
-                d.store.budget_bytes,
-                d.store.recompose_passes,
-                d.store.recon_cache_hits,
-                d.store.reconstruct_nanos,
-                d.source.fetches,
-                d.source.fetched_bytes,
-                d.source.cache_hits,
-                d.source.cache_misses,
-                d.source.read_ops,
-            ] {
+            for v in d.store.words().into_iter().chain(d.source.words()) {
                 w.put_u64(v);
             }
         }
@@ -263,70 +205,22 @@ impl StatsSnapshot {
     /// mis-align its rows silently).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
-        let mut scalars = [0u64; 15];
-        for s in &mut scalars {
-            *s = r.get_u64()?;
-        }
+        let counters = ServeCounters::from_words(|| r.get_u64())?;
         let raw = r.get_u64()? as usize;
-        // each dataset row costs at least a name prefix + 21 counters
-        let n = r.check_count(raw, 8 + 168)?;
+        // each dataset row costs at least a name prefix + its counters
+        let n = r.check_count(raw, 8 + 8 * (StoreStats::LEN + SourceStats::LEN))?;
         let mut datasets = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = crate::wire::get_name(&mut r)?;
-            let mut c = [0u64; 21];
-            for v in &mut c {
-                *v = r.get_u64()?;
-            }
             datasets.push(DatasetStats {
-                name,
-                store: StoreStats {
-                    fragments_decoded: c[0],
-                    refine_advances: c[1],
-                    refine_reuses: c[2],
-                    adoptions: c[3],
-                    evictions: c[4],
-                    rehydration_decodes: c[5],
-                    rehydration_bytes: c[6],
-                    snapshot_publishes: c[7],
-                    epoch_short_circuits: c[8],
-                    plan_front_hits: c[9],
-                    plan_front_misses: c[10],
-                    resident_bytes: c[11],
-                    budget_bytes: c[12],
-                    recompose_passes: c[13],
-                    recon_cache_hits: c[14],
-                    reconstruct_nanos: c[15],
-                },
-                source: SourceStats {
-                    fetches: c[16],
-                    fetched_bytes: c[17],
-                    cache_hits: c[18],
-                    cache_misses: c[19],
-                    read_ops: c[20],
-                },
+                name: crate::wire::get_name(&mut r)?,
+                store: StoreStats::from_words(|| r.get_u64())?,
+                source: SourceStats::from_words(|| r.get_u64())?,
             });
         }
         if r.remaining() != 0 {
             return Err(PqrError::CorruptStream("trailing stats bytes".into()));
         }
-        Ok(Self {
-            connections: scalars[0],
-            requests: scalars[1],
-            retrieves: scalars[2],
-            errors: scalars[3],
-            shed_admission: scalars[4],
-            shed_busy: scalars[5],
-            bytes_in: scalars[6],
-            bytes_out: scalars[7],
-            queue_wait_ms_total: scalars[8],
-            queue_wait_ms_max: scalars[9],
-            disconnects_mid_request: scalars[10],
-            coalesced_rounds: scalars[11],
-            coalesced_requests: scalars[12],
-            coalesce_fallbacks: scalars[13],
-            service_ms_total: scalars[14],
-            datasets,
-        })
+        Ok(Self { counters, datasets })
     }
 }
 
@@ -365,21 +259,23 @@ mod tests {
             },
         };
         StatsSnapshot {
-            connections: 3,
-            requests: 17,
-            retrieves: 9,
-            errors: 1,
-            shed_admission: 2,
-            shed_busy: 4,
-            bytes_in: 1234,
-            bytes_out: 56789,
-            queue_wait_ms_total: 88,
-            queue_wait_ms_max: 40,
-            disconnects_mid_request: 1,
-            coalesced_rounds: 5,
-            coalesced_requests: 14,
-            coalesce_fallbacks: 1,
-            service_ms_total: 260,
+            counters: ServeCounters {
+                connections: 3,
+                requests: 17,
+                retrieves: 9,
+                errors: 1,
+                shed_admission: 2,
+                shed_busy: 4,
+                bytes_in: 1234,
+                bytes_out: 56789,
+                queue_wait_ms_total: 88,
+                queue_wait_ms_max: 40,
+                disconnects_mid_request: 1,
+                coalesced_rounds: 5,
+                coalesced_requests: 14,
+                coalesce_fallbacks: 1,
+                service_ms_total: 260,
+            },
             datasets: vec![row("ge", 1), row("s3d", 3)],
         }
     }
@@ -393,8 +289,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_max_tracks() {
         let s = ServeStats::default();
-        ServeStats::inc(&s.retrieves);
-        ServeStats::add(&s.bytes_out, 100);
+        ServeStats::inc(&s.counters.retrieves);
+        ServeStats::add(&s.counters.bytes_out, 100);
         s.record_queue_wait(10);
         s.record_queue_wait(30);
         s.record_queue_wait(20);

@@ -46,11 +46,12 @@
 //! Worker and store state never poisons — every lock user recovers the
 //! inner value.
 
+use crate::client::{RemoteReport, RemoteTarget};
 use crate::metrics::{DatasetStats, ServeStats, StatsSnapshot};
 use crate::wire::{self, BusyBody, OpenInfo, ResumeBody, RetrieveBody};
 use pqr_core::archive::{Archive, DatasetService, Session};
-use pqr_core::prelude::PlanReport;
 use pqr_core::prelude::StoreBudget;
+use pqr_core::prelude::{PlanReport, TargetReport};
 use pqr_core::request::{merge_requests, RequestTarget, RetrievalRequest, ToleranceMode};
 use pqr_transfer::wire::{decode_header, io_err, write_frame, HEADER_LEN};
 use pqr_util::error::{PqrError, Result};
@@ -544,13 +545,13 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                ServeStats::inc(&shared.stats.connections);
+                ServeStats::inc(&shared.stats.counters.connections);
                 match shared.queue.push(stream) {
                     Ok(()) => {}
                     Err(mut rejected) => {
                         // bounded queue full: shed at admission with an
                         // explicit Busy instead of queueing unboundedly
-                        ServeStats::inc(&shared.stats.shed_admission);
+                        ServeStats::inc(&shared.stats.counters.shed_admission);
                         rejected
                             .set_write_timeout(Some(Duration::from_millis(200)))
                             .ok();
@@ -563,7 +564,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                             reason: "admission queue full".into(),
                         };
                         if let Ok(n) = write_frame(&mut rejected, wire::BUSY, &body.to_bytes()) {
-                            ServeStats::add(&shared.stats.bytes_out, n as u64);
+                            ServeStats::add(&shared.stats.counters.bytes_out, n as u64);
                         }
                     }
                 }
@@ -651,13 +652,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 // framing failure: answer with a clean error (best effort —
                 // the peer may already be gone), then drop the connection,
                 // because the stream can no longer be trusted to be in sync
-                ServeStats::inc(&shared.stats.errors);
+                ServeStats::inc(&shared.stats.counters.errors);
                 send_error(&mut stream, shared, &e);
                 return;
             }
         };
-        ServeStats::add(&shared.stats.bytes_in, wire_in as u64);
-        ServeStats::inc(&shared.stats.requests);
+        ServeStats::add(&shared.stats.counters.bytes_in, wire_in as u64);
+        ServeStats::inc(&shared.stats.counters.requests);
 
         match kind {
             wire::OPEN => {
@@ -691,7 +692,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                         send_result(&mut stream, shared, wire::RETRIEVE_OK, Ok(report))
                     }
                     RetrieveOutcome::Busy(retry_after_ms) => {
-                        ServeStats::inc(&shared.stats.shed_busy);
+                        ServeStats::inc(&shared.stats.counters.shed_busy);
                         let body = BusyBody {
                             retry_after_ms,
                             reason: "decode pool saturated".into(),
@@ -704,7 +705,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 };
                 if !sent {
                     // the peer vanished between request and reply
-                    ServeStats::inc(&shared.stats.disconnects_mid_request);
+                    ServeStats::inc(&shared.stats.counters.disconnects_mid_request);
                     return;
                 }
             }
@@ -725,7 +726,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             }
             k => {
                 let e = PqrError::InvalidRequest(format!("unknown frame kind {k}"));
-                ServeStats::inc(&shared.stats.errors);
+                ServeStats::inc(&shared.stats.counters.errors);
                 if !send_error(&mut stream, shared, &e) {
                     return;
                 }
@@ -900,10 +901,13 @@ fn run_union(
         }
     };
     if share.is_some() {
-        ServeStats::inc(&shared.stats.coalesced_rounds);
-        ServeStats::add(&shared.stats.coalesced_requests, batch.len() as u64);
+        ServeStats::inc(&shared.stats.counters.coalesced_rounds);
+        ServeStats::add(
+            &shared.stats.counters.coalesced_requests,
+            batch.len() as u64,
+        );
     } else {
-        ServeStats::inc(&shared.stats.coalesce_fallbacks);
+        ServeStats::inc(&shared.stats.counters.coalesce_fallbacks);
     }
     entry.coalescer.record_outcome(round, share.clone());
     share
@@ -917,11 +921,7 @@ fn run_union(
 /// round session, whose reconstruction is exactly what a member execution
 /// would have adopted. Returns `None` (caller degrades to individual
 /// execution) if a target cannot be matched or the round session is gone.
-fn project_reply(
-    req: &RetrieveBody,
-    share: &RoundShare,
-    entry: &RegEntry,
-) -> Option<crate::client::RemoteReport> {
+fn project_reply(req: &RetrieveBody, share: &RoundShare, entry: &RegEntry) -> Option<RemoteReport> {
     fn key(t: &RequestTarget) -> (&str, u64, bool, Option<(usize, usize)>) {
         (
             t.name.as_str(),
@@ -951,24 +951,35 @@ fn project_reply(
             values.insert(name.clone(), session.qoi_values(name).ok()?);
         }
     }
-    Some(crate::client::RemoteReport {
-        satisfied: targets.iter().all(|t| t.satisfied),
+    Some(RemoteReport {
         budget_exhausted: false, // budgeted requests never coalesce
-        // round-level accounting: the one union execution that served
-        // this round (see the module docs)
-        iterations: share.report.iterations as u64,
-        bytes_fetched: share.report.bytes_fetched as u64,
-        total_fetched: share.report.total_fetched as u64,
-        shared_bytes_saved: share.report.shared_bytes_saved as u64,
-        queue_wait_ms: 0, // filled by the caller
-        store_fragments_decoded: share.report.store_fragments_decoded,
-        store_refine_reuses: share.report.store_refine_reuses,
-        recompose_passes: share.report.recompose_passes,
-        recon_cache_hits: share.report.recon_cache_hits,
-        reconstruct_ms: share.report.reconstruct_ms,
+        values,
+        // round-level accounting otherwise: the one union execution that
+        // served this round (see the module docs)
+        ..remote_report(&share.report, &targets)
+    })
+}
+
+/// The wire projection of `report` for the given target rows (all of
+/// them, or a coalesced member's): every counter is the execution's, and
+/// `satisfied` is over `targets`. Values and progress are the caller's.
+fn remote_report(report: &PlanReport, targets: &[&TargetReport]) -> RemoteReport {
+    RemoteReport {
+        satisfied: targets.iter().all(|t| t.satisfied),
+        budget_exhausted: report.budget_exhausted,
+        iterations: report.iterations as u64,
+        bytes_fetched: report.bytes_fetched as u64,
+        total_fetched: report.total_fetched as u64,
+        shared_bytes_saved: report.shared_bytes_saved as u64,
+        queue_wait_ms: report.queue_wait_ms,
+        store_fragments_decoded: report.store_fragments_decoded,
+        store_refine_reuses: report.store_refine_reuses,
+        recompose_passes: report.recompose_passes,
+        recon_cache_hits: report.recon_cache_hits,
+        reconstruct_ms: report.reconstruct_ms,
         targets: targets
             .iter()
-            .map(|t| crate::client::RemoteTarget {
+            .map(|t| RemoteTarget {
                 name: t.name.clone(),
                 satisfied: t.satisfied,
                 tol_abs: t.tol_abs,
@@ -976,9 +987,9 @@ fn project_reply(
                 bytes: t.bytes as u64,
             })
             .collect(),
-        values,
-        progress: None, // progress saves never coalesce
-    })
+        values: BTreeMap::new(),
+        progress: None,
+    }
 }
 
 fn run_retrieve(
@@ -1038,7 +1049,7 @@ fn run_retrieve(
                 .saturating_duration_since(gate_start)
                 .as_millis() as u64;
             shared.stats.record_queue_wait(queue_wait_ms);
-            ServeStats::inc(&shared.stats.retrieves);
+            ServeStats::inc(&shared.stats.counters.retrieves);
             remote.queue_wait_ms = queue_wait_ms;
             return RetrieveOutcome::Ok(remote.to_bytes());
         }
@@ -1062,7 +1073,7 @@ fn run_retrieve(
     };
     let queue_wait_ms = gate_start.elapsed().as_millis() as u64;
     shared.stats.record_queue_wait(queue_wait_ms);
-    ServeStats::inc(&shared.stats.retrieves);
+    ServeStats::inc(&shared.stats.counters.retrieves);
     let session = &mut conn.session;
     let exec_start = Instant::now();
 
@@ -1103,32 +1114,11 @@ fn run_retrieve(
         .stats
         .record_service(exec_start.elapsed().as_millis() as u64);
 
-    let remote = crate::client::RemoteReport {
-        satisfied: report.satisfied,
-        budget_exhausted: report.budget_exhausted,
-        iterations: report.iterations as u64,
-        bytes_fetched: report.bytes_fetched as u64,
-        total_fetched: report.total_fetched as u64,
-        shared_bytes_saved: report.shared_bytes_saved as u64,
+    let remote = RemoteReport {
         queue_wait_ms,
-        store_fragments_decoded: report.store_fragments_decoded,
-        store_refine_reuses: report.store_refine_reuses,
-        recompose_passes: report.recompose_passes,
-        recon_cache_hits: report.recon_cache_hits,
-        reconstruct_ms: report.reconstruct_ms,
-        targets: report
-            .targets
-            .iter()
-            .map(|t| crate::client::RemoteTarget {
-                name: t.name.clone(),
-                satisfied: t.satisfied,
-                tol_abs: t.tol_abs,
-                max_est_error: t.max_est_error,
-                bytes: t.bytes as u64,
-            })
-            .collect(),
         values,
         progress,
+        ..remote_report(&report, &report.targets.iter().collect::<Vec<_>>())
     };
     RetrieveOutcome::Ok(remote.to_bytes())
 }
@@ -1144,7 +1134,7 @@ fn send_result<B: AsRef<[u8]>>(
     match result {
         Ok(body) => send_frame(stream, shared, ok_kind, body.as_ref()),
         Err(e) => {
-            ServeStats::inc(&shared.stats.errors);
+            ServeStats::inc(&shared.stats.counters.errors);
             send_error(stream, shared, &e)
         }
     }
@@ -1157,7 +1147,7 @@ fn send_error(stream: &mut TcpStream, shared: &Shared, e: &PqrError) -> bool {
 fn send_frame(stream: &mut TcpStream, shared: &Shared, kind: u16, body: &[u8]) -> bool {
     match write_frame(stream, kind, body) {
         Ok(n) => {
-            ServeStats::add(&shared.stats.bytes_out, n as u64);
+            ServeStats::add(&shared.stats.counters.bytes_out, n as u64);
             true
         }
         Err(_) => false,

@@ -11,9 +11,15 @@
 //!    `byteio::check_count` policy), and no input panics.
 //! 4. Framing is chunk-size independent: frames reassemble byte-identically
 //!    through a `FaultyStream` that rations reads.
+//! 5. The stats and retrieve-reply layouts are pinned: fixed values encode
+//!    to recorded bytes, so a reordered or added column fails even though
+//!    it still round-trips.
 
 use pqr_core::request::RetrievalRequest;
+use pqr_progressive::fragstore::SourceStats;
+use pqr_progressive::store::StoreStats;
 use pqr_serve::client::{RemoteReport, RemoteTarget};
+use pqr_serve::metrics::{DatasetStats, ServeCounters, StatsSnapshot};
 use pqr_serve::wire::RetrieveBody;
 use pqr_serve::FaultyStream;
 use pqr_transfer::wire::{decode_header, read_frame, write_frame, MAX_FRAME_LEN};
@@ -220,4 +226,139 @@ proptest! {
         prop_assert_eq!(got_body, body);
         prop_assert_eq!(wire_bytes, encoded.len());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Wire layout, pinned: fixed values must encode to the recorded bytes, so a
+// reordered, added or dropped column fails here even though it round-trips.
+// ---------------------------------------------------------------------------
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A snapshot with every counter distinct and two dataset rows.
+fn fixed_stats() -> StatsSnapshot {
+    let row = |name: &str, k: u64| DatasetStats {
+        name: name.into(),
+        store: StoreStats {
+            fragments_decoded: k + 1,
+            refine_advances: k + 2,
+            refine_reuses: k + 3,
+            adoptions: k + 4,
+            evictions: k + 5,
+            rehydration_decodes: k + 6,
+            rehydration_bytes: k + 7,
+            snapshot_publishes: k + 8,
+            epoch_short_circuits: k + 9,
+            plan_front_hits: k + 10,
+            plan_front_misses: k + 11,
+            resident_bytes: k + 12,
+            budget_bytes: k + 13,
+            recompose_passes: k + 14,
+            recon_cache_hits: k + 15,
+            reconstruct_nanos: k + 16,
+        },
+        source: SourceStats {
+            fetches: k + 17,
+            fetched_bytes: k + 18,
+            cache_hits: k + 19,
+            cache_misses: k + 20,
+            read_ops: k + 21,
+        },
+    };
+    StatsSnapshot {
+        counters: ServeCounters {
+            connections: 1,
+            requests: 2,
+            retrieves: 3,
+            errors: 4,
+            shed_admission: 5,
+            shed_busy: 6,
+            bytes_in: 7,
+            bytes_out: 8,
+            queue_wait_ms_total: 9,
+            queue_wait_ms_max: 10,
+            disconnects_mid_request: 11,
+            coalesced_rounds: 12,
+            coalesced_requests: 13,
+            coalesce_fallbacks: 14,
+            service_ms_total: 15,
+        },
+        datasets: vec![row("ge", 0x100), row("s3d", 0x200)],
+    }
+}
+
+fn fixed_report() -> RemoteReport {
+    RemoteReport {
+        satisfied: true,
+        budget_exhausted: false,
+        iterations: 1,
+        bytes_fetched: 2,
+        total_fetched: 3,
+        shared_bytes_saved: 4,
+        queue_wait_ms: 5,
+        store_fragments_decoded: 6,
+        store_refine_reuses: 7,
+        recompose_passes: 8,
+        recon_cache_hits: 9,
+        reconstruct_ms: 10,
+        targets: vec![RemoteTarget {
+            name: "V".into(),
+            satisfied: true,
+            tol_abs: 0.5,
+            max_est_error: 0.25,
+            bytes: 11,
+        }],
+        values: BTreeMap::from([("V".to_string(), vec![1.0, -2.0])]),
+        progress: Some(vec![0xab, 0xcd]),
+    }
+}
+
+#[test]
+fn stats_and_report_frames_keep_their_recorded_bytes() {
+    // recorded before the counter sets moved to `pqr_util::tally!`
+    let stats = concat!(
+        "0100000000000000020000000000000003000000000000000400000000000000",
+        "0500000000000000060000000000000007000000000000000800000000000000",
+        "09000000000000000a000000000000000b000000000000000c00000000000000",
+        "0d000000000000000e000000000000000f000000000000000200000000000000",
+        "0200000000000000676501010000000000000201000000000000030100000000",
+        "0000040100000000000005010000000000000601000000000000070100000000",
+        "0000080100000000000009010000000000000a010000000000000b0100000000",
+        "00000c010000000000000d010000000000000e010000000000000f0100000000",
+        "0000100100000000000011010000000000001201000000000000130100000000",
+        "0000140100000000000015010000000000000300000000000000733364010200",
+        "0000000000020200000000000003020000000000000402000000000000050200",
+        "0000000000060200000000000007020000000000000802000000000000090200",
+        "00000000000a020000000000000b020000000000000c020000000000000d0200",
+        "00000000000e020000000000000f020000000000001002000000000000110200",
+        "0000000000120200000000000013020000000000001402000000000000150200",
+        "0000000000",
+    );
+    let report = concat!(
+        "0100010000000000000002000000000000000300000000000000040000000000",
+        "0000050000000000000006000000000000000700000000000000080000000000",
+        "000009000000000000000a000000000000000100000000000000010000000000",
+        "00005601000000000000e03f000000000000d03f0b0000000000000001000000",
+        "000000000100000000000000560200000000000000000000000000f03f000000",
+        "00000000c0010200000000000000abcd",
+    );
+    assert_eq!(hex(&fixed_stats().to_bytes()), stats);
+    assert_eq!(hex(&fixed_report().to_bytes()), report);
+    // and the recorded bytes decode to the fixed values
+    let bytes = |h: &str| -> Vec<u8> {
+        (0..h.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap())
+            .collect()
+    };
+    assert_eq!(
+        StatsSnapshot::from_bytes(&bytes(stats)).unwrap(),
+        fixed_stats()
+    );
+    assert_eq!(
+        RemoteReport::from_bytes(&bytes(report)).unwrap(),
+        fixed_report()
+    );
 }

@@ -260,8 +260,11 @@ mod tests {
         // fragment path; batched rounds keep round-trips well below the
         // per-fragment count but above one per block (metadata + rounds)
         let c = store.counters();
-        assert_eq!(result.total_bytes, c.bytes + mask_bytes(&store));
-        assert!(c.requests > store.num_blocks(), "metadata + round batches");
+        assert_eq!(result.total_bytes, c.bytes as usize + mask_bytes(&store));
+        assert!(
+            c.requests as usize > store.num_blocks(),
+            "metadata + round batches"
+        );
         assert!(
             c.requests < c.fragments,
             "batching must collapse round-trips below fragment count"
@@ -420,7 +423,7 @@ mod tests {
         assert!(result.all_satisfied());
         assert_eq!(
             result.total_bytes,
-            store.counters().bytes + mask_bytes(&store)
+            store.counters().bytes as usize + mask_bytes(&store)
         );
         // still far below moving the raw blocks
         assert!(result.total_bytes < store.raw_bytes() / 2);

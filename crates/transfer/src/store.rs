@@ -14,7 +14,7 @@ use pqr_progressive::fragstore::{
 };
 use pqr_progressive::RefactoredDataset;
 use pqr_util::error::{PqrError, Result};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A remote store holding refactored blocks (archive side of Fig. 1).
@@ -26,68 +26,40 @@ pub struct RemoteStore {
     cache: Option<Arc<FragmentCache>>,
 }
 
-/// Lock-free tally cells behind [`FetchCounters`]: concurrent block
-/// retrievals bump these with atomic adds, so no update is ever lost and
-/// no fetch serializes on a counter lock.
-#[derive(Debug, Default)]
-struct AtomicFetchCounters {
-    bytes: AtomicUsize,
-    requests: AtomicUsize,
-    fragments: AtomicUsize,
-    hits: AtomicUsize,
-    hit_bytes: AtomicUsize,
-}
-
-impl AtomicFetchCounters {
-    fn snapshot(&self) -> FetchCounters {
-        FetchCounters {
-            bytes: self.bytes.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            fragments: self.fragments.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            hit_bytes: self.hit_bytes.load(Ordering::Relaxed),
-        }
+pqr_util::tally! {
+    /// Tallied fetch activity. Concurrent block retrievals bump the
+    /// lock-free twin with atomic adds, so no update is ever lost and no
+    /// fetch serializes on a counter lock.
+    pub struct FetchCounters / AtomicFetchCounters {
+        /// Bytes moved over the (simulated) network.
+        bytes,
+        /// Network round-trips served by the store: one per single-fragment
+        /// fetch, one per [`FragmentSource::read_many`] batch — batched
+        /// retrieval is observable as `requests < fragments`.
+        requests,
+        /// Fragments moved over the network (across all round-trips).
+        fragments,
+        /// Fetches served from the local fragment cache instead of the
+        /// network.
+        hits,
+        /// Bytes those cache hits would otherwise have moved.
+        hit_bytes,
     }
-
-    fn reset(&self) {
-        self.bytes.store(0, Ordering::Relaxed);
-        self.requests.store(0, Ordering::Relaxed);
-        self.fragments.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.hit_bytes.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Tallied fetch activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FetchCounters {
-    /// Bytes moved over the (simulated) network.
-    pub bytes: usize,
-    /// Network round-trips served by the store: one per single-fragment
-    /// fetch, one per [`FragmentSource::read_many`] batch — batched
-    /// retrieval is observable as `requests < fragments`.
-    pub requests: usize,
-    /// Fragments moved over the network (across all round-trips).
-    pub fragments: usize,
-    /// Fetches served from the local fragment cache instead of the network.
-    pub hits: usize,
-    /// Bytes those cache hits would otherwise have moved.
-    pub hit_bytes: usize,
 }
 
 impl FetchCounters {
     /// Fetches served from the cache without touching the network.
-    pub fn hits(&self) -> usize {
+    pub fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Fragment fetches that went over the network.
-    pub fn misses(&self) -> usize {
+    pub fn misses(&self) -> u64 {
         self.fragments
     }
 
     /// Network round-trips (single fetches + whole batches).
-    pub fn round_trips(&self) -> usize {
+    pub fn round_trips(&self) -> u64 {
         self.requests
     }
 }
@@ -143,7 +115,9 @@ impl RemoteStore {
 
     /// Records a network fetch of `bytes` (one request, one fragment).
     pub fn record_fetch(&self, bytes: usize) {
-        self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters
+            .bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.counters.fragments.fetch_add(1, Ordering::Relaxed);
     }
@@ -151,18 +125,19 @@ impl RemoteStore {
     /// Records a batched fetch: `fragments` fragments totalling `bytes`
     /// served in **one** network round-trip.
     pub fn record_batch(&self, bytes: usize, fragments: usize) {
-        self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fragments
-            .fetch_add(fragments, Ordering::Relaxed);
+        let c = &self.counters;
+        c.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        c.requests.fetch_add(1, Ordering::Relaxed);
+        c.fragments.fetch_add(fragments as u64, Ordering::Relaxed);
     }
 
     /// Records a fetch served by the local cache (`bytes` stayed off the
     /// wire).
     pub fn record_hit(&self, bytes: usize) {
         self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        self.counters.hit_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters
+            .hit_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Current tallies (an atomic snapshot of the lock-free cells).
@@ -261,11 +236,11 @@ impl FragmentSource for RemoteBlockSource {
         // store-wide view (blocks share the store's tallies)
         let c = self.store.counters();
         SourceStats {
-            fetches: (c.fragments + c.hits) as u64,
-            fetched_bytes: (c.bytes + c.hit_bytes) as u64,
-            cache_hits: c.hits as u64,
-            cache_misses: c.fragments as u64,
-            read_ops: c.requests as u64,
+            fetches: c.fragments + c.hits,
+            fetched_bytes: c.bytes + c.hit_bytes,
+            cache_hits: c.hits,
+            cache_misses: c.fragments,
+            read_ops: c.requests,
         }
     }
 }
@@ -347,7 +322,7 @@ mod tests {
         assert_eq!(c.hits(), 0);
         // the engine's byte accounting equals the store's network bytes
         // (no mask attached, so every counted byte went through the wire)
-        assert_eq!(engine.total_fetched(), c.bytes);
+        assert_eq!(engine.total_fetched(), c.bytes as usize);
     }
 
     #[test]

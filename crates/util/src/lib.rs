@@ -17,6 +17,8 @@
 //! * [`stats`] — L∞/L2 error metrics, value ranges, bitrate accounting.
 //! * [`par`] — chunked parallel map/reduce built on std scoped threads
 //!   (rayon is not on the approved dependency list).
+//! * [`tally`](mod@tally) — counter sets declared once ([`tally!`]): snapshot, atomic
+//!   twin, saturating delta and wire words from one field list.
 //! * [`timer`] — wall-clock helpers for the table/figure harnesses.
 //! * [`error`] — the shared error type.
 
@@ -29,6 +31,7 @@ pub mod huffman;
 pub mod par;
 pub mod rle;
 pub mod stats;
+pub mod tally;
 pub mod timer;
 
 pub use error::{PqrError, Result};

@@ -67,7 +67,7 @@ fn main() -> Result<()> {
         "{:>10} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8}",
         "tol", "bytes", "retrieval s", "transfer s", "wire speedup", "hits", "misses"
     );
-    let mut prev_hits = 0usize;
+    let mut prev_hits = 0u64;
     for i in 1..=5 {
         let tol = 10f64.powi(-i);
         store.reset_counters();
