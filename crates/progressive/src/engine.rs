@@ -1264,6 +1264,7 @@ mod tests {
         assert_eq!(repeat.store_fragments_decoded, 0);
         assert_eq!(engine.fragments_decoded() - before, decoded);
         assert!(repeat.recon_cache_hits > 0);
+        assert!(repeat.store_refine_reuses > 0);
 
         // past the representation's floor the views ask the store, which
         // answers from its exhausted masters: reuses, no decodes

@@ -7,10 +7,10 @@
 //! exactly zero, the retrieval side can treat them as known — value 0,
 //! ε = 0 — and the estimator never sees the pathological case.
 //!
-//! Deviation from the paper, documented in DESIGN.md: the paper compacts the
-//! arrays (refactors only unmasked points); we keep points in place (exact
-//! zeros cost virtually nothing under any of our representations) and pin
-//! them at retrieval. The estimator-facing behaviour — the reason the mask
+//! Deviation from the paper, documented in DIVERGENCES.md ("Outlier
+//! mask"): the paper compacts the arrays (refactors only unmasked points);
+//! we keep points in place (exact zeros cost virtually nothing under any of
+//! our representations) and pin them at retrieval. The estimator-facing behaviour — the reason the mask
 //! exists — is identical.
 
 use pqr_util::byteio::{ByteReader, ByteWriter};

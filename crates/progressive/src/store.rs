@@ -77,7 +77,7 @@ pub struct FieldSnapshot {
     /// new state for this field (advance, rehydration, demotion). A view
     /// holding the current epoch is holding the published snapshot, so a
     /// refinement it cannot improve is answered without locking or
-    /// adopting anything (see [`ProgressStore::refine_from`]).
+    /// adopting anything.
     pub epoch: u64,
 }
 
@@ -110,7 +110,7 @@ const FLAG_EXHAUSTED: u64 = 1;
 const FLAG_COLD: u64 = 1 << 1;
 
 /// `have_epoch` value that can never match a published epoch (epochs start
-/// at 1 and increment), so [`ProgressStore::refine_from`] always adopts.
+/// at 1 and increment), so [`ProgressStore::refine_to`] always adopts.
 const NO_EPOCH: u64 = u64::MAX;
 
 /// One field's publication cell. Lives **outside** the master field lock,
@@ -276,7 +276,7 @@ pqr_util::tally! {
         /// Refinements answered with "your epoch is current" — the caller's
         /// adopted snapshot already is the published one and nothing tighter
         /// is decodable, so the store takes no lock, clones no `Arc`, copies
-        /// nothing (see [`ProgressStore::refine_from`]).
+        /// nothing.
         epoch_short_circuits,
         /// Refinement schedules served from the plan-front cache: the cached
         /// front for the current epoch covered the request as a prefix.
@@ -517,12 +517,6 @@ impl ProgressStore {
         })
     }
 
-    /// The publication epoch of `field` (0 for an out-of-range field —
-    /// published epochs start at 1).
-    pub fn published_epoch(&self, field: usize) -> u64 {
-        self.published.get(field).map_or(0, |c| c.epoch())
-    }
-
     /// The store's current guaranteed bound for `field` — a single atomic
     /// load, exact even while the field is demoted (the true bound
     /// survives in the publication cell; no rehydration, no lock).
@@ -552,31 +546,16 @@ impl ProgressStore {
     /// first (compressed RAM tier, then source) and the replay tallied in
     /// the rehydration counters.
     pub fn refine_to(&self, field: usize, eb: f64) -> Result<Arc<FieldSnapshot>> {
-        Ok(self
-            .refine_from(field, eb, NO_EPOCH)?
-            .expect("refine_from always adopts for NO_EPOCH"))
-    }
-
-    /// Epoch-aware [`ProgressStore::refine_to`]: `have_epoch` is the epoch
-    /// of the snapshot the caller already holds. Returns `None` when that
-    /// snapshot still **is** the published state and nothing tighter is
-    /// decodable — the caller keeps what it has; no lock was taken, no
-    /// `Arc` cloned, nothing copied. Returns `Some(snapshot)` to adopt
-    /// otherwise.
-    pub fn refine_from(
-        &self,
-        field: usize,
-        eb: f64,
-        have_epoch: u64,
-    ) -> Result<Option<Arc<FieldSnapshot>>> {
-        match self.published_answer(self.cell(field)?, eb, have_epoch) {
-            Some(answer) => Ok(answer),
-            None => self.advance(field, eb).map(Some),
+        match self.published_answer(self.cell(field)?, eb, NO_EPOCH) {
+            Some(answer) => Ok(answer.expect("NO_EPOCH never matches a published epoch")),
+            None => self.advance(field, eb),
         }
     }
 
-    /// The answer [`ProgressStore::refine_from`] gives from the
-    /// publication cell alone: `Some(None)` keeps the caller's snapshot,
+    /// The answer a refinement to `eb` gets from the publication cell
+    /// alone, for a caller holding the snapshot of epoch `have_epoch`
+    /// ([`ProgressStore::refine_to`] holds none; a [`FieldView`] holds
+    /// the one it adopted): `Some(None)` keeps the caller's snapshot,
     /// `Some(Some(..))` hands it the published one, and `None` means the
     /// master has to advance — by then the clone taken to decide is gone,
     /// so it cannot pin the reconstruction the advance rebuilds.
@@ -1124,6 +1103,10 @@ impl FieldView {
         // state, answered without wiring the field back in
         if self.snap.bound <= eb {
             self.recon_cache_hits += 1;
+            self.store
+                .counters
+                .refine_reuses
+                .fetch_add(1, Ordering::Relaxed);
             return Ok(0);
         }
         let store = &self.store;

@@ -107,7 +107,7 @@ fn main() -> Result<()> {
         );
     }
     println!(
-        "\n(wire speedup = simulated transfer vs the raw baseline; hits are\n fragment fetches the LRU cache kept off the wire; the paper's 2.02×\n at τ=1e-5 includes retrieval compute at 4.67 GB scale — run the fig9\n bench for the full Fig. 9 reproduction)"
+        "\n(wire speedup = simulated transfer vs the raw baseline; hits are\n fragment fetches the LRU cache kept off the wire; the paper's 2.02×\n at τ=1e-5 includes retrieval compute at 4.67 GB scale — run `repro fig9`\n in pqr-bench for the full Fig. 9 reproduction)"
     );
 
     // --- wire round-trips of batched execution ---------------------------
