@@ -20,10 +20,10 @@ pub fn strides(dims: &[usize]) -> Vec<usize> {
 }
 
 /// The level strides of a shape: `{2^j : 2^j < max(dims)}`, finest first.
-/// Empty when every extent is ≤ 1 (nothing to decompose).
+/// Empty when every extent is ≤ 1 or any is 0 (nothing to decompose).
 pub fn level_strides(dims: &[usize]) -> Vec<usize> {
     let max_dim = dims.iter().copied().max().unwrap_or(0);
-    if max_dim <= 1 {
+    if max_dim <= 1 || dims.contains(&0) {
         return Vec::new();
     }
     let mut v = Vec::new();
@@ -223,6 +223,9 @@ mod tests {
         assert_eq!(level_strides(&[64]), vec![1, 2, 4, 8, 16, 32]);
         assert_eq!(level_strides(&[65]), vec![1, 2, 4, 8, 16, 32, 64]);
         assert_eq!(level_strides(&[3, 9]), vec![1, 2, 4, 8]);
+        // a zero extent empties the shape, whatever its other extents
+        assert_eq!(level_strides(&[2, 0, 0]), Vec::<usize>::new());
+        assert_eq!(level_strides(&[0, 2, 2]), Vec::<usize>::new());
     }
 
     #[test]

@@ -375,6 +375,19 @@ mod tests {
         assert!(s.reader().reconstruct().is_empty());
     }
 
+    #[test]
+    fn a_zero_extent_beside_a_longer_one_round_trips() {
+        // the writer emits no levels for a zero-element shape; the parser
+        // must expect none, not the longer extent's
+        for dims in [[2usize, 0, 0], [0, 2, 2]] {
+            let s = MgardRefactorer::default().refactor(&[], &dims).unwrap();
+            assert_eq!(s.num_levels(), 0);
+            let meta = MgardMeta::from_bytes(&s.meta().to_bytes()).unwrap();
+            assert_eq!(meta.dims(), &dims);
+            assert!(s.reader().reconstruct().is_empty());
+        }
+    }
+
     /// Builds metadata bytes for dims `[16]` with the given level headers
     /// (`(count, nplanes)` per level).
     fn crafted_meta(level_counts: &[(u64, u32)]) -> Vec<u8> {

@@ -46,7 +46,7 @@ use crate::fragstore::{FragmentSource, Manifest, SourceStats};
 use crate::pager::StoreBudget;
 use crate::refactored::ReaderProgress;
 use crate::store::{FieldView, ProgressStore};
-use pqr_qoi::program::{Columns, Pass};
+use pqr_qoi::program::{sound_estimate, Columns};
 use pqr_qoi::{BoundConfig, QoiExpr, QoiProgram};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::par::{par_chunk_fill, par_chunk_reduce};
@@ -532,11 +532,15 @@ impl RetrievalEngine {
     /// for each QoI, under the current reconstructions and the given
     /// per-field bounds.
     ///
-    /// The targets compile into one [`QoiProgram`] per call — subtrees they
-    /// share are estimated once per point, and only where some target's
-    /// region wants them — and each worker chunk runs it block by block; the
-    /// estimates are [`QoiExpr::eval_bounded`]'s bit for bit. A NaN estimate — `∞·0` inside a product bound once a value
-    /// overflows, or a NaN reconstruction — bounds nothing and counts as `∞`.
+    /// The targets compile into one [`QoiProgram`] per call, so subtrees
+    /// they share are estimated once per point, and only where some
+    /// target's region wants them. Each worker chunk runs
+    /// [`QoiProgram::max_bounds`] on it: a branch-and-bound search that
+    /// evaluates only the leaves of points whose hull can still beat a
+    /// target's running maximum. The maxima and argmaxes are those of
+    /// [`QoiExpr::eval_bounded`] at every point, bit for bit. A NaN
+    /// estimate — `∞·0` inside a product bound once a value overflows, or
+    /// a NaN reconstruction — bounds nothing and counts as `∞`.
     pub fn scan_qois(&self, qois: &[QoiSpec], eps: &[f64]) -> Vec<(f64, usize)> {
         let ne = self.manifest().num_elements();
         if ne == 0 {
@@ -553,32 +557,12 @@ impl RetrievalEngine {
             .map(|i| self.reconstruction(i))
             .collect();
         let data = self.columns(&recons);
-        let pass = Pass::Bounded {
-            eps,
-            cfg: &self.cfg.bound_config,
-        };
-
-        let chunk_scan = |start: usize, end: usize| {
-            let mut local = vec![(0.0f64, 0usize); qois.len()];
-            program.for_each_block(&data, start..end, pass, |block| {
-                for (k, best) in local.iter_mut().enumerate() {
-                    // the points of the block inside this spec's region
-                    let (first, bounds) = block.bounds(k);
-                    for (j, &b) in (first..).zip(bounds) {
-                        let est = sound_estimate(b);
-                        if est > best.0 {
-                            *best = (est, j);
-                        }
-                    }
-                }
-            });
-            local
-        };
+        let cfg = &self.cfg.bound_config;
         par_chunk_reduce(
             ne,
             self.workers(),
             vec![(0.0f64, 0usize); qois.len()],
-            chunk_scan,
+            |start, end| program.max_bounds(&data, start..end, eps, cfg),
             |mut a, b| {
                 for (sa, sb) in a.iter_mut().zip(b) {
                     if sb.0 > sa.0 {
@@ -717,21 +701,6 @@ impl RetrievalEngine {
             program.fill_values(&data, start, chunk)
         });
         out
-    }
-}
-
-/// An estimate the scan or the tightening loop may compare to a tolerance.
-///
-/// A NaN bound (`∞·0` inside a product bound once a value overflows, or a
-/// NaN reconstruction) compares false against everything, so taken as-is it
-/// would certify the point as if its error were 0. It bounds nothing:
-/// treat it as unboundable, like the `∞` the theorems return.
-#[inline]
-fn sound_estimate(bound: f64) -> f64 {
-    if bound.is_nan() {
-        f64::INFINITY
-    } else {
-        bound
     }
 }
 

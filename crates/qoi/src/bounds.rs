@@ -206,14 +206,22 @@ pub fn product_bound(x1: f64, eps1: f64, x2: f64, eps2: f64) -> f64 {
 /// `Δ ≤ (|x₁|ε₂ + |x₂|ε₁)/(|x₂|·min(|x₂−ε₂|, |x₂+ε₂|))`, requires
 /// `ε₂ < |x₂|` (otherwise `∞`).
 pub fn quotient_bound(x1: f64, eps1: f64, x2: f64, eps2: f64) -> f64 {
-    if x2 == 0.0 || eps2 >= x2.abs() {
+    quotient_bound_split(x1, eps1, x2, x2, eps2)
+}
+
+/// [`quotient_bound`] with `|x₂|` split by where it appears: `x2_num` in
+/// the numerator, `x2_den` in the denominator and the precondition. The
+/// formula grows with the former and shrinks with the latter, so over a
+/// set of points `max |x₂|` and `min |x₂|` bound every point's estimate.
+pub(crate) fn quotient_bound_split(x1: f64, eps1: f64, x2_num: f64, x2_den: f64, eps2: f64) -> f64 {
+    if x2_den == 0.0 || eps2 >= x2_den.abs() {
         return f64::INFINITY;
     }
     if eps1 == 0.0 && eps2 == 0.0 {
         return 0.0;
     }
-    let m = (x2 - eps2).abs().min((x2 + eps2).abs());
-    (x1.abs() * eps2 + x2.abs() * eps1) / (x2.abs() * m)
+    let m = (x2_den - eps2).abs().min((x2_den + eps2).abs());
+    (x1.abs() * eps2 + x2_num.abs() * eps1) / (x2_den.abs() * m)
 }
 
 /// Extension — natural logarithm `f(x) = ln(x)`.

@@ -33,6 +33,35 @@
 //! from `0.0` (the sign of a zero sum can differ). [`Pass::Values`] follows
 //! the former, [`Pass::Bounded`] the latter.
 //!
+//! ## Pruning
+//!
+//! Algorithm 2 uses only each QoI's largest estimate and the first point
+//! attaining it. [`QoiProgram::max_bounds`] finds both without evaluating
+//! every point. It splits the range into [`LEAF`]-point leaves and gives
+//! each leaf a *hull* per root ([`QoiProgram::leaf_hulls`]): an upper bound
+//! on every estimate the block pass would compute there. The hull starts
+//! from each field's min and max over the leaf and encloses every slot's
+//! computed values in an [`Interval`]. It then applies the slot's own
+//! [`bounds`] formula and guard at the extreme arguments: max `|x|` where
+//! the formula grows with `|x|` (`Pow`, `Poly`, `Mul`, `Exp`, a quotient's
+//! numerator), min `|x|` where it shrinks (`Sqrt`, `Radical`, `Ln`, a
+//! quotient's denominator), and max `ε` throughout. Zeroed points read
+//! other values, so each side of the mask gets a hull of its own. A hull is
+//! `∞` wherever a precondition may fail (a pole in reach, a negative under
+//! `√`, `ε ≥ min |d|`), wherever a field in the leaf is NaN, and under
+//! [`Estimator::Interval`] and [`SqrtMode::Exact`], whose formulas have no
+//! monotone form to enclose.
+//!
+//! The search seeds each root's running best from its highest-hull leaf,
+//! then walks the leaves in order. It evaluates a leaf with the block pass,
+//! and only for the roots whose hull can still beat their best: a larger
+//! hull, or an equal one on a leaf before the current argmax. Estimates
+//! update the best on `>` or on `=` at an earlier point, so the result is
+//! the full pass's maximum and first argmax **bit for bit**, in whatever
+//! order leaves are visited. A pruned root's slots are not evaluated at
+//! all. The hull table holds one `f64` per leaf and root, and lives for
+//! one call.
+//!
 //! ```
 //! use pqr_qoi::program::{Columns, Pass, QoiProgram};
 //! use pqr_qoi::{ge, BoundConfig};
@@ -60,9 +89,9 @@
 //! });
 //! ```
 
-use crate::bounds::{self, BoundConfig, Estimator};
+use crate::bounds::{self, BoundConfig, Estimator, SqrtMode, INFLATE};
 use crate::expr::QoiExpr;
-use crate::interval::interval_bound;
+use crate::interval::{interval_bound, Interval};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -71,10 +100,25 @@ use std::ops::Range;
 /// amortising the per-slot dispatch.
 const BLOCK: usize = 256;
 
+/// Points per leaf of [`QoiProgram::max_bounds`]: the unit a hull rules in
+/// or out. A block holds eight.
+pub const LEAF: usize = 32;
+
+/// The largest power (of a `Pow`, or degree of a `Poly`) a hull encloses:
+/// one guard step covers `powi`'s rounding only while `2·n·2⁻⁵³` stays
+/// below [`INFLATE`]. Higher powers get an `∞` hull.
+const HULL_MAX_POWER: usize = 128;
+
 /// `(block start, block length)` pairs covering `range` in order.
 fn blocks(range: Range<usize>) -> impl Iterator<Item = (usize, usize)> {
     let end = range.end;
     range.step_by(BLOCK).map(move |s| (s, BLOCK.min(end - s)))
+}
+
+/// `(leaf start, leaf length)` pairs covering `range` in order.
+fn leaves(range: Range<usize>) -> impl Iterator<Item = (usize, usize)> {
+    let end = range.end;
+    range.step_by(LEAF).map(move |s| (s, LEAF.min(end - s)))
 }
 
 /// The data a program is evaluated over, stored one slice per variable.
@@ -102,6 +146,12 @@ impl<'a> Columns<'a> {
             zeroed: Some((vars, bitmap)),
             ..self
         }
+    }
+
+    /// Whether point `j` is zeroed by [`Columns::zeroed`].
+    fn is_zeroed(&self, j: usize) -> bool {
+        self.zeroed
+            .is_some_and(|(_, bitmap)| (bitmap[j / 64] >> (j % 64)) & 1 == 1)
     }
 }
 
@@ -231,11 +281,169 @@ impl<'e> QoiProgram<'e> {
         mut visit: impl FnMut(&Block),
     ) {
         let mut block = Block::new(self);
+        let every_root = vec![true; self.roots.len()];
         for (start, len) in blocks(range) {
-            if block.enter(start, len) {
+            if block.enter(start, len, &every_root) {
                 block.evaluate(data, pass);
                 visit(&block);
             }
+        }
+    }
+
+    /// Per root, the largest estimate over the points of `range` it is
+    /// wanted on, and the first point attaining it — `(0.0, 0)` when none
+    /// is positive. An estimate is the root's [`Pass::Bounded`] bound, NaN
+    /// read as `∞` ([`sound_estimate`]).
+    ///
+    /// The result equals a fold over [`QoiProgram::for_each_block`]'s bound
+    /// columns bit for bit; only leaves whose hull can still beat a root's
+    /// running best are evaluated, and for that root only (see "Pruning").
+    pub fn max_bounds(
+        &self,
+        data: &Columns,
+        range: Range<usize>,
+        eps: &[f64],
+        cfg: &BoundConfig,
+    ) -> Vec<(f64, usize)> {
+        let nr = self.roots.len();
+        let leaves: Vec<(usize, usize)> = leaves(range.clone()).collect();
+        let hulls = self.leaf_hulls(data, range, eps, cfg);
+        let hull = |l: usize, k: usize| hulls[l * nr + k];
+        let pass = Pass::Bounded { eps, cfg };
+        let mut best = vec![(0.0f64, 0usize); nr];
+        let mut block = Block::new(self);
+        // seed each root from its highest-hull leaf, so that the walk below
+        // starts from a best worth comparing against
+        let seeds: Vec<Option<usize>> = (0..nr)
+            .map(|k| {
+                let top =
+                    (0..leaves.len()).reduce(|t, l| if hull(l, k) > hull(t, k) { l } else { t });
+                top.filter(|&t| hull(t, k) > 0.0)
+            })
+            .collect();
+        let mut roots = vec![false; nr];
+        let mut seeded: Vec<usize> = seeds.iter().flatten().copied().collect();
+        seeded.sort_unstable();
+        seeded.dedup();
+        for l in seeded {
+            for (r, s) in roots.iter_mut().zip(&seeds) {
+                *r = *s == Some(l);
+            }
+            let (start, len) = leaves[l];
+            block.fold_max(data, start..start + len, &roots, pass, &mut best);
+        }
+        // then every leaf in order, for the roots it can still change;
+        // adjacent leaves needed by the same roots run as one block
+        let mut run: Option<Range<usize>> = None;
+        let mut run_roots = vec![false; nr];
+        for (l, &(start, len)) in leaves.iter().enumerate() {
+            for (k, r) in roots.iter_mut().enumerate() {
+                let (h, (top, at)) = (hull(l, k), best[k]);
+                *r = seeds[k] != Some(l) && (h > top || (h == top && start < at));
+            }
+            match &mut run {
+                Some(r) if r.end == start && r.len() + len <= BLOCK && roots == run_roots => {
+                    r.end += len
+                }
+                _ => {
+                    if let Some(r) = run.take() {
+                        block.fold_max(data, r, &run_roots, pass, &mut best);
+                    }
+                    if roots.contains(&true) {
+                        run = Some(start..start + len);
+                        run_roots.copy_from_slice(&roots);
+                    }
+                }
+            }
+        }
+        if let Some(r) = run {
+            block.fold_max(data, r, &run_roots, pass, &mut best);
+        }
+        best
+    }
+
+    /// An upper bound on each root's estimate over each [`LEAF`]-point leaf
+    /// of `range`, leaf-major: entry `l · roots + k` covers root `k` on
+    /// points `range.start + l·LEAF ..` (the last leaf may be shorter). It
+    /// is `-∞` where the root is not wanted on any point of the leaf, and
+    /// `∞` where nothing smaller is certain — always under
+    /// [`Estimator::Interval`], which has no per-node formula to enclose.
+    pub fn leaf_hulls(
+        &self,
+        data: &Columns,
+        range: Range<usize>,
+        eps: &[f64],
+        cfg: &BoundConfig,
+    ) -> Vec<f64> {
+        let nr = self.roots.len();
+        let mut hulls = Vec::with_capacity(range.len().div_ceil(LEAF) * nr);
+        let mut slots: Vec<SlotHull> = vec![None; self.ops.len()];
+        let mut wanted = vec![false; nr];
+        for (start, len) in leaves(range) {
+            let leaf = start..start + len;
+            for (w, r) in wanted.iter_mut().zip(&self.regions) {
+                *w = r.start.max(start) < r.end.min(start + len);
+            }
+            let row = hulls.len();
+            hulls.extend(wanted.iter().map(|_| f64::NEG_INFINITY));
+            let row = &mut hulls[row..];
+            if cfg.estimator == Estimator::Interval {
+                for (h, _) in row.iter_mut().zip(&wanted).filter(|(_, &w)| w) {
+                    *h = f64::INFINITY;
+                }
+                continue;
+            }
+            // zeroed points read other values than the rest: each side of
+            // the mask gets a hull of its own
+            let groups: &[Option<bool>] = match data.zeroed {
+                None => &[None],
+                Some(_) => {
+                    let masked = leaf.clone().filter(|&j| data.is_zeroed(j)).count();
+                    match masked {
+                        0 => &[Some(false)],
+                        m if m == len => &[Some(true)],
+                        _ => &[Some(false), Some(true)],
+                    }
+                }
+            };
+            for &group in groups {
+                self.hull_pass(data, leaf.clone(), group, eps, cfg, &mut slots);
+                let roots = self.roots.iter().zip(&wanted).zip(row.iter_mut());
+                for ((&root, _), h) in roots.filter(|((_, &w), _)| w) {
+                    *h = h.max(slots[root].map_or(f64::INFINITY, |(_, b)| b));
+                }
+            }
+        }
+        hulls
+    }
+
+    /// Fills `slots` with each slot's hull over the points of `leaf` on
+    /// side `group` of the mask (`None`: every point).
+    fn hull_pass(
+        &self,
+        data: &Columns,
+        leaf: Range<usize>,
+        group: Option<bool>,
+        eps: &[f64],
+        cfg: &BoundConfig,
+        slots: &mut [SlotHull],
+    ) {
+        for (slot, op) in self.ops.iter().enumerate() {
+            let (before, rest) = slots.split_at_mut(slot);
+            rest[0] = match op {
+                Op::Var(v) => {
+                    let zeroed = data.zeroed.filter(|(vars, _)| vars.contains(v));
+                    match (group, zeroed) {
+                        (Some(true), Some(_)) => Some((Interval::point(0.0), 0.0)),
+                        _ => {
+                            let on = |j: usize| group.is_none_or(|g| data.is_zeroed(j) == g);
+                            let col = data.cols[*v][leaf.clone()].iter().zip(leaf.clone());
+                            var_hull(col.filter(|&(_, j)| on(j)).map(|(x, _)| x), eps[*v])
+                        }
+                    }
+                }
+                op => op_hull(op, |a| before[a], cfg),
+            };
         }
     }
 
@@ -345,14 +553,17 @@ impl<'p, 'e> Block<'p, 'e> {
     }
 
     /// Moves to points `start..start + len` (`len ≤ BLOCK`) and marks the
-    /// slots its wanted roots read; `false` when no root is wanted here.
-    fn enter(&mut self, start: usize, len: usize) -> bool {
+    /// slots read by the roots flagged in `roots` that are wanted here;
+    /// `false` when there are none.
+    fn enter(&mut self, start: usize, len: usize, roots: &[bool]) -> bool {
         assert!(len <= BLOCK, "block of {len} points exceeds {BLOCK}");
         (self.start, self.len) = (start, len);
-        // liveness changes only where a region starts or ends
+        // liveness changes only where a region or the root set does
         let mut changed = self.live.is_empty();
-        for (w, r) in self.wanted.iter_mut().zip(&self.program.regions) {
+        let regions = self.program.regions.iter().zip(roots);
+        for (w, (r, &on)) in self.wanted.iter_mut().zip(regions) {
             let (lo, hi) = (r.start.max(start), r.end.min(start + len));
+            let lo = if on { lo } else { hi };
             changed |= (w.start == w.end) != (lo >= hi);
             *w = if lo < hi { lo..hi } else { start..start };
         }
@@ -371,6 +582,33 @@ impl<'p, 'e> Block<'p, 'e> {
             }
         }
         self.wanted.iter().any(is_live)
+    }
+
+    /// Evaluates points `range` for the roots flagged in `roots` and folds
+    /// each one's estimates into its `(max, first argmax)` in `best`. An
+    /// equal estimate at an earlier point moves the argmax, so the result
+    /// does not depend on the order ranges are folded in.
+    fn fold_max(
+        &mut self,
+        data: &Columns,
+        range: Range<usize>,
+        roots: &[bool],
+        pass: Pass,
+        best: &mut [(f64, usize)],
+    ) {
+        if !self.enter(range.start, range.len(), roots) {
+            return;
+        }
+        self.evaluate(data, pass);
+        for (k, best) in best.iter_mut().enumerate() {
+            let (first, bounds) = self.bounds(k);
+            for (j, &b) in (first..).zip(bounds) {
+                let est = sound_estimate(b);
+                if est > best.0 || (est == best.0 && j < best.1) {
+                    *best = (est, j);
+                }
+            }
+        }
     }
 
     fn evaluate(&mut self, data: &Columns, pass: Pass) {
@@ -394,9 +632,9 @@ impl<'p, 'e> Block<'p, 'e> {
 
     fn value_pass(&mut self, data: &Columns, fold: SumFold) {
         let (start, len) = (self.start, self.len);
-        if let Some((_, bitmap)) = data.zeroed {
+        if data.zeroed.is_some() {
             for (j, z) in (start..).zip(&mut self.zeroed[..len]) {
-                *z = (bitmap[j / 64] >> (j % 64)) & 1 == 1;
+                *z = data.is_zeroed(j);
             }
         }
         let live = self.program.ops.iter().zip(&self.live).enumerate();
@@ -528,6 +766,205 @@ impl<'p, 'e> Block<'p, 'e> {
     }
 }
 
+/// An estimate the scan or the tightening loop may compare to a tolerance.
+///
+/// A NaN bound (`∞·0` inside a product bound once a value overflows, or a
+/// NaN reconstruction) compares false against everything, so taken as-is it
+/// would certify the point as if its error were 0. It bounds nothing:
+/// treat it as unboundable, like the `∞` the theorems return.
+#[inline]
+pub fn sound_estimate(bound: f64) -> f64 {
+    if bound.is_nan() {
+        f64::INFINITY
+    } else {
+        bound
+    }
+}
+
+/// What a leaf's hull knows of one slot: every value the slot computes at
+/// the leaf's points lies in the interval, and every bound it computes is
+/// at most the `f64`. `None`: nothing — some point's bound may be `∞` or
+/// NaN, or its value non-finite.
+type SlotHull = Option<(Interval, f64)>;
+
+/// `Some((enc, bound))` when all three are finite.
+fn known(enc: Interval, bound: f64) -> SlotHull {
+    (enc.lo.is_finite() && enc.hi.is_finite() && bound.is_finite()).then_some((enc, bound))
+}
+
+/// A `Var` slot's hull over its values at the points of one side of a
+/// leaf, at bound `eps`.
+fn var_hull<'a>(values: impl Iterator<Item = &'a f64>, eps: f64) -> SlotHull {
+    let (mut lo, mut hi, mut nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
+    for &x in values {
+        (lo, hi, nan) = (lo.min(x), hi.max(x), nan | x.is_nan());
+    }
+    known(Interval { lo, hi }, eps).filter(|_| !nan)
+}
+
+/// One step of [`BoundConfig::guard`], taken whatever the config says, on
+/// a formula `b` computed from bound `e` with a function that is not
+/// correctly rounded (`powi`, `ln_1p`, `exp`, `exp_m1`). At `e = 0` every
+/// formula returns an exact 0 and needs none.
+fn step(e: f64, b: f64) -> f64 {
+    if e == 0.0 {
+        b
+    } else {
+        b * (1.0 + INFLATE) + f64::MIN_POSITIVE
+    }
+}
+
+/// The largest `|x|` over `x`.
+fn mag(x: Interval) -> f64 {
+    x.lo.abs().max(x.hi.abs())
+}
+
+/// The smallest `|x|` over `x`.
+fn mig(x: Interval) -> f64 {
+    if x.contains_zero() {
+        0.0
+    } else {
+        x.lo.abs().min(x.hi.abs())
+    }
+}
+
+/// The smallest interval holding `v`.
+fn span(v: [f64; 4]) -> Interval {
+    Interval {
+        lo: v.into_iter().fold(f64::INFINITY, f64::min),
+        hi: v.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    }
+}
+
+// Correctly rounded `+ × ÷` are monotone in each argument (on each side of
+// a pole), so the same operation on the ends of the arguments' enclosures
+// encloses every value computed from points inside them — no outward step.
+
+fn add(a: Interval, b: Interval) -> Interval {
+    Interval {
+        lo: a.lo + b.lo,
+        hi: a.hi + b.hi,
+    }
+}
+
+fn mul(a: Interval, b: Interval) -> Interval {
+    span([a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi])
+}
+
+/// `a / b` for `b` clear of 0.
+fn div(a: Interval, b: Interval) -> Interval {
+    span([a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi])
+}
+
+/// `x` with its lower end raised to 0: for functions whose computed values
+/// are never negative, whatever the outward step did to the enclosure.
+fn non_negative(x: Interval) -> Interval {
+    Interval {
+        lo: x.lo.max(0.0),
+        hi: x.hi,
+    }
+}
+
+/// The hull of a non-`Var` slot from its arguments' hulls (`arg`): the
+/// enclosure of its computed values, and its own bound formula and guard
+/// at the arguments' extremes — max `|x|` (or max `x`) where the formula
+/// grows with `|x|`, min `|x|` where it shrinks, max `ε` everywhere.
+fn op_hull(op: &Op, arg: impl Fn(usize) -> SlotHull, cfg: &BoundConfig) -> SlotHull {
+    let g = |b| cfg.guard(b);
+    match op {
+        Op::Var(_) => unreachable!("a Var's hull reads the data"),
+        Op::Const(c) => known(Interval::point(*c), 0.0),
+        Op::Pow { n, arg: a } => {
+            let (x, e) = arg(*a)?;
+            if *n as usize > HULL_MAX_POWER {
+                return None;
+            }
+            let enc = x.pow(*n);
+            let enc = if n % 2 == 0 { non_negative(enc) } else { enc };
+            known(enc, g(step(e, bounds::power_bound(*n, mag(x), e))))
+        }
+        Op::Poly { coeffs, arg: a } => {
+            let (x, e) = arg(*a)?;
+            if coeffs.len() > HULL_MAX_POWER + 1 || !coeffs.iter().all(|c| c.is_finite()) {
+                return None;
+            }
+            let horner = |acc, &c| add(mul(acc, x), Interval::point(c));
+            let enc = coeffs.iter().rev().fold(Interval::point(0.0), horner);
+            known(enc, g(step(e, bounds::poly_bound(coeffs, mag(x), e))))
+        }
+        Op::Sqrt(a) => {
+            let (x, e) = arg(*a)?;
+            // the exact-supremum formula is a difference of square roots,
+            // not monotone as computed: no hull
+            if cfg.sqrt_mode == SqrtMode::Exact || x.lo < 0.0 {
+                return None;
+            }
+            let enc = Interval {
+                lo: x.lo.sqrt(),
+                hi: x.hi.sqrt(),
+            };
+            known(enc, g(bounds::sqrt_bound(SqrtMode::Paper, x.lo, e)))
+        }
+        Op::Radical { c, arg: a } => {
+            let (x, e) = arg(*a)?;
+            let d = add(x, Interval::point(*c));
+            if d.contains_zero() || !d.lo.is_finite() || !d.hi.is_finite() {
+                return None;
+            }
+            let enc = Interval {
+                lo: 1.0 / d.hi,
+                hi: 1.0 / d.lo,
+            };
+            known(enc, g(bounds::radical_bound(0.0, mig(d), e)))
+        }
+        Op::Sum(terms) => {
+            let (mut enc, mut b) = (Interval::point(0.0), 0.0);
+            for (a, t) in terms {
+                let (x, e) = arg(*t)?;
+                enc = add(enc, mul(x, Interval::point(*a)));
+                b += a.abs() * e;
+            }
+            known(enc, g(b))
+        }
+        Op::Mul(l, r) => {
+            let ((x1, e1), (x2, e2)) = (arg(*l)?, arg(*r)?);
+            known(
+                mul(x1, x2),
+                g(bounds::product_bound(mag(x1), e1, mag(x2), e2)),
+            )
+        }
+        Op::Div(l, r) => {
+            let ((x1, e1), (x2, e2)) = (arg(*l)?, arg(*r)?);
+            if x2.contains_zero() {
+                return None;
+            }
+            let b = bounds::quotient_bound_split(mag(x1), e1, mag(x2), mig(x2), e2);
+            known(div(x1, x2), g(b))
+        }
+        Op::Abs(a) => {
+            let (x, e) = arg(*a)?;
+            known(
+                Interval {
+                    lo: mig(x),
+                    hi: mag(x),
+                },
+                e,
+            )
+        }
+        Op::Ln(a) => {
+            let (x, e) = arg(*a)?;
+            known(x.ln(), g(step(e, bounds::ln_bound(x.lo, e))))
+        }
+        Op::Exp(a) => {
+            let (x, e) = arg(*a)?;
+            known(
+                non_negative(x.exp()),
+                g(step(e, bounds::exp_bound(x.hi, e))),
+            )
+        }
+    }
+}
+
 fn map1(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
     for (o, &a) in out.iter_mut().zip(a) {
         *o = f(a);
@@ -601,6 +1038,63 @@ mod tests {
             vec![(10, BLOCK), (10 + BLOCK, BLOCK), (10 + 2 * BLOCK, 1)]
         );
         assert_eq!(blocks(7..7).count(), 0);
+    }
+
+    #[test]
+    fn smooth_leaves_are_ruled_out_and_the_answer_stays() {
+        // the six GE QoIs over smooth flow with a wall: most hulls sit
+        // below the maximum, a wall leaf's √ hull stays finite, and the
+        // pruned search returns the full pass's answer
+        let qois = ge::all();
+        let exprs: Vec<&QoiExpr> = qois.iter().map(|(_, e)| e).collect();
+        let program = QoiProgram::compile(&exprs);
+        let n = 4 * BLOCK + 3;
+        let wave = |a: f64, b: f64, f: f64| (0..n).map(move |j| a + b * (f * j as f64).sin());
+        let fields: Vec<Vec<f64>> = vec![
+            wave(30.0, 1.0, 0.01).collect(),
+            wave(40.0, 1.0, 0.02).collect(),
+            wave(5.0, 1.0, 0.03).collect(),
+            wave(101_325.0, 5000.0, 0.01).collect(),
+            wave(1.2, 0.1, 0.007).collect(),
+        ];
+        let cols: Vec<&[f64]> = fields.iter().map(Vec::as_slice).collect();
+        let mut wall = vec![0u64; n.div_ceil(64)];
+        wall[1] = u64::MAX;
+        let data = Columns::new(&cols).zeroed(&[0, 1, 2], &wall);
+        let (eps, cfg) = ([1e-3, 1e-3, 1e-3, 0.5, 1e-5], BoundConfig::default());
+        let mut want = vec![(0.0f64, 0usize); exprs.len()];
+        let pass = Pass::Bounded {
+            eps: &eps,
+            cfg: &cfg,
+        };
+        program.for_each_block(&data, 0..n, pass, |block| {
+            for (k, best) in want.iter_mut().enumerate() {
+                let (first, bounds) = block.bounds(k);
+                for (j, &b) in (first..).zip(bounds) {
+                    if b > best.0 {
+                        *best = (b, j);
+                    }
+                }
+            }
+        });
+        assert_eq!(program.max_bounds(&data, 0..n, &eps, &cfg), want);
+
+        let hulls = program.leaf_hulls(&data, 0..n, &eps, &cfg);
+        let rows: Vec<&[f64]> = hulls.chunks(exprs.len()).collect();
+        assert_eq!(rows.len(), n.div_ceil(LEAF));
+        // leaves 2 and 3 are all wall, and VTOT there is exactly 0
+        assert_eq!((rows[2][0], rows[3][0]), (0.0, 0.0));
+        for (k, &(max, _)) in want.iter().enumerate() {
+            assert!(rows.iter().all(|r| r[k].is_finite()), "root {k}");
+            let below = rows.iter().filter(|r| r[k] < max).count();
+            assert!(2 * below > rows.len(), "root {k}: {below} leaves ruled out");
+        }
+        let interval = BoundConfig {
+            estimator: Estimator::Interval,
+            ..cfg
+        };
+        let hulls = program.leaf_hulls(&data, 0..n, &eps, &interval);
+        assert!(hulls.iter().all(|&h| h == f64::INFINITY));
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! Expression trees, inputs, bounds and perturbations are all generated
 //! randomly; both √-estimator modes are exercised.
 //!
-//! The last property holds the compiled block evaluator
-//! ([`pqr_qoi::program`]) to the trees bit for bit.
+//! The last properties hold the compiled block evaluator
+//! ([`pqr_qoi::program`]) to the trees bit for bit, and its pruned
+//! max-finding scan to the block pass it prunes.
 
-use pqr_qoi::program::{Columns, Pass};
+use pqr_qoi::program::{sound_estimate, Columns, Pass, LEAF};
 use pqr_qoi::{BoundConfig, Estimator, QoiExpr, QoiProgram, SqrtMode};
 use proptest::prelude::*;
 
@@ -205,6 +206,185 @@ proptest! {
         let twice: Vec<usize> = want_covered.iter().map(|c| 2 * c).collect();
         prop_assert_eq!(&covered, &twice);
         prop_assert!(failure.is_none(), "{}", failure.unwrap());
+    }
+}
+
+/// Reconstructions that make leaves worth pruning — a smooth wave per
+/// field, so neighbouring points are alike — salted at random points with
+/// what breaks estimators: zeros of both signs (under `√`, at poles),
+/// negatives under `√`, magnitudes that overflow, and NaN.
+fn arb_recons() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let special = prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(-1.0),
+        Just(1e200),
+        Just(f64::NAN)
+    ];
+    let salt = proptest::collection::vec((0..MAX_POINTS, special), 0..6);
+    let field =
+        (-3.0..3.0f64, 0.0..2.0f64, 0.001..0.2f64, salt).prop_map(|(mid, amp, freq, salt)| {
+            let mut col: Vec<f64> = (0..MAX_POINTS)
+                .map(|j| mid + amp * (freq * j as f64).sin())
+                .collect();
+            for (j, v) in salt {
+                col[j] = v;
+            }
+            col
+        });
+    proptest::collection::vec(field, NVARS)
+}
+
+/// The roots the pruning properties scan: three random trees, and
+/// compositions that put poles, zeros under `√` and overflow in reach.
+fn pruning_roots(a: &QoiExpr, b: &QoiExpr, c: &QoiExpr) -> Vec<QoiExpr> {
+    vec![
+        a.clone(),
+        b.clone(),
+        c.clone(),
+        a.clone().mul(b.clone()),
+        QoiExpr::sum(vec![(1.0, a.clone().pow(2)), (1.0, b.clone().pow(2))]).sqrt(),
+        a.clone().sqrt(),
+        c.clone().div(a.clone()),
+        b.clone().radical(0.5),
+        a.clone().scale(300.0).exp().mul(QoiExpr::constant(2.0)),
+        a.clone().mul(b.clone()).ln(),
+    ]
+}
+
+/// A scan's configuration from three random switches: √ mode, guard, and
+/// (one time in four) the interval estimator.
+fn scan_cfg(exact_sqrt: bool, inflate: bool, interval: bool) -> BoundConfig {
+    BoundConfig {
+        sqrt_mode: if exact_sqrt {
+            SqrtMode::Exact
+        } else {
+            SqrtMode::Paper
+        },
+        inflate,
+        estimator: if interval {
+            Estimator::Interval
+        } else {
+            Estimator::Theorems
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `max_bounds` prunes but does not change the answer: per root, the
+    /// same max bits and first argmax as a strict-`>` fold over the full
+    /// block pass, on ranges that start and end anywhere, with and without
+    /// a zero mask, with roots restricted to regions, under every
+    /// estimator configuration.
+    #[test]
+    fn pruned_max_equals_the_full_block_pass(
+        a in arb_expr(2),
+        b in arb_expr(2),
+        c in arb_expr(1),
+        cols in arb_recons(),
+        eps in proptest::collection::vec(arb_eps(), NVARS),
+        range in (0..MAX_POINTS, 1..MAX_POINTS),
+        mask in (proptest::bool::ANY, 0..NVARS, 0..MAX_POINTS, 0..MAX_POINTS),
+        modes in (proptest::bool::ANY, proptest::bool::ANY, 0..4usize),
+        regions in proptest::collection::vec((0..MAX_POINTS, 0..MAX_POINTS), 3),
+    ) {
+        let set = pruning_roots(&a, &b, &c);
+        let exprs: Vec<&QoiExpr> = set.iter().collect();
+        let mut program = QoiProgram::compile(&exprs);
+        for (k, &(from, len)) in [1, 4, 6].into_iter().zip(&regions) {
+            program.restrict(k, from..from + len);
+        }
+        let cfg = scan_cfg(modes.0, modes.1, modes.2 == 0);
+        let (lo, hi) = (range.0, (range.0 + range.1).min(MAX_POINTS));
+        // a run of masked points, as walls are: whole leaves and mixed ones
+        let (masked, zero_var) = (mask.0, [mask.1]);
+        let mut bitmap = vec![0u64; MAX_POINTS.div_ceil(64)];
+        for j in mask.2..(mask.2 + mask.3).min(MAX_POINTS) {
+            bitmap[j / 64] |= 1 << (j % 64);
+        }
+        let col_refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        let data = Columns::new(&col_refs);
+        let data = if masked { data.zeroed(&zero_var, &bitmap) } else { data };
+
+        let mut want = vec![(0.0f64, 0usize); set.len()];
+        let pass = Pass::Bounded { eps: &eps, cfg: &cfg };
+        program.for_each_block(&data, lo..hi, pass, |block| {
+            for (k, best) in want.iter_mut().enumerate() {
+                let (first, bounds) = block.bounds(k);
+                for (j, &bound) in (first..).zip(bounds) {
+                    let est = sound_estimate(bound);
+                    if est > best.0 {
+                        *best = (est, j);
+                    }
+                }
+            }
+        });
+        let got = program.max_bounds(&data, lo..hi, &eps, &cfg);
+        let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+            v.iter().map(|&(e, j)| (e.to_bits(), j)).collect()
+        };
+        prop_assert_eq!(bits(&got), bits(&want), "{:?} vs {:?} under {:?}", got, want, cfg);
+    }
+
+    /// Every leaf's hull is at least every estimate the tree computes at a
+    /// point of that leaf where the root is wanted (NaN read as `∞`), and
+    /// `-∞` exactly where the root is wanted nowhere in the leaf.
+    #[test]
+    fn leaf_hull_dominates_every_point_estimate(
+        a in arb_expr(2),
+        b in arb_expr(2),
+        c in arb_expr(1),
+        cols in arb_recons(),
+        eps in proptest::collection::vec(arb_eps(), NVARS),
+        range in (0..MAX_POINTS, 1..MAX_POINTS),
+        mask in (proptest::bool::ANY, 0..NVARS, 0..MAX_POINTS, 0..MAX_POINTS),
+        modes in (proptest::bool::ANY, proptest::bool::ANY),
+        region in (0..MAX_POINTS, 0..MAX_POINTS),
+    ) {
+        let set = pruning_roots(&a, &b, &c);
+        let exprs: Vec<&QoiExpr> = set.iter().collect();
+        let mut program = QoiProgram::compile(&exprs);
+        let region = region.0..region.0 + region.1;
+        program.restrict(2, region.clone());
+        let cfg = scan_cfg(modes.0, modes.1, false);
+        let (lo, hi) = (range.0, (range.0 + range.1).min(MAX_POINTS));
+        let (masked, zero_var) = (mask.0, mask.1);
+        let is_masked = |j: usize| masked && (mask.2..mask.2 + mask.3).contains(&j);
+        let mut bitmap = vec![0u64; MAX_POINTS.div_ceil(64)];
+        for j in (0..MAX_POINTS).filter(|&j| is_masked(j)) {
+            bitmap[j / 64] |= 1 << (j % 64);
+        }
+        let col_refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        let data = Columns::new(&col_refs);
+        let data = if masked { data.zeroed(std::slice::from_ref(&zero_var), &bitmap) } else { data };
+
+        let hulls = program.leaf_hulls(&data, lo..hi, &eps, &cfg);
+        let starts: Vec<usize> = (lo..hi).step_by(LEAF).collect();
+        prop_assert_eq!(hulls.len(), starts.len() * set.len());
+        for (l, &start) in starts.iter().enumerate() {
+            let leaf = start..(start + LEAF).min(hi);
+            for (k, expr) in set.iter().enumerate() {
+                let hull = hulls[l * set.len() + k];
+                let wanted = if k == 2 { region.clone() } else { 0..usize::MAX };
+                let points: Vec<usize> = leaf.clone().filter(|j| wanted.contains(j)).collect();
+                prop_assert_eq!(hull == f64::NEG_INFINITY, points.is_empty(), "root {} leaf {}", k, start);
+                for j in points {
+                    let mut x: Vec<f64> = cols.iter().map(|c| c[j]).collect();
+                    let mut e = eps.clone();
+                    if is_masked(j) {
+                        x[zero_var] = 0.0;
+                        e[zero_var] = 0.0;
+                    }
+                    let est = sound_estimate(expr.eval_bounded(&x, &e, &cfg).bound);
+                    prop_assert!(
+                        est <= hull,
+                        "{expr} @ {j} x={x:?} eps={e:?} {cfg:?}: estimate {est:e} > hull {hull:e}"
+                    );
+                }
+            }
+        }
     }
 }
 
