@@ -1,6 +1,6 @@
 //! Criterion: fragment access through each storage backend — resident
 //! dataset, serialized in-memory container, file-backed byte-range reads,
-//! and a cached remote store (cold vs warm) — so the LRU cache's effect is
+//! and a cached file (cold vs warm) — so the LRU cache's effect is
 //! measurable against the raw backend costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -11,7 +11,6 @@ use pqr_progressive::fragstore::{
 };
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::library::velocity_magnitude;
-use pqr_transfer::RemoteStore;
 use std::sync::Arc;
 
 fn dataset(n: usize) -> Dataset {
@@ -53,7 +52,6 @@ fn bench_fragment_fetch(c: &mut Criterion) {
     let resident = Arc::new(archive.clone());
     let mem = Arc::new(InMemorySource::new(bytes).unwrap());
     let file = Arc::new(FileSource::open(&path).unwrap());
-    let store = Arc::new(RemoteStore::new(vec![archive.clone()]).with_cache(64 << 20));
 
     let mut g = c.benchmark_group("fragment_fetch");
     g.sample_size(10);
@@ -84,12 +82,6 @@ fn bench_fragment_fetch(c: &mut Criterion) {
     retrieve_once(warm.clone(), &spec);
     g.bench_function(BenchmarkId::new("backend", "file_cached_warm"), |b| {
         b.iter(|| retrieve_once(warm.clone(), &spec))
-    });
-    // remote store with its cache warmed by the first pass
-    let remote = Arc::new(store.block_source(0).unwrap());
-    retrieve_once(remote.clone(), &spec);
-    g.bench_function(BenchmarkId::new("backend", "remote_cached_warm"), |b| {
-        b.iter(|| retrieve_once(remote.clone(), &spec))
     });
     g.finish();
     std::fs::remove_file(&path).ok();

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
 use pqr_progressive::fragstore::{FileSource, FragmentSource, InMemorySource};
-use pqr_progressive::plan::{PlanExecutor, RetrievalPlan};
+use pqr_progressive::plan::RetrievalPlan;
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::library::{species_product, velocity_magnitude};
 use pqr_qoi::QoiExpr;
@@ -43,7 +43,7 @@ fn execute_plan(
 ) -> usize {
     let mut engine = RetrievalEngine::from_source(source, cfg).unwrap();
     let plan = RetrievalPlan::resolve(&engine, specs.to_vec(), None).unwrap();
-    let report = PlanExecutor::new(&mut engine).execute(&plan).unwrap();
+    let report = engine.execute(&plan).unwrap();
     assert!(report.satisfied);
     report.total_fetched
 }

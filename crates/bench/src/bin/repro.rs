@@ -6,15 +6,15 @@
 //!
 //! A section is `fig2` … `fig9`, `table3`, `table4` or `ablation`; `all`
 //! runs every section once. `--no-mask` runs Fig. 4 without the velocity
-//! zero mask. `PQR_SCALE` (a float, default 1) grows every dataset toward
-//! paper scale.
+//! zero mask. `PQR_SCALE` (a float ≥ 1/32, default 1) grows every dataset
+//! toward paper scale; a smaller or unparsable scale prints the usage.
 
-use pqr_bench::sections::{self, SECTIONS};
+use pqr_bench::sections::{self, MIN_SCALE, SECTIONS};
 use pqr_bench::Tsv;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <section>... [--no-mask]\n  sections: {} | all\n  PQR_SCALE=<float> grows every dataset",
+        "usage: repro <section>... [--no-mask]\n  sections: {} | all\n  PQR_SCALE=<float ≥ {MIN_SCALE}> grows every dataset",
         SECTIONS.join(" ")
     );
     std::process::exit(2);
@@ -34,11 +34,13 @@ fn main() {
     if names.is_empty() {
         usage();
     }
-    let scale = std::env::var("PQR_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| *s > 0.0)
-        .unwrap_or(1.0);
+    let scale = match std::env::var("PQR_SCALE") {
+        Ok(s) => match s.parse::<f64>() {
+            Ok(scale) if scale >= MIN_SCALE => scale,
+            _ => usage(),
+        },
+        Err(_) => 1.0,
+    };
     let mut stdout = std::io::stdout().lock();
     let mut t = Tsv::new(&mut stdout);
     for name in names {

@@ -7,7 +7,7 @@
 //! short function per table or figure; this module holds what they share:
 //! the dataset stand-ins, the three sweep loops and the [`Tsv`] writer.
 //!
-//! Sizes default to laptop scale; `repro` reads `PQR_SCALE` (a float ≥ 1)
+//! Sizes default to laptop scale; `repro` reads `PQR_SCALE` (a float ≥ 1/32)
 //! and every constructor here grows its dataset by that factor toward paper
 //! scale. The rate-distortion and error-control *shapes* are
 //! scale-invariant for the generated spectra — see DIVERGENCES.md,
@@ -26,9 +26,10 @@ use pqr_util::stats;
 use std::fmt::Display;
 use std::io::Write;
 
-/// Scales a base element count by `scale`.
+/// Scales a base element count by `scale`, never below one element: a
+/// zero extent would leave a stand-in empty.
 fn scaled(base: usize, scale: f64) -> usize {
-    ((base as f64) * scale) as usize
+    (((base as f64) * scale) as usize).max(1)
 }
 
 /// The GE-small stand-in's generator config: 200 blocks of ~3 400 points.
@@ -247,6 +248,7 @@ mod tests {
         assert_eq!(scaled(100, 1.0), 100);
         assert_eq!(scaled(3_400, 0.5), 1_700);
         assert_eq!(scaled(25, 0.1), 2);
+        assert_eq!(scaled(25, 0.02), 1);
     }
 
     #[test]

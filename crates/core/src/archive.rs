@@ -25,7 +25,7 @@ use pqr_progressive::fragstore::{
     FileSource, FragmentSource, InMemorySource, Manifest, SourceStats,
 };
 use pqr_progressive::pager::StoreBudget;
-use pqr_progressive::plan::{PlanExecutor, PlanReport, RetrievalPlan};
+use pqr_progressive::plan::{PlanReport, RetrievalPlan};
 use pqr_progressive::refactored::{default_snapshot_bounds, Scheme};
 use pqr_progressive::store::{ProgressStore, StoreStats};
 use pqr_qoi::QoiExpr;
@@ -567,9 +567,10 @@ impl Session {
 
     /// Resolves a multi-target [`RetrievalRequest`] against the archive's
     /// QoI registry and the session's current progress, without fetching:
-    /// which fields each target derives from, the Algorithm-3 refinement
-    /// fronts, and the deduplicated source-ordered fragment schedule (two
-    /// targets touching one field schedule its fragments once).
+    /// which fields each target derives from and the Algorithm-3 per-field
+    /// bounds (two targets touching one field bound it once, at the
+    /// tighter requirement). Planning walks no refinement front: the store
+    /// plans each field's front when the plan executes.
     pub fn plan(&self, request: &RetrievalRequest) -> Result<RetrievalPlan> {
         let specs = self.resolve_targets(request)?;
         RetrievalPlan::resolve(&self.engine, specs, request.budget())
@@ -577,16 +578,16 @@ impl Session {
 
     /// Plans and executes a request — the one way a session retrieves,
     /// whether it names one target or many: each refinement round's
-    /// fragment schedule rides one batched
-    /// [`FragmentSource::read_many`] call (coalesced range reads on files,
-    /// one round-trip per batch on remote stores), the §IV error bounds
+    /// fragments ride one batched [`FragmentSource::read_many`] call per
+    /// field (coalesced range reads on files, cache hits peeled and the
+    /// misses batched on cached sources), the §IV error bounds
     /// are re-evaluated after every round, and each target stops refining
     /// as soon as its tolerance certifies. Returns the per-target
     /// [`PlanReport`] with shared-fragment savings and read-op counts.
     pub fn execute(&mut self, request: &RetrievalRequest) -> Result<PlanReport> {
         let specs = self.resolve_targets(request)?;
         let plan = RetrievalPlan::resolve(&self.engine, specs, request.budget())?;
-        PlanExecutor::new(&mut self.engine).execute(&plan)
+        self.engine.execute(&plan)
     }
 
     /// Resolves request targets into engine specs via the QoI registry.
@@ -960,8 +961,6 @@ mod tests {
         let plan = s.plan(&request).unwrap();
         // both targets read Vx (field 0); V also reads Vy
         assert_eq!(plan.shared_fields(), vec![0]);
-        assert!(!plan.schedule().is_empty());
-        assert!(plan.scheduled_bytes() > 0);
 
         let report = s.execute(&request).unwrap();
         assert!(report.satisfied);

@@ -17,7 +17,7 @@ pub use pqr_progressive::fragstore::{
 };
 pub use pqr_progressive::mask::ZeroMask;
 pub use pqr_progressive::pager::{parse_budget, StoreBudget};
-pub use pqr_progressive::plan::{PlanExecutor, PlanReport, RetrievalPlan, TargetReport};
+pub use pqr_progressive::plan::{PlanReport, RetrievalPlan, TargetReport};
 pub use pqr_progressive::refactored::{RefactoredField, Scheme};
 pub use pqr_progressive::store::{FieldSnapshot, ProgressStore, StoreStats};
 
@@ -32,7 +32,7 @@ pub use pqr_mgard::{Basis, MgardRefactorer, MgardStream};
 pub use pqr_sz::{Predictor, SzCompressor, SzConfig};
 pub use pqr_zfp::{ZfpRefactorer, ZfpStream};
 
-pub use pqr_transfer::{run_pipeline, FetchCounters, NetworkModel, PipelineConfig, RemoteStore};
+pub use pqr_transfer::{run_pipeline, NetworkModel, PipelineConfig};
 
 pub use pqr_util::error::{PqrError, Result};
 pub use pqr_util::stats;

@@ -155,11 +155,6 @@ impl MgardMeta {
         &self.levels
     }
 
-    /// Per-level plane counts, finest level first.
-    pub fn planes_per_level(&self) -> Vec<u32> {
-        self.levels.iter().map(|l| l.num_planes).collect()
-    }
-
     /// Total stored plane segments across levels.
     pub fn total_planes(&self) -> usize {
         self.levels.iter().map(|l| l.num_planes as usize).sum()

@@ -30,9 +30,8 @@
 //!
 //! The refine→estimate→tighten loop itself lives in [`crate::plan`]:
 //! [`RetrievalEngine::retrieve`] resolves its specs into a
-//! [`crate::plan::RetrievalPlan`] and runs the
-//! [`crate::plan::PlanExecutor`], whose rounds refine every field through
-//! its store. The store reads each field's delta through one
+//! [`crate::plan::RetrievalPlan`] and runs [`RetrievalEngine::execute`],
+//! whose rounds refine every field through its store. The store reads each field's delta through one
 //! [`FragmentSource::read_many`] — single-target requests, multi-QoI plans,
 //! shared sessions and resumed ones share exactly one fetch code path.
 
@@ -187,8 +186,8 @@ impl Default for EngineConfig {
 ///
 /// Every byte the engine moves is pulled through a
 /// [`FragmentSource`] — a resident [`RefactoredDataset`], a serialized
-/// in-memory archive, a lazily opened file, or a (simulated) remote store
-/// all drive the identical refinement code path. The engine **owns** a
+/// in-memory archive, a lazily opened file, or any of them behind a
+/// fragment cache all drive the identical refinement code path. The engine **owns** a
 /// shared handle to its source (`Arc`), so engines carry no borrows: they
 /// move across threads, outlive the scope that opened them, and many can
 /// share one source concurrently (its [`SourceStats`] tally atomically).
@@ -439,17 +438,17 @@ impl RetrievalEngine {
     /// tighter requests retrieves incrementally (§III-B).
     ///
     /// The one-call form of plan execution: the specs resolve into a
-    /// [`crate::plan::RetrievalPlan`] without a byte budget and a
-    /// [`crate::plan::PlanExecutor`] drives the refine→estimate→tighten
-    /// loop with batched fragment I/O. Resolve the plan yourself to
-    /// inspect its schedule or to cap the bytes it may fetch.
+    /// [`crate::plan::RetrievalPlan`] without a byte budget and
+    /// [`RetrievalEngine::execute`] drives the refine→estimate→tighten
+    /// loop with batched fragment I/O. Resolve the plan yourself to cap
+    /// the bytes it may fetch.
     pub fn retrieve(&mut self, qois: &[QoiSpec]) -> Result<crate::plan::PlanReport> {
         let plan = crate::plan::RetrievalPlan::resolve(self, qois.to_vec(), None)?;
-        crate::plan::PlanExecutor::new(self).execute(&plan)
+        self.execute(&plan)
     }
 
     /// The engine's views, in field order (crate-internal: the plan
-    /// executor plans and reports through these; refinement goes through
+    /// executor reports through these; refinement goes through
     /// [`RetrievalEngine::refine_round`]).
     pub(crate) fn views(&self) -> &[FieldView] {
         &self.views

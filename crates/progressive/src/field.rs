@@ -12,7 +12,6 @@ use crate::refactored::{default_snapshot_bounds, RefactoredField, Scheme};
 use pqr_qoi::program::{Columns, Pass};
 use pqr_qoi::{QoiExpr, QoiProgram};
 use pqr_util::error::{PqrError, Result};
-use pqr_util::stats;
 
 /// A dataset of equally-shaped named fields (the archive side's view).
 #[derive(Debug, Clone)]
@@ -413,16 +412,11 @@ impl crate::fragstore::FragmentSource for RefactoredDataset {
     }
 }
 
-/// Convenience: relative L∞ error of a reconstruction against reference
-/// values, using the reference range (the paper's distortion metric).
-pub fn relative_qoi_error(reference: &[f64], approx: &[f64]) -> f64 {
-    stats::rel_linf(reference, approx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pqr_qoi::library::velocity_magnitude;
+    use pqr_util::stats;
 
     fn small_dataset() -> Dataset {
         let n = 200;

@@ -186,7 +186,7 @@ pqr_util::tally! {
 /// engine and wherever the archive's bytes live.
 ///
 /// Every retrieval path (resident, serialized in memory, file-backed,
-/// simulated-remote) pulls bytes through this trait, so partial retrieval
+/// cached) pulls bytes through this trait, so partial retrieval
 /// is partial *in bytes read*, not just in bytes counted.
 pub trait FragmentSource: Send + Sync {
     /// The archive's manifest (owned: sources may synthesise it on demand).
@@ -199,10 +199,9 @@ pub trait FragmentSource: Send + Sync {
     /// Fetches a whole batch of fragments in one call, returning payloads
     /// in request order. This is the batched entry point plan execution
     /// drives: backends override it to coalesce adjacent byte ranges into
-    /// single reads ([`FileSource`]), consult a cache before batching the
-    /// misses ([`CachedSource`]), or serve the batch in one round-trip
-    /// (`pqr-transfer`'s remote store). The default degrades to a
-    /// per-fragment loop, so every source stays correct.
+    /// single reads ([`FileSource`]) or consult a cache before batching the
+    /// misses into one round trip ([`CachedSource`]). The default degrades
+    /// to a per-fragment loop, so every source stays correct.
     fn read_many(&self, ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
         ids.iter().map(|&id| self.fetch(id)).collect()
     }

@@ -37,9 +37,10 @@
 //!   compressed-fragment RAM tier, then the source) and rehydrate
 //!   bit-identically on demand by replaying the exact restore plan.
 //! * [`plan`] — the plan/execute pipeline over the engine: multi-QoI
-//!   requests resolve into a deduplicated, source-ordered fragment
-//!   schedule (shared fields scheduled once) that executes through
-//!   [`fragstore::FragmentSource::read_many`] with per-target
+//!   requests resolve into per-field Algorithm-3 bounds (a field shared by
+//!   several targets is bounded once, at the tightest), and execution has
+//!   the store plan each field's refinement front and read it through
+//!   [`fragstore::FragmentSource::read_many`], with per-target
 //!   certification, byte budgets and shared-fragment accounting.
 //!
 //! ## Flow (mirrors Fig. 1)
@@ -91,6 +92,6 @@ pub use fragstore::{
 };
 pub use mask::ZeroMask;
 pub use pager::{parse_budget, StoreBudget};
-pub use plan::{PlanExecutor, PlanReport, RetrievalPlan, TargetReport};
+pub use plan::{PlanReport, RetrievalPlan, TargetReport};
 pub use refactored::{FieldReader, ReaderProgress, RefactoredField, Scheme};
 pub use store::{FieldSnapshot, ProgressStore, StoreStats};

@@ -3,24 +3,24 @@
 //!
 //! The paper's Algorithms 1–4 refine *per QoI request*; real analyses ask
 //! for several derivable QoIs at once, and QoIs that share underlying
-//! fields should not schedule the same fragments twice. This module splits
+//! fields should not fetch the same fragments twice. This module splits
 //! the opaque request-and-fetch step into three inspectable stages:
 //!
 //! 1. **Resolve** — [`RetrievalPlan::resolve`] turns `(QoI, tolerance)`
 //!    targets into a plan against the archive manifest: which fields each
-//!    target derives from, the Algorithm-3 initial per-field bounds (one
+//!    target derives from and the Algorithm-3 initial per-field bounds (one
 //!    bound per field — the *min* over the targets reading it, which is
-//!    where cross-target fragment **dedup** happens), and the first
-//!    round's deduplicated, source-ordered fragment schedule.
-//! 2. **Execute** — [`PlanExecutor`] runs refine→estimate→tighten
+//!    where cross-target fragment **dedup** happens). Resolution plans
+//!    bounds only; it reads no reader state beyond the achieved bounds.
+//! 2. **Execute** — [`RetrievalEngine::execute`] runs refine→estimate→tighten
 //!    rounds. Each round refines every involved field through the engine's
 //!    [`ProgressStore`](crate::store::ProgressStore), which plans the
 //!    field's refinement front from metadata alone (the §V bound models
 //!    are functions of consumed-fragment counts, never payload contents,
 //!    so the prediction is exact) and reads it through one
 //!    [`FragmentSource::read_many`] in storage order — files coalesce
-//!    adjacent ranges into single reads, remote stores serve the batch in
-//!    one round-trip. After each round the §IV error bounds are
+//!    adjacent ranges into single reads, cached sources peel hits and
+//!    batch the misses. After each round the §IV error bounds are
 //!    re-evaluated and each target stops influencing further tightening as
 //!    soon as its tolerance certifies.
 //! 3. **Report** — [`PlanReport`] carries per-target outcomes
@@ -32,17 +32,14 @@
 //! so every request — one target or many, fresh or resumed — moves bytes
 //! through exactly one fetch code path and returns one [`PlanReport`].
 //!
-//! [`RetrievalEngine::retrieve`]: crate::engine::RetrievalEngine::retrieve
 //! [`FragmentSource::read_many`]: crate::fragstore::FragmentSource::read_many
 
 use crate::engine::{Estimate, QoiSpec, RetrievalEngine};
-use crate::fragstore::FragmentId;
 use pqr_util::error::{PqrError, Result};
 
 /// A resolved multi-target retrieval plan: the targets, the fields they
-/// derive from, the Algorithm-3 initial bounds, and the first round's
-/// deduplicated source-ordered fragment schedule. Resolution is pure
-/// planning — no payload fragment is fetched.
+/// derive from and the Algorithm-3 initial bounds. Resolution is pure
+/// planning — no fragment is fetched and no refinement front is walked.
 #[derive(Debug, Clone)]
 pub struct RetrievalPlan {
     specs: Vec<QoiSpec>,
@@ -51,12 +48,6 @@ pub struct RetrievalPlan {
     /// Algorithm-3 initial per-field bounds (∞ = field unused, never
     /// fetched), already clamped to what the engine has achieved.
     initial_bounds: Vec<f64>,
-    /// Round-1 fragment schedule: deduplicated across targets (shared
-    /// fields appear once, at their tightest requirement) and sorted by
-    /// storage offset for maximal coalescing.
-    schedule: Vec<FragmentId>,
-    /// Directory bytes the round-1 schedule will move.
-    scheduled_bytes: usize,
     /// Optional ceiling on newly fetched bytes (round-granular: execution
     /// stops scheduling further rounds once exceeded).
     byte_budget: Option<usize>,
@@ -126,14 +117,10 @@ impl RetrievalPlan {
         for (j, b) in initial_bounds.iter_mut().enumerate() {
             *b = b.min(engine.field_bound(j));
         }
-
-        let (schedule, scheduled_bytes) = round_schedule(engine, &initial_bounds)?;
         Ok(Self {
             specs,
             involved,
             initial_bounds,
-            schedule,
-            scheduled_bytes,
             byte_budget,
         })
     }
@@ -141,11 +128,6 @@ impl RetrievalPlan {
     /// The resolved targets, in request order.
     pub fn targets(&self) -> &[QoiSpec] {
         &self.specs
-    }
-
-    /// Field indices target `k` derives from.
-    pub fn involved_fields(&self, k: usize) -> &[usize] {
-        &self.involved[k]
     }
 
     /// Fields read by more than one target — where batched execution saves
@@ -157,47 +139,10 @@ impl RetrievalPlan {
             .collect()
     }
 
-    /// The first round's deduplicated, source-ordered fragment schedule.
-    pub fn schedule(&self) -> &[FragmentId] {
-        &self.schedule
-    }
-
-    /// Directory bytes the first round will move.
-    pub fn scheduled_bytes(&self) -> usize {
-        self.scheduled_bytes
-    }
-
     /// The byte budget, if any.
     pub fn byte_budget(&self) -> Option<usize> {
         self.byte_budget
     }
-}
-
-/// The per-field refinement fronts at the given requested bounds, merged
-/// into one deduplicated schedule sorted by storage offset (with the
-/// directory bytes it will move). A demoted field of a shared store plans
-/// nothing: its rehydration is a replay, not a front.
-fn round_schedule(engine: &RetrievalEngine, requested: &[f64]) -> Result<(Vec<FragmentId>, usize)> {
-    let mut ids = Vec::new();
-    for (j, &eb) in requested.iter().enumerate() {
-        if eb.is_finite() {
-            ids.extend(
-                engine.views()[j]
-                    .plan_refine_to(eb)
-                    .into_iter()
-                    .map(|index| FragmentId {
-                        field: j as u32,
-                        index,
-                    }),
-            );
-        }
-    }
-    engine.manifest().storage_order(&mut ids);
-    let mut bytes = 0usize;
-    for &id in &ids {
-        bytes += engine.manifest().fragment(id)?.len as usize;
-    }
-    Ok((ids, bytes))
 }
 
 /// Outcome of one target of an executed plan.
@@ -221,7 +166,7 @@ pub struct TargetReport {
     pub fields: Vec<usize>,
 }
 
-/// Outcome of [`PlanExecutor::execute`]: per-target results plus the
+/// Outcome of [`RetrievalEngine::execute`]: per-target results plus the
 /// aggregate accounting of the batched execution.
 #[derive(Debug, Clone)]
 pub struct PlanReport {
@@ -290,44 +235,30 @@ pub struct PlanReport {
     pub reconstruct_ms: u64,
 }
 
-/// Drives a [`RetrievalPlan`] through the engine: one refinement of every
-/// involved field per round, §IV re-evaluation after every round,
-/// per-target certification,
-/// Algorithm-4 tightening for the still-unmet targets, and the optional
-/// byte budget.
-pub struct PlanExecutor<'e> {
-    engine: &'e mut RetrievalEngine,
-}
-
-impl<'e> PlanExecutor<'e> {
-    /// An executor over `engine` (which persists across executions, so a
-    /// series of plans retrieves incrementally).
-    pub fn new(engine: &'e mut RetrievalEngine) -> Self {
-        Self { engine }
-    }
-
-    /// Executes the plan to completion: every target certified, the
-    /// representations exhausted, the iteration cap hit, or the byte
-    /// budget consumed — whichever comes first.
-    pub fn execute(self, plan: &RetrievalPlan) -> Result<PlanReport> {
-        let engine = self.engine;
+impl RetrievalEngine {
+    /// Drives a [`RetrievalPlan`] to completion: one refinement of every
+    /// involved field per round, §IV re-evaluation after every round,
+    /// per-target certification, Algorithm-4 tightening for the still-unmet
+    /// targets, and the optional byte budget. Stops when every target is
+    /// certified, the representations are exhausted, the iteration cap is
+    /// hit, or the byte budget is consumed — whichever comes first. The
+    /// engine persists across executions, so a series of plans retrieves
+    /// incrementally.
+    pub fn execute(&mut self, plan: &RetrievalPlan) -> Result<PlanReport> {
         let qois = &plan.specs;
         let involved = &plan.involved;
-        let fetched_before = engine.total_fetched();
-        let per_field_before: Vec<usize> = engine
-            .views()
-            .iter()
-            .map(|v| v.snapshot().fetched)
-            .collect();
-        let source_before = engine.source_stats();
-        let store_before = engine.store().stats();
-        let view_hits_before = engine.recon_cache_hits();
+        let fetched_before = self.total_fetched();
+        let per_field_before: Vec<usize> =
+            self.views().iter().map(|v| v.snapshot().fetched).collect();
+        let source_before = self.source_stats();
+        let store_before = self.store().stats();
+        let view_hits_before = self.recon_cache_hits();
 
         // the plan's Algorithm-3 bounds, re-clamped in case the engine
         // advanced between resolve and execute
         let mut requested = plan.initial_bounds.clone();
         for (j, b) in requested.iter_mut().enumerate() {
-            *b = b.min(engine.field_bound(j));
+            *b = b.min(self.field_bound(j));
         }
 
         let tol_abs: Vec<f64> = qois.iter().map(|q| q.tol_abs()).collect();
@@ -339,14 +270,14 @@ impl<'e> PlanExecutor<'e> {
             iterations += 1;
             // Alg. 2 line 10 (progressive_construct each involved field),
             // fanned across fields (see `RetrievalEngine::refine_round`)
-            engine.refine_round(&requested)?;
+            self.refine_round(&requested)?;
             // Alg. 2 lines 13–24: estimate QoI errors everywhere — unless
             // the engine just did, over this very state.
             let Estimate {
                 scans,
                 bounds: achieved,
                 reused,
-            } = engine.estimate(qois);
+            } = self.estimate(qois);
             estimate_reuses += u64::from(reused);
             let mut all_met = true;
             for (k, &(est, _)) in scans.iter().enumerate() {
@@ -355,11 +286,11 @@ impl<'e> PlanExecutor<'e> {
                     all_met = false;
                 }
             }
-            if all_met || iterations >= engine.config().max_iterations {
+            if all_met || iterations >= self.config().max_iterations {
                 break (all_met, achieved);
             }
             if let Some(budget) = plan.byte_budget {
-                if engine.total_fetched() - fetched_before >= budget {
+                if self.total_fetched() - fetched_before >= budget {
                     budget_exhausted = true;
                     break (false, achieved);
                 }
@@ -370,7 +301,7 @@ impl<'e> PlanExecutor<'e> {
             // The estimator scratch is hoisted out of the tightening loop:
             // one allocation pair per round, not per candidate bound vector.
             let mut progress = false;
-            let nv = engine.manifest().num_fields();
+            let nv = self.manifest().num_fields();
             let (mut x_scratch, mut eps_scratch) = (vec![0.0f64; nv], vec![0.0f64; nv]);
             for (k, &(est, argmax)) in scans.iter().enumerate() {
                 if est <= tol_abs[k] {
@@ -378,24 +309,24 @@ impl<'e> PlanExecutor<'e> {
                 }
                 let mut eps_local = achieved.clone();
                 let mut tightenings = 0usize;
-                while engine.point_estimate_scratch(
+                while self.point_estimate_scratch(
                     &qois[k].expr,
                     argmax,
                     &eps_local,
                     &mut x_scratch,
                     &mut eps_scratch,
                 ) > tol_abs[k]
-                    && tightenings < engine.config().max_tightenings
+                    && tightenings < self.config().max_tightenings
                 {
                     for &i in &involved[k] {
-                        eps_local[i] /= engine.config().reduction_factor;
+                        eps_local[i] /= self.config().reduction_factor;
                     }
                     tightenings += 1;
                 }
                 for &i in &involved[k] {
                     if eps_local[i] < requested[i] {
                         requested[i] = eps_local[i];
-                        if !engine.views()[i].exhausted() {
+                        if !self.views()[i].exhausted() {
                             progress = true;
                         }
                     }
@@ -408,8 +339,8 @@ impl<'e> PlanExecutor<'e> {
             }
         };
 
-        let total = engine.total_fetched();
-        let per_field_delta: Vec<usize> = engine
+        let total = self.total_fetched();
+        let per_field_delta: Vec<usize> = self
             .views()
             .iter()
             .zip(&per_field_before)
@@ -431,9 +362,9 @@ impl<'e> PlanExecutor<'e> {
         let actual_payload: usize = per_field_delta.iter().sum();
         // store- and source-level deltas: the engine's own store when solo;
         // a shared store's includes other sessions' work in the window
-        let source = engine.source_stats().since(&source_before);
-        let store = engine.store().stats().since(&store_before);
-        let elements = engine.manifest().num_elements() * engine.manifest().num_fields();
+        let source = self.source_stats().since(&source_before);
+        let store = self.store().stats().since(&store_before);
+        let elements = self.manifest().num_elements() * self.manifest().num_fields();
         Ok(PlanReport {
             satisfied,
             iterations,
@@ -452,7 +383,7 @@ impl<'e> PlanExecutor<'e> {
             plan_front_hits: store.plan_front_hits,
             plan_front_misses: store.plan_front_misses,
             recompose_passes: store.recompose_passes,
-            recon_cache_hits: engine.recon_cache_hits() - view_hits_before + store.recon_cache_hits,
+            recon_cache_hits: self.recon_cache_hits() - view_hits_before + store.recon_cache_hits,
             reconstruct_ms: store.reconstruct_nanos / 1_000_000,
             targets,
         })

@@ -210,17 +210,6 @@ impl RefactoredField {
             .expect("resident field serves its own fragments consistently")
     }
 
-    /// Opens a reader restored to a previously saved [`ReaderProgress`]
-    /// (from [`FieldReader::progress`]) by deterministically replaying the
-    /// recorded fetches against this archive. The resumed reader's
-    /// reconstruction, guaranteed bound and cumulative byte accounting match
-    /// the original reader's state exactly.
-    pub fn reader_resumed(&self, progress: &ReaderProgress) -> Result<FieldReader> {
-        let mut reader = self.reader();
-        reader.restore(progress)?;
-        Ok(reader)
-    }
-
     /// Serializes the archive artifact into the fragment-addressed
     /// container format (a single-field archive — see [`crate::fragstore`]
     /// for the layout).
@@ -346,8 +335,8 @@ const MAX_RECORDED_FETCHED: u64 = 1 << 48;
 /// Maintains the current reconstruction, the guaranteed L∞ bound, and the
 /// cumulative number of fetched bytes. Every byte enters through the
 /// [`FragmentSource`] the reader **owns a shared handle to** — a resident
-/// dataset, a serialized buffer, a file read by ranges, or a (simulated)
-/// remote store all drive this same code path. Readers carry no borrows,
+/// dataset, a serialized buffer, a file read by ranges, or a cached
+/// source all drive this same code path. Readers carry no borrows,
 /// so sessions built on them can move across threads and outlive the scope
 /// that opened them.
 ///

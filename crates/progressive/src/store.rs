@@ -1072,22 +1072,6 @@ impl FieldView {
         !self.store.can_improve(self.field, self.snap.bound)
     }
 
-    /// The fragments [`FieldView::refine_to`]`(eb)` would have the store
-    /// fetch, in consume order, without fetching: the resident master's
-    /// front. A demoted field plans nothing — its replay is not a front.
-    pub(crate) fn plan_refine_to(&self, eb: f64) -> Vec<u32> {
-        if eb.is_nan() || eb < 0.0 || self.snap.bound <= eb {
-            return Vec::new();
-        }
-        let g = self.store.fields[self.field]
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        match &g.state {
-            MasterState::Resident { reader } => reader.plan_refine_to(eb),
-            MasterState::Demoted(_) => Vec::new(),
-        }
-    }
-
     /// Refines to bound `eb` through the store, which advances its master
     /// only past what any previous request reached: the view pays at most
     /// the delta, and nothing when the store is already this deep. Returns

@@ -11,7 +11,7 @@ use pqr_progressive::field::Dataset;
 use pqr_progressive::fragstore::{
     FragmentId, FragmentSource, InMemorySource, Manifest, SourceStats,
 };
-use pqr_progressive::plan::{PlanExecutor, PlanReport, RetrievalPlan};
+use pqr_progressive::plan::{PlanReport, RetrievalPlan};
 use pqr_progressive::refactored::{FieldReader, Scheme};
 use pqr_progressive::store::ProgressStore;
 use pqr_qoi::QoiExpr;
@@ -149,7 +149,7 @@ fn reader_stays_certified_and_replayable_across_a_failed_front() {
 fn execute(engine: &mut RetrievalEngine, tol_abs: f64) -> Result<PlanReport> {
     let spec = QoiSpec::absolute("x2", QoiExpr::var(0).pow(2), tol_abs);
     let plan = RetrievalPlan::resolve(engine, vec![spec], None)?;
-    PlanExecutor::new(engine).execute(&plan)
+    engine.execute(&plan)
 }
 
 /// `satisfied ⇒ max|truth − derived| ≤ max_est_error` on the engine's

@@ -39,11 +39,6 @@ impl<T> Reply<T> {
             Reply::Busy { reason, .. } => panic!("{ctx}: unexpectedly shed ({reason})"),
         }
     }
-
-    /// True when the reply is a shed.
-    pub fn is_busy(&self) -> bool {
-        matches!(self, Reply::Busy { .. })
-    }
 }
 
 /// One target row of a [`RemoteReport`] (the wire projection of

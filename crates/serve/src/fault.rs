@@ -1,5 +1,5 @@
 //! Fault injection for the serving stack: a byte-stream wrapper that
-//! truncates, delays, shortens or severs traffic, and a fragment-source
+//! truncates, shortens or severs traffic, and a fragment-source
 //! wrapper that fails or slows fetches on demand.
 //!
 //! The server's robustness claims — truncated frames produce clean error
@@ -33,8 +33,6 @@ pub struct FaultyStream<S> {
     reads_before_disconnect: Option<u64>,
     /// Cap on bytes returned per read call (exercises `read_exact` loops).
     max_read_chunk: Option<usize>,
-    /// Sleep before every write (slow-writer simulation).
-    write_delay: Option<Duration>,
     reads_done: u64,
     truncated: bool,
 }
@@ -47,7 +45,6 @@ impl<S> FaultyStream<S> {
             write_budget: None,
             reads_before_disconnect: None,
             max_read_chunk: None,
-            write_delay: None,
             reads_done: 0,
             truncated: false,
         }
@@ -69,12 +66,6 @@ impl<S> FaultyStream<S> {
     /// Returns at most `n` bytes per read call.
     pub fn short_reads(mut self, n: usize) -> Self {
         self.max_read_chunk = Some(n.max(1));
-        self
-    }
-
-    /// Sleeps before every write.
-    pub fn delay_writes(mut self, d: Duration) -> Self {
-        self.write_delay = Some(d);
         self
     }
 
@@ -107,9 +98,6 @@ impl<S: Read> Read for FaultyStream<S> {
 
 impl<S: Write> Write for FaultyStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if let Some(d) = self.write_delay {
-            std::thread::sleep(d);
-        }
         match &mut self.write_budget {
             None => self.inner.write(buf),
             Some(budget) => {

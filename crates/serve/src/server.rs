@@ -487,12 +487,6 @@ impl Server {
         full_snapshot(&self.shared.stats, &self.shared.registry)
     }
 
-    /// True once a shutdown has been requested (locally or by a client's
-    /// `shutdown` frame).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
-    }
-
     /// Requests shutdown and joins the accept loop and workers. In-flight
     /// connections finish their current frame; queued connections drain.
     pub fn shutdown(mut self) -> StatsSnapshot {

@@ -1,4 +1,4 @@
-//! # pqr-transfer — remote storage + wide-area transfer simulation
+//! # pqr-transfer — wide-area transfer simulation + frame codec
 //!
 //! §VI-D of the paper measures end-to-end retrieval of the GE-large dataset
 //! from MCC (Kentucky) to Anvil (Purdue) over Globus with 96 cores, one
@@ -8,7 +8,12 @@
 //! * **real**: the refactored representations, the QoI retrieval engine that
 //!   decides *how many bytes* each block needs (the paper's claim is a
 //!   bytes-moved argument), and the per-block retrieval compute time
-//!   (measured wall clock).
+//!   (measured wall clock). Each block is any
+//!   [`FragmentSource`](pqr_progressive::fragstore::FragmentSource): a
+//!   resident dataset, a serialized container, or either behind a
+//!   [`CachedSource`](pqr_progressive::fragstore::CachedSource), whose
+//!   [`SourceStats`](pqr_progressive::fragstore::SourceStats) count the
+//!   round trips and cache hits a remote store would see.
 //! * **simulated**: the pipe. [`NetworkModel`] charges
 //!   `latency + requests·overhead + bytes/bandwidth`, calibrated to the
 //!   paper's own measurement (4.67 GB of raw data in ≈11.7 s ⇒ ≈3.2 Gb/s
@@ -17,13 +22,12 @@
 //! The [`pipeline`] module runs one retrieval per block on a worker pool
 //! (dynamic scheduling over `pqr_util::par` scoped threads) and reports
 //! the same decomposition as Fig. 9: retrieval time + transfer time vs the
-//! raw-data baseline.
+//! raw-data baseline. The [`wire`] module is the length-prefixed frame
+//! codec `pqr-serve` speaks.
 
 pub mod network;
 pub mod pipeline;
-pub mod store;
 pub mod wire;
 
 pub use network::NetworkModel;
 pub use pipeline::{run_pipeline, BlockResult, PipelineConfig, PipelineResult};
-pub use store::{FetchCounters, RemoteBlockSource, RemoteStore};

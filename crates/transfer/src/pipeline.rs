@@ -10,11 +10,12 @@
 //! ```
 
 use crate::network::NetworkModel;
-use crate::store::RemoteStore;
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
+use pqr_progressive::fragstore::FragmentSource;
 use pqr_util::error::Result;
 use pqr_util::par::par_dynamic;
 use pqr_util::timer::Stopwatch;
+use std::sync::Arc;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy)]
@@ -113,17 +114,23 @@ impl PipelineResult {
     }
 }
 
-/// Runs the QoI-preserving retrieval on every block of the store and
-/// charges the fetched bytes to the simulated network.
+/// Runs the QoI-preserving retrieval on every block and charges the
+/// fetched bytes to the simulated network.
 ///
-/// `specs_for_block` produces the QoI requests for a given block index
-/// (ranges differ per block, so specs are per-block).
+/// Each block is a [`FragmentSource`] — a resident dataset, or one wrapped
+/// in a [`CachedSource`](pqr_progressive::fragstore::CachedSource) to
+/// model a retrieval-side fragment cache; the engine refines through it on
+/// the same code path as local and file-backed archives, so the source's
+/// own [`SourceStats`](pqr_progressive::fragstore::SourceStats) count the
+/// round trips and cache hits. `specs_for_block` produces the QoI requests
+/// for a given block index (ranges differ per block, so specs are
+/// per-block).
 pub fn run_pipeline(
-    store: &std::sync::Arc<RemoteStore>,
+    blocks: &[Arc<dyn FragmentSource>],
     cfg: &PipelineConfig,
     specs_for_block: impl Fn(usize) -> Vec<QoiSpec> + Sync,
 ) -> Result<PipelineResult> {
-    let nblocks = store.num_blocks();
+    let nblocks = blocks.len();
     // Run at most one thread per physical core: oversubscribing (96 logical
     // workers on a laptop) would contaminate the per-block wall times that
     // makespan_secs() reconstructs from. Fetched bytes are independent of
@@ -132,13 +139,8 @@ pub fn run_pipeline(
     let sw = Stopwatch::started();
     let blocks: Vec<BlockResult> = par_dynamic(nblocks, threads, |i| {
         let t0 = std::time::Instant::now();
-        // the engine refines through the store's fragment source — the
-        // same code path as local and file-backed archives — so every
-        // fetched fragment lands in the store's network/cache tallies
-        let source = store.block_source(i).expect("block index in range");
         let specs = specs_for_block(i);
-        let mut engine = match RetrievalEngine::from_source(std::sync::Arc::new(source), cfg.engine)
-        {
+        let mut engine = match RetrievalEngine::from_source(Arc::clone(&blocks[i]), cfg.engine) {
             Ok(e) => e,
             Err(_) => return BlockResult::default(),
         };
@@ -158,10 +160,10 @@ pub fn run_pipeline(
     // The wire model charges per-request overhead per *block*, not per
     // fragment: a block's fragment fetches are decided in one retrieval
     // pass and ride one pipelined bulk request, Globus-style (the paper's
-    // §VI-D setup). `FetchCounters` tallies finer-grained store-side
-    // round-trips (`requests`) and fragments (`misses()`) — engines batch
-    // each refinement round through `read_many`, so `requests` sits
-    // between the block count and the fragment count.
+    // §VI-D setup). A source's `SourceStats::read_ops` counts the finer
+    // source-side round trips — engines batch each refinement round
+    // through `read_many`, so it sits between the block count and the
+    // fragment count.
     let transfer_secs = cfg.network.transfer_secs(total_bytes, nblocks);
     Ok(PipelineResult {
         blocks,
@@ -171,33 +173,37 @@ pub fn run_pipeline(
     })
 }
 
-/// The Fig. 9 baseline: moving the raw (uncompressed) involved fields.
-pub fn baseline_transfer_secs(store: &RemoteStore, cfg: &PipelineConfig, fields: usize) -> f64 {
-    let total_fields: usize = store.block(0).map(|b| b.num_fields()).unwrap_or(1).max(1);
-    let bytes = store.raw_bytes() * fields / total_fields;
-    cfg.network.transfer_secs(bytes, store.num_blocks())
+/// The Fig. 9 baseline: moving `fields` of each block's raw
+/// (uncompressed) fields, sized from the block manifests.
+pub fn baseline_transfer_secs(
+    blocks: &[Arc<dyn FragmentSource>],
+    cfg: &PipelineConfig,
+    fields: usize,
+) -> Result<f64> {
+    let mut bytes = 0;
+    for block in blocks {
+        let m = block.manifest()?;
+        bytes += m.raw_bytes() * fields / m.num_fields().max(1);
+    }
+    Ok(cfg.network.transfer_secs(bytes, blocks.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pqr_datagen::ge::{self, GeConfig};
-    use pqr_progressive::field::Dataset;
+    use pqr_progressive::field::{Dataset, RefactoredDataset};
+    use pqr_progressive::fragstore::{CachedSource, FragmentCache, InMemorySource, SourceStats};
     use pqr_progressive::refactored::Scheme;
     use pqr_qoi::library::velocity_magnitude;
 
-    /// Builds a small GE-large-like store: per-block refactored velocity
-    /// fields plus per-block VTOT ranges.
-    fn build_store(blocks: usize, scheme: Scheme) -> (std::sync::Arc<RemoteStore>, Vec<f64>) {
-        let (store, ranges) = build_store_sized(blocks, scheme, 500);
-        (std::sync::Arc::new(store), ranges)
-    }
-
-    fn build_store_sized(
+    /// Builds small GE-large-like blocks: per-block refactored velocity
+    /// fields with their zero mask, plus per-block VTOT ranges.
+    fn build_blocks(
         blocks: usize,
         scheme: Scheme,
         mean_block_len: usize,
-    ) -> (RemoteStore, Vec<f64>) {
+    ) -> (Vec<RefactoredDataset>, Vec<f64>) {
         let cfg = GeConfig {
             blocks,
             mean_block_len,
@@ -206,7 +212,7 @@ mod tests {
         };
         let raw = ge::generate(&cfg);
         let mut ranges = Vec::with_capacity(blocks);
-        let refactored: Vec<_> = raw
+        let refactored = raw
             .iter()
             .map(|b| {
                 let mut ds = Dataset::new(&b.dims);
@@ -221,115 +227,111 @@ mod tests {
                 rd
             })
             .collect();
-        (RemoteStore::new(refactored), ranges)
+        (refactored, ranges)
+    }
+
+    /// Each block served from its serialized container, so every source
+    /// tallies its fetches, bytes and round trips.
+    fn in_memory(blocks: &[RefactoredDataset]) -> Vec<Arc<dyn FragmentSource>> {
+        blocks
+            .iter()
+            .map(|b| {
+                Arc::new(InMemorySource::new(b.to_bytes()).unwrap()) as Arc<dyn FragmentSource>
+            })
+            .collect()
+    }
+
+    /// The sum of every block source's tallies.
+    fn total_stats(sources: &[Arc<dyn FragmentSource>]) -> SourceStats {
+        sources.iter().map(|s| s.stats()).sum()
     }
 
     /// Engine-counted bytes that never ride the fragment path: the mask is
     /// manifest metadata, charged by the engine but not fetched by id.
-    fn mask_bytes(store: &RemoteStore) -> usize {
-        (0..store.num_blocks())
-            .map(|i| {
-                store
-                    .block(i)
-                    .unwrap()
-                    .mask()
-                    .map_or(0, |m| m.storage_bytes())
-            })
+    fn mask_bytes(blocks: &[RefactoredDataset]) -> usize {
+        blocks
+            .iter()
+            .map(|b| b.mask().map_or(0, |m| m.storage_bytes()))
             .sum()
+    }
+
+    /// One VTOT target per block at relative tolerance `tol`.
+    fn vtot(ranges: &[f64], tol: f64) -> impl Fn(usize) -> Vec<QoiSpec> + Sync + '_ {
+        move |i| {
+            vec![QoiSpec::with_range(
+                "VTOT",
+                velocity_magnitude(0, 3),
+                tol,
+                ranges[i],
+            )]
+        }
+    }
+
+    fn with_workers(workers: usize) -> PipelineConfig {
+        PipelineConfig {
+            workers,
+            ..Default::default()
+        }
     }
 
     #[test]
     fn pipeline_meets_tolerances_and_counts_bytes() {
-        let (store, ranges) = build_store(8, Scheme::PmgardHb);
-        let cfg = PipelineConfig {
-            workers: 4,
-            ..Default::default()
-        };
-        let result = run_pipeline(&store, &cfg, |i| {
-            vec![QoiSpec::with_range(
-                "VTOT",
-                velocity_magnitude(0, 3),
-                1e-3,
-                ranges[i],
-            )]
-        })
-        .unwrap();
+        let (blocks, ranges) = build_blocks(8, Scheme::PmgardHb, 500);
+        let sources = in_memory(&blocks);
+        let result = run_pipeline(&sources, &with_workers(4), vtot(&ranges, 1e-3)).unwrap();
         assert!(result.all_satisfied());
         assert_eq!(result.blocks.len(), 8);
-        // every non-mask byte the engines counted went through the store's
-        // fragment path; batched rounds keep round-trips well below the
+        // every non-mask byte the engines counted went through the block
+        // sources; batched rounds keep round trips well below the
         // per-fragment count but above one per block (metadata + rounds)
-        let c = store.counters();
-        assert_eq!(result.total_bytes, c.bytes as usize + mask_bytes(&store));
+        let c = total_stats(&sources);
+        assert_eq!(
+            result.total_bytes,
+            c.fetched_bytes as usize + mask_bytes(&blocks)
+        );
         assert!(
-            c.requests as usize > store.num_blocks(),
+            c.read_ops as usize > blocks.len(),
             "metadata + round batches"
         );
         assert!(
-            c.requests < c.fragments,
-            "batching must collapse round-trips below fragment count"
+            c.read_ops < c.fetches,
+            "batching must collapse round trips below fragment count"
         );
-        assert_eq!(c.hits(), 0, "no cache attached");
+        assert_eq!(c.cache_hits, 0, "no cache attached");
         assert!(result.transfer_secs > 0.0);
         assert!(result.total_secs() >= result.transfer_secs);
     }
 
     #[test]
-    fn cached_store_turns_refetches_into_hits() {
-        let (store, ranges) = build_store_sized(4, Scheme::PmgardHb, 500);
-        let store = std::sync::Arc::new(store.with_cache(64 << 20));
-        let cfg = PipelineConfig {
-            workers: 2,
-            ..Default::default()
-        };
-        let specs = |i: usize| {
-            vec![QoiSpec::with_range(
-                "VTOT",
-                velocity_magnitude(0, 3),
-                1e-3,
-                ranges[i],
-            )]
-        };
-        let first = run_pipeline(&store, &cfg, specs).unwrap();
-        let cold = store.counters();
-        assert_eq!(cold.hits(), 0);
+    fn cached_sources_turn_refetches_into_hits() {
+        let (blocks, ranges) = build_blocks(4, Scheme::PmgardHb, 500);
+        let cache = Arc::new(FragmentCache::new(64 << 20));
+        let sources: Vec<Arc<dyn FragmentSource>> = blocks
+            .into_iter()
+            .map(|b| Arc::new(CachedSource::new(b, Arc::clone(&cache))) as Arc<dyn FragmentSource>)
+            .collect();
+        let first = run_pipeline(&sources, &with_workers(2), vtot(&ranges, 1e-3)).unwrap();
+        let cold = total_stats(&sources);
+        assert_eq!(cold.cache_hits, 0);
 
         // the same request series again: fresh engines, warm cache — the
-        // wire moves nothing new
-        let second = run_pipeline(&store, &cfg, specs).unwrap();
-        let warm = store.counters();
+        // backends serve nothing new
+        let second = run_pipeline(&sources, &with_workers(2), vtot(&ranges, 1e-3)).unwrap();
+        let warm = total_stats(&sources).since(&cold);
         assert_eq!(second.total_bytes, first.total_bytes);
-        assert_eq!(warm.bytes, cold.bytes, "no new network bytes");
-        assert_eq!(warm.misses(), cold.misses());
-        assert!(warm.hits() >= cold.misses(), "every refetch should hit");
+        assert_eq!(warm.cache_misses, 0, "no new backend fetches");
+        assert!(
+            warm.cache_hits >= cold.cache_misses,
+            "every refetch should hit"
+        );
     }
 
     #[test]
     fn tighter_tolerance_more_bytes_more_time() {
-        let (store, ranges) = build_store(6, Scheme::PmgardHb);
-        let cfg = PipelineConfig {
-            workers: 3,
-            ..Default::default()
-        };
-        let loose = run_pipeline(&store, &cfg, |i| {
-            vec![QoiSpec::with_range(
-                "VTOT",
-                velocity_magnitude(0, 3),
-                1e-1,
-                ranges[i],
-            )]
-        })
-        .unwrap();
-        store.reset_counters();
-        let tight = run_pipeline(&store, &cfg, |i| {
-            vec![QoiSpec::with_range(
-                "VTOT",
-                velocity_magnitude(0, 3),
-                1e-5,
-                ranges[i],
-            )]
-        })
-        .unwrap();
+        let (blocks, ranges) = build_blocks(6, Scheme::PmgardHb, 500);
+        let sources = in_memory(&blocks);
+        let loose = run_pipeline(&sources, &with_workers(3), vtot(&ranges, 1e-1)).unwrap();
+        let tight = run_pipeline(&sources, &with_workers(3), vtot(&ranges, 1e-5)).unwrap();
         assert!(tight.total_bytes > loose.total_bytes);
         assert!(tight.transfer_secs > loose.transfer_secs);
     }
@@ -341,31 +343,23 @@ mod tests {
         // blocks here are bigger than the other tests' and the assertion is
         // a plain byte/time win (the 2× factor is exercised by the fig9
         // harness at realistic sizes).
-        let (store, ranges) = build_store_sized(6, Scheme::PmgardHb, 4000);
-        let store = std::sync::Arc::new(store);
+        let (blocks, ranges) = build_blocks(6, Scheme::PmgardHb, 4000);
+        let sources = in_memory(&blocks);
         let cfg = PipelineConfig {
             workers: 4,
             network: crate::NetworkModel::wan_slow(),
             ..Default::default()
         };
-        let result = run_pipeline(&store, &cfg, |i| {
-            vec![QoiSpec::with_range(
-                "VTOT",
-                velocity_magnitude(0, 3),
-                1e-5,
-                ranges[i],
-            )]
-        })
-        .unwrap();
+        let result = run_pipeline(&sources, &cfg, vtot(&ranges, 1e-5)).unwrap();
         assert!(result.all_satisfied());
-        let raw = store.raw_bytes();
+        let raw: usize = blocks.iter().map(|b| b.raw_bytes()).sum();
         assert!(
             result.total_bytes < raw,
             "progressive {} B !< raw {} B",
             result.total_bytes,
             raw
         );
-        let baseline = baseline_transfer_secs(&store, &cfg, 3);
+        let baseline = baseline_transfer_secs(&sources, &cfg, 3).unwrap();
         assert!(
             result.transfer_secs < baseline,
             "progressive {} s !< baseline {} s",
@@ -376,20 +370,9 @@ mod tests {
 
     #[test]
     fn makespan_reconstruction_sane() {
-        let (store, ranges) = build_store(8, Scheme::PmgardHb);
-        let cfg = PipelineConfig {
-            workers: 2,
-            ..Default::default()
-        };
-        let result = run_pipeline(&store, &cfg, |i| {
-            vec![QoiSpec::with_range(
-                "VTOT",
-                velocity_magnitude(0, 3),
-                1e-3,
-                ranges[i],
-            )]
-        })
-        .unwrap();
+        let (blocks, ranges) = build_blocks(8, Scheme::PmgardHb, 500);
+        let result =
+            run_pipeline(&in_memory(&blocks), &with_workers(2), vtot(&ranges, 1e-3)).unwrap();
         let sum: f64 = result.blocks.iter().map(|b| b.secs).sum();
         let max: f64 = result.blocks.iter().map(|b| b.secs).fold(0.0, f64::max);
         // one worker per block → makespan = slowest block
@@ -406,46 +389,28 @@ mod tests {
     #[test]
     fn pipeline_works_over_pzfp_blocks() {
         // the representation extension slots into the distributed path too
-        let (store, ranges) = build_store(6, Scheme::Pzfp);
-        let cfg = PipelineConfig {
-            workers: 3,
-            ..Default::default()
-        };
-        let result = run_pipeline(&store, &cfg, |i| {
-            vec![QoiSpec::with_range(
-                "VTOT",
-                velocity_magnitude(0, 3),
-                1e-3,
-                ranges[i],
-            )]
-        })
-        .unwrap();
+        let (blocks, ranges) = build_blocks(6, Scheme::Pzfp, 500);
+        let sources = in_memory(&blocks);
+        let result = run_pipeline(&sources, &with_workers(3), vtot(&ranges, 1e-3)).unwrap();
         assert!(result.all_satisfied());
         assert_eq!(
             result.total_bytes,
-            store.counters().bytes as usize + mask_bytes(&store)
+            total_stats(&sources).fetched_bytes as usize + mask_bytes(&blocks)
         );
         // still far below moving the raw blocks
-        assert!(result.total_bytes < store.raw_bytes() / 2);
+        let raw: usize = blocks.iter().map(|b| b.raw_bytes()).sum();
+        assert!(result.total_bytes < raw / 2);
     }
 
     #[test]
     fn worker_count_does_not_change_bytes() {
-        let (store, ranges) = build_store(6, Scheme::Psz3Delta);
+        let (blocks, ranges) = build_blocks(6, Scheme::Psz3Delta, 500);
         let run = |workers| {
-            store.reset_counters();
-            let cfg = PipelineConfig {
-                workers,
-                ..Default::default()
-            };
-            run_pipeline(&store, &cfg, |i| {
-                vec![QoiSpec::with_range(
-                    "VTOT",
-                    velocity_magnitude(0, 3),
-                    1e-4,
-                    ranges[i],
-                )]
-            })
+            run_pipeline(
+                &in_memory(&blocks),
+                &with_workers(workers),
+                vtot(&ranges, 1e-4),
+            )
             .unwrap()
             .total_bytes
         };

@@ -110,17 +110,6 @@ pub fn io_err(e: std::io::Error) -> PqrError {
     PqrError::CorruptStream(format!("io: {e} (kind {:?})", e.kind()))
 }
 
-/// True when the error wraps a socket-timeout io failure — the handler
-/// loop uses this to keep polling an idle-but-alive connection instead of
-/// dropping it.
-pub fn is_timeout(e: &PqrError) -> bool {
-    matches!(
-        e,
-        PqrError::CorruptStream(m)
-            if m.contains("kind WouldBlock") || m.contains("kind TimedOut")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

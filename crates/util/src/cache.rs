@@ -94,11 +94,6 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         }
     }
 
-    /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> usize {
-        self.cap_bytes
-    }
-
     fn lock(&self) -> MutexGuard<'_, Inner<K>> {
         // a panicking holder never leaves Inner half-updated (no unwinding
         // calls between field writes), so poisoning is recoverable

@@ -33,6 +33,7 @@
 /// and `Eq`, and has:
 /// - `NAMES`/`LEN`: the field names in declaration order, and their count;
 /// - `since(&before)`: the field-by-field saturating delta;
+/// - `Sum`: the field-by-field total of several snapshots;
 /// - `words()`/`from_words(next)`: the fields as `[u64; LEN]` in
 ///   declaration order, and back from a reader of such words — the one
 ///   order every wire codec uses.
@@ -74,6 +75,12 @@ macro_rules! tally {
             ) -> ::core::result::Result<Self, E> {
                 // struct-expression fields evaluate in the order written
                 Ok(Self { $( $field: next()?, )* })
+            }
+        }
+
+        impl ::core::iter::Sum for $name {
+            fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+                iter.fold(Self::default(), |a, b| Self { $( $field: a.$field + b.$field, )* })
             }
         }
 
@@ -136,6 +143,25 @@ mod tests {
             }
         );
         assert_eq!(before.since(&Three::default()), before);
+    }
+
+    #[test]
+    fn sum_adds_per_field() {
+        let one = Three {
+            alpha: 1,
+            beta: 2,
+            gamma: 3,
+        };
+        let total: Three = [one, one, Three::default()].into_iter().sum();
+        assert_eq!(
+            total,
+            Three {
+                alpha: 2,
+                beta: 4,
+                gamma: 6
+            }
+        );
+        assert_eq!(std::iter::empty::<Three>().sum::<Three>(), Three::default());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Remote retrieval: the §VI-D Globus experiment in miniature.
 //!
-//! 96 blocks of GE-large-like data rest in a remote store; 96 workers run
-//! QoI-preserving retrieval (VTOT at a chosen tolerance) and the fetched
-//! bytes ride a simulated MCC→Anvil pipe. Compare against shipping the raw
-//! fields.
+//! 96 blocks of GE-large-like data rest in a store behind one shared
+//! retrieval-side fragment cache; 96 workers run QoI-preserving retrieval
+//! (VTOT at a chosen tolerance) and the fetched bytes ride a simulated
+//! MCC→Anvil pipe. Compare against shipping the raw fields.
 //!
 //! ```sh
 //! cargo run --release --example remote_transfer
@@ -12,6 +12,7 @@
 use pqr::datagen::ge::{self, GeConfig};
 use pqr::prelude::*;
 use pqr::transfer::pipeline::baseline_transfer_secs;
+use std::sync::Arc;
 
 fn main() -> Result<()> {
     // scaled-down GE-large: 96 blocks (full scale via GeConfig::large_paper())
@@ -31,10 +32,14 @@ fn main() -> Result<()> {
     };
 
     // archive the three velocity fields per block (the paper's 3-variable,
-    // 4.67 GB transfer subset), with the wall mask
+    // 4.67 GB transfer subset), with the wall mask, each block behind the
+    // one retrieval-side fragment cache: progressive request series
+    // re-touch the fragments earlier tolerances already moved
     let vel = ["VelocityX", "VelocityY", "VelocityZ"];
+    let cache = Arc::new(FragmentCache::new(256 << 20));
     let mut ranges = Vec::new();
-    let refactored: Vec<RefactoredDataset> = raw_blocks
+    let mut raw_bytes = 0;
+    let blocks: Vec<Arc<dyn FragmentSource>> = raw_blocks
         .iter()
         .map(|b| {
             let mut ds = Dataset::new(&b.dims);
@@ -44,34 +49,33 @@ fn main() -> Result<()> {
             ranges.push(ds.qoi_range(&velocity_magnitude(0, 3)).unwrap());
             let mut rd = ds.refactor(Scheme::PmgardHb).unwrap();
             rd.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
-            rd
+            raw_bytes += rd.raw_bytes();
+            Arc::new(CachedSource::new(rd, Arc::clone(&cache))) as Arc<dyn FragmentSource>
         })
         .collect();
-    // retrieval-side fragment cache: progressive request series re-touch
-    // the fragments earlier tolerances already moved
-    let store = std::sync::Arc::new(RemoteStore::new(refactored).with_cache(256 << 20));
+    let stats = || -> SourceStats { blocks.iter().map(|b| b.stats()).sum() };
 
     let cfg = PipelineConfig {
         workers: 96,
         network,
         ..Default::default()
     };
-    let baseline = baseline_transfer_secs(&store, &cfg, 3);
+    let baseline = baseline_transfer_secs(&blocks, &cfg, 3)?;
     println!(
         "baseline (raw {} MB): {:.2} s\n",
-        store.raw_bytes() / 1_000_000,
+        raw_bytes / 1_000_000,
         baseline
     );
 
     println!(
-        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "tol", "bytes", "retrieval s", "transfer s", "wire speedup", "hits", "misses"
+        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
+        "tol", "bytes", "retrieval s", "transfer s", "wire speedup", "hits", "misses", "trips"
     );
     let mut prev_hits = 0u64;
     for i in 1..=5 {
         let tol = 10f64.powi(-i);
-        store.reset_counters();
-        let result = run_pipeline(&store, &cfg, |b| {
+        let before = stats();
+        let result = run_pipeline(&blocks, &cfg, |b| {
             vec![QoiSpec::with_range(
                 "VTOT",
                 velocity_magnitude(0, 3),
@@ -80,66 +84,44 @@ fn main() -> Result<()> {
             )]
         })?;
         assert!(result.all_satisfied());
-        let c = store.counters();
+        let c = stats().since(&before);
         // every fresh engine re-walks the fragments earlier tolerances
         // already moved; past the first arm the warm cache must serve them
         if i == 1 {
-            assert_eq!(c.hits(), 0, "cold cache cannot hit");
+            assert_eq!(c.cache_hits, 0, "cold cache cannot hit");
+            // fetching fragment by fragment would pay one round trip per
+            // fragment; batched execution ships each refinement round's
+            // misses in one `read_many`
+            assert!(
+                c.read_ops < c.cache_misses,
+                "batched {} round trips !< {} fragments",
+                c.read_ops,
+                c.cache_misses
+            );
         } else {
             assert!(
-                c.hits() > prev_hits / 2,
+                c.cache_hits > prev_hits / 2,
                 "warm cache should absorb refetches (hits {}, misses {})",
-                c.hits(),
-                c.misses()
+                c.cache_hits,
+                c.cache_misses
             );
         }
-        assert!(c.misses() > 0, "tighter arms always move new fragments");
-        prev_hits = c.hits().max(prev_hits);
+        assert!(c.cache_misses > 0, "tighter arms always move new fragments");
+        prev_hits = c.cache_hits.max(prev_hits);
         println!(
-            "{:>10.0e} {:>12} {:>12.3} {:>12.3} {:>11.2}x {:>8} {:>8}",
+            "{:>10.0e} {:>12} {:>12.3} {:>12.3} {:>11.2}x {:>8} {:>8} {:>8}",
             tol,
             result.total_bytes,
             result.retrieval_secs,
             result.transfer_secs,
             baseline / result.transfer_secs,
-            c.hits(),
-            c.misses()
+            c.cache_hits,
+            c.cache_misses,
+            c.read_ops
         );
     }
     println!(
-        "\n(wire speedup = simulated transfer vs the raw baseline; hits are\n fragment fetches the LRU cache kept off the wire; the paper's 2.02×\n at τ=1e-5 includes retrieval compute at 4.67 GB scale — run `repro fig9`\n in pqr-bench for the full Fig. 9 reproduction)"
-    );
-
-    // --- wire round-trips of batched execution ---------------------------
-    // One block, one tolerance, a cold uncached store: fetching fragment
-    // by fragment would pay one round-trip per fragment, while batched
-    // execution ships each refinement round's whole schedule in one
-    // `read_many` round-trip.
-    let probe = std::sync::Arc::new(RemoteStore::new(vec![store.block(0)?.clone()]));
-    let probe_spec = vec![QoiSpec::with_range(
-        "VTOT",
-        velocity_magnitude(0, 3),
-        1e-4,
-        ranges[0],
-    )];
-    let mut engine = RetrievalEngine::from_source(
-        std::sync::Arc::new(probe.block_source(0)?),
-        EngineConfig::default(),
-    )?;
-    let report = engine.retrieve(&probe_spec)?;
-    assert!(report.satisfied);
-    let batched: FetchCounters = probe.counters();
-    assert!(
-        batched.round_trips() < batched.misses(),
-        "batched {} round-trips !< {} fragments",
-        batched.round_trips(),
-        batched.misses()
-    );
-    println!(
-        "\nround-trips for one block at τ=1e-4: {} for {} fragments ({} B)",
-        batched.round_trips(),
-        batched.misses(),
-        batched.bytes
+        "\n(wire speedup = simulated transfer vs the raw baseline; hits are\n fragment fetches the LRU cache kept off the wire; trips are batched\n round trips to the blocks; the paper's 2.02× at τ=1e-5 includes\n retrieval compute at 4.67 GB scale — run `repro fig9` in pqr-bench for\n the full Fig. 9 reproduction)"
     );
     Ok(())
 }

@@ -1,10 +1,9 @@
 //! The storage-layer acceptance test: partial retrieval must be partial in
 //! *bytes actually read*, not just bytes counted, and every backend —
-//! resident, serialized in-memory, file-backed, simulated-remote — must
+//! resident, serialized in-memory, file-backed, LRU-cached — must
 //! drive the one `FragmentSource` code path to identical results.
 
 use pqr::prelude::*;
-use pqr::transfer::store::RemoteStore;
 
 fn velocity_archive(n: usize) -> Archive {
     let vx: Vec<f64> = (0..n)
@@ -84,8 +83,8 @@ fn tighter_tolerances_read_more_disk_bytes_incrementally() {
 }
 
 /// All four backends — resident dataset, in-memory container, file-backed
-/// source, and the transfer crate's remote store — produce identical
-/// retrievals through the single engine code path.
+/// source, and a cached file — produce identical retrievals through the
+/// single engine code path.
 #[test]
 fn all_backends_share_one_code_path() {
     let n = 6_000;
@@ -133,15 +132,12 @@ fn all_backends_share_one_code_path() {
         FileSource::open(&path).unwrap(),
         std::sync::Arc::new(FragmentCache::new(1 << 20)),
     );
-    let store = std::sync::Arc::new(RemoteStore::new(vec![resident.clone()]));
-    let remote = store.block_source(0).unwrap();
 
     let base = run(std::sync::Arc::new(resident.clone()));
     for (label, got) in [
         ("in-memory", run(std::sync::Arc::new(mem))),
         ("file-backed", run(std::sync::Arc::new(file))),
         ("cached file", run(std::sync::Arc::new(cached))),
-        ("remote store", run(std::sync::Arc::new(remote))),
     ] {
         assert!(
             base.0 == got.0 && base.1 == got.1,
@@ -149,7 +145,5 @@ fn all_backends_share_one_code_path() {
         );
         assert_eq!(base.2, got.2, "{label}: byte accounting drifted");
     }
-    // the remote store tallied real per-fragment traffic
-    assert!(store.counters().requests > 0);
     std::fs::remove_file(&path).ok();
 }
