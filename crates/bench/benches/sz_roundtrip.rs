@@ -44,6 +44,24 @@ fn bench_decompress(c: &mut Criterion) {
             b.iter(|| comp.decompress(&blob).unwrap())
         });
     }
+    // a 1-D walk has one axis; a volume runs the interpolation along every
+    // axis, rows of the outer axes included
+    let dims = [40, 56, 72];
+    let volume: Vec<f64> = (0..dims.iter().product())
+        .map(|i| {
+            let (x, y, z) = (i / (56 * 72), i / 72 % 56, i % 72);
+            let (x, y, z) = (x as f64 / 40.0, y as f64 / 56.0, z as f64 / 72.0);
+            (x * 5.0).sin() * (y * 3.0).cos() * 2.0 + (z * 9.0).sin() * 0.5 + x * y
+        })
+        .collect();
+    g.throughput(Throughput::Bytes((volume.len() * 8) as u64));
+    for eb in [1e-3, 1e-9] {
+        let blob = comp.compress(&volume, &dims, eb).unwrap();
+        let id = format!("3d_40x56x72/eb={eb:.0e}");
+        g.bench_function(BenchmarkId::from_parameter(id), |b| {
+            b.iter(|| comp.decompress(&blob).unwrap())
+        });
+    }
     g.finish();
 }
 

@@ -895,4 +895,37 @@ mod tests {
         assert_eq!(reader.refine_to(1e-2 * range).unwrap(), 0);
         assert_eq!(reader.recompose_passes(), passes);
     }
+
+    #[test]
+    fn hostile_sz_headers_fail_a_delta_refine() {
+        // a snapshot fragment is an SZ blob; a header its predictor walk
+        // cannot run on (no axis, a 4-D Lorenzo stream, extents whose
+        // product wraps to the symbol count) is an error, not a panic
+        let one = RefactoredField::refactor(Scheme::Psz3Delta, &[1.0], &[1]).unwrap();
+        let four =
+            RefactoredField::refactor(Scheme::Psz3Delta, &[1.0, 2.0, 4.0, 8.0], &[4]).unwrap();
+        // magic (4) version (1) predictor tag (1) radius (4) eb (8) nd (1),
+        // then one u64 per extent; tag 2 is Lorenzo
+        let rewrite = |field: &RefactoredField, tag: u8, extents: &[u64]| {
+            let blob = &field.frags[0].1;
+            let mut out = blob[..18].to_vec();
+            out[5] = tag;
+            out.push(extents.len() as u8);
+            extents
+                .iter()
+                .for_each(|d| out.extend_from_slice(&d.to_le_bytes()));
+            out.extend_from_slice(&blob[19 + 8 * usize::from(blob[18])..]);
+            out
+        };
+        for (field, hostile) in [
+            (&one, rewrite(&one, 0, &[])),
+            (&one, rewrite(&one, 2, &[])),
+            (&four, rewrite(&four, 2, &[1, 1, 1, 4])),
+            (&four, rewrite(&four, 0, &[(1 << 62) + 1, 4])),
+        ] {
+            let mut field = field.clone();
+            field.frags[0].1 = Arc::new(hostile);
+            assert!(field.reader().refine_to(0.0).is_err());
+        }
+    }
 }

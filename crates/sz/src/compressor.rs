@@ -3,7 +3,7 @@
 use crate::config::{Predictor, SzConfig};
 use crate::predictor::traverse;
 use crate::quantizer::{Quantized, Quantizer, ESCAPE};
-use pqr_util::byteio::{ByteReader, ByteWriter};
+use pqr_util::byteio::{self, ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::{huffman, rle};
 
@@ -50,6 +50,12 @@ impl SzCompressor {
         dims: &[usize],
         eb: f64,
     ) -> Result<(Vec<u8>, Vec<f64>)> {
+        if !self.cfg.predictor.supports_rank(dims.len()) {
+            return Err(PqrError::ShapeMismatch(format!(
+                "the {:?} predictor cannot walk dims {dims:?}",
+                self.cfg.predictor
+            )));
+        }
         let n: usize = dims.iter().product();
         if n != data.len() {
             return Err(PqrError::ShapeMismatch(format!(
@@ -125,11 +131,20 @@ impl SzCompressor {
         if !(eb.is_finite() && eb > 0.0) || radius < 2 {
             return Err(PqrError::CorruptStream("invalid header".into()));
         }
+        // the walk needs a rank it supports and an element count that fits:
+        // a wrapped product would pass the symbol count check below and
+        // send the walk out of bounds
         let nd = r.get_u8()? as usize;
+        if !predictor.supports_rank(nd) {
+            return Err(PqrError::CorruptStream(format!(
+                "{predictor:?} stream with {nd} dimensions"
+            )));
+        }
         let mut dims = Vec::with_capacity(nd);
         for _ in 0..nd {
             dims.push(r.get_u64()? as usize);
         }
+        byteio::check_dims(&dims)?;
         let n: usize = dims.iter().product();
         let packed = r.get_bytes()?;
         let escapes = r.get_f64_vec()?;
@@ -145,25 +160,20 @@ impl SzCompressor {
 
         let quant = Quantizer::new(eb, radius);
         let mut recon = vec![0.0f64; n];
-        let mut sym_it = symbols.iter();
-        let mut esc_it = escapes.iter();
+        // one symbol per point (checked above), in visit order
+        let mut at = 0;
+        let mut escaped = escapes.iter();
         let mut short = false;
         traverse(predictor, &dims, &mut recon, |_, pred| {
-            let Some(&s) = sym_it.next() else {
-                short = true;
-                return 0.0;
-            };
-            if s == ESCAPE {
-                match esc_it.next() {
-                    Some(&v) => v,
-                    None => {
-                        short = true;
-                        0.0
-                    }
-                }
-            } else {
-                quant.reconstruct(s, pred)
+            let s = symbols[at];
+            at += 1;
+            if s != ESCAPE {
+                return quant.reconstruct(s, pred);
             }
+            escaped.next().copied().unwrap_or_else(|| {
+                short = true;
+                0.0
+            })
         });
         if short {
             return Err(PqrError::CorruptStream("escape list truncated".into()));
@@ -358,12 +368,59 @@ mod tests {
     }
 
     #[test]
+    fn compressed_3d_bytes_match_the_recorded_hashes() {
+        // 64-bit FNV-1a of the blob for an integer-xorshift field (no libm
+        // call, so the same bits on every platform) on a shape with no
+        // power-of-two extent; recorded before the row-wise walk replaced
+        // the per-point odometer, so the walk's order and arithmetic are
+        // pinned in 3-D, where every axis is active at some stride
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let dims = [13usize, 22, 19];
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let data: Vec<f64> = (0..dims.iter().product::<usize>())
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.5
+                    + (i % 19) as f64
+                    + (i / 19 % 22) as f64 * 0.25
+            })
+            .collect();
+        let golden: [(SzConfig, f64, u64); 6] = [
+            (SzConfig::default(), 1e-2, 0x2136d589cfb88467),
+            (SzConfig::default(), 1e-7, 0x52bf275c58cfd174),
+            (SzConfig::interp_linear(), 1e-2, 0x2225223f3db3150b),
+            (SzConfig::interp_linear(), 1e-7, 0x7774c58f61b6e041),
+            (SzConfig::lorenzo(), 1e-2, 0x45d099c12ea9f19a),
+            (SzConfig::lorenzo(), 1e-7, 0xb94b133b400f689b),
+        ];
+        for (cfg, eb, want) in golden {
+            let got = fnv1a(&SzCompressor::new(cfg).compress(&data, &dims, eb).unwrap());
+            assert_eq!(got, want, "{:?} eb={eb}: {got:#018x}", cfg.predictor);
+        }
+    }
+
+    #[test]
     fn shape_mismatch_rejected() {
         let c = SzCompressor::default();
         assert!(matches!(
             c.compress(&[1.0, 2.0], &[3], 1e-3),
             Err(PqrError::ShapeMismatch(_))
         ));
+        // ranks `decompress` refuses are not written either
+        for (cfg, dims) in [
+            (SzConfig::default(), vec![]),
+            (SzConfig::lorenzo(), vec![]),
+            (SzConfig::lorenzo(), vec![1, 1, 1, 1]),
+        ] {
+            let r = SzCompressor::new(cfg).compress(&[1.0], &dims, 1e-3);
+            assert!(matches!(r, Err(PqrError::ShapeMismatch(_))), "{dims:?}");
+        }
     }
 
     #[test]
@@ -383,6 +440,79 @@ mod tests {
         let mut bad = blob.clone();
         bad[0] = b'X';
         assert!(c.decompress(&bad).is_err());
+    }
+
+    /// A blob of `dims` (all ones) whose header is rewritten to carry
+    /// `tag` and `hostile` extents; the symbol stream still holds
+    /// `∏dims` codes.
+    fn with_header(dims: &[usize], tag: u8, hostile: &[u64]) -> Vec<u8> {
+        // magic (4) version (1) tag (1) radius (4) eb (8) nd (1) extents
+        const TAG: usize = 5;
+        const ND: usize = 18;
+        let n = dims.iter().product();
+        let blob = SzCompressor::default()
+            .compress(&vec![1.0; n], dims, 1e-3)
+            .unwrap();
+        let mut out = blob[..ND].to_vec();
+        out[TAG] = tag;
+        out.push(hostile.len() as u8);
+        for d in hostile {
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        out.extend_from_slice(&blob[ND + 1 + 8 * dims.len()..]);
+        out
+    }
+
+    /// Headers the walk cannot run on, each with as many symbols as its
+    /// (empty or wrapped) element count claims.
+    fn hostile_headers() -> Vec<(&'static str, Vec<u8>)> {
+        let (cubic, lorenzo) = (Predictor::InterpCubic.tag(), Predictor::Lorenzo.tag());
+        vec![
+            // the empty product is one element
+            ("nd = 0", with_header(&[1], cubic, &[])),
+            ("Lorenzo, nd = 0", with_header(&[1], lorenzo, &[])),
+            (
+                "Lorenzo, nd = 4",
+                with_header(&[1, 1, 1, 4], lorenzo, &[1, 1, 1, 4]),
+            ),
+            // (2⁶² + 1)·4 wraps to 4 elements when overflow is unchecked
+            (
+                "overflowing extents",
+                with_header(&[4], cubic, &[(1 << 62) + 1, 4]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn hostile_headers_are_refused() {
+        let c = SzCompressor::default();
+        assert!(c
+            .decompress(&with_header(&[1, 1, 1, 4], 0, &[1, 1, 1, 4]))
+            .is_ok());
+        for (what, blob) in hostile_headers() {
+            assert!(
+                matches!(c.decompress(&blob), Err(PqrError::CorruptStream(_))),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_escape_list_is_refused() {
+        // an odd index is visited at the finest stride and predicts no
+        // other point, so the blob carries exactly one escape
+        let mut data = smooth_1d(64);
+        data[63] = f64::NAN;
+        let c = SzCompressor::default();
+        let blob = c.compress(&data, &[64], 1e-3).unwrap();
+        // the escape list closes the blob: a u64 count, then the values
+        let mut cut = blob[..blob.len() - 16].to_vec();
+        cut.extend_from_slice(&0u64.to_le_bytes());
+        assert!(c.decompress(&blob).unwrap().0[63].is_nan());
+        assert!(matches!(
+            c.decompress(&cut),
+            Err(PqrError::CorruptStream(m)) if m.contains("escape")
+        ));
     }
 
     #[test]

@@ -26,6 +26,12 @@ impl Predictor {
         }
     }
 
+    /// Whether the predictor can walk an array of `nd` dimensions: every
+    /// walk needs an axis, and Lorenzo's stencils stop at three.
+    pub(crate) fn supports_rank(self, nd: usize) -> bool {
+        nd >= 1 && (self != Predictor::Lorenzo || nd <= 3)
+    }
+
     /// Inverse of [`Predictor::tag`].
     pub(crate) fn from_tag(t: u8) -> Option<Self> {
         match t {

@@ -12,6 +12,25 @@
 //!   grid are refined from stride `2s` to stride `s`, dimension by dimension;
 //!   each new point is predicted by cubic interpolation along the active axis
 //!   where four neighbours exist, linear where two exist, nearest otherwise.
+//!   At stride `s` with active axis `a`, the points visited are those with an
+//!   odd multiple of `s` on axis `a`, a multiple of `s` on every earlier axis
+//!   and of `2s` on every later one, in row-major order.
+//!
+//!   The walk goes row by row. The outer axes (all but the last) advance
+//!   once per row and fix that row's base index; the last axis is walked
+//!   with a constant step `2s` (an odd multiple of `s` when it is the active
+//!   axis, a multiple of `2s` otherwise) and an incremental index. Each
+//!   axis's set of coordinates is an arithmetic progression that does not
+//!   depend on the other axes, so nesting one loop per axis, last innermost,
+//!   enumerates exactly the row-major order of a per-point odometer. Which
+//!   stencil applies depends only on the coordinate along the active axis:
+//!   when that axis is an outer one the stencil is fixed for the whole row,
+//!   and when it is the last axis the row splits into a head (`c = s`, no
+//!   `−3s` neighbour), a cubic middle, a linear stretch and at most one
+//!   left-copy point at the edge. Each stencil evaluates the odometer's
+//!   expression with the same operands in the same order, so the codes and
+//!   reconstructions are bit for bit the odometer's; the test module keeps
+//!   that odometer as the definition of the order and checks the two agree.
 //! * **First-order Lorenzo** (SZ1.4/SZ2): each point is predicted from the
 //!   inclusion–exclusion stencil of its already-visited neighbours in
 //!   row-major order.
@@ -21,6 +40,7 @@ use crate::config::Predictor;
 /// Drives `visit(flat_index, prediction) -> reconstructed_value` over every
 /// point of a `dims`-shaped row-major array exactly once, maintaining the
 /// reconstruction in `recon` (which must be zero-filled, `len == ∏dims`).
+/// `dims` needs at least one axis, and at most three for Lorenzo.
 pub fn traverse<F>(predictor: Predictor, dims: &[usize], recon: &mut [f64], visit: F)
 where
     F: FnMut(usize, f64) -> f64,
@@ -114,60 +134,142 @@ where
 /// Cubic interpolation weights for neighbours at −3s, −s, +s, +3s.
 const CUBIC_W: [f64; 4] = [-1.0 / 16.0, 9.0 / 16.0, 9.0 / 16.0, -1.0 / 16.0];
 
+/// Which neighbours along the active axis predict a point.
+#[derive(Clone, Copy)]
+enum Stencil {
+    /// Only `c − s` exists: copy it.
+    Left,
+    /// `c ± s`: their midpoint.
+    Linear,
+    /// `c ± s` and `c ± 3s`: the cubic weights.
+    Cubic,
+}
+
+impl Stencil {
+    /// The stencil for position `c` at stride `s` along an axis of extent
+    /// `dim` (`c ≥ s` always).
+    fn at(c: usize, s: usize, dim: usize, cubic: bool) -> Self {
+        if c + s >= dim {
+            Stencil::Left
+        } else if cubic && c >= 3 * s && c + 3 * s < dim {
+            Stencil::Cubic
+        } else {
+            Stencil::Linear
+        }
+    }
+}
+
+/// Visits flat indices `from, from + step, …` below `end` in order, each
+/// predicted by `stencil` from its neighbours `d` apart (`d = s·stride` of
+/// the active axis). Returns the first index on the progression at or past
+/// `end`, where the next segment of the same row starts.
+#[inline(always)]
+fn sweep<F>(
+    recon: &mut [f64],
+    visit: &mut F,
+    from: usize,
+    end: usize,
+    step: usize,
+    d: usize,
+    stencil: Stencil,
+) -> usize
+where
+    F: FnMut(usize, f64) -> f64,
+{
+    let mut i = from;
+    match stencil {
+        Stencil::Left => {
+            while i < end {
+                recon[i] = visit(i, recon[i - d]);
+                i += step;
+            }
+        }
+        Stencil::Linear => {
+            while i < end {
+                let pred = 0.5 * (recon[i - d] + recon[i + d]);
+                recon[i] = visit(i, pred);
+                i += step;
+            }
+        }
+        Stencil::Cubic => {
+            while i < end {
+                let (ll, left) = (recon[i - 3 * d], recon[i - d]);
+                let (right, rr) = (recon[i + d], recon[i + 3 * d]);
+                let pred =
+                    CUBIC_W[0] * ll + CUBIC_W[1] * left + CUBIC_W[2] * right + CUBIC_W[3] * rr;
+                recon[i] = visit(i, pred);
+                i += step;
+            }
+        }
+    }
+    i
+}
+
 fn traverse_interp<F>(dims: &[usize], recon: &mut [f64], mut visit: F, cubic: bool)
 where
     F: FnMut(usize, f64) -> f64,
 {
-    let nd = dims.len();
-    let st = strides(dims);
     // Anchor: origin point, predicted as 0 (the quantizer escape-codes it if
     // the value is large).
     recon[0] = visit(0, 0.0);
-    let max_dim = *dims.iter().max().unwrap();
+    let max_dim = dims.iter().copied().max().unwrap_or(1);
     if max_dim <= 1 {
         return;
     }
+    let st = strides(dims);
+    let last = dims.len() - 1;
+    let len = dims[last];
     // Top stride: smallest power of two p with p >= max_dim, start at p/2 so
     // that the only coordinate multiple of 2·s_top in range is 0 (the anchor
     // is then the entire known coarse grid).
     let mut s = max_dim.next_power_of_two() / 2;
 
-    // Reusable coordinate odometer.
-    let mut coord = vec![0usize; nd];
-    while s >= 1 {
-        for axis in 0..nd {
+    // Coordinates of the outer axes (all but the last) of the current row.
+    let mut coord = vec![0usize; last];
+    loop {
+        for axis in 0..=last {
             if s >= dims[axis] {
                 continue; // no coordinate ≥ s exists along this axis
             }
-            // Enumerate: coord[axis] ∈ {s, 3s, ...}; coord[a<axis] multiples
-            // of s; coord[a>axis] multiples of 2s.
-            coord.iter_mut().for_each(|c| *c = 0);
-            coord[axis] = s;
-            'outer: loop {
-                // flat index
-                let idx: usize = coord.iter().zip(&st).map(|(c, k)| c * k).sum();
-                let pred = interp_predict(recon, dims[axis], st[axis], idx, coord[axis], s, cubic);
-                recon[idx] = visit(idx, pred);
-
-                // advance odometer (last axis fastest)
-                let mut a = nd;
-                loop {
-                    if a == 0 {
-                        break 'outer;
+            // coord[axis] ∈ {s, 3s, …}; coord[b<axis] multiples of s;
+            // coord[b>axis] multiples of 2s
+            let first = |b: usize| if b == axis { s } else { 0 };
+            let step = |b: usize| if b < axis { s } else { 2 * s };
+            for (b, c) in coord.iter_mut().enumerate() {
+                *c = first(b);
+            }
+            'rows: loop {
+                let base: usize = coord.iter().zip(&st).map(|(c, k)| c * k).sum();
+                if axis == last {
+                    // the stencil changes along the row: head (c = s lacks
+                    // its −3s neighbour), cubic middle, linear, left edge
+                    let mut i = base + s;
+                    if cubic && 2 * s < len {
+                        i = sweep(recon, &mut visit, i, i + 1, 2 * s, s, Stencil::Linear);
+                        let end = base + len.saturating_sub(3 * s);
+                        i = sweep(recon, &mut visit, i, end, 2 * s, s, Stencil::Cubic);
                     }
-                    a -= 1;
-                    let step = if a == axis {
-                        2 * s
-                    } else if a < axis {
-                        s
-                    } else {
-                        2 * s
-                    };
-                    coord[a] += step;
-                    if coord[a] < dims[a] {
+                    let end = base + len.saturating_sub(s);
+                    i = sweep(recon, &mut visit, i, end, 2 * s, s, Stencil::Linear);
+                    sweep(recon, &mut visit, i, base + len, 2 * s, s, Stencil::Left);
+                } else {
+                    // the active coordinate is fixed along the row
+                    let stencil = Stencil::at(coord[axis], s, dims[axis], cubic);
+                    let d = s * st[axis];
+                    sweep(recon, &mut visit, base, base + len, 2 * s, d, stencil);
+                }
+                // advance the outer axes (innermost fastest)
+                let mut b = last;
+                loop {
+                    if b == 0 {
+                        break 'rows;
+                    }
+                    b -= 1;
+                    coord[b] += step(b);
+                    if coord[b] < dims[b] {
                         break;
                     }
-                    coord[a] = if a == axis { s } else { 0 };
+                    coord[b] = first(b);
                 }
             }
         }
@@ -176,33 +278,6 @@ where
         }
         s /= 2;
     }
-}
-
-/// Predicts the value at 1-D position `c` (flat `idx`) along an axis with
-/// element stride `stride` and extent `dim`, from known neighbours at
-/// `c ± s`, `c ± 3s`.
-#[inline]
-fn interp_predict(
-    recon: &[f64],
-    dim: usize,
-    stride: usize,
-    idx: usize,
-    c: usize,
-    s: usize,
-    cubic: bool,
-) -> f64 {
-    let left = recon[idx - s * stride]; // c ≥ s always
-    let has_right = c + s < dim;
-    if !has_right {
-        return left;
-    }
-    let right = recon[idx + s * stride];
-    if cubic && c >= 3 * s && c + 3 * s < dim {
-        let ll = recon[idx - 3 * s * stride];
-        let rr = recon[idx + 3 * s * stride];
-        return CUBIC_W[0] * ll + CUBIC_W[1] * left + CUBIC_W[2] * right + CUBIC_W[3] * rr;
-    }
-    0.5 * (left + right)
 }
 
 #[cfg(test)]
@@ -231,9 +306,8 @@ mod tests {
         assert_visits_all(Predictor::Lorenzo, &[4, 3, 7]);
     }
 
-    #[test]
-    fn interp_visits_every_point_once_awkward_shapes() {
-        for dims in [
+    fn awkward_shapes() -> Vec<Vec<usize>> {
+        vec![
             vec![1],
             vec![2],
             vec![3],
@@ -248,9 +322,136 @@ mod tests {
             vec![8, 8, 8],
             vec![1, 1, 1],
             vec![2, 5, 3],
-        ] {
+        ]
+    }
+
+    #[test]
+    fn interp_visits_every_point_once_awkward_shapes() {
+        for dims in awkward_shapes() {
             assert_visits_all(Predictor::InterpCubic, &dims);
             assert_visits_all(Predictor::InterpLinear, &dims);
+        }
+    }
+
+    /// The per-point odometer the row walk replaced, kept as the definition
+    /// of the interpolation order: for each stride `s` (coarse to fine) and
+    /// each axis, every point with an odd multiple of `s` on that axis,
+    /// multiples of `s` on earlier axes and of `2s` on later ones, in
+    /// row-major order; each predicted by [`odometer_predict`].
+    fn odometer<F>(dims: &[usize], recon: &mut [f64], mut visit: F, cubic: bool)
+    where
+        F: FnMut(usize, f64) -> f64,
+    {
+        let nd = dims.len();
+        let st = strides(dims);
+        recon[0] = visit(0, 0.0);
+        let max_dim = *dims.iter().max().unwrap();
+        if max_dim <= 1 {
+            return;
+        }
+        let mut s = max_dim.next_power_of_two() / 2;
+        let mut coord = vec![0usize; nd];
+        while s >= 1 {
+            for axis in 0..nd {
+                if s >= dims[axis] {
+                    continue;
+                }
+                coord.iter_mut().for_each(|c| *c = 0);
+                coord[axis] = s;
+                'outer: loop {
+                    let idx: usize = coord.iter().zip(&st).map(|(c, k)| c * k).sum();
+                    let pred =
+                        odometer_predict(recon, dims[axis], st[axis], idx, coord[axis], s, cubic);
+                    recon[idx] = visit(idx, pred);
+                    let mut a = nd;
+                    loop {
+                        if a == 0 {
+                            break 'outer;
+                        }
+                        a -= 1;
+                        coord[a] += if a < axis { s } else { 2 * s };
+                        if coord[a] < dims[a] {
+                            break;
+                        }
+                        coord[a] = if a == axis { s } else { 0 };
+                    }
+                }
+            }
+            if s == 1 {
+                break;
+            }
+            s /= 2;
+        }
+    }
+
+    /// Predicts the value at 1-D position `c` (flat `idx`) along an axis
+    /// with element stride `stride` and extent `dim`, from known neighbours
+    /// at `c ± s`, `c ± 3s`.
+    fn odometer_predict(
+        recon: &[f64],
+        dim: usize,
+        stride: usize,
+        idx: usize,
+        c: usize,
+        s: usize,
+        cubic: bool,
+    ) -> f64 {
+        let left = recon[idx - s * stride];
+        if c + s >= dim {
+            return left;
+        }
+        let right = recon[idx + s * stride];
+        if cubic && c >= 3 * s && c + 3 * s < dim {
+            let ll = recon[idx - 3 * s * stride];
+            let rr = recon[idx + 3 * s * stride];
+            return CUBIC_W[0] * ll + CUBIC_W[1] * left + CUBIC_W[2] * right + CUBIC_W[3] * rr;
+        }
+        0.5 * (left + right)
+    }
+
+    #[test]
+    fn row_walk_matches_the_odometer_bit_for_bit() {
+        // each visit returns a fixed pseudo-random value of its index, so a
+        // prediction read from a wrong or not-yet-visited neighbour shows
+        // in its bits
+        let value = |idx: usize| {
+            let h = (idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut shapes = awkward_shapes();
+        shapes.extend([
+            vec![2, 3, 2, 4],
+            vec![13, 1, 29],
+            vec![3, 33, 5],
+            vec![32, 96, 96],
+        ]);
+        for dims in shapes {
+            let n = dims.iter().product();
+            for (predictor, cubic) in [
+                (Predictor::InterpCubic, true),
+                (Predictor::InterpLinear, false),
+            ] {
+                let mut want = Vec::with_capacity(n);
+                odometer(
+                    &dims,
+                    &mut vec![0.0; n],
+                    |i, p| {
+                        want.push((i, p.to_bits()));
+                        value(i)
+                    },
+                    cubic,
+                );
+                let mut got = Vec::with_capacity(n);
+                traverse(predictor, &dims, &mut vec![0.0; n], |i, p| {
+                    got.push((i, p.to_bits()));
+                    value(i)
+                });
+                assert_eq!(got.len(), n, "{predictor:?} {dims:?}");
+                assert!(
+                    got == want,
+                    "{predictor:?} {dims:?}: the walk left the odometer's order"
+                );
+            }
         }
     }
 
