@@ -2,11 +2,13 @@
 //!
 //! The reader tracks, per level, how many planes it has fetched and the
 //! resulting coefficient truncation bound; the guaranteed reconstruction
-//! bound is the basis-specific model of [`crate::error_est`]. A refinement
-//! request fetches one plane at a time from the level whose *current error
-//! contribution* is largest — the schedule that decreases the modeled bound
-//! fastest per fetched plane (coarse levels hold few coefficients, so their
-//! planes are cheap and fetched deep; exactly how PMGARD behaves).
+//! bound is the basis-specific model of [`crate::error_est`]. Planes are
+//! fetched in one fixed order, [`plane_order`]: each step takes the next
+//! plane of the level whose *current error contribution* is largest — the
+//! schedule that decreases the modeled bound fastest per fetched plane
+//! (coarse levels hold few coefficients, so their planes are cheap and
+//! fetched deep; exactly how PMGARD behaves). A refinement request takes
+//! that order's next planes until the bound it reaches is ≤ the target.
 
 use crate::bitplane::LevelDecoder;
 use crate::error_est::{level_weight, recon_bound};
@@ -15,16 +17,62 @@ use crate::refactor::{MgardMeta, MgardStream};
 use crate::transform::{recompose, scatter_tiles, Basis};
 use pqr_util::error::Result;
 
+/// The order every reader consumes a stream's planes in, computed from
+/// metadata alone: the start bound (no plane consumed) and each
+/// `(level, plane, bound after it)` push, down to the last stored plane.
+/// From zero planes, each step takes the next plane of the level whose
+/// next plane removes the most modeled error (the first such level on a
+/// tie). The bound model reads per-level consumed-plane counts only
+/// (`truncation_error` over the metadata exponents), so the bound after a
+/// step is exactly what [`MgardCursor::guaranteed_bound`] reports once
+/// that prefix is pushed. This is the one place the order is written.
+pub fn plane_order(meta: &MgardMeta) -> (f64, Vec<(usize, u32, f64)>) {
+    use crate::bitplane::truncation_error;
+    let (basis, dims, levels) = (meta.basis(), meta.dims(), meta.levels());
+    let weights: Vec<f64> = (0..levels.len())
+        .map(|l| level_weight(basis, dims, l))
+        .collect();
+    // `recon_bound`'s sum, term for term, over the precomputed weights
+    let bound = |errs: &[f64]| -> f64 { weights.iter().zip(errs).map(|(w, e)| w * e).sum() };
+    let mut planes = vec![0u32; levels.len()];
+    let mut errs: Vec<f64> = levels
+        .iter()
+        .map(|l| truncation_error(l.exponent, 0))
+        .collect();
+    let start = bound(&errs);
+    let mut out = Vec::with_capacity(meta.total_planes());
+    loop {
+        let mut best: Option<(usize, f64)> = None;
+        for (l, lm) in levels.iter().enumerate() {
+            if planes[l] >= lm.num_planes {
+                continue;
+            }
+            let contribution = weights[l] * errs[l];
+            match best {
+                Some((_, c)) if c >= contribution => {}
+                _ => best = Some((l, contribution)),
+            }
+        }
+        let Some((l, _)) = best else {
+            return (start, out);
+        };
+        let plane = planes[l];
+        planes[l] += 1;
+        errs[l] = truncation_error(levels[l].exponent, planes[l]);
+        out.push((l, plane, bound(&errs)));
+    }
+}
+
 /// Push-based progressive decoder over [`MgardMeta`].
 ///
 /// A cursor holds only the stream's *metadata* plus decode state — it never
-/// sees where the plane payloads live. The owner asks [`MgardCursor::front`]
-/// which `(level, plane)` pushes the greedy schedule wants, fetches those
-/// bytes from wherever the stream is stored (memory, a file range, a remote
-/// store), and pushes them in with [`MgardCursor::push_plane`]. The
-/// borrowing [`MgardReader`] and the fragment-addressed backend in
-/// `pqr-progressive` both consume that one walk, so the refinement schedule
-/// and the error model cannot drift between local and remote paths.
+/// sees where the plane payloads live. The owner takes `(level, plane)`
+/// pushes in [`plane_order`], fetches those bytes from wherever the stream
+/// is stored (memory, a file range, a remote store), and pushes them in
+/// with [`MgardCursor::push_plane`]. The borrowing [`MgardReader`] and the
+/// fragment-addressed backend in `pqr-progressive` both consume that one
+/// order, so the refinement schedule and the error model cannot drift
+/// between local and remote paths.
 #[derive(Debug, Clone)]
 pub struct MgardCursor {
     meta: MgardMeta,
@@ -66,52 +114,6 @@ impl MgardCursor {
     /// Planes consumed so far, per level — the resumable progress marker.
     pub fn planes_read(&self) -> Vec<u32> {
         self.decoders.iter().map(|d| d.planes_read()).collect()
-    }
-
-    /// The `(level, plane, bound after it)` pushes the greedy schedule will
-    /// perform, in order, to bring [`MgardCursor::guaranteed_bound`] to at
-    /// most `eb` — each step takes the level whose next plane removes the
-    /// most modeled error — computed without consuming anything. The bound
-    /// model is a function of per-level consumed-plane counts only
-    /// (`truncation_error` over the metadata exponents), so the prediction
-    /// matches the fetch-and-push path exactly; this is the one place the
-    /// walk is written, and every consumer (planning, refinement, the
-    /// shared store's front cache) reads it. With `eb = 0.0` it is the full
-    /// remaining front down to the representation floor, of which every
-    /// tighter target's front is a prefix.
-    pub fn front(&self, eb: f64) -> Vec<(usize, usize, f64)> {
-        use crate::bitplane::truncation_error;
-        let basis = self.meta.basis();
-        let dims = self.meta.dims();
-        let levels = self.meta.levels();
-        let mut planes: Vec<u32> = self.planes_read();
-        let mut errs: Vec<f64> = levels
-            .iter()
-            .zip(&planes)
-            .map(|(l, &p)| truncation_error(l.exponent, p))
-            .collect();
-        let mut out = Vec::new();
-        while recon_bound(basis, dims, &errs) > eb {
-            let mut best: Option<(usize, f64)> = None;
-            for (l, lm) in levels.iter().enumerate() {
-                if planes[l] >= lm.num_planes {
-                    continue;
-                }
-                let contribution = level_weight(basis, dims, l) * errs[l];
-                match best {
-                    Some((_, c)) if c >= contribution => {}
-                    _ => best = Some((l, contribution)),
-                }
-            }
-            let Some((l, _)) = best else {
-                break; // exhausted
-            };
-            let plane = planes[l] as usize;
-            planes[l] += 1;
-            errs[l] = truncation_error(levels[l].exponent, planes[l]);
-            out.push((l, plane, recon_bound(basis, dims, &errs)));
-        }
-        out
     }
 
     /// Consumes the next plane of `level` (planes must arrive in MSB-first
@@ -238,6 +240,10 @@ impl MgardCursor {
 pub struct MgardReader<'a> {
     stream: &'a MgardStream,
     cursor: MgardCursor,
+    /// The stream's [`plane_order`] pushes.
+    order: Vec<(usize, u32, f64)>,
+    /// How many of `order` the cursor has consumed.
+    consumed: usize,
     fetched: usize,
 }
 
@@ -247,6 +253,8 @@ impl<'a> MgardReader<'a> {
         Self {
             stream,
             fetched: meta.to_bytes().len(),
+            order: plane_order(&meta).1,
+            consumed: 0,
             cursor: MgardCursor::new(meta),
         }
     }
@@ -268,14 +276,29 @@ impl<'a> MgardReader<'a> {
         self.cursor.fully_fetched()
     }
 
-    /// Serves the first `limit` pushes of the cursor's front towards `eb`
-    /// from the resident stream. Returns the newly fetched bytes.
+    /// How many next pushes of the plane order a refinement to `eb` takes:
+    /// none when the bound already holds, else through the first push
+    /// whose bound after it is ≤ `eb`, or every remaining one.
+    fn cut(&self, eb: f64) -> usize {
+        let rest = &self.order[self.consumed..];
+        if self.cursor.guaranteed_bound() <= eb {
+            return 0;
+        }
+        rest.iter()
+            .position(|&(_, _, after)| after <= eb)
+            .map_or(rest.len(), |i| i + 1)
+    }
+
+    /// Serves at most `limit` pushes of the cut towards `eb` from the
+    /// resident stream. Returns the newly fetched bytes.
     fn consume(&mut self, eb: f64, limit: usize) -> Result<usize> {
         let before = self.fetched;
-        for (l, p, _) in self.cursor.front(eb).into_iter().take(limit) {
-            let seg = &self.stream.levels[l].planes[p];
+        for _ in 0..self.cut(eb).min(limit) {
+            let (l, p, _) = self.order[self.consumed];
+            let seg = &self.stream.levels[l].planes[p as usize];
             self.cursor.push_plane(l, seg)?;
             self.fetched += seg.len();
+            self.consumed += 1;
         }
         self.cursor.fold();
         Ok(self.fetched - before)
@@ -775,29 +798,100 @@ mod tests {
         }
     }
 
-    #[test]
-    fn front_plans_without_advancing_and_predicts_the_bound_it_reaches() {
-        let data = field(600);
-        for basis in [Basis::Hierarchical, Basis::Orthogonal] {
-            let stream = MgardRefactorer::new(basis).refactor(&data, &[600]).unwrap();
-            let mut reader = stream.reader();
-            for eb in [1.0, 1e-2, 1e-5, 1e-9, 0.0] {
-                let front = reader.cursor.front(eb);
-                assert_eq!(front, reader.cursor.front(eb), "{basis:?} eb={eb}");
-                // every tighter target's front extends this one
-                let full = reader.cursor.front(0.0);
-                assert_eq!(front[..], full[..front.len()], "{basis:?} eb={eb}");
-                reader.refine_to(eb).unwrap();
-                if let Some(&(_, _, after)) = front.last() {
-                    assert_eq!(
-                        after.to_bits(),
-                        reader.guaranteed_bound().to_bits(),
-                        "{basis:?} eb={eb}"
-                    );
+    /// The greedy walk the plane order is defined by: the `(level, plane,
+    /// bound after it)` pushes that bring the bound from the per-level
+    /// state `planes` to at most `eb`, each step taking the level whose
+    /// next plane removes the most modeled error.
+    fn walk(meta: &MgardMeta, planes: &[u32], eb: f64) -> Vec<(usize, usize, f64)> {
+        use crate::bitplane::truncation_error;
+        let basis = meta.basis();
+        let dims = meta.dims();
+        let levels = meta.levels();
+        let mut planes = planes.to_vec();
+        let mut errs: Vec<f64> = levels
+            .iter()
+            .zip(&planes)
+            .map(|(l, &p)| truncation_error(l.exponent, p))
+            .collect();
+        let mut out = Vec::new();
+        while recon_bound(basis, dims, &errs) > eb {
+            let mut best: Option<(usize, f64)> = None;
+            for (l, lm) in levels.iter().enumerate() {
+                if planes[l] >= lm.num_planes {
+                    continue;
                 }
-                assert!(reader.cursor.front(eb).is_empty(), "{basis:?} eb={eb}");
+                let contribution = level_weight(basis, dims, l) * errs[l];
+                match best {
+                    Some((_, c)) if c >= contribution => {}
+                    _ => best = Some((l, contribution)),
+                }
             }
-            assert!(reader.fully_fetched());
+            let Some((l, _)) = best else {
+                break; // exhausted
+            };
+            let plane = planes[l] as usize;
+            planes[l] += 1;
+            errs[l] = truncation_error(levels[l].exponent, planes[l]);
+            out.push((l, plane, recon_bound(basis, dims, &errs)));
         }
+        out
+    }
+
+    fn step_bits(steps: &[(usize, usize, f64)]) -> Vec<(usize, usize, u64)> {
+        steps.iter().map(|&(l, p, b)| (l, p, b.to_bits())).collect()
+    }
+
+    #[test]
+    fn plane_order_is_the_greedy_walk_from_every_prefix() {
+        // 1-D, 2-D and 3-D; a 1-D field linear but for one finest-level
+        // spike, whose coarser hierarchical levels are all zero (no
+        // planes); and a zero-extent shape with no level at all
+        let spiked: Vec<f64> = (0..17)
+            .map(|i| i as f64 + f64::from(i == 3) * 5.0)
+            .collect();
+        let cases = [
+            (vec![600], field(600)),
+            (vec![20, 13], field(260)),
+            (vec![9, 6, 5], field(270)),
+            (vec![17], spiked),
+            (vec![2, 0, 0], Vec::new()),
+        ];
+        let mut zero_level = false;
+        for (dims, data) in &cases {
+            for basis in [Basis::Hierarchical, Basis::Orthogonal] {
+                let case = format!("{dims:?} {basis:?}");
+                let stream = MgardRefactorer::new(basis).refactor(data, dims).unwrap();
+                let meta = stream.meta();
+                zero_level |= meta.levels().iter().any(|l| l.num_planes == 0);
+                let (start, order) = plane_order(&meta);
+                let order: Vec<(usize, usize, f64)> =
+                    order.iter().map(|&(l, p, b)| (l, p as usize, b)).collect();
+                let mut reader = stream.reader();
+                assert_eq!(
+                    start.to_bits(),
+                    reader.guaranteed_bound().to_bits(),
+                    "{case}"
+                );
+                let zeros = vec![0; meta.num_levels()];
+                let full = walk(&meta, &zeros, f64::NEG_INFINITY);
+                assert_eq!(step_bits(&order), step_bits(&full), "{case}");
+                assert_eq!(order.len(), meta.total_planes(), "{case}");
+                // 0.5·start down to ~1.5e-8·start, and below every floor
+                let series: Vec<f64> = (1..25)
+                    .map(|i| start * 0.5f64.powi(i))
+                    .chain([0.0])
+                    .collect();
+                for k in 0..=order.len() {
+                    for &eb in &series {
+                        let want = walk(&meta, &reader.planes_read(), eb);
+                        let cut = &order[k..k + reader.cut(eb)];
+                        assert_eq!(step_bits(cut), step_bits(&want), "{case} k={k} eb={eb}");
+                    }
+                    reader.fetch_planes(1).unwrap();
+                }
+                assert!(reader.fully_fetched(), "{case}");
+            }
+        }
+        assert!(zero_level, "no case has an all-zero level");
     }
 }

@@ -1,24 +1,24 @@
 //! Component-expansion backends: everything this crate knows about one
-//! progressive representation, behind one trait.
+//! progressive representation.
 //!
 //! "A General Framework for Progressive Data Compression and Retrieval"
 //! models every progressive scheme as a multi-component expansion
 //! `x̃ᵢ = x̃ᵢ₋₁ + decode(cᵢ)` with per-component error metadata, and the
 //! paper's Alg. 2 line 10 calls one `progressive_construct(field, ε)`
 //! whatever the representation underneath (§V swaps four). Here a
-//! *component* is a fragment of the field's directory, and a [`Backend`]
-//! answers the four questions a reader asks of a representation:
+//! *component* is a fragment of the field's directory, and [`open`] turns a
+//! field into two things:
 //!
-//! * which components, in which order, reach a bound — [`Backend::front`],
-//!   computed from metadata alone, each step annotated with the bound that
-//!   holds after it (the per-component error metadata);
-//! * what a component decodes to — [`Backend::push`];
-//! * what the components consumed so far reconstruct to, and within what
-//!   bound — [`Backend::rebuild`], [`Backend::bound`];
-//! * how to name that state and get back to it — [`Backend::progress`],
-//!   [`Backend::restore_front`].
+//! * its [`Table`]: the order a reader consumes fragments in, each row
+//!   annotated with the bound that holds after it (the per-component error
+//!   metadata), built once from metadata alone. A reader's state is how
+//!   many rows it has consumed; which rows a refinement takes, which a
+//!   restore replays, the bound and exhaustion are reads of the table;
+//! * its [`Backend`]: what differs between representations — what a
+//!   fragment decodes to ([`Backend::push`]) and what the fragments
+//!   consumed so far reconstruct to ([`Backend::rebuild`]).
 //!
-//! Three implementations cover the five [`Scheme`]s: [`Ladder`] (PSZ3 and
+//! Three backends cover the five [`Scheme`]s: [`Ladder`] (PSZ3 and
 //! PSZ3-delta snapshots), [`Multilevel`] (both PMGARD bases) and
 //! [`BlockTransform`] (PZFP). The encode side lives here too
 //! ([`encode`], [`max_fragments`]), so this module and `impl Scheme` are the
@@ -28,11 +28,12 @@
 //! [`max_fragments`] and [`open`].
 
 use crate::fragstore::FieldEntry;
-use crate::refactored::{ReaderProgress, Scheme};
+use crate::refactored::Scheme;
 use pqr_mgard::{Basis, MgardCursor, MgardMeta, MgardRefactorer};
 use pqr_sz::{SzCompressor, SzConfig};
 use pqr_util::error::{PqrError, Result};
 use pqr_zfp::{ZfpCursor, ZfpMeta, ZfpRefactorer};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A field's fragments in directory order, each with its directory bound
@@ -40,33 +41,83 @@ use std::sync::Arc;
 /// fragments, whose bounds come from the decode model).
 pub(crate) type Fragments = Vec<(f64, Arc<Vec<u8>>)>;
 
-/// The decode state of one field under one representation. Fragment indices
-/// are directory indices; every method but `push` and `rebuild` is pure.
-pub(crate) trait Backend: Send + Sync {
-    /// Guaranteed L∞ bound of what [`Backend::rebuild`] produces now.
-    fn bound(&self) -> f64;
+/// A field's fetch order, built once by [`open`] from metadata alone: row
+/// `i` is the `i`-th fragment a reader consumes, with the guaranteed bound
+/// that holds once it has. Exact: every bound model reads consumed-fragment
+/// counts and metadata only, never payload contents. A reader's state is
+/// the number of rows it has consumed.
+pub(crate) struct Table {
+    /// `(fragment index, bound after it)`, in consume order.
+    rows: Vec<(u32, f64)>,
+    /// The bound before any row.
+    start: f64,
+    /// Plain PSZ3: each snapshot replaces what was held, so a refinement
+    /// fetches its target row alone, and the state `k` rows in is row
+    /// `k − 1` alone.
+    one_row: bool,
+}
 
-    /// The fragments a refinement to `eb` consumes from the current state,
-    /// in consume order, each with the bound that holds after it — down to
-    /// the representation floor when `eb` is out of reach. Exact: every
-    /// bound model reads consumed-fragment counts and metadata only, never
-    /// payload contents.
-    fn front(&self, eb: f64) -> Vec<(u32, f64)>;
-
-    /// Whether `front(eb)` is a prefix of `front(0.0)` for every `eb`, so a
-    /// cached full front can be cut instead of re-walked. Plain PSZ3
-    /// fetches the one adequate snapshot per request: its schedule depends
-    /// on the target, not only on the state.
-    fn prefix_front(&self) -> bool {
-        true
+impl Table {
+    /// Fragment index of `row`.
+    pub fn fragment(&self, row: usize) -> u32 {
+        self.rows[row].0
     }
 
-    /// The fragments a *fresh* backend consumes to reach `progress`, in
-    /// consume order, validated against this field's structure.
-    fn restore_front(&self, progress: &ReaderProgress) -> Result<Vec<u32>>;
+    /// The bound that holds `consumed` rows in.
+    pub fn bound(&self, consumed: u32) -> f64 {
+        match consumed.checked_sub(1) {
+            Some(last) => self.rows[last as usize].1,
+            None => self.start,
+        }
+    }
 
-    /// Decodes fragment `index` into the state. Fragments must arrive in a
-    /// front's order; a failed push leaves the state as it was.
+    /// True when no row is left after `consumed`.
+    pub fn exhausted(&self, consumed: u32) -> bool {
+        consumed as usize >= self.rows.len()
+    }
+
+    /// The rows a refinement to `eb` consumes from `consumed` rows in:
+    /// none when the bound already holds; else up to the first row at or
+    /// after `consumed` whose bound is ≤ `eb`, or the last row when none is
+    /// — that row alone when `one_row` is set.
+    pub fn cut(&self, consumed: u32, eb: f64) -> Range<usize> {
+        let from = consumed as usize;
+        if self.bound(consumed) <= eb || self.exhausted(consumed) {
+            return from..from;
+        }
+        let target = self.rows[from..]
+            .iter()
+            .position(|&(_, after)| after <= eb)
+            .map_or(self.rows.len() - 1, |i| from + i);
+        if self.one_row {
+            target..target + 1
+        } else {
+            from..target + 1
+        }
+    }
+
+    /// The rows a fresh reader replays to stand `consumed` rows in.
+    pub fn restore(&self, consumed: u32) -> Result<Range<usize>> {
+        let k = consumed as usize;
+        if k > self.rows.len() {
+            return Err(PqrError::InvalidRequest(format!(
+                "progress wants {k} fragments consumed, the field has {}",
+                self.rows.len()
+            )));
+        }
+        Ok(if self.one_row {
+            k.saturating_sub(1)..k
+        } else {
+            0..k
+        })
+    }
+}
+
+/// The decode state of one field under one representation. Fragment indices
+/// are directory indices, and fragments arrive in their [`Table`]'s order.
+pub(crate) trait Backend: Send + Sync {
+    /// Decodes fragment `index` into the state. A failed push leaves the
+    /// state as it was.
     fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()>;
 
     /// True when [`Backend::rebuild`] folds what was pushed *into* the
@@ -83,13 +134,6 @@ pub(crate) trait Backend: Send + Sync {
     /// thread). Returns the multilevel recompose passes run.
     fn rebuild(&mut self, out: &mut Vec<f64>) -> u64;
 
-    /// The resumable marker of the current state. `fetched` is the
-    /// reader's cumulative byte count, which the snapshot marker carries.
-    fn progress(&self, fetched: u64) -> ReaderProgress;
-
-    /// True when no fragment is left to consume.
-    fn exhausted(&self) -> bool;
-
     /// Approximate heap bytes of the decode state, beyond the
     /// reconstruction the reader holds.
     fn state_bytes(&self) -> usize;
@@ -101,10 +145,6 @@ pub(crate) trait Backend: Send + Sync {
             "this representation has no resolution hierarchy".into(),
         ))
     }
-}
-
-fn marker_mismatch() -> PqrError {
-    PqrError::InvalidRequest("progress marker belongs to another representation".into())
 }
 
 fn out_of_order(index: u32) -> PqrError {
@@ -121,84 +161,46 @@ fn out_of_order(index: u32) -> PqrError {
 /// and a request fetches the one adequate snapshot in full, replacing what
 /// was held (the cross-snapshot redundancy of §V-B).
 struct Ladder {
-    /// The directory bound of each snapshot.
-    ebs: Vec<f64>,
     delta: bool,
     /// Elements per snapshot.
     n: usize,
-    /// One past the last consumed snapshot.
-    next: usize,
-    bound: f64,
-    /// A decoded snapshot `rebuild` has not folded in yet.
-    pending: Option<Vec<f64>>,
+    /// Delta mode: the residual buffer every snapshot decodes into, kept
+    /// across pushes. Plain mode: the snapshot `rebuild` moves out.
+    decoded: Vec<f64>,
+    /// `decoded` holds what `rebuild` has not folded in yet.
+    pending: bool,
 }
 
 impl Backend for Ladder {
-    fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    fn front(&self, eb: f64) -> Vec<(u32, f64)> {
-        // the smallest index whose bound suffices (the ladder descends), or
-        // the floor; a ladder-less field is born exhausted
-        let Some(floor) = self.ebs.len().checked_sub(1) else {
-            return Vec::new();
-        };
-        let target = self.ebs.iter().position(|&e| e <= eb).unwrap_or(floor);
-        let from = if self.delta {
-            self.next
-        } else {
-            target.max(self.next)
-        };
-        (from..=target).map(|i| (i as u32, self.ebs[i])).collect()
-    }
-
-    fn prefix_front(&self) -> bool {
-        self.delta
-    }
-
-    fn restore_front(&self, progress: &ReaderProgress) -> Result<Vec<u32>> {
-        let ReaderProgress::Snapshots { next, .. } = progress else {
-            return Err(marker_mismatch());
-        };
-        if *next as usize > self.ebs.len() {
-            return Err(PqrError::InvalidRequest(format!(
-                "progress wants snapshot {next}, archive has {}",
-                self.ebs.len()
-            )));
-        }
-        Ok(if self.delta {
-            (0..*next).collect()
-        } else {
-            next.checked_sub(1).into_iter().collect()
-        })
-    }
-
     fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
-        let i = index as usize;
-        if i >= self.ebs.len() || i < self.next || (self.delta && i != self.next) {
-            return Err(out_of_order(index));
-        }
-        let (part, _) = SzCompressor::new(SzConfig::default()).decompress(bytes)?;
-        if part.len() != self.n {
-            return Err(PqrError::CorruptStream(format!(
-                "snapshot {index} holds {} elements, field has {}",
-                part.len(),
-                self.n
-            )));
-        }
-        match &mut self.pending {
+        let sz = SzCompressor::new(SzConfig::default());
+        let check = |len: usize| {
+            if len != self.n {
+                return Err(PqrError::CorruptStream(format!(
+                    "snapshot {index} holds {len} elements, field has {}",
+                    self.n
+                )));
+            }
+            Ok(())
+        };
+        if self.delta && self.pending {
             // only when the reader declined the previous residual (a ladder
             // that does not descend): keep the sum, not the last term
-            Some(unfolded) if self.delta => {
-                for (acc, p) in unfolded.iter_mut().zip(&part) {
-                    *acc += p;
-                }
+            let (part, _) = sz.decompress(bytes)?;
+            check(part.len())?;
+            for (acc, p) in self.decoded.iter_mut().zip(&part) {
+                *acc += p;
             }
-            pending => *pending = Some(part),
+        } else if self.delta {
+            // nothing pending, so a failed decode leaves only scratch behind
+            sz.decompress_into(bytes, &mut self.decoded)?;
+            check(self.decoded.len())?;
+        } else {
+            let (snapshot, _) = sz.decompress(bytes)?;
+            check(snapshot.len())?;
+            self.decoded = snapshot;
         }
-        self.next = i + 1;
-        self.bound = self.ebs[i];
+        self.pending = true;
         Ok(())
     }
 
@@ -207,31 +209,20 @@ impl Backend for Ladder {
     }
 
     fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
-        match self.pending.take() {
-            Some(part) if self.delta => {
-                for (acc, p) in out.iter_mut().zip(&part) {
+        if std::mem::take(&mut self.pending) {
+            if self.delta {
+                for (acc, p) in out.iter_mut().zip(&self.decoded) {
                     *acc += p;
                 }
+            } else {
+                *out = std::mem::take(&mut self.decoded);
             }
-            Some(snapshot) => *out = snapshot,
-            None => {}
         }
         0
-    }
-
-    fn progress(&self, fetched: u64) -> ReaderProgress {
-        ReaderProgress::Snapshots {
-            next: self.next as u32,
-            fetched,
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.next >= self.ebs.len()
     }
 
     fn state_bytes(&self) -> usize {
-        0
+        self.decoded.capacity() * 8
     }
 }
 
@@ -248,43 +239,6 @@ struct Multilevel {
 }
 
 impl Backend for Multilevel {
-    fn bound(&self) -> f64 {
-        self.cursor.guaranteed_bound()
-    }
-
-    fn front(&self, eb: f64) -> Vec<(u32, f64)> {
-        self.cursor
-            .front(eb)
-            .into_iter()
-            .map(|(l, p, after)| (self.level_base[l] + p as u32, after))
-            .collect()
-    }
-
-    fn restore_front(&self, progress: &ReaderProgress) -> Result<Vec<u32>> {
-        let ReaderProgress::Mgard { planes } = progress else {
-            return Err(marker_mismatch());
-        };
-        let levels = self.cursor.meta().levels();
-        if planes.len() != levels.len() {
-            return Err(PqrError::InvalidRequest(format!(
-                "progress has {} levels, stream has {}",
-                planes.len(),
-                levels.len()
-            )));
-        }
-        let mut out = Vec::new();
-        for (l, (&k, lm)) in planes.iter().zip(levels).enumerate() {
-            if k > lm.num_planes {
-                return Err(PqrError::InvalidRequest(format!(
-                    "progress wants {k} planes of level {l}, stream has {}",
-                    lm.num_planes
-                )));
-            }
-            out.extend((0..k).map(|p| self.level_base[l] + p));
-        }
-        Ok(out)
-    }
-
     fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
         // the last level starting at or before `index` (an all-zero level
         // stores no planes and shares its base with the next one)
@@ -303,16 +257,6 @@ impl Backend for Multilevel {
     fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
         self.cursor.fold();
         self.cursor.reconstruct_into(out)
-    }
-
-    fn progress(&self, _fetched: u64) -> ReaderProgress {
-        ReaderProgress::Mgard {
-            planes: self.cursor.planes_read(),
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cursor.fully_fetched()
     }
 
     fn state_bytes(&self) -> usize {
@@ -342,31 +286,6 @@ struct BlockTransform {
 }
 
 impl Backend for BlockTransform {
-    fn bound(&self) -> f64 {
-        self.cursor.guaranteed_bound()
-    }
-
-    fn front(&self, eb: f64) -> Vec<(u32, f64)> {
-        self.cursor
-            .front(eb)
-            .into_iter()
-            .map(|(k, after)| (1 + k, after))
-            .collect()
-    }
-
-    fn restore_front(&self, progress: &ReaderProgress) -> Result<Vec<u32>> {
-        let ReaderProgress::Zfp { planes } = progress else {
-            return Err(marker_mismatch());
-        };
-        if *planes > self.cursor.meta().num_planes() {
-            return Err(PqrError::InvalidRequest(format!(
-                "progress wants {planes} planes, archive has {}",
-                self.cursor.meta().num_planes()
-            )));
-        }
-        Ok((1..=*planes).collect())
-    }
-
     fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
         if index != 1 + self.cursor.planes_read() {
             return Err(out_of_order(index));
@@ -379,16 +298,6 @@ impl Backend for BlockTransform {
         0
     }
 
-    fn progress(&self, _fetched: u64) -> ReaderProgress {
-        ReaderProgress::Zfp {
-            planes: self.cursor.planes_read(),
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cursor.fully_fetched()
-    }
-
     fn state_bytes(&self) -> usize {
         // digit words and plane buffers on the order of two field copies
         self.cursor.meta().dims().iter().product::<usize>() * 16
@@ -399,9 +308,10 @@ impl Backend for BlockTransform {
 // Opening and encoding
 // ---------------------------------------------------------------------------
 
-/// A freshly opened backend and what opening it cost.
+/// A freshly opened field and what opening it cost.
 pub(crate) struct Opened {
     pub backend: Box<dyn Backend>,
+    pub table: Table,
     /// The bound a reader's all-zero starting reconstruction holds at:
     /// `max|x|`. `∞` instead when the opening state supersedes the zero
     /// vector outright — PMGARD's metadata carries the root value, and its
@@ -413,18 +323,30 @@ pub(crate) struct Opened {
     pub meta_bytes: usize,
 }
 
-/// Opens the backend of the field `entry` describes, in an archive of shape
-/// `dims`, at zero consumed payload fragments. `fetch_meta` fetches the
-/// field's fragment 0 and is called only for representations that keep
+/// A directory bound a reader would adopt and certify: refused unless it
+/// is a number ≥ 0.
+fn certifiable(what: &str, bound: f64) -> Result<f64> {
+    if bound >= 0.0 {
+        Ok(bound)
+    } else {
+        Err(PqrError::CorruptStream(format!("{what} bound {bound}")))
+    }
+}
+
+/// Opens the field `entry` describes, in an archive of shape `dims`, at
+/// zero consumed fragments, and builds its [`Table`]. `fetch_meta` fetches
+/// the field's fragment 0 and is called only for representations that keep
 /// their metadata there. This is the one structural validation of a field:
 /// its metadata must parse, agree with the archive's shape, and imply
-/// exactly the directory's fragment count.
+/// exactly the directory's fragment count, and every bound the directory
+/// gives must be certifiable.
 pub(crate) fn open(
     entry: &FieldEntry,
     dims: &[usize],
     fetch_meta: impl FnOnce() -> Result<Arc<Vec<u8>>>,
 ) -> Result<Opened> {
     let nfrags = entry.fragments.len();
+    let max_abs = certifiable("max|x|", entry.max_abs)?;
     // metadata-bearing representations: fragment 0 must exist, describe the
     // archive's shape, and account for every other fragment
     let meta = || {
@@ -452,18 +374,28 @@ pub(crate) fn open(
         Ok(())
     };
     Ok(match entry.scheme {
-        Scheme::Psz3 | Scheme::Psz3Delta => Opened {
-            backend: Box::new(Ladder {
-                ebs: entry.fragments.iter().map(|f| f.eb_abs).collect(),
-                delta: entry.scheme == Scheme::Psz3Delta,
-                n: dims.iter().product(),
-                next: 0,
-                bound: entry.max_abs,
-                pending: None,
-            }),
-            start_bound: entry.max_abs,
-            meta_bytes: 0,
-        },
+        Scheme::Psz3 | Scheme::Psz3Delta => {
+            let delta = entry.scheme == Scheme::Psz3Delta;
+            let rows = (0u32..)
+                .zip(&entry.fragments)
+                .map(|(i, f)| Ok((i, certifiable("snapshot", f.eb_abs)?)))
+                .collect::<Result<_>>()?;
+            Opened {
+                backend: Box::new(Ladder {
+                    delta,
+                    n: dims.iter().product(),
+                    decoded: Vec::new(),
+                    pending: false,
+                }),
+                table: Table {
+                    rows,
+                    start: max_abs,
+                    one_row: !delta,
+                },
+                start_bound: max_abs,
+                meta_bytes: 0,
+            }
+        }
         Scheme::PmgardHb | Scheme::PmgardOb => {
             let bytes = meta()?;
             let meta = MgardMeta::from_bytes(&bytes)?;
@@ -474,11 +406,21 @@ pub(crate) fn open(
                 level_base.push(base);
                 base += lm.num_planes;
             }
+            let (start, order) = pqr_mgard::retrieve::plane_order(&meta);
+            let rows = order
+                .into_iter()
+                .map(|(l, p, after)| (level_base[l] + p, after))
+                .collect();
             Opened {
                 backend: Box::new(Multilevel {
                     cursor: MgardCursor::new(meta),
                     level_base,
                 }),
+                table: Table {
+                    rows,
+                    start,
+                    one_row: false,
+                },
                 start_bound: f64::INFINITY,
                 meta_bytes: bytes.len(),
             }
@@ -487,11 +429,19 @@ pub(crate) fn open(
             let bytes = meta()?;
             let meta = ZfpMeta::from_bytes(&bytes)?;
             check(meta.dims(), meta.num_planes() as usize)?;
+            let rows = (1..=meta.num_planes())
+                .map(|k| (k, meta.bound_after(k)))
+                .collect();
             Opened {
+                table: Table {
+                    rows,
+                    start: meta.bound_after(0),
+                    one_row: false,
+                },
                 backend: Box::new(BlockTransform {
                     cursor: ZfpCursor::new(meta),
                 }),
-                start_bound: entry.max_abs,
+                start_bound: max_abs,
                 meta_bytes: bytes.len(),
             }
         }
@@ -578,10 +528,18 @@ pub(crate) fn max_fragments(scheme: Scheme, dims: &[usize], num_bounds: usize) -
 }
 
 #[cfg(test)]
+impl Table {
+    /// Every `(fragment index, bound after it)` row.
+    pub fn rows(&self) -> &[(u32, f64)] {
+        &self.rows
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fragstore::{FragmentId, FragmentSource, Manifest};
-    use crate::refactored::{FieldReader, RefactoredField};
+    use crate::refactored::{FieldReader, ReaderProgress, RefactoredField};
     use pqr_util::stats::{max_abs_diff, value_range};
     use std::sync::Mutex;
 
@@ -608,10 +566,12 @@ mod tests {
     }
 
     /// The contract every backend is held to, one table row per scheme:
-    /// what is consumed is `front(eb)` in order, each step lands on the
-    /// bound the front announced, the true error is within `bound()` after
-    /// every prefix, no bound ever regresses, and `restore(progress())`
-    /// replays to the same bits and the same byte count.
+    /// what is consumed is the table's cut for `eb` in order — a prefix
+    /// scheme's extends the consumed prefix, and every cut stops at its
+    /// first row that reaches `eb` — the true error is within the table's
+    /// bound after every push, no bound ever regresses, and
+    /// `restore(progress())` replays to the same bits and the same byte
+    /// count.
     #[test]
     fn every_backend_conforms() {
         const N: usize = 3000;
@@ -632,42 +592,46 @@ mod tests {
                 RefactoredField::refactor_with_bounds(scheme, &data, &[N], &ladder).unwrap();
             let manifest = field.manifest().unwrap();
 
-            // --- the backend alone: one push at a time
-            let mut backend = open(&manifest.fields[0], &manifest.dims, || field.fragment(0))
-                .unwrap()
-                .backend;
+            // --- the backend alone, driven through its table one push at a time
+            let Opened {
+                mut backend, table, ..
+            } = open(&manifest.fields[0], &manifest.dims, || field.fragment(0)).unwrap();
+            let mut consumed = 0u32;
             let mut recon = vec![0.0; N];
             backend.rebuild(&mut recon);
             assert!(
-                max_abs_diff(&data, &recon) <= backend.bound(),
+                max_abs_diff(&data, &recon) <= table.bound(0),
                 "{name}: open"
             );
             for &eb in &series {
-                let front = backend.front(eb);
-                if backend.prefix_front() {
-                    let full = backend.front(0.0);
-                    assert_eq!(front[..], full[..front.len()], "{name} eb={eb}");
+                let rows = table.cut(consumed, eb);
+                if !table.one_row {
+                    assert_eq!(rows.start, consumed as usize, "{name} eb={eb}");
                 }
-                for (index, after) in front {
-                    let before = backend.bound();
+                for row in rows.start..rows.end.saturating_sub(1) {
+                    assert!(table.rows[row].1 > eb, "{name} eb={eb}: cut past row {row}");
+                }
+                for row in rows {
+                    let index = table.fragment(row);
+                    let before = table.bound(consumed);
                     backend
                         .push(index, &field.fragment(index).unwrap())
                         .unwrap();
-                    assert_eq!(
-                        backend.bound().to_bits(),
-                        after.to_bits(),
-                        "{name} #{index}"
-                    );
+                    consumed = row as u32 + 1;
                     assert!(
-                        backend.bound() <= before,
+                        table.bound(consumed) <= before,
                         "{name} #{index}: bound regressed"
                     );
                     backend.rebuild(&mut recon);
                     let real = max_abs_diff(&data, &recon);
-                    assert!(real <= backend.bound(), "{name} #{index}: {real}");
+                    assert!(real <= table.bound(consumed), "{name} #{index}: {real}");
                 }
-                assert!(backend.bound() <= eb, "{name} eb={eb}: {}", backend.bound());
-                assert!(backend.front(eb).is_empty(), "{name} eb={eb}");
+                assert!(
+                    table.bound(consumed) <= eb,
+                    "{name} eb={eb}: {}",
+                    table.bound(consumed)
+                );
+                assert!(table.cut(consumed, eb).is_empty(), "{name} eb={eb}");
             }
             assert!(backend.push(0, &[]).is_err(), "{name}: out-of-order push");
 
@@ -715,9 +679,13 @@ mod tests {
                 assert_eq!(fresh.progress(), marker, "{name} eb={eb}");
             }
             // a marker of another representation is refused, not replayed
-            let foreign = match reader.progress() {
-                ReaderProgress::Zfp { .. } => ReaderProgress::Mgard { planes: vec![1] },
-                _ => ReaderProgress::Zfp { planes: 1 },
+            let foreign = Scheme::extended()
+                .into_iter()
+                .find(|&other| other != scheme)
+                .unwrap();
+            let foreign = ReaderProgress {
+                scheme: foreign,
+                ..reader.progress()
             };
             assert!(reader.plan_restore(&foreign).is_err(), "{name}");
             assert!(!consumed.is_empty(), "{name}");

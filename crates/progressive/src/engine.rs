@@ -399,7 +399,7 @@ impl RetrievalEngine {
     /// The resumable progress marker of field `i` (the per-field unit
     /// [`RetrievalEngine::save_progress`] concatenates).
     pub fn reader_progress(&self, i: usize) -> ReaderProgress {
-        self.views[i].snapshot().progress.clone()
+        self.views[i].snapshot().progress
     }
 
     /// Resolution-progressive reconstruction of field `i` from the bytes

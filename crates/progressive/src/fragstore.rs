@@ -1088,20 +1088,22 @@ mod tests {
 
     /// Crafts a minimal container whose single field's directory is
     /// attacker-controlled.
-    fn crafted(fragments: &[(u64, u64)]) -> Vec<u8> {
+    /// A one-field snapshot container whose directory gives the field
+    /// `max_abs` and every snapshot `eb_abs`.
+    fn crafted(fragments: &[(u64, u64)], scheme: Scheme, max_abs: f64, eb_abs: f64) -> Vec<u8> {
         let mut m = ByteWriter::new();
         m.put_u8(1); // nd
         m.put_u64(4); // dim
         m.put_u32(1); // one field
         m.put_bytes(b"f");
-        m.put_u8(0); // Psz3
+        m.put_u8(scheme.tag());
         m.put_f64(1.0);
-        m.put_f64(1.0);
+        m.put_f64(max_abs);
         m.put_u32(fragments.len() as u32);
         for &(offset, len) in fragments {
             m.put_u64(offset);
             m.put_u64(len);
-            m.put_f64(0.1);
+            m.put_f64(eb_abs);
         }
         m.put_u8(0); // no mask
         m.put_bytes(&[]); // app meta
@@ -1118,7 +1120,7 @@ mod tests {
     /// Payload-region start of a crafted container with `n` fragments (the
     /// manifest grows with the directory, so it depends on `n`).
     fn crafted_payload_start(n: usize) -> u64 {
-        crafted(&vec![(0, 0); n]).len() as u64 - 64
+        crafted(&vec![(0, 0); n], Scheme::Psz3, 1.0, 0.1).len() as u64 - 64
     }
 
     #[test]
@@ -1126,19 +1128,36 @@ mod tests {
         let ps1 = crafted_payload_start(1);
         let ps2 = crafted_payload_start(2);
         // a well-formed directory parses
-        assert!(InMemorySource::new(crafted(&[(ps2, 10), (ps2 + 10, 20)])).is_ok());
+        assert!(InMemorySource::new(crafted(
+            &[(ps2, 10), (ps2 + 10, 20)],
+            Scheme::Psz3,
+            1.0,
+            0.1
+        ))
+        .is_ok());
         // overlapping ranges
-        assert!(InMemorySource::new(crafted(&[(ps2, 10), (ps2 + 5, 10)])).is_err());
+        assert!(
+            InMemorySource::new(crafted(&[(ps2, 10), (ps2 + 5, 10)], Scheme::Psz3, 1.0, 0.1))
+                .is_err()
+        );
         // descending offsets
-        assert!(InMemorySource::new(crafted(&[(ps2 + 30, 10), (ps2, 10)])).is_err());
+        assert!(InMemorySource::new(crafted(
+            &[(ps2 + 30, 10), (ps2, 10)],
+            Scheme::Psz3,
+            1.0,
+            0.1
+        ))
+        .is_err());
         // range escaping the container
-        assert!(InMemorySource::new(crafted(&[(ps1, 65)])).is_err());
+        assert!(InMemorySource::new(crafted(&[(ps1, 65)], Scheme::Psz3, 1.0, 0.1)).is_err());
         // offset before the payload region (inside the manifest)
-        assert!(InMemorySource::new(crafted(&[(0, 8)])).is_err());
+        assert!(InMemorySource::new(crafted(&[(0, 8)], Scheme::Psz3, 1.0, 0.1)).is_err());
         // offset+len overflowing u64
-        assert!(InMemorySource::new(crafted(&[(u64::MAX - 3, 10)])).is_err());
+        assert!(
+            InMemorySource::new(crafted(&[(u64::MAX - 3, 10)], Scheme::Psz3, 1.0, 0.1)).is_err()
+        );
         // absurd fragment count that the remaining bytes cannot back
-        let mut bomb = crafted(&[(ps1, 10)]);
+        let mut bomb = crafted(&[(ps1, 10)], Scheme::Psz3, 1.0, 0.1);
         // fragment-count field sits right after dims+field header; craft via
         // direct byte surgery is brittle — instead check the count guard
         // through a directory that *claims* more fragments than fit
@@ -1160,11 +1179,42 @@ mod tests {
     }
 
     #[test]
+    fn hostile_directory_bounds_refused_at_open() {
+        // a snapshot bound or a max|x| that is NaN or negative parses, but
+        // a reader would adopt and certify it: opening the field refuses it
+        let ps = crafted_payload_start(1);
+        for scheme in [Scheme::Psz3, Scheme::Psz3Delta] {
+            for (max_abs, eb_abs) in [
+                (f64::NAN, 0.1),
+                (-1.0, 0.1),
+                (1.0, f64::NAN),
+                (1.0, -0.1),
+                (1.0, f64::NEG_INFINITY),
+            ] {
+                let container = crafted(&[(ps, 10)], scheme, max_abs, eb_abs);
+                let src = Arc::new(InMemorySource::new(container).unwrap());
+                let manifest = src.manifest().unwrap();
+                let opened = crate::refactored::FieldReader::open(src, &manifest, 0);
+                assert!(
+                    matches!(opened, Err(PqrError::CorruptStream(_))),
+                    "{} max|x| {max_abs} eb {eb_abs} opened",
+                    scheme.name()
+                );
+            }
+        }
+        // and the bounds our writer produces open
+        let src =
+            Arc::new(InMemorySource::new(crafted(&[(ps, 10)], Scheme::Psz3, 0.0, 0.0)).unwrap());
+        let manifest = src.manifest().unwrap();
+        assert!(crate::refactored::FieldReader::open(src, &manifest, 0).is_ok());
+    }
+
+    #[test]
     fn zero_snapshot_field_is_exhausted_not_a_panic() {
         // a container declaring a snapshot field with an empty directory is
         // legal (ladder-less archive); refinement must degrade to "born
         // exhausted at the zero-vector bound", not index an empty ladder
-        let src = Arc::new(InMemorySource::new(crafted(&[])).unwrap());
+        let src = Arc::new(InMemorySource::new(crafted(&[], Scheme::Psz3, 1.0, 0.1)).unwrap());
         let manifest = src.manifest().unwrap();
         let mut reader = crate::refactored::FieldReader::open(src, &manifest, 0).unwrap();
         assert!(reader.exhausted());

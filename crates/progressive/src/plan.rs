@@ -217,11 +217,12 @@ pub struct PlanReport {
     /// Store refinement requests served entirely from already-decoded
     /// state during this execution (same delta caveat).
     pub store_refine_reuses: u64,
-    /// Refinement schedules the store's plan-front cache served as a
-    /// prefix of a cached front during this execution (same delta caveat).
+    /// Refinement schedules the store looked up in its masters' fetch
+    /// tables during this execution (same delta caveat): every schedule.
     pub plan_front_hits: u64,
-    /// Refinement schedules the store recomputed from the bound model
-    /// during this execution (same delta caveat).
+    /// Always 0 (see [`StoreStats::plan_front_misses`]).
+    ///
+    /// [`StoreStats::plan_front_misses`]: crate::store::StoreStats::plan_front_misses
     pub plan_front_misses: u64,
     /// Multilevel recompose axis passes the store's masters ran rebuilding
     /// reconstructions during this execution (same delta caveat).

@@ -13,11 +13,12 @@
 //! reconstruct from a prefix of fragments under a guaranteed L∞ bound, and
 //! recompose incrementally as more fragments arrive.
 
-use crate::backend::{self, Backend, Fragments};
+use crate::backend::{self, Backend, Fragments, Table};
 use crate::fragstore::{self, Batch, FragmentId, FragmentSource, Manifest};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::stats;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which progressive representation to refactor into.
@@ -235,53 +236,32 @@ impl RefactoredField {
 /// Resumable progress marker of a [`FieldReader`] — everything needed to
 /// reconstruct the reader's exact state against the same archive in another
 /// process (Fig. 1's retrieval side is long-lived; sessions outlive
-/// processes). Replay is deterministic, so restoring reproduces both the
+/// processes). A reader's state is a prefix length of its field's fetch
+/// order, and replay is deterministic, so restoring reproduces both the
 /// reconstruction and the cumulative byte accounting bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReaderProgress {
-    /// Snapshot schemes: index one past the last fetched snapshot, plus the
-    /// session's cumulative fetched bytes (not derivable from the index —
-    /// plain PSZ3 may have re-fetched several snapshots on the way).
-    Snapshots {
-        /// One past the last fetched snapshot index.
-        next: u32,
-        /// Cumulative fetched bytes at save time.
-        fetched: u64,
-    },
-    /// PMGARD schemes: planes consumed per level.
-    Mgard {
-        /// Fetched plane count per multilevel level.
-        planes: Vec<u32>,
-    },
-    /// PZFP: global planes consumed.
-    Zfp {
-        /// Fetched plane count.
-        planes: u32,
-    },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReaderProgress {
+    /// The representation the marker was taken under; a reader of another
+    /// refuses it.
+    pub scheme: Scheme,
+    /// Rows of the field's fetch order consumed.
+    pub consumed: u32,
+    /// Cumulative fetched bytes at save time (not derivable from
+    /// `consumed` for plain PSZ3, which may have fetched several snapshots
+    /// on the way).
+    pub fetched: u64,
 }
 
+/// Wire tag of a [`ReaderProgress`]. Tags 0–2 named the per-family markers
+/// of earlier releases (snapshot index, planes per level, global planes),
+/// and are refused rather than misread.
+const PROGRESS_TAG: u8 = 3;
+
 impl ReaderProgress {
-    /// Serializes the marker.
+    /// Serializes the marker: tag, `consumed`, `fetched`, scheme.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        match self {
-            ReaderProgress::Snapshots { next, fetched } => {
-                w.put_u8(0);
-                w.put_u32(*next);
-                w.put_u64(*fetched);
-            }
-            ReaderProgress::Mgard { planes } => {
-                w.put_u8(1);
-                w.put_u32(planes.len() as u32);
-                for &p in planes {
-                    w.put_u32(p);
-                }
-            }
-            ReaderProgress::Zfp { planes } => {
-                w.put_u8(2);
-                w.put_u32(*planes);
-            }
-        }
+        self.write(&mut w);
         w.finish()
     }
 
@@ -296,31 +276,33 @@ impl ReaderProgress {
     }
 
     pub(crate) fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(match r.get_u8()? {
-            0 => ReaderProgress::Snapshots {
-                next: r.get_u32()?,
-                fetched: r.get_u64()?,
-            },
-            1 => {
-                let n = r.get_u32()? as usize;
-                if n > 64 {
-                    return Err(PqrError::CorruptStream(format!("{n} levels in progress")));
-                }
-                let mut planes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    planes.push(r.get_u32()?);
-                }
-                ReaderProgress::Mgard { planes }
+        match r.get_u8()? {
+            PROGRESS_TAG => {}
+            old @ 0..=2 => {
+                return Err(PqrError::InvalidRequest(format!(
+                    "progress marker in the retired per-family format (tag {old}); \
+                     markers now record a prefix of the field's fetch order, so \
+                     save the progress again"
+                )))
             }
-            2 => ReaderProgress::Zfp {
-                planes: r.get_u32()?,
-            },
             t => return Err(PqrError::CorruptStream(format!("unknown progress tag {t}"))),
+        }
+        let consumed = r.get_u32()?;
+        let fetched = r.get_u64()?;
+        let scheme = Scheme::from_tag(r.get_u8()?)
+            .ok_or_else(|| PqrError::CorruptStream("unknown progress scheme".into()))?;
+        Ok(Self {
+            scheme,
+            consumed,
+            fetched,
         })
     }
 
     pub(crate) fn write(&self, w: &mut ByteWriter) {
-        w.put_raw(&self.to_bytes());
+        w.put_u8(PROGRESS_TAG);
+        w.put_u32(self.consumed);
+        w.put_u64(self.fetched);
+        w.put_u8(self.scheme.tag());
     }
 }
 
@@ -340,10 +322,12 @@ const MAX_RECORDED_FETCHED: u64 = 1 << 48;
 /// so sessions built on them can move across threads and outlive the scope
 /// that opened them.
 ///
-/// What the representation is never shows here: the reader drives one
-/// crate-private `Backend` per representation — [`FieldReader::refine_to`]
-/// and [`FieldReader::restore`] are one consume routine over the backend's
-/// front — and everything else is accounting.
+/// What the representation is never shows here: the reader walks its
+/// field's fetch table (built once at open) and pushes what it fetches into
+/// one crate-private `Backend` per representation —
+/// [`FieldReader::refine_to`] and [`FieldReader::restore`] are one consume
+/// routine over a range of the table's rows — and everything else is
+/// accounting.
 ///
 /// This is the decoding reader behind every session: a
 /// [`ProgressStore`] holds one per field as its master, and an engine's
@@ -358,6 +342,10 @@ pub struct FieldReader {
     /// rounds that rebuilt nothing.
     recon_cache_hits: u64,
     backend: Box<dyn Backend>,
+    /// The field's fetch order.
+    table: Table,
+    /// Rows of `table` consumed: the reader's whole decode position.
+    consumed: u32,
     /// True while the decoded state is ahead of the reconstruction held:
     /// something was pushed that no adopted rebuild reflects.
     ahead: bool,
@@ -410,17 +398,17 @@ struct Held {
 }
 
 impl Held {
-    /// Rebuilds from `backend` and adopts the result — iff its bound is no
-    /// worse than the held one: a conservative early model (PZFP's first
-    /// planes) may sit above the zero-vector bound a reader starts from,
-    /// and then what is held stands. Returns whether it adopted.
+    /// Rebuilds from `backend`, whose state certifies `bound`, and adopts
+    /// the result — iff `bound` is no worse than the held one: a
+    /// conservative early model (PZFP's first planes) may sit above the
+    /// zero-vector bound a reader starts from, and then what is held
+    /// stands. Returns whether it adopted.
     ///
     /// A uniquely owned buffer is reused in place; one pinned by a
     /// published snapshot is left to its owners and a fresh allocation
     /// starts instead — copied only for a backend that adds to it, since
     /// every other rebuild overwrites each element anyway.
-    fn adopt(&mut self, backend: &mut dyn Backend) -> bool {
-        let bound = backend.bound();
+    fn adopt(&mut self, backend: &mut dyn Backend, bound: f64) -> bool {
         if bound > self.bound {
             return false;
         }
@@ -478,11 +466,13 @@ impl FieldReader {
             },
             recon_cache_hits: 0,
             backend: opened.backend,
+            table: opened.table,
+            consumed: 0,
             ahead: true,
         };
         // the opening state may already beat the zero vector (PMGARD's
         // metadata carries the root value)
-        reader.consume(&[], Batch::new())?;
+        reader.consume(0..0, Batch::new())?;
         Ok(reader)
     }
 
@@ -556,12 +546,16 @@ impl FieldReader {
 
     /// The reader's resumable progress marker (see [`ReaderProgress`]).
     pub fn progress(&self) -> ReaderProgress {
-        self.backend.progress(self.io.fetched as u64)
+        ReaderProgress {
+            scheme: self.scheme,
+            consumed: self.consumed,
+            fetched: self.io.fetched as u64,
+        }
     }
 
     /// True when no further refinement is possible.
     pub fn exhausted(&self) -> bool {
-        self.backend.exhausted()
+        self.table.exhausted(self.consumed)
     }
 
     /// Progression in **resolution** (the second PMGARD axis, §II): drops
@@ -577,27 +571,23 @@ impl FieldReader {
 
     /// The fragment indices [`FieldReader::refine_to`]`(eb)` would fetch
     /// from the current state, in consume order, **without fetching** —
-    /// the per-field refinement front a retrieval plan schedules. Exact by
-    /// construction: every representation's bound model is a function of
-    /// consumed-fragment counts and directory/metadata values only, never
-    /// of payload contents.
+    /// the per-field refinement front a retrieval plan schedules: a range
+    /// of the field's fetch table, cut where its bound first reaches `eb`.
     pub fn plan_refine_to(&self, eb: f64) -> Vec<u32> {
-        if eb.is_nan() || eb < 0.0 || self.held.bound <= eb {
-            return Vec::new(); // mirrors refine_to's early exits
-        }
-        let front = self.backend.front(eb);
-        front.into_iter().map(|(index, _)| index).collect()
+        self.fragments(self.refine_rows(eb))
     }
 
-    /// The **full remaining refinement front** from the current state down
-    /// to the representation floor, with the guaranteed bound *after* each
-    /// fragment — what the shared store's plan-front cache stores once per
-    /// epoch so every tighter request cuts a prefix instead of re-walking
-    /// the bound model. `None` for representations without a
-    /// prefix-monotone front (plain PSZ3, whose schedule depends on the
-    /// target, not just the state).
-    pub fn plan_refine_with_bounds(&self) -> Option<Vec<(u32, f64)>> {
-        self.backend.prefix_front().then(|| self.backend.front(0.0))
+    /// The table rows a refinement to `eb` consumes (none on an invalid
+    /// `eb`, or once the held bound reaches it).
+    fn refine_rows(&self, eb: f64) -> Range<usize> {
+        if eb.is_nan() || eb < 0.0 || self.held.bound <= eb {
+            return 0..0;
+        }
+        self.table.cut(self.consumed, eb)
+    }
+
+    fn fragments(&self, rows: Range<usize>) -> Vec<u32> {
+        rows.map(|row| self.table.fragment(row)).collect()
     }
 
     /// The fragment indices [`FieldReader::restore`]`(progress)` will fetch
@@ -606,7 +596,20 @@ impl FieldReader {
     /// [`FragmentSource::read_many`]. Validates the marker against the
     /// field exactly as `restore` does.
     pub fn plan_restore(&self, progress: &ReaderProgress) -> Result<Vec<u32>> {
-        self.backend.restore_front(progress)
+        self.restore_rows(progress).map(|rows| self.fragments(rows))
+    }
+
+    /// The table rows a fresh reader replays to reach `progress`, which
+    /// must be a marker of this representation.
+    fn restore_rows(&self, progress: &ReaderProgress) -> Result<Range<usize>> {
+        if progress.scheme != self.scheme {
+            return Err(PqrError::InvalidRequest(format!(
+                "{} progress marker for a {} field",
+                progress.scheme.name(),
+                self.scheme.name()
+            )));
+        }
+        self.table.restore(progress.consumed)
     }
 
     /// Fetches fragments until the guaranteed bound is ≤ `eb` (absolute) or
@@ -622,7 +625,8 @@ impl FieldReader {
             return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
         }
         let before = self.io.fetched;
-        if self.held.bound <= eb || !self.consume(&self.plan_refine_to(eb), batch)? {
+        let rows = self.refine_rows(eb);
+        if rows.is_empty() || !self.consume(rows, batch)? {
             self.recon_cache_hits += 1;
         }
         Ok(self.io.fetched - before)
@@ -642,37 +646,38 @@ impl FieldReader {
     /// it records may neither undercount what its own replay moved nor
     /// exceed [`MAX_RECORDED_FETCHED`].
     pub(crate) fn restore_with(&mut self, progress: &ReaderProgress, batch: Batch) -> Result<()> {
-        let front = self.plan_restore(progress)?;
-        self.consume(&front, batch)?;
-        // a snapshot marker records the bytes a replay cannot re-derive
-        if let &ReaderProgress::Snapshots { fetched, .. } = progress {
-            if fetched < self.io.fetched as u64 || fetched > MAX_RECORDED_FETCHED {
-                return Err(PqrError::CorruptStream(format!(
-                    "progress records {fetched} fetched bytes; its replay moved {}",
-                    self.io.fetched
-                )));
-            }
-            self.io.fetched = fetched as usize;
+        let rows = self.restore_rows(progress)?;
+        self.consume(rows, batch)?;
+        // the marker records the bytes a replay cannot re-derive (plain
+        // PSZ3's skipped snapshots); a prefix scheme's replay moves them all
+        let fetched = progress.fetched;
+        if fetched < self.io.fetched as u64 || fetched > MAX_RECORDED_FETCHED {
+            return Err(PqrError::CorruptStream(format!(
+                "progress records {fetched} fetched bytes; its replay moved {}",
+                self.io.fetched
+            )));
         }
+        self.io.fetched = fetched as usize;
         Ok(())
     }
 
     /// The one routine behind [`FieldReader::refine_to`] and
-    /// [`FieldReader::restore`]: takes `front` fragment by fragment from
-    /// `batch` or, failing that, the source, and pushes it; then rebuilds
-    /// **whenever the decoded state is ahead of the reconstruction held** —
-    /// keyed on the state, not on whether this call pushed — and adopts
-    /// the rebuild iff the backend's bound is no worse than the held one.
-    /// Returns whether a rebuild was adopted.
+    /// [`FieldReader::restore`]: takes the table's `rows` fragment by
+    /// fragment from `batch` or, failing that, the source, and pushes each;
+    /// then rebuilds **whenever the decoded state is ahead of the
+    /// reconstruction held** — keyed on the state, not on whether this call
+    /// pushed — and adopts the rebuild iff the table's bound for the state
+    /// is no worse than the held one. Returns whether a rebuild was adopted.
     ///
-    /// A fetch or decode that fails mid-front stops the pushing, not the
+    /// A fetch or decode that fails mid-range stops the pushing, not the
     /// rebuild: what did arrive is folded in before the error surfaces, so
     /// a reader never certifies a reconstruction its marker has moved past.
-    fn consume(&mut self, front: &[u32], mut batch: Batch) -> Result<bool> {
+    fn consume(&mut self, rows: Range<usize>, mut batch: Batch) -> Result<bool> {
         let backend = self.backend.as_mut();
         let mut adopted = false;
         let mut pushed = Ok(());
-        for &index in front {
+        for row in rows {
+            let index = self.table.fragment(row);
             pushed = self
                 .io
                 .fetch(index, &mut batch)
@@ -680,12 +685,13 @@ impl FieldReader {
             if pushed.is_err() {
                 break;
             }
+            self.consumed = row as u32 + 1;
             self.ahead = true;
-            if backend.incremental() && self.held.adopt(backend) {
+            if backend.incremental() && self.held.adopt(backend, self.table.bound(self.consumed)) {
                 (self.ahead, adopted) = (false, true);
             }
         }
-        if self.ahead && self.held.adopt(backend) {
+        if self.ahead && self.held.adopt(backend, self.table.bound(self.consumed)) {
             (self.ahead, adopted) = (false, true);
         }
         pushed.map(|()| adopted)
@@ -711,6 +717,14 @@ impl FragmentSource for RefactoredField {
             )));
         }
         self.fragment(id.index)
+    }
+}
+
+#[cfg(test)]
+impl FieldReader {
+    /// The field's fetch table.
+    pub(crate) fn table(&self) -> &Table {
+        &self.table
     }
 }
 
@@ -894,6 +908,164 @@ mod tests {
         // a looser request is also served from the memo
         assert_eq!(reader.refine_to(1e-2 * range).unwrap(), 0);
         assert_eq!(reader.recompose_passes(), passes);
+    }
+
+    /// Serves a resident field and logs the fragments fetched.
+    struct Recording {
+        field: RefactoredField,
+        log: std::sync::Mutex<Vec<u32>>,
+    }
+
+    impl FragmentSource for Recording {
+        fn manifest(&self) -> Result<Manifest> {
+            self.field.manifest()
+        }
+        fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
+            self.log.lock().unwrap().push(id.index);
+            self.field.fetch(id)
+        }
+    }
+
+    /// What each request of the series fetched, and the bound bits after it.
+    type Recorded = [(&'static [u32], u64); 12];
+    const RECORDED_NON_DESCENDING: [(Scheme, Recorded); 2] = [
+        (
+            Scheme::Psz3,
+            [
+                (&[0], 0x3fb00d5d2b839d56),
+                (&[], 0x3fb00d5d2b839d56),
+                (&[], 0x3fb00d5d2b839d56),
+                (&[], 0x3fb00d5d2b839d56),
+                (&[1], 0x3f448bfc60a87778),
+                (&[], 0x3f448bfc60a87778),
+                (&[], 0x3f448bfc60a87778),
+                (&[], 0x3f448bfc60a87778),
+                (&[3], 0x3eda4cc829cd65b8),
+                (&[], 0x3eda4cc829cd65b8),
+                (&[], 0x3eda4cc829cd65b8),
+                (&[], 0x3eda4cc829cd65b8),
+            ],
+        ),
+        (
+            Scheme::Psz3Delta,
+            [
+                (&[0], 0x3fb00d5d2b839d56),
+                (&[], 0x3fb00d5d2b839d56),
+                (&[], 0x3fb00d5d2b839d56),
+                (&[], 0x3fb00d5d2b839d56),
+                (&[1], 0x3f448bfc60a87778),
+                (&[], 0x3f448bfc60a87778),
+                (&[], 0x3f448bfc60a87778),
+                (&[], 0x3f448bfc60a87778),
+                (&[2, 3], 0x3eda4cc829cd65b8),
+                (&[], 0x3eda4cc829cd65b8),
+                (&[], 0x3eda4cc829cd65b8),
+                (&[], 0x3eda4cc829cd65b8),
+            ],
+        ),
+    ];
+
+    #[test]
+    fn non_descending_ladders_fetch_what_they_always_did() {
+        // `refactor_with_bounds` takes any ladder order; what a reader
+        // fetches per request and certifies after it was recorded when
+        // each field's order was re-derived on demand, before it became a
+        // table searched from the consumed prefix
+        let data = field_data(3000);
+        let range = stats::value_range(&data);
+        let ladder = [1e-2, 1e-4, 1e-3, 1e-6];
+        let series: Vec<f64> = (1..=12)
+            .map(|i| 10f64.powf(-0.5 * i as f64) * range)
+            .collect();
+        for (scheme, want) in RECORDED_NON_DESCENDING {
+            let field =
+                RefactoredField::refactor_with_bounds(scheme, &data, &[3000], &ladder).unwrap();
+            let source = Arc::new(Recording {
+                field,
+                log: Default::default(),
+            });
+            let manifest = source.manifest().unwrap();
+            let mut reader = FieldReader::open(source.clone(), &manifest, 0).unwrap();
+            for (step, (&eb, (frags, bits))) in series.iter().zip(want).enumerate() {
+                reader.refine_to(eb).unwrap();
+                let got = std::mem::take(&mut *source.log.lock().unwrap());
+                let bound = reader.guaranteed_bound().to_bits();
+                assert_eq!(got, frags, "{} step {step}", scheme.name());
+                assert_eq!(bound, bits, "{} step {step}: {bound:#018x}", scheme.name());
+            }
+        }
+    }
+
+    #[test]
+    fn resume_markers_refuse_what_they_cannot_replay() {
+        let data = field_data(1000);
+        let range = stats::value_range(&data);
+        for scheme in Scheme::extended() {
+            let name = scheme.name();
+            let field =
+                RefactoredField::refactor_with_bounds(scheme, &data, &[1000], &bounds_short())
+                    .unwrap();
+            let mut reader = field.reader();
+            reader.refine_to(1e-3 * range).unwrap();
+            let marker = reader.progress();
+            let end = {
+                let mut deep = field.reader();
+                deep.refine_to(0.0).unwrap();
+                assert!(deep.exhausted(), "{name}");
+                deep.progress().consumed
+            };
+            let invalid = |p: &ReaderProgress| {
+                matches!(field.reader().restore(p), Err(PqrError::InvalidRequest(_)))
+            };
+            let corrupt = |p: &ReaderProgress| {
+                matches!(field.reader().restore(p), Err(PqrError::CorruptStream(_)))
+            };
+            // the honest marker replays; one past the table's end does not
+            assert!(field.reader().restore(&marker).is_ok(), "{name}");
+            for consumed in [end + 1, u32::MAX] {
+                assert!(invalid(&ReaderProgress { consumed, ..marker }), "{name}");
+            }
+            // nor does a marker of another representation
+            for other in Scheme::extended().into_iter().filter(|&o| o != scheme) {
+                let foreign = ReaderProgress {
+                    scheme: other,
+                    ..marker
+                };
+                assert!(invalid(&foreign), "{name}: {} marker", other.name());
+            }
+            // nor a byte count below what the replay moves, or beyond any
+            // archive
+            for fetched in [0, marker.fetched - 1, MAX_RECORDED_FETCHED + 1, u64::MAX] {
+                assert!(
+                    corrupt(&ReaderProgress { fetched, ..marker }),
+                    "{name}: fetched {fetched}"
+                );
+            }
+            // the per-family markers of earlier releases are refused when
+            // read, never mapped onto a prefix
+            let old: [&[u8]; 3] = [
+                &[0, 2, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0],
+                &[1, 2, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0],
+                &[2, 4, 0, 0, 0],
+            ];
+            for bytes in old {
+                let read = ReaderProgress::from_bytes(bytes);
+                assert!(
+                    matches!(&read, Err(PqrError::InvalidRequest(m)) if m.contains("tag")),
+                    "{name}: {read:?}"
+                );
+                let mut retagged = marker.to_bytes();
+                retagged[0] = bytes[0];
+                assert!(matches!(
+                    ReaderProgress::from_bytes(&retagged),
+                    Err(PqrError::InvalidRequest(_))
+                ));
+            }
+            assert_eq!(
+                ReaderProgress::from_bytes(&marker.to_bytes()).unwrap(),
+                marker
+            );
+        }
     }
 
     #[test]

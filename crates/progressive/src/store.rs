@@ -47,7 +47,7 @@ use crate::pager::{plan_evictions, EvictionCandidate, StoreBudget};
 use crate::refactored::{FieldReader, ReaderProgress};
 use pqr_util::error::{PqrError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, RwLock, RwLockWriteGuard};
 
 /// A published view of one field's shared decode state: everything a
 /// session needs to serve requests at this depth without decoding.
@@ -189,31 +189,6 @@ impl PublishedField {
     }
 }
 
-/// A cached refinement front: the master's remaining fragment schedule
-/// (consume order) from the published epoch's state down to the scheme
-/// floor, with the guaranteed bound *after* each fragment. Fronts are
-/// exact and metadata-only, so any tighter request at the same epoch is a
-/// **prefix** of this list, and after an advance the unconsumed suffix
-/// carries over to the new epoch instead of being recomputed.
-struct CachedFront {
-    epoch: u64,
-    steps: Vec<(u32, f64)>,
-}
-
-/// Number of leading `steps` a refinement to `eb` consumes: fragments are
-/// taken while the bound still exceeds `eb`, including the first step that
-/// reaches it — exactly the fetch loop every scheme runs.
-fn cut_front(steps: &[(u32, f64)], eb: f64) -> usize {
-    let mut n = 0;
-    for &(_, after) in steps {
-        n += 1;
-        if after <= eb {
-            break;
-        }
-    }
-    n
-}
-
 // one entry per field: a Demoted marker occupying a Resident-sized slot
 // costs nothing at that scale, and boxing the hot variant would put an
 // indirection on every refine
@@ -278,12 +253,12 @@ pqr_util::tally! {
         /// is decodable, so the store takes no lock, clones no `Arc`, copies
         /// nothing.
         epoch_short_circuits,
-        /// Refinement schedules served from the plan-front cache: the cached
-        /// front for the current epoch covered the request as a prefix.
+        /// Refinement schedules the store batched. Every schedule is a
+        /// lookup in the master's fetch table, so every one counts as a hit.
         plan_front_hits,
-        /// Refinement schedules that recomputed the front from the bound
-        /// model (first request at an epoch, or a scheme without a
-        /// prefix-monotone front).
+        /// Always 0: no schedule walks a bound model any more. Both front
+        /// counters stay only while the benchmark and the serve stats frame
+        /// read them (ROADMAP item 1 deletes them).
         plan_front_misses,
         /// Decoded bytes this store currently holds resident (its share of the
         /// budget's global tally).
@@ -314,8 +289,6 @@ pub struct ProgressStore {
     /// epoch-swapped snapshot plus the advisory atomics every lock-free
     /// read path answers from.
     published: Vec<PublishedField>,
-    /// One plan-front cache slot per field (see [`CachedFront`]).
-    fronts: Vec<Mutex<Option<CachedFront>>>,
     /// The zero reconstruction every cold placeholder shares — demoting N
     /// fields (or adopting a demoted field N times) costs one allocation
     /// total, not N.
@@ -380,7 +353,6 @@ impl ProgressStore {
             manifest,
             fields: Vec::new(),
             published: Vec::new(),
-            fronts: Vec::new(),
             zero_recon: OnceLock::new(),
             store_id: budget.register_store(),
             private,
@@ -402,7 +374,6 @@ impl ProgressStore {
             let cost = master_cost(&reader);
             let exhausted = snap.exhausted;
             store.published.push(PublishedField::new(snap, exhausted));
-            store.fronts.push(Mutex::new(None));
             store.fields.push(RwLock::new(MasterField {
                 state: MasterState::Resident { reader },
                 charged: cost,
@@ -621,7 +592,7 @@ impl ProgressStore {
             // advanced under a request that then failed (see below), or a
             // panic left the cell parked. What it certifies now is what
             // sessions get — and what the schedule is planned from
-            published = self.publish_master(&mut g, field, 0);
+            published = self.publish_master(&mut g, field);
         }
         // another session may have decoded this depth while we waited (or
         // the rehydrated depth already satisfies the request)
@@ -632,10 +603,13 @@ impl ProgressStore {
         }
         drop(published);
         let reader = resident(&mut g);
-        // batch the delta schedule — served by the plan-front cache; a
+        // batch the delta schedule, a range of the master's fetch table; a
         // failed batch degrades to the reader's per-fragment fallback
         // fetches
-        let plan = self.front_schedule(field, reader, eb);
+        let plan = reader.plan_refine_to(eb);
+        self.counters
+            .plan_front_hits
+            .fetch_add(1, Ordering::Relaxed);
         let batch = self.read_tiered(field, &plan);
         let parked = self.private && !plan.is_empty() && self.park(field);
         let before = reader.fragments_decoded();
@@ -648,14 +622,10 @@ impl ProgressStore {
             .fetch_add(delta, Ordering::Relaxed);
         if let Err(e) = refined {
             // the master keeps what it decoded before the fault, folded
-            // into what it certifies, so the front cached for the published
-            // epoch no longer starts at its state; the next request to get
-            // here publishes it — at once if the cell is parked
-            if delta > 0 {
-                *self.fronts[field].lock().unwrap_or_else(|e| e.into_inner()) = None;
-            }
+            // into what it certifies; the next request to get here
+            // publishes it — at once if the cell is parked
             if parked {
-                self.publish_master(&mut g, field, 0);
+                self.publish_master(&mut g, field);
             }
             return Err(e);
         }
@@ -671,19 +641,13 @@ impl ProgressStore {
         self.counters
             .refine_advances
             .fetch_add(1, Ordering::Relaxed);
-        Ok(self.publish_master(&mut g, field, delta as usize))
+        Ok(self.publish_master(&mut g, field))
     }
 
-    /// Publishes the resident master's state as the field's next epoch,
-    /// carries the plan-front cache across it minus the `consumed`
-    /// fragments the advance decoded, and swaps the old epoch's budget
-    /// charge for the new one's in a single operation.
-    fn publish_master(
-        &self,
-        g: &mut MasterField,
-        field: usize,
-        consumed: usize,
-    ) -> Arc<FieldSnapshot> {
+    /// Publishes the resident master's state as the field's next epoch and
+    /// swaps the old epoch's budget charge for the new one's in a single
+    /// operation.
+    fn publish_master(&self, g: &mut MasterField, field: usize) -> Arc<FieldSnapshot> {
         let reader = resident(g);
         let cell = &self.published[field];
         let snap = Arc::new(snapshot_of(reader, cell.next_epoch()));
@@ -691,7 +655,6 @@ impl ProgressStore {
         self.counters
             .snapshot_publishes
             .fetch_add(1, Ordering::Relaxed);
-        self.retire_front(field, snap.epoch, consumed);
         let cost = master_cost(reader);
         self.recharge(g, cost);
         snap
@@ -720,65 +683,6 @@ impl ProgressStore {
         }
         cell.publish(released(&snap), snap.bound, snap.exhausted, true);
         true
-    }
-
-    /// The fragment schedule a refinement of `field` to `eb` should batch,
-    /// served by the per-field plan-front cache. Fronts are exact and
-    /// metadata-only, so the full remaining front computed once per epoch
-    /// answers every tighter request at that epoch as a **prefix**; after
-    /// an advance the unconsumed suffix carries over (see
-    /// [`ProgressStore::retire_front`]). Representations without a
-    /// prefix-monotone front (plain PSZ3 re-fetches one adequate snapshot
-    /// per request) bypass the cache. Called under the field's write lock,
-    /// which serializes all mutation.
-    fn front_schedule(&self, field: usize, reader: &FieldReader, eb: f64) -> Vec<u32> {
-        let mut slot = self.fronts[field].lock().unwrap_or_else(|e| e.into_inner());
-        let epoch = self.published[field].epoch();
-        let hit = matches!(&*slot, Some(c) if c.epoch == epoch);
-        if !hit {
-            *slot = reader
-                .plan_refine_with_bounds()
-                .map(|steps| CachedFront { epoch, steps });
-        }
-        let out = match &*slot {
-            Some(front) => {
-                let n = cut_front(&front.steps, eb);
-                front.steps[..n].iter().map(|&(id, _)| id).collect()
-            }
-            None => reader.plan_refine_to(eb),
-        };
-        if hit {
-            self.counters
-                .plan_front_hits
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters
-                .plan_front_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        debug_assert_eq!(
-            out,
-            reader.plan_refine_to(eb),
-            "cached front must match the live plan exactly"
-        );
-        out
-    }
-
-    /// Carries the plan-front cache across an epoch publication: the
-    /// `consumed` fragments the advance decoded drop off the front and the
-    /// suffix is re-keyed to the new epoch — a tighter request later
-    /// extends the front instead of recomputing it. Any mismatch (e.g. a
-    /// rehydration changed the state wholesale) just invalidates the slot.
-    fn retire_front(&self, field: usize, new_epoch: u64, consumed: usize) {
-        let mut slot = self.fronts[field].lock().unwrap_or_else(|e| e.into_inner());
-        match &mut *slot {
-            Some(c) if c.epoch + 1 == new_epoch && consumed <= c.steps.len() => {
-                c.steps.drain(..consumed);
-                c.epoch = new_epoch;
-            }
-            Some(_) => *slot = None,
-            None => {}
-        }
     }
 
     /// Reads fragments `indices` of `field` through one storage-ordered
@@ -868,10 +772,9 @@ impl ProgressStore {
         );
         debug_assert_eq!(reader.total_fetched(), d.fetched);
         // publish the rehydrated state as a new epoch: cold views adopt the
-        // warm snapshot again, and the stale plan-front slot (keyed to a
-        // pre-demotion epoch) is dropped and recomputed
+        // warm snapshot again
         g.state = MasterState::Resident { reader };
-        self.publish_master(g, field, 0);
+        self.publish_master(g, field);
         Ok(())
     }
 
@@ -1334,10 +1237,8 @@ mod tests {
                 source.stats().fetches - before
             };
             let opened = open_fetches();
-            let steps = FieldReader::open(Arc::clone(&source), &manifest, 0)
-                .unwrap()
-                .plan_refine_with_bounds()
-                .unwrap();
+            let reader = FieldReader::open(Arc::clone(&source), &manifest, 0).unwrap();
+            let steps = reader.table().rows();
             // four advances of one fragment each, then one of several
             for &(_, eb) in &steps[..4] {
                 let decoded = store.stats().fragments_decoded;

@@ -114,6 +114,16 @@ impl SzCompressor {
     /// reconstruction and its shape. Works regardless of the predictor this
     /// instance was configured with (the blob is self-describing).
     pub fn decompress(&self, blob: &[u8]) -> Result<(Vec<f64>, Vec<usize>)> {
+        let mut recon = Vec::new();
+        let dims = self.decompress_into(blob, &mut recon)?;
+        Ok((recon, dims))
+    }
+
+    /// [`SzCompressor::decompress`] into a caller-held buffer, whatever it
+    /// held before: it is zeroed and sized to the blob's element count, so
+    /// a buffer reused across blobs allocates only when it has to grow.
+    /// Returns the shape. On error the buffer's contents are unspecified.
+    pub fn decompress_into(&self, blob: &[u8], recon: &mut Vec<f64>) -> Result<Vec<usize>> {
         let mut r = ByteReader::new(blob);
         if r.get_raw(4)? != MAGIC {
             return Err(PqrError::CorruptStream("bad magic".into()));
@@ -159,12 +169,13 @@ impl SzCompressor {
         }
 
         let quant = Quantizer::new(eb, radius);
-        let mut recon = vec![0.0f64; n];
+        recon.clear();
+        recon.resize(n, 0.0);
         // one symbol per point (checked above), in visit order
         let mut at = 0;
         let mut escaped = escapes.iter();
         let mut short = false;
-        traverse(predictor, &dims, &mut recon, |_, pred| {
+        traverse(predictor, &dims, recon, |_, pred| {
             let s = symbols[at];
             at += 1;
             if s != ESCAPE {
@@ -178,7 +189,7 @@ impl SzCompressor {
         if short {
             return Err(PqrError::CorruptStream("escape list truncated".into()));
         }
-        Ok((recon, dims))
+        Ok(dims)
     }
 
     /// Convenience: compressed size in bytes for `data` under `eb`.
@@ -367,6 +378,23 @@ mod tests {
         }
     }
 
+    /// The integer-xorshift 13×22×19 field the recorded hashes are of.
+    fn hashed_field() -> (Vec<f64>, Vec<usize>) {
+        let dims = vec![13usize, 22, 19];
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let data = (0..dims.iter().product::<usize>())
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.5
+                    + (i % 19) as f64
+                    + (i / 19 % 22) as f64 * 0.25
+            })
+            .collect();
+        (data, dims)
+    }
+
     #[test]
     fn compressed_3d_bytes_match_the_recorded_hashes() {
         // 64-bit FNV-1a of the blob for an integer-xorshift field (no libm
@@ -379,18 +407,7 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             })
         };
-        let dims = [13usize, 22, 19];
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        let data: Vec<f64> = (0..dims.iter().product::<usize>())
-            .map(|i| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.5
-                    + (i % 19) as f64
-                    + (i / 19 % 22) as f64 * 0.25
-            })
-            .collect();
+        let (data, dims) = hashed_field();
         let golden: [(SzConfig, f64, u64); 6] = [
             (SzConfig::default(), 1e-2, 0x2136d589cfb88467),
             (SzConfig::default(), 1e-7, 0x52bf275c58cfd174),
@@ -402,6 +419,30 @@ mod tests {
         for (cfg, eb, want) in golden {
             let got = fnv1a(&SzCompressor::new(cfg).compress(&data, &dims, eb).unwrap());
             assert_eq!(got, want, "{:?} eb={eb}: {got:#018x}", cfg.predictor);
+        }
+    }
+
+    #[test]
+    fn decompress_into_a_dirty_buffer_matches_decompress() {
+        // the recorded hashes' field and configurations, decoded into one
+        // buffer reused across blobs, never zeroed between them: first too
+        // short, then holding the previous blob's values
+        let (data, dims) = hashed_field();
+        let sz = SzCompressor::default();
+        let mut buf = vec![f64::NAN; 7];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cfg in [
+            SzConfig::default(),
+            SzConfig::interp_linear(),
+            SzConfig::lorenzo(),
+        ] {
+            for eb in [1e-2, 1e-7] {
+                let blob = SzCompressor::new(cfg).compress(&data, &dims, eb).unwrap();
+                let (want, want_dims) = sz.decompress(&blob).unwrap();
+                assert_eq!(sz.decompress_into(&blob, &mut buf).unwrap(), want_dims);
+                assert_eq!(bits(&buf), bits(&want), "{:?} eb={eb}", cfg.predictor);
+                buf.iter_mut().for_each(|v| *v = -1.5 - *v);
+            }
         }
     }
 

@@ -701,19 +701,6 @@ impl ZfpCursor {
         self.planes_read
     }
 
-    /// The `(plane, bound after it)` pushes that bring
-    /// [`ZfpCursor::guaranteed_bound`] to at most `eb`, in order, without
-    /// consuming anything: planes are strictly ordered and the bound model
-    /// reads only the consumed-plane count, so the prediction is exact.
-    /// This is the one place the walk is written; with `eb = 0.0` it is the
-    /// full remaining front, of which every tighter target's is a prefix.
-    pub fn front(&self, eb: f64) -> Vec<(u32, f64)> {
-        (self.planes_read..self.meta.num_planes)
-            .take_while(|&k| self.meta.bound_after(k) > eb)
-            .map(|k| (k, self.meta.bound_after(k + 1)))
-            .collect()
-    }
-
     /// Consumes the next plane's bytes (planes must arrive in order; the
     /// plane index is implicit in the decode state).
     pub fn push_plane(&mut self, bytes: &[u8]) -> Result<()> {
@@ -962,12 +949,15 @@ impl ZfpReader<'_> {
         self.consume(f64::NEG_INFINITY, k)
     }
 
-    /// Serves the first `limit` pushes of the cursor's front towards `eb`
-    /// from the resident stream.
+    /// Serves at most `limit` next planes from the resident stream, while
+    /// the bound still exceeds `eb`.
     fn consume(&mut self, eb: f64, limit: usize) -> Result<usize> {
         let before = self.fetched;
-        for (p, _) in self.cursor.front(eb).into_iter().take(limit) {
-            let seg = &self.stream.planes[p as usize];
+        for _ in 0..limit {
+            if self.cursor.fully_fetched() || self.cursor.guaranteed_bound() <= eb {
+                break;
+            }
+            let seg = &self.stream.planes[self.cursor.planes_read() as usize];
             self.cursor.push_plane(seg)?;
             self.fetched += seg.len();
         }

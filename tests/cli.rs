@@ -27,11 +27,22 @@ fn pqr() -> Command {
 /// A fresh temp dir holding `<tag>.pqr`, refactored from `fields` with the
 /// `NAME=EXPR` QoI registrations `qois`.
 fn archive_of(tag: &str, fields: &[(&str, Vec<f64>)], qois: &[&str]) -> (PathBuf, PathBuf) {
+    archive_with(tag, fields, qois, &[])
+}
+
+/// [`archive_of`] with further `refactor` arguments.
+fn archive_with(
+    tag: &str,
+    fields: &[(&str, Vec<f64>)],
+    qois: &[&str],
+    args: &[&str],
+) -> (PathBuf, PathBuf) {
     let dir = std::env::temp_dir().join(format!("pqr-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let archive = dir.join(format!("{tag}.pqr"));
     let mut refactor = pqr();
     refactor.args(["refactor", "--out", archive.to_str().unwrap()]);
+    refactor.args(args);
     for (name, data) in fields {
         let path = dir.join(format!("{name}.f64"));
         write_f64(&path, data);
@@ -245,71 +256,65 @@ fn pzfp_scheme_and_estimator_flags() {
 
 #[test]
 fn retrieval_resumes_across_invocations() {
-    let u = (0..6000).map(|i| (i as f64 * 0.006).sin() * 40.0 + 5.0);
-    let (dir, archive) = archive_of("resume", &[("u", u.collect())], &["u2=x0^2"]);
+    for scheme in ["psz3-delta", "pmgard-hb", "pzfp"] {
+        let u = (0..6000).map(|i| (i as f64 * 0.006).sin() * 40.0 + 5.0);
+        let (dir, archive) = archive_with(
+            &format!("resume-{scheme}"),
+            &[("u", u.collect())],
+            &["u2=x0^2"],
+            &["--scheme", scheme],
+        );
+        let retrieve = |tol: &str, progress: (&str, &PathBuf)| {
+            pqr()
+                .args(["retrieve", archive.to_str().unwrap(), "--qoi", "u2"])
+                .args(["--tol", tol, progress.0, progress.1.to_str().unwrap()])
+                .output()
+                .unwrap()
+        };
 
-    // invocation 1: loose tolerance, save progress
-    let progress = dir.join("u.progress");
-    let out = pqr()
-        .args([
-            "retrieve",
-            archive.to_str().unwrap(),
-            "--qoi",
-            "u2",
-            "--tol",
-            "1e-2",
-            "--save-progress",
-            progress.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(progress.exists());
+        // invocation 1: loose tolerance, save progress
+        let progress = dir.join("u.progress");
+        let out = retrieve("1e-2", ("--save-progress", &progress));
+        assert!(
+            out.status.success(),
+            "{scheme}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(progress.exists(), "{scheme}");
 
-    // invocation 2: resume, tighter tolerance — only the increment is new
-    let out = pqr()
-        .args([
-            "retrieve",
-            archive.to_str().unwrap(),
-            "--qoi",
-            "u2",
-            "--tol",
-            "1e-6",
-            "--resume",
-            progress.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("new)"), "report: {report}");
+        // invocation 2: resume, tighter tolerance — only the increment is new
+        let out = retrieve("1e-6", ("--resume", &progress));
+        assert!(
+            out.status.success(),
+            "{scheme}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report = String::from_utf8_lossy(&out.stdout);
+        assert!(report.contains("new)"), "{scheme}: report: {report}");
 
-    // resuming with a corrupt progress file fails cleanly
-    std::fs::write(&progress, b"garbage").unwrap();
-    let out = pqr()
-        .args([
-            "retrieve",
-            archive.to_str().unwrap(),
-            "--qoi",
-            "u2",
-            "--tol",
-            "1e-3",
-            "--resume",
-            progress.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+        // a progress file saved in the retired per-family marker format (a
+        // PMGARD marker: tag 1, then planes per level) is refused, not
+        // misread
+        let mut old = b"PQRP".to_vec();
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.push(1);
+        old.extend_from_slice(&2u32.to_le_bytes());
+        old.extend_from_slice(&3u32.to_le_bytes());
+        old.extend_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&progress, old).unwrap();
+        let out = retrieve("1e-3", ("--resume", &progress));
+        assert!(!out.status.success(), "{scheme}");
+        assert!(out.stdout.is_empty(), "{scheme}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("retired per-family format"), "{scheme}: {err}");
 
-    std::fs::remove_dir_all(&dir).ok();
+        // resuming with a corrupt progress file fails cleanly
+        std::fs::write(&progress, b"garbage").unwrap();
+        let out = retrieve("1e-3", ("--resume", &progress));
+        assert!(!out.status.success(), "{scheme}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
