@@ -1,6 +1,7 @@
 //! Criterion: SZ3 stand-in compress/decompress throughput by predictor and
 //! error bound — the kernel behind PSZ3 / PSZ3-delta refactoring and every
-//! snapshot fetch (Table IV's cost driver).
+//! snapshot fetch (Table IV's cost driver) — and decompression of a
+//! PSZ3-delta deep-rung residual at about 4 bits per symbol.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pqr_sz::{SzCompressor, SzConfig};
@@ -62,6 +63,27 @@ fn bench_decompress(c: &mut Criterion) {
             b.iter(|| comp.decompress(&blob).unwrap())
         });
     }
+    // A PSZ3-delta deep rung: the volume's residual after the default
+    // ladder's first six rungs (10⁻¹ … 10⁻⁶ of the value range), coded at
+    // the seventh. Its codes take about 3.9 bits each, the regime of the
+    // deep rungs a tight request fetches; the volume's own blobs above
+    // take about one, and the residual after two rungs about one too.
+    let (lo, hi) = volume
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+    let mut residual = volume;
+    for k in 1..=6 {
+        let eb = 10f64.powi(-k) * (hi - lo);
+        let (_, recon) = comp.compress_with_recon(&residual, &dims, eb).unwrap();
+        residual.iter_mut().zip(&recon).for_each(|(r, d)| *r -= d);
+    }
+    let blob = comp.compress(&residual, &dims, 1e-7 * (hi - lo)).unwrap();
+    g.bench_function(
+        BenchmarkId::from_parameter("3d_40x56x72/delta_rung7"),
+        |b| b.iter(|| comp.decompress(&blob).unwrap()),
+    );
     g.finish();
 }
 

@@ -164,8 +164,10 @@ struct Ladder {
     delta: bool,
     /// Elements per snapshot.
     n: usize,
-    /// Delta mode: the residual buffer every snapshot decodes into, kept
-    /// across pushes. Plain mode: the snapshot `rebuild` moves out.
+    /// What `push` decoded and `rebuild` has not taken yet: delta mode's
+    /// residual (the sum of residuals, when the reader declined one) or
+    /// plain mode's snapshot. Empty from a rebuild to the next push, so no
+    /// field holds a second `n`-element buffer beside its reconstruction.
     decoded: Vec<f64>,
     /// `decoded` holds what `rebuild` has not folded in yet.
     pending: bool,
@@ -173,32 +175,22 @@ struct Ladder {
 
 impl Backend for Ladder {
     fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
-        let sz = SzCompressor::new(SzConfig::default());
-        let check = |len: usize| {
-            if len != self.n {
-                return Err(PqrError::CorruptStream(format!(
-                    "snapshot {index} holds {len} elements, field has {}",
-                    self.n
-                )));
-            }
-            Ok(())
-        };
+        let (part, _) = SzCompressor::new(SzConfig::default()).decompress(bytes)?;
+        if part.len() != self.n {
+            return Err(PqrError::CorruptStream(format!(
+                "snapshot {index} holds {} elements, field has {}",
+                part.len(),
+                self.n
+            )));
+        }
         if self.delta && self.pending {
             // only when the reader declined the previous residual (a ladder
             // that does not descend): keep the sum, not the last term
-            let (part, _) = sz.decompress(bytes)?;
-            check(part.len())?;
             for (acc, p) in self.decoded.iter_mut().zip(&part) {
                 *acc += p;
             }
-        } else if self.delta {
-            // nothing pending, so a failed decode leaves only scratch behind
-            sz.decompress_into(bytes, &mut self.decoded)?;
-            check(self.decoded.len())?;
         } else {
-            let (snapshot, _) = sz.decompress(bytes)?;
-            check(snapshot.len())?;
-            self.decoded = snapshot;
+            self.decoded = part;
         }
         self.pending = true;
         Ok(())
@@ -210,12 +202,13 @@ impl Backend for Ladder {
 
     fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
         if std::mem::take(&mut self.pending) {
+            let decoded = std::mem::take(&mut self.decoded);
             if self.delta {
-                for (acc, p) in out.iter_mut().zip(&self.decoded) {
+                for (acc, p) in out.iter_mut().zip(&decoded) {
                     *acc += p;
                 }
             } else {
-                *out = std::mem::take(&mut self.decoded);
+                *out = decoded;
             }
         }
         0
@@ -572,6 +565,26 @@ mod tests {
     /// bound after every push, no bound ever regresses, and
     /// `restore(progress())` replays to the same bits and the same byte
     /// count.
+    #[test]
+    fn ladders_hold_no_second_buffer_between_refinements() {
+        // the snapshot or residual a push decodes is moved or folded into
+        // the reconstruction by the rebuild that adopts it, and released
+        // there: a refined reader holds one field-sized buffer
+        let dims = [9usize, 10, 11];
+        let data: Vec<f64> = (0..990)
+            .map(|i| (i as f64 * 0.05).sin() * 3.0 + (i % 11) as f64 * 0.1)
+            .collect();
+        let range = value_range(&data);
+        for scheme in [Scheme::Psz3Delta, Scheme::Psz3] {
+            let field = RefactoredField::refactor(scheme, &data, &dims).unwrap();
+            let mut reader = field.reader();
+            for rel in [1e-1, 1e-3, 1e-6] {
+                reader.refine_to(rel * range).unwrap();
+                assert_eq!(reader.resident_bytes(), data.len() * 8, "{scheme:?} {rel}");
+            }
+        }
+    }
+
     #[test]
     fn every_backend_conforms() {
         const N: usize = 3000;

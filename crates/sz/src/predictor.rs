@@ -31,6 +31,16 @@
 //!   expression with the same operands in the same order, so the codes and
 //!   reconstructions are bit for bit the odometer's; the test module keeps
 //!   that odometer as the definition of the order and checks the two agree.
+//!
+//!   Each constant-step run of one stencil (a *segment*) is bounds-checked
+//!   once, before its loop, by an `assert!` that stays in release builds:
+//!   its first point is at least the stencil's reach (`d` to the left, `3d`
+//!   for the cubic) from the start of the buffer, and its last point plus
+//!   that reach to the right lies inside it. The points between are the
+//!   first plus multiples of the step, so every neighbour read and every
+//!   store of the segment lies between those two extremes; the loop indexes
+//!   unchecked (`debug_assert!`ed per access). It is the one exception to
+//!   the workspace lint that denies unchecked code everywhere else.
 //! * **First-order Lorenzo** (SZ1.4/SZ2): each point is predicted from the
 //!   inclusion–exclusion stencil of its already-visited neighbours in
 //!   row-major order.
@@ -163,6 +173,10 @@ impl Stencil {
 /// predicted by `stencil` from its neighbours `d` apart (`d = s·stride` of
 /// the active axis). Returns the first index on the progression at or past
 /// `end`, where the next segment of the same row starts.
+///
+/// The segment's lowest and highest reads are asserted in bounds before its
+/// loop, in release builds too; the loop then indexes unchecked.
+#[allow(unsafe_code)]
 #[inline(always)]
 fn sweep<F>(
     recon: &mut [f64],
@@ -176,33 +190,84 @@ fn sweep<F>(
 where
     F: FnMut(usize, f64) -> f64,
 {
+    if from >= end {
+        return from;
+    }
+    // the last point visited, and how far the stencil reaches either side
+    let last = from + (end - 1 - from) / step * step;
+    let (below, above) = match stencil {
+        Stencil::Left => (d, 0),
+        Stencil::Linear => (d, d),
+        Stencil::Cubic => (d.saturating_mul(3), d.saturating_mul(3)),
+    };
+    assert!(
+        from >= below && last < recon.len() && recon.len() - last > above,
+        "segment {from}..={last} with reach {below}/{above} leaves {} points",
+        recon.len()
+    );
     let mut i = from;
+    // SAFETY (every unchecked access below): `i` runs over `from, from +
+    // step, …, last` and stops at `last` (never stepping past it, so it
+    // cannot wrap), so `from ≤ i ≤ last`. The assert above gives
+    // `below ≤ from` and `last + above < recon.len()`, hence every read
+    // `i − below ≤ j ≤ i + above` and the store at `i` are in bounds.
+    // `below` and `above` are the stencil's widest offsets (`3d` for the
+    // cubic, `d` otherwise; a left copy reads nothing to the right).
     match stencil {
         Stencil::Left => {
-            while i < end {
-                recon[i] = visit(i, recon[i - d]);
+            loop {
+                debug_assert!(i >= d && i < recon.len());
+                // SAFETY: `d ≤ i ≤ last < recon.len()`, see above.
+                let left = unsafe { *recon.get_unchecked(i - d) };
+                let v = visit(i, left);
+                // SAFETY: `i ≤ last < recon.len()`.
+                unsafe { *recon.get_unchecked_mut(i) = v };
+                if i == last {
+                    break;
+                }
                 i += step;
             }
         }
         Stencil::Linear => {
-            while i < end {
-                let pred = 0.5 * (recon[i - d] + recon[i + d]);
-                recon[i] = visit(i, pred);
+            loop {
+                debug_assert!(i >= d && i + d < recon.len());
+                // SAFETY: `d ≤ i` and `i + d ≤ last + d < recon.len()`.
+                let pred =
+                    unsafe { 0.5 * (*recon.get_unchecked(i - d) + *recon.get_unchecked(i + d)) };
+                let v = visit(i, pred);
+                // SAFETY: `i ≤ last < recon.len()`.
+                unsafe { *recon.get_unchecked_mut(i) = v };
+                if i == last {
+                    break;
+                }
                 i += step;
             }
         }
         Stencil::Cubic => {
-            while i < end {
-                let (ll, left) = (recon[i - 3 * d], recon[i - d]);
-                let (right, rr) = (recon[i + d], recon[i + 3 * d]);
+            loop {
+                debug_assert!(i >= 3 * d && i + 3 * d < recon.len());
+                // SAFETY: `3d ≤ i` and `i + 3d ≤ last + 3d < recon.len()`.
+                let (ll, left, right, rr) = unsafe {
+                    (
+                        *recon.get_unchecked(i - 3 * d),
+                        *recon.get_unchecked(i - d),
+                        *recon.get_unchecked(i + d),
+                        *recon.get_unchecked(i + 3 * d),
+                    )
+                };
                 let pred =
                     CUBIC_W[0] * ll + CUBIC_W[1] * left + CUBIC_W[2] * right + CUBIC_W[3] * rr;
-                recon[i] = visit(i, pred);
+                let v = visit(i, pred);
+                // SAFETY: `i ≤ last < recon.len()`.
+                unsafe { *recon.get_unchecked_mut(i) = v };
+                if i == last {
+                    break;
+                }
                 i += step;
             }
         }
     }
-    i
+    last + step
 }
 
 fn traverse_interp<F>(dims: &[usize], recon: &mut [f64], mut visit: F, cubic: bool)
@@ -523,6 +588,22 @@ mod tests {
             data[idx]
         });
         assert!(checked >= 60, "only {checked} cubic predictions checked");
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves 10 points")]
+    fn a_segment_reaching_past_the_end_is_refused() {
+        // last point 9, and the cubic reads 9 + 3
+        let mut recon = vec![0.0; 10];
+        sweep(&mut recon, &mut |_, p| p, 3, 10, 2, 1, Stencil::Cubic);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves 10 points")]
+    fn a_segment_reaching_before_the_start_is_refused() {
+        // the first point 2 reads 2 − 3
+        let mut recon = vec![0.0; 10];
+        sweep(&mut recon, &mut |_, p| p, 2, 5, 2, 1, Stencil::Cubic);
     }
 
     #[test]

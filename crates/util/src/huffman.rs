@@ -9,12 +9,14 @@
 //! quantizer produces (sharply peaked around the zero code) this never costs
 //! measurable rate.
 //!
-//! Decoding looks up the next 12 payload bits in a per-blob table. Whatever
-//! the table does not cover (longer codes, unassigned prefixes, codes that
-//! run into the end of the payload) is matched length by length against
-//! one peeked window with the test of the bit-serial canonical loop that
-//! defines the format, so both paths accept the same streams and return
-//! the same symbols and errors.
+//! Decoding looks up the next 12 payload bits in a per-blob table. Each
+//! entry holds the symbol whose code starts those bits and, when a second
+//! whole code follows inside them, that symbol too, so one lookup often
+//! yields two symbols. Whatever the table does not cover (longer codes,
+//! unassigned prefixes, codes that run into the end of the payload) is
+//! matched length by length against one peeked window with the test of the
+//! bit-serial canonical loop that defines the format, so both paths accept
+//! the same streams and return the same symbols and errors.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::byteio::{ByteReader, ByteWriter};
@@ -281,31 +283,64 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
         )));
     }
     let mut bits = BitReader::new(payload);
-    let mut out = Vec::with_capacity(count);
+    let mut out = vec![0; count];
+    let mut k = 0;
     let tb = dec.table_bits;
-    while out.len() < count {
+    while k < count {
         // Decode from one 64-bit window while a whole table width is left
-        // in it. A symbol takes the table path only if the table has an
-        // entry for it and its code ends inside the payload; anything else
-        // goes to `decode_canonical`, one symbol at a time.
+        // in it. A lookup yields one symbol, or two when both codes fit in
+        // the table width; each code must end inside the payload. Anything
+        // else goes to `decode_canonical`, one symbol at a time.
         let window = bits.peek_bits(64);
         let limit = bits.remaining_bits().min(64) as u32;
         let mut used = 0u32;
-        while used + tb <= 64 && out.len() < count {
+        while used + tb <= 64 && k < count {
             let entry = dec.table[((window << used) >> (64 - tb)) as usize];
-            let len = entry & 0xff;
-            if len == 0 || used + len > limit {
+            let (first, second) = (entry.first_len(), entry.second_len());
+            if first == 0 || used + first > limit {
                 break;
             }
-            out.push(entry >> 8);
-            used += len;
+            out[k] = entry.first();
+            if second != 0 && used + first + second <= limit && k + 1 < count {
+                out[k + 1] = entry.second();
+                k += 2;
+                used += first + second;
+            } else {
+                k += 1;
+                used += first;
+            }
         }
         bits.skip(used as usize);
         if used == 0 {
-            out.push(dec.decode_canonical(&mut bits)?);
+            out[k] = dec.decode_canonical(&mut bits)?;
+            k += 1;
         }
     }
     Ok(out)
+}
+
+/// One entry of the decode table: up to two symbols whose codes lie back to
+/// back in the indexing bits. Bits 0–23 and 24–47 hold the symbols (they are
+/// below [`MAX_ALPHABET`] = 2²⁴), bits 48–55 and 56–63 their code lengths. A
+/// zero length means no symbol: the first is absent when no code of at most
+/// the table width matches, the second when the first leaves too few bits
+/// for a whole second code.
+#[derive(Clone, Copy)]
+struct Entry(u64);
+
+impl Entry {
+    fn first(self) -> u32 {
+        self.0 as u32 & 0xff_ffff
+    }
+    fn second(self) -> u32 {
+        (self.0 >> 24) as u32 & 0xff_ffff
+    }
+    fn first_len(self) -> u32 {
+        (self.0 >> 48) as u32 & 0xff
+    }
+    fn second_len(self) -> u32 {
+        (self.0 >> 56) as u32
+    }
 }
 
 /// Width of the first-level decode table: codes up to this long decode
@@ -324,11 +359,10 @@ struct Decoder {
     count_at: Vec<usize>,
     /// `min(max_len, TABLE_BITS)`.
     table_bits: u32,
-    /// Indexed by the next `table_bits` payload bits. Bits 0–7 hold the
-    /// length of the code [`Decoder::decode_canonical`] would match (0 when
-    /// it matches none within `table_bits` bits) and bits 8–31 its symbol
-    /// (symbols are below [`MAX_ALPHABET`] = 2²⁴).
-    table: Vec<u32>,
+    /// Indexed by the next `table_bits` payload bits: the symbols
+    /// [`Decoder::decode_canonical`] would match first, and second from the
+    /// bits the first leaves, as far as the index covers them.
+    table: Vec<Entry>,
 }
 
 impl Decoder {
@@ -355,14 +389,14 @@ impl Decoder {
             i += count_at[len];
         }
 
-        // Each index holds `symbol << 8 | len`. Canonical ranges never
-        // share a prefix (`first_code` doubles past every shorter range), so
-        // each index gets at most one code. A hostile length table can
-        // assign codes wider than their length; the canonical match never
-        // matches those, so they get no entry.
+        // `single` holds `symbol << 8 | len` per index. Canonical ranges
+        // never share a prefix (`first_code` doubles past every shorter
+        // range), so each index gets at most one code. A hostile length
+        // table can assign codes wider than their length; the canonical
+        // match never matches those, so they get no entry.
         let table_bits = max_len.min(TABLE_BITS);
         let size = 1usize << table_bits;
-        let mut table = vec![0u32; size];
+        let mut single = vec![0u32; size];
         for len in 1..=table_bits {
             let (lo, cnt) = (first_code[len as usize], count_at[len as usize] as u64);
             let hi = (lo + cnt).min(1 << len);
@@ -370,9 +404,28 @@ impl Decoder {
             for c in lo..hi {
                 let sym = order[first_idx[len as usize] + (c - lo) as usize];
                 let entry = (sym << 8) | len;
-                table[(c << shift) as usize..((c + 1) << shift) as usize].fill(entry);
+                single[(c << shift) as usize..((c + 1) << shift) as usize].fill(entry);
             }
         }
+        // The second code starts where the first ends. Its lookup index
+        // has the first's `len` bits shifted out and zeros shifted in, so
+        // the entry found there is the right one only if its code fits in
+        // the `table_bits − len` real bits.
+        let table = (0..size)
+            .map(|idx| {
+                let first = single[idx];
+                let len = first & 0xff;
+                let mut entry = u64::from(first >> 8) | u64::from(len) << 48;
+                if len != 0 && len < table_bits {
+                    let second = single[(idx << len) & (size - 1)];
+                    let len2 = second & 0xff;
+                    if len2 != 0 && len + len2 <= table_bits {
+                        entry |= u64::from(second >> 8) << 24 | u64::from(len2) << 56;
+                    }
+                }
+                Entry(entry)
+            })
+            .collect();
         Some(Self {
             order,
             max_len,

@@ -207,7 +207,7 @@ where
             .collect();
     }
     // one uncontended Mutex per element hands each worker exclusive &mut
-    // access without unsafe slice partitioning
+    // access without raw slice partitioning
     let slots: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
     dispense(slots.len(), workers, |i| {
         let item = slots[i]

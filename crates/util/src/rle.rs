@@ -52,6 +52,13 @@ pub fn encode_bytes(input: &[u8]) -> Vec<u8> {
 pub const MAX_DECODED_BYTES: usize = 1 << 31;
 
 /// Decompresses a blob from [`encode_bytes`].
+///
+/// The stream alternates literal spans and runs. A span ends at its first
+/// three identical bytes, counted from the span's own start (a run's byte
+/// does not carry into the next span), and a varint run length follows
+/// it. Each span is copied whole and each run expanded whole. Bytes
+/// are taken only while the output is short of `n`: a span is cut at `n`,
+/// and a triple that ends exactly at `n` still reads its varint.
 pub fn decode_bytes(input: &[u8]) -> Result<Vec<u8>> {
     let mut r = ByteReader::new(input);
     let n = r.get_u64()? as usize;
@@ -60,32 +67,38 @@ pub fn decode_bytes(input: &[u8]) -> Result<Vec<u8>> {
             "claimed decoded size {n} exceeds limit"
         )));
     }
+    let mut rest = &input[input.len() - r.remaining()..];
     // Capacity hint only: bounded by the input size so a corrupt header that
     // passes the limit check still cannot force a large pre-allocation.
-    let mut out = Vec::with_capacity(n.min(r.remaining().saturating_mul(4) + 64));
-    let mut repeat = 0usize; // consecutive identical bytes seen so far
-    let mut last: u16 = 256; // impossible byte value
+    let mut out = Vec::with_capacity(n.min(rest.len().saturating_mul(4) + 64));
     while out.len() < n {
-        let b = r.get_u8()?;
-        out.push(b);
-        if u16::from(b) == last {
-            repeat += 1;
-        } else {
-            last = u16::from(b);
-            repeat = 1;
-        }
-        if repeat == RUN_TRIGGER {
-            let extra = get_varint(&mut r)? as usize;
-            if extra > n - out.len() {
-                return Err(PqrError::CorruptStream("byte run overflows output".into()));
+        let window = &rest[..rest.len().min(n - out.len())];
+        let Some(at) = window
+            .windows(RUN_TRIGGER)
+            .position(|w| w[0] == w[1] && w[1] == w[2])
+        else {
+            // no triple before `n`: the rest of the output is literal
+            out.extend_from_slice(window);
+            if out.len() < n {
+                return Err(PqrError::CorruptStream(format!(
+                    "byte stream ends {} bytes short",
+                    n - out.len()
+                )));
             }
-            out.try_reserve(extra).map_err(|_| {
-                PqrError::CorruptStream(format!("cannot allocate run of {extra} bytes"))
-            })?;
-            out.resize(out.len() + extra, b);
-            repeat = 0;
-            last = 256;
+            break;
+        };
+        let span = at + RUN_TRIGGER;
+        out.extend_from_slice(&window[..span]);
+        let mut tail = ByteReader::new(&rest[span..]);
+        let extra = get_varint(&mut tail)? as usize;
+        if extra > n - out.len() {
+            return Err(PqrError::CorruptStream("byte run overflows output".into()));
         }
+        out.try_reserve(extra).map_err(|_| {
+            PqrError::CorruptStream(format!("cannot allocate run of {extra} bytes"))
+        })?;
+        out.resize(out.len() + extra, window[at]);
+        rest = &rest[rest.len() - tail.remaining()..];
     }
     Ok(out)
 }
@@ -616,6 +629,140 @@ mod tests {
     fn byte_roundtrip_empty() {
         let enc = encode_bytes(&[]);
         assert!(decode_bytes(&enc).unwrap().is_empty());
+    }
+
+    /// The byte-serial definition of [`decode_bytes`]: one byte per loop
+    /// iteration, a repeat counter, and a varint after every third
+    /// identical byte.
+    fn decode_bytes_reference(input: &[u8]) -> Result<Vec<u8>> {
+        let mut r = ByteReader::new(input);
+        let n = r.get_u64()? as usize;
+        if n > MAX_DECODED_BYTES {
+            return Err(PqrError::CorruptStream("claimed size".into()));
+        }
+        let mut out = Vec::new();
+        let mut repeat = 0usize; // consecutive identical bytes seen so far
+        let mut last: u16 = 256; // impossible byte value
+        while out.len() < n {
+            let b = r.get_u8()?;
+            out.push(b);
+            if u16::from(b) == last {
+                repeat += 1;
+            } else {
+                last = u16::from(b);
+                repeat = 1;
+            }
+            if repeat == RUN_TRIGGER {
+                let extra = get_varint(&mut r)? as usize;
+                if extra > n - out.len() {
+                    return Err(PqrError::CorruptStream("run overflows".into()));
+                }
+                out.resize(out.len() + extra, b);
+                repeat = 0;
+                last = 256;
+            }
+        }
+        Ok(out)
+    }
+
+    /// `decode_bytes` and the reference agree on `input`: equal bytes, or
+    /// both a `CorruptStream`.
+    fn assert_matches_reference(input: &[u8]) {
+        match (decode_bytes(input), decode_bytes_reference(input)) {
+            (Ok(got), Ok(want)) => assert_eq!(got, want, "input {input:?}"),
+            (Err(PqrError::CorruptStream(_)), Err(PqrError::CorruptStream(_))) => {}
+            (got, want) => panic!("input {input:?}: {got:?} against {want:?}"),
+        }
+    }
+
+    /// An [`encode_bytes`] stream's header with `n` replaced.
+    fn with_len(enc: &[u8], n: u64) -> Vec<u8> {
+        let mut out = n.to_le_bytes().to_vec();
+        out.extend_from_slice(&enc[8..]);
+        out
+    }
+
+    #[test]
+    fn run_copy_decode_matches_the_byte_serial_reference() {
+        let mut inputs: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            vec![1, 2, 3],
+            vec![7; 3],
+            vec![7; 4],
+            vec![7, 7, 8, 8, 8, 8, 9, 9],
+            // a run's byte right after its run starts a new span
+            [vec![4u8; 300], vec![4, 4, 5, 4, 4, 4]].concat(),
+            (0..=255).cycle().take(700).collect(),
+            [vec![0u8; 1000], vec![9, 0, 0, 7], vec![0xff; 130]].concat(),
+        ];
+        let mut s = 0x1357_9bdfu64;
+        inputs.push(
+            (0..2000)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    (s % 3) as u8
+                })
+                .collect(),
+        );
+        for data in &inputs {
+            let enc = encode_bytes(data);
+            assert_eq!(decode_bytes(&enc).unwrap(), *data);
+            for bytes in prefixes_and_flips(&enc) {
+                assert_matches_reference(&bytes);
+            }
+            // length headers that stop short of, or run past, the stream
+            for n in [0, 1, 2, 3, 4, data.len() / 2, data.len() + 1] {
+                assert_matches_reference(&with_len(&enc, n as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_ending_exactly_at_n_reads_its_varint() {
+        // `1 2 7 7 7 varint(2)`: the run fills the output to n exactly
+        let enc = encode_bytes(&[1, 2, 7, 7, 7, 7, 7]);
+        assert_eq!(enc[8..], [1, 2, 7, 7, 7, 2]);
+        assert_matches_reference(&enc);
+        assert_eq!(decode_bytes(&enc).unwrap(), [1, 2, 7, 7, 7, 7, 7]);
+        // a triple ending at n needs its (zero) varint; without it both fail
+        let enc = encode_bytes(&[5, 5, 5]);
+        assert_eq!(enc[8..], [5, 5, 5, 0]);
+        assert_eq!(decode_bytes(&enc).unwrap(), [5, 5, 5]);
+        let cut = &enc[..enc.len() - 1];
+        assert!(matches!(decode_bytes(cut), Err(PqrError::CorruptStream(_))));
+        assert_matches_reference(cut);
+        // a run one byte longer than what is left of n
+        let mut over = with_len(&encode_bytes(&[1, 2, 7, 7, 7, 7, 7]), 6);
+        assert_matches_reference(&over);
+        over[13] = 1;
+        assert_eq!(decode_bytes(&over).unwrap(), [1, 2, 7, 7, 7, 7]);
+        assert_matches_reference(&over);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn run_copy_decode_matches_the_reference_on_random_streams(
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+            runs in proptest::collection::vec((0u8..4, 0usize..40), 0..40),
+            cut in 0usize..4096,
+        ) {
+            // raw junk (a header of anything), junk behind a small length
+            // header, and a runny stream cut at an arbitrary byte
+            assert_matches_reference(&junk);
+            let small = (junk.len() as u64 * 2).to_le_bytes();
+            assert_matches_reference(&[&small[..], &junk].concat());
+            let mut data = Vec::new();
+            for (b, len) in runs {
+                data.extend(std::iter::repeat_n(b, len));
+            }
+            let enc = encode_bytes(&data);
+            proptest::prop_assert_eq!(decode_bytes(&enc).unwrap(), data);
+            assert_matches_reference(&enc[..cut.min(enc.len())]);
+        }
     }
 
     #[test]
