@@ -1,14 +1,11 @@
 //! Criterion: fragment access through each storage backend — resident
-//! dataset, serialized in-memory container, file-backed byte-range reads,
-//! and a cached file (cold vs warm) — so the LRU cache's effect is
-//! measurable against the raw backend costs.
+//! dataset, serialized in-memory container and file-backed byte-range
+//! reads — on one loose-tolerance retrieval.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
-use pqr_progressive::fragstore::{
-    CachedSource, FileSource, FragmentCache, FragmentSource, InMemorySource,
-};
+use pqr_progressive::fragstore::{FileSource, FragmentSource, InMemorySource};
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::library::velocity_magnitude;
 use std::sync::Arc;
@@ -63,25 +60,6 @@ fn bench_fragment_fetch(c: &mut Criterion) {
     });
     g.bench_function(BenchmarkId::new("backend", "file"), |b| {
         b.iter(|| retrieve_once(file.clone(), &spec))
-    });
-    // cold: a fresh cache per retrieval — every fetch misses
-    g.bench_function(BenchmarkId::new("backend", "file_cached_cold"), |b| {
-        b.iter(|| {
-            let cold = CachedSource::new(
-                FileSource::open(&path).unwrap(),
-                Arc::new(FragmentCache::new(64 << 20)),
-            );
-            retrieve_once(Arc::new(cold), &spec)
-        })
-    });
-    // warm: one shared cache across retrievals — steady-state all hits
-    let warm = Arc::new(CachedSource::new(
-        FileSource::open(&path).unwrap(),
-        Arc::new(FragmentCache::new(64 << 20)),
-    ));
-    retrieve_once(warm.clone(), &spec);
-    g.bench_function(BenchmarkId::new("backend", "file_cached_warm"), |b| {
-        b.iter(|| retrieve_once(warm.clone(), &spec))
     });
     g.finish();
     std::fs::remove_file(&path).ok();

@@ -1,13 +1,15 @@
 //! Archive + session: the ergonomic wrapper over the retrieval machinery.
 //!
-//! An [`Archive`] comes in two flavours sharing one retrieval code path:
+//! An [`Archive`] is one [`FragmentSource`] plus its QoI registry. Where
+//! the fragments live is the source's business, and every session reads
+//! them through the one retrieval code path:
 //!
-//! * **resident** — built by [`ArchiveBuilder`] or fully materialised by
-//!   [`Archive::from_bytes`]; the refactored fragments live in memory.
-//! * **lazy** — opened from a file with [`Archive::open`]; only the
-//!   manifest (shape, directories, QoI registry, mask) is read up front,
-//!   and every session fetches fragment byte ranges on demand. A loose
-//!   tolerance therefore reads only a fraction of the archive from disk.
+//! * built by [`ArchiveBuilder`] or materialised by [`Archive::from_bytes`],
+//!   the source is the in-memory [`RefactoredDataset`];
+//! * opened from a file with [`Archive::open`], only the manifest (shape,
+//!   directories, QoI registry, mask) is read up front, and every session
+//!   fetches fragment byte ranges on demand. A loose tolerance therefore
+//!   reads only a fraction of the archive from disk.
 //!
 //! [`Session`]s are **owned**: they hold shared (`Arc`) handles to the
 //! archive's fragment source and QoI registry, carry no borrows, and can
@@ -124,7 +126,7 @@ impl ArchiveBuilder {
             refactored.set_mask(self.dataset.zero_mask(&idx))?;
         }
         Ok(Archive {
-            store: ArchiveStore::Resident(Arc::new(refactored)),
+            source: Arc::new(refactored),
             qois: Arc::new(qoi_meta),
             engine: self.engine,
         })
@@ -174,21 +176,14 @@ impl ArchiveBuilder {
     }
 }
 
-/// Where an archive's fragment bytes live. Both flavours are behind `Arc`
-/// so sessions and services own shared handles instead of borrows.
-enum ArchiveStore {
-    /// Fully materialised in memory (builder-built or deserialized).
-    Resident(Arc<RefactoredDataset>),
-    /// Served on demand from a fragment source (lazily opened file).
-    Lazy(Arc<dyn FragmentSource>),
-}
-
 /// The shared QoI registry: name → (expression, refactor-time range).
 type QoiRegistry = BTreeMap<String, (QoiExpr, f64)>;
 
 /// A refactored archive with its QoI registry (Fig. 1's storage-side box).
 pub struct Archive {
-    store: ArchiveStore,
+    /// Where the fragment bytes live, behind `Arc` so sessions and
+    /// services own shared handles instead of borrows.
+    source: Arc<dyn FragmentSource>,
     qois: Arc<QoiRegistry>,
     engine: EngineConfig,
 }
@@ -196,19 +191,13 @@ pub struct Archive {
 impl Archive {
     /// The fragment source every session of this archive fetches through.
     pub fn source(&self) -> &dyn FragmentSource {
-        match &self.store {
-            ArchiveStore::Resident(rd) => rd.as_ref(),
-            ArchiveStore::Lazy(src) => src.as_ref(),
-        }
+        self.source.as_ref()
     }
 
     /// A shared handle to the archive's fragment source — what owned
     /// sessions and services fetch through.
     pub fn shared_source(&self) -> Arc<dyn FragmentSource> {
-        match &self.store {
-            ArchiveStore::Resident(rd) => Arc::clone(rd) as Arc<dyn FragmentSource>,
-            ArchiveStore::Lazy(src) => Arc::clone(src),
-        }
+        Arc::clone(&self.source)
     }
 
     /// The archive manifest: shape, per-field schemes/ranges/directories,
@@ -221,22 +210,6 @@ impl Archive {
     /// resident archives, which do not track memory copies).
     pub fn source_stats(&self) -> SourceStats {
         self.source().stats()
-    }
-
-    /// The underlying refactored dataset of a *resident* archive.
-    ///
-    /// # Panics
-    ///
-    /// Panics for lazily opened archives ([`Archive::open`]), whose
-    /// fragments intentionally stay on storage — use [`Archive::manifest`]
-    /// for metadata or a [`Session`] to retrieve data.
-    pub fn refactored(&self) -> &RefactoredDataset {
-        match &self.store {
-            ArchiveStore::Resident(rd) => rd.as_ref(),
-            ArchiveStore::Lazy(_) => {
-                panic!("lazily opened archive holds no resident dataset; use manifest()/session()")
-            }
-        }
     }
 
     /// Registered QoI names.
@@ -298,18 +271,14 @@ impl Archive {
     /// them; a session requesting a tolerance the store already reached
     /// touches neither the source nor a decoder.
     ///
-    /// Decoded state is charged against a [`StoreBudget`]: the engine
-    /// config's `store_budget_bytes` if set, otherwise the
-    /// `PQR_STORE_BUDGET` environment variable (unset ⇒ unbounded). Over
-    /// budget, cold fields demote to their progress marker and rehydrate
-    /// bit-identically on demand. To share one budget across several
-    /// datasets (as `pqr serve` does), use [`Archive::service_with_budget`].
+    /// Decoded state is charged against the [`StoreBudget`] the
+    /// `PQR_STORE_BUDGET` environment variable sets (unset ⇒ unbounded).
+    /// Over budget, cold fields demote to their progress marker and
+    /// rehydrate bit-identically on demand. To set the budget explicitly,
+    /// or share one across several datasets (as `pqr serve` does), use
+    /// [`Archive::service_with_budget`].
     pub fn service(&self) -> Result<DatasetService> {
-        let budget = match self.engine.store_budget_bytes {
-            Some(limit) => Arc::new(StoreBudget::with_limit(limit)),
-            None => Arc::new(StoreBudget::from_env()?),
-        };
-        self.service_with_budget(budget)
+        self.service_with_budget(Arc::new(StoreBudget::from_env()?))
     }
 
     /// [`Archive::service`] charging decoded state against an explicit
@@ -343,32 +312,27 @@ impl Archive {
     /// reconstructs the exact estimator without touching a payload fragment
     /// (Fig. 1's metadata path).
     ///
-    /// Lazily opened archives are materialised first (every fragment is
-    /// fetched), which defeats their purpose — serialize resident archives.
+    /// Every fragment is fetched through the archive's source, so a lazily
+    /// opened archive is read whole, which defeats its purpose.
     ///
     /// # Panics
     ///
-    /// Panics if a *lazy* archive's backing source fails mid-materialise
-    /// (e.g. the file was truncated after open) — use [`Archive::save`],
-    /// whose fallible path reports such errors instead.
+    /// Panics if the source fails mid-read (e.g. a file truncated after
+    /// open) — use [`Archive::save`], whose fallible path reports such
+    /// errors instead.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.serialize()
-            .expect("lazy archive source failed mid-materialise")
+            .expect("archive source failed mid-serialize")
     }
 
     fn serialize(&self) -> Result<Vec<u8>> {
         let registry = registry_to_bytes(&self.qois);
-        Ok(match &self.store {
-            ArchiveStore::Resident(rd) => rd.to_bytes_with_meta(&registry),
-            ArchiveStore::Lazy(src) => {
-                RefactoredDataset::from_source(src.as_ref())?.to_bytes_with_meta(&registry)
-            }
-        })
+        Ok(RefactoredDataset::from_source(self.source())?.to_bytes_with_meta(&registry))
     }
 
     /// Writes the archive to a file (see [`Archive::to_bytes`]); reopen it
-    /// lazily with [`Archive::open`]. Unlike [`Archive::to_bytes`], a lazy
-    /// archive whose source fails mid-materialise returns the error.
+    /// lazily with [`Archive::open`]. Unlike [`Archive::to_bytes`], a
+    /// source that fails mid-read returns the error.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         std::fs::write(path.as_ref(), self.serialize()?).map_err(|e| {
             PqrError::InvalidRequest(format!("cannot write '{}': {e}", path.as_ref().display()))
@@ -380,7 +344,7 @@ impl Archive {
         let src = InMemorySource::new(bytes.to_vec())?;
         let qois = registry_from_bytes(&src.manifest()?.app_meta)?;
         Ok(Self {
-            store: ArchiveStore::Resident(Arc::new(RefactoredDataset::from_source(&src)?)),
+            source: Arc::new(RefactoredDataset::from_source(&src)?),
             qois: Arc::new(qois),
             engine: EngineConfig::default(),
         })
@@ -394,13 +358,13 @@ impl Archive {
         Self::from_fragment_source(FileSource::open(path)?)
     }
 
-    /// Wraps an arbitrary fragment source (file, remote adapter, cached
-    /// stack) as a lazy archive, reading the QoI registry from its
+    /// Wraps an arbitrary fragment source (file, in-memory container,
+    /// remote adapter) as an archive, reading the QoI registry from its
     /// manifest.
     pub fn from_fragment_source(source: impl FragmentSource + 'static) -> Result<Self> {
         let qois = registry_from_bytes(&source.manifest()?.app_meta)?;
         Ok(Self {
-            store: ArchiveStore::Lazy(Arc::new(source)),
+            source: Arc::new(source),
             qois: Arc::new(qois),
             engine: EngineConfig::default(),
         })
@@ -579,9 +543,8 @@ impl Session {
     /// Plans and executes a request — the one way a session retrieves,
     /// whether it names one target or many: each refinement round's
     /// fragments ride one batched [`FragmentSource::read_many`] call per
-    /// field (coalesced range reads on files, cache hits peeled and the
-    /// misses batched on cached sources), the §IV error bounds
-    /// are re-evaluated after every round, and each target stops refining
+    /// field (coalesced range reads on files), the §IV error bounds are
+    /// re-evaluated after every round, and each target stops refining
     /// as soon as its tolerance certifies. Returns the per-target
     /// [`PlanReport`] with shared-fragment savings and read-op counts.
     pub fn execute(&mut self, request: &RetrievalRequest) -> Result<PlanReport> {
@@ -941,19 +904,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lazily opened archive")]
-    fn refactored_panics_on_lazy_archives() {
-        let archive = build();
-        let dir = std::env::temp_dir().join("pqr_core_lazy_panic_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("archive.pqrx");
-        archive.save(&path).unwrap();
-        let lazy = Archive::open(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let _ = lazy.refactored();
-    }
-
-    #[test]
     fn execute_multi_target_certifies_each_and_saves_shared_bytes() {
         let archive = build();
         let mut s = archive.session().unwrap();
@@ -1041,6 +991,6 @@ mod tests {
             .field("bad", vec![1.0; 5])
             .build()
             .unwrap();
-        assert_eq!(archive.refactored().num_fields(), 1);
+        assert_eq!(archive.manifest().unwrap().num_fields(), 1);
     }
 }

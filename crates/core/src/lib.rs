@@ -34,7 +34,7 @@
 //! //    the guaranteed bounds
 //! let v = session.qoi_values("V").unwrap();
 //! assert_eq!(v.len(), n);
-//! assert!(session.total_fetched() < archive.refactored().raw_bytes());
+//! assert!(session.total_fetched() < archive.manifest().unwrap().raw_bytes());
 //! ```
 //!
 //! The lower-level building blocks (compressors, decompositions, the

@@ -12,8 +12,7 @@ pub use crate::request::{merge_requests, RequestTarget, RetrievalRequest, Tolera
 pub use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 pub use pqr_progressive::field::{Dataset, RefactoredDataset};
 pub use pqr_progressive::fragstore::{
-    CachedSource, FileSource, FragmentCache, FragmentId, FragmentSource, InMemorySource, Manifest,
-    SourceStats,
+    FileSource, FragmentId, FragmentSource, InMemorySource, Manifest, SourceStats,
 };
 pub use pqr_progressive::mask::ZeroMask;
 pub use pqr_progressive::pager::{parse_budget, StoreBudget};

@@ -5,7 +5,7 @@
 //! when a one-target request at the same tolerance on its own fresh
 //! session satisfies, with the certified bound within the same tolerance —
 //! while reading **no more** than those sessions' total bytes, across the
-//! in-memory, file-backed and cached backends.
+//! in-memory and file-backed backends.
 //!
 //! The same cases also pin the parallel decode pipeline: executing the
 //! request with sequential decode (`workers: 1`) versus 8 decode workers
@@ -14,7 +14,6 @@
 
 use pqr_core::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
@@ -82,17 +81,12 @@ fn temp_archive(bytes: &[u8], tag: &str) -> std::path::PathBuf {
     path
 }
 
-/// The three lazily-served backends under test, rebuilt per use so every
+/// The two lazily-served backends under test, rebuilt per use so every
 /// arm starts cold.
 fn open_backend(bytes: &[u8], path: &std::path::Path, which: usize) -> Archive {
     match which {
         0 => Archive::from_fragment_source(InMemorySource::new(bytes.to_vec()).unwrap()).unwrap(),
-        1 => Archive::open(path).unwrap(),
-        _ => {
-            let cache = Arc::new(FragmentCache::new(8 << 20));
-            Archive::from_fragment_source(CachedSource::new(FileSource::open(path).unwrap(), cache))
-                .unwrap()
-        }
+        _ => Archive::open(path).unwrap(),
     }
 }
 
@@ -106,7 +100,7 @@ proptest! {
         scheme in arb_scheme(),
         targets in arb_targets(),
         tol_exp in -5..-1i32,
-        backend in 0usize..3,
+        backend in 0usize..2,
     ) {
         let bytes = build_archive_bytes(n, seed, scheme);
         let path = temp_archive(&bytes, scheme.name());

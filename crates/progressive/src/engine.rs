@@ -158,15 +158,6 @@ pub struct EngineConfig {
     /// caller that parallelises at a coarser granularity (the per-block
     /// transfer pipeline) wants. Every count is bit-identical.
     pub workers: usize,
-    /// Byte budget for shared decoded state when this config builds a
-    /// [`ProgressStore`]-backed service:
-    /// `Some(0)` = explicitly unbounded, `Some(n)` = cap decoded
-    /// snapshots plus master state at `n` bytes (cold fields demote and
-    /// rehydrate — see [`crate::pager`]), `None` (the default) = defer
-    /// to the `PQR_STORE_BUDGET` environment variable (unset ⇒
-    /// unbounded). A solo engine's private store is always unbounded and
-    /// ignores it.
-    pub store_budget_bytes: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -177,7 +168,6 @@ impl Default for EngineConfig {
             max_tightenings: 512,
             bound_config: BoundConfig::default(),
             workers: 0,
-            store_budget_bytes: None,
         }
     }
 }
@@ -186,9 +176,9 @@ impl Default for EngineConfig {
 ///
 /// Every byte the engine moves is pulled through a
 /// [`FragmentSource`] — a resident [`RefactoredDataset`], a serialized
-/// in-memory archive, a lazily opened file, or any of them behind a
-/// fragment cache all drive the identical refinement code path. The engine **owns** a
-/// shared handle to its source (`Arc`), so engines carry no borrows: they
+/// in-memory archive or a lazily opened file all drive the identical
+/// refinement code path. The engine **owns** a shared handle to its
+/// source (`Arc`), so engines carry no borrows: they
 /// move across threads, outlive the scope that opened them, and many can
 /// share one source concurrently (its [`SourceStats`] tally atomically).
 ///

@@ -22,8 +22,7 @@
 //!   ([`RefactoredDataset`](crate::field::RefactoredDataset) /
 //!   [`RefactoredField`] implement the trait directly), a serialized
 //!   in-memory archive ([`InMemorySource`]), and a file opened lazily with
-//!   byte-range reads ([`FileSource`]). [`CachedSource`] wraps any of them
-//!   (typically a remote or disk source) with a shared LRU fragment cache.
+//!   byte-range reads ([`FileSource`]).
 //!
 //! ## Serialized container
 //!
@@ -42,12 +41,11 @@ use crate::backend;
 use crate::mask::ZeroMask;
 use crate::refactored::{RefactoredField, Scheme};
 use pqr_util::byteio::{ByteReader, ByteWriter};
-use pqr_util::cache::LruCache;
 use pqr_util::error::{PqrError, Result};
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 /// Container magic.
@@ -166,14 +164,10 @@ impl Manifest {
 pqr_util::tally! {
     /// Cumulative fetch tallies of a [`FragmentSource`].
     pub struct SourceStats / AtomicSourceStats {
-        /// Fragment fetches served (including cache hits).
+        /// Fragment fetches served.
         fetches,
-        /// Payload bytes handed out (including cache hits).
+        /// Payload bytes handed out.
         fetched_bytes,
-        /// Fetches served from a cache without touching the backend.
-        cache_hits,
-        /// Fetches that had to go to the backend.
-        cache_misses,
         /// Backend read operations performed: one per single-fragment fetch,
         /// one per *coalesced range* in a [`FragmentSource::read_many`] batch
         /// (adjacent fragments collapse into one seek+read), so batched
@@ -185,9 +179,9 @@ pqr_util::tally! {
 /// Serves progressive fragments by id — the seam between the retrieval
 /// engine and wherever the archive's bytes live.
 ///
-/// Every retrieval path (resident, serialized in memory, file-backed,
-/// cached) pulls bytes through this trait, so partial retrieval
-/// is partial *in bytes read*, not just in bytes counted.
+/// Every retrieval path (resident, serialized in memory, file-backed)
+/// pulls bytes through this trait, so partial retrieval is partial *in
+/// bytes read*, not just in bytes counted.
 pub trait FragmentSource: Send + Sync {
     /// The archive's manifest (owned: sources may synthesise it on demand).
     fn manifest(&self) -> Result<Manifest>;
@@ -199,9 +193,8 @@ pub trait FragmentSource: Send + Sync {
     /// Fetches a whole batch of fragments in one call, returning payloads
     /// in request order. This is the batched entry point plan execution
     /// drives: backends override it to coalesce adjacent byte ranges into
-    /// single reads ([`FileSource`]) or consult a cache before batching the
-    /// misses into one round trip ([`CachedSource`]). The default degrades
-    /// to a per-fragment loop, so every source stays correct.
+    /// single reads ([`FileSource`]). The default degrades to a
+    /// per-fragment loop, so every source stays correct.
     fn read_many(&self, ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
         ids.iter().map(|&id| self.fetch(id)).collect()
     }
@@ -682,15 +675,10 @@ pub(crate) fn load_field(
 // ---------------------------------------------------------------------------
 
 impl AtomicSourceStats {
-    fn record(&self, bytes: usize, hit: bool) {
+    fn record(&self, bytes: usize) {
         self.fetches.fetch_add(1, Ordering::Relaxed);
         self.fetched_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Tallies `ops` backend read operations (seeks/range reads/batch
@@ -747,7 +735,7 @@ impl FragmentSource for InMemorySource {
         let info = self.manifest.fragment(id)?;
         // parse-time validation guarantees the range is in bounds
         let payload = self.bytes[info.offset as usize..(info.offset + info.len) as usize].to_vec();
-        self.stats.record(payload.len(), false);
+        self.stats.record(payload.len());
         self.stats.record_ops(1);
         Ok(Arc::new(payload))
     }
@@ -761,7 +749,7 @@ impl FragmentSource for InMemorySource {
             for &(k, info) in members {
                 let payload =
                     self.bytes[info.offset as usize..(info.offset + info.len) as usize].to_vec();
-                self.stats.record(payload.len(), false);
+                self.stats.record(payload.len());
                 out[k] = Some(Arc::new(payload));
             }
         }
@@ -853,7 +841,7 @@ impl FragmentSource for FileSource {
             f.read_exact(&mut payload)
                 .map_err(|e| io_err(&self.path, "cannot read fragment from", e))?;
         }
-        self.stats.record(payload.len(), false);
+        self.stats.record(payload.len());
         self.stats.record_ops(1);
         Ok(Arc::new(payload))
     }
@@ -876,108 +864,11 @@ impl FragmentSource for FileSource {
             for &(k, info) in members {
                 let rel = (info.offset - start) as usize;
                 let payload = buf[rel..rel + info.len as usize].to_vec();
-                self.stats.record(payload.len(), false);
+                self.stats.record(payload.len());
                 out[k] = Some(Arc::new(payload));
             }
         }
         self.stats.record_ops(runs.len() as u64);
-        Ok(out
-            .into_iter()
-            .map(|p| p.expect("every id resolved"))
-            .collect())
-    }
-
-    fn stats(&self) -> SourceStats {
-        self.stats.snapshot()
-    }
-}
-
-/// Key type of the shared fragment cache: a per-source salt plus the
-/// fragment address, so several archives can share one [`LruCache`].
-pub type FragmentCacheKey = (u64, u32, u32);
-
-/// The LRU fragment cache shared between [`CachedSource`]s.
-pub type FragmentCache = LruCache<FragmentCacheKey>;
-
-/// Distinguishes sources sharing one cache.
-static NEXT_SALT: AtomicU64 = AtomicU64::new(0);
-
-/// Wraps a backend with a (shareable) LRU fragment cache: repeated fetches
-/// of the same fragment are served locally and tallied as cache hits.
-#[derive(Debug)]
-pub struct CachedSource<S> {
-    inner: S,
-    cache: Arc<FragmentCache>,
-    salt: u64,
-    stats: AtomicSourceStats,
-}
-
-impl<S: FragmentSource> CachedSource<S> {
-    /// Wraps `inner` with `cache` (shareable across sources).
-    pub fn new(inner: S, cache: Arc<FragmentCache>) -> Self {
-        Self {
-            inner,
-            cache,
-            salt: NEXT_SALT.fetch_add(1, Ordering::Relaxed),
-            stats: AtomicSourceStats::default(),
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The shared cache.
-    pub fn cache(&self) -> &Arc<FragmentCache> {
-        &self.cache
-    }
-}
-
-impl<S: FragmentSource> FragmentSource for CachedSource<S> {
-    fn manifest(&self) -> Result<Manifest> {
-        self.inner.manifest()
-    }
-
-    fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
-        let key = (self.salt, id.field, id.index);
-        if let Some(hit) = self.cache.get(&key) {
-            self.stats.record(hit.len(), true);
-            return Ok(hit);
-        }
-        let payload = self.inner.fetch(id)?;
-        self.cache.insert(key, Arc::clone(&payload));
-        self.stats.record(payload.len(), false);
-        self.stats.record_ops(1);
-        Ok(payload)
-    }
-
-    fn read_many(&self, ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
-        // consult the LRU first; only the misses ride one batched backend
-        // read (which the inner source may further coalesce)
-        let mut out: Vec<Option<Arc<Vec<u8>>>> = vec![None; ids.len()];
-        let mut miss_ids = Vec::new();
-        let mut miss_pos = Vec::new();
-        for (k, &id) in ids.iter().enumerate() {
-            let key = (self.salt, id.field, id.index);
-            if let Some(hit) = self.cache.get(&key) {
-                self.stats.record(hit.len(), true);
-                out[k] = Some(hit);
-            } else {
-                miss_ids.push(id);
-                miss_pos.push(k);
-            }
-        }
-        if !miss_ids.is_empty() {
-            let payloads = self.inner.read_many(&miss_ids)?;
-            self.stats.record_ops(1);
-            for ((id, payload), k) in miss_ids.iter().zip(payloads).zip(miss_pos) {
-                let key = (self.salt, id.field, id.index);
-                self.cache.insert(key, Arc::clone(&payload));
-                self.stats.record(payload.len(), false);
-                out[k] = Some(payload);
-            }
-        }
         Ok(out
             .into_iter()
             .map(|p| p.expect("every id resolved"))
@@ -1054,9 +945,7 @@ mod tests {
                 assert_eq!(payload.len() as u64, info.len);
             }
         }
-        let s = src.stats();
-        assert!(s.fetches > 0);
-        assert_eq!(s.cache_hits, 0);
+        assert!(src.stats().fetches > 0);
     }
 
     #[test]
@@ -1237,31 +1126,20 @@ mod tests {
     }
 
     #[test]
-    fn cached_source_hits_on_refetch() {
-        let src = InMemorySource::new(archive_bytes(Scheme::PmgardHb)).unwrap();
-        let cache = Arc::new(FragmentCache::new(1 << 20));
-        let cached = CachedSource::new(src, Arc::clone(&cache));
-        let id = FragmentId { field: 0, index: 1 };
-        let a = cached.fetch(id).unwrap();
-        let b = cached.fetch(id).unwrap();
-        assert_eq!(a, b);
-        let s = cached.stats();
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.cache_hits, 1);
-        // the inner source was only touched once
-        assert_eq!(cached.inner().stats().fetches, 1);
-    }
-
-    #[test]
     fn concurrent_read_many_tallies_exactly() {
-        // 8 threads hammering one CachedSource with batched reads: the
-        // atomic stats must lose no update — every served payload is
-        // tallied, hits + misses == fetches, and byte counts add up to
-        // the directory-declared sizes exactly
-        let src = InMemorySource::new(archive_bytes(Scheme::PmgardHb)).unwrap();
+        // 8 threads hammering one FileSource with batched reads: the
+        // shared file handle must hand every thread the right bytes, and
+        // the atomic stats must lose no update — fetches, bytes and
+        // coalesced read ops all add up exactly
+        let bytes = archive_bytes(Scheme::PmgardHb);
+        let dir = std::env::temp_dir().join("pqr_fragstore_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("concurrent_{}.pqrx", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let src = FileSource::open(&path).unwrap();
         let manifest = src.manifest().unwrap();
-        let cached = CachedSource::new(src, Arc::new(FragmentCache::new(64 << 20)));
-        let ids: Vec<FragmentId> = manifest
+        // every fragment, last first: the batch is sorted and coalesced
+        let mut ids: Vec<FragmentId> = manifest
             .fields
             .iter()
             .enumerate()
@@ -1272,57 +1150,35 @@ mod tests {
                 })
             })
             .collect();
+        ids.reverse();
         let batch_bytes: u64 = ids
             .iter()
             .map(|&id| manifest.fragment(id).unwrap().len)
             .sum();
+        let runs = coalesce_ranges(&manifest, &ids).unwrap().len() as u64;
+        assert!(runs < ids.len() as u64, "adjacent fragments coalesce");
         const THREADS: u64 = 8;
         const ROUNDS: u64 = 25;
         std::thread::scope(|s| {
             for _ in 0..THREADS {
-                let (cached, ids) = (&cached, &ids);
+                let (src, ids, manifest, bytes) = (&src, &ids, &manifest, &bytes);
                 s.spawn(move || {
                     for _ in 0..ROUNDS {
-                        let payloads = cached.read_many(ids).unwrap();
+                        let payloads = src.read_many(ids).unwrap();
                         for (&id, p) in ids.iter().zip(&payloads) {
-                            assert_eq!(
-                                p.len() as u64,
-                                cached.manifest().unwrap().fragment(id).unwrap().len
-                            );
+                            let info = manifest.fragment(id).unwrap();
+                            let want = &bytes[info.offset as usize..][..info.len as usize];
+                            assert_eq!(p.as_slice(), want);
                         }
                     }
                 });
             }
         });
-        let stats = cached.stats();
+        let stats = src.stats();
         assert_eq!(stats.fetches, THREADS * ROUNDS * ids.len() as u64);
         assert_eq!(stats.fetched_bytes, THREADS * ROUNDS * batch_bytes);
-        assert_eq!(stats.cache_hits + stats.cache_misses, stats.fetches);
-        // the cache is big enough to hold the archive: once everything is
-        // resident, whole batches hit without a backend read — misses stay
-        // a small fraction of the total (racing first-round threads may
-        // each miss, but never lose a tally)
-        assert!(stats.cache_misses >= ids.len() as u64);
-        assert!(stats.cache_misses <= THREADS * ids.len() as u64);
-    }
-
-    #[test]
-    fn shared_cache_does_not_leak_across_sources() {
-        let cache = Arc::new(FragmentCache::new(1 << 20));
-        let a = CachedSource::new(
-            InMemorySource::new(archive_bytes(Scheme::PmgardHb)).unwrap(),
-            Arc::clone(&cache),
-        );
-        let b = CachedSource::new(
-            InMemorySource::new(archive_bytes(Scheme::Psz3)).unwrap(),
-            Arc::clone(&cache),
-        );
-        let id = FragmentId { field: 0, index: 0 };
-        let pa = a.fetch(id).unwrap();
-        let pb = b.fetch(id).unwrap();
-        // same address, different archives: the salt keeps them apart
-        assert_ne!(pa, pb);
-        assert_eq!(b.stats().cache_hits, 0);
+        assert_eq!(stats.read_ops, THREADS * ROUNDS * runs);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

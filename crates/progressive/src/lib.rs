@@ -21,8 +21,8 @@
 //! * [`fragstore`] — fragment-addressed storage: archives serialize as a
 //!   manifest + directory + independently addressable fragments, and every
 //!   retrieval path pulls bytes through the [`fragstore::FragmentSource`]
-//!   trait (resident, in-memory, file-backed byte ranges, LRU-cached), so
-//!   partial retrieval is partial in bytes *read*, not just bytes counted.
+//!   trait (resident, in-memory, file-backed byte ranges), so partial
+//!   retrieval is partial in bytes *read*, not just bytes counted.
 //! * [`engine`] — Algorithms 2–4: iterative QoI-preserved retrieval with a
 //!   primary-data error-bound assigner and a QoI error estimator.
 //! * [`store`] — the cross-request decode cache every engine refines
@@ -87,8 +87,7 @@ pub mod store;
 pub use engine::{EngineConfig, QoiSpec, RetrievalEngine};
 pub use field::{Dataset, RefactoredDataset};
 pub use fragstore::{
-    CachedSource, FileSource, FragmentCache, FragmentId, FragmentSource, InMemorySource, Manifest,
-    SourceStats,
+    FileSource, FragmentId, FragmentSource, InMemorySource, Manifest, SourceStats,
 };
 pub use mask::ZeroMask;
 pub use pager::{parse_budget, StoreBudget};

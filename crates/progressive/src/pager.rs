@@ -28,9 +28,12 @@
 //! Registry-wide budget to every dataset), so `resident`/`peak` are global
 //! tallies while each store demotes only its own fields.
 //!
-//! The knobs: [`EngineConfig::store_budget_bytes`](crate::engine::EngineConfig),
-//! the `PQR_STORE_BUDGET` environment variable (accepted suffixes
-//! `k`/`m`/`g`, binary multiples), and `pqr serve --store-budget`.
+//! The knobs: the `PQR_STORE_BUDGET` environment variable (accepted
+//! suffixes `k`/`m`/`g`, binary multiples), which `Archive::service` and
+//! [`ProgressStore::open`](crate::store::ProgressStore::open) read, and
+//! `pqr serve --store-budget`; an explicit [`StoreBudget`] handed to
+//! [`ProgressStore::open_with`](crate::store::ProgressStore::open_with)
+//! overrides both.
 
 use pqr_util::cache::LruCache;
 use pqr_util::error::{PqrError, Result};

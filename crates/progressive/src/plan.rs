@@ -19,10 +19,9 @@
 //!    are functions of consumed-fragment counts, never payload contents,
 //!    so the prediction is exact) and reads it through one
 //!    [`FragmentSource::read_many`] in storage order — files coalesce
-//!    adjacent ranges into single reads, cached sources peel hits and
-//!    batch the misses. After each round the §IV error bounds are
-//!    re-evaluated and each target stops influencing further tightening as
-//!    soon as its tolerance certifies.
+//!    adjacent ranges into single reads. After each round the §IV error
+//!    bounds are re-evaluated and each target stops influencing further
+//!    tightening as soon as its tolerance certifies.
 //! 3. **Report** — [`PlanReport`] carries per-target outcomes
 //!    ([`TargetReport`]: satisfied/bound/bytes), the shared-fragment
 //!    savings, backend read-op counts, and the engine-level accounting.

@@ -317,8 +317,8 @@ const MAX_RECORDED_FETCHED: u64 = 1 << 48;
 /// Maintains the current reconstruction, the guaranteed L∞ bound, and the
 /// cumulative number of fetched bytes. Every byte enters through the
 /// [`FragmentSource`] the reader **owns a shared handle to** — a resident
-/// dataset, a serialized buffer, a file read by ranges, or a cached
-/// source all drive this same code path. Readers carry no borrows,
+/// dataset, a serialized buffer or a file read by ranges all drive this
+/// same code path. Readers carry no borrows,
 /// so sessions built on them can move across threads and outlive the scope
 /// that opened them.
 ///

@@ -253,8 +253,6 @@ mod tests {
             source: SourceStats {
                 fetches: 100 * k,
                 fetched_bytes: 4096 * k,
-                cache_hits: k,
-                cache_misses: 99 * k,
                 read_ops: 12 * k,
             },
         };

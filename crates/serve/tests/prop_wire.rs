@@ -262,9 +262,7 @@ fn fixed_stats() -> StatsSnapshot {
         source: SourceStats {
             fetches: k + 17,
             fetched_bytes: k + 18,
-            cache_hits: k + 19,
-            cache_misses: k + 20,
-            read_ops: k + 21,
+            read_ops: k + 19,
         },
     };
     StatsSnapshot {
@@ -328,12 +326,11 @@ fn stats_and_report_frames_keep_their_recorded_bytes() {
         "0000080100000000000009010000000000000a010000000000000b0100000000",
         "00000c010000000000000d010000000000000e010000000000000f0100000000",
         "0000100100000000000011010000000000001201000000000000130100000000",
-        "0000140100000000000015010000000000000300000000000000733364010200",
-        "0000000000020200000000000003020000000000000402000000000000050200",
-        "0000000000060200000000000007020000000000000802000000000000090200",
-        "00000000000a020000000000000b020000000000000c020000000000000d0200",
-        "00000000000e020000000000000f020000000000001002000000000000110200",
-        "0000000000120200000000000013020000000000001402000000000000150200",
+        "0000030000000000000073336401020000000000000202000000000000030200",
+        "0000000000040200000000000005020000000000000602000000000000070200",
+        "0000000000080200000000000009020000000000000a020000000000000b0200",
+        "00000000000c020000000000000d020000000000000e020000000000000f0200",
+        "0000000000100200000000000011020000000000001202000000000000130200",
         "0000000000",
     );
     let report = concat!(

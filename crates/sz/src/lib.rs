@@ -39,7 +39,6 @@
 pub mod compressor;
 pub mod config;
 pub mod predictor;
-pub mod pwrel;
 pub mod quantizer;
 
 pub use compressor::SzCompressor;

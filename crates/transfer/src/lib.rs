@@ -9,11 +9,10 @@
 //!   decides *how many bytes* each block needs (the paper's claim is a
 //!   bytes-moved argument), and the per-block retrieval compute time
 //!   (measured wall clock). Each block is any
-//!   [`FragmentSource`](pqr_progressive::fragstore::FragmentSource): a
-//!   resident dataset, a serialized container, or either behind a
-//!   [`CachedSource`](pqr_progressive::fragstore::CachedSource), whose
+//!   [`FragmentSource`](pqr_progressive::fragstore::FragmentSource) — a
+//!   resident dataset or a serialized container — whose
 //!   [`SourceStats`](pqr_progressive::fragstore::SourceStats) count the
-//!   round trips and cache hits a remote store would see.
+//!   fetches and round trips a remote store would see.
 //! * **simulated**: the pipe. [`NetworkModel`] charges
 //!   `latency + requests·overhead + bytes/bandwidth`, calibrated to the
 //!   paper's own measurement (4.67 GB of raw data in ≈11.7 s ⇒ ≈3.2 Gb/s

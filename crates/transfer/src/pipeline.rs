@@ -117,12 +117,11 @@ impl PipelineResult {
 /// Runs the QoI-preserving retrieval on every block and charges the
 /// fetched bytes to the simulated network.
 ///
-/// Each block is a [`FragmentSource`] — a resident dataset, or one wrapped
-/// in a [`CachedSource`](pqr_progressive::fragstore::CachedSource) to
-/// model a retrieval-side fragment cache; the engine refines through it on
-/// the same code path as local and file-backed archives, so the source's
-/// own [`SourceStats`](pqr_progressive::fragstore::SourceStats) count the
-/// round trips and cache hits. `specs_for_block` produces the QoI requests
+/// Each block is a [`FragmentSource`] — a resident dataset or a serialized
+/// container; the engine refines through it on the same code path as
+/// local and file-backed archives, so the source's own
+/// [`SourceStats`](pqr_progressive::fragstore::SourceStats) count the
+/// fetches and round trips. `specs_for_block` produces the QoI requests
 /// for a given block index (ranges differ per block, so specs are
 /// per-block).
 pub fn run_pipeline(
@@ -193,7 +192,7 @@ mod tests {
     use super::*;
     use pqr_datagen::ge::{self, GeConfig};
     use pqr_progressive::field::{Dataset, RefactoredDataset};
-    use pqr_progressive::fragstore::{CachedSource, FragmentCache, InMemorySource, SourceStats};
+    use pqr_progressive::fragstore::{InMemorySource, SourceStats};
     use pqr_progressive::refactored::Scheme;
     use pqr_qoi::library::velocity_magnitude;
 
@@ -297,33 +296,8 @@ mod tests {
             c.read_ops < c.fetches,
             "batching must collapse round trips below fragment count"
         );
-        assert_eq!(c.cache_hits, 0, "no cache attached");
         assert!(result.transfer_secs > 0.0);
         assert!(result.total_secs() >= result.transfer_secs);
-    }
-
-    #[test]
-    fn cached_sources_turn_refetches_into_hits() {
-        let (blocks, ranges) = build_blocks(4, Scheme::PmgardHb, 500);
-        let cache = Arc::new(FragmentCache::new(64 << 20));
-        let sources: Vec<Arc<dyn FragmentSource>> = blocks
-            .into_iter()
-            .map(|b| Arc::new(CachedSource::new(b, Arc::clone(&cache))) as Arc<dyn FragmentSource>)
-            .collect();
-        let first = run_pipeline(&sources, &with_workers(2), vtot(&ranges, 1e-3)).unwrap();
-        let cold = total_stats(&sources);
-        assert_eq!(cold.cache_hits, 0);
-
-        // the same request series again: fresh engines, warm cache — the
-        // backends serve nothing new
-        let second = run_pipeline(&sources, &with_workers(2), vtot(&ranges, 1e-3)).unwrap();
-        let warm = total_stats(&sources).since(&cold);
-        assert_eq!(second.total_bytes, first.total_bytes);
-        assert_eq!(warm.cache_misses, 0, "no new backend fetches");
-        assert!(
-            warm.cache_hits >= cold.cache_misses,
-            "every refetch should hit"
-        );
     }
 
     #[test]

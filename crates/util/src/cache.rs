@@ -1,11 +1,9 @@
 //! Byte-budgeted LRU cache for fetched fragments.
 //!
-//! Fragment-addressed storage backends ([`FragmentSource`] implementors in
-//! `pqr-progressive`) sit behind slow media — disk ranges or a simulated
-//! WAN — so repeated fetches of the same fragment should be served locally.
-//! This cache is deliberately generic over the key: callers compose keys
-//! from whatever addresses their fragments (block, field, fragment index),
-//! and several sources may share one cache instance through an `Arc`.
+//! `pqr-progressive`'s pager keeps the compressed fragments of demoted
+//! fields here, so a rehydration usually replays from memory instead of
+//! going back to the archive's source. The cache is generic over the key:
+//! the caller composes keys from whatever addresses its fragments.
 //!
 //! Values are `Arc<Vec<u8>>` so a hit hands out a reference-counted view
 //! without copying the payload. Eviction is least-recently-used by a
@@ -13,8 +11,6 @@
 //! count — fragment sizes vary by orders of magnitude (a 20-byte coarse
 //! bitplane vs. a megabyte snapshot), so counting entries would make the
 //! memory ceiling meaningless.
-//!
-//! [`FragmentSource`]: https://docs.rs/pqr-progressive
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;

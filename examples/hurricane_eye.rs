@@ -30,7 +30,7 @@ fn main() -> Result<()> {
         builder = builder.field(name, data.clone());
     }
     let archive = builder.qoi("VTOT", velocity_magnitude(0, 3)).build()?;
-    let raw_bytes = archive.refactored().raw_bytes();
+    let raw_bytes = archive.manifest()?.raw_bytes();
 
     let truth = {
         let u = raw.field("U").unwrap();

@@ -23,12 +23,13 @@ fn main() -> Result<()> {
         .qoi("invT", QoiExpr::var(0).radical(0.0))
         .scheme(Scheme::PmgardHb)
         .build()?;
+    let manifest = archive.manifest()?;
 
     println!(
         "archived {} points: {} B (raw {} B)",
         n,
-        archive.refactored().total_bytes(),
-        archive.refactored().raw_bytes()
+        manifest.total_payload_bytes(),
+        manifest.raw_bytes()
     );
 
     // Retrieval side: progressively tighter requests reuse earlier bytes.
@@ -57,8 +58,7 @@ fn main() -> Result<()> {
     assert!(actual / range <= 1e-6);
 
     // And we moved far fewer bytes than the raw field.
-    let saved =
-        100.0 * (1.0 - session.total_fetched() as f64 / archive.refactored().raw_bytes() as f64);
+    let saved = 100.0 * (1.0 - session.total_fetched() as f64 / manifest.raw_bytes() as f64);
     println!(
         "moved {} B — {:.1}% less than raw",
         session.total_fetched(),

@@ -115,35 +115,5 @@ fn main() -> Result<()> {
         r.bitrate, rel
     );
     assert!(rel <= 1e-5);
-
-    // Species concentrations span decades — the natural fit for point-wise
-    // *relative* bounds (the log-transformation of the paper's ref. [33]):
-    // one ρ protects every decade, where an absolute bound must cater to
-    // the smallest magnitude and overpay on the largest.
-    let species = &data.fields[3].1; // H: small radical concentrations
-    let comp = SzCompressor::default();
-    let rho = 1e-4;
-    let pw = comp.compress_pw_rel(species, &data.dims, rho)?;
-    let smallest = species
-        .iter()
-        .filter(|v| **v != 0.0)
-        .map(|v| v.abs())
-        .fold(f64::INFINITY, f64::min);
-    let abs = comp.compress(species, &data.dims, rho * smallest)?;
-    println!(
-        "\nH species, pw-rel ρ=1e-4: {} B vs equivalent absolute bound: {} B ({:.1}x)",
-        pw.len(),
-        abs.len(),
-        abs.len() as f64 / pw.len() as f64
-    );
-    let (rec, _, _) = comp.decompress_pw_rel(&pw)?;
-    let worst = species
-        .iter()
-        .zip(&rec)
-        .filter(|(o, _)| **o != 0.0)
-        .map(|(o, r)| (o - r).abs() / o.abs())
-        .fold(0.0f64, f64::max);
-    println!("worst point-wise relative error: {worst:.2e} (≤ {rho:.0e} guaranteed)");
-    assert!(worst <= rho);
     Ok(())
 }

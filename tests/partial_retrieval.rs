@@ -1,7 +1,7 @@
 //! The storage-layer acceptance test: partial retrieval must be partial in
 //! *bytes actually read*, not just bytes counted, and every backend —
-//! resident, serialized in-memory, file-backed, LRU-cached — must
-//! drive the one `FragmentSource` code path to identical results.
+//! resident, serialized in-memory, file-backed — must drive the one
+//! `FragmentSource` code path to identical results.
 
 use pqr::prelude::*;
 
@@ -82,9 +82,9 @@ fn tighter_tolerances_read_more_disk_bytes_incrementally() {
     std::fs::remove_file(&path).ok();
 }
 
-/// All four backends — resident dataset, in-memory container, file-backed
-/// source, and a cached file — produce identical retrievals through the
-/// single engine code path.
+/// All three backends — resident dataset, in-memory container and
+/// file-backed source — produce identical retrievals through the single
+/// engine code path.
 #[test]
 fn all_backends_share_one_code_path() {
     let n = 6_000;
@@ -128,16 +128,11 @@ fn all_backends_share_one_code_path() {
 
     let mem = InMemorySource::new(bytes).unwrap();
     let file = FileSource::open(&path).unwrap();
-    let cached = CachedSource::new(
-        FileSource::open(&path).unwrap(),
-        std::sync::Arc::new(FragmentCache::new(1 << 20)),
-    );
 
     let base = run(std::sync::Arc::new(resident.clone()));
     for (label, got) in [
         ("in-memory", run(std::sync::Arc::new(mem))),
         ("file-backed", run(std::sync::Arc::new(file))),
-        ("cached file", run(std::sync::Arc::new(cached))),
     ] {
         assert!(
             base.0 == got.0 && base.1 == got.1,
