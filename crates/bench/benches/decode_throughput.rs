@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pqr_mgard::bitplane::{encode_level, encode_level_scalar, LevelDecoder};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
+use pqr_progressive::fragstore::InMemorySource;
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::library::velocity_magnitude;
 use pqr_zfp::{ZfpCursor, ZfpRefactorer};
@@ -84,7 +85,8 @@ fn bench_plan_decode_workers(c: &mut Criterion) {
         )
         .unwrap();
     }
-    let archive = std::sync::Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
+    let bytes = ds.refactor(Scheme::PmgardHb).unwrap().to_bytes();
+    let archive = std::sync::Arc::new(InMemorySource::new(bytes).unwrap());
     let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-6, &ds).unwrap();
     let mut g = c.benchmark_group("decode_throughput/plan");
     g.throughput(Throughput::Bytes((3 * n * 8) as u64));

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
+use pqr_progressive::fragstore::InMemorySource;
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::library::velocity_magnitude;
 
@@ -28,15 +29,11 @@ fn bench_retrieve(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_retrieve");
     g.sample_size(10);
     for scheme in [Scheme::PmgardHb, Scheme::Psz3Delta] {
-        // one shared Arc per scheme: engine construction inside the timed
-        // loop must not re-clone the whole archive
-        let archive = std::sync::Arc::new(
-            ds.refactor_with_bounds(
-                scheme,
-                &(1..=10).map(|i| 10f64.powi(-i)).collect::<Vec<_>>(),
-            )
-            .unwrap(),
-        );
+        // one shared source per scheme: engine construction inside the
+        // timed loop must not re-serialize the whole archive
+        let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
+        let bytes = ds.refactor_with_bounds(scheme, &ladder).unwrap().to_bytes();
+        let archive = std::sync::Arc::new(InMemorySource::new(bytes).unwrap());
         for tol in [1e-2, 1e-5] {
             g.bench_function(
                 BenchmarkId::new(scheme.name(), format!("tol={tol:.0e}")),
@@ -59,7 +56,8 @@ fn bench_reduction_factor_ablation(c: &mut Criterion) {
     let ds = dataset(50_000);
     let expr = velocity_magnitude(0, 3);
     let range = ds.qoi_range(&expr).unwrap();
-    let archive = std::sync::Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
+    let bytes = ds.refactor(Scheme::PmgardHb).unwrap().to_bytes();
+    let archive = std::sync::Arc::new(InMemorySource::new(bytes).unwrap());
     let mut g = c.benchmark_group("reduction_factor");
     g.sample_size(10);
     for factor in [1.25, 1.5, 2.0] {

@@ -1,6 +1,6 @@
-//! Criterion: fragment access through each storage backend — resident
-//! dataset, serialized in-memory container and file-backed byte-range
-//! reads — on one loose-tolerance retrieval.
+//! Criterion: fragment access through the container reader over each
+//! storage backend — a buffer in memory and a file read by byte ranges —
+//! on one loose-tolerance retrieval.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
@@ -37,24 +37,19 @@ fn bench_fragment_fetch(c: &mut Criterion) {
     let ds = dataset(30_000);
     let expr = velocity_magnitude(0, 3);
     let range = ds.qoi_range(&expr).unwrap();
-    let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+    let bytes = ds.refactor(Scheme::PmgardHb).unwrap().to_bytes();
     let spec = QoiSpec::with_range("VTOT", expr, 1e-3, range);
 
-    let bytes = archive.to_bytes();
     let dir = std::env::temp_dir().join("pqr_fragment_fetch_bench");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("bench_{}.pqrx", std::process::id()));
     std::fs::write(&path, &bytes).unwrap();
 
-    let resident = Arc::new(archive.clone());
     let mem = Arc::new(InMemorySource::new(bytes).unwrap());
     let file = Arc::new(FileSource::open(&path).unwrap());
 
     let mut g = c.benchmark_group("fragment_fetch");
     g.sample_size(10);
-    g.bench_function(BenchmarkId::new("backend", "resident"), |b| {
-        b.iter(|| retrieve_once(resident.clone(), &spec))
-    });
     g.bench_function(BenchmarkId::new("backend", "in_memory"), |b| {
         b.iter(|| retrieve_once(mem.clone(), &spec))
     });

@@ -50,13 +50,11 @@ fn execute_plan(
 
 fn bench_multi_qoi_plan(c: &mut Criterion) {
     let ds = dataset(20_000);
-    let archive = ds.refactor(Scheme::PmgardHb).unwrap();
-    let bytes = archive.to_bytes();
+    let bytes = ds.refactor(Scheme::PmgardHb).unwrap().to_bytes();
     let dir = std::env::temp_dir().join("pqr_multi_qoi_plan_bench");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("bench_{}.pqrx", std::process::id()));
     std::fs::write(&path, &bytes).unwrap();
-    let resident = std::sync::Arc::new(archive.clone());
     let mem = std::sync::Arc::new(InMemorySource::new(bytes).unwrap());
     let file = std::sync::Arc::new(FileSource::open(&path).unwrap());
 
@@ -64,9 +62,6 @@ fn bench_multi_qoi_plan(c: &mut Criterion) {
     g.sample_size(10);
     for (arm, many) in [("1qoi", false), ("3qoi_shared", true)] {
         let sp = specs(&ds, many);
-        g.bench_function(BenchmarkId::new(arm, "resident"), |b| {
-            b.iter(|| execute_plan(resident.clone(), &sp, EngineConfig::default()))
-        });
         g.bench_function(BenchmarkId::new(arm, "in_memory"), |b| {
             b.iter(|| execute_plan(mem.clone(), &sp, EngineConfig::default()))
         });

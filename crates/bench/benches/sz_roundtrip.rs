@@ -23,7 +23,6 @@ fn bench_compress(c: &mut Criterion) {
     for (label, cfg) in [
         ("interp_cubic", SzConfig::default()),
         ("interp_linear", SzConfig::interp_linear()),
-        ("lorenzo", SzConfig::lorenzo()),
     ] {
         let comp = SzCompressor::new(cfg);
         g.bench_function(BenchmarkId::new(label, "eb=1e-6"), |b| {

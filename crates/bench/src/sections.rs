@@ -11,7 +11,7 @@ use pqr_datagen::s3d::{FIELD_NAMES, PRODUCT_PAIRS};
 use pqr_mgard::{Basis, MgardRefactorer};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
-use pqr_progressive::fragstore::{FileSource, FragmentSource};
+use pqr_progressive::fragstore::{FileSource, FragmentSource, InMemorySource};
 use pqr_progressive::refactored::{RefactoredField, Scheme};
 use pqr_qoi::bounds::{BoundConfig, Estimator, SqrtMode};
 use pqr_qoi::library::{species_product, velocity_magnitude};
@@ -234,7 +234,9 @@ fn fig9(t: &mut Tsv, scale: f64) {
                     ds.add_field(name, b.field(name).unwrap().to_vec()).unwrap();
                 }
                 ranges.push(ds.qoi_range(&vtot).unwrap());
-                Arc::new(refactor(&ds, scheme, true)) as Arc<dyn FragmentSource>
+                let bytes = refactor(&ds, scheme, true).to_bytes();
+                Arc::new(InMemorySource::new(bytes).expect("block container"))
+                    as Arc<dyn FragmentSource>
             })
             .collect();
         let cfg = PipelineConfig {

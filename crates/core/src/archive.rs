@@ -1,15 +1,19 @@
 //! Archive + session: the ergonomic wrapper over the retrieval machinery.
 //!
-//! An [`Archive`] is one [`FragmentSource`] plus its QoI registry. Where
-//! the fragments live is the source's business, and every session reads
-//! them through the one retrieval code path:
+//! An [`Archive`] is one [`FragmentSource`] plus its QoI registry. Its
+//! bytes are always its serialized container, and every session reads
+//! them through the one container reader:
 //!
-//! * built by [`ArchiveBuilder`] or materialised by [`Archive::from_bytes`],
-//!   the source is the in-memory [`RefactoredDataset`];
-//! * opened from a file with [`Archive::open`], only the manifest (shape,
-//!   directories, QoI registry, mask) is read up front, and every session
-//!   fetches fragment byte ranges on demand. A loose tolerance therefore
-//!   reads only a fraction of the archive from disk.
+//! * built by [`ArchiveBuilder`] or opened with [`Archive::from_bytes`],
+//!   the container is held in memory ([`InMemorySource`]);
+//! * opened from a file with [`Archive::open`] ([`FileSource`]), only the
+//!   manifest (shape, directories, QoI registry, mask) is read up front,
+//!   and every session fetches fragment byte ranges on demand. A loose
+//!   tolerance therefore reads only a fraction of the archive from disk.
+//!
+//! Either way the manifest is parsed and its directory checked at open,
+//! each field's structure is checked when a session or service opens it,
+//! and the source tallies every fetch.
 //!
 //! [`Session`]s are **owned**: they hold shared (`Arc`) handles to the
 //! archive's fragment source and QoI registry, carry no borrows, and can
@@ -104,7 +108,9 @@ impl ArchiveBuilder {
         self
     }
 
-    /// Refactors everything and computes QoI metadata.
+    /// Refactors everything, computes QoI metadata, and serializes the
+    /// archive once into an in-memory container (the bytes
+    /// [`Archive::to_bytes`] returns).
     pub fn build(self) -> Result<Archive> {
         let mut qoi_meta = BTreeMap::new();
         for (name, expr) in &self.qois {
@@ -125,8 +131,9 @@ impl ArchiveBuilder {
                 .collect::<Result<_>>()?;
             refactored.set_mask(self.dataset.zero_mask(&idx))?;
         }
+        let bytes = refactored.to_bytes_with_meta(&registry_to_bytes(&qoi_meta));
         Ok(Archive {
-            source: Arc::new(refactored),
+            source: Arc::new(InMemorySource::new(bytes)?),
             qois: Arc::new(qoi_meta),
             engine: self.engine,
         })
@@ -206,8 +213,8 @@ impl Archive {
         self.source().manifest()
     }
 
-    /// Cumulative fetch tallies of the underlying source (zeros for
-    /// resident archives, which do not track memory copies).
+    /// Cumulative fetch tallies of the underlying source, in memory and on
+    /// file alike.
     pub fn source_stats(&self) -> SourceStats {
         self.source().stats()
     }
@@ -339,15 +346,11 @@ impl Archive {
         })
     }
 
-    /// Restores (fully materialises) an archive from [`Archive::to_bytes`].
+    /// Opens an archive from [`Archive::to_bytes`], held in memory: the
+    /// manifest and QoI registry are parsed here, and each field is
+    /// checked when a session or service opens it.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let src = InMemorySource::new(bytes.to_vec())?;
-        let qois = registry_from_bytes(&src.manifest()?.app_meta)?;
-        Ok(Self {
-            source: Arc::new(RefactoredDataset::from_source(&src)?),
-            qois: Arc::new(qois),
-            engine: EngineConfig::default(),
-        })
+        Self::from_fragment_source(InMemorySource::new(bytes.to_vec())?)
     }
 
     /// Opens an archive file **lazily**: reads only the manifest (and the

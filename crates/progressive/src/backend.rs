@@ -531,14 +531,14 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragstore::{FragmentId, FragmentSource, Manifest};
+    use crate::fragstore::{FragmentId, FragmentSource, InMemorySource, Manifest};
     use crate::refactored::{FieldReader, ReaderProgress, RefactoredField};
     use pqr_util::stats::{max_abs_diff, value_range};
     use std::sync::Mutex;
 
-    /// Serves a resident field and logs the payload fragments fetched.
+    /// Serves a field's container and logs the payload fragments fetched.
     struct Recording {
-        field: RefactoredField,
+        source: InMemorySource,
         log: Mutex<Vec<u32>>,
     }
 
@@ -550,11 +550,11 @@ mod tests {
 
     impl FragmentSource for Recording {
         fn manifest(&self) -> Result<Manifest> {
-            self.field.manifest()
+            self.source.manifest()
         }
         fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
             self.log.lock().unwrap().push(id.index);
-            self.field.fetch(id)
+            self.source.fetch(id)
         }
     }
 
@@ -603,12 +603,17 @@ mod tests {
             let name = scheme.name();
             let field =
                 RefactoredField::refactor_with_bounds(scheme, &data, &[N], &ladder).unwrap();
-            let manifest = field.manifest().unwrap();
+            let source = Arc::new(Recording {
+                source: InMemorySource::new(field.to_bytes()).unwrap(),
+                log: Mutex::new(Vec::new()),
+            });
+            let manifest = source.manifest().unwrap();
 
             // --- the backend alone, driven through its table one push at a time
+            let meta = Arc::clone(&field.frags[0].1);
             let Opened {
                 mut backend, table, ..
-            } = open(&manifest.fields[0], &manifest.dims, || field.fragment(0)).unwrap();
+            } = open(&manifest.fields[0], &manifest.dims, || Ok(meta)).unwrap();
             let mut consumed = 0u32;
             let mut recon = vec![0.0; N];
             backend.rebuild(&mut recon);
@@ -627,9 +632,7 @@ mod tests {
                 for row in rows {
                     let index = table.fragment(row);
                     let before = table.bound(consumed);
-                    backend
-                        .push(index, &field.fragment(index).unwrap())
-                        .unwrap();
+                    backend.push(index, &field.frags[index as usize].1).unwrap();
                     consumed = row as u32 + 1;
                     assert!(
                         table.bound(consumed) <= before,
@@ -649,13 +652,13 @@ mod tests {
             assert!(backend.push(0, &[]).is_err(), "{name}: out-of-order push");
 
             // --- the reader over it: what it fetches, certifies and replays
-            let source = Arc::new(Recording {
-                field,
-                log: Mutex::new(Vec::new()),
-            });
             let shared: Arc<dyn FragmentSource> = source.clone();
             let mut reader = FieldReader::open(Arc::clone(&shared), &manifest, 0).unwrap();
-            assert_eq!(reader.total_fetched(), reader_meta_bytes(&source), "{name}");
+            assert_eq!(
+                reader.total_fetched(),
+                reader_meta_bytes(&source, &manifest),
+                "{name}"
+            );
             let mut consumed = Vec::new();
             for &eb in &series {
                 let planned = reader.plan_refine_to(eb);
@@ -706,11 +709,12 @@ mod tests {
     }
 
     /// The metadata fetch `open` logged, in bytes.
-    fn reader_meta_bytes(source: &Recording) -> usize {
+    fn reader_meta_bytes(source: &Recording, manifest: &Manifest) -> usize {
+        let directory = &manifest.fields[0].fragments;
         source
             .take_log()
             .iter()
-            .map(|&i| source.field.fragment(i).unwrap().len())
+            .map(|&i| directory[i as usize].len as usize)
             .sum()
     }
 }

@@ -41,7 +41,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::field::{Dataset, RefactoredDataset};
-use crate::fragstore::{FragmentSource, Manifest, SourceStats};
+use crate::fragstore::{FragmentSource, InMemorySource, Manifest, SourceStats};
 use crate::pager::StoreBudget;
 use crate::refactored::ReaderProgress;
 use crate::store::{FieldView, ProgressStore};
@@ -175,10 +175,9 @@ impl Default for EngineConfig {
 /// The QoI-preserving progressive retrieval engine (Fig. 1's retrieval box).
 ///
 /// Every byte the engine moves is pulled through a
-/// [`FragmentSource`] — a resident [`RefactoredDataset`], a serialized
-/// in-memory archive or a lazily opened file all drive the identical
-/// refinement code path. The engine **owns** a shared handle to its
-/// source (`Arc`), so engines carry no borrows: they
+/// [`FragmentSource`] — a serialized archive in memory or a lazily opened
+/// file drive the identical refinement code path. The engine **owns** a
+/// shared handle to its source (`Arc`), so engines carry no borrows: they
 /// move across threads, outlive the scope that opened them, and many can
 /// share one source concurrently (its [`SourceStats`] tally atomically).
 ///
@@ -214,15 +213,12 @@ pub(crate) struct Estimate {
 }
 
 impl RetrievalEngine {
-    /// Opens readers on every field of a resident archive.
-    ///
-    /// Legacy convenience wrapper: the dataset is **cloned** behind an
-    /// `Arc` so the engine owns its source. Prefer
-    /// [`RetrievalEngine::from_source`] with an `Arc` you already hold
-    /// (`Arc<RefactoredDataset>` coerces) to share one copy across
-    /// engines.
+    /// Opens readers on every field of an encoded archive, serialized into
+    /// an [`InMemorySource`] the engine owns — the container path every
+    /// archive is read through. To share one source across engines, hand
+    /// [`RetrievalEngine::from_source`] an `Arc` you already hold.
     pub fn new(archive: &RefactoredDataset, cfg: EngineConfig) -> Result<Self> {
-        Self::from_source(Arc::new(archive.clone()), cfg)
+        Self::from_source(Arc::new(InMemorySource::new(archive.to_bytes())?), cfg)
     }
 
     /// Opens a solo engine on every field of the archive behind `source`,
@@ -332,8 +328,12 @@ impl RetrievalEngine {
     /// where the saved one stopped: same reconstructions, same guaranteed
     /// bounds, same cumulative byte accounting — retrieval sessions survive
     /// process restarts (Fig. 1's long-lived retrieval side).
+    ///
+    /// The archive is serialized into an [`InMemorySource`], as in
+    /// [`RetrievalEngine::new`].
     pub fn resume(archive: &RefactoredDataset, cfg: EngineConfig, progress: &[u8]) -> Result<Self> {
-        Self::resume_from_source(Arc::new(archive.clone()), cfg, progress)
+        let source = InMemorySource::new(archive.to_bytes())?;
+        Self::resume_from_source(Arc::new(source), cfg, progress)
     }
 
     /// [`RetrievalEngine::resume`] over an arbitrary fragment source.
@@ -602,11 +602,13 @@ impl RetrievalEngine {
     /// already take it — and whether a store view holds a demoted field's
     /// cold placeholder (zeros under the demoted marker).
     ///
-    /// The cold flag is a fault detector, not a state the executor can
-    /// produce: every round refines each field a target reads before it
-    /// estimates, and a cold view always reads through and rehydrates. It
-    /// is in the key so that the key stays a function of the scan's inputs
-    /// alone, whatever a future caller does between refinement and estimate.
+    /// The executor does estimate over a cold placeholder: Alg. 3's bound
+    /// is clamped to the view's, and a view answers a refinement from the
+    /// placeholder whenever `max|x|` already meets the bound asked, so a
+    /// request with `τ·range ≥ max|x|` scans zeros at the marker a
+    /// rehydration would replay to. The flag keeps that state's key apart
+    /// from its rehydrated twin, which holds the same marker and may hold
+    /// the same bound.
     fn scan_key(&self, qois: &[QoiSpec], bounds: &[f64]) -> Vec<u8> {
         let mut w = pqr_util::byteio::ByteWriter::new();
         let mut fields = std::collections::BTreeSet::new();
@@ -1518,7 +1520,7 @@ mod tests {
         let archive = ds.refactor(Scheme::PmgardHb).unwrap();
         let store = Arc::new(
             crate::store::ProgressStore::open_with(
-                Arc::new(archive),
+                Arc::new(InMemorySource::new(archive.to_bytes()).unwrap()),
                 Arc::new(crate::pager::StoreBudget::unbounded()),
             )
             .unwrap(),
@@ -1550,6 +1552,53 @@ mod tests {
         assert_eq!(bits(&warm.bounds), bits(&bounds));
         assert_ne!(cold.scans[0].0.to_bits(), warm.scans[0].0.to_bits());
         assert_eq!(warm.scans, first.scan_qois(&specs, &bounds));
+    }
+
+    #[test]
+    fn remembered_estimate_over_a_cold_placeholder_is_sound_and_fetches_nothing() {
+        // a loose request on a demoted field is answered from the
+        // placeholder: no bytes, no rehydration, zeros estimated at max|x|
+        let n = 4096;
+        let mut ds = Dataset::new(&[n]);
+        let x: Vec<f64> = (0..n).map(|i| 5.0 * (0.01 * i as f64).sin()).collect();
+        ds.add_field("x0", x.clone()).unwrap();
+        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let source = InMemorySource::new(archive.to_bytes()).unwrap();
+        let store = Arc::new(
+            crate::store::ProgressStore::open_with(
+                Arc::new(source),
+                Arc::new(crate::pager::StoreBudget::unbounded()),
+            )
+            .unwrap(),
+        );
+        let mut first =
+            RetrievalEngine::with_store(Arc::clone(&store), EngineConfig::default()).unwrap();
+        let deep = QoiSpec::absolute("x0", QoiExpr::var(0), 1e-3);
+        assert!(first.retrieve(&[deep]).unwrap().satisfied);
+        assert!(store.demote(0));
+
+        let mut view =
+            RetrievalEngine::with_store(Arc::clone(&store), EngineConfig::default()).unwrap();
+        let loose = QoiSpec::relative("x0", QoiExpr::var(0), 0.6, &ds).unwrap();
+        let before = store.stats();
+        let r = view.retrieve(std::slice::from_ref(&loose)).unwrap();
+        let after = store.stats();
+        assert!(r.satisfied);
+        assert_eq!(r.bytes_fetched, 0);
+        assert_eq!(after.rehydration_decodes, before.rehydration_decodes);
+        assert!(view.views[0].snapshot().cold);
+        assert!(view.reconstruction(0).iter().all(|&v| v == 0.0));
+        let max_abs = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let est = r.targets[0].max_est_error;
+        assert!(
+            est >= max_abs,
+            "estimate {est} under the true error {max_abs}"
+        );
+        assert!(est <= loose.tol_abs());
+        // the same request again reuses the estimate made over the zeros
+        let again = view.retrieve(std::slice::from_ref(&loose)).unwrap();
+        assert_eq!(again.estimate_reuses, 1);
+        assert_eq!(again.targets[0].max_est_error.to_bits(), est.to_bits());
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! refactor time, when the original data is still available — the value
 //! ranges of registered QoIs (for relative QoI tolerances, §III-C).
 
+use crate::fragstore::{
+    container_bytes, write_container_streaming, FieldEntry, FragmentInfo, Manifest,
+};
 use crate::mask::ZeroMask;
 use crate::refactored::{default_snapshot_bounds, RefactoredField, Scheme};
 use pqr_qoi::program::{Columns, Pass};
@@ -216,27 +219,44 @@ impl Dataset {
         workers: usize,
         overlap_io: bool,
     ) -> Result<u64> {
-        let mask = mask_fields.map(|idx| self.zero_mask(idx));
         let path = path.as_ref();
-        let res = crate::fragstore::write_container_streaming(
-            path,
-            &self.dims,
-            &self.names,
-            scheme,
-            rel_bounds.len(),
-            mask.as_ref(),
-            app_meta,
-            field_workers(workers, self.fields.len()),
-            overlap_io,
-            |i| {
-                RefactoredField::refactor_with_bounds(
+        let ceiling = crate::backend::max_fragments(scheme, &self.dims, rel_bounds.len());
+        let skeleton = Manifest {
+            dims: self.dims.clone(),
+            fields: self
+                .names
+                .iter()
+                .map(|name| FieldEntry {
+                    name: name.clone(),
                     scheme,
-                    &self.fields[i],
-                    &self.dims,
-                    rel_bounds,
+                    range: 0.0,
+                    max_abs: 0.0,
+                    fragments: vec![FragmentInfo::default(); ceiling],
+                })
+                .collect(),
+            mask: mask_fields.map(|idx| self.zero_mask(idx)),
+            app_meta: app_meta.to_vec(),
+        };
+        let res = std::fs::File::create(path)
+            .map_err(|e| {
+                PqrError::InvalidRequest(format!("cannot create '{}': {e}", path.display()))
+            })
+            .and_then(|mut file| {
+                write_container_streaming(
+                    &mut file,
+                    &skeleton,
+                    field_workers(workers, self.fields.len()),
+                    overlap_io,
+                    |i| {
+                        RefactoredField::refactor_with_bounds(
+                            scheme,
+                            &self.fields[i],
+                            &self.dims,
+                            rel_bounds,
+                        )
+                    },
                 )
-            },
-        );
+            });
         if res.is_err() {
             let _ = std::fs::remove_file(path);
         }
@@ -256,8 +276,10 @@ pub fn field_workers(total: usize, nfields: usize) -> usize {
     total.clamp(1, nfields.max(1))
 }
 
-/// A refactored multi-field archive: what the storage system holds and what
-/// the retrieval engine reads from.
+/// A refactored multi-field archive: the encoder's output. It is stored and
+/// read as its serialized container ([`RefactoredDataset::to_bytes`]),
+/// which retrieval reads through a
+/// [`FragmentSource`](crate::fragstore::FragmentSource).
 #[derive(Debug, Clone)]
 pub struct RefactoredDataset {
     dims: Vec<usize>,
@@ -327,15 +349,6 @@ impl RefactoredDataset {
         self.num_fields() * self.num_elements() * 8
     }
 
-    /// The `(name, field)` pairs the fragment-store helpers consume.
-    fn field_pairs(&self) -> Vec<(&str, &RefactoredField)> {
-        self.names
-            .iter()
-            .map(String::as_str)
-            .zip(self.fields.iter())
-            .collect()
-    }
-
     /// Serializes the whole archive (fields, names, mask) into the
     /// fragment-addressed container format (see [`crate::fragstore`]).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -347,9 +360,10 @@ impl RefactoredDataset {
     /// registry) so lazily opened archives can read it without touching a
     /// single payload fragment.
     pub fn to_bytes_with_meta(&self, app_meta: &[u8]) -> Vec<u8> {
-        crate::fragstore::write_container(
+        container_bytes(
             &self.dims,
-            &self.field_pairs(),
+            &self.names,
+            &self.fields,
             self.mask.as_ref(),
             app_meta,
         )
@@ -357,8 +371,9 @@ impl RefactoredDataset {
 
     /// Deserializes (fully materialises) an archive from
     /// [`RefactoredDataset::to_bytes`]. Retrieval paths that only need a
-    /// *part* of the archive should open a
-    /// [`crate::fragstore::FragmentSource`] instead.
+    /// *part* of the archive should open an
+    /// [`InMemorySource`](crate::fragstore::InMemorySource) on the bytes
+    /// instead.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let src = crate::fragstore::InMemorySource::new(bytes.to_vec())?;
         Self::from_source(&src)
@@ -389,26 +404,6 @@ impl RefactoredDataset {
             fields,
             mask: manifest.mask,
         })
-    }
-}
-
-impl crate::fragstore::FragmentSource for RefactoredDataset {
-    fn manifest(&self) -> Result<crate::fragstore::Manifest> {
-        Ok(crate::fragstore::build_manifest(
-            &self.dims,
-            &self.field_pairs(),
-            self.mask.as_ref(),
-            &[],
-            0,
-        ))
-    }
-
-    fn fetch(&self, id: crate::fragstore::FragmentId) -> Result<std::sync::Arc<Vec<u8>>> {
-        let field = self
-            .fields
-            .get(id.field as usize)
-            .ok_or_else(|| PqrError::InvalidRequest(format!("field {} out of range", id.field)))?;
-        field.fragment(id.index)
     }
 }
 

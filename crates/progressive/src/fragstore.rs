@@ -17,12 +17,12 @@
 //!   names/schemes/ranges, the per-field fragment *directory* (offset,
 //!   length, bound), the zero-outlier mask, and an opaque application
 //!   metadata blob (`pqr-core` stores its QoI registry there).
-//! * A [`FragmentSource`] serves fragments by id. Three backends share the
-//!   one retrieval code path: resident datasets
-//!   ([`RefactoredDataset`](crate::field::RefactoredDataset) /
-//!   [`RefactoredField`] implement the trait directly), a serialized
-//!   in-memory archive ([`InMemorySource`]), and a file opened lazily with
-//!   byte-range reads ([`FileSource`]).
+//! * A [`FragmentSource`] serves fragments by id. An archive's bytes are
+//!   always its serialized container, and one source reads it:
+//!   [`ContainerSource`], over a buffer in memory ([`InMemorySource`]) or
+//!   over a file read by byte ranges ([`FileSource`]). Both run the same
+//!   parse, directory checks, coalesced batch reads and tallies; only how a
+//!   byte range is read differs.
 //!
 //! ## Serialized container
 //!
@@ -42,6 +42,7 @@ use crate::mask::ZeroMask;
 use crate::refactored::{RefactoredField, Scheme};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -65,7 +66,7 @@ pub struct FragmentId {
 }
 
 /// One directory entry: where a fragment's bytes live and what it is.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FragmentInfo {
     /// Absolute byte offset of the payload within the container.
     pub offset: u64,
@@ -179,9 +180,10 @@ pqr_util::tally! {
 /// Serves progressive fragments by id — the seam between the retrieval
 /// engine and wherever the archive's bytes live.
 ///
-/// Every retrieval path (resident, serialized in memory, file-backed)
-/// pulls bytes through this trait, so partial retrieval is partial *in
-/// bytes read*, not just in bytes counted.
+/// Every retrieval path pulls bytes through this trait, so partial
+/// retrieval is partial *in bytes read*, not just in bytes counted. The
+/// archive's own implementation is [`ContainerSource`]; wrappers (fault
+/// injection, tracing) forward to one.
 pub trait FragmentSource: Send + Sync {
     /// The archive's manifest (owned: sources may synthesise it on demand).
     fn manifest(&self) -> Result<Manifest>;
@@ -192,15 +194,16 @@ pub trait FragmentSource: Send + Sync {
 
     /// Fetches a whole batch of fragments in one call, returning payloads
     /// in request order. This is the batched entry point plan execution
-    /// drives: backends override it to coalesce adjacent byte ranges into
-    /// single reads ([`FileSource`]). The default degrades to a
-    /// per-fragment loop, so every source stays correct.
+    /// drives: [`ContainerSource`] coalesces adjacent byte ranges into
+    /// single reads. The default degrades to a per-fragment loop, so every
+    /// source stays correct.
     fn read_many(&self, ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
         ids.iter().map(|&id| self.fetch(id)).collect()
     }
 
-    /// Cumulative fetch tallies. Sources that do not track (e.g. resident
-    /// datasets, where a "fetch" is a memory copy) report zeros.
+    /// Cumulative fetch tallies. [`ContainerSource`] counts every fetch,
+    /// in memory and on file alike; the default reports zeros, for
+    /// wrappers that keep no tallies of their own.
     fn stats(&self) -> SourceStats {
         SourceStats::default()
     }
@@ -257,10 +260,6 @@ fn coalesce_ranges(manifest: &Manifest, ids: &[FragmentId]) -> Result<Vec<Coales
     Ok(runs)
 }
 
-// ---------------------------------------------------------------------------
-// Splitting a resident field into fragments
-// ---------------------------------------------------------------------------
-
 /// Builds a field's directory entry with offsets starting at `*offset`
 /// (advanced past the field's payloads).
 fn entry_for(name: &str, field: &RefactoredField, offset: &mut u64) -> FieldEntry {
@@ -283,27 +282,6 @@ fn entry_for(name: &str, field: &RefactoredField, offset: &mut u64) -> FieldEntr
         range: field.range,
         max_abs: field.max_abs,
         fragments,
-    }
-}
-
-/// Builds the manifest of a resident collection, with payload offsets laid
-/// out as [`write_container`] would place them starting at `payload_start`.
-pub(crate) fn build_manifest(
-    dims: &[usize],
-    fields: &[(&str, &RefactoredField)],
-    mask: Option<&ZeroMask>,
-    app_meta: &[u8],
-    payload_start: u64,
-) -> Manifest {
-    let mut offset = payload_start;
-    Manifest {
-        dims: dims.to_vec(),
-        fields: fields
-            .iter()
-            .map(|(name, f)| entry_for(name, f, &mut offset))
-            .collect(),
-        mask: mask.cloned(),
-        app_meta: app_meta.to_vec(),
     }
 }
 
@@ -416,123 +394,97 @@ fn manifest_from_bytes(bytes: &[u8], payload_start: u64, total_len: u64) -> Resu
     })
 }
 
-/// Serializes fields into the fragment-addressed container format.
-pub(crate) fn write_container(
+/// Serializes fields that are already encoded — a
+/// [`RefactoredDataset`](crate::field::RefactoredDataset) or a single
+/// [`RefactoredField`] — into a container in memory. The skeleton is the
+/// fields' own directory, so the layout is tight: the payloads follow the
+/// manifest with no slack.
+pub(crate) fn container_bytes(
     dims: &[usize],
-    fields: &[(&str, &RefactoredField)],
+    names: &[String],
+    fields: &[RefactoredField],
     mask: Option<&ZeroMask>,
     app_meta: &[u8],
 ) -> Vec<u8> {
-    // Offsets are fixed-width, so the manifest's size is independent of
-    // their values: measure with zero offsets, then lay out for real.
-    let probe = manifest_to_bytes(&build_manifest(dims, fields, mask, app_meta, 0));
-    let payload_start = (PREAMBLE + probe.len()) as u64;
-    let manifest = build_manifest(dims, fields, mask, app_meta, payload_start);
-    let mbytes = manifest_to_bytes(&manifest);
-    debug_assert_eq!(mbytes.len(), probe.len());
-
-    let total = payload_start as usize + manifest.total_payload_bytes();
-    let mut w = ByteWriter::with_capacity(total);
-    w.put_raw(MAGIC);
-    w.put_u8(VERSION);
-    w.put_u64(mbytes.len() as u64);
-    w.put_raw(&mbytes);
-    for (_, field) in fields {
-        for (_, payload) in &field.frags {
-            w.put_raw(payload);
-        }
-    }
-    debug_assert_eq!(w.len(), total);
-    w.finish()
+    let skeleton = Manifest {
+        dims: dims.to_vec(),
+        fields: names
+            .iter()
+            .zip(fields)
+            .map(|(name, field)| entry_for(name, field, &mut 0))
+            .collect(),
+        mask: mask.cloned(),
+        app_meta: app_meta.to_vec(),
+    };
+    let mut out = std::io::Cursor::new(Vec::new());
+    write_container_streaming(&mut out, &skeleton, 1, false, |i| Ok(fields[i].clone()))
+        .expect("a container of encoded fields writes into memory");
+    out.into_inner()
 }
 
-/// Streams a container to `path` while fields are still being encoded.
+fn write_err(e: std::io::Error) -> PqrError {
+    PqrError::InvalidRequest(format!("cannot write container: {e}"))
+}
+
+/// Writes a container to `out` while its fields are still being encoded —
+/// the one container writer, behind [`container_bytes`] and
+/// [`Dataset::refactor_to_path`](crate::field::Dataset::refactor_to_path).
 ///
 /// `encode(i)` produces field `i`; with `overlap_io` the closure runs on
 /// `workers` encoder threads while this thread writes completed fields'
-/// payloads to disk in field order, so the disk is busy during the bulk of
-/// the encode. Without overlap, all fields are encoded first (still across
+/// payloads in field order, so the output is busy during the bulk of the
+/// encode. Without overlap, all fields are encoded first (still across
 /// `workers` threads) and written afterwards.
 ///
 /// The manifest must precede the payloads it addresses, so its space is
-/// reserved up front: fragment directory entries are fixed-width, which
-/// means a manifest carrying every field at its [`backend::max_fragments`] ceiling
-/// upper-bounds the real one byte-for-byte. Payloads start right after the
-/// reservation and the actual manifest is back-patched at the end, with the
-/// slack zero-filled. [`manifest_from_bytes`] only requires fragment offsets
-/// to sit at-or-after the manifest's end, so readers accept the gap.
+/// reserved up front: `skeleton` carries the shape, field names, mask and
+/// application metadata as written, and per field as many directory
+/// entries as room is reserved for. Entries are fixed-width, so a skeleton
+/// with at least as many entries per field as the encode yields
+/// upper-bounds the real manifest byte for byte. Fields encoded before the
+/// call pass their own directory, and the layout is tight; fields still to
+/// be encoded reserve their scheme's [`backend::max_fragments`] ceiling.
+/// Payloads start right after the reservation and the actual manifest is
+/// back-patched at the end, with any slack zero-filled.
+/// [`manifest_from_bytes`] only requires fragment offsets to sit
+/// at-or-after the manifest's end, so readers accept the gap.
 ///
-/// The resulting file depends only on the encoded content and field order —
-/// every `workers` / `overlap_io` combination yields identical bytes
-/// (though, unlike [`write_container`]'s output, with a padded directory).
-/// Returns the total file size. The file is left behind on error; callers
-/// own cleanup.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_container_streaming<F>(
-    path: &Path,
-    dims: &[usize],
-    names: &[String],
-    scheme: Scheme,
-    num_bounds: usize,
-    mask: Option<&ZeroMask>,
-    app_meta: &[u8],
+/// The output depends only on the encoded content, the skeleton and the
+/// field order — every `workers` / `overlap_io` combination yields
+/// identical bytes. Returns the total size written. A partial output is
+/// left behind on error; callers own cleanup.
+pub(crate) fn write_container_streaming<W, F>(
+    out: &mut W,
+    skeleton: &Manifest,
     workers: usize,
     overlap_io: bool,
     encode: F,
 ) -> Result<u64>
 where
+    W: Write + Seek,
     F: Fn(usize) -> Result<RefactoredField> + Sync,
 {
-    let io = |what: &str, e: std::io::Error| io_err(path, what, e);
-    let reserve = {
-        let frags = vec![
-            FragmentInfo {
-                offset: 0,
-                len: 0,
-                eb_abs: 0.0,
-            };
-            backend::max_fragments(scheme, dims, num_bounds)
-        ];
-        let probe = Manifest {
-            dims: dims.to_vec(),
-            fields: names
-                .iter()
-                .map(|name| FieldEntry {
-                    name: name.clone(),
-                    scheme,
-                    range: 0.0,
-                    max_abs: 0.0,
-                    fragments: frags.clone(),
-                })
-                .collect(),
-            mask: mask.cloned(),
-            app_meta: app_meta.to_vec(),
-        };
-        manifest_to_bytes(&probe).len()
-    };
-    let payload_start = (PREAMBLE + reserve) as u64;
+    let reserved = manifest_to_bytes(skeleton).len();
+    let payload_start = (PREAMBLE + reserved) as u64;
+    out.seek(SeekFrom::Start(payload_start))
+        .map_err(write_err)?;
 
-    let mut file = std::fs::File::create(path).map_err(|e| io("cannot create", e))?;
-    file.seek(SeekFrom::Start(payload_start))
-        .map_err(|e| io("cannot seek in", e))?;
-
-    let nfields = names.len();
+    let nfields = skeleton.num_fields();
     let workers = workers.clamp(1, nfields.max(1));
     let mut offset = payload_start;
     let mut entries: Vec<FieldEntry> = Vec::with_capacity(nfields);
-    let write_field = |file: &mut std::fs::File,
+    let write_field = |out: &mut W,
                        entries: &mut Vec<FieldEntry>,
                        offset: &mut u64,
                        i: usize,
                        field: &RefactoredField|
      -> Result<()> {
-        entries.push(entry_for(&names[i], field, offset));
+        entries.push(entry_for(&skeleton.fields[i].name, field, offset));
         for (_, payload) in &field.frags {
-            file.write_all(payload).map_err(|e| io("cannot write", e))?;
+            out.write_all(payload).map_err(write_err)?;
         }
         Ok(())
     };
-
     if overlap_io && nfields > 0 {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<RefactoredField>)>();
         let dispenser = pqr_util::par::IndexDispenser::new(nfields);
@@ -572,7 +524,7 @@ where
                     && parked.first_key_value().is_some_and(|(&k, _)| k == next)
                 {
                     let field = parked.remove(&next).unwrap();
-                    write_field(&mut file, &mut entries, &mut offset, next, &field)?;
+                    write_field(out, &mut entries, &mut offset, next, &field)?;
                     next += 1;
                 }
             }
@@ -586,36 +538,31 @@ where
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
         for (i, field) in fields.iter().enumerate() {
-            write_field(&mut file, &mut entries, &mut offset, i, field)?;
+            write_field(out, &mut entries, &mut offset, i, field)?;
         }
     }
 
     let manifest = Manifest {
-        dims: dims.to_vec(),
         fields: entries,
-        mask: mask.cloned(),
-        app_meta: app_meta.to_vec(),
+        ..skeleton.clone()
     };
     let mbytes = manifest_to_bytes(&manifest);
-    debug_assert!(mbytes.len() <= reserve);
-    if mbytes.len() > reserve {
+    debug_assert!(mbytes.len() <= reserved);
+    if mbytes.len() > reserved {
         return Err(PqrError::CorruptStream(
             "manifest outgrew its reservation".into(),
         ));
     }
-    file.seek(SeekFrom::Start(0))
-        .map_err(|e| io("cannot seek in", e))?;
+    out.seek(SeekFrom::Start(0)).map_err(write_err)?;
     let mut head = ByteWriter::with_capacity(payload_start as usize);
     head.put_raw(MAGIC);
     head.put_u8(VERSION);
     head.put_u64(mbytes.len() as u64);
     head.put_raw(&mbytes);
-    let head = head.finish();
-    file.write_all(&head).map_err(|e| io("cannot write", e))?;
-    // zero the slack so the file is fully determined by its content
-    file.write_all(&vec![0u8; payload_start as usize - head.len()])
-        .map_err(|e| io("cannot write", e))?;
-    file.flush().map_err(|e| io("cannot flush", e))?;
+    // zero the slack so the output is fully determined by its content
+    head.put_raw(&vec![0u8; reserved - mbytes.len()]);
+    out.write_all(&head.finish()).map_err(write_err)?;
+    out.flush().map_err(write_err)?;
     Ok(offset)
 }
 
@@ -637,7 +584,7 @@ fn read_preamble(head: &[u8], total_len: u64) -> Result<(usize, u64)> {
     Ok((mlen as usize, payload_start))
 }
 
-/// Rebuilds one resident [`RefactoredField`] by fetching every fragment of
+/// Rebuilds one [`RefactoredField`] by fetching every fragment of
 /// field `i` through `source` — the materialising path (deserialization,
 /// debugging); retrieval paths should refine through readers instead. The
 /// field passes the structural validation a reader's open would run on it,
@@ -671,7 +618,7 @@ pub(crate) fn load_field(
 }
 
 // ---------------------------------------------------------------------------
-// Backends
+// The container source
 // ---------------------------------------------------------------------------
 
 impl AtomicSourceStats {
@@ -681,137 +628,115 @@ impl AtomicSourceStats {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Tallies `ops` backend read operations (seeks/range reads/batch
-    /// round-trips — whatever the backend's unit of real I/O is).
+    /// Tallies `ops` range reads: one per single-fragment fetch, one per
+    /// coalesced run of a batch.
     fn record_ops(&self, ops: u64) {
         self.read_ops.fetch_add(ops, Ordering::Relaxed);
     }
 }
 
-/// A serialized fragment-addressed archive held fully in memory. Fetches
-/// are slice copies; counters still track them, so tests and benches can
-/// compare byte movement across backends.
+/// A serialized container served by byte ranges: the one
+/// [`FragmentSource`] over an archive's bytes, in memory
+/// ([`InMemorySource::new`]) or in a file ([`FileSource::open`]).
+///
+/// Opening reads and validates only the preamble and the manifest. A fetch
+/// is one range read of the directory-declared bytes; a
+/// [`FragmentSource::read_many`] batch reads each coalesced run of adjacent
+/// fragments once and copies its fragments out of it. Tallies count every
+/// fetch the same way wherever the bytes live, so a test over memory and a
+/// run over a file report the same bytes and read operations.
 #[derive(Debug)]
-pub struct InMemorySource {
-    bytes: Vec<u8>,
-    manifest: Manifest,
-    stats: AtomicSourceStats,
-}
-
-impl InMemorySource {
-    /// Parses a serialized container (from [`RefactoredDataset::to_bytes`]
-    /// or a file read into memory).
-    ///
-    /// [`RefactoredDataset::to_bytes`]: crate::field::RefactoredDataset::to_bytes
-    pub fn new(bytes: Vec<u8>) -> Result<Self> {
-        let total = bytes.len() as u64;
-        if bytes.len() < PREAMBLE {
-            return Err(PqrError::CorruptStream("container too short".into()));
-        }
-        let (mlen, payload_start) = read_preamble(&bytes[..PREAMBLE], total)?;
-        let mbytes = bytes
-            .get(PREAMBLE..PREAMBLE + mlen)
-            .ok_or_else(|| PqrError::CorruptStream("truncated manifest".into()))?;
-        let manifest = manifest_from_bytes(mbytes, payload_start, total)?;
-        Ok(Self {
-            bytes,
-            manifest,
-            stats: AtomicSourceStats::default(),
-        })
-    }
-
-    /// Total container size in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-}
-
-impl FragmentSource for InMemorySource {
-    fn manifest(&self) -> Result<Manifest> {
-        Ok(self.manifest.clone())
-    }
-
-    fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
-        let info = self.manifest.fragment(id)?;
-        // parse-time validation guarantees the range is in bounds
-        let payload = self.bytes[info.offset as usize..(info.offset + info.len) as usize].to_vec();
-        self.stats.record(payload.len());
-        self.stats.record_ops(1);
-        Ok(Arc::new(payload))
-    }
-
-    fn read_many(&self, ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
-        // memory "reads" are slice copies; coalescing only changes the op
-        // tally, keeping read-op accounting comparable across backends
-        let runs = coalesce_ranges(&self.manifest, ids)?;
-        let mut out: Vec<Option<Arc<Vec<u8>>>> = vec![None; ids.len()];
-        for (_, _, members) in &runs {
-            for &(k, info) in members {
-                let payload =
-                    self.bytes[info.offset as usize..(info.offset + info.len) as usize].to_vec();
-                self.stats.record(payload.len());
-                out[k] = Some(Arc::new(payload));
-            }
-        }
-        self.stats.record_ops(runs.len() as u64);
-        Ok(out
-            .into_iter()
-            .map(|p| p.expect("every id resolved"))
-            .collect())
-    }
-
-    fn stats(&self) -> SourceStats {
-        self.stats.snapshot()
-    }
-}
-
-/// A fragment source over an archive file, opened lazily: only the
-/// preamble and manifest are read at open; every fragment fetch is one
-/// `seek + read_exact` of the directory-declared byte range. The file is
-/// never loaded whole — this is what makes partial retrieval partial in
-/// *disk bytes read*.
-#[derive(Debug)]
-pub struct FileSource {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
+pub struct ContainerSource {
+    bytes: Bytes,
     manifest: Manifest,
     header_bytes: usize,
     stats: AtomicSourceStats,
+}
+
+/// A container held fully in memory: range reads borrow the buffer.
+pub type InMemorySource = ContainerSource;
+
+/// A container file, opened lazily: each range read is one lock, seek and
+/// `read_exact`, and the file is never loaded whole — this is what makes
+/// partial retrieval partial in *disk bytes read*.
+pub type FileSource = ContainerSource;
+
+/// Where a container's bytes live — the one thing its sources differ in.
+#[derive(Debug)]
+enum Bytes {
+    Memory(Vec<u8>),
+    File {
+        path: PathBuf,
+        file: Mutex<std::fs::File>,
+    },
 }
 
 fn io_err(path: &Path, op: &str, e: std::io::Error) -> PqrError {
     PqrError::InvalidRequest(format!("{op} '{}': {e}", path.display()))
 }
 
-impl FileSource {
+impl Bytes {
+    /// Bytes `offset..offset + len` of the container: a slice of the
+    /// buffer, or one locked seek and read of the file.
+    fn range(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>> {
+        match self {
+            Bytes::Memory(bytes) => usize::try_from(offset)
+                .ok()
+                .and_then(|start| bytes.get(start..start.checked_add(len)?))
+                .map(Cow::Borrowed)
+                .ok_or_else(|| {
+                    PqrError::CorruptStream(format!("range {offset}+{len} escapes container"))
+                }),
+            Bytes::File { path, file } => {
+                let mut buf = vec![0u8; len];
+                let mut f = file.lock().unwrap_or_else(|e| e.into_inner());
+                f.seek(SeekFrom::Start(offset))
+                    .map_err(|e| io_err(path, "cannot seek in", e))?;
+                f.read_exact(&mut buf)
+                    .map_err(|e| io_err(path, "cannot read", e))?;
+                Ok(Cow::Owned(buf))
+            }
+        }
+    }
+}
+
+impl ContainerSource {
+    /// Parses a serialized container held in memory (from
+    /// [`RefactoredDataset::to_bytes`] or a file read whole).
+    ///
+    /// [`RefactoredDataset::to_bytes`]: crate::field::RefactoredDataset::to_bytes
+    pub fn new(bytes: Vec<u8>) -> Result<Self> {
+        let total = bytes.len() as u64;
+        Self::parse(Bytes::Memory(bytes), total)
+    }
+
     /// Opens an archive file, reading and validating only the manifest.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = std::fs::File::open(&path).map_err(|e| io_err(&path, "cannot open", e))?;
+        let file = std::fs::File::open(&path).map_err(|e| io_err(&path, "cannot open", e))?;
         let total = file
             .metadata()
             .map_err(|e| io_err(&path, "cannot stat", e))?
             .len();
-        let mut head = [0u8; PREAMBLE];
-        file.read_exact(&mut head)
-            .map_err(|e| io_err(&path, "cannot read preamble of", e))?;
-        let (mlen, payload_start) = read_preamble(&head, total)?;
-        let mut mbytes = vec![0u8; mlen];
-        file.read_exact(&mut mbytes)
-            .map_err(|e| io_err(&path, "cannot read manifest of", e))?;
+        let file = Mutex::new(file);
+        Self::parse(Bytes::File { path, file }, total)
+    }
+
+    /// Reads and validates the preamble and manifest of a container of
+    /// `total` bytes.
+    fn parse(bytes: Bytes, total: u64) -> Result<Self> {
+        if total < PREAMBLE as u64 {
+            return Err(PqrError::CorruptStream("container too short".into()));
+        }
+        let (mlen, payload_start) = read_preamble(&bytes.range(0, PREAMBLE)?, total)?;
+        let mbytes = bytes.range(PREAMBLE as u64, mlen)?.into_owned();
         let manifest = manifest_from_bytes(&mbytes, payload_start, total)?;
         Ok(Self {
-            path,
-            file: Mutex::new(file),
+            bytes,
             manifest,
             header_bytes: PREAMBLE + mlen,
             stats: AtomicSourceStats::default(),
         })
-    }
-
-    /// The archive file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Bytes read at open time (preamble + manifest).
@@ -819,51 +744,40 @@ impl FileSource {
         self.header_bytes
     }
 
-    /// Total disk bytes this source has read: the always-read header plus
-    /// every fetched fragment range.
+    /// Total container bytes this source has read: the always-read header
+    /// plus every fetched fragment range.
     pub fn disk_bytes_read(&self) -> u64 {
         self.header_bytes as u64 + self.stats.snapshot().fetched_bytes
     }
 }
 
-impl FragmentSource for FileSource {
+impl FragmentSource for ContainerSource {
     fn manifest(&self) -> Result<Manifest> {
         Ok(self.manifest.clone())
     }
 
     fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
         let info = self.manifest.fragment(id)?;
-        let mut payload = vec![0u8; info.len as usize];
-        {
-            let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
-            f.seek(SeekFrom::Start(info.offset))
-                .map_err(|e| io_err(&self.path, "cannot seek", e))?;
-            f.read_exact(&mut payload)
-                .map_err(|e| io_err(&self.path, "cannot read fragment from", e))?;
-        }
+        let payload = self
+            .bytes
+            .range(info.offset, info.len as usize)?
+            .into_owned();
         self.stats.record(payload.len());
         self.stats.record_ops(1);
         Ok(Arc::new(payload))
     }
 
     fn read_many(&self, ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
-        // one seek + read per coalesced run: fragments of one refinement
+        // one range read per coalesced run: fragments of one refinement
         // front sit adjacently in the container, so a batch of n fragments
         // typically costs far fewer than n read operations
         let runs = coalesce_ranges(&self.manifest, ids)?;
         let mut out: Vec<Option<Arc<Vec<u8>>>> = vec![None; ids.len()];
         for (start, len, members) in &runs {
-            let mut buf = vec![0u8; *len];
-            {
-                let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
-                f.seek(SeekFrom::Start(*start))
-                    .map_err(|e| io_err(&self.path, "cannot seek", e))?;
-                f.read_exact(&mut buf)
-                    .map_err(|e| io_err(&self.path, "cannot read fragment run from", e))?;
-            }
+            let run = self.bytes.range(*start, *len)?;
             for &(k, info) in members {
                 let rel = (info.offset - start) as usize;
-                let payload = buf[rel..rel + info.len as usize].to_vec();
+                let payload = run[rel..rel + info.len as usize].to_vec();
                 self.stats.record(payload.len());
                 out[k] = Some(Arc::new(payload));
             }
@@ -923,10 +837,10 @@ mod tests {
                 // a field's archived size is what the directory stores
                 assert_eq!(rebuilt.total_bytes(), f.total_bytes());
             }
-            let resident = dataset(400)
+            let encoded = dataset(400)
                 .refactor_with_bounds(scheme, &[1e-1, 1e-3, 1e-5])
                 .unwrap();
-            assert_eq!(resident.total_bytes(), m.total_payload_bytes());
+            assert_eq!(encoded.total_bytes(), m.total_payload_bytes());
         }
     }
 

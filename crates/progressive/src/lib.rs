@@ -21,8 +21,9 @@
 //! * [`fragstore`] — fragment-addressed storage: archives serialize as a
 //!   manifest + directory + independently addressable fragments, and every
 //!   retrieval path pulls bytes through the [`fragstore::FragmentSource`]
-//!   trait (resident, in-memory, file-backed byte ranges), so partial
-//!   retrieval is partial in bytes *read*, not just bytes counted.
+//!   trait — one container reader over a buffer in memory or a file read
+//!   by byte ranges — so partial retrieval is partial in bytes *read*, not
+//!   just bytes counted.
 //! * [`engine`] — Algorithms 2–4: iterative QoI-preserved retrieval with a
 //!   primary-data error-bound assigner and a QoI error estimator.
 //! * [`store`] — the cross-request decode cache every engine refines

@@ -202,9 +202,7 @@ impl StoreBudget {
     }
 
     fn tier_bytes(&self) -> u64 {
-        self.fragments
-            .as_ref()
-            .map_or(0, |t| t.stats().bytes as u64)
+        self.fragments.as_ref().map_or(0, |t| t.bytes() as u64)
     }
 }
 

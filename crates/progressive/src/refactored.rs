@@ -14,7 +14,7 @@
 //! recompose incrementally as more fragments arrive.
 
 use crate::backend::{self, Backend, Fragments, Table};
-use crate::fragstore::{self, Batch, FragmentId, FragmentSource, Manifest};
+use crate::fragstore::{self, Batch, FragmentId, FragmentSource, InMemorySource, Manifest};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::stats;
@@ -105,8 +105,8 @@ pub fn default_snapshot_bounds() -> Vec<f64> {
 }
 
 /// A refactored progressive field (archive-side artifact): the ordered
-/// fragment list every consumer — the container writer, the resident
-/// fragment source, the readers — addresses it by.
+/// fragment list the container writer lays out, and readers address by
+/// index once it is serialized.
 #[derive(Debug, Clone)]
 pub struct RefactoredField {
     pub(crate) scheme: Scheme,
@@ -191,37 +191,38 @@ impl RefactoredField {
         self.frags.iter().map(|(_, p)| p.len()).sum()
     }
 
-    /// Fragment `index` of the field (a shared handle, no copy).
-    pub(crate) fn fragment(&self, index: u32) -> Result<Arc<Vec<u8>>> {
-        self.frags
-            .get(index as usize)
-            .map(|(_, payload)| Arc::clone(payload))
-            .ok_or_else(|| PqrError::InvalidRequest(format!("fragment {index} out of range")))
-    }
-
-    /// Opens a progressive reader at zero fetched fragments, served from
-    /// a shared copy of this resident field (which is itself a
-    /// [`FragmentSource`]) — the same code path file-backed and remote
-    /// readers go through. The field is cloned behind an `Arc` (its
-    /// fragments are shared, not copied) so the reader owns its source and
-    /// carries no borrow.
+    /// Opens a progressive reader at zero fetched fragments over an
+    /// [`InMemorySource`] of this field's container
+    /// ([`RefactoredField::to_bytes`]) — the parse and fetch path every
+    /// archive goes through. The reader owns its source and carries no
+    /// borrow.
+    ///
+    /// A field whose metadata fragment does not parse cannot be opened,
+    /// and this panics; [`FieldReader::open`] reports it instead.
     pub fn reader(&self) -> FieldReader {
-        let manifest = fragstore::build_manifest(&self.dims, &[("", self)], None, &[], 0);
-        FieldReader::open(Arc::new(self.clone()), &manifest, 0)
-            .expect("resident field serves its own fragments consistently")
+        let source = InMemorySource::new(self.to_bytes()).expect("a field's own container parses");
+        let manifest = source.manifest().expect("an in-memory manifest");
+        FieldReader::open(Arc::new(source), &manifest, 0)
+            .expect("a refactored field opens on its own container")
     }
 
     /// Serializes the archive artifact into the fragment-addressed
     /// container format (a single-field archive — see [`crate::fragstore`]
     /// for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        fragstore::write_container(&self.dims, &[("", self)], None, &[])
+        fragstore::container_bytes(
+            &self.dims,
+            &[String::new()],
+            std::slice::from_ref(self),
+            None,
+            &[],
+        )
     }
 
     /// Deserializes (fully materialises) a single-field archive written by
     /// [`RefactoredField::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let src = fragstore::InMemorySource::new(bytes.to_vec())?;
+        let src = InMemorySource::new(bytes.to_vec())?;
         let manifest = src.manifest()?;
         if manifest.num_fields() != 1 {
             return Err(PqrError::CorruptStream(format!(
@@ -316,9 +317,9 @@ const MAX_RECORDED_FETCHED: u64 = 1 << 48;
 ///
 /// Maintains the current reconstruction, the guaranteed L∞ bound, and the
 /// cumulative number of fetched bytes. Every byte enters through the
-/// [`FragmentSource`] the reader **owns a shared handle to** — a resident
-/// dataset, a serialized buffer or a file read by ranges all drive this
-/// same code path. Readers carry no borrows,
+/// [`FragmentSource`] the reader **owns a shared handle to** — a container
+/// in memory or a file read by ranges drive this same code path. Readers
+/// carry no borrows,
 /// so sessions built on them can move across threads and outlive the scope
 /// that opened them.
 ///
@@ -698,28 +699,6 @@ impl FieldReader {
     }
 }
 
-impl FragmentSource for RefactoredField {
-    fn manifest(&self) -> Result<Manifest> {
-        Ok(fragstore::build_manifest(
-            &self.dims,
-            &[("", self)],
-            None,
-            &[],
-            0,
-        ))
-    }
-
-    fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
-        if id.field != 0 {
-            return Err(PqrError::InvalidRequest(format!(
-                "single-field source has no field {}",
-                id.field
-            )));
-        }
-        self.fragment(id.index)
-    }
-}
-
 #[cfg(test)]
 impl FieldReader {
     /// The field's fetch table.
@@ -910,19 +889,19 @@ mod tests {
         assert_eq!(reader.recompose_passes(), passes);
     }
 
-    /// Serves a resident field and logs the fragments fetched.
+    /// Serves a field's container and logs the fragments fetched.
     struct Recording {
-        field: RefactoredField,
+        source: InMemorySource,
         log: std::sync::Mutex<Vec<u32>>,
     }
 
     impl FragmentSource for Recording {
         fn manifest(&self) -> Result<Manifest> {
-            self.field.manifest()
+            self.source.manifest()
         }
         fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
             self.log.lock().unwrap().push(id.index);
-            self.field.fetch(id)
+            self.source.fetch(id)
         }
     }
 
@@ -981,7 +960,7 @@ mod tests {
             let field =
                 RefactoredField::refactor_with_bounds(scheme, &data, &[3000], &ladder).unwrap();
             let source = Arc::new(Recording {
-                field,
+                source: InMemorySource::new(field.to_bytes()).unwrap(),
                 log: Default::default(),
             });
             let manifest = source.manifest().unwrap();
@@ -1071,13 +1050,13 @@ mod tests {
     #[test]
     fn hostile_sz_headers_fail_a_delta_refine() {
         // a snapshot fragment is an SZ blob; a header its predictor walk
-        // cannot run on (no axis, a 4-D Lorenzo stream, extents whose
+        // cannot run on (no axis, a tag naming no predictor, extents whose
         // product wraps to the symbol count) is an error, not a panic
         let one = RefactoredField::refactor(Scheme::Psz3Delta, &[1.0], &[1]).unwrap();
         let four =
             RefactoredField::refactor(Scheme::Psz3Delta, &[1.0, 2.0, 4.0, 8.0], &[4]).unwrap();
         // magic (4) version (1) predictor tag (1) radius (4) eb (8) nd (1),
-        // then one u64 per extent; tag 2 is Lorenzo
+        // then one u64 per extent; tag 2 names no predictor
         let rewrite = |field: &RefactoredField, tag: u8, extents: &[u64]| {
             let blob = &field.frags[0].1;
             let mut out = blob[..18].to_vec();

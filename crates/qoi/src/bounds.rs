@@ -12,8 +12,7 @@
 //! after deep compositions. Every combinator therefore inflates its result by
 //! [`INFLATE`] (a multiplicative 1+4e-14 plus one sub-denormal), which is
 //! orders of magnitude below any tolerance the retrieval engine works with
-//! but restores "estimated ≥ actual" in floating point. The inflation can be
-//! disabled via [`BoundConfig::inflate`] to reproduce the raw formulas.
+//! but restores "estimated ≥ actual" in floating point; [`guard`] applies it.
 
 /// Relative inflation applied to every bound to absorb `f64` round-off in
 /// the estimator itself. See the module docs.
@@ -56,8 +55,6 @@ pub struct BoundConfig {
     /// Square-root estimator variant (paper formula vs exact supremum).
     /// Only consulted by [`Estimator::Theorems`].
     pub sqrt_mode: SqrtMode,
-    /// Apply the floating-point inflation guard (see module docs).
-    pub inflate: bool,
     /// Theorem-based (paper) vs interval-arithmetic estimation.
     pub estimator: Estimator,
 }
@@ -66,28 +63,25 @@ impl Default for BoundConfig {
     fn default() -> Self {
         Self {
             sqrt_mode: SqrtMode::Paper,
-            inflate: true,
             estimator: Estimator::Theorems,
         }
     }
 }
 
-impl BoundConfig {
-    /// Inflates `b` per the config; `∞`/NaN pass through untouched.
-    ///
-    /// An exactly-zero bound stays exactly zero: it can only arise from
-    /// all-exact inputs (ε = 0 everywhere below), where IEEE arithmetic on
-    /// zeros is exact and no round-off guard is needed — and inflating it
-    /// would wrongly re-trigger the √-at-zero blow-up on masked points.
-    #[inline]
-    pub fn guard(&self, b: f64) -> f64 {
-        if !self.inflate || !b.is_finite() || b == 0.0 {
-            return b;
-        }
-        // One multiplicative nudge for large bounds + the smallest positive
-        // denormal for bounds near (but not at) zero.
-        b * (1.0 + INFLATE) + f64::MIN_POSITIVE
+/// Inflates `b` by [`INFLATE`]; `∞`/NaN pass through untouched.
+///
+/// An exactly-zero bound stays exactly zero: it can only arise from
+/// all-exact inputs (ε = 0 everywhere below), where IEEE arithmetic on
+/// zeros is exact and no round-off guard is needed — and inflating it
+/// would wrongly re-trigger the √-at-zero blow-up on masked points.
+#[inline]
+pub fn guard(b: f64) -> f64 {
+    if !b.is_finite() || b == 0.0 {
+        return b;
     }
+    // One multiplicative nudge for large bounds + the smallest positive
+    // denormal for bounds near (but not at) zero.
+    b * (1.0 + INFLATE) + f64::MIN_POSITIVE
 }
 
 /// Theorem 1 — power function `f(x) = xⁿ`.
@@ -184,12 +178,6 @@ pub fn radical_bound(c: f64, x: f64, eps: f64) -> f64 {
     }
     let m = (d - eps).abs().min((d + eps).abs());
     eps / (m * d.abs())
-}
-
-/// Theorem 4 — weighted sum `g(x) = Σ aᵢxᵢ`: `Δ ≤ Σ |aᵢ|εᵢ`.
-pub fn weighted_sum_bound(weights: &[f64], eps: &[f64]) -> f64 {
-    debug_assert_eq!(weights.len(), eps.len());
-    weights.iter().zip(eps).map(|(a, e)| a.abs() * e).sum()
 }
 
 /// Theorem 5 — product `g(x₁,x₂) = x₁x₂`:
@@ -389,17 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sum_bound_is_tight_for_worst_corner() {
-        let w = [1.0, -2.0, 0.5];
-        let eps = [0.1, 0.2, 0.3];
-        let b = weighted_sum_bound(&w, &eps);
-        assert!((b - (0.1 + 0.4 + 0.15)).abs() < 1e-15);
-        // worst corner: ξᵢ = sign(aᵢ)·εᵢ achieves the bound exactly
-        let attained: f64 = w.iter().zip(&eps).map(|(a, e)| a.abs() * e).sum();
-        assert_eq!(b, attained);
-    }
-
-    #[test]
     fn product_bound_dominates_corner_search() {
         let (x1, e1, x2, e2) = (3.0, 0.2, -5.0, 0.4);
         let b = product_bound(x1, e1, x2, e2);
@@ -440,16 +417,10 @@ mod tests {
 
     #[test]
     fn guard_inflates_without_changing_infinity() {
-        let cfg = BoundConfig::default();
-        assert!(cfg.guard(1.0) > 1.0);
+        assert!(guard(1.0) > 1.0);
         // exact zero must stay exact zero (masked points: ε = 0)
-        assert_eq!(cfg.guard(0.0), 0.0);
-        assert!(cfg.guard(f64::INFINITY).is_infinite());
-        let raw = BoundConfig {
-            inflate: false,
-            ..Default::default()
-        };
-        assert_eq!(raw.guard(1.0), 1.0);
+        assert_eq!(guard(0.0), 0.0);
+        assert!(guard(f64::INFINITY).is_infinite());
     }
 
     #[test]

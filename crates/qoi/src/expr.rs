@@ -238,28 +238,28 @@ impl QoiExpr {
                 let a = arg.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: a.value.powi(*n as i32),
-                    bound: cfg.guard(bounds::power_bound(*n, a.value, a.bound)),
+                    bound: bounds::guard(bounds::power_bound(*n, a.value, a.bound)),
                 }
             }
             QoiExpr::Poly { coeffs, arg } => {
                 let a = arg.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: bounds::poly_eval(coeffs, a.value),
-                    bound: cfg.guard(bounds::poly_bound(coeffs, a.value, a.bound)),
+                    bound: bounds::guard(bounds::poly_bound(coeffs, a.value, a.bound)),
                 }
             }
             QoiExpr::Sqrt(arg) => {
                 let a = arg.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: a.value.sqrt(),
-                    bound: cfg.guard(bounds::sqrt_bound(cfg.sqrt_mode, a.value, a.bound)),
+                    bound: bounds::guard(bounds::sqrt_bound(cfg.sqrt_mode, a.value, a.bound)),
                 }
             }
             QoiExpr::Radical { c, arg } => {
                 let a = arg.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: 1.0 / (a.value + c),
-                    bound: cfg.guard(bounds::radical_bound(*c, a.value, a.bound)),
+                    bound: bounds::guard(bounds::radical_bound(*c, a.value, a.bound)),
                 }
             }
             QoiExpr::Sum(terms) => {
@@ -272,7 +272,7 @@ impl QoiExpr {
                 }
                 Bounded {
                     value,
-                    bound: cfg.guard(bound),
+                    bound: bounds::guard(bound),
                 }
             }
             QoiExpr::Mul(l, r) => {
@@ -280,7 +280,7 @@ impl QoiExpr {
                 let b = r.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: a.value * b.value,
-                    bound: cfg.guard(bounds::product_bound(a.value, a.bound, b.value, b.bound)),
+                    bound: bounds::guard(bounds::product_bound(a.value, a.bound, b.value, b.bound)),
                 }
             }
             QoiExpr::Div(l, r) => {
@@ -288,7 +288,9 @@ impl QoiExpr {
                 let b = r.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: a.value / b.value,
-                    bound: cfg.guard(bounds::quotient_bound(a.value, a.bound, b.value, b.bound)),
+                    bound: bounds::guard(bounds::quotient_bound(
+                        a.value, a.bound, b.value, b.bound,
+                    )),
                 }
             }
             QoiExpr::Abs(arg) => {
@@ -302,14 +304,14 @@ impl QoiExpr {
                 let a = arg.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: a.value.ln(),
-                    bound: cfg.guard(bounds::ln_bound(a.value, a.bound)),
+                    bound: bounds::guard(bounds::ln_bound(a.value, a.bound)),
                 }
             }
             QoiExpr::Exp(arg) => {
                 let a = arg.eval_bounded(x, eps, cfg);
                 Bounded {
                     value: a.value.exp(),
-                    bound: cfg.guard(bounds::exp_bound(a.value, a.bound)),
+                    bound: bounds::guard(bounds::exp_bound(a.value, a.bound)),
                 }
             }
         }

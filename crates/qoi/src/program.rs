@@ -12,7 +12,7 @@
 //! one topologically ordered slot list. [`QoiProgram::for_each_block`] then
 //! walks a point range a block at a time, filling one value column and (in a
 //! [`Pass::Bounded`] pass) one bound column per slot: each slot is a tight
-//! loop over the *same* [`bounds`] formula and [`BoundConfig::guard`] the
+//! loop over the *same* [`bounds`] formula and [`bounds::guard`] the
 //! tree recursion applies, reading its arguments' columns. The block size is
 //! the module's business; callers see each root's columns through a
 //! [`Block`], already clipped to the points that root is wanted on
@@ -699,19 +699,19 @@ impl<'p, 'e> Block<'p, 'e> {
                 Op::Const(_) => out.fill(0.0),
                 Op::Pow { n, arg } => {
                     let f = |x, e| bounds::power_bound(*n, x, e);
-                    bound1(out, cfg, val(*arg), bnd(*arg), f)
+                    bound1(out, val(*arg), bnd(*arg), f)
                 }
                 Op::Poly { coeffs, arg } => {
                     let f = |x, e| bounds::poly_bound(coeffs, x, e);
-                    bound1(out, cfg, val(*arg), bnd(*arg), f)
+                    bound1(out, val(*arg), bnd(*arg), f)
                 }
                 Op::Sqrt(arg) => {
                     let f = |x, e| bounds::sqrt_bound(cfg.sqrt_mode, x, e);
-                    bound1(out, cfg, val(*arg), bnd(*arg), f)
+                    bound1(out, val(*arg), bnd(*arg), f)
                 }
                 Op::Radical { c, arg } => {
                     let f = |x, e| bounds::radical_bound(*c, x, e);
-                    bound1(out, cfg, val(*arg), bnd(*arg), f)
+                    bound1(out, val(*arg), bnd(*arg), f)
                 }
                 Op::Sum(terms) => {
                     out.fill(0.0);
@@ -721,21 +721,21 @@ impl<'p, 'e> Block<'p, 'e> {
                         }
                     }
                     for o in out.iter_mut() {
-                        *o = cfg.guard(*o);
+                        *o = bounds::guard(*o);
                     }
                 }
                 Op::Mul(l, r) => {
                     let (l, r) = ((val(*l), bnd(*l)), (val(*r), bnd(*r)));
-                    bound2(out, cfg, l, r, bounds::product_bound)
+                    bound2(out, l, r, bounds::product_bound)
                 }
                 Op::Div(l, r) => {
                     let (l, r) = ((val(*l), bnd(*l)), (val(*r), bnd(*r)));
-                    bound2(out, cfg, l, r, bounds::quotient_bound)
+                    bound2(out, l, r, bounds::quotient_bound)
                 }
                 // reverse triangle inequality: 1-Lipschitz, no guard
                 Op::Abs(arg) => out.copy_from_slice(bnd(*arg)),
-                Op::Ln(arg) => bound1(out, cfg, val(*arg), bnd(*arg), bounds::ln_bound),
-                Op::Exp(arg) => bound1(out, cfg, val(*arg), bnd(*arg), bounds::exp_bound),
+                Op::Ln(arg) => bound1(out, val(*arg), bnd(*arg), bounds::ln_bound),
+                Op::Exp(arg) => bound1(out, val(*arg), bnd(*arg), bounds::exp_bound),
             }
         }
     }
@@ -802,8 +802,7 @@ fn var_hull<'a>(values: impl Iterator<Item = &'a f64>, eps: f64) -> SlotHull {
     known(Interval { lo, hi }, eps).filter(|_| !nan)
 }
 
-/// One step of [`BoundConfig::guard`], taken whatever the config says, on
-/// a formula `b` computed from bound `e` with a function that is not
+/// One extra step of [`bounds::guard`]'s inflation on a formula `b` computed from bound `e` with a function that is not
 /// correctly rounded (`powi`, `ln_1p`, `exp`, `exp_m1`). At `e = 0` every
 /// formula returns an exact 0 and needs none.
 fn step(e: f64, b: f64) -> f64 {
@@ -870,7 +869,7 @@ fn non_negative(x: Interval) -> Interval {
 /// at the arguments' extremes — max `|x|` (or max `x`) where the formula
 /// grows with `|x|`, min `|x|` where it shrinks, max `ε` everywhere.
 fn op_hull(op: &Op, arg: impl Fn(usize) -> SlotHull, cfg: &BoundConfig) -> SlotHull {
-    let g = |b| cfg.guard(b);
+    let g = bounds::guard;
     match op {
         Op::Var(_) => unreachable!("a Var's hull reads the data"),
         Op::Const(c) => known(Interval::point(*c), 0.0),
@@ -978,9 +977,9 @@ fn map2(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
 }
 
 /// `out = guard(f(value, bound))` over one argument's columns.
-fn bound1(out: &mut [f64], cfg: &BoundConfig, x: &[f64], e: &[f64], f: impl Fn(f64, f64) -> f64) {
+fn bound1(out: &mut [f64], x: &[f64], e: &[f64], f: impl Fn(f64, f64) -> f64) {
     for ((o, &x), &e) in out.iter_mut().zip(x).zip(e) {
-        *o = cfg.guard(f(x, e));
+        *o = bounds::guard(f(x, e));
     }
 }
 
@@ -988,14 +987,13 @@ fn bound1(out: &mut [f64], cfg: &BoundConfig, x: &[f64], e: &[f64], f: impl Fn(f
 /// `(value, bound)` columns.
 fn bound2(
     out: &mut [f64],
-    cfg: &BoundConfig,
     (x1, e1): (&[f64], &[f64]),
     (x2, e2): (&[f64], &[f64]),
     f: impl Fn(f64, f64, f64, f64) -> f64,
 ) {
     let cols = x1.iter().zip(e1).zip(x2.iter().zip(e2));
     for (o, ((&x1, &e1), (&x2, &e2))) in out.iter_mut().zip(cols) {
-        *o = cfg.guard(f(x1, e1, x2, e2));
+        *o = bounds::guard(f(x1, e1, x2, e2));
     }
 }
 
@@ -1104,19 +1102,17 @@ mod tests {
         let (a, b) = ([5.0, 6.0, 7.0], [1.0, 1.0, 1.0]);
         let cols: [&[f64]; 2] = [&a, &b];
         let data = Columns::new(&cols).zeroed(&[0], &[0b010]);
-        let cfg = BoundConfig {
-            inflate: false,
-            ..Default::default()
-        };
+        let cfg = BoundConfig::default();
         let pass = Pass::Bounded {
             eps: &[0.5, 0.25],
             cfg: &cfg,
         };
+        let (full, zeroed) = (bounds::guard(0.75), bounds::guard(0.25));
         let mut visits = 0;
         program.for_each_block(&data, 0..3, pass, |block| {
             visits += 1;
             assert_eq!(block.values(0), (0, &[6.0, 1.0, 8.0][..]));
-            assert_eq!(block.bounds(0), (0, &[0.75, 0.25, 0.75][..]));
+            assert_eq!(block.bounds(0), (0, &[full, zeroed, full][..]));
         });
         assert_eq!(visits, 1);
         let mut out = [0.0; 2];

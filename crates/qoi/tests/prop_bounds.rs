@@ -115,7 +115,7 @@ proptest! {
         range in (0..MAX_POINTS, 1..MAX_POINTS),
         mask in (proptest::bool::ANY, 0..NVARS,
             proptest::collection::vec(proptest::arbitrary::any::<u64>(), MAX_POINTS.div_ceil(64))),
-        modes in (proptest::bool::ANY, proptest::bool::ANY, 0..4usize),
+        modes in (proptest::bool::ANY, 0..4usize),
         regions in proptest::collection::vec((0..MAX_POINTS, 0..MAX_POINTS), 3),
     ) {
         let set = [
@@ -143,12 +143,7 @@ proptest! {
             program.restrict(k, wanted[k].clone());
         }
 
-        let (exact_sqrt, inflate, interval) = (modes.0, modes.1, modes.2 == 0);
-        let cfg = BoundConfig {
-            sqrt_mode: if exact_sqrt { SqrtMode::Exact } else { SqrtMode::Paper },
-            inflate,
-            estimator: if interval { Estimator::Interval } else { Estimator::Theorems },
-        };
+        let cfg = scan_cfg(modes.0, modes.1 == 0);
         let (lo, hi) = (range.0, (range.0 + range.1).min(MAX_POINTS));
         let (masked, zero_var, bitmap) = (mask.0, [mask.1], mask.2);
         let col_refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
@@ -252,16 +247,15 @@ fn pruning_roots(a: &QoiExpr, b: &QoiExpr, c: &QoiExpr) -> Vec<QoiExpr> {
     ]
 }
 
-/// A scan's configuration from three random switches: √ mode, guard, and
-/// (one time in four) the interval estimator.
-fn scan_cfg(exact_sqrt: bool, inflate: bool, interval: bool) -> BoundConfig {
+/// A scan's configuration from two random switches: √ mode and (one time
+/// in four) the interval estimator.
+fn scan_cfg(exact_sqrt: bool, interval: bool) -> BoundConfig {
     BoundConfig {
         sqrt_mode: if exact_sqrt {
             SqrtMode::Exact
         } else {
             SqrtMode::Paper
         },
-        inflate,
         estimator: if interval {
             Estimator::Interval
         } else {
@@ -287,7 +281,7 @@ proptest! {
         eps in proptest::collection::vec(arb_eps(), NVARS),
         range in (0..MAX_POINTS, 1..MAX_POINTS),
         mask in (proptest::bool::ANY, 0..NVARS, 0..MAX_POINTS, 0..MAX_POINTS),
-        modes in (proptest::bool::ANY, proptest::bool::ANY, 0..4usize),
+        modes in (proptest::bool::ANY, 0..4usize),
         regions in proptest::collection::vec((0..MAX_POINTS, 0..MAX_POINTS), 3),
     ) {
         let set = pruning_roots(&a, &b, &c);
@@ -296,7 +290,7 @@ proptest! {
         for (k, &(from, len)) in [1, 4, 6].into_iter().zip(&regions) {
             program.restrict(k, from..from + len);
         }
-        let cfg = scan_cfg(modes.0, modes.1, modes.2 == 0);
+        let cfg = scan_cfg(modes.0, modes.1 == 0);
         let (lo, hi) = (range.0, (range.0 + range.1).min(MAX_POINTS));
         // a run of masked points, as walls are: whole leaves and mixed ones
         let (masked, zero_var) = (mask.0, [mask.1]);
@@ -340,7 +334,7 @@ proptest! {
         eps in proptest::collection::vec(arb_eps(), NVARS),
         range in (0..MAX_POINTS, 1..MAX_POINTS),
         mask in (proptest::bool::ANY, 0..NVARS, 0..MAX_POINTS, 0..MAX_POINTS),
-        modes in (proptest::bool::ANY, proptest::bool::ANY),
+        exact_sqrt in proptest::bool::ANY,
         region in (0..MAX_POINTS, 0..MAX_POINTS),
     ) {
         let set = pruning_roots(&a, &b, &c);
@@ -348,7 +342,7 @@ proptest! {
         let mut program = QoiProgram::compile(&exprs);
         let region = region.0..region.0 + region.1;
         program.restrict(2, region.clone());
-        let cfg = scan_cfg(modes.0, modes.1, false);
+        let cfg = scan_cfg(exact_sqrt, false);
         let (lo, hi) = (range.0, (range.0 + range.1).min(MAX_POINTS));
         let (masked, zero_var) = (mask.0, mask.1);
         let is_masked = |j: usize| masked && (mask.2..mask.2 + mask.3).contains(&j);

@@ -50,11 +50,10 @@ impl SzCompressor {
         dims: &[usize],
         eb: f64,
     ) -> Result<(Vec<u8>, Vec<f64>)> {
-        if !self.cfg.predictor.supports_rank(dims.len()) {
-            return Err(PqrError::ShapeMismatch(format!(
-                "the {:?} predictor cannot walk dims {dims:?}",
-                self.cfg.predictor
-            )));
+        if dims.is_empty() {
+            return Err(PqrError::ShapeMismatch(
+                "the predictor walk needs at least one axis".into(),
+            ));
         }
         let n: usize = dims.iter().product();
         if n != data.len() {
@@ -131,14 +130,12 @@ impl SzCompressor {
         if !(eb.is_finite() && eb > 0.0) || radius < 2 {
             return Err(PqrError::CorruptStream("invalid header".into()));
         }
-        // the walk needs a rank it supports and an element count that fits:
-        // a wrapped product would pass the symbol count check below and
-        // send the walk out of bounds
+        // the walk needs an axis and an element count that fits: a wrapped
+        // product would pass the symbol count check below and send the walk
+        // out of bounds
         let nd = r.get_u8()? as usize;
-        if !predictor.supports_rank(nd) {
-            return Err(PqrError::CorruptStream(format!(
-                "{predictor:?} stream with {nd} dimensions"
-            )));
+        if nd == 0 {
+            return Err(PqrError::CorruptStream("stream with no axis".into()));
         }
         let mut dims = Vec::with_capacity(nd);
         for _ in 0..nd {
@@ -222,11 +219,7 @@ mod tests {
     fn roundtrip_respects_error_bound_1d() {
         let data = smooth_1d(5000);
         for eb in [1e-1, 1e-3, 1e-6, 1e-10] {
-            for cfg in [
-                SzConfig::default(),
-                SzConfig::lorenzo(),
-                SzConfig::interp_linear(),
-            ] {
+            for cfg in [SzConfig::default(), SzConfig::interp_linear()] {
                 let c = SzCompressor::new(cfg);
                 let blob = c.compress(&data, &[5000], eb).unwrap();
                 let (recon, dims) = c.decompress(&blob).unwrap();
@@ -241,7 +234,7 @@ mod tests {
     fn roundtrip_respects_error_bound_3d() {
         let (data, dims) = smooth_3d([20, 24, 17]);
         for eb in [1e-2, 1e-5] {
-            for cfg in [SzConfig::default(), SzConfig::lorenzo()] {
+            for cfg in [SzConfig::default(), SzConfig::interp_linear()] {
                 let c = SzCompressor::new(cfg);
                 let blob = c.compress(&data, &dims, eb).unwrap();
                 let (recon, rdims) = c.decompress(&blob).unwrap();
@@ -348,12 +341,7 @@ mod tests {
             quant_radius: 8,
             ..SzConfig::default()
         };
-        for cfg in [
-            SzConfig::default(),
-            SzConfig::lorenzo(),
-            SzConfig::interp_linear(),
-            small_radius,
-        ] {
+        for cfg in [SzConfig::default(), SzConfig::interp_linear(), small_radius] {
             let c = SzCompressor::new(cfg);
             for (data, dims) in &cases {
                 for eb in [1e-1, 1e-6] {
@@ -397,13 +385,11 @@ mod tests {
             })
         };
         let (data, dims) = hashed_field();
-        let golden: [(SzConfig, f64, u64); 6] = [
+        let golden: [(SzConfig, f64, u64); 4] = [
             (SzConfig::default(), 1e-2, 0x2136d589cfb88467),
             (SzConfig::default(), 1e-7, 0x52bf275c58cfd174),
             (SzConfig::interp_linear(), 1e-2, 0x2225223f3db3150b),
             (SzConfig::interp_linear(), 1e-7, 0x7774c58f61b6e041),
-            (SzConfig::lorenzo(), 1e-2, 0x45d099c12ea9f19a),
-            (SzConfig::lorenzo(), 1e-7, 0xb94b133b400f689b),
         ];
         for (cfg, eb, want) in golden {
             let got = fnv1a(&SzCompressor::new(cfg).compress(&data, &dims, eb).unwrap());
@@ -418,15 +404,11 @@ mod tests {
             c.compress(&[1.0, 2.0], &[3], 1e-3),
             Err(PqrError::ShapeMismatch(_))
         ));
-        // ranks `decompress` refuses are not written either
-        for (cfg, dims) in [
-            (SzConfig::default(), vec![]),
-            (SzConfig::lorenzo(), vec![]),
-            (SzConfig::lorenzo(), vec![1, 1, 1, 1]),
-        ] {
-            let r = SzCompressor::new(cfg).compress(&[1.0], &dims, 1e-3);
-            assert!(matches!(r, Err(PqrError::ShapeMismatch(_))), "{dims:?}");
-        }
+        // a rank `decompress` refuses is not written either
+        assert!(matches!(
+            c.compress(&[1.0], &[], 1e-3),
+            Err(PqrError::ShapeMismatch(_))
+        ));
     }
 
     #[test]
@@ -472,14 +454,15 @@ mod tests {
     /// Headers the walk cannot run on, each with as many symbols as its
     /// (empty or wrapped) element count claims.
     fn hostile_headers() -> Vec<(&'static str, Vec<u8>)> {
-        let (cubic, lorenzo) = (Predictor::InterpCubic.tag(), Predictor::Lorenzo.tag());
+        // tag 2 names no predictor (it was the retired Lorenzo walk's)
+        let (cubic, unknown) = (Predictor::InterpCubic.tag(), 2);
         vec![
             // the empty product is one element
             ("nd = 0", with_header(&[1], cubic, &[])),
-            ("Lorenzo, nd = 0", with_header(&[1], lorenzo, &[])),
+            ("tag 2, nd = 0", with_header(&[1], unknown, &[])),
             (
-                "Lorenzo, nd = 4",
-                with_header(&[1, 1, 1, 4], lorenzo, &[1, 1, 1, 4]),
+                "tag 2, nd = 4",
+                with_header(&[1, 1, 1, 4], unknown, &[1, 1, 1, 4]),
             ),
             // (2⁶² + 1)·4 wraps to 4 elements when overflow is unchecked
             (
@@ -559,28 +542,12 @@ mod tests {
         // blob self-describes its predictor: decompress with a differently
         // configured instance must still work
         let data = smooth_1d(1000);
-        let blob = SzCompressor::new(SzConfig::lorenzo())
+        let blob = SzCompressor::new(SzConfig::interp_linear())
             .compress(&data, &[1000], 1e-4)
             .unwrap();
         let (recon, _) = SzCompressor::new(SzConfig::default())
             .decompress(&blob)
             .unwrap();
         assert!(max_abs_diff(&data, &recon) <= 1e-4);
-    }
-
-    #[test]
-    fn interp_beats_lorenzo_on_smooth_data() {
-        // the design rationale for defaulting to interpolation (ablation)
-        let data = smooth_1d(50_000);
-        let interp = SzCompressor::default()
-            .compressed_size(&data, &[50_000], 1e-5)
-            .unwrap();
-        let lorenzo = SzCompressor::new(SzConfig::lorenzo())
-            .compressed_size(&data, &[50_000], 1e-5)
-            .unwrap();
-        assert!(
-            interp < lorenzo,
-            "interp {interp} B should beat lorenzo {lorenzo} B"
-        );
     }
 }

@@ -11,9 +11,6 @@ pub enum Predictor {
     /// Same traversal, linear interpolation only (cheaper, slightly worse
     /// ratio) — used by the ablation benches.
     InterpLinear,
-    /// First-order Lorenzo (previous-neighbour difference stencil), the
-    /// SZ1.4/SZ2 classic. Works on any data, weaker on very smooth fields.
-    Lorenzo,
 }
 
 impl Predictor {
@@ -22,14 +19,7 @@ impl Predictor {
         match self {
             Predictor::InterpCubic => 0,
             Predictor::InterpLinear => 1,
-            Predictor::Lorenzo => 2,
         }
-    }
-
-    /// Whether the predictor can walk an array of `nd` dimensions: every
-    /// walk needs an axis, and Lorenzo's stencils stop at three.
-    pub(crate) fn supports_rank(self, nd: usize) -> bool {
-        nd >= 1 && (self != Predictor::Lorenzo || nd <= 3)
     }
 
     /// Inverse of [`Predictor::tag`].
@@ -37,7 +27,6 @@ impl Predictor {
         match t {
             0 => Some(Predictor::InterpCubic),
             1 => Some(Predictor::InterpLinear),
-            2 => Some(Predictor::Lorenzo),
             _ => None,
         }
     }
@@ -64,14 +53,6 @@ impl Default for SzConfig {
 }
 
 impl SzConfig {
-    /// Config with the Lorenzo predictor.
-    pub fn lorenzo() -> Self {
-        Self {
-            predictor: Predictor::Lorenzo,
-            ..Default::default()
-        }
-    }
-
     /// Config with linear interpolation.
     pub fn interp_linear() -> Self {
         Self {
@@ -87,13 +68,10 @@ mod tests {
 
     #[test]
     fn predictor_tag_roundtrip() {
-        for p in [
-            Predictor::InterpCubic,
-            Predictor::InterpLinear,
-            Predictor::Lorenzo,
-        ] {
+        for p in [Predictor::InterpCubic, Predictor::InterpLinear] {
             assert_eq!(Predictor::from_tag(p.tag()), Some(p));
         }
+        assert_eq!(Predictor::from_tag(2), None);
         assert_eq!(Predictor::from_tag(99), None);
     }
 

@@ -7,9 +7,8 @@
 //! pipeline shape:
 //!
 //! 1. **Prediction** — level-by-level cubic/linear interpolation on the
-//!    dyadic grid, dimension by dimension (the SZ3 flagship predictor), or a
-//!    first-order Lorenzo predictor (the SZ1.4/SZ2 classic) — see
-//!    [`predictor`].
+//!    dyadic grid, dimension by dimension (the SZ3 flagship predictor) —
+//!    see [`predictor`].
 //! 2. **Linear-scaling quantization** of the prediction residual with an
 //!    escape code for unpredictable points ([`quantizer`]).
 //! 3. **Entropy coding** — canonical Huffman over quantization codes

@@ -6,51 +6,46 @@
 //! function and differ only in the visitor closure: the compressor quantizes
 //! `original − prediction`, the decompressor applies the decoded code.
 //!
-//! Two predictor families are implemented:
+//! The predictor is SZ3's **level-by-level interpolation**: points on the
+//! dyadic grid are refined from stride `2s` to stride `s`, dimension by
+//! dimension; each new point is predicted by cubic interpolation along the active axis
+//! where four neighbours exist, linear where two exist, nearest otherwise.
+//! At stride `s` with active axis `a`, the points visited are those with an
+//! odd multiple of `s` on axis `a`, a multiple of `s` on every earlier axis
+//! and of `2s` on every later one, in row-major order.
 //!
-//! * **Level-by-level interpolation** (SZ3's flagship): points on the dyadic
-//!   grid are refined from stride `2s` to stride `s`, dimension by dimension;
-//!   each new point is predicted by cubic interpolation along the active axis
-//!   where four neighbours exist, linear where two exist, nearest otherwise.
-//!   At stride `s` with active axis `a`, the points visited are those with an
-//!   odd multiple of `s` on axis `a`, a multiple of `s` on every earlier axis
-//!   and of `2s` on every later one, in row-major order.
+//! The walk goes row by row. The outer axes (all but the last) advance
+//! once per row and fix that row's base index; the last axis is walked
+//! with a constant step `2s` (an odd multiple of `s` when it is the active
+//! axis, a multiple of `2s` otherwise) and an incremental index. Each
+//! axis's set of coordinates is an arithmetic progression that does not
+//! depend on the other axes, so nesting one loop per axis, last innermost,
+//! enumerates exactly the row-major order of a per-point odometer. Which
+//! stencil applies depends only on the coordinate along the active axis:
+//! when that axis is an outer one the stencil is fixed for the whole row,
+//! and when it is the last axis the row splits into a head (`c = s`, no
+//! `−3s` neighbour), a cubic middle, a linear stretch and at most one
+//! left-copy point at the edge. Each stencil evaluates the odometer's
+//! expression with the same operands in the same order, so the codes and
+//! reconstructions are bit for bit the odometer's; the test module keeps
+//! that odometer as the definition of the order and checks the two agree.
 //!
-//!   The walk goes row by row. The outer axes (all but the last) advance
-//!   once per row and fix that row's base index; the last axis is walked
-//!   with a constant step `2s` (an odd multiple of `s` when it is the active
-//!   axis, a multiple of `2s` otherwise) and an incremental index. Each
-//!   axis's set of coordinates is an arithmetic progression that does not
-//!   depend on the other axes, so nesting one loop per axis, last innermost,
-//!   enumerates exactly the row-major order of a per-point odometer. Which
-//!   stencil applies depends only on the coordinate along the active axis:
-//!   when that axis is an outer one the stencil is fixed for the whole row,
-//!   and when it is the last axis the row splits into a head (`c = s`, no
-//!   `−3s` neighbour), a cubic middle, a linear stretch and at most one
-//!   left-copy point at the edge. Each stencil evaluates the odometer's
-//!   expression with the same operands in the same order, so the codes and
-//!   reconstructions are bit for bit the odometer's; the test module keeps
-//!   that odometer as the definition of the order and checks the two agree.
-//!
-//!   Each constant-step run of one stencil (a *segment*) is bounds-checked
-//!   once, before its loop, by an `assert!` that stays in release builds:
-//!   its first point is at least the stencil's reach (`d` to the left, `3d`
-//!   for the cubic) from the start of the buffer, and its last point plus
-//!   that reach to the right lies inside it. The points between are the
-//!   first plus multiples of the step, so every neighbour read and every
-//!   store of the segment lies between those two extremes; the loop indexes
-//!   unchecked (`debug_assert!`ed per access). It is the one exception to
-//!   the workspace lint that denies unchecked code everywhere else.
-//! * **First-order Lorenzo** (SZ1.4/SZ2): each point is predicted from the
-//!   inclusion–exclusion stencil of its already-visited neighbours in
-//!   row-major order.
+//! Each constant-step run of one stencil (a *segment*) is bounds-checked
+//! once, before its loop, by an `assert!` that stays in release builds:
+//! its first point is at least the stencil's reach (`d` to the left, `3d`
+//! for the cubic) from the start of the buffer, and its last point plus
+//! that reach to the right lies inside it. The points between are the
+//! first plus multiples of the step, so every neighbour read and every
+//! store of the segment lies between those two extremes; the loop indexes
+//! unchecked (`debug_assert!`ed per access). It is the one exception to
+//! the workspace lint that denies unchecked code everywhere else.
 
 use crate::config::Predictor;
 
 /// Drives `visit(flat_index, prediction) -> reconstructed_value` over every
 /// point of a `dims`-shaped row-major array exactly once, maintaining the
 /// reconstruction in `recon` (which must be zero-filled, `len == ∏dims`).
-/// `dims` needs at least one axis, and at most three for Lorenzo.
+/// `dims` needs at least one axis.
 pub fn traverse<F>(predictor: Predictor, dims: &[usize], recon: &mut [f64], visit: F)
 where
     F: FnMut(usize, f64) -> f64,
@@ -61,7 +56,6 @@ where
         return;
     }
     match predictor {
-        Predictor::Lorenzo => traverse_lorenzo(dims, recon, visit),
         Predictor::InterpCubic => traverse_interp(dims, recon, visit, true),
         Predictor::InterpLinear => traverse_interp(dims, recon, visit, false),
     }
@@ -74,67 +68,6 @@ fn strides(dims: &[usize]) -> Vec<usize> {
         s[i] = s[i + 1] * dims[i + 1];
     }
     s
-}
-
-// ---------------------------------------------------------------------------
-// Lorenzo
-// ---------------------------------------------------------------------------
-
-fn traverse_lorenzo<F>(dims: &[usize], recon: &mut [f64], mut visit: F)
-where
-    F: FnMut(usize, f64) -> f64,
-{
-    assert!(
-        (1..=3).contains(&dims.len()),
-        "Lorenzo predictor supports 1-3 dimensions, got {}",
-        dims.len()
-    );
-    match dims.len() {
-        1 => {
-            for i in 0..dims[0] {
-                let pred = if i > 0 { recon[i - 1] } else { 0.0 };
-                recon[i] = visit(i, pred);
-            }
-        }
-        2 => {
-            let (n0, n1) = (dims[0], dims[1]);
-            for i in 0..n0 {
-                for j in 0..n1 {
-                    let idx = i * n1 + j;
-                    let a = if i > 0 { recon[idx - n1] } else { 0.0 };
-                    let b = if j > 0 { recon[idx - 1] } else { 0.0 };
-                    let c = if i > 0 && j > 0 {
-                        recon[idx - n1 - 1]
-                    } else {
-                        0.0
-                    };
-                    recon[idx] = visit(idx, a + b - c);
-                }
-            }
-        }
-        3 => {
-            let (n0, n1, n2) = (dims[0], dims[1], dims[2]);
-            let s0 = n1 * n2;
-            for i in 0..n0 {
-                for j in 0..n1 {
-                    for k in 0..n2 {
-                        let idx = i * s0 + j * n2 + k;
-                        let gi = i > 0;
-                        let gj = j > 0;
-                        let gk = k > 0;
-                        let f = |c: bool, off: usize| if c { recon[idx - off] } else { 0.0 };
-                        let pred = f(gi, s0) + f(gj, n2) + f(gk, 1)
-                            - f(gi && gj, s0 + n2)
-                            - f(gi && gk, s0 + 1)
-                            - f(gj && gk, n2 + 1)
-                            + f(gi && gj && gk, s0 + n2 + 1);
-                        recon[idx] = visit(idx, pred);
-                    }
-                }
-            }
-        }
-        _ => unreachable!(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -363,14 +296,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lorenzo_visits_every_point_once() {
-        assert_visits_all(Predictor::Lorenzo, &[1]);
-        assert_visits_all(Predictor::Lorenzo, &[17]);
-        assert_visits_all(Predictor::Lorenzo, &[5, 9]);
-        assert_visits_all(Predictor::Lorenzo, &[4, 3, 7]);
-    }
-
     fn awkward_shapes() -> Vec<Vec<usize>> {
         vec![
             vec![1],
@@ -537,16 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn lorenzo_prediction_order_is_causal() {
-        let dims = [6usize, 7];
-        let mut recon = vec![f64::NAN; 42];
-        traverse(Predictor::Lorenzo, &dims, &mut recon, |idx, pred| {
-            assert!(!pred.is_nan(), "index {idx}");
-            idx as f64
-        });
-    }
-
-    #[test]
     fn interp_exactly_reproduces_linear_ramp_with_linear_interp() {
         // A linear function is predicted exactly by linear interpolation
         // except at the anchor and boundary-copy points.
@@ -613,13 +528,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1-3 dimensions")]
-    fn lorenzo_rejects_4d() {
-        let mut r = vec![0.0; 16];
-        traverse(Predictor::Lorenzo, &[2, 2, 2, 2], &mut r, |_, _| 0.0);
-    }
-
-    #[test]
     fn interp_handles_4d() {
         assert_visits_all(Predictor::InterpCubic, &[2, 3, 2, 4]);
     }
@@ -628,6 +536,5 @@ mod tests {
     fn empty_array_is_noop() {
         let mut r: Vec<f64> = vec![];
         traverse(Predictor::InterpCubic, &[0], &mut r, |_, _| unreachable!());
-        traverse(Predictor::Lorenzo, &[0], &mut r, |_, _| unreachable!());
     }
 }

@@ -6,11 +6,7 @@ use pqr_sz::{SzCompressor, SzConfig};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = SzConfig> {
-    prop_oneof![
-        Just(SzConfig::default()),
-        Just(SzConfig::lorenzo()),
-        Just(SzConfig::interp_linear()),
-    ]
+    prop_oneof![Just(SzConfig::default()), Just(SzConfig::interp_linear()),]
 }
 
 /// Mixed smooth + jumpy data: worst of both worlds for predictors.

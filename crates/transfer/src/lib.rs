@@ -9,8 +9,8 @@
 //!   decides *how many bytes* each block needs (the paper's claim is a
 //!   bytes-moved argument), and the per-block retrieval compute time
 //!   (measured wall clock). Each block is any
-//!   [`FragmentSource`](pqr_progressive::fragstore::FragmentSource) — a
-//!   resident dataset or a serialized container — whose
+//!   [`FragmentSource`](pqr_progressive::fragstore::FragmentSource) — its
+//!   serialized container, in memory or on file — whose
 //!   [`SourceStats`](pqr_progressive::fragstore::SourceStats) count the
 //!   fetches and round trips a remote store would see.
 //! * **simulated**: the pipe. [`NetworkModel`] charges

@@ -117,9 +117,9 @@ impl PipelineResult {
 /// Runs the QoI-preserving retrieval on every block and charges the
 /// fetched bytes to the simulated network.
 ///
-/// Each block is a [`FragmentSource`] — a resident dataset or a serialized
-/// container; the engine refines through it on the same code path as
-/// local and file-backed archives, so the source's own
+/// Each block is a [`FragmentSource`] — its serialized container, in
+/// memory or on file; the engine refines through it on the same code path
+/// as every archive, so the source's own
 /// [`SourceStats`](pqr_progressive::fragstore::SourceStats) count the
 /// fetches and round trips. `specs_for_block` produces the QoI requests
 /// for a given block index (ranges differ per block, so specs are

@@ -30,11 +30,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Appends a `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -129,11 +124,6 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u8`.
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a `u32`.
@@ -255,7 +245,6 @@ mod tests {
     fn roundtrip_scalars() {
         let mut w = ByteWriter::new();
         w.put_u8(7);
-        w.put_u16(65000);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 3);
         w.put_i64(-42);
@@ -263,7 +252,6 @@ mod tests {
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 65000);
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_i64().unwrap(), -42);

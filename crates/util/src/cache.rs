@@ -16,23 +16,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Running tallies of cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Bytes served from the cache (sum of hit payload sizes).
-    pub hit_bytes: u64,
-    /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Payload bytes currently resident.
-    pub bytes: usize,
-}
-
 #[derive(Debug)]
 struct Entry {
     data: Arc<Vec<u8>>,
@@ -47,10 +30,6 @@ struct Inner<K> {
     recency: BTreeMap<u64, K>,
     tick: u64,
     bytes: usize,
-    hits: u64,
-    misses: u64,
-    hit_bytes: u64,
-    evictions: u64,
 }
 
 /// A thread-safe least-recently-used cache with a byte-size budget.
@@ -63,8 +42,7 @@ struct Inner<K> {
 /// assert!(cache.get(&7).is_none());
 /// cache.insert(7, Arc::new(vec![1, 2, 3]));
 /// assert_eq!(cache.get(&7).unwrap().as_slice(), &[1, 2, 3]);
-/// let stats = cache.stats();
-/// assert_eq!((stats.hits, stats.misses), (1, 1));
+/// assert_eq!(cache.bytes(), 3);
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K> {
@@ -82,10 +60,6 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
                 recency: BTreeMap::new(),
                 tick: 0,
                 bytes: 0,
-                hits: 0,
-                misses: 0,
-                hit_bytes: 0,
-                evictions: 0,
             }),
         }
     }
@@ -96,26 +70,17 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. Counts hit/miss.
+    /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<Arc<Vec<u8>>> {
         let mut g = self.lock();
         g.tick += 1;
         let tick = g.tick;
-        match g.map.get_mut(key) {
-            Some(entry) => {
-                let old = std::mem::replace(&mut entry.tick, tick);
-                let data = Arc::clone(&entry.data);
-                g.recency.remove(&old);
-                g.recency.insert(tick, key.clone());
-                g.hits += 1;
-                g.hit_bytes += data.len() as u64;
-                Some(data)
-            }
-            None => {
-                g.misses += 1;
-                None
-            }
-        }
+        let entry = g.map.get_mut(key)?;
+        let old = std::mem::replace(&mut entry.tick, tick);
+        let data = Arc::clone(&entry.data);
+        g.recency.remove(&old);
+        g.recency.insert(tick, key.clone());
+        Some(data)
     }
 
     /// Inserts (or replaces) an entry, evicting least-recently-used entries
@@ -125,26 +90,20 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     /// existing entry under the same key: the cache must never keep serving
     /// a stale payload the caller just replaced, and the displaced bytes
     /// must leave the resident tally (same-key overwrites, smaller or
-    /// larger, keep `stats().bytes` exact).
+    /// larger, keep [`LruCache::bytes`] exact).
     pub fn insert(&self, key: K, value: Arc<Vec<u8>>) {
         let mut g = self.lock();
         g.tick += 1;
         let tick = g.tick;
         // drop any previous entry first so replacement accounting cannot
         // drift, whatever the new value's size
-        let displaced = if let Some(old) = g.map.remove(&key) {
+        if let Some(old) = g.map.remove(&key) {
             g.bytes -= old.data.len();
             g.recency.remove(&old.tick);
-            true
-        } else {
-            false
-        };
+        }
         if value.len() > self.cap_bytes {
-            // the stale entry (if any) is gone and counts as evicted; the
-            // oversized value itself is not admitted
-            if displaced {
-                g.evictions += 1;
-            }
+            // the stale entry (if any) is gone; the oversized value itself
+            // is not admitted
             return;
         }
         g.bytes += value.len();
@@ -156,30 +115,13 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             };
             if let Some(e) = g.map.remove(&victim) {
                 g.bytes -= e.data.len();
-                g.evictions += 1;
             }
         }
     }
 
-    /// Drops every entry (stats are kept).
-    pub fn clear(&self) {
-        let mut g = self.lock();
-        g.map.clear();
-        g.recency.clear();
-        g.bytes = 0;
-    }
-
-    /// Current tallies.
-    pub fn stats(&self) -> CacheStats {
-        let g = self.lock();
-        CacheStats {
-            hits: g.hits,
-            misses: g.misses,
-            hit_bytes: g.hit_bytes,
-            evictions: g.evictions,
-            entries: g.map.len(),
-            bytes: g.bytes,
-        }
+    /// Payload bytes currently resident.
+    pub fn bytes(&self) -> usize {
+        self.lock().bytes
     }
 }
 
@@ -192,18 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn hit_and_miss_counting() {
+    fn get_serves_what_was_inserted() {
         let c: LruCache<&'static str> = LruCache::new(100);
         assert!(c.get(&"a").is_none());
         c.insert("a", blob(10, 1));
-        assert_eq!(c.get(&"a").unwrap().len(), 10);
+        assert_eq!(c.get(&"a").unwrap().as_slice(), &[1; 10]);
         assert!(c.get(&"b").is_none());
-        let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.hit_bytes, 10);
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.bytes, 10);
+        assert_eq!(c.bytes(), 10);
     }
 
     #[test]
@@ -219,9 +156,12 @@ mod tests {
         assert!(c.get(&1).is_some());
         assert!(c.get(&3).is_some());
         assert!(c.get(&4).is_some());
-        let s = c.stats();
-        assert_eq!(s.evictions, 1);
-        assert!(s.bytes <= 30);
+        assert_eq!(c.bytes(), 30);
+        // 1 is now the oldest touch: the next insert evicts it, not 3 or 4
+        c.insert(5, blob(10, 5));
+        assert!(c.get(&1).is_none());
+        assert!([3, 4, 5].iter().all(|k| c.get(k).is_some()));
+        assert_eq!(c.bytes(), 30);
     }
 
     #[test]
@@ -229,7 +169,7 @@ mod tests {
         let c: LruCache<u32> = LruCache::new(8);
         c.insert(1, blob(9, 0));
         assert!(c.get(&1).is_none());
-        assert_eq!(c.stats().entries, 0);
+        assert_eq!(c.bytes(), 0);
     }
 
     #[test]
@@ -237,10 +177,8 @@ mod tests {
         let c: LruCache<u32> = LruCache::new(100);
         c.insert(1, blob(40, 0));
         c.insert(1, blob(10, 1));
-        let s = c.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.bytes, 10);
-        assert_eq!(c.get(&1).unwrap()[0], 1);
+        assert_eq!(c.bytes(), 10);
+        assert_eq!(c.get(&1).unwrap().as_slice(), &[1; 10]);
     }
 
     #[test]
@@ -249,16 +187,13 @@ mod tests {
         c.insert(1, blob(10, 0));
         c.insert(2, blob(10, 2));
         c.insert(1, blob(60, 1)); // grow in place, still under budget
-        let s = c.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.bytes, 70, "resident bytes must track the overwrite");
+        assert_eq!(c.bytes(), 70, "resident bytes must track the overwrite");
         assert_eq!(c.get(&1).unwrap().len(), 60);
         assert_eq!(c.get(&1).unwrap()[0], 1, "old payload must not survive");
+        assert!(c.get(&2).is_some());
         // growing past the budget evicts the LRU neighbour, not the tally
         c.insert(1, blob(95, 3));
-        let s = c.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.bytes, 95);
+        assert_eq!(c.bytes(), 95);
         assert!(c.get(&2).is_none(), "LRU entry evicted to make room");
         assert_eq!(c.get(&1).unwrap()[0], 3);
     }
@@ -267,45 +202,19 @@ mod tests {
     fn oversized_overwrite_displaces_the_stale_entry() {
         let c: LruCache<u32> = LruCache::new(50);
         c.insert(1, blob(20, 0));
-        assert_eq!(c.stats().bytes, 20);
+        c.insert(2, blob(20, 2));
+        assert_eq!(c.bytes(), 40);
         // an over-budget replacement cannot be admitted, but it must not
         // leave the cache serving the superseded payload either
         c.insert(1, blob(51, 1));
-        let s = c.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.bytes, 0, "displaced bytes must leave the tally");
-        assert_eq!(s.evictions, 1, "the displaced entry counts as evicted");
+        assert_eq!(c.bytes(), 20, "displaced bytes must leave the tally");
         assert!(c.get(&1).is_none(), "stale payload must be gone");
+        assert_eq!(c.get(&2).unwrap().as_slice(), &[2; 20]);
     }
 
-    #[test]
-    fn stats_track_hits_misses_evictions_and_residency() {
-        let c: LruCache<u32> = LruCache::new(25);
-        c.insert(1, blob(10, 1));
-        c.insert(2, blob(10, 2));
-        assert!(c.get(&1).is_some());
-        assert!(c.get(&3).is_none());
-        c.insert(3, blob(10, 3)); // evicts key 2 (LRU)
-        let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hit_bytes, 10);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.bytes, 20);
-    }
-
-    #[test]
-    fn clear_keeps_stats() {
-        let c: LruCache<u32> = LruCache::new(100);
-        c.insert(1, blob(5, 0));
-        assert!(c.get(&1).is_some());
-        c.clear();
-        assert!(c.get(&1).is_none());
-        let s = c.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.bytes, 0);
-        assert_eq!(s.hits, 1);
+    /// Sum of the payloads `keys` still resolve to.
+    fn resident<K: Eq + Hash + Clone>(c: &LruCache<K>, keys: impl Iterator<Item = K>) -> usize {
+        keys.filter_map(|k| c.get(&k)).map(|v| v.len()).sum()
     }
 
     #[test]
@@ -324,14 +233,11 @@ mod tests {
                 });
             }
         });
-        let s = c.stats();
-        assert_eq!(s.hits + s.misses, 8 * 200);
-        assert!(s.entries <= 32);
+        // nothing was evicted: every key is resident with its own bytes
         for k in 0..32usize {
-            if let Some(v) = c.get(&k) {
-                assert!(v.iter().all(|&b| b == k as u8));
-            }
+            assert!(c.get(&k).unwrap().iter().all(|&b| b == k as u8));
         }
+        assert_eq!(c.bytes(), 32 * 64);
     }
 
     #[test]
@@ -360,30 +266,23 @@ mod tests {
                 });
             }
         });
-        let s = c.stats();
-        assert!(s.bytes <= cap, "resident {} over budget {cap}", s.bytes);
-        // recount what actually survived: stats().bytes must equal the sum
-        // of resident payload lengths (no double-count, no leak)
-        let mut actual = 0usize;
-        let mut entries = 0usize;
-        for a in 0..4u64 {
-            for b in 0..64u32 {
-                if let Some(v) = c.get(&(a, b)) {
-                    actual += v.len();
-                    entries += 1;
-                }
-            }
-        }
-        assert_eq!(s.bytes, actual, "tally must match resident payloads");
-        assert_eq!(s.entries, entries);
-        assert!(s.evictions > 0, "pressure this heavy must evict");
+        let bytes = c.bytes();
+        assert!(bytes <= cap, "resident {bytes} over budget {cap}");
+        // recount what actually survived: bytes() must equal the sum of
+        // resident payload lengths (no double-count, no leak)
+        let keys = (0..4u64).flat_map(|a| (0..64u32).map(move |b| (a, b)));
+        assert_eq!(
+            bytes,
+            resident(&c, keys),
+            "tally must match resident payloads"
+        );
     }
 
     #[test]
     fn concurrent_oversized_overwrites_never_leak_bytes() {
-        // the PR 3 oversized path (displace-but-don't-admit) raced from
-        // many threads against admissible overwrites of the same keys:
-        // whichever insert lands last, the tally must match the survivors
+        // the oversized path (displace-but-don't-admit) raced from many
+        // threads against admissible overwrites of the same keys: whichever
+        // insert lands last, the tally must match the survivors
         let cap = 256;
         let c: Arc<LruCache<u32>> = Arc::new(LruCache::new(cap));
         std::thread::scope(|s| {
@@ -402,16 +301,18 @@ mod tests {
                 });
             }
         });
-        let s = c.stats();
-        assert!(s.bytes <= cap);
-        let mut actual = 0usize;
+        let bytes = c.bytes();
+        assert!(bytes <= cap);
         for k in 0..8u32 {
             if let Some(v) = c.get(&k) {
                 assert!(v.len() <= cap, "an oversized payload was admitted");
-                actual += v.len();
             }
         }
-        assert_eq!(s.bytes, actual, "tally must match resident payloads");
+        assert_eq!(
+            bytes,
+            resident(&c, 0..8u32),
+            "tally must match resident payloads"
+        );
     }
 
     #[test]
@@ -422,5 +323,6 @@ mod tests {
         // zero-length values do fit a zero budget
         c.insert(2, blob(0, 0));
         assert!(c.get(&2).is_some());
+        assert_eq!(c.bytes(), 0);
     }
 }

@@ -13,7 +13,7 @@
 /// ```
 /// pqr_util::tally! {
 ///     /// Hits and misses of some cache.
-///     pub struct CacheStats / AtomicCacheStats {
+///     pub struct LookupStats / AtomicLookupStats {
 ///         /// Lookups served.
 ///         hits,
 ///         /// Lookups that went to the backend.
@@ -21,12 +21,12 @@
 ///     }
 /// }
 /// use std::sync::atomic::Ordering;
-/// let live = AtomicCacheStats::default();
+/// let live = AtomicLookupStats::default();
 /// let before = live.snapshot();
 /// live.hits.fetch_add(2, Ordering::Relaxed);
 /// let delta = live.snapshot().since(&before);
 /// assert_eq!((delta.hits, delta.misses), (2, 0));
-/// assert_eq!(CacheStats::NAMES, ["hits", "misses"]);
+/// assert_eq!(LookupStats::NAMES, ["hits", "misses"]);
 /// ```
 ///
 /// The snapshot derives `Debug`, `Clone`, `Copy`, `Default`, `PartialEq`
