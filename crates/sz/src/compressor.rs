@@ -9,8 +9,9 @@ use pqr_util::{huffman, rle};
 
 /// Magic bytes identifying a pqr-sz blob.
 const MAGIC: &[u8; 4] = b"PQSZ";
-/// Format version.
-const VERSION: u8 = 1;
+/// Format version: 2 since the Huffman payload holds four streams behind a
+/// jump table; a version-1 blob (one stream) is refused, not misread.
+const VERSION: u8 = 2;
 
 /// Error-bounded lossy compressor (SZ3 stand-in).
 ///
@@ -378,7 +379,9 @@ mod tests {
         // call, so the same bits on every platform) on a shape with no
         // power-of-two extent; recorded before the row-wise walk replaced
         // the per-point odometer, so the walk's order and arithmetic are
-        // pinned in 3-D, where every axis is active at some stride
+        // pinned in 3-D, where every axis is active at some stride; re-recorded
+        // when the Huffman payload became four streams (format version 2),
+        // with every reconstruction bit for bit the version-1 blob's
         let fnv1a = |bytes: &[u8]| {
             bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -386,10 +389,10 @@ mod tests {
         };
         let (data, dims) = hashed_field();
         let golden: [(SzConfig, f64, u64); 4] = [
-            (SzConfig::default(), 1e-2, 0x2136d589cfb88467),
-            (SzConfig::default(), 1e-7, 0x52bf275c58cfd174),
-            (SzConfig::interp_linear(), 1e-2, 0x2225223f3db3150b),
-            (SzConfig::interp_linear(), 1e-7, 0x7774c58f61b6e041),
+            (SzConfig::default(), 1e-2, 0x8d408401717dea4d),
+            (SzConfig::default(), 1e-7, 0x66ccc6baaa6130f1),
+            (SzConfig::interp_linear(), 1e-2, 0x03c36b4dd1b87a95),
+            (SzConfig::interp_linear(), 1e-7, 0x7b624b99cdfcb285),
         ];
         for (cfg, eb, want) in golden {
             let got = fnv1a(&SzCompressor::new(cfg).compress(&data, &dims, eb).unwrap());
@@ -417,6 +420,20 @@ mod tests {
         for eb in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(c.compress(&[1.0], &[1], eb).is_err(), "eb={eb}");
         }
+    }
+
+    #[test]
+    fn a_version_1_blob_is_refused_as_unsupported() {
+        // version 1 coded one Huffman stream; read as four it would be
+        // misparsed, so the version byte refuses it first
+        let mut blob = SzCompressor::default()
+            .compress(&smooth_1d(256), &[256], 1e-3)
+            .unwrap();
+        blob[4] = 1;
+        assert!(matches!(
+            SzCompressor::default().decompress(&blob),
+            Err(PqrError::CorruptStream(m)) if m.contains("unsupported version 1")
+        ));
     }
 
     #[test]

@@ -35,6 +35,16 @@ impl BitWriter {
         }
     }
 
+    /// Creates a writer that appends to `buf`, whose bytes [`BitWriter::finish`]
+    /// returns ahead of the new ones.
+    pub fn appending(buf: Vec<u8>) -> Self {
+        Self {
+            buf,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
     /// Appends a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {

@@ -67,9 +67,29 @@ proptest! {
     }
 
     #[test]
-    fn hostile_streams_never_panic(junk in proptest::collection::vec(any::<u8>(), 0..512)) {
+    fn hostile_streams_never_panic(
+        junk in proptest::collection::vec(any::<u8>(), 0..512),
+        jump in (0u32..300, 0u32..300, 0u32..300),
+        count in 0u64..4096,
+    ) {
         let _ = rle::decode_bytes(&junk);
         let _ = rle::decode_bits_auto(&junk, 100);
         let _ = huffman::decode(&junk);
+        // four-stream arm: a valid length table (from the junk's own
+        // symbols), then any count, a jump table and junk streams
+        let symbols: Vec<u32> = junk.iter().map(|&b| u32::from(b % 37)).collect();
+        let valid = huffman::encode(&symbols, 37).unwrap();
+        let nruns = u32::from_le_bytes(valid[12..16].try_into().unwrap()) as usize;
+        let mut blob = valid[..4].to_vec();
+        blob.extend_from_slice(&count.to_le_bytes());
+        blob.extend_from_slice(&valid[12..16 + 5 * nruns]);
+        let mut payload: Vec<u8> = [jump.0, jump.1, jump.2]
+            .iter()
+            .flat_map(|l| l.to_le_bytes())
+            .collect();
+        payload.extend_from_slice(&junk);
+        blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        blob.extend_from_slice(&payload);
+        let _ = huffman::decode(&blob);
     }
 }

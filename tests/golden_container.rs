@@ -2,7 +2,10 @@
 //! `ArchiveBuilder::build_to_path` produce for one small deterministic
 //! dataset per scheme, recorded at the commit before the backend collapse
 //! (PR 18). A refactor of the representation plumbing may not move a byte
-//! of either layout; a deliberate format change re-records these.
+//! of either layout; a deliberate format change re-records these. The two
+//! snapshot schemes' rows were re-recorded when the SZ stream's Huffman
+//! payload became four streams (SZ format version 2); the PMGARD and PZFP
+//! rows still hold the first recording.
 
 use pqr::prelude::*;
 
@@ -48,8 +51,8 @@ fn builder(scheme: Scheme) -> ArchiveBuilder {
 fn container_bytes_match_the_recorded_hashes() {
     // (scheme, fnv1a(to_bytes), fnv1a(build_to_path file))
     let golden: [(Scheme, u64, u64); 5] = [
-        (Scheme::Psz3, 0x229669d57630a5c9, 0x229669d57630a5c9),
-        (Scheme::Psz3Delta, 0x3dfa7030f4f9ffc0, 0x3dfa7030f4f9ffc0),
+        (Scheme::Psz3, 0xd9e9444e6f798909, 0xd9e9444e6f798909),
+        (Scheme::Psz3Delta, 0x582bd6e873a04137, 0x582bd6e873a04137),
         (Scheme::PmgardOb, 0xca2e259e0aad3229, 0xca2e259e0aad3229),
         (Scheme::PmgardHb, 0x57a07c171c1cdcb2, 0x57a07c171c1cdcb2),
         // the one scheme whose streamed directory is padded: its plane
