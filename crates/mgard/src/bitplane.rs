@@ -296,6 +296,67 @@ fn merge_pending(
     }
 }
 
+/// A plane segment's two blobs: the RLE'd magnitude bits and the RLE'd
+/// signs of the coefficients the plane makes significant.
+fn split_segment(segment: &[u8]) -> Result<(&[u8], &[u8])> {
+    let mut r = ByteReader::new(segment);
+    let bit_len = r.get_u32()? as usize;
+    let bit_blob = r.get_raw(bit_len)?;
+    let sign_len = r.get_u32()? as usize;
+    Ok((bit_blob, r.get_raw(sign_len)?))
+}
+
+/// Decodes a level's plane segments without borrowing its
+/// [`LevelDecoder`]: owned and `Sync`, so helper threads decode planes
+/// while the level applies the ones before them.
+#[derive(Debug, Clone, Copy)]
+pub struct PlaneDecoder {
+    exponent: Option<i32>,
+    count: usize,
+    /// A scalar level takes each segment as it is.
+    scalar: bool,
+}
+
+/// One plane segment as far as it decodes without the level's state: the
+/// word path's magnitude bits, with the sign blob left for
+/// [`LevelDecoder::apply_plane`], which needs the level's significance to
+/// size it.
+#[derive(Debug)]
+pub struct DecodedPlane(PlaneBody);
+
+#[derive(Debug)]
+enum PlaneBody {
+    /// The segment as fetched (scalar levels decode in `apply_plane`).
+    Segment(Vec<u8>),
+    /// The plane's magnitude bits, packed, and its sign blob.
+    Words { words: Vec<u64>, signs: Vec<u8> },
+}
+
+impl PlaneDecoder {
+    /// Decodes one plane segment of the level.
+    pub fn decode(&self, segment: &[u8]) -> Result<DecodedPlane> {
+        if self.exponent.is_none() {
+            return Err(PqrError::InvalidRequest(
+                "all-zero level has no planes".into(),
+            ));
+        }
+        let (bit_blob, sign_blob) = split_segment(segment)?;
+        Ok(DecodedPlane(if self.scalar {
+            PlaneBody::Segment(segment.to_vec())
+        } else {
+            PlaneBody::Words {
+                words: decode_bits_auto_words(bit_blob, self.count)?,
+                signs: sign_blob.to_vec(),
+            }
+        }))
+    }
+
+    /// Coefficients of the level: the bits one plane carries.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+}
+
 impl LevelDecoder {
     /// Creates a decoder for a level with the given exponent and size,
     /// using the word-parallel kernel (scalar under `PQR_SCALAR_KERNELS=1`).
@@ -345,25 +406,43 @@ impl LevelDecoder {
 
     /// Consumes the next plane segment (must be fed strictly in order).
     pub fn push_plane(&mut self, segment: &[u8]) -> Result<()> {
-        let Some(_) = self.exponent else {
+        let plane = self.plane_decoder().decode(segment)?;
+        self.apply_plane(plane)
+    }
+
+    /// The decoder of this level's plane segments, for decoding off the
+    /// decoder's thread.
+    pub fn plane_decoder(&self) -> PlaneDecoder {
+        PlaneDecoder {
+            exponent: self.exponent,
+            count: self.count,
+            scalar: matches!(self.state, DecodeState::Scalar { .. }),
+        }
+    }
+
+    /// Takes the next plane, as its [`LevelDecoder::plane_decoder`] decoded
+    /// it: new significances and their signs, and the magnitude bits
+    /// queued for the next fold. A refused plane leaves the decoder as it
+    /// was.
+    pub fn apply_plane(&mut self, plane: DecodedPlane) -> Result<()> {
+        if self.exponent.is_none() {
             return Err(PqrError::InvalidRequest(
                 "all-zero level has no planes".into(),
             ));
-        };
+        }
         if self.planes_read >= PLANES {
             return Err(PqrError::InvalidRequest("level already complete".into()));
         }
-        let mut r = ByteReader::new(segment);
-        let bit_len = r.get_u32()? as usize;
-        let bit_blob = r.get_raw(bit_len)?;
-        let sign_len = r.get_u32()? as usize;
-        let sign_blob = r.get_raw(sign_len)?;
-        match &mut self.state {
-            DecodeState::Scalar {
-                ms,
-                negs,
-                significant,
-            } => {
+        match (&mut self.state, plane.0) {
+            (
+                DecodeState::Scalar {
+                    ms,
+                    negs,
+                    significant,
+                },
+                PlaneBody::Segment(segment),
+            ) => {
+                let (bit_blob, sign_blob) = split_segment(&segment)?;
                 let bits = decode_bits_auto(bit_blob, self.count)?;
                 // the first-significances this plane introduces (indexing
                 // three parallel per-coefficient arrays by j); both blobs
@@ -385,16 +464,18 @@ impl LevelDecoder {
                     negs[j] = sign;
                 }
             }
-            DecodeState::Words {
-                pending, sig, negs, ..
-            } => {
-                let words = decode_bits_auto_words(bit_blob, self.count)?;
+            (
+                DecodeState::Words {
+                    pending, sig, negs, ..
+                },
+                PlaneBody::Words { words, signs },
+            ) => {
                 let nsigns: usize = words
                     .iter()
                     .zip(sig.iter())
                     .map(|(&w, &s)| (w & !s).count_ones() as usize)
                     .sum();
-                let signs = decode_bits_auto_words(sign_blob, nsigns)?;
+                let signs = decode_bits_auto_words(&signs, nsigns)?;
                 // both blobs decoded — mutate only now, so a corrupt sign
                 // blob leaves the decoder untouched
                 let mut si = 0usize;
@@ -409,6 +490,11 @@ impl LevelDecoder {
                     }
                 }
                 pending.extend_from_slice(&words);
+            }
+            _ => {
+                return Err(PqrError::InvalidRequest(
+                    "plane decoded for the other kernel".into(),
+                ))
             }
         }
         self.planes_read += 1;

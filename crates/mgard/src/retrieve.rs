@@ -10,7 +10,7 @@
 //! fetched deep; exactly how PMGARD behaves). A refinement request takes
 //! that order's next planes until the bound it reaches is ≤ the target.
 
-use crate::bitplane::LevelDecoder;
+use crate::bitplane::{DecodedPlane, LevelDecoder, PlaneDecoder};
 use crate::error_est::{level_weight, recon_bound};
 use crate::hierarchy::level_strides;
 use crate::refactor::{MgardMeta, MgardStream};
@@ -119,6 +119,34 @@ impl MgardCursor {
     /// Consumes the next plane of `level` (planes must arrive in MSB-first
     /// order per level; the plane index is implicit in the decode state).
     pub fn push_plane(&mut self, level: usize, bytes: &[u8]) -> Result<()> {
+        self.check_level(level)?;
+        let plane = self.decoders[level].plane_decoder().decode(bytes)?;
+        self.apply_plane(level, plane)
+    }
+
+    /// Each level's plane decoder (see [`LevelDecoder::plane_decoder`]),
+    /// for decoding off the cursor's thread.
+    pub fn plane_decoders(&self) -> Vec<PlaneDecoder> {
+        self.decoders
+            .iter()
+            .map(LevelDecoder::plane_decoder)
+            .collect()
+    }
+
+    /// Takes the next plane of `level`, decoded by that level's
+    /// [`MgardCursor::plane_decoders`] entry.
+    pub fn apply_plane(&mut self, level: usize, plane: DecodedPlane) -> Result<()> {
+        self.check_level(level)?;
+        self.decoders[level].apply_plane(plane)
+    }
+
+    /// Planes consumed so far of `level`.
+    pub fn level_planes_read(&self, level: usize) -> u32 {
+        self.decoders[level].planes_read()
+    }
+
+    /// `level` exists and has a plane left.
+    fn check_level(&self, level: usize) -> Result<()> {
         let Some(lm) = self.meta.levels().get(level) else {
             return Err(pqr_util::error::PqrError::InvalidRequest(format!(
                 "level {level} out of range ({} levels)",
@@ -130,7 +158,7 @@ impl MgardCursor {
                 "level {level} already fully fetched"
             )));
         }
-        self.decoders[level].push_plane(bytes)
+        Ok(())
     }
 
     /// Folds every level's newly pushed planes into its magnitudes (see

@@ -9,9 +9,10 @@
 //! round-off.
 //!
 //! Every pass runs on the calling thread, walking its fine nodes in runs
-//! along the last axis ([`for_each_pass_row`]). Retrieval already decodes
-//! fields in parallel, one field per worker, so a multilevel rebuild gets
-//! no threads of its own.
+//! along the last axis ([`for_each_pass_row`]). Retrieval refines fields
+//! in parallel, one field per worker, and a round's idle threads help a
+//! field decode its planes; the recompose of a multilevel rebuild stays on
+//! the field's own thread.
 
 use crate::hierarchy::{
     for_each_level_row, for_each_line, for_each_pass_row, level_strides, strides,

@@ -15,8 +15,11 @@
 //!   many rows it has consumed; which rows a refinement takes, which a
 //!   restore replays, the bound and exhaustion are reads of the table;
 //! * its [`Backend`]: what differs between representations — what a
-//!   fragment decodes to ([`Backend::push`]) and what the fragments
-//!   consumed so far reconstruct to ([`Backend::rebuild`]).
+//!   fragment decodes to ([`Decode::decode`], a pure function of its bytes
+//!   that any thread may run), how a decoded fragment joins the state
+//!   ([`Backend::apply`], in table order on the field's own thread), and
+//!   what the fragments consumed so far reconstruct to
+//!   ([`Backend::rebuild_with`]).
 //!
 //! Three backends cover the five [`Scheme`]s: [`Ladder`] (PSZ3 and
 //! PSZ3-delta snapshots), [`Multilevel`] (both PMGARD bases) and
@@ -32,6 +35,7 @@ use crate::refactored::Scheme;
 use pqr_mgard::{Basis, MgardCursor, MgardMeta, MgardRefactorer};
 use pqr_sz::{SzCompressor, SzConfig};
 use pqr_util::error::{PqrError, Result};
+use pqr_util::par::Crew;
 use pqr_zfp::{ZfpCursor, ZfpMeta, ZfpRefactorer};
 use std::ops::Range;
 use std::sync::Arc;
@@ -113,26 +117,68 @@ impl Table {
     }
 }
 
+/// A fragment decoded as far as it goes without its field's state.
+pub(crate) enum Decoded {
+    /// A snapshot, or a delta ladder's residual.
+    Values(Vec<f64>),
+    /// One plane of a multilevel level.
+    Level(pqr_mgard::bitplane::DecodedPlane),
+    /// One ZFP digit plane.
+    Digits(pqr_zfp::DecodedPlane),
+}
+
+/// Decodes a field's fragments without borrowing its [`Backend`]: owned
+/// and `Sync`, so a round's helper threads decode fragments ahead while the
+/// field's own thread applies the ones before them. "A General Framework
+/// for Progressive Data Compression and Retrieval" writes retrieval as
+/// `x̃ᵢ = x̃ᵢ₋₁ + decode(cᵢ)`: decoding a component does not depend on the
+/// running sum, only the sum has to run in order.
+pub(crate) trait Decode: Send + Sync {
+    /// Decodes fragment `index` from its bytes.
+    fn decode(&self, index: u32, bytes: &[u8]) -> Result<Decoded>;
+
+    /// Estimated nanoseconds [`Decode::decode`] spends on fragment
+    /// `index`, for the crew's helper gate.
+    fn cost(&self, index: u32) -> u64;
+}
+
 /// The decode state of one field under one representation. Fragment indices
 /// are directory indices, and fragments arrive in their [`Table`]'s order.
 pub(crate) trait Backend: Send + Sync {
-    /// Decodes fragment `index` into the state. A failed push leaves the
-    /// state as it was.
-    fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()>;
+    /// The decoder of this field's fragments.
+    fn decoder(&self) -> Arc<dyn Decode>;
 
-    /// True when [`Backend::rebuild`] folds what was pushed *into* the
-    /// reconstruction it is handed (`x̃ᵢ = x̃ᵢ₋₁ + decode(cᵢ)` taken
+    /// Takes fragment `index`, as [`Backend::decoder`] decoded it, into the
+    /// state. A refused fragment leaves the state as it was.
+    fn apply(&mut self, index: u32, decoded: Decoded) -> Result<()>;
+
+    /// Decodes fragment `index` on the calling thread and applies it.
+    #[cfg(test)]
+    fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
+        let decoded = self.decoder().decode(index, bytes)?;
+        self.apply(index, decoded)
+    }
+
+    /// True when [`Backend::rebuild_with`] folds what was applied *into*
+    /// the reconstruction it is handed (`x̃ᵢ = x̃ᵢ₋₁ + decode(cᵢ)` taken
     /// literally) instead of overwriting it: the reader then hands it the
-    /// held values, after every push, so no decoded component outlives the
+    /// held values, after every apply, so no decoded component outlives the
     /// next and the sums run in fragment order.
     fn incremental(&self) -> bool {
         false
     }
 
-    /// Writes the reconstruction of the current state into `out` on the
-    /// calling thread (parallelism lives across fields, one rebuild per
-    /// thread). Returns the multilevel recompose passes run.
-    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64;
+    /// Writes the reconstruction of the current state into `out`. A
+    /// representation whose rebuild splits into disjoint parts lets `crew`
+    /// hire helpers for them (PZFP's block slabs); the others rebuild on
+    /// the calling thread. Returns the multilevel recompose passes run.
+    fn rebuild_with(&mut self, out: &mut Vec<f64>, crew: &Crew) -> u64;
+
+    /// [`Backend::rebuild_with`] on the calling thread alone.
+    #[cfg(test)]
+    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
+        self.rebuild_with(out, &Crew::solo())
+    }
 
     /// Approximate heap bytes of the decode state, beyond the
     /// reconstruction the reader holds.
@@ -151,6 +197,18 @@ fn out_of_order(index: u32) -> PqrError {
     PqrError::InvalidRequest(format!("fragment {index} pushed out of order"))
 }
 
+fn foreign(index: u32) -> PqrError {
+    PqrError::InvalidRequest(format!(
+        "fragment {index} decoded for another representation"
+    ))
+}
+
+// Decode speeds for the crew's helper gate, measured on one thread of a
+// 2-CPU x86-64 box: ~4.5 ns per value of an SZ snapshot (Huffman, zero-RLE,
+// interpolation walk), ~3 bits per ns of an RLE'd PMGARD or ZFP plane.
+const SZ_NS_PER_VALUE: u64 = 4;
+const PLANE_BITS_PER_NS: u64 = 3;
+
 // ---------------------------------------------------------------------------
 // Snapshot ladders (PSZ3, PSZ3-delta)
 // ---------------------------------------------------------------------------
@@ -162,19 +220,24 @@ fn out_of_order(index: u32) -> PqrError {
 /// was held (the cross-snapshot redundancy of §V-B).
 struct Ladder {
     delta: bool,
-    /// Elements per snapshot.
-    n: usize,
-    /// What `push` decoded and `rebuild` has not taken yet: delta mode's
+    decoder: Arc<Snapshots>,
+    /// What `apply` took and `rebuild_with` has not yet: delta mode's
     /// residual (the sum of residuals, when the reader declined one) or
-    /// plain mode's snapshot. Empty from a rebuild to the next push, so no
+    /// plain mode's snapshot. Empty from a rebuild to the next apply, so no
     /// field holds a second `n`-element buffer beside its reconstruction.
     decoded: Vec<f64>,
-    /// `decoded` holds what `rebuild` has not folded in yet.
+    /// `decoded` holds what `rebuild_with` has not folded in yet.
     pending: bool,
 }
 
-impl Backend for Ladder {
-    fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
+/// A ladder's decoder: one SZ decompress per rung.
+struct Snapshots {
+    /// Elements per snapshot.
+    n: usize,
+}
+
+impl Decode for Snapshots {
+    fn decode(&self, index: u32, bytes: &[u8]) -> Result<Decoded> {
         let (part, _) = SzCompressor::new(SzConfig::default()).decompress(bytes)?;
         if part.len() != self.n {
             return Err(PqrError::CorruptStream(format!(
@@ -183,6 +246,23 @@ impl Backend for Ladder {
                 self.n
             )));
         }
+        Ok(Decoded::Values(part))
+    }
+
+    fn cost(&self, _index: u32) -> u64 {
+        self.n as u64 * SZ_NS_PER_VALUE
+    }
+}
+
+impl Backend for Ladder {
+    fn decoder(&self) -> Arc<dyn Decode> {
+        self.decoder.clone()
+    }
+
+    fn apply(&mut self, index: u32, decoded: Decoded) -> Result<()> {
+        let Decoded::Values(part) = decoded else {
+            return Err(foreign(index));
+        };
         if self.delta && self.pending {
             // only when the reader declined the previous residual (a ladder
             // that does not descend): keep the sum, not the last term
@@ -200,7 +280,7 @@ impl Backend for Ladder {
         self.delta
     }
 
-    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
+    fn rebuild_with(&mut self, out: &mut Vec<f64>, _crew: &Crew) -> u64 {
         if std::mem::take(&mut self.pending) {
             let decoded = std::mem::take(&mut self.decoded);
             if self.delta {
@@ -227,27 +307,59 @@ impl Backend for Ladder {
 /// metadata, the planes follow level-major, MSB first within a level.
 struct Multilevel {
     cursor: MgardCursor,
+    decoder: Arc<LevelPlanes>,
+}
+
+/// A multilevel field's decoder: one plane's magnitude-bit RLE decode per
+/// fragment; its signs and significance wait for `apply`.
+struct LevelPlanes {
     /// Fragment index of each level's first plane.
     level_base: Vec<u32>,
+    planes: Vec<pqr_mgard::bitplane::PlaneDecoder>,
+}
+
+impl LevelPlanes {
+    /// The level fragment `index` is a plane of: the last level starting
+    /// at or before it (an all-zero level stores no planes and shares its
+    /// base with the next one).
+    fn level(&self, index: u32) -> Result<usize> {
+        self.level_base
+            .partition_point(|&base| base <= index)
+            .checked_sub(1)
+            .ok_or_else(|| out_of_order(index))
+    }
+}
+
+impl Decode for LevelPlanes {
+    fn decode(&self, index: u32, bytes: &[u8]) -> Result<Decoded> {
+        let level = self.level(index)?;
+        Ok(Decoded::Level(self.planes[level].decode(bytes)?))
+    }
+
+    fn cost(&self, index: u32) -> u64 {
+        self.level(index)
+            .map_or(0, |l| self.planes[l].count() as u64 / PLANE_BITS_PER_NS)
+    }
 }
 
 impl Backend for Multilevel {
-    fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
-        // the last level starting at or before `index` (an all-zero level
-        // stores no planes and shares its base with the next one)
-        let level = self
-            .level_base
-            .partition_point(|&base| base <= index)
-            .checked_sub(1)
-            .ok_or_else(|| out_of_order(index))?;
-        // the cursor takes a level's planes strictly in order
-        if index - self.level_base[level] != self.cursor.planes_read()[level] {
-            return Err(out_of_order(index));
-        }
-        self.cursor.push_plane(level, bytes)
+    fn decoder(&self) -> Arc<dyn Decode> {
+        self.decoder.clone()
     }
 
-    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
+    fn apply(&mut self, index: u32, decoded: Decoded) -> Result<()> {
+        let Decoded::Level(plane) = decoded else {
+            return Err(foreign(index));
+        };
+        let level = self.decoder.level(index)?;
+        // the cursor takes a level's planes strictly in order
+        if index - self.decoder.level_base[level] != self.cursor.level_planes_read(level) {
+            return Err(out_of_order(index));
+        }
+        self.cursor.apply_plane(level, plane)
+    }
+
+    fn rebuild_with(&mut self, out: &mut Vec<f64>, _crew: &Crew) -> u64 {
         self.cursor.fold();
         self.cursor.reconstruct_into(out)
     }
@@ -256,7 +368,7 @@ impl Backend for Multilevel {
         // what the decoders hold between rebuilds: 8 B per coefficient of
         // folded magnitudes plus one sign and one significance word per 64
         // coefficients (0.25 B) — a field has one coefficient per element
-        // bar the root. The planes pushed since the last rebuild wait as
+        // bar the root. The planes applied since the last rebuild wait as
         // packed words (1/8 B per coefficient per plane, ≤ 60 planes:
         // 7.5 B) until the rebuild folds and drops them, so 16 B per
         // element bounds the peak as well
@@ -276,18 +388,42 @@ impl Backend for Multilevel {
 /// plane `k` is fragment `1 + k`.
 struct BlockTransform {
     cursor: ZfpCursor,
+    decoder: Arc<DigitPlanes>,
+}
+
+/// A block-transform field's decoder: one plane's RLE decode per fragment.
+struct DigitPlanes(pqr_zfp::PlaneDecoder);
+
+impl Decode for DigitPlanes {
+    fn decode(&self, index: u32, bytes: &[u8]) -> Result<Decoded> {
+        let plane = index.checked_sub(1).ok_or_else(|| out_of_order(index))?;
+        Ok(Decoded::Digits(self.0.decode(plane, bytes)?))
+    }
+
+    fn cost(&self, index: u32) -> u64 {
+        index
+            .checked_sub(1)
+            .map_or(0, |p| self.0.plane_bits(p) as u64 / PLANE_BITS_PER_NS)
+    }
 }
 
 impl Backend for BlockTransform {
-    fn push(&mut self, index: u32, bytes: &[u8]) -> Result<()> {
+    fn decoder(&self) -> Arc<dyn Decode> {
+        self.decoder.clone()
+    }
+
+    fn apply(&mut self, index: u32, decoded: Decoded) -> Result<()> {
+        let Decoded::Digits(plane) = decoded else {
+            return Err(foreign(index));
+        };
         if index != 1 + self.cursor.planes_read() {
             return Err(out_of_order(index));
         }
-        self.cursor.push_plane(bytes)
+        self.cursor.apply_plane(plane)
     }
 
-    fn rebuild(&mut self, out: &mut Vec<f64>) -> u64 {
-        self.cursor.reconstruct_into(out, 1);
+    fn rebuild_with(&mut self, out: &mut Vec<f64>, crew: &Crew) -> u64 {
+        self.cursor.reconstruct_with(out, crew);
         0
     }
 
@@ -376,7 +512,9 @@ pub(crate) fn open(
             Opened {
                 backend: Box::new(Ladder {
                     delta,
-                    n: dims.iter().product(),
+                    decoder: Arc::new(Snapshots {
+                        n: dims.iter().product(),
+                    }),
                     decoded: Vec::new(),
                     pending: false,
                 }),
@@ -404,10 +542,14 @@ pub(crate) fn open(
                 .into_iter()
                 .map(|(l, p, after)| (level_base[l] + p, after))
                 .collect();
+            let cursor = MgardCursor::new(meta);
             Opened {
                 backend: Box::new(Multilevel {
-                    cursor: MgardCursor::new(meta),
-                    level_base,
+                    decoder: Arc::new(LevelPlanes {
+                        level_base,
+                        planes: cursor.plane_decoders(),
+                    }),
+                    cursor,
                 }),
                 table: Table {
                     rows,
@@ -431,8 +573,12 @@ pub(crate) fn open(
                     start: meta.bound_after(0),
                     one_row: false,
                 },
-                backend: Box::new(BlockTransform {
-                    cursor: ZfpCursor::new(meta),
+                backend: Box::new({
+                    let cursor = ZfpCursor::new(meta);
+                    BlockTransform {
+                        decoder: Arc::new(DigitPlanes(cursor.plane_decoder())),
+                        cursor,
+                    }
                 }),
                 start_bound: max_abs,
                 meta_bytes: bytes.len(),

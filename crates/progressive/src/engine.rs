@@ -48,7 +48,7 @@ use crate::store::{FieldView, ProgressStore};
 use pqr_qoi::program::{sound_estimate, Columns};
 use pqr_qoi::{BoundConfig, QoiExpr, QoiProgram};
 use pqr_util::error::{PqrError, Result};
-use pqr_util::par::{par_chunk_fill, par_chunk_reduce};
+use pqr_util::par::{par_chunk_fill, par_chunk_reduce, Crew};
 use std::sync::Arc;
 
 /// A requested QoI with its tolerance.
@@ -150,9 +150,11 @@ pub struct EngineConfig {
     /// chunks the per-point QoI scans split into during plan execution
     /// here, and how many fields encode at once on the write path
     /// (`Dataset::refactor_with_workers` takes the same value; the CLI
-    /// feeds both from one `--workers` flag). Parallelism lives across
-    /// fields only: each field decodes and encodes on one thread, so
-    /// workers beyond the field count help only the scans. `0` (the default)
+    /// feeds both from one `--workers` flag). A round starts one thread
+    /// per pending field, up to this count; a thread that finds no field
+    /// left helps the fields still refining ([`pqr_util::par::Crew`]), and
+    /// each field encodes on one thread, so workers beyond the field count
+    /// help only the scans. `0` (the default)
     /// resolves to [`pqr_util::par::worker_count`] (the `PQR_THREADS`
     /// knob); `1` runs everything on the calling thread, which is what a
     /// caller that parallelises at a coarser granularity (the per-block
@@ -192,6 +194,10 @@ pub struct RetrievalEngine {
     cfg: EngineConfig,
     /// The last estimate [`RetrievalEngine::estimate`] scanned.
     last_scan: Option<RememberedScan>,
+    /// Tests only: every round runs on one thread that lends `.0` slots
+    /// from the start, and `.1` is the most threads a round ran at once.
+    #[cfg(test)]
+    forced: Option<(usize, usize)>,
 }
 
 /// A [`RetrievalEngine::scan_qois`] result, with the
@@ -272,6 +278,8 @@ impl RetrievalEngine {
             views,
             cfg,
             last_scan: None,
+            #[cfg(test)]
+            forced: None,
         })
     }
 
@@ -459,8 +467,12 @@ impl RetrievalEngine {
 
     /// Executes one refinement round: refines every field with a finite
     /// requested bound through its store — in parallel across fields,
-    /// since each field advances under its own lock. A failing field stops
-    /// further work: no field starts once a failure is flagged
+    /// since each field advances under its own lock. The round's crew
+    /// starts one thread per pending field, up to the worker count; a
+    /// thread that finds no field left lends its slot to the fields still
+    /// refining, which hire helpers into it at their next unit boundary
+    /// (decoding fragments ahead, rebuilding block slabs). A failing field
+    /// stops further work: no field starts once a failure is flagged
     /// (sequentially, that is a short-circuit; in parallel, in-flight
     /// fields finish), and the first error in field order is returned.
     ///
@@ -474,7 +486,7 @@ impl RetrievalEngine {
         // (adoption-only rounds), and spawning scoped threads to confirm
         // "nothing to do" per field would cost more than the work. Such
         // rounds run on the calling thread — bit-identical by construction,
-        // each field refines alone.
+        // each field refines alone, and a crew of one lends nothing.
         let pending = self
             .views
             .iter()
@@ -485,20 +497,33 @@ impl RetrievalEngine {
                     .is_some_and(|eb| eb.is_finite() && view.snapshot().bound > *eb)
             })
             .count();
-        let workers = if pending < 2 { 1 } else { self.workers() };
+        let crew = if pending < 2 {
+            Crew::solo()
+        } else {
+            Crew::new(self.workers().min(pending))
+        };
+        #[cfg(test)]
+        let crew = match self.forced {
+            Some((spare, _)) => Crew::with_spare(spare),
+            None => crew,
+        };
         let failed = std::sync::atomic::AtomicBool::new(false);
-        let results = pqr_util::par::par_dynamic_mut(&mut self.views, workers, |j, view| {
+        let results = crew.run(&mut self.views, |j, view, crew| {
             if failed.load(std::sync::atomic::Ordering::Relaxed) {
                 return Ok(()); // another field already failed: stop fetching
             }
             match requested.get(j) {
                 Some(&eb) if eb.is_finite() => view
-                    .refine_to(eb)
+                    .refine_to(eb, crew)
                     .map(|_| ())
                     .inspect_err(|_| failed.store(true, std::sync::atomic::Ordering::Relaxed)),
                 _ => Ok(()),
             }
         });
+        #[cfg(test)]
+        if let Some((_, peak)) = &mut self.forced {
+            *peak = (*peak).max(crew.peak());
+        }
         results.into_iter().collect()
     }
 
@@ -1115,6 +1140,70 @@ mod tests {
         }
     }
 
+    #[test]
+    fn helped_rounds_are_bit_identical_to_solo_rounds() {
+        // a crew with spare slots from the start hires helpers at every
+        // field's first unit boundary: decodes run ahead on other threads
+        // and PZFP rebuilds by slab on several, yet every reconstruction,
+        // bound, byte count, decode count and marker is the solo crew's
+        let dims = [40usize, 40, 40];
+        let n: usize = dims.iter().product();
+        let mut ds = Dataset::new(&dims);
+        for c in 0..3usize {
+            let f: Vec<f64> = (0..n)
+                .map(|i| ((i + c * 41) as f64 * 0.0013).sin() * 30.0 + (i % 30) as f64 * 0.2)
+                .collect();
+            ds.add_field(["Vx", "Vy", "Vz"][c], f).unwrap();
+        }
+        let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
+        let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-2, &ds).unwrap();
+        for scheme in Scheme::extended() {
+            let name = scheme.name();
+            let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+            let run = |forced: Option<usize>| {
+                let cfg = EngineConfig {
+                    workers: 1,
+                    ..Default::default()
+                };
+                let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+                engine.forced = forced.map(|spare| (spare, 0));
+                let mut states = Vec::new();
+                for tol in [1e-2, 1e-5, 1e-9] {
+                    let r = engine.retrieve(&[spec.at_tolerance(tol)]).unwrap();
+                    let fields: Vec<_> = (0..3)
+                        .map(|j| {
+                            (
+                                engine.reconstruction(j).to_vec(),
+                                engine.field_bound(j).to_bits(),
+                                engine.reader_progress(j),
+                            )
+                        })
+                        .collect();
+                    states.push((
+                        r.total_fetched,
+                        r.targets[0].max_est_error.to_bits(),
+                        engine.fragments_decoded(),
+                        fields,
+                    ));
+                }
+                (states, engine.forced.map_or(1, |(_, peak)| peak))
+            };
+            let (solo, _) = run(None);
+            for spare in [1usize, 3] {
+                let (helped, peak) = run(Some(spare));
+                assert!(helped == solo, "{name} spare={spare}: helped rounds differ");
+                // never more threads than the round has: its own plus the
+                // slots it lends
+                assert!(peak <= 1 + spare, "{name} spare={spare}: {peak} threads");
+                // plain PSZ3 fetches one snapshot per refinement: one unit,
+                // nothing to help with
+                if scheme != Scheme::Psz3 {
+                    assert!(peak >= 2, "{name} spare={spare}: no helper was hired");
+                }
+            }
+        }
+    }
+
     /// Serves `inner` with `bad`'s payload emptied: every batch lands, and
     /// decoding `bad` fails.
     struct EmptyPayload {
@@ -1542,7 +1631,7 @@ mod tests {
         let cold_key = view.scan_key(&specs, &bounds);
         let cold = view.estimate(&specs);
         for (j, v) in view.views.iter_mut().enumerate() {
-            v.refine_to(bounds[j]).unwrap();
+            v.refine_to(bounds[j], &Crew::solo()).unwrap();
             assert!(!v.snapshot().cold);
             assert_eq!(v.snapshot().progress, markers[j]);
         }

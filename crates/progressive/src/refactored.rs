@@ -13,10 +13,11 @@
 //! reconstruct from a prefix of fragments under a guaranteed L∞ bound, and
 //! recompose incrementally as more fragments arrive.
 
-use crate::backend::{self, Backend, Fragments, Table};
+use crate::backend::{self, Backend, Decoded, Fragments, Table};
 use crate::fragstore::{self, Batch, FragmentId, FragmentSource, InMemorySource, Manifest};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
+use pqr_util::par::Crew;
 use pqr_util::stats;
 use std::ops::Range;
 use std::sync::Arc;
@@ -363,26 +364,6 @@ struct Fetcher {
     consumed: u64,
 }
 
-impl Fetcher {
-    /// Fetches payload fragment `index` of this field, accounting its bytes.
-    /// A payload the call's `batch` holds is taken from it; anything else
-    /// falls back to a per-fragment source fetch, so the consume path is
-    /// correct whether or not the round batched (and whether or not its
-    /// batch read succeeded).
-    fn fetch(&mut self, index: u32, batch: &mut Batch) -> Result<Arc<Vec<u8>>> {
-        let payload = match batch.remove(&index) {
-            Some(batched) => batched,
-            None => self.source.fetch(FragmentId {
-                field: self.field,
-                index,
-            })?,
-        };
-        self.fetched += payload.len();
-        self.consumed += 1;
-        Ok(payload)
-    }
-}
-
 /// The reconstruction a reader currently holds and certifies, with the
 /// work rebuilding it has cost. The buffer is `Arc`-wrapped so a store can
 /// **publish** its master's reconstruction — and a view adopt a published
@@ -409,7 +390,7 @@ impl Held {
     /// published snapshot is left to its owners and a fresh allocation
     /// starts instead — copied only for a backend that adds to it, since
     /// every other rebuild overwrites each element anyway.
-    fn adopt(&mut self, backend: &mut dyn Backend, bound: f64) -> bool {
+    fn adopt(&mut self, backend: &mut dyn Backend, bound: f64, crew: &Crew) -> bool {
         if bound > self.bound {
             return false;
         }
@@ -421,7 +402,7 @@ impl Held {
                 Vec::new()
             }
         });
-        self.recompose_passes += backend.rebuild(&mut buf);
+        self.recompose_passes += backend.rebuild_with(&mut buf, crew);
         self.reconstruct_nanos += t0.elapsed().as_nanos() as u64;
         self.recon = Arc::new(buf);
         self.bound = bound;
@@ -473,14 +454,14 @@ impl FieldReader {
         };
         // the opening state may already beat the zero vector (PMGARD's
         // metadata carries the root value)
-        reader.consume(0..0, Batch::new())?;
+        reader.consume(0..0, Batch::new(), &Crew::solo())?;
         Ok(reader)
     }
 
-    /// Does nothing: every rebuild runs on the calling thread, and
-    /// parallelism lives across fields (the engine refines one field per
-    /// thread). It stays only because the `benchmark` package's replay
-    /// still calls it.
+    /// Does nothing: a reader refined through its own methods runs on the
+    /// calling thread. Threads reach a reader only through an engine round,
+    /// whose idle threads help the fields still refining. It stays because
+    /// the `benchmark` package's replay still calls it.
     pub fn set_workers(&mut self, _workers: usize) {}
 
     /// Multilevel recompose axis passes performed rebuilding this reader's
@@ -616,18 +597,19 @@ impl FieldReader {
     /// Fetches fragments until the guaranteed bound is ≤ `eb` (absolute) or
     /// the representation is exhausted. Returns newly fetched bytes.
     pub fn refine_to(&mut self, eb: f64) -> Result<usize> {
-        self.refine_with(eb, Batch::new())
+        self.refine_with(eb, Batch::new(), &Crew::solo())
     }
 
     /// [`FieldReader::refine_to`] consuming the payloads of `batch` (this
-    /// field's share of a batched read) before fetching the rest.
-    pub(crate) fn refine_with(&mut self, eb: f64, batch: Batch) -> Result<usize> {
+    /// field's share of a batched read) before fetching the rest, with
+    /// `crew`'s free slots to hire helpers into.
+    pub(crate) fn refine_with(&mut self, eb: f64, batch: Batch, crew: &Crew) -> Result<usize> {
         if eb < 0.0 || eb.is_nan() {
             return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
         }
         let before = self.io.fetched;
         let rows = self.refine_rows(eb);
-        if rows.is_empty() || !self.consume(rows, batch)? {
+        if rows.is_empty() || !self.consume(rows, batch, crew)? {
             self.recon_cache_hits += 1;
         }
         Ok(self.io.fetched - before)
@@ -648,7 +630,7 @@ impl FieldReader {
     /// exceed [`MAX_RECORDED_FETCHED`].
     pub(crate) fn restore_with(&mut self, progress: &ReaderProgress, batch: Batch) -> Result<()> {
         let rows = self.restore_rows(progress)?;
-        self.consume(rows, batch)?;
+        self.consume(rows, batch, &Crew::solo())?;
         // the marker records the bytes a replay cannot re-derive (plain
         // PSZ3's skipped snapshots); a prefix scheme's replay moves them all
         let fetched = progress.fetched;
@@ -664,38 +646,70 @@ impl FieldReader {
 
     /// The one routine behind [`FieldReader::refine_to`] and
     /// [`FieldReader::restore`]: takes the table's `rows` fragment by
-    /// fragment from `batch` or, failing that, the source, and pushes each;
-    /// then rebuilds **whenever the decoded state is ahead of the
-    /// reconstruction held** — keyed on the state, not on whether this call
-    /// pushed — and adopts the rebuild iff the table's bound for the state
-    /// is no worse than the held one. Returns whether a rebuild was adopted.
+    /// fragment from `batch` or, failing that, the source, decodes and
+    /// applies each in order; then rebuilds **whenever the decoded state is
+    /// ahead of the reconstruction held** — keyed on the state, not on
+    /// whether this call applied — and adopts the rebuild iff the table's
+    /// bound for the state is no worse than the held one. Returns whether a
+    /// rebuild was adopted.
     ///
-    /// A fetch or decode that fails mid-range stops the pushing, not the
+    /// Fetching and decoding are pure functions of the row, so helpers
+    /// `crew` hires may fetch and decode rows ahead ([`Crew::ordered`]);
+    /// every apply, every byte counted and every rebuild still runs here,
+    /// in table order, so the outcome is the same whoever decoded what.
+    ///
+    /// A fetch or decode that fails mid-range stops the applying, not the
     /// rebuild: what did arrive is folded in before the error surfaces, so
     /// a reader never certifies a reconstruction its marker has moved past.
-    fn consume(&mut self, rows: Range<usize>, mut batch: Batch) -> Result<bool> {
+    /// A row whose fetch failed is not counted; one fetched but refused by
+    /// its decode is, as the bytes did move; rows after it are neither
+    /// applied nor counted, whatever a helper fetched for them.
+    fn consume(&mut self, rows: Range<usize>, mut batch: Batch, crew: &Crew) -> Result<bool> {
+        let first = rows.start;
+        let indices: Vec<u32> = rows.map(|row| self.table.fragment(row)).collect();
+        let payloads: Vec<Option<Arc<Vec<u8>>>> =
+            indices.iter().map(|index| batch.remove(index)).collect();
+        let decoder = self.backend.decoder();
+        let (source, field) = (Arc::clone(&self.io.source), self.io.field);
+        let decode = |u: usize| -> Result<(usize, Result<Decoded>)> {
+            let index = indices[u];
+            let payload = match &payloads[u] {
+                Some(batched) => Arc::clone(batched),
+                None => source.fetch(FragmentId { field, index })?,
+            };
+            Ok((payload.len(), decoder.decode(index, &payload)))
+        };
         let backend = self.backend.as_mut();
         let mut adopted = false;
-        let mut pushed = Ok(());
-        for row in rows {
-            let index = self.table.fragment(row);
-            pushed = self
-                .io
-                .fetch(index, &mut batch)
-                .and_then(|bytes| backend.push(index, &bytes));
-            if pushed.is_err() {
-                break;
-            }
-            self.consumed = row as u32 + 1;
-            self.ahead = true;
-            if backend.incremental() && self.held.adopt(backend, self.table.bound(self.consumed)) {
-                (self.ahead, adopted) = (false, true);
-            }
-        }
-        if self.ahead && self.held.adopt(backend, self.table.bound(self.consumed)) {
+        let applied = crew.ordered(
+            indices.len(),
+            |u| decoder.cost(indices[u]),
+            decode,
+            |u, fetched| {
+                let (len, decoded) = fetched?;
+                self.io.fetched += len;
+                self.io.consumed += 1;
+                backend.apply(indices[u], decoded?)?;
+                self.consumed = (first + u) as u32 + 1;
+                self.ahead = true;
+                if backend.incremental()
+                    && self
+                        .held
+                        .adopt(backend, self.table.bound(self.consumed), crew)
+                {
+                    (self.ahead, adopted) = (false, true);
+                }
+                Ok(())
+            },
+        );
+        if self.ahead
+            && self
+                .held
+                .adopt(backend, self.table.bound(self.consumed), crew)
+        {
             (self.ahead, adopted) = (false, true);
         }
-        pushed.map(|()| adopted)
+        applied.map(|()| adopted)
     }
 }
 
@@ -723,6 +737,99 @@ mod tests {
 
     fn bounds_short() -> Vec<f64> {
         (1..=8).map(|i| 10f64.powi(-i)).collect()
+    }
+
+    /// Serves a field's container, except that fragment `bad` fails to
+    /// fetch (`corrupt == false`) or arrives cut in half (`corrupt`).
+    struct Faulty {
+        inner: InMemorySource,
+        bad: u32,
+        corrupt: bool,
+    }
+
+    impl FragmentSource for Faulty {
+        fn manifest(&self) -> Result<Manifest> {
+            self.inner.manifest()
+        }
+        fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
+            let bytes = self.inner.fetch(id)?;
+            match (id.index == self.bad, self.corrupt) {
+                (false, _) => Ok(bytes),
+                (true, false) => Err(PqrError::InvalidRequest("injected fetch fault".into())),
+                (true, true) => Ok(Arc::new(bytes[..bytes.len() / 2].to_vec())),
+            }
+        }
+    }
+
+    #[test]
+    fn a_helped_refinement_fails_exactly_where_a_solo_one_does() {
+        // a failing fetch or a corrupt payload deep in a front, with helpers
+        // fetching and decoding rows ahead: the reader stops at the row
+        // before it, exactly as alone — same values, bound, marker, bytes
+        // counted and residency — and its marker replays to it
+        let n = 40_000;
+        let data = field_data(n);
+        let range = stats::value_range(&data);
+        let ladder: Vec<f64> = (1..=12).map(|i| 10f64.powi(-i)).collect();
+        for scheme in Scheme::extended() {
+            let name = scheme.name();
+            let field =
+                RefactoredField::refactor_with_bounds(scheme, &data, &[n], &ladder).unwrap();
+            let bytes = field.to_bytes();
+            for corrupt in [false, true] {
+                let front = field.reader().plan_refine_to(1e-4 * range);
+                let loose = front.len();
+                let tight = {
+                    let mut r = field.reader();
+                    r.refine_to(1e-4 * range).unwrap();
+                    r.plan_refine_to(1e-11 * range)
+                };
+                let bad = tight[tight.len() * 3 / 4];
+                let run = |crew: &Crew| {
+                    let source: Arc<dyn FragmentSource> = Arc::new(Faulty {
+                        inner: InMemorySource::new(bytes.clone()).unwrap(),
+                        bad,
+                        corrupt,
+                    });
+                    let manifest = source.manifest().unwrap();
+                    let mut reader = FieldReader::open(Arc::clone(&source), &manifest, 0).unwrap();
+                    reader
+                        .refine_with(1e-4 * range, Batch::new(), crew)
+                        .unwrap();
+                    assert!(reader
+                        .refine_with(1e-11 * range, Batch::new(), crew)
+                        .is_err());
+                    let state = (
+                        reader.data().to_vec(),
+                        reader.guaranteed_bound().to_bits(),
+                        reader.progress(),
+                        reader.total_fetched(),
+                        reader.fragments_decoded(),
+                        reader.resident_bytes(),
+                    );
+                    // the field replays bit for bit from its marker
+                    let mut fresh = FieldReader::open(source, &manifest, 0).unwrap();
+                    fresh.restore(&reader.progress()).unwrap();
+                    assert_eq!(fresh.data(), reader.data(), "{name} corrupt={corrupt}");
+                    assert_eq!(fresh.guaranteed_bound().to_bits(), state.1, "{name}");
+                    state
+                };
+                let solo = run(&Crew::solo());
+                let crew = Crew::with_spare(2);
+                let helped = run(&crew);
+                assert!(helped == solo, "{name} corrupt={corrupt}: helped differs");
+                assert!(crew.peak() <= 2, "{name}: {} helpers", crew.peak());
+                if scheme != Scheme::Psz3 {
+                    assert!(crew.peak() >= 1, "{name} corrupt={corrupt}: never helped");
+                    // every row before the fault applied, none from it on
+                    let at = tight.iter().position(|&i| i == bad).unwrap();
+                    assert_eq!(solo.2.consumed as usize, loose + at, "{name}");
+                }
+                if scheme == Scheme::Psz3Delta {
+                    assert_eq!(solo.5, n * 8, "{name}: a residual outlived the fault");
+                }
+            }
+        }
     }
 
     #[test]

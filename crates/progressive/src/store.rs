@@ -46,6 +46,7 @@ use crate::fragstore::{Batch, FragmentId, FragmentSource, Manifest};
 use crate::pager::{plan_evictions, EvictionCandidate, StoreBudget};
 use crate::refactored::{FieldReader, ReaderProgress};
 use pqr_util::error::{PqrError, Result};
+use pqr_util::par::Crew;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockWriteGuard};
 
@@ -519,7 +520,7 @@ impl ProgressStore {
     pub fn refine_to(&self, field: usize, eb: f64) -> Result<Arc<FieldSnapshot>> {
         match self.published_answer(self.cell(field)?, eb, NO_EPOCH) {
             Some(answer) => Ok(answer.expect("NO_EPOCH never matches a published epoch")),
-            None => self.advance(field, eb),
+            None => self.advance(field, eb, &Crew::solo()),
         }
     }
 
@@ -572,15 +573,16 @@ impl ProgressStore {
         Some(Some(snap))
     }
 
-    /// Advances the master of `field` to `eb` (or rehydrates it), then
-    /// runs the eviction policy with the field pinned.
-    fn advance(&self, field: usize, eb: f64) -> Result<Arc<FieldSnapshot>> {
-        let out = self.refine_locked(field, eb);
+    /// Advances the master of `field` to `eb` (or rehydrates it), with
+    /// `crew`'s free slots to hire decode helpers into, then runs the
+    /// eviction policy with the field pinned.
+    fn advance(&self, field: usize, eb: f64, crew: &Crew) -> Result<Arc<FieldSnapshot>> {
+        let out = self.refine_locked(field, eb, crew);
         self.maybe_enforce(Some(field));
         out
     }
 
-    fn refine_locked(&self, field: usize, eb: f64) -> Result<Arc<FieldSnapshot>> {
+    fn refine_locked(&self, field: usize, eb: f64, crew: &Crew) -> Result<Arc<FieldSnapshot>> {
         let mut g = self.write_field(field);
         let cell = &self.published[field];
         self.touch_cell(cell);
@@ -614,7 +616,7 @@ impl ProgressStore {
         let parked = self.private && !plan.is_empty() && self.park(field);
         let before = reader.fragments_decoded();
         let recon_base = recon_counters(reader);
-        let refined = reader.refine_with(eb, batch);
+        let refined = reader.refine_with(eb, batch, crew);
         self.absorb_recon_counters(reader, recon_base);
         let delta = reader.fragments_decoded() - before;
         self.counters
@@ -977,9 +979,10 @@ impl FieldView {
 
     /// Refines to bound `eb` through the store, which advances its master
     /// only past what any previous request reached: the view pays at most
-    /// the delta, and nothing when the store is already this deep. Returns
+    /// the delta, and nothing when the store is already this deep. An
+    /// advance may hire decode helpers into `crew`'s free slots. Returns
     /// the newly fetched bytes.
-    pub(crate) fn refine_to(&mut self, eb: f64) -> Result<usize> {
+    pub(crate) fn refine_to(&mut self, eb: f64, crew: &Crew) -> Result<usize> {
         if eb < 0.0 || eb.is_nan() {
             return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
         }
@@ -1005,7 +1008,7 @@ impl FieldView {
                 // no other session holds it either, the master rebuilds
                 // that very buffer instead of a copy
                 self.snap = released(&self.snap);
-                match store.advance(self.field, eb) {
+                match store.advance(self.field, eb, crew) {
                     Ok(next) => self.snap = next,
                     Err(e) => {
                         self.snap = store.adopt(self.field)?;
@@ -1264,7 +1267,7 @@ mod tests {
         let store = Arc::new(ProgressStore::open(Arc::clone(&source)).unwrap());
         let mut view = FieldView::open(&store, 0).unwrap();
         // drive the shared state to its representation floor through the view
-        view.refine_to(0.0).unwrap();
+        view.refine_to(0.0, &Crew::solo()).unwrap();
         let base = store.stats();
         assert!(base.snapshot_publishes > 0);
         let held = Arc::clone(&view.snapshot().recon);
@@ -1272,7 +1275,7 @@ mod tests {
         // repeat-tolerance session: every repeat is answered by the packed
         // epoch word — no adoption, no publish, no recon clone
         for _ in 0..4 {
-            assert_eq!(view.refine_to(0.0).unwrap(), 0);
+            assert_eq!(view.refine_to(0.0, &Crew::solo()).unwrap(), 0);
         }
         let after = store.stats();
         assert!(

@@ -11,9 +11,10 @@ use pqr_progressive::field::Dataset;
 use pqr_progressive::fragstore::{
     FragmentId, FragmentSource, InMemorySource, Manifest, SourceStats,
 };
+use pqr_progressive::pager::StoreBudget;
 use pqr_progressive::plan::{PlanReport, RetrievalPlan};
 use pqr_progressive::refactored::{FieldReader, Scheme};
-use pqr_progressive::store::ProgressStore;
+use pqr_progressive::store::{FieldSnapshot, ProgressStore};
 use pqr_qoi::QoiExpr;
 use pqr_util::error::{PqrError, Result};
 use pqr_util::stats::max_abs_diff;
@@ -232,5 +233,154 @@ fn store_serves_a_fresh_session_after_a_failed_advance() {
         let report = execute(&mut first, 1e-6).unwrap();
         assert!(report.satisfied, "{name}: 1e-6 after healing");
         assert_certified(name, &first, &report);
+    }
+}
+
+/// Serves `inner`, except fragment `bad` (of one field): while the switch
+/// is on, fetching it — or a batch holding it — fails, or (`corrupt`) it
+/// arrives cut in half, so every batch lands and its decode fails.
+struct OneBad {
+    inner: InMemorySource,
+    bad: FragmentId,
+    corrupt: bool,
+    on: AtomicBool,
+}
+
+impl FragmentSource for OneBad {
+    fn manifest(&self) -> Result<Manifest> {
+        self.inner.manifest()
+    }
+    fn fetch(&self, id: FragmentId) -> Result<Arc<Vec<u8>>> {
+        let bytes = self.inner.fetch(id)?;
+        if id != self.bad || !self.on.load(Ordering::SeqCst) {
+            return Ok(bytes);
+        }
+        if self.corrupt {
+            return Ok(Arc::new(bytes[..bytes.len() / 2].to_vec()));
+        }
+        Err(PqrError::InvalidRequest(format!(
+            "injected fault on fragment ({}, {})",
+            id.field, id.index
+        )))
+    }
+    fn read_many(&self, ids: &[FragmentId]) -> Result<Vec<Arc<Vec<u8>>>> {
+        ids.iter().map(|&id| self.fetch(id)).collect()
+    }
+    fn stats(&self) -> SourceStats {
+        self.inner.stats()
+    }
+}
+
+/// Three fields; the request holds `x` and `y` loose and `z` tight, so a
+/// round's `z` starts after one of the others and inherits the thread that
+/// finishes the other: its tight front is the one a crew helps.
+fn three_field_bytes(scheme: Scheme) -> Vec<u8> {
+    let mut ds = Dataset::new(&[N * 8]);
+    for (c, name) in ["x", "y", "z"].into_iter().enumerate() {
+        let f = (0..N * 8)
+            .map(|i| {
+                let x = (i + c * 977) as f64 / (N * 8) as f64;
+                (x * 7.0).sin() * 3.0 + (x * 23.0).cos() * 0.4 + x
+            })
+            .collect();
+        ds.add_field(name, f).unwrap();
+    }
+    let ladder: Vec<f64> = (1..=12).map(|i| 10f64.powi(-i)).collect();
+    ds.refactor_with_bounds(scheme, &ladder).unwrap().to_bytes()
+}
+
+#[test]
+fn a_helped_round_fails_exactly_where_a_solo_round_does() {
+    const TIGHT: f64 = 1e-9;
+    let specs = || {
+        ["x", "y", "z"]
+            .into_iter()
+            .enumerate()
+            .map(|(j, name)| {
+                let tol = if j == 2 { TIGHT } else { 1e-2 };
+                QoiSpec::absolute(name, QoiExpr::var(j).pow(2), tol)
+            })
+            .collect::<Vec<_>>()
+    };
+    for scheme in Scheme::extended() {
+        let name = scheme.name();
+        let bytes = three_field_bytes(scheme);
+        // a fragment three quarters down `z`'s first-round front
+        let front = {
+            let source: Arc<dyn FragmentSource> =
+                Arc::new(InMemorySource::new(bytes.clone()).unwrap());
+            let manifest = source.manifest().unwrap();
+            FieldReader::open(source, &manifest, 2)
+                .unwrap()
+                .plan_refine_to(TIGHT * manifest.fields[2].range)
+        };
+        let bad = FragmentId {
+            field: 2,
+            index: deep_in(&front)[0],
+        };
+        for corrupt in [false, true] {
+            // solo (one worker) and helped (a round of two workers, whose
+            // thread that finds no field left helps `z`)
+            let run = |workers: usize| {
+                let source = Arc::new(OneBad {
+                    inner: InMemorySource::new(bytes.clone()).unwrap(),
+                    bad,
+                    corrupt,
+                    on: AtomicBool::new(true),
+                });
+                let cfg = EngineConfig {
+                    workers,
+                    ..EngineConfig::default()
+                };
+                let store = Arc::new(
+                    ProgressStore::open_with(source.clone(), Arc::new(StoreBudget::unbounded()))
+                        .unwrap(),
+                );
+                let mut engine = RetrievalEngine::with_store(Arc::clone(&store), cfg).unwrap();
+                let plan = RetrievalPlan::resolve(&engine, specs(), None).unwrap();
+                assert!(engine.execute(&plan).is_err(), "{name}: fault must surface");
+                if scheme == Scheme::Psz3Delta {
+                    // no decoded residual outlives the fault: each field
+                    // holds its reconstruction (N·8 bytes) and its snapshot
+                    // header, nothing beside them
+                    let field = size_of::<FieldSnapshot>() + N * 8 * 8;
+                    assert_eq!(store.resident_bytes(), 3 * field as u64, "{name}");
+                }
+                let manifest = source.manifest().unwrap();
+                let shared: Arc<dyn FragmentSource> = source.clone();
+                let fields: Vec<_> = (0..3)
+                    .map(|j| {
+                        let marker = engine.reader_progress(j);
+                        // each field is certified at, and replays bit for
+                        // bit from, its marker
+                        let mut fresh =
+                            FieldReader::open(Arc::clone(&shared), &manifest, j).unwrap();
+                        fresh.restore(&marker).unwrap();
+                        assert_eq!(fresh.data(), engine.reconstruction(j), "{name} field {j}");
+                        assert_eq!(
+                            fresh.guaranteed_bound().to_bits(),
+                            engine.field_bound(j).to_bits(),
+                            "{name} field {j}"
+                        );
+                        (engine.reconstruction(j).to_vec(), marker)
+                    })
+                    .collect();
+                (
+                    fields,
+                    engine.total_fetched(),
+                    engine.fragments_decoded(),
+                    store.resident_bytes(),
+                )
+            };
+            let solo = run(1);
+            assert!(
+                solo.0[2].1.consumed < front.len() as u32,
+                "{name}: the fault stopped nothing"
+            );
+            assert!(
+                run(2) == solo,
+                "{name} corrupt={corrupt}: helped differs from solo"
+            );
+        }
     }
 }

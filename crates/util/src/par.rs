@@ -9,8 +9,9 @@
 //! guarantees workers only borrow — no `Arc`, no data races (if it compiles,
 //! it's safe).
 
+use crate::error::Result;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Number of worker threads to use: `PQR_THREADS` env override, else the
 /// available parallelism, else 1.
@@ -37,6 +38,12 @@ pub fn worker_count() -> usize {
 /// Minimum element count below which parallel dispatch is not worth the
 /// thread spawn cost for pointwise scans.
 const PAR_THRESHOLD: usize = 4096;
+
+/// Least work, in nanoseconds of one thread's time, that a refining field
+/// must have left before it hires a helper into a free slot: a scoped spawn
+/// costs about 35 µs, and a helper that cannot take a few times that back
+/// only adds a thread.
+const HELP_THRESHOLD_NS: u64 = 100_000;
 
 /// Runs `run` on every share and returns the results in share order: one
 /// spawned thread per share after the first, which the calling thread takes
@@ -184,39 +191,337 @@ where
     dispense(len, workers, work)
 }
 
-/// Runs `work(i, &mut items[i])` for every item on `workers` threads with
-/// dynamic load balancing; results come back indexed by `i`.
+/// One refinement round's threads, and the slots they give back.
 ///
-/// The mutable-element sibling of [`par_dynamic`], for fan-out over
-/// independently owned stateful units (the plan executor advances one
-/// decode cursor per field this way). With `workers <= 1` the items are
-/// processed sequentially in index order — callers relying on
-/// `PQR_THREADS=1` determinism get exactly the serial loop.
-pub fn par_dynamic_mut<T, R, F>(items: &mut [T], workers: usize, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, t)| work(i, t))
-            .collect();
+/// A round starts `threads` threads (the caller among them), and each
+/// claims whole items — fields — until none is left. A thread that finds
+/// none gives its slot back; a field still refining hires a scoped helper
+/// into a free slot at its next unit boundary ([`Crew::ordered`],
+/// [`Crew::each`]), when the work it has left repays the spawn
+/// (`HELP_THRESHOLD_NS`). So a round never runs more threads than it
+/// started, a slot never outlives its round, and nothing is spawned while
+/// every thread is busy: a crew only lends threads the round already has,
+/// and a round over a single field runs on one.
+pub struct Crew {
+    /// Threads the round starts.
+    threads: usize,
+    /// Slots of the round no thread holds.
+    free: AtomicUsize,
+    /// Threads of the round running now, and the most at once.
+    running: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Crew {
+    /// A crew of `threads` threads (at least one) and no free slot.
+    pub fn new(threads: usize) -> Self {
+        Self {
+            threads: threads.max(1),
+            free: AtomicUsize::new(0),
+            running: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
     }
-    // one uncontended Mutex per element hands each worker exclusive &mut
-    // access without raw slice partitioning
-    let slots: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-    dispense(slots.len(), workers, |i| {
-        let item = slots[i]
-            .lock()
-            .expect("slot poisoned")
-            .take()
-            .expect("each index claimed once");
-        work(i, item)
-    })
+
+    /// The crew of a caller that refines alone: it never hires.
+    pub fn solo() -> Self {
+        Self::new(1)
+    }
+
+    /// A one-thread crew that lends `spare` slots from the start, so every
+    /// item it runs hires helpers at its first unit boundary. For tests
+    /// that force the helped path: its results must equal a solo crew's.
+    pub fn with_spare(spare: usize) -> Self {
+        let crew = Self::new(1);
+        crew.free.store(spare, Ordering::Relaxed);
+        crew
+    }
+
+    /// The most threads of this crew that ran at once: the round's own,
+    /// and the helpers hired into their slots.
+    pub fn peak(&self) -> usize {
+        self.peak.load(Ordering::Relaxed)
+    }
+
+    fn enter(&self) {
+        let now = self.running.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Gives the calling thread's slot back.
+    fn leave(&self) {
+        self.running.fetch_sub(1, Ordering::Relaxed);
+        self.free.fetch_add(1, Ordering::Release);
+    }
+
+    /// Takes a free slot for a helper, if there is one.
+    fn hire(&self) -> bool {
+        let taken = self
+            .free
+            .fetch_update(Ordering::Acquire, Ordering::Relaxed, |f| f.checked_sub(1))
+            .is_ok();
+        if taken {
+            self.enter();
+        }
+        taken
+    }
+
+    /// Runs `work(i, &mut items[i], self)` for every item on up to
+    /// `threads` threads that claim items in index order; results come back
+    /// indexed by `i`. With one thread the items run in index order on the
+    /// calling thread — the exact serial loop.
+    pub fn run<T, R, F>(&self, items: &mut [T], work: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut T, &Crew) -> R + Sync,
+    {
+        let threads = self.threads.min(items.len().max(1));
+        // one uncontended Mutex per element hands each thread exclusive
+        // &mut access without raw slice partitioning
+        let slots: Vec<Mutex<Option<&mut T>>> =
+            items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
+        let dispenser = IndexDispenser::new(slots.len());
+        let mut pairs: Vec<(usize, R)> = fork_join(0..threads, |_| {
+            self.enter();
+            let mut local = Vec::new();
+            while let Some(i) = dispenser.claim() {
+                let item = slots[i]
+                    .lock()
+                    .expect("slot poisoned")
+                    .take()
+                    .expect("each index claimed once");
+                local.push((i, work(i, item, self)));
+            }
+            self.leave();
+            local
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        pairs.sort_by_key(|(i, _)| *i);
+        pairs.into_iter().map(|(_, v)| v).collect()
+    }
+
+    /// Hires a helper running `help` into `scope` when a slot is free and
+    /// `left` nanoseconds of work repay the spawn.
+    fn maybe_help<'scope>(
+        &'scope self,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        left: u64,
+        help: impl FnOnce() + Send + 'scope,
+    ) {
+        if left >= HELP_THRESHOLD_NS && self.free.load(Ordering::Relaxed) > 0 && self.hire() {
+            scope.spawn(move || {
+                help();
+                self.leave();
+            });
+        }
+    }
+
+    /// Runs `apply(i, decode(i))` for every unit `i` of `0..units`, in
+    /// order, on the calling thread, and stops at the first error `apply`
+    /// returns. `decode` is a pure function of `i`, each an estimated
+    /// `cost(i)` nanoseconds: at each unit boundary the caller hires
+    /// helpers into free slots while the units nobody claimed yet repay a
+    /// spawn, and they run `decode` on units ahead of it. Every thread
+    /// holds at most one decoded unit that is not applied yet, and a unit's
+    /// result is applied exactly once, whoever decoded it, so the outcome
+    /// is the serial loop's.
+    pub fn ordered<D, C, F, A>(&self, units: usize, cost: C, decode: F, mut apply: A) -> Result<()>
+    where
+        D: Send,
+        C: Fn(usize) -> u64,
+        F: Fn(usize) -> D + Sync,
+        A: FnMut(usize, D) -> Result<()>,
+    {
+        // work[i]: the estimated cost of units i..
+        let mut work = vec![0u64; units + 1];
+        for i in (0..units).rev() {
+            work[i] = work[i + 1] + cost(i);
+        }
+        let line = Line {
+            state: Mutex::new(LineState {
+                next: 0,
+                ready: (0..units).map(|_| None).collect(),
+                stop: false,
+                sleeping: 0,
+            }),
+            turn: Condvar::new(),
+        };
+        let (line, decode) = (&line, &decode);
+        std::thread::scope(|s| {
+            // the caller's own unit decoded ahead while a helper held the
+            // one due: at most one, like every helper
+            let mut own: Option<(usize, D)> = None;
+            let mut out = Ok(());
+            for i in 0..units {
+                if i + 1 < units && self.free.load(Ordering::Relaxed) > 0 {
+                    let next = line.lock().next.max(i + 1);
+                    self.maybe_help(s, work[next], move || line.help(decode));
+                }
+                let decoded = match own.take() {
+                    Some((j, d)) if j == i => d,
+                    ahead => {
+                        own = ahead;
+                        line.take(i, &mut own, decode)
+                    }
+                };
+                if let Err(e) = apply(i, decoded) {
+                    out = Err(e);
+                    break;
+                }
+            }
+            let mut st = line.lock();
+            st.stop = true;
+            line.signal(&st);
+            drop(st);
+            out
+        })
+    }
+
+    /// Runs `work(i, item)` once for every item of `items`, in any order
+    /// and on any thread: the calling thread takes them in turn, and at
+    /// each item boundary hires helpers into free slots while the items
+    /// left, each an estimated `cost` nanoseconds, repay the spawn.
+    pub fn each<T, F>(&self, items: Vec<T>, cost: u64, work: F)
+    where
+        T: Send,
+        F: Fn(usize, T) + Sync,
+    {
+        let len = items.len();
+        let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let dispenser = IndexDispenser::new(len);
+        let take = |i: usize| {
+            let item = items[i].lock().expect("item poisoned").take();
+            work(i, item.expect("each index claimed once"));
+        };
+        let (take, dispenser) = (&take, &dispenser);
+        std::thread::scope(|s| {
+            while let Some(i) = dispenser.claim() {
+                let left = (len - dispenser.next.load(Ordering::Relaxed).min(len)) as u64;
+                self.maybe_help(s, left * cost, move || {
+                    while let Some(j) = dispenser.claim() {
+                        take(j);
+                    }
+                });
+                take(i);
+            }
+        });
+    }
+}
+
+/// What [`Crew::ordered`]'s threads share: the next unit nobody claimed,
+/// the decoded units waiting to be applied, and whether the caller stopped.
+struct Line<D> {
+    state: Mutex<LineState<D>>,
+    /// Signalled when a unit is decoded, taken, or the caller stops.
+    turn: Condvar,
+}
+
+struct LineState<D> {
+    next: usize,
+    ready: Vec<Option<D>>,
+    stop: bool,
+    /// Threads asleep on `turn`: a hand-over signals only when one is, as
+    /// a spinning thread sees it at its next look.
+    sleeping: usize,
+}
+
+/// How long a thread of [`Crew::ordered`] spins for a unit to be handed
+/// over before it sleeps: units of a few tens of microseconds are handed
+/// over faster than a sleeping thread is woken.
+const SPIN: std::time::Duration = std::time::Duration::from_micros(50);
+
+impl<D> Line<D> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, LineState<D>> {
+        self.state.lock().expect("line poisoned")
+    }
+
+    /// Wakes the threads asleep on the line, if any.
+    fn signal(&self, st: &LineState<D>) {
+        if st.sleeping > 0 {
+            self.turn.notify_all();
+        }
+    }
+
+    /// Lets the line move on while the caller of a wait that began at
+    /// `since` holds nothing: spins with the lock released for the first
+    /// [`SPIN`], then sleeps until signalled.
+    fn pause<'a>(
+        &'a self,
+        mut st: std::sync::MutexGuard<'a, LineState<D>>,
+        since: std::time::Instant,
+    ) -> std::sync::MutexGuard<'a, LineState<D>> {
+        if since.elapsed() < SPIN {
+            drop(st);
+            for _ in 0..64 {
+                std::hint::spin_loop();
+            }
+            self.lock()
+        } else {
+            st.sleeping += 1;
+            let mut st = self.turn.wait(st).expect("line poisoned");
+            st.sleeping -= 1;
+            st
+        }
+    }
+
+    /// The caller's unit `i`: decoded here if nobody claimed it yet, else
+    /// the helper's result — and while that is not ready, the caller
+    /// decodes the next unclaimed unit into `own` (when it holds none)
+    /// instead of waiting idle.
+    fn take(&self, i: usize, own: &mut Option<(usize, D)>, decode: &impl Fn(usize) -> D) -> D {
+        let mut st = self.lock();
+        if st.next == i {
+            st.next += 1;
+            drop(st);
+            return decode(i);
+        }
+        let mut since = std::time::Instant::now();
+        loop {
+            if let Some(d) = st.ready[i].take() {
+                self.signal(&st);
+                return d;
+            }
+            if own.is_none() && st.next < st.ready.len() {
+                let j = st.next;
+                st.next += 1;
+                drop(st);
+                *own = Some((j, decode(j)));
+                st = self.lock();
+                since = std::time::Instant::now();
+                continue;
+            }
+            st = self.pause(st, since);
+        }
+    }
+
+    /// A helper's loop: claims the next unit, decodes it, hands it over,
+    /// and waits until the caller has taken it before it claims another.
+    fn help(&self, decode: &impl Fn(usize) -> D) {
+        loop {
+            let j = {
+                let mut st = self.lock();
+                if st.stop || st.next >= st.ready.len() {
+                    return;
+                }
+                st.next += 1;
+                st.next - 1
+            };
+            let decoded = decode(j);
+            let mut st = self.lock();
+            st.ready[j] = Some(decoded);
+            self.signal(&st);
+            let since = std::time::Instant::now();
+            while st.ready[j].is_some() && !st.stop {
+                st = self.pause(st, since);
+            }
+            if st.stop {
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -332,13 +637,15 @@ mod tests {
             assert_eq!(distinct(&ids), workers);
 
             let mut items: Vec<usize> = (0..64).collect();
-            let ids = par_dynamic_mut(&mut items, workers, |i, v| {
+            let crew = Crew::new(workers);
+            let ids = crew.run(&mut items, |i, v, _| {
                 if i < workers {
                     barrier.wait();
                 }
                 *v += i;
                 current().id()
             });
+            assert_eq!(crew.peak(), workers);
             assert!(items.iter().enumerate().all(|(i, &v)| v == 2 * i));
             assert!(ids.contains(&caller), "workers={workers}");
             assert_eq!(distinct(&ids), workers);
@@ -392,9 +699,9 @@ mod tests {
     }
 
     #[test]
-    fn par_dynamic_mut_mutates_every_item_once() {
+    fn crew_run_mutates_every_item_once() {
         let mut items: Vec<u64> = (0..500).collect();
-        let out = par_dynamic_mut(&mut items, 8, |i, v| {
+        let out = Crew::new(8).run(&mut items, |i, v, _| {
             *v += 1;
             *v * i as u64
         });
@@ -402,26 +709,120 @@ mod tests {
             assert_eq!(v, i as u64 + 1);
             assert_eq!(out[i], v * i as u64);
         }
-    }
-
-    #[test]
-    fn par_dynamic_mut_single_worker_matches_parallel() {
-        let run = |workers| {
-            let mut items: Vec<u64> = (0..200).map(|i| i * 3).collect();
-            let out = par_dynamic_mut(&mut items, workers, |i, v| {
-                *v = v.wrapping_mul(0x9e3779b97f4a7c15) ^ i as u64;
-                *v
-            });
-            (items, out)
-        };
-        assert_eq!(run(1), run(7));
-    }
-
-    #[test]
-    fn par_dynamic_mut_empty() {
-        let mut items: Vec<u8> = Vec::new();
-        let out: Vec<()> = par_dynamic_mut(&mut items, 4, |_, _| ());
+        let mut none: Vec<u8> = Vec::new();
+        let out: Vec<()> = Crew::new(4).run(&mut none, |_, _, _| ());
         assert!(out.is_empty());
+    }
+
+    /// A unit of `spin` nanoseconds or so of busy work, returning `i`.
+    fn busy(i: usize, spin: u64) -> usize {
+        let t0 = std::time::Instant::now();
+        while (t0.elapsed().as_nanos() as u64) < spin {
+            std::hint::spin_loop();
+        }
+        i
+    }
+
+    /// Waits (up to 10 s) until a thread other than `caller` has logged
+    /// itself in `log`.
+    fn helper_seen(log: &Mutex<Vec<std::thread::ThreadId>>, caller: std::thread::ThreadId) {
+        let t0 = std::time::Instant::now();
+        while !log.lock().unwrap().iter().any(|&id| id != caller) && t0.elapsed().as_secs() < 10 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn ordered_applies_every_unit_once_in_order_whoever_decodes() {
+        use std::thread::current;
+        let caller = current().id();
+        for spare in [0usize, 1, 3] {
+            let crew = Crew::with_spare(spare);
+            crew.enter();
+            let decoders = Mutex::new(Vec::new());
+            let mut applied = Vec::new();
+            crew.ordered(
+                12,
+                |_| HELP_THRESHOLD_NS,
+                |i| {
+                    decoders.lock().unwrap().push(current().id());
+                    if i == 0 && spare > 0 {
+                        // the caller's first unit waits for a helper, so a
+                        // loaded machine cannot finish the line first
+                        helper_seen(&decoders, caller);
+                    }
+                    busy(i, 200_000)
+                },
+                |i, d| {
+                    assert_eq!(current().id(), caller);
+                    assert_eq!(i, d);
+                    applied.push(i);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(applied, (0..12).collect::<Vec<_>>(), "spare={spare}");
+            let ids = decoders.into_inner().unwrap();
+            assert_eq!(ids.len(), 12, "spare={spare}: a unit decoded twice");
+            let helped = ids.iter().any(|&id| id != caller);
+            assert_eq!(helped, spare > 0, "spare={spare}");
+            assert!(crew.peak() <= 1 + spare, "spare={spare}: {}", crew.peak());
+            // every helper gave its slot back
+            assert_eq!(crew.free.load(Ordering::Relaxed), spare);
+        }
+    }
+
+    #[test]
+    fn ordered_stops_at_the_first_failed_apply() {
+        use crate::error::PqrError;
+        for spare in [0usize, 2] {
+            let crew = Crew::with_spare(spare);
+            let mut applied = Vec::new();
+            let out = crew.ordered(
+                10,
+                |_| HELP_THRESHOLD_NS,
+                |i| busy(i, 50_000),
+                |i, _| {
+                    if i == 4 {
+                        return Err(PqrError::CorruptStream("unit 4".into()));
+                    }
+                    applied.push(i);
+                    Ok(())
+                },
+            );
+            assert!(out.is_err());
+            assert_eq!(applied, vec![0, 1, 2, 3], "spare={spare}");
+            assert_eq!(crew.free.load(Ordering::Relaxed), spare);
+        }
+    }
+
+    #[test]
+    fn helpers_need_free_slots_and_work_that_repays_them() {
+        use std::thread::current;
+        let caller = current().id();
+        let run = |crew: &Crew, cost: u64| {
+            let threads = Mutex::new(Vec::new());
+            crew.each((0..16).collect(), cost, |k, i: usize| {
+                threads.lock().unwrap().push(current().id());
+                if k == 0 && crew.running.load(Ordering::Relaxed) > 1 {
+                    helper_seen(&threads, caller);
+                }
+                busy(i, 100_000);
+            });
+            threads
+                .into_inner()
+                .unwrap()
+                .into_iter()
+                .collect::<std::collections::HashSet<_>>()
+        };
+        // no free slot: the caller alone, however much work is left
+        assert_eq!(run(&Crew::solo(), u64::MAX / 64), [caller].into());
+        // free slots, but units too small to repay a spawn
+        assert_eq!(run(&Crew::with_spare(2), 1), [caller].into());
+        let crew = Crew::with_spare(2);
+        crew.enter();
+        assert!(run(&crew, HELP_THRESHOLD_NS).len() > 1);
+        assert!(crew.peak() <= 3);
     }
 
     #[test]

@@ -108,26 +108,36 @@ impl BlockGrid {
     /// Writes block `b` from `vals` back into `data`, skipping padded lanes.
     pub fn scatter(&self, data: &mut [f64], b: usize, vals: &[f64]) {
         debug_assert_eq!(data.len(), self.num_elements());
+        self.scatter_at(data, 0, b, vals);
+    }
+
+    /// [`BlockGrid::scatter`] into a window of the array: `data` holds the
+    /// elements `offset..offset + data.len()`, and block `b` must lie inside
+    /// it. The block goes in as rows of up to [`SIDE`] values along the last
+    /// axis, each clipped at the array's edge.
+    pub fn scatter_at(&self, data: &mut [f64], offset: usize, b: usize, vals: &[f64]) {
         debug_assert_eq!(vals.len(), self.block_len());
         let nd = self.ndims();
         let strides = self.strides();
         let bc = self.block_coord(b);
-        for (local, &v) in vals.iter().enumerate() {
-            let mut rem = local;
-            let mut idx = 0usize;
-            let mut padded = false;
-            for a in (0..nd).rev() {
-                let l = rem % SIDE;
-                rem /= SIDE;
-                let g = bc[a] * SIDE + l;
-                if g >= self.dims[a] {
-                    padded = true;
-                    break;
-                }
-                idx += g * strides[a];
-            }
-            if !padded {
-                data[idx] = v;
+        // the block's extent and stride along each axis, the missing leading
+        // axes of a 1-D or 2-D array read as extent 1
+        let (mut extent, mut stride) = ([1usize; 3], [0usize; 3]);
+        let mut start = 0usize;
+        for a in 0..nd {
+            let k = 3 - nd + a;
+            let origin = bc[a] * SIDE;
+            extent[k] = SIDE.min(self.dims[a] - origin);
+            stride[k] = strides[a];
+            start += origin * strides[a];
+        }
+        let start = start - offset;
+        let run = extent[2];
+        for i in 0..extent[0] {
+            for j in 0..extent[1] {
+                let at = start + i * stride[0] + j * stride[1];
+                let v = (i * SIDE + j) * SIDE;
+                data[at..at + run].copy_from_slice(&vals[v..v + run]);
             }
         }
     }
@@ -176,6 +186,81 @@ mod tests {
                 g.scatter(&mut out, b, &blk);
             }
             assert_eq!(out, data, "dims {dims:?}");
+        }
+    }
+
+    /// The per-element scatter: each lane's array index by a div/mod walk
+    /// over the axes — the oracle the row scatter is held to.
+    fn scatter_per_element(g: &BlockGrid, data: &mut [f64], b: usize, vals: &[f64]) {
+        let nd = g.ndims();
+        let strides = g.strides();
+        let bc = g.block_coord(b);
+        for (local, &v) in vals.iter().enumerate() {
+            let mut rem = local;
+            let mut idx = 0usize;
+            let mut padded = false;
+            for a in (0..nd).rev() {
+                let l = rem % SIDE;
+                rem /= SIDE;
+                let g_a = bc[a] * SIDE + l;
+                if g_a >= g.dims[a] {
+                    padded = true;
+                    break;
+                }
+                idx += g_a * strides[a];
+            }
+            if !padded {
+                data[idx] = v;
+            }
+        }
+    }
+
+    #[test]
+    fn row_scatter_matches_the_per_element_oracle() {
+        for dims in [
+            vec![1],
+            vec![13],
+            vec![4, 4],
+            vec![5, 6],
+            vec![9, 2],
+            vec![3, 5, 2],
+            vec![7, 9, 10],
+            vec![1, 6, 5],
+            vec![8, 4, 12],
+        ] {
+            let g = BlockGrid::new(&dims);
+            let n = g.num_elements();
+            let mut rows = vec![f64::NAN; n];
+            let mut oracle = vec![f64::NAN; n];
+            for b in 0..g.num_blocks() {
+                // distinct values per (block, lane), padded lanes included
+                let vals: Vec<f64> = (0..g.block_len())
+                    .map(|l| (b * g.block_len() + l) as f64)
+                    .collect();
+                g.scatter(&mut rows, b, &vals);
+                scatter_per_element(&g, &mut oracle, b, &vals);
+            }
+            assert_eq!(
+                rows.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "dims {dims:?}"
+            );
+            assert!(rows.iter().all(|v| !v.is_nan()), "dims {dims:?}");
+            // a window of whole outer block rows takes the same values
+            let inner: usize = dims[1..].iter().product();
+            let rows_per_block = (SIDE * inner).min(n);
+            let per_outer: usize = g.blocks[1..].iter().product();
+            for (row, first) in (0..n).step_by(rows_per_block).enumerate() {
+                let end = (first + rows_per_block).min(n);
+                let mut window = vec![f64::NAN; end - first];
+                for b in row * per_outer..(row + 1) * per_outer {
+                    let vals: Vec<f64> = (0..g.block_len())
+                        .map(|l| (b * g.block_len() + l) as f64)
+                        .collect();
+                    g.scatter_at(&mut window, first, b, &vals);
+                }
+                assert_eq!(window, oracle[first..end], "dims {dims:?} row {row}");
+            }
         }
     }
 

@@ -44,4 +44,7 @@ pub mod negabinary;
 pub mod stream;
 pub mod transform;
 
-pub use stream::{ZfpCursor, ZfpMeta, ZfpReader, ZfpRefactorer, ZfpStream, MAX_TOTAL_PLANES, Q};
+pub use stream::{
+    DecodedPlane, PlaneDecoder, ZfpCursor, ZfpMeta, ZfpReader, ZfpRefactorer, ZfpStream,
+    MAX_TOTAL_PLANES, Q,
+};

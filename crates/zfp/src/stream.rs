@@ -31,13 +31,16 @@
 //! collapses to the pure rounding floor `0.5 · 2^{max_e − Q}` — roughly
 //! `2^{-53}` relative, the same near-lossless floor as the PMGARD coder).
 
-use crate::block::BlockGrid;
+use crate::block::{BlockGrid, SIDE};
 use crate::negabinary;
 use crate::transform::{self, recon_error_factor};
 use pqr_util::bitplane_simd::{deposit_bits, extract_bits, scalar_kernels, transpose64};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
+use pqr_util::par::Crew;
 use pqr_util::rle;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Fixed-point fraction bits. 52 keeps `|q| ≤ 2^52 < 2^53`, so the scaled
 /// values and their rounding are exact in `f64`.
@@ -580,11 +583,16 @@ impl ZfpStream {
 /// and the fragment-addressed sources in `pqr-progressive` both drive the
 /// same cursor, so the error model cannot drift between local and remote
 /// paths.
+///
+/// A push is two halves: [`PlaneDecoder::decode`], a pure function of the
+/// plane's bytes that any thread can run, and [`ZfpCursor::apply_plane`],
+/// which takes decoded planes in order.
 #[derive(Debug, Clone)]
 pub struct ZfpCursor {
     meta: ZfpMeta,
     grid: BlockGrid,
     state: DecodeState,
+    decoder: PlaneDecoder,
     planes_read: u32,
 }
 
@@ -593,23 +601,73 @@ pub struct ZfpCursor {
 /// The scalar reference scatters every plane straight into block-major
 /// digit words, touching `O(participants × blen)` bits per push. The word
 /// path keeps each decoded plane in its packed plane-major form — a push is
-/// just the RLE word decode, `O(payload)` — and regroups the whole bit
-/// matrix block-major in one [`transpose64`] sweep only when a
+/// just the RLE word decode, `O(payload)` — and regroups the bit matrix
+/// block-major, one [`transpose64`] tile at a time, only when a
 /// reconstruction is requested.
 #[derive(Debug, Clone)]
 enum DecodeState {
     /// Scalar oracle: digits accumulate straight into block-major words
     /// (`num_blocks × block_len`).
     Scalar { words: Vec<u64> },
-    /// Word path: decoded packed plane payloads, plane-major.
-    Words {
-        /// Per-plane participating block counts, from the same interval
-        /// histogram [`build_plane_bufs`] sizes its buffers with.
-        participants: Vec<usize>,
-        /// Packed plane bits (`participants[p] × blen` bits each), in
-        /// push order.
-        planes: Vec<Vec<u64>>,
-    },
+    /// Word path: decoded packed plane payloads (`participants[p] × blen`
+    /// bits each), plane-major, in push order.
+    Words { planes: Vec<Vec<u64>> },
+}
+
+/// Decodes a [`ZfpCursor`]'s planes without borrowing it: owned and
+/// `Sync`, so helper threads decode planes while the cursor applies the
+/// ones before them.
+#[derive(Debug, Clone)]
+pub struct PlaneDecoder {
+    /// A scalar cursor takes each plane's bytes as they are.
+    scalar: bool,
+    blen: usize,
+    /// Per-plane participating block counts, from the same interval
+    /// histogram [`build_plane_bufs`] sizes its buffers with.
+    participants: Arc<[usize]>,
+}
+
+/// One plane as far as it decodes without the cursor's state.
+#[derive(Debug)]
+pub struct DecodedPlane {
+    index: u32,
+    body: PlaneBody,
+}
+
+#[derive(Debug)]
+enum PlaneBody {
+    /// The payload as fetched (scalar cursors decode in `apply_plane`).
+    Bytes(Vec<u8>),
+    /// The plane's packed bits.
+    Words(Vec<u64>),
+}
+
+impl PlaneDecoder {
+    /// Decodes plane `index` from its payload.
+    pub fn decode(&self, index: u32, bytes: &[u8]) -> Result<DecodedPlane> {
+        let Some(&participants) = self.participants.get(index as usize) else {
+            return Err(PqrError::InvalidRequest(
+                "zfp stream already fully fetched".into(),
+            ));
+        };
+        let body = if self.scalar {
+            PlaneBody::Bytes(bytes.to_vec())
+        } else {
+            PlaneBody::Words(rle::decode_bits_auto_words(
+                bytes,
+                participants * self.blen,
+            )?)
+        };
+        Ok(DecodedPlane { index, body })
+    }
+
+    /// Bits plane `index` carries: one per coefficient of each block taking
+    /// part in it (0 past the last plane).
+    pub fn plane_bits(&self, index: u32) -> usize {
+        self.participants
+            .get(index as usize)
+            .map_or(0, |&p| p * self.blen)
+    }
 }
 
 /// Per-plane participating-block counts over `0..p_total`: block `b`
@@ -640,6 +698,14 @@ fn plane_participants(exponents: &[i32], geom: &PlaneGeometry) -> Vec<usize> {
     participants
 }
 
+/// Elements a rebuild slab covers at least: whole outer block rows, enough
+/// of them that a slab's cursor bookkeeping stays small beside its decode.
+const SLAB_ELEMENTS: usize = 16 * 1024;
+
+/// Estimated nanoseconds a rebuild spends per element (regroup, inverse
+/// transform, scatter), for the helper gate of [`Crew::each`].
+const REBUILD_NS_PER_ELEMENT: u64 = 12;
+
 impl ZfpCursor {
     /// Creates a cursor at zero consumed planes, using the word-parallel
     /// plane decode (scalar under `PQR_SCALAR_KERNELS=1`).
@@ -656,19 +722,23 @@ impl ZfpCursor {
 
     fn with_mode(meta: ZfpMeta, scalar: bool) -> Self {
         let grid = BlockGrid::new(&meta.dims);
+        let geom = PlaneGeometry {
+            blen: grid.block_len(),
+            coeff_bits: meta.coeff_bits,
+            a_max: meta.a_max,
+            p_total: meta.num_planes,
+        };
+        let decoder = PlaneDecoder {
+            scalar,
+            blen: grid.block_len(),
+            participants: plane_participants(&meta.exponents, &geom).into(),
+        };
         let state = if scalar {
             DecodeState::Scalar {
                 words: vec![0u64; grid.num_blocks() * grid.block_len()],
             }
         } else {
-            let geom = PlaneGeometry {
-                blen: grid.block_len(),
-                coeff_bits: meta.coeff_bits,
-                a_max: meta.a_max,
-                p_total: meta.num_planes,
-            };
             DecodeState::Words {
-                participants: plane_participants(&meta.exponents, &geom),
                 planes: Vec::with_capacity(meta.num_planes as usize),
             }
         };
@@ -676,6 +746,7 @@ impl ZfpCursor {
             meta,
             grid,
             state,
+            decoder,
             planes_read: 0,
         }
     }
@@ -704,24 +775,37 @@ impl ZfpCursor {
     /// Consumes the next plane's bytes (planes must arrive in order; the
     /// plane index is implicit in the decode state).
     pub fn push_plane(&mut self, bytes: &[u8]) -> Result<()> {
-        if self.fully_fetched() {
-            return Err(PqrError::InvalidRequest(
-                "zfp stream already fully fetched".into(),
-            ));
+        let plane = self.decoder.decode(self.planes_read, bytes)?;
+        self.apply_plane(plane)
+    }
+
+    /// The decoder of this cursor's planes, for decoding off the cursor's
+    /// thread.
+    pub fn plane_decoder(&self) -> PlaneDecoder {
+        self.decoder.clone()
+    }
+
+    /// Takes a plane its [`ZfpCursor::plane_decoder`] decoded; it must be
+    /// plane `planes_read()`. A refused plane leaves the cursor as it was.
+    pub fn apply_plane(&mut self, plane: DecodedPlane) -> Result<()> {
+        if plane.index != self.planes_read {
+            return Err(PqrError::InvalidRequest(format!(
+                "zfp plane {} applied at plane {}",
+                plane.index, self.planes_read
+            )));
         }
         let blen = self.grid.block_len();
-        let p = self.planes_read as usize;
-        match &mut self.state {
-            DecodeState::Scalar { words } => {
+        match (&mut self.state, plane.body) {
+            (DecodeState::Scalar { words }, PlaneBody::Bytes(bytes)) => {
                 // which blocks participate, in order, and their digit index
-                let a_p = self.meta.a_max - p as i32;
+                let a_p = self.meta.a_max - plane.index as i32;
                 let mut participants = Vec::new();
                 for (b, &e) in self.meta.exponents.iter().enumerate() {
                     if let Some(j) = digit_index(a_p, e, self.meta.coeff_bits) {
                         participants.push((b, j));
                     }
                 }
-                let bits = rle::decode_bits_auto(bytes, participants.len() * blen)?;
+                let bits = rle::decode_bits_auto(&bytes, participants.len() * blen)?;
                 for (pi, &(b, j)) in participants.iter().enumerate() {
                     let base = b * blen;
                     for (s, &bit) in bits[pi * blen..(pi + 1) * blen].iter().enumerate() {
@@ -731,15 +815,13 @@ impl ZfpCursor {
                     }
                 }
             }
-            DecodeState::Words {
-                participants,
-                planes,
-            } => {
-                // word path: a push is just the RLE word decode — the plane
-                // stays plane-major until a reconstruction regroups the
-                // whole matrix in one transpose sweep
-                let plane = rle::decode_bits_auto_words(bytes, participants[p] * blen)?;
-                planes.push(plane);
+            // word path: the plane stays plane-major until a
+            // reconstruction regroups it
+            (DecodeState::Words { planes }, PlaneBody::Words(plane)) => planes.push(plane),
+            _ => {
+                return Err(PqrError::InvalidRequest(
+                    "zfp plane decoded for the other kernel".into(),
+                ))
             }
         }
         self.planes_read += 1;
@@ -758,35 +840,56 @@ impl ZfpCursor {
     fn digit_words_cow(&self) -> std::borrow::Cow<'_, [u64]> {
         match &self.state {
             DecodeState::Scalar { words } => std::borrow::Cow::Borrowed(words),
-            DecodeState::Words { planes, .. } => {
-                std::borrow::Cow::Owned(self.regroup_words(planes))
+            DecodeState::Words { .. } => {
+                let blen = self.grid.block_len();
+                let mut words = vec![0u64; self.grid.num_blocks() * blen];
+                self.for_each_block(0..self.meta.exponents.len(), None, |b, digits| {
+                    words[b * blen..(b + 1) * blen].copy_from_slice(digits);
+                });
+                std::borrow::Cow::Owned(words)
             }
         }
     }
 
-    /// The inverse of the [`build_plane_bufs`] regrouping sweep: walks
-    /// groups of `64 / blen` blocks, rebuilds each group's digit-major
-    /// 64×64 tile by pulling one packed row per (block, digit) from the
-    /// pushed planes' running bit cursors, and transposes the tile back to
-    /// coefficient-major digit words. Planes beyond `planes_read` simply
-    /// contribute zero digits — per-plane cursors make the skip free.
+    /// Calls `emit(b, digits)` with the `block_len` negabinary digit words
+    /// of the blocks of `blocks`, in order; blocks of an all-zero group may
+    /// be left out. A scalar cursor reads its words. The word path undoes
+    /// the [`build_plane_bufs`] regrouping sweep: it walks groups of
+    /// `64 / blen` blocks, rebuilds each group's digit-major 64×64 tile by
+    /// pulling one packed row per (block, digit) from the pushed planes,
+    /// starting at their bit `cursors` for `blocks.start` (zero when
+    /// `None`), and transposes the tile back to coefficient-major digit
+    /// words. Planes beyond `planes_read` simply contribute zero digits —
+    /// per-plane cursors make the skip free.
     ///
     /// Groups whose blocks all share one exponent (the common case on
     /// smooth data) collapse to a single 64-bit extract per digit row.
-    fn regroup_words(&self, planes: &[Vec<u64>]) -> Vec<u64> {
+    fn for_each_block(
+        &self,
+        blocks: Range<usize>,
+        cursors: Option<&[usize]>,
+        mut emit: impl FnMut(usize, &[u64]),
+    ) {
         let blen = self.grid.block_len();
+        let planes = match &self.state {
+            DecodeState::Scalar { words } => {
+                for b in blocks {
+                    emit(b, &words[b * blen..(b + 1) * blen]);
+                }
+                return;
+            }
+            DecodeState::Words { planes } => planes,
+        };
         let coeff_bits = self.meta.coeff_bits as usize;
         let p_total = self.meta.num_planes as i32;
         let k = planes.len();
         let exponents = &self.meta.exponents;
-        let nblocks = exponents.len();
-        let mut words = vec![0u64; nblocks * blen];
-        let mut cursors = vec![0usize; k];
+        let mut cursors = cursors.map_or_else(|| vec![0usize; k], <[usize]>::to_vec);
         let group = 64 / blen; // blen ∈ {4, 16, 64}
         let mut tile = [0u64; 64];
-        let mut b0 = 0usize;
-        while b0 < nblocks {
-            let gend = (b0 + group).min(nblocks);
+        let mut b0 = blocks.start;
+        while b0 < blocks.end {
+            let gend = (b0 + group).min(blocks.end);
             if exponents[b0..gend].iter().all(|&e| e == EMPTY) {
                 b0 = gend; // all-zero region: no digits anywhere
                 continue;
@@ -833,11 +936,45 @@ impl ZfpCursor {
             // tile[g·blen + s] now holds the digit word of block b0+g,
             // coefficient s
             for (g, b) in (b0..gend).enumerate() {
-                words[b * blen..(b + 1) * blen].copy_from_slice(&tile[g * blen..(g + 1) * blen]);
+                emit(b, &tile[g * blen..(g + 1) * blen]);
             }
             b0 = gend;
         }
-        words
+    }
+
+    /// Each slab's starting bit cursor in each of the first `k` planes:
+    /// `blen` bits for every block before the slab's first (`starts[s]`)
+    /// that takes part in the plane.
+    fn slab_cursors(&self, starts: &[usize], k: usize) -> Vec<Vec<usize>> {
+        let blen = self.grid.block_len();
+        let exponents = &self.meta.exponents;
+        let reach = self.meta.coeff_bits as i32 - 1;
+        let top = k.min(self.meta.num_planes as usize) as i32;
+        let mut running = vec![0usize; k];
+        let mut diff = vec![0i64; k + 1];
+        let mut out = Vec::with_capacity(starts.len());
+        for (s, &start) in starts.iter().enumerate() {
+            out.push(running.clone());
+            let end = starts.get(s + 1).copied().unwrap_or(exponents.len());
+            diff.fill(0);
+            for &e in &exponents[start..end] {
+                if e == EMPTY {
+                    continue;
+                }
+                let base = self.meta.a_max - (e - Q);
+                let (lo, hi) = ((base - reach).max(0), base.min(top - 1));
+                if lo <= hi {
+                    diff[lo as usize] += 1;
+                    diff[hi as usize + 1] -= 1;
+                }
+            }
+            let mut acc = 0i64;
+            for (run, d) in running.iter_mut().zip(&diff) {
+                acc += d;
+                *run += acc as usize * blen;
+            }
+        }
+        out
     }
 
     /// Reconstructs the data representation from the planes consumed so far.
@@ -847,36 +984,66 @@ impl ZfpCursor {
         out
     }
 
-    /// [`ZfpCursor::reconstruct`] into a caller-provided (pooled) buffer,
-    /// decoding blocks serially on the calling thread. `workers` is
-    /// ignored: parallelism lives across fields (one field's rebuild per
-    /// thread), and the argument stays only because the `benchmark`
-    /// package's replay still passes it.
+    /// [`ZfpCursor::reconstruct`] into a caller-provided (pooled) buffer, on
+    /// the calling thread alone. `workers` is ignored; it stays because the
+    /// `benchmark` package's replay passes it, and that replay times the
+    /// serial rebuild.
     pub fn reconstruct_into(&self, out: &mut Vec<f64>, _workers: usize) {
-        let words = self.digit_words_cow();
-        out.clear();
-        out.resize(self.grid.num_elements(), 0.0);
-        let blen = self.grid.block_len();
-        let mut iblk = vec![0i64; blen];
-        let mut fblk = vec![0.0f64; blen];
-        for b in 0..self.meta.exponents.len() {
-            if self.decode_block(&words, b, &mut iblk, &mut fblk) {
-                self.grid.scatter(out, b, &fblk);
-            }
-        }
+        self.reconstruct_with(out, &Crew::solo());
     }
 
-    /// Decodes one block of the block-major digit `words` into `fblk`
-    /// (length `block_len`), using `iblk` as integer scratch. Returns
-    /// `false` (leaving `fblk` untouched) for all-zero blocks.
-    fn decode_block(&self, words: &[u64], b: usize, iblk: &mut [i64], fblk: &mut [f64]) -> bool {
+    /// [`ZfpCursor::reconstruct_into`] one slab of whole outer block rows
+    /// at a time: each slab regroups its blocks' digits, decodes them and
+    /// writes them straight into its own disjoint part of `out`, so no
+    /// full-size digit array is built, and `crew` may hire helpers to take
+    /// slabs. Every element is written by exactly one slab, so the result
+    /// is the same bits whoever decodes which slab.
+    pub fn reconstruct_with(&self, out: &mut Vec<f64>, crew: &Crew) {
+        let n = self.grid.num_elements();
+        if n == 0 {
+            out.clear();
+            return;
+        }
+        out.resize(n, 0.0);
+        let row_elements = SIDE * self.grid.dims[1..].iter().product::<usize>();
+        let rows = SLAB_ELEMENTS.div_ceil(row_elements);
+        let slab_elements = rows * row_elements;
+        let row_blocks: usize = self.grid.blocks[1..].iter().product();
+        let starts: Vec<usize> = (0..self.grid.blocks[0])
+            .step_by(rows)
+            .map(|r| r * row_blocks)
+            .collect();
+        let cursors = match &self.state {
+            DecodeState::Words { planes } => self.slab_cursors(&starts, planes.len()),
+            DecodeState::Scalar { .. } => Vec::new(),
+        };
+        let nblocks = self.meta.exponents.len();
+        let blen = self.grid.block_len();
+        let cost = slab_elements as u64 * REBUILD_NS_PER_ELEMENT;
+        crew.each(out.chunks_mut(slab_elements).collect(), cost, |s, slab| {
+            slab.fill(0.0);
+            let blocks = starts[s]..starts.get(s + 1).copied().unwrap_or(nblocks);
+            let offset = s * slab_elements;
+            let mut iblk = vec![0i64; blen];
+            let mut fblk = vec![0.0f64; blen];
+            self.for_each_block(blocks, cursors.get(s).map(Vec::as_slice), |b, digits| {
+                if self.decode_block(digits, b, &mut iblk, &mut fblk) {
+                    self.grid.scatter_at(slab, offset, b, &fblk);
+                }
+            });
+        });
+    }
+
+    /// Decodes block `b` from its `block_len` negabinary `digits` into
+    /// `fblk`, using `iblk` as integer scratch. Returns `false` (leaving
+    /// `fblk` untouched) for all-zero blocks.
+    fn decode_block(&self, digits: &[u64], b: usize, iblk: &mut [i64], fblk: &mut [f64]) -> bool {
         let e = self.meta.exponents[b];
         if e == EMPTY {
             return false;
         }
-        let blen = self.grid.block_len();
         let nd = self.grid.ndims();
-        for (c, &w) in iblk.iter_mut().zip(&words[b * blen..(b + 1) * blen]) {
+        for (c, &w) in iblk.iter_mut().zip(digits) {
             *c = negabinary::decode(w);
         }
         transform::inverse(iblk, nd);
@@ -894,7 +1061,7 @@ impl ZfpCursor {
         let blen = self.grid.block_len();
         let mut iblk = vec![0i64; blen];
         let mut fblk = vec![0.0f64; blen];
-        if self.decode_block(words, b, &mut iblk, &mut fblk) {
+        if self.decode_block(&words[b * blen..(b + 1) * blen], b, &mut iblk, &mut fblk) {
             self.grid.scatter(out, b, &fblk);
         }
     }
@@ -1193,6 +1360,48 @@ mod tests {
                     assert_eq!(out, expect, "dims {dims:?} plane {p} pooled");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn slab_rebuild_matches_the_whole_array_decode() {
+        // several slabs per array: 1-D runs of 16 Ki elements, 2-D and 3-D
+        // slabs of whole outer block rows, extents not multiples of 4
+        for dims in [vec![70_001usize], vec![301, 250], vec![70, 30, 29]] {
+            let n: usize = dims.iter().product();
+            let data = field(n);
+            let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
+            let lo = vec![0usize; dims.len()];
+            let mut cw = ZfpCursor::new(stream.meta());
+            let mut cs = ZfpCursor::new_scalar(stream.meta());
+            let decoder = cw.plane_decoder();
+            for (p, plane) in stream.plane_payloads().enumerate() {
+                // decoded on another thread, applied here
+                let decoded = std::thread::scope(|s| {
+                    s.spawn(|| decoder.decode(p as u32, plane)).join().unwrap()
+                });
+                cw.apply_plane(decoded.unwrap()).unwrap();
+                cs.push_plane(plane).unwrap();
+                if p % 9 != 4 && p + 1 != stream.num_planes() {
+                    continue;
+                }
+                // the whole array's digit words, decoded block by block
+                let oracle = cw.reconstruct_region(&lo, &dims).unwrap();
+                for cursor in [&cw, &cs] {
+                    let mut solo = vec![f64::NAN; 3];
+                    cursor.reconstruct_into(&mut solo, 1);
+                    assert_eq!(solo, oracle, "dims {dims:?} plane {p}");
+                    let crew = Crew::with_spare(2);
+                    let mut helped = vec![f64::NAN; n + 5];
+                    cursor.reconstruct_with(&mut helped, &crew);
+                    assert_eq!(helped, oracle, "dims {dims:?} plane {p} helped");
+                    assert!(crew.peak() <= 2, "{}", crew.peak());
+                }
+            }
+            // a plane out of order is refused and changes nothing
+            let again = decoder.decode(0, stream.plane(0).unwrap()).unwrap();
+            assert!(cw.apply_plane(again).is_err());
+            assert!(decoder.decode(stream.num_planes() as u32, &[]).is_err());
         }
     }
 
