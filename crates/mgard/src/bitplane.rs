@@ -350,11 +350,6 @@ impl PlaneDecoder {
             }
         }))
     }
-
-    /// Coefficients of the level: the bits one plane carries.
-    pub fn count(&self) -> usize {
-        self.count
-    }
 }
 
 impl LevelDecoder {

@@ -136,10 +136,6 @@ pub(crate) enum Decoded {
 pub(crate) trait Decode: Send + Sync {
     /// Decodes fragment `index` from its bytes.
     fn decode(&self, index: u32, bytes: &[u8]) -> Result<Decoded>;
-
-    /// Estimated nanoseconds [`Decode::decode`] spends on fragment
-    /// `index`, for the crew's helper gate.
-    fn cost(&self, index: u32) -> u64;
 }
 
 /// The decode state of one field under one representation. Fragment indices
@@ -203,12 +199,6 @@ fn foreign(index: u32) -> PqrError {
     ))
 }
 
-// Decode speeds for the crew's helper gate, measured on one thread of a
-// 2-CPU x86-64 box: ~4.5 ns per value of an SZ snapshot (Huffman, zero-RLE,
-// interpolation walk), ~3 bits per ns of an RLE'd PMGARD or ZFP plane.
-const SZ_NS_PER_VALUE: u64 = 4;
-const PLANE_BITS_PER_NS: u64 = 3;
-
 // ---------------------------------------------------------------------------
 // Snapshot ladders (PSZ3, PSZ3-delta)
 // ---------------------------------------------------------------------------
@@ -247,10 +237,6 @@ impl Decode for Snapshots {
             )));
         }
         Ok(Decoded::Values(part))
-    }
-
-    fn cost(&self, _index: u32) -> u64 {
-        self.n as u64 * SZ_NS_PER_VALUE
     }
 }
 
@@ -335,11 +321,6 @@ impl Decode for LevelPlanes {
         let level = self.level(index)?;
         Ok(Decoded::Level(self.planes[level].decode(bytes)?))
     }
-
-    fn cost(&self, index: u32) -> u64 {
-        self.level(index)
-            .map_or(0, |l| self.planes[l].count() as u64 / PLANE_BITS_PER_NS)
-    }
 }
 
 impl Backend for Multilevel {
@@ -398,12 +379,6 @@ impl Decode for DigitPlanes {
     fn decode(&self, index: u32, bytes: &[u8]) -> Result<Decoded> {
         let plane = index.checked_sub(1).ok_or_else(|| out_of_order(index))?;
         Ok(Decoded::Digits(self.0.decode(plane, bytes)?))
-    }
-
-    fn cost(&self, index: u32) -> u64 {
-        index
-            .checked_sub(1)
-            .map_or(0, |p| self.0.plane_bits(p) as u64 / PLANE_BITS_PER_NS)
     }
 }
 

@@ -663,7 +663,10 @@ impl FieldReader {
     /// a reader never certifies a reconstruction its marker has moved past.
     /// A row whose fetch failed is not counted; one fetched but refused by
     /// its decode is, as the bytes did move; rows after it are neither
-    /// applied nor counted, whatever a helper fetched for them.
+    /// applied nor counted, whatever a helper fetched for them. The
+    /// source's own [`fragstore::SourceStats`] do count those: up to one
+    /// row past the failure per thread of the crew, as each thread fetches
+    /// at most one row ahead of the applies.
     fn consume(&mut self, rows: Range<usize>, mut batch: Batch, crew: &Crew) -> Result<bool> {
         let first = rows.start;
         let indices: Vec<u32> = rows.map(|row| self.table.fragment(row)).collect();
@@ -683,7 +686,7 @@ impl FieldReader {
         let mut adopted = false;
         let applied = crew.ordered(
             indices.len(),
-            |u| decoder.cost(indices[u]),
+            self.held.recon.len(),
             decode,
             |u, fetched| {
                 let (len, decoded) = fetched?;

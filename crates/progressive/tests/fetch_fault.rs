@@ -17,6 +17,7 @@ use pqr_progressive::refactored::{FieldReader, Scheme};
 use pqr_progressive::store::{FieldSnapshot, ProgressStore};
 use pqr_qoi::QoiExpr;
 use pqr_util::error::{PqrError, Result};
+use pqr_util::par::HELP_MIN_ELEMENTS;
 use pqr_util::stats::max_abs_diff;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -271,15 +272,19 @@ impl FragmentSource for OneBad {
     }
 }
 
+/// Elements of each field of [`three_field_bytes`]: the least a crew
+/// hires helpers for.
+const HELPED: usize = HELP_MIN_ELEMENTS;
+
 /// Three fields; the request holds `x` and `y` loose and `z` tight, so a
 /// round's `z` starts after one of the others and inherits the thread that
 /// finishes the other: its tight front is the one a crew helps.
 fn three_field_bytes(scheme: Scheme) -> Vec<u8> {
-    let mut ds = Dataset::new(&[N * 8]);
+    let mut ds = Dataset::new(&[HELPED]);
     for (c, name) in ["x", "y", "z"].into_iter().enumerate() {
-        let f = (0..N * 8)
+        let f = (0..HELPED)
             .map(|i| {
-                let x = (i + c * 977) as f64 / (N * 8) as f64;
+                let x = (i + c * 977) as f64 / HELPED as f64;
                 (x * 7.0).sin() * 3.0 + (x * 23.0).cos() * 0.4 + x
             })
             .collect();
@@ -339,11 +344,12 @@ fn a_helped_round_fails_exactly_where_a_solo_round_does() {
                 let mut engine = RetrievalEngine::with_store(Arc::clone(&store), cfg).unwrap();
                 let plan = RetrievalPlan::resolve(&engine, specs(), None).unwrap();
                 assert!(engine.execute(&plan).is_err(), "{name}: fault must surface");
+                let moved = source.stats();
                 if scheme == Scheme::Psz3Delta {
                     // no decoded residual outlives the fault: each field
                     // holds its reconstruction (N·8 bytes) and its snapshot
                     // header, nothing beside them
-                    let field = size_of::<FieldSnapshot>() + N * 8 * 8;
+                    let field = size_of::<FieldSnapshot>() + HELPED * 8;
                     assert_eq!(store.resident_bytes(), 3 * field as u64, "{name}");
                 }
                 let manifest = source.manifest().unwrap();
@@ -366,20 +372,36 @@ fn a_helped_round_fails_exactly_where_a_solo_round_does() {
                     })
                     .collect();
                 (
-                    fields,
-                    engine.total_fetched(),
-                    engine.fragments_decoded(),
-                    store.resident_bytes(),
+                    (
+                        fields,
+                        engine.total_fetched(),
+                        engine.fragments_decoded(),
+                        store.resident_bytes(),
+                    ),
+                    moved,
                 )
             };
-            let solo = run(1);
+            let (solo, solo_moved) = run(1);
             assert!(
                 solo.0[2].1.consumed < front.len() as u32,
                 "{name}: the fault stopped nothing"
             );
+            let (helped, helped_moved) = run(2);
             assert!(
-                run(2) == solo,
+                helped == solo,
                 "{name} corrupt={corrupt}: helped differs from solo"
+            );
+            // the source saw what the solo round fetched, and at most one
+            // row past the fault per thread of the round (each fetches one
+            // row ahead of the field's own at most); what the engine counts
+            // is the solo round's alone (above)
+            assert!(
+                (solo_moved.fetches..=solo_moved.fetches + 2).contains(&helped_moved.fetches),
+                "{name} corrupt={corrupt}: {solo_moved:?} solo, {helped_moved:?} helped"
+            );
+            assert!(
+                helped_moved.fetched_bytes >= solo_moved.fetched_bytes,
+                "{name} corrupt={corrupt}"
             );
         }
     }

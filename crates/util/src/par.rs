@@ -39,11 +39,14 @@ pub fn worker_count() -> usize {
 /// thread spawn cost for pointwise scans.
 const PAR_THRESHOLD: usize = 4096;
 
-/// Least work, in nanoseconds of one thread's time, that a refining field
-/// must have left before it hires a helper into a free slot: a scoped spawn
-/// costs about 35 µs, and a helper that cannot take a few times that back
-/// only adds a thread.
-const HELP_THRESHOLD_NS: u64 = 100_000;
+/// Least element count of a refining field that hires helpers into free
+/// slots. Its units grow with it: an SZ rung decodes every value, a PZFP
+/// plane carries up to a bit per element, a PMGARD plane a bit per
+/// coefficient of its level (the finest level holds most of them), and a
+/// rebuild slab is a fixed share of the field. A full plane of a field
+/// this size RLE-decodes in about 40 µs on one thread, so two such units
+/// repay a scoped spawn of about 35 µs; a smaller field refines alone.
+pub const HELP_MIN_ELEMENTS: usize = 1 << 17;
 
 /// Runs `run` on every share and returns the results in share order: one
 /// spawned thread per share after the first, which the calling thread takes
@@ -197,8 +200,9 @@ where
 /// claims whole items — fields — until none is left. A thread that finds
 /// none gives its slot back; a field still refining hires a scoped helper
 /// into a free slot at its next unit boundary ([`Crew::ordered`],
-/// [`Crew::each`]), when the work it has left repays the spawn
-/// (`HELP_THRESHOLD_NS`). So a round never runs more threads than it
+/// [`Crew::each`]), when at least two units nobody claimed are left and
+/// the field is large enough to repay the spawn (`HELP_MIN_ELEMENTS`).
+/// So a round never runs more threads than it
 /// started, a slot never outlives its round, and nothing is spawned while
 /// every thread is busy: a crew only lends threads the round already has,
 /// and a round over a single field runs on one.
@@ -210,6 +214,8 @@ pub struct Crew {
     /// Threads of the round running now, and the most at once.
     running: AtomicUsize,
     peak: AtomicUsize,
+    /// Least element count of a field that hires helpers.
+    min_elements: usize,
 }
 
 impl Crew {
@@ -220,6 +226,7 @@ impl Crew {
             free: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            min_elements: HELP_MIN_ELEMENTS,
         }
     }
 
@@ -228,13 +235,17 @@ impl Crew {
         Self::new(1)
     }
 
-    /// A one-thread crew that lends `spare` slots from the start, so every
-    /// item it runs hires helpers at its first unit boundary. For tests
-    /// that force the helped path: its results must equal a solo crew's.
+    /// A one-thread crew that lends `spare` slots from the start, to
+    /// fields of any size, so every item it runs hires helpers at its first
+    /// unit boundary that leaves two units unclaimed. For tests that force
+    /// the helped path on small fields: its results must equal a solo
+    /// crew's.
     pub fn with_spare(spare: usize) -> Self {
-        let crew = Self::new(1);
-        crew.free.store(spare, Ordering::Relaxed);
-        crew
+        Self {
+            free: AtomicUsize::new(spare),
+            min_elements: 0,
+            ..Self::new(1)
+        }
     }
 
     /// The most threads of this crew that ran at once: the round's own,
@@ -303,15 +314,21 @@ impl Crew {
         pairs.into_iter().map(|(_, v)| v).collect()
     }
 
-    /// Hires a helper running `help` into `scope` when a slot is free and
-    /// `left` nanoseconds of work repay the spawn.
+    /// Hires a helper running `help` into `scope` when a slot is free, at
+    /// least two units are `unclaimed`, and the field has `elements` enough
+    /// to repay the spawn.
     fn maybe_help<'scope>(
         &'scope self,
         scope: &'scope std::thread::Scope<'scope, '_>,
-        left: u64,
+        unclaimed: usize,
+        elements: usize,
         help: impl FnOnce() + Send + 'scope,
     ) {
-        if left >= HELP_THRESHOLD_NS && self.free.load(Ordering::Relaxed) > 0 && self.hire() {
+        if unclaimed >= 2
+            && elements >= self.min_elements
+            && self.free.load(Ordering::Relaxed) > 0
+            && self.hire()
+        {
             scope.spawn(move || {
                 help();
                 self.leave();
@@ -321,31 +338,31 @@ impl Crew {
 
     /// Runs `apply(i, decode(i))` for every unit `i` of `0..units`, in
     /// order, on the calling thread, and stops at the first error `apply`
-    /// returns. `decode` is a pure function of `i`, each an estimated
-    /// `cost(i)` nanoseconds: at each unit boundary the caller hires
-    /// helpers into free slots while the units nobody claimed yet repay a
-    /// spawn, and they run `decode` on units ahead of it. Every thread
-    /// holds at most one decoded unit that is not applied yet, and a unit's
-    /// result is applied exactly once, whoever decoded it, so the outcome
-    /// is the serial loop's.
-    pub fn ordered<D, C, F, A>(&self, units: usize, cost: C, decode: F, mut apply: A) -> Result<()>
+    /// returns. `decode` is a pure function of `i`: at each unit boundary
+    /// of a field of `elements` elements, the caller hires helpers into
+    /// free slots (see [`Crew`]), and they run `decode` on units ahead of
+    /// it. Every thread holds at most one decoded unit that is not applied
+    /// yet, and a unit's result is applied exactly once, whoever decoded
+    /// it, so the outcome is the serial loop's. Only which units were
+    /// decoded differs: when `apply` stops early, each thread may have
+    /// decoded one unit past it.
+    pub fn ordered<D, F, A>(
+        &self,
+        units: usize,
+        elements: usize,
+        decode: F,
+        mut apply: A,
+    ) -> Result<()>
     where
         D: Send,
-        C: Fn(usize) -> u64,
         F: Fn(usize) -> D + Sync,
         A: FnMut(usize, D) -> Result<()>,
     {
-        // work[i]: the estimated cost of units i..
-        let mut work = vec![0u64; units + 1];
-        for i in (0..units).rev() {
-            work[i] = work[i + 1] + cost(i);
-        }
         let line = Line {
             state: Mutex::new(LineState {
                 next: 0,
                 ready: (0..units).map(|_| None).collect(),
                 stop: false,
-                sleeping: 0,
             }),
             turn: Condvar::new(),
         };
@@ -356,9 +373,9 @@ impl Crew {
             let mut own: Option<(usize, D)> = None;
             let mut out = Ok(());
             for i in 0..units {
-                if i + 1 < units && self.free.load(Ordering::Relaxed) > 0 {
-                    let next = line.lock().next.max(i + 1);
-                    self.maybe_help(s, work[next], move || line.help(decode));
+                if self.free.load(Ordering::Relaxed) > 0 {
+                    let unclaimed = units - line.lock().next.max(i);
+                    self.maybe_help(s, unclaimed, elements, move || line.help(decode));
                 }
                 let decoded = match own.take() {
                     Some((j, d)) if j == i => d,
@@ -372,19 +389,17 @@ impl Crew {
                     break;
                 }
             }
-            let mut st = line.lock();
-            st.stop = true;
-            line.signal(&st);
-            drop(st);
+            line.lock().stop = true;
+            line.turn.notify_all();
             out
         })
     }
 
-    /// Runs `work(i, item)` once for every item of `items`, in any order
-    /// and on any thread: the calling thread takes them in turn, and at
-    /// each item boundary hires helpers into free slots while the items
-    /// left, each an estimated `cost` nanoseconds, repay the spawn.
-    pub fn each<T, F>(&self, items: Vec<T>, cost: u64, work: F)
+    /// Runs `work(i, item)` once for every item of `items`, parts of a
+    /// field of `elements` elements, in any order and on any thread: the
+    /// calling thread takes them in turn, and at each item boundary hires
+    /// helpers into free slots (see [`Crew`]).
+    pub fn each<T, F>(&self, items: Vec<T>, elements: usize, work: F)
     where
         T: Send,
         F: Fn(usize, T) + Sync,
@@ -399,8 +414,9 @@ impl Crew {
         let (take, dispenser) = (&take, &dispenser);
         std::thread::scope(|s| {
             while let Some(i) = dispenser.claim() {
-                let left = (len - dispenser.next.load(Ordering::Relaxed).min(len)) as u64;
-                self.maybe_help(s, left * cost, move || {
+                // this item and the ones nobody claimed yet
+                let unclaimed = len.saturating_sub(dispenser.next.load(Ordering::Relaxed)) + 1;
+                self.maybe_help(s, unclaimed, elements, move || {
                     while let Some(j) = dispenser.claim() {
                         take(j);
                     }
@@ -423,48 +439,11 @@ struct LineState<D> {
     next: usize,
     ready: Vec<Option<D>>,
     stop: bool,
-    /// Threads asleep on `turn`: a hand-over signals only when one is, as
-    /// a spinning thread sees it at its next look.
-    sleeping: usize,
 }
-
-/// How long a thread of [`Crew::ordered`] spins for a unit to be handed
-/// over before it sleeps: units of a few tens of microseconds are handed
-/// over faster than a sleeping thread is woken.
-const SPIN: std::time::Duration = std::time::Duration::from_micros(50);
 
 impl<D> Line<D> {
     fn lock(&self) -> std::sync::MutexGuard<'_, LineState<D>> {
         self.state.lock().expect("line poisoned")
-    }
-
-    /// Wakes the threads asleep on the line, if any.
-    fn signal(&self, st: &LineState<D>) {
-        if st.sleeping > 0 {
-            self.turn.notify_all();
-        }
-    }
-
-    /// Lets the line move on while the caller of a wait that began at
-    /// `since` holds nothing: spins with the lock released for the first
-    /// [`SPIN`], then sleeps until signalled.
-    fn pause<'a>(
-        &'a self,
-        mut st: std::sync::MutexGuard<'a, LineState<D>>,
-        since: std::time::Instant,
-    ) -> std::sync::MutexGuard<'a, LineState<D>> {
-        if since.elapsed() < SPIN {
-            drop(st);
-            for _ in 0..64 {
-                std::hint::spin_loop();
-            }
-            self.lock()
-        } else {
-            st.sleeping += 1;
-            let mut st = self.turn.wait(st).expect("line poisoned");
-            st.sleeping -= 1;
-            st
-        }
     }
 
     /// The caller's unit `i`: decoded here if nobody claimed it yet, else
@@ -478,10 +457,9 @@ impl<D> Line<D> {
             drop(st);
             return decode(i);
         }
-        let mut since = std::time::Instant::now();
         loop {
             if let Some(d) = st.ready[i].take() {
-                self.signal(&st);
+                self.turn.notify_all();
                 return d;
             }
             if own.is_none() && st.next < st.ready.len() {
@@ -490,10 +468,9 @@ impl<D> Line<D> {
                 drop(st);
                 *own = Some((j, decode(j)));
                 st = self.lock();
-                since = std::time::Instant::now();
                 continue;
             }
-            st = self.pause(st, since);
+            st = self.turn.wait(st).expect("line poisoned");
         }
     }
 
@@ -512,10 +489,9 @@ impl<D> Line<D> {
             let decoded = decode(j);
             let mut st = self.lock();
             st.ready[j] = Some(decoded);
-            self.signal(&st);
-            let since = std::time::Instant::now();
+            self.turn.notify_all();
             while st.ready[j].is_some() && !st.stop {
-                st = self.pause(st, since);
+                st = self.turn.wait(st).expect("line poisoned");
             }
             if st.stop {
                 return;
@@ -743,7 +719,7 @@ mod tests {
             let mut applied = Vec::new();
             crew.ordered(
                 12,
-                |_| HELP_THRESHOLD_NS,
+                HELP_MIN_ELEMENTS,
                 |i| {
                     decoders.lock().unwrap().push(current().id());
                     if i == 0 && spare > 0 {
@@ -780,7 +756,7 @@ mod tests {
             let mut applied = Vec::new();
             let out = crew.ordered(
                 10,
-                |_| HELP_THRESHOLD_NS,
+                HELP_MIN_ELEMENTS,
                 |i| busy(i, 50_000),
                 |i, _| {
                     if i == 4 {
@@ -797,12 +773,12 @@ mod tests {
     }
 
     #[test]
-    fn helpers_need_free_slots_and_work_that_repays_them() {
+    fn helpers_need_free_slots_two_units_and_a_large_field() {
         use std::thread::current;
         let caller = current().id();
-        let run = |crew: &Crew, cost: u64| {
+        let run = |crew: &Crew, items: usize, elements: usize| {
             let threads = Mutex::new(Vec::new());
-            crew.each((0..16).collect(), cost, |k, i: usize| {
+            crew.each((0..items).collect(), elements, |k, i: usize| {
                 threads.lock().unwrap().push(current().id());
                 if k == 0 && crew.running.load(Ordering::Relaxed) > 1 {
                     helper_seen(&threads, caller);
@@ -815,14 +791,27 @@ mod tests {
                 .into_iter()
                 .collect::<std::collections::HashSet<_>>()
         };
-        // no free slot: the caller alone, however much work is left
-        assert_eq!(run(&Crew::solo(), u64::MAX / 64), [caller].into());
-        // free slots, but units too small to repay a spawn
-        assert_eq!(run(&Crew::with_spare(2), 1), [caller].into());
+        // no free slot: the caller alone, however large the field
+        assert_eq!(run(&Crew::solo(), 16, usize::MAX), [caller].into());
+        // a round's crew with two slots given back
+        let lending = || Crew {
+            free: AtomicUsize::new(2),
+            ..Crew::new(3)
+        };
+        // free slots, but a field too small to repay a spawn
+        assert_eq!(run(&lending(), 16, HELP_MIN_ELEMENTS - 1), [caller].into());
+        // free slots, but one unit: nothing for a helper to take
+        assert_eq!(run(&lending(), 1, HELP_MIN_ELEMENTS), [caller].into());
+        assert_eq!(run(&Crew::with_spare(2), 1, 0), [caller].into());
+        for crew in [lending(), Crew::with_spare(2)] {
+            crew.enter();
+            assert!(run(&crew, 16, HELP_MIN_ELEMENTS).len() > 1);
+            assert!(crew.peak() <= 3);
+        }
+        // the test crew hires for fields of any size
         let crew = Crew::with_spare(2);
         crew.enter();
-        assert!(run(&crew, HELP_THRESHOLD_NS).len() > 1);
-        assert!(crew.peak() <= 3);
+        assert!(run(&crew, 16, 1).len() > 1);
     }
 
     #[test]

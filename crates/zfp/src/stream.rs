@@ -280,6 +280,18 @@ struct PlaneGeometry {
     p_total: u32,
 }
 
+impl PlaneGeometry {
+    /// The geometry of a decoded stream.
+    fn of(meta: &ZfpMeta) -> Self {
+        Self {
+            blen: SIDE.pow(meta.dims.len() as u32),
+            coeff_bits: meta.coeff_bits,
+            a_max: meta.a_max,
+            p_total: meta.num_planes,
+        }
+    }
+}
+
 /// The scalar reference plane regrouping: one coefficient bit per step.
 /// Kept callable so tests and benches can assert/measure the word-parallel
 /// path against it.
@@ -660,14 +672,6 @@ impl PlaneDecoder {
         };
         Ok(DecodedPlane { index, body })
     }
-
-    /// Bits plane `index` carries: one per coefficient of each block taking
-    /// part in it (0 past the last plane).
-    pub fn plane_bits(&self, index: u32) -> usize {
-        self.participants
-            .get(index as usize)
-            .map_or(0, |&p| p * self.blen)
-    }
 }
 
 /// Per-plane participating-block counts over `0..p_total`: block `b`
@@ -702,10 +706,6 @@ fn plane_participants(exponents: &[i32], geom: &PlaneGeometry) -> Vec<usize> {
 /// of them that a slab's cursor bookkeeping stays small beside its decode.
 const SLAB_ELEMENTS: usize = 16 * 1024;
 
-/// Estimated nanoseconds a rebuild spends per element (regroup, inverse
-/// transform, scatter), for the helper gate of [`Crew::each`].
-const REBUILD_NS_PER_ELEMENT: u64 = 12;
-
 impl ZfpCursor {
     /// Creates a cursor at zero consumed planes, using the word-parallel
     /// plane decode (scalar under `PQR_SCALAR_KERNELS=1`).
@@ -722,16 +722,10 @@ impl ZfpCursor {
 
     fn with_mode(meta: ZfpMeta, scalar: bool) -> Self {
         let grid = BlockGrid::new(&meta.dims);
-        let geom = PlaneGeometry {
-            blen: grid.block_len(),
-            coeff_bits: meta.coeff_bits,
-            a_max: meta.a_max,
-            p_total: meta.num_planes,
-        };
         let decoder = PlaneDecoder {
             scalar,
             blen: grid.block_len(),
-            participants: plane_participants(&meta.exponents, &geom).into(),
+            participants: plane_participants(&meta.exponents, &PlaneGeometry::of(&meta)).into(),
         };
         let state = if scalar {
             DecodeState::Scalar {
@@ -946,32 +940,16 @@ impl ZfpCursor {
     /// `blen` bits for every block before the slab's first (`starts[s]`)
     /// that takes part in the plane.
     fn slab_cursors(&self, starts: &[usize], k: usize) -> Vec<Vec<usize>> {
-        let blen = self.grid.block_len();
+        let geom = PlaneGeometry::of(&self.meta);
         let exponents = &self.meta.exponents;
-        let reach = self.meta.coeff_bits as i32 - 1;
-        let top = k.min(self.meta.num_planes as usize) as i32;
         let mut running = vec![0usize; k];
-        let mut diff = vec![0i64; k + 1];
         let mut out = Vec::with_capacity(starts.len());
         for (s, &start) in starts.iter().enumerate() {
             out.push(running.clone());
             let end = starts.get(s + 1).copied().unwrap_or(exponents.len());
-            diff.fill(0);
-            for &e in &exponents[start..end] {
-                if e == EMPTY {
-                    continue;
-                }
-                let base = self.meta.a_max - (e - Q);
-                let (lo, hi) = ((base - reach).max(0), base.min(top - 1));
-                if lo <= hi {
-                    diff[lo as usize] += 1;
-                    diff[hi as usize + 1] -= 1;
-                }
-            }
-            let mut acc = 0i64;
-            for (run, d) in running.iter_mut().zip(&diff) {
-                acc += d;
-                *run += acc as usize * blen;
+            let participants = plane_participants(&exponents[start..end], &geom);
+            for (run, p) in running.iter_mut().zip(participants) {
+                *run += p * geom.blen;
             }
         }
         out
@@ -1019,8 +997,7 @@ impl ZfpCursor {
         };
         let nblocks = self.meta.exponents.len();
         let blen = self.grid.block_len();
-        let cost = slab_elements as u64 * REBUILD_NS_PER_ELEMENT;
-        crew.each(out.chunks_mut(slab_elements).collect(), cost, |s, slab| {
+        crew.each(out.chunks_mut(slab_elements).collect(), n, |s, slab| {
             slab.fill(0.0);
             let blocks = starts[s]..starts.get(s + 1).copied().unwrap_or(nblocks);
             let offset = s * slab_elements;
