@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
-use pqr_progressive::fragstore::{FileSource, FragmentSource, InMemorySource};
+use pqr_progressive::fragstore::{FileSource, FragmentSource};
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::library::velocity_magnitude;
 use std::sync::Arc;
@@ -37,15 +37,14 @@ fn bench_fragment_fetch(c: &mut Criterion) {
     let ds = dataset(30_000);
     let expr = velocity_magnitude(0, 3);
     let range = ds.qoi_range(&expr).unwrap();
-    let bytes = ds.refactor(Scheme::PmgardHb).unwrap().to_bytes();
+    let mem = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
     let spec = QoiSpec::with_range("VTOT", expr, 1e-3, range);
 
     let dir = std::env::temp_dir().join("pqr_fragment_fetch_bench");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("bench_{}.pqrx", std::process::id()));
-    std::fs::write(&path, &bytes).unwrap();
-
-    let mem = Arc::new(InMemorySource::new(bytes).unwrap());
+    mem.copy_to(&mut std::fs::File::create(&path).unwrap())
+        .unwrap();
     let file = Arc::new(FileSource::open(&path).unwrap());
 
     let mut g = c.benchmark_group("fragment_fetch");

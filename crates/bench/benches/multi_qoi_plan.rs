@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
-use pqr_progressive::fragstore::{FileSource, FragmentSource, InMemorySource};
+use pqr_progressive::fragstore::{FileSource, FragmentSource};
 use pqr_progressive::plan::RetrievalPlan;
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::library::{species_product, velocity_magnitude};
@@ -50,12 +50,12 @@ fn execute_plan(
 
 fn bench_multi_qoi_plan(c: &mut Criterion) {
     let ds = dataset(20_000);
-    let bytes = ds.refactor(Scheme::PmgardHb).unwrap().to_bytes();
+    let mem = std::sync::Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
     let dir = std::env::temp_dir().join("pqr_multi_qoi_plan_bench");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("bench_{}.pqrx", std::process::id()));
-    std::fs::write(&path, &bytes).unwrap();
-    let mem = std::sync::Arc::new(InMemorySource::new(bytes).unwrap());
+    mem.copy_to(&mut std::fs::File::create(&path).unwrap())
+        .unwrap();
     let file = std::sync::Arc::new(FileSource::open(&path).unwrap());
 
     let mut g = c.benchmark_group("multi_qoi_plan");

@@ -18,13 +18,15 @@ pub mod sections;
 use pqr_datagen::ge::{self, GeConfig};
 use pqr_datagen::{hurricane, nyx, s3d, RawDataset};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
-use pqr_progressive::field::{Dataset, RefactoredDataset};
+use pqr_progressive::field::Dataset;
+use pqr_progressive::fragstore::FragmentSource;
 use pqr_progressive::plan::PlanReport;
 use pqr_progressive::refactored::Scheme;
 use pqr_qoi::QoiExpr;
 use pqr_util::stats;
 use std::fmt::Display;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Scales a base element count by `scale`, never below one element: a
 /// zero extent would leave a stand-in empty.
@@ -95,16 +97,13 @@ pub fn qoi_tolerance_series() -> Vec<f64> {
     (0..=19).map(|i| 0.1 * (2.0f64).powi(-i)).collect()
 }
 
-/// Refactors a dataset under a scheme with the paper ladder, adding the
-/// zero mask over fields 0–2 (the velocity components, §V-A) when `masked`.
-pub fn refactor(ds: &Dataset, scheme: Scheme, masked: bool) -> RefactoredDataset {
-    let mut archive = ds
-        .refactor_with_bounds(scheme, &paper_ladder())
-        .expect("refactor");
-    if masked {
-        archive.set_mask(ds.zero_mask(&[0, 1, 2])).expect("mask");
-    }
-    archive
+/// Refactors a dataset under a scheme with the paper ladder into a
+/// container in memory, adding the zero mask over fields 0–2 (the velocity
+/// components, §V-A) when `masked`.
+pub fn refactor(ds: &Dataset, scheme: Scheme, masked: bool) -> Arc<dyn FragmentSource> {
+    let mask = masked.then_some(&[0, 1, 2][..]);
+    let archive = ds.refactor_in_memory(scheme, &paper_ladder(), mask, &[], 0);
+    Arc::new(archive.expect("refactor"))
 }
 
 /// The writer every section prints through: a table is a `# title` line
@@ -141,8 +140,8 @@ impl<'a> Tsv<'a> {
 }
 
 /// One request, answered by a fresh engine on `archive`.
-pub fn request(archive: &RefactoredDataset, cfg: EngineConfig, spec: QoiSpec) -> PlanReport {
-    let mut engine = RetrievalEngine::new(archive, cfg).expect("engine");
+pub fn request(archive: &Arc<dyn FragmentSource>, cfg: EngineConfig, spec: QoiSpec) -> PlanReport {
+    let mut engine = RetrievalEngine::from_source(Arc::clone(archive), cfg).expect("engine");
     engine.retrieve(&[spec]).expect("retrieve")
 }
 
@@ -176,12 +175,13 @@ pub fn qoi_sweep(
     t: &mut Tsv,
     label: &str,
     ds: &Dataset,
-    archive: &RefactoredDataset,
+    archive: &Arc<dyn FragmentSource>,
     expr: &QoiExpr,
 ) {
     let range = ds.qoi_range(expr).expect("QoI range");
     let truth = ds.qoi_values(expr);
-    let mut engine = RetrievalEngine::new(archive, EngineConfig::default()).expect("engine");
+    let cfg = EngineConfig::default();
+    let mut engine = RetrievalEngine::from_source(Arc::clone(archive), cfg).expect("engine");
     for tol in qoi_tolerance_series() {
         let spec = QoiSpec::with_range(label, expr.clone(), tol, range);
         let report = engine.retrieve(&[spec]).expect("retrieve");

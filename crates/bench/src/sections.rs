@@ -11,7 +11,7 @@ use pqr_datagen::s3d::{FIELD_NAMES, PRODUCT_PAIRS};
 use pqr_mgard::{Basis, MgardRefactorer};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
-use pqr_progressive::fragstore::{FileSource, FragmentSource, InMemorySource};
+use pqr_progressive::fragstore::{FileSource, FragmentSource};
 use pqr_progressive::refactored::{RefactoredField, Scheme};
 use pqr_qoi::bounds::{BoundConfig, Estimator, SqrtMode};
 use pqr_qoi::library::{species_product, velocity_magnitude};
@@ -234,9 +234,7 @@ fn fig9(t: &mut Tsv, scale: f64) {
                     ds.add_field(name, b.field(name).unwrap().to_vec()).unwrap();
                 }
                 ranges.push(ds.qoi_range(&vtot).unwrap());
-                let bytes = refactor(&ds, scheme, true).to_bytes();
-                Arc::new(InMemorySource::new(bytes).expect("block container"))
-                    as Arc<dyn FragmentSource>
+                refactor(&ds, scheme, true)
             })
             .collect();
         let cfg = PipelineConfig {
@@ -337,8 +335,7 @@ fn table4(t: &mut Tsv, scale: f64) {
     let mut archives = Vec::new();
     for scheme in [Scheme::PmgardHb, Scheme::Psz3, Scheme::Psz3Delta] {
         // refactor timing includes the ladder for snapshot schemes
-        let (mut archive, refactor_s) = time_it(|| refactor(&ds, scheme, false));
-        archive.set_mask(ds.zero_mask(&[0, 1, 2])).expect("mask");
+        let (archive, refactor_s) = time_it(|| refactor(&ds, scheme, true));
         let mut cells = Vec::new();
         for i in 1..=5 {
             let spec = spec(i);
@@ -367,7 +364,8 @@ fn table4(t: &mut Tsv, scale: f64) {
             scheme.name(),
             std::process::id()
         ));
-        std::fs::write(&path, archive.to_bytes()).expect("write archive");
+        let mut file = std::fs::File::create(&path).expect("create archive");
+        archive.copy_to(&mut file).expect("write archive");
         let archive_size = std::fs::metadata(&path).expect("stat").len();
         for i in 1..=5 {
             let source = Arc::new(FileSource::open(&path).expect("open"));
@@ -436,7 +434,7 @@ fn ablation(t: &mut Tsv, scale: f64) {
                 bound_config: *bc,
                 ..Default::default()
             };
-            let mut engine = RetrievalEngine::new(&archive, cfg).expect("engine");
+            let mut engine = RetrievalEngine::from_source(archive.clone(), cfg).expect("engine");
             let spec = QoiSpec::with_range(name, expr.clone(), 1e-4, qrange);
             let report = engine.retrieve(&[spec]).expect("retrieve");
             let actual = stats::max_abs_diff(&truth, &engine.qoi_values(&expr));
@@ -491,7 +489,8 @@ fn ablation(t: &mut Tsv, scale: f64) {
         .expect("field");
     let usq = QoiExpr::var(0).pow(2);
     let urange = zds.qoi_range(&usq).expect("range");
-    let zarchive = zds.refactor(Scheme::PmgardHb).expect("refactor");
+    let zarchive: Arc<dyn FragmentSource> =
+        Arc::new(zds.refactor(Scheme::PmgardHb).expect("refactor"));
     for (label, region) in [
         ("global", None),
         ("quiet half", Some(zone_ranges[0])),

@@ -26,7 +26,7 @@
 
 use crate::request::{RequestTarget, RetrievalRequest, ToleranceMode};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
-use pqr_progressive::field::{Dataset, RefactoredDataset};
+use pqr_progressive::field::Dataset;
 use pqr_progressive::fragstore::{
     FileSource, FragmentSource, InMemorySource, Manifest, SourceStats,
 };
@@ -37,7 +37,7 @@ use pqr_progressive::store::{ProgressStore, StoreStats};
 use pqr_qoi::QoiExpr;
 use pqr_util::error::{PqrError, Result};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Builder for [`Archive`]: fields + QoIs + representation choices.
@@ -108,33 +108,21 @@ impl ArchiveBuilder {
         self
     }
 
-    /// Refactors everything, computes QoI metadata, and serializes the
-    /// archive once into an in-memory container (the bytes
-    /// [`Archive::to_bytes`] returns).
+    /// Refactors everything, computes QoI metadata, and writes the archive
+    /// once into an in-memory container (the bytes [`Archive::to_bytes`]
+    /// returns).
     pub fn build(self) -> Result<Archive> {
-        let mut qoi_meta = BTreeMap::new();
-        for (name, expr) in &self.qois {
-            let range = self.dataset.qoi_range(expr)?;
-            qoi_meta.insert(name.clone(), (expr.clone(), range));
-        }
-        let mut refactored = self
-            .dataset
-            .refactor_with_bounds(self.scheme, &self.rel_bounds)?;
-        if let Some(names) = &self.mask_fields {
-            let idx: Vec<usize> = names
-                .iter()
-                .map(|n| {
-                    self.dataset.field_index(n).ok_or_else(|| {
-                        PqrError::InvalidRequest(format!("mask field '{n}' not found"))
-                    })
-                })
-                .collect::<Result<_>>()?;
-            refactored.set_mask(self.dataset.zero_mask(&idx))?;
-        }
-        let bytes = refactored.to_bytes_with_meta(&registry_to_bytes(&qoi_meta));
+        let (qois, mask) = self.registry_and_mask()?;
+        let source = self.dataset.refactor_in_memory(
+            self.scheme,
+            &self.rel_bounds,
+            mask.as_deref(),
+            &registry_to_bytes(&qois),
+            0,
+        )?;
         Ok(Archive {
-            source: Arc::new(InMemorySource::new(bytes)?),
-            qois: Arc::new(qoi_meta),
+            source: Arc::new(source),
+            qois: Arc::new(qois),
             engine: self.engine,
         })
     }
@@ -153,33 +141,37 @@ impl ArchiveBuilder {
         workers: usize,
         overlap_io: bool,
     ) -> Result<u64> {
-        let mut qoi_meta = BTreeMap::new();
-        for (name, expr) in &self.qois {
-            let range = self.dataset.qoi_range(expr)?;
-            qoi_meta.insert(name.clone(), (expr.clone(), range));
-        }
-        let mask_idx = match &self.mask_fields {
-            Some(names) => Some(
-                names
-                    .iter()
-                    .map(|n| {
-                        self.dataset.field_index(n).ok_or_else(|| {
-                            PqrError::InvalidRequest(format!("mask field '{n}' not found"))
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?,
-            ),
-            None => None,
-        };
+        let (qois, mask) = self.registry_and_mask()?;
         self.dataset.refactor_to_path(
             self.scheme,
             &self.rel_bounds,
-            mask_idx.as_deref(),
-            &registry_to_bytes(&qoi_meta),
+            mask.as_deref(),
+            &registry_to_bytes(&qois),
             path,
             workers,
             overlap_io,
         )
+    }
+
+    /// What both build paths store beside the fields: the QoI registry,
+    /// with each QoI's value range over the original data, and the mask's
+    /// field indices.
+    fn registry_and_mask(&self) -> Result<(QoiRegistry, Option<Vec<usize>>)> {
+        let mut qois = QoiRegistry::new();
+        for (name, expr) in &self.qois {
+            qois.insert(name.clone(), (expr.clone(), self.dataset.qoi_range(expr)?));
+        }
+        let index = |n: &String| {
+            self.dataset
+                .field_index(n)
+                .ok_or_else(|| PqrError::InvalidRequest(format!("mask field '{n}' not found")))
+        };
+        let mask = self
+            .mask_fields
+            .as_ref()
+            .map(|names| names.iter().map(index).collect::<Result<Vec<_>>>())
+            .transpose()?;
+        Ok((qois, mask))
     }
 }
 
@@ -313,37 +305,50 @@ impl Archive {
         Ok(QoiSpec::with_range(name, expr.clone(), tol_rel, *range))
     }
 
-    /// Serializes the whole archive into the fragment-addressed container
-    /// format: refactored fields, mask, and the QoI registry (expressions +
+    /// The archive's serialized container, copied as it is stored:
+    /// refactored fields, mask, and the QoI registry (expressions +
     /// refactor-time ranges) ride the manifest, so a lazily opened archive
     /// reconstructs the exact estimator without touching a payload fragment
-    /// (Fig. 1's metadata path).
-    ///
-    /// Every fragment is fetched through the archive's source, so a lazily
-    /// opened archive is read whole, which defeats its purpose.
+    /// (Fig. 1's metadata path). An archive opened from a file is copied as
+    /// the file holds it, padded directory included, in one sequential
+    /// read. No fragment is fetched, and [`Archive::source_stats`] does not
+    /// move.
     ///
     /// # Panics
     ///
-    /// Panics if the source fails mid-read (e.g. a file truncated after
-    /// open) — use [`Archive::save`], whose fallible path reports such
-    /// errors instead.
+    /// Panics if the source cannot copy itself: a source that holds no
+    /// container ([`FragmentSource::copy_to`]), or a file cut short after
+    /// open — use [`Archive::save`], which reports such errors instead.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.serialize()
-            .expect("archive source failed mid-serialize")
-    }
-
-    fn serialize(&self) -> Result<Vec<u8>> {
-        let registry = registry_to_bytes(&self.qois);
-        Ok(RefactoredDataset::from_source(self.source())?.to_bytes_with_meta(&registry))
+        let mut out = Vec::new();
+        self.source()
+            .copy_to(&mut out)
+            .expect("the archive's source copies its container");
+        out
     }
 
     /// Writes the archive to a file (see [`Archive::to_bytes`]); reopen it
-    /// lazily with [`Archive::open`]. Unlike [`Archive::to_bytes`], a
-    /// source that fails mid-read returns the error.
+    /// lazily with [`Archive::open`]. The copy goes to a sibling
+    /// `<path>.partial` that is renamed over `path` once complete, so
+    /// saving onto the file the archive was opened from is safe. A source
+    /// that holds no container, or fails mid-copy, returns the error and
+    /// leaves `path` as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path.as_ref(), self.serialize()?).map_err(|e| {
-            PqrError::InvalidRequest(format!("cannot write '{}': {e}", path.as_ref().display()))
-        })
+        let path = path.as_ref();
+        let mut partial = path.as_os_str().to_owned();
+        partial.push(".partial");
+        let partial = PathBuf::from(partial);
+        let cannot_write = |e: std::io::Error| {
+            PqrError::InvalidRequest(format!("cannot write '{}': {e}", path.display()))
+        };
+        let saved = std::fs::File::create(&partial)
+            .map_err(cannot_write)
+            .and_then(|mut file| self.source().copy_to(&mut file))
+            .and_then(|()| std::fs::rename(&partial, path).map_err(cannot_write));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&partial);
+        }
+        saved
     }
 
     /// Opens an archive from [`Archive::to_bytes`], held in memory: the
@@ -463,7 +468,7 @@ impl DatasetService {
 /// Magic guarding the QoI registry blob inside the container manifest.
 const REGISTRY_MAGIC: &[u8; 4] = b"PQRA";
 
-fn registry_to_bytes(qois: &BTreeMap<String, (QoiExpr, f64)>) -> Vec<u8> {
+fn registry_to_bytes(qois: &QoiRegistry) -> Vec<u8> {
     use pqr_util::byteio::ByteWriter;
     let mut w = ByteWriter::new();
     w.put_raw(REGISTRY_MAGIC);
@@ -476,9 +481,9 @@ fn registry_to_bytes(qois: &BTreeMap<String, (QoiExpr, f64)>) -> Vec<u8> {
     w.finish()
 }
 
-fn registry_from_bytes(bytes: &[u8]) -> Result<BTreeMap<String, (QoiExpr, f64)>> {
-    // archives written without a registry (bare `RefactoredDataset`
-    // containers) simply expose no named QoIs
+fn registry_from_bytes(bytes: &[u8]) -> Result<QoiRegistry> {
+    // archives written without a registry (a bare `Dataset::refactor`
+    // container) simply expose no named QoIs
     if bytes.is_empty() {
         return Ok(BTreeMap::new());
     }
@@ -663,6 +668,10 @@ mod tests {
     use pqr_qoi::library::velocity_magnitude;
 
     fn build() -> Archive {
+        builder().build().unwrap()
+    }
+
+    fn builder() -> ArchiveBuilder {
         let n = 600;
         let vx: Vec<f64> = (0..n)
             .map(|i| (i as f64 * 0.02).sin() * 30.0 + 50.0)
@@ -673,8 +682,6 @@ mod tests {
             .field("Vy", vy)
             .qoi("V", velocity_magnitude(0, 2))
             .qoi("Vx2", QoiExpr::var(0).pow(2))
-            .build()
-            .unwrap()
     }
 
     fn one(name: &str, tol: f64) -> RetrievalRequest {
@@ -904,6 +911,74 @@ mod tests {
             file_len
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Serves a container's fragments without being one.
+    struct Wrapped(InMemorySource);
+
+    impl FragmentSource for Wrapped {
+        fn manifest(&self) -> Result<Manifest> {
+            self.0.manifest()
+        }
+        fn fetch(&self, id: pqr_progressive::FragmentId) -> Result<Arc<Vec<u8>>> {
+            self.0.fetch(id)
+        }
+    }
+
+    #[test]
+    fn saving_copies_the_container_and_fetches_nothing() {
+        let dir = std::env::temp_dir().join("pqr_core_save_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str| dir.join(format!("{name}_{}.pqrx", std::process::id()));
+        let (streamed, copy) = (at("streamed"), at("copy"));
+
+        // in memory: the bytes built are the bytes copied and saved
+        let archive = build();
+        let bytes = archive.to_bytes();
+        archive.save(&copy).unwrap();
+        assert_eq!(std::fs::read(&copy).unwrap(), bytes);
+        assert_eq!(archive.source_stats(), SourceStats::default());
+
+        // on file: copied as the file holds it, padded directory included,
+        // and safely saved onto the file it was opened from
+        let pzfp = || builder().scheme(Scheme::Pzfp);
+        pzfp().build_to_path(&streamed, 2, true).unwrap();
+        let on_disk = std::fs::read(&streamed).unwrap();
+        let tight = pzfp().build().unwrap().to_bytes();
+        assert!(
+            on_disk.len() > tight.len(),
+            "the streamed directory is padded"
+        );
+        let lazy = Archive::open(&streamed).unwrap();
+        assert_eq!(lazy.to_bytes(), on_disk);
+        lazy.save(&streamed).unwrap();
+        assert_eq!(std::fs::read(&streamed).unwrap(), on_disk);
+        assert_eq!(lazy.source_stats(), SourceStats::default());
+
+        // a file cut short after open fails the save and leaves the target
+        let cut = Archive::open(&copy).unwrap();
+        std::fs::File::options()
+            .write(true)
+            .open(&copy)
+            .unwrap()
+            .set_len(bytes.len() as u64 / 2)
+            .unwrap();
+        assert!(cut.save(&streamed).is_err());
+        assert_eq!(std::fs::read(&streamed).unwrap(), on_disk);
+
+        // a source that is not a container refuses to be saved
+        let wrapped = Wrapped(InMemorySource::new(bytes).unwrap());
+        let wrapped = Archive::from_fragment_source(wrapped).unwrap();
+        std::fs::remove_file(&copy).unwrap();
+        assert!(matches!(
+            wrapped.save(&copy),
+            Err(PqrError::InvalidRequest(_))
+        ));
+        assert!(!copy.exists());
+        assert!(!dir
+            .join(format!("copy_{}.pqrx.partial", std::process::id()))
+            .exists());
+        std::fs::remove_file(&streamed).ok();
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub use crate::archive::{Archive, ArchiveBuilder, DatasetService, Session};
 pub use crate::request::{merge_requests, RequestTarget, RetrievalRequest, ToleranceMode};
 
 pub use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
-pub use pqr_progressive::field::{Dataset, RefactoredDataset};
+pub use pqr_progressive::field::Dataset;
 pub use pqr_progressive::fragstore::{
     FileSource, FragmentId, FragmentSource, InMemorySource, Manifest, SourceStats,
 };

@@ -725,7 +725,7 @@ mod tests {
             let field =
                 RefactoredField::refactor_with_bounds(scheme, &data, &[N], &ladder).unwrap();
             let source = Arc::new(Recording {
-                source: InMemorySource::new(field.to_bytes()).unwrap(),
+                source: field.source(),
                 log: Mutex::new(Vec::new()),
             });
             let manifest = source.manifest().unwrap();

@@ -40,8 +40,8 @@
 // with the paper's pseudocode.
 #![allow(clippy::needless_range_loop)]
 
-use crate::field::{Dataset, RefactoredDataset};
-use crate::fragstore::{FragmentSource, InMemorySource, Manifest, SourceStats};
+use crate::field::Dataset;
+use crate::fragstore::{FragmentSource, Manifest, SourceStats};
 use crate::pager::StoreBudget;
 use crate::refactored::ReaderProgress;
 use crate::store::{FieldView, ProgressStore};
@@ -149,7 +149,8 @@ pub struct EngineConfig {
     /// Worker-thread budget: how many fields refine at once and how many
     /// chunks the per-point QoI scans split into during plan execution
     /// here, and how many fields encode at once on the write path
-    /// (`Dataset::refactor_with_workers` takes the same value; the CLI
+    /// ([`Dataset::refactor_in_memory`] and [`Dataset::refactor_to_path`]
+    /// take the same value; the CLI
     /// feeds both from one `--workers` flag). A round starts one thread
     /// per pending field, up to this count; a thread that finds no field
     /// left helps the fields still refining ([`pqr_util::par::Crew`]), and
@@ -219,14 +220,6 @@ pub(crate) struct Estimate {
 }
 
 impl RetrievalEngine {
-    /// Opens readers on every field of an encoded archive, serialized into
-    /// an [`InMemorySource`] the engine owns — the container path every
-    /// archive is read through. To share one source across engines, hand
-    /// [`RetrievalEngine::from_source`] an `Arc` you already hold.
-    pub fn new(archive: &RefactoredDataset, cfg: EngineConfig) -> Result<Self> {
-        Self::from_source(Arc::new(InMemorySource::new(archive.to_bytes())?), cfg)
-    }
-
     /// Opens a solo engine on every field of the archive behind `source`,
     /// fetching only the manifest and the per-field metadata fragments.
     pub fn from_source(source: Arc<dyn FragmentSource>, cfg: EngineConfig) -> Result<Self> {
@@ -260,15 +253,6 @@ impl RetrievalEngine {
                 "reduction factor must exceed 1, got {}",
                 cfg.reduction_factor
             )));
-        }
-        if let Some(mask) = &manifest.mask {
-            if mask.len() != manifest.num_elements() {
-                return Err(PqrError::ShapeMismatch(format!(
-                    "mask covers {} points, archive has {}",
-                    mask.len(),
-                    manifest.num_elements()
-                )));
-            }
         }
         let views = (0..manifest.num_fields())
             .map(|i| FieldView::open(&store, i))
@@ -337,15 +321,6 @@ impl RetrievalEngine {
     /// bounds, same cumulative byte accounting — retrieval sessions survive
     /// process restarts (Fig. 1's long-lived retrieval side).
     ///
-    /// The archive is serialized into an [`InMemorySource`], as in
-    /// [`RetrievalEngine::new`].
-    pub fn resume(archive: &RefactoredDataset, cfg: EngineConfig, progress: &[u8]) -> Result<Self> {
-        let source = InMemorySource::new(archive.to_bytes())?;
-        Self::resume_from_source(Arc::new(source), cfg, progress)
-    }
-
-    /// [`RetrievalEngine::resume`] over an arbitrary fragment source.
-    ///
     /// Resuming is opening the private store at the saved markers: each
     /// field's master is replayed by the store's one replay routine — the
     /// one a demoted field rehydrates through — reading its restore
@@ -377,8 +352,8 @@ impl RetrievalEngine {
     }
 
     /// Serializes the engine's retrieval progress (per-field fetch markers)
-    /// for [`RetrievalEngine::resume`]. Small — a few bytes per field — and
-    /// independent of the data size.
+    /// for [`RetrievalEngine::resume_from_source`]. Small — a few bytes per
+    /// field — and independent of the data size.
     pub fn save_progress(&self) -> Vec<u8> {
         let mut w = pqr_util::byteio::ByteWriter::new();
         w.put_raw(b"PQRP");
@@ -746,8 +721,21 @@ mod tests {
         ds
     }
 
-    fn engine_for(archive: &RefactoredDataset) -> RetrievalEngine {
-        RetrievalEngine::new(archive, EngineConfig::default()).unwrap()
+    fn engine_for(archive: &Arc<InMemorySource>) -> RetrievalEngine {
+        RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap()
+    }
+
+    fn resume(archive: &Arc<InMemorySource>, progress: &[u8]) -> Result<RetrievalEngine> {
+        RetrievalEngine::resume_from_source(archive.clone(), EngineConfig::default(), progress)
+    }
+
+    /// `ds` refactored with the zero mask over `mask_fields`.
+    fn masked(ds: &Dataset, scheme: Scheme, mask_fields: &[usize]) -> Arc<InMemorySource> {
+        let bounds = crate::refactored::default_snapshot_bounds();
+        Arc::new(
+            ds.refactor_in_memory(scheme, &bounds, Some(mask_fields), &[], 0)
+                .unwrap(),
+        )
     }
 
     /// The headline guarantee: estimated ≥ actual, estimated ≤ tolerance.
@@ -772,12 +760,13 @@ mod tests {
     fn vtot_tolerance_met_across_schemes() {
         let ds = velocity_dataset(2000, false);
         for scheme in Scheme::extended() {
-            let archive = ds
-                .refactor_with_bounds(
+            let archive = Arc::new(
+                ds.refactor_with_bounds(
                     scheme,
                     &(1..=10).map(|i| 10f64.powi(-i)).collect::<Vec<_>>(),
                 )
-                .unwrap();
+                .unwrap(),
+            );
             let mut engine = engine_for(&archive);
             let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
             let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
@@ -789,9 +778,8 @@ mod tests {
     #[test]
     fn zero_walls_need_the_mask() {
         let ds = velocity_dataset(1500, true);
-        let archive_no_mask = ds.refactor(Scheme::PmgardHb).unwrap();
-        let mut archive_masked = archive_no_mask.clone();
-        archive_masked.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
+        let archive_no_mask = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
+        let archive_masked = masked(&ds, Scheme::PmgardHb, &[0, 1, 2]);
 
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-3, &ds).unwrap();
 
@@ -803,8 +791,8 @@ mod tests {
 
         // without the mask: paper-mode √ estimate is unboundable at the
         // exact-zero walls, so the engine must exhaust and report failure
-        let mut eng2 = RetrievalEngine::new(
-            &archive_no_mask,
+        let mut eng2 = RetrievalEngine::from_source(
+            archive_no_mask,
             EngineConfig {
                 max_iterations: 8,
                 max_tightenings: 64,
@@ -836,7 +824,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let archive = ds.refactor(Scheme::Psz3Delta).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::Psz3Delta).unwrap());
         let mut engine = engine_for(&archive);
         let spec = QoiSpec::relative("x0*x1", species_product(0, 1), 1e-5, &ds).unwrap();
         let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
@@ -849,12 +837,13 @@ mod tests {
         let ds = velocity_dataset(1500, false);
         let vtot = velocity_magnitude(0, 3);
         for scheme in Scheme::extended() {
-            let archive = ds
-                .refactor_with_bounds(
+            let archive = Arc::new(
+                ds.refactor_with_bounds(
                     scheme,
                     &(1..=10).map(|i| 10f64.powi(-i)).collect::<Vec<_>>(),
                 )
-                .unwrap();
+                .unwrap(),
+            );
             // session 1: loose request, then save
             let mut e1 = engine_for(&archive);
             let spec = QoiSpec::relative("VTOT", vtot.clone(), 1e-2, &ds).unwrap();
@@ -862,7 +851,7 @@ mod tests {
             let blob = e1.save_progress();
 
             // session 2: resume, verify state equality, continue tighter
-            let mut e2 = RetrievalEngine::resume(&archive, EngineConfig::default(), &blob).unwrap();
+            let mut e2 = resume(&archive, &blob).unwrap();
             for i in 0..3 {
                 assert_eq!(
                     e1.reconstruction(i),
@@ -891,7 +880,7 @@ mod tests {
     #[test]
     fn resume_rejects_mismatched_or_corrupt_progress() {
         let ds = velocity_dataset(300, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-2, &ds).unwrap();
         engine.retrieve(std::slice::from_ref(&spec)).unwrap();
@@ -900,19 +889,15 @@ mod tests {
         // corrupt magic
         let mut bad = blob.clone();
         bad[0] = b'X';
-        assert!(RetrievalEngine::resume(&archive, EngineConfig::default(), &bad).is_err());
+        assert!(resume(&archive, &bad).is_err());
         // truncation
-        assert!(RetrievalEngine::resume(
-            &archive,
-            EngineConfig::default(),
-            &blob[..blob.len() / 2]
-        )
-        .is_err());
+        assert!(resume(&archive, &blob[..blob.len() / 2]).is_err());
         // wrong scheme: progress from PMGARD against a PSZ3 archive
-        let other = ds
-            .refactor_with_bounds(Scheme::Psz3, &[1e-1, 1e-2])
-            .unwrap();
-        assert!(RetrievalEngine::resume(&other, EngineConfig::default(), &blob).is_err());
+        let other = Arc::new(
+            ds.refactor_with_bounds(Scheme::Psz3, &[1e-1, 1e-2])
+                .unwrap(),
+        );
+        assert!(resume(&other, &blob).is_err());
         // a hostile byte count in a snapshot marker: more than any field
         // can hold (the engine's byte total would overflow), or less than
         // the marker's own replay moves
@@ -924,13 +909,13 @@ mod tests {
         for fetched in [u64::MAX - 10, 0] {
             let mut hostile = saved.clone();
             hostile[at..at + 8].copy_from_slice(&fetched.to_le_bytes());
-            let resumed = RetrievalEngine::resume(&other, EngineConfig::default(), &hostile);
+            let resumed = resume(&other, &hostile);
             assert!(
                 matches!(resumed, Err(PqrError::CorruptStream(_))),
                 "fetched {fetched} accepted"
             );
         }
-        assert!(RetrievalEngine::resume(&other, EngineConfig::default(), &saved).is_ok());
+        assert!(resume(&other, &saved).is_ok());
     }
 
     #[test]
@@ -940,7 +925,7 @@ mod tests {
         // recompose clears and refills it, the delta rebuild adds into it
         let ds = velocity_dataset(3000, false);
         for scheme in [Scheme::PmgardHb, Scheme::Psz3Delta] {
-            let archive = ds.refactor(scheme).unwrap();
+            let archive = Arc::new(ds.refactor(scheme).unwrap());
             let mut engine = engine_for(&archive);
             let spec = QoiSpec::relative("Vx2", QoiExpr::var(0).pow(2), 1e-2, &ds).unwrap();
             engine.retrieve(std::slice::from_ref(&spec)).unwrap();
@@ -959,7 +944,7 @@ mod tests {
         let range = ds.qoi_range(&vtot).unwrap();
 
         // global request
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut global = engine_for(&archive);
         let g = global
             .retrieve(&[QoiSpec::with_range("VTOT", vtot.clone(), 1e-6, range)])
@@ -967,7 +952,7 @@ mod tests {
         assert!(g.satisfied);
 
         // same tolerance, but only over a 5% window
-        let archive2 = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive2 = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut regional = engine_for(&archive2);
         let spec = QoiSpec::with_range("VTOT", vtot.clone(), 1e-6, range).restrict_to(1000, 1200);
         let r = regional.retrieve(std::slice::from_ref(&spec)).unwrap();
@@ -992,7 +977,7 @@ mod tests {
     #[test]
     fn region_validation() {
         let ds = velocity_dataset(100, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let vtot = velocity_magnitude(0, 3);
         let range = ds.qoi_range(&vtot).unwrap();
@@ -1012,7 +997,7 @@ mod tests {
     #[test]
     fn multiple_qois_all_respected() {
         let ds = velocity_dataset(1000, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let specs = vec![
             QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap(),
@@ -1029,7 +1014,7 @@ mod tests {
     #[test]
     fn progressive_series_is_incremental() {
         let ds = velocity_dataset(3000, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let base = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1.0, &ds).unwrap();
         let mut last_bytes = 0usize;
@@ -1053,7 +1038,7 @@ mod tests {
             .unwrap();
         ds.add_field("unused", (0..n).map(|i| (i as f64 * 0.03).cos()).collect())
             .unwrap();
-        let archive = ds.refactor(Scheme::Psz3).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::Psz3).unwrap());
         let mut engine = engine_for(&archive);
         let spec = QoiSpec::relative("sq", QoiExpr::var(0).pow(2), 1e-4, &ds).unwrap();
         engine.retrieve(&[spec]).unwrap();
@@ -1066,7 +1051,7 @@ mod tests {
     #[test]
     fn tighter_tolerance_fetches_more() {
         let ds = velocity_dataset(2000, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let spec_loose = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-2, &ds).unwrap();
         let spec_tight = spec_loose.at_tolerance(1e-6);
 
@@ -1086,10 +1071,10 @@ mod tests {
     #[test]
     fn invalid_requests_rejected() {
         let ds = velocity_dataset(100, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         // bad reduction factor
-        assert!(RetrievalEngine::new(
-            &archive,
+        assert!(RetrievalEngine::from_source(
+            archive.clone(),
             EngineConfig {
                 reduction_factor: 1.0,
                 ..Default::default()
@@ -1112,15 +1097,19 @@ mod tests {
         // byte accounting — fields are independent decode units
         let ds = velocity_dataset(3000, false);
         for scheme in [Scheme::PmgardHb, Scheme::Pzfp, Scheme::Psz3Delta] {
-            let archive = ds
-                .refactor_with_bounds(scheme, &(1..=8).map(|i| 10f64.powi(-i)).collect::<Vec<_>>())
-                .unwrap();
+            let archive = Arc::new(
+                ds.refactor_with_bounds(
+                    scheme,
+                    &(1..=8).map(|i| 10f64.powi(-i)).collect::<Vec<_>>(),
+                )
+                .unwrap(),
+            );
             let run = |workers: usize| {
                 let cfg = EngineConfig {
                     workers,
                     ..Default::default()
                 };
-                let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+                let mut engine = RetrievalEngine::from_source(archive.clone(), cfg).unwrap();
                 let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &ds).unwrap();
                 let r = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
                 let recons: Vec<Vec<f64>> =
@@ -1159,13 +1148,13 @@ mod tests {
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-2, &ds).unwrap();
         for scheme in Scheme::extended() {
             let name = scheme.name();
-            let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+            let archive = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
             let run = |forced: Option<usize>| {
                 let cfg = EngineConfig {
                     workers: 1,
                     ..Default::default()
                 };
-                let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+                let mut engine = RetrievalEngine::from_source(archive.clone(), cfg).unwrap();
                 engine.forced = forced.map(|spare| (spare, 0));
                 let mut states = Vec::new();
                 for tol in [1e-2, 1e-5, 1e-9] {
@@ -1228,9 +1217,8 @@ mod tests {
         // field 0's first fragment fails to decode: the round must fail,
         // with the rest of the batch dropped along with it
         let ds = velocity_dataset(1500, false);
-        let bytes = ds.refactor(Scheme::Psz3Delta).unwrap().to_bytes();
         let source = EmptyPayload {
-            inner: InMemorySource::new(bytes).unwrap(),
+            inner: ds.refactor(Scheme::Psz3Delta).unwrap(),
             bad: FragmentId { field: 0, index: 0 },
         };
         let cfg = EngineConfig {
@@ -1263,14 +1251,13 @@ mod tests {
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &ds).unwrap();
         let cfg = EngineConfig::default();
         for scheme in Scheme::extended() {
-            let bytes = ds.refactor(scheme).unwrap().to_bytes();
-            let healthy = || Arc::new(InMemorySource::new(bytes.clone()).unwrap());
+            let healthy = || Arc::new(ds.refactor(scheme).unwrap());
             let mut engine = RetrievalEngine::from_source(healthy(), cfg).unwrap();
             engine.retrieve(std::slice::from_ref(&spec)).unwrap();
             let progress = engine.save_progress();
             let batched = RetrievalEngine::resume_from_source(healthy(), cfg, &progress).unwrap();
             let single = RetrievalEngine::resume_from_source(
-                Arc::new(NoBatches(InMemorySource::new(bytes).unwrap())),
+                Arc::new(NoBatches(ds.refactor(scheme).unwrap())),
                 cfg,
                 &progress,
             )
@@ -1298,7 +1285,7 @@ mod tests {
         // one accounting path: a solo engine's report reads the deltas of
         // its private store, exactly as a shared engine's reads its store's
         let ds = velocity_dataset(3000, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         assert!(engine.shared_store().is_none());
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
@@ -1330,7 +1317,7 @@ mod tests {
         // nothing must also rebuild nothing — repeated (or looser)
         // requests are answered from the cached reconstruction
         let ds = velocity_dataset(3000, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
         let r1 = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
@@ -1362,14 +1349,14 @@ mod tests {
     #[test]
     fn scan_is_identical_at_one_and_four_workers() {
         let ds = velocity_dataset(6000, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
         let run = |workers: usize| {
             let cfg = EngineConfig {
                 workers,
                 ..Default::default()
             };
-            let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+            let mut engine = RetrievalEngine::from_source(archive.clone(), cfg).unwrap();
             let r = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
             (r.total_fetched, r.targets[0].max_est_error.to_bits())
         };
@@ -1386,10 +1373,9 @@ mod tests {
         // threshold)
         for ne in [0usize, 1, 255, 256, 257, 4097] {
             let ds = velocity_dataset(ne, true);
-            let mut archive = ds.refactor(Scheme::Psz3Delta).unwrap();
             // mask two fields only: the walls stay unboundable for the √
             // QoI (equal ∞ estimates — ties), certified for the others
-            archive.set_mask(ds.zero_mask(&[0, 1])).unwrap();
+            let archive = masked(&ds, Scheme::Psz3Delta, &[0, 1]);
             let region = (ne / 3, (ne / 3 + ne / 2 + 1).min(ne));
             let specs = [
                 QoiSpec::absolute("VTOT", velocity_magnitude(0, 3), 1e-2),
@@ -1414,7 +1400,7 @@ mod tests {
                         },
                         ..Default::default()
                     };
-                    let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+                    let mut engine = RetrievalEngine::from_source(archive.clone(), cfg).unwrap();
                     engine.retrieve(&specs[2..3]).unwrap();
                     let achieved: Vec<f64> = (0..3).map(|i| engine.field_bound(i)).collect();
                     for eps in [achieved, vec![0.5, 0.0, 100.0]] {
@@ -1458,7 +1444,7 @@ mod tests {
         let mut ds = Dataset::new(&[n]);
         let field = (0..n).map(|i| if i == 123 { 1e10 } else { 1.0 });
         ds.add_field("x", field.collect()).unwrap();
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let spec = QoiSpec::absolute(
             "2x^200",
@@ -1496,8 +1482,7 @@ mod tests {
             QoiSpec::relative("VyVz", species_product(1, 2), 1.0, &ds).unwrap(),
         ];
         for scheme in Scheme::extended() {
-            let mut archive = ds.refactor(scheme).unwrap();
-            archive.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
+            let archive = masked(&ds, scheme, &[0, 1, 2]);
             let mut a = engine_for(&archive);
             let mut reuses = 0;
             for step in 0..12 {
@@ -1505,9 +1490,7 @@ mod tests {
                     .iter()
                     .map(|q| q.at_tolerance(0.1 * 0.5f64.powi(step)))
                     .collect();
-                let mut b =
-                    RetrievalEngine::resume(&archive, EngineConfig::default(), &a.save_progress())
-                        .unwrap();
+                let mut b = resume(&archive, &a.save_progress()).unwrap();
                 let (ra, rb) = (a.retrieve(&specs).unwrap(), b.retrieve(&specs).unwrap());
                 let at = format!("{} step {step}", scheme.name());
                 assert!(ra.satisfied, "{at}");
@@ -1536,7 +1519,7 @@ mod tests {
     #[test]
     fn remembered_estimate_is_keyed_on_all_a_scan_reads() {
         let ds = velocity_dataset(1500, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let a = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-2, &ds).unwrap();
         let b = QoiSpec::relative("Vx2", QoiExpr::var(0).pow(2), 1e-2, &ds).unwrap();
@@ -1606,10 +1589,9 @@ mod tests {
         // the demoted marker; reading through at the true bound swaps in the
         // rehydrated snapshot at that same marker
         let ds = velocity_dataset(1200, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
         let store = Arc::new(
             crate::store::ProgressStore::open_with(
-                Arc::new(InMemorySource::new(archive.to_bytes()).unwrap()),
+                Arc::new(ds.refactor(Scheme::PmgardHb).unwrap()),
                 Arc::new(crate::pager::StoreBudget::unbounded()),
             )
             .unwrap(),
@@ -1651,8 +1633,7 @@ mod tests {
         let mut ds = Dataset::new(&[n]);
         let x: Vec<f64> = (0..n).map(|i| 5.0 * (0.01 * i as f64).sin()).collect();
         ds.add_field("x0", x.clone()).unwrap();
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
-        let source = InMemorySource::new(archive.to_bytes()).unwrap();
+        let source = ds.refactor(Scheme::PmgardHb).unwrap();
         let store = Arc::new(
             crate::store::ProgressStore::open_with(
                 Arc::new(source),
@@ -1693,7 +1674,7 @@ mod tests {
     #[test]
     fn absolute_tolerance_spec() {
         let ds = velocity_dataset(400, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let spec = QoiSpec::absolute("Vx", QoiExpr::var(0), 0.5);
         assert_eq!(spec.tol_abs(), 0.5);
         let mut engine = engine_for(&archive);
@@ -1708,7 +1689,7 @@ mod tests {
         // Algorithm 3: a field read by two QoIs starts at the tighter of the
         // two relative tolerances
         let ds = velocity_dataset(800, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let loose = QoiSpec::relative("a", QoiExpr::var(0).pow(2), 1e-1, &ds).unwrap();
         let tight = QoiSpec::relative("b", QoiExpr::var(0).abs(), 1e-6, &ds).unwrap();
         let mut engine = engine_for(&archive);
@@ -1723,7 +1704,7 @@ mod tests {
     #[test]
     fn report_accounting_sane() {
         let ds = velocity_dataset(500, false);
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let mut engine = engine_for(&archive);
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-3, &ds).unwrap();
         let report = engine.retrieve(&[spec]).unwrap();

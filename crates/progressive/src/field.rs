@@ -1,14 +1,16 @@
-//! Named multi-field datasets and their refactored archives.
+//! Named multi-field datasets and their refactoring.
 //!
 //! A [`Dataset`] holds the original fields (archive-side only); refactoring
-//! produces a [`RefactoredDataset`] carrying, per field, the progressive
+//! it writes the archive's serialized container — in memory
+//! ([`Dataset::refactor`], an [`InMemorySource`]) or to a file
+//! ([`Dataset::refactor_to_path`]) — carrying, per field, the progressive
 //! fragments plus the metadata the retrieval side needs: field value ranges
 //! (for relative primary-data bounds, Algorithm 3) and — computed once at
 //! refactor time, when the original data is still available — the value
 //! ranges of registered QoIs (for relative QoI tolerances, §III-C).
 
 use crate::fragstore::{
-    container_bytes, write_container_streaming, FieldEntry, FragmentInfo, Manifest,
+    container_bytes, write_container_streaming, FieldEntry, FragmentInfo, InMemorySource, Manifest,
 };
 use crate::mask::ZeroMask;
 use crate::refactored::{default_snapshot_bounds, RefactoredField, Scheme};
@@ -156,49 +158,56 @@ impl Dataset {
     }
 
     /// Refactors every field under `scheme` with the default snapshot-bound
-    /// ladder.
-    pub fn refactor(&self, scheme: Scheme) -> Result<RefactoredDataset> {
+    /// ladder, into a container in memory.
+    pub fn refactor(&self, scheme: Scheme) -> Result<InMemorySource> {
         self.refactor_with_bounds(scheme, &default_snapshot_bounds())
     }
 
-    /// Refactors with an explicit relative-bound ladder (Algorithm 1).
-    ///
-    /// Fields are independent, so they refactor in parallel — Algorithm 1's
-    /// loop is embarrassingly parallel and refactoring dominates archive-side
-    /// cost (Table IV). Dynamic dispatch handles the uneven per-field cost of
-    /// snapshot schemes (18 compressions per field).
+    /// Refactors with an explicit relative-bound ladder (Algorithm 1), into
+    /// a container in memory with no mask and no application metadata.
     pub fn refactor_with_bounds(
         &self,
         scheme: Scheme,
         rel_bounds: &[f64],
-    ) -> Result<RefactoredDataset> {
-        self.refactor_with_workers(scheme, rel_bounds, 0)
+    ) -> Result<InMemorySource> {
+        self.refactor_in_memory(scheme, rel_bounds, None, &[], 0)
     }
 
-    /// [`Dataset::refactor_with_bounds`] with an explicit worker budget
-    /// (`0` resolves to [`pqr_util::par::worker_count`]).
+    /// Refactors into a container in memory, returned as the
+    /// [`InMemorySource`] every retrieval reads it through: the in-memory
+    /// counterpart of [`Dataset::refactor_to_path`], with its mask and
+    /// application-metadata arguments.
     ///
-    /// Each field encodes on one thread, so at most [`field_workers`]
-    /// fields encode at once and workers beyond the field count sit idle.
-    /// Output is byte-identical at every worker count.
-    pub fn refactor_with_workers(
+    /// Fields are independent, so they refactor in parallel — Algorithm 1's
+    /// loop is embarrassingly parallel and refactoring dominates archive-side
+    /// cost (Table IV). Each field encodes on one thread, so at most
+    /// [`field_workers`]`(workers, ..)` fields encode at once (`0` resolves to
+    /// [`pqr_util::par::worker_count`]). The fields are encoded before the
+    /// container is written, so its directory is theirs and the payloads
+    /// follow it with no slack. The bytes are identical at every worker
+    /// count.
+    pub fn refactor_in_memory(
         &self,
         scheme: Scheme,
         rel_bounds: &[f64],
+        mask_fields: Option<&[usize]>,
+        app_meta: &[u8],
         workers: usize,
-    ) -> Result<RefactoredDataset> {
+    ) -> Result<InMemorySource> {
         let workers = field_workers(workers, self.fields.len());
         let fields = pqr_util::par::par_dynamic(self.fields.len(), workers, |i| {
             RefactoredField::refactor_with_bounds(scheme, &self.fields[i], &self.dims, rel_bounds)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
-        Ok(RefactoredDataset {
-            dims: self.dims.clone(),
-            names: self.names.clone(),
-            fields,
-            mask: None,
-        })
+        let mask = mask_fields.map(|idx| self.zero_mask(idx));
+        InMemorySource::new(container_bytes(
+            &self.dims,
+            &self.names,
+            &fields,
+            mask.as_ref(),
+            app_meta,
+        ))
     }
 
     /// Refactors and **streams** the archive to `path`: with `overlap_io`,
@@ -276,140 +285,10 @@ pub fn field_workers(total: usize, nfields: usize) -> usize {
     total.clamp(1, nfields.max(1))
 }
 
-/// A refactored multi-field archive: the encoder's output. It is stored and
-/// read as its serialized container ([`RefactoredDataset::to_bytes`]),
-/// which retrieval reads through a
-/// [`FragmentSource`](crate::fragstore::FragmentSource).
-#[derive(Debug, Clone)]
-pub struct RefactoredDataset {
-    dims: Vec<usize>,
-    names: Vec<String>,
-    fields: Vec<RefactoredField>,
-    mask: Option<ZeroMask>,
-}
-
-impl RefactoredDataset {
-    /// Shape shared by every field.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Number of fields.
-    pub fn num_fields(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Elements per field.
-    pub fn num_elements(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    /// The refactored field at `i`.
-    pub fn field(&self, i: usize) -> &RefactoredField {
-        &self.fields[i]
-    }
-
-    /// Field name at `i`.
-    pub fn field_name(&self, i: usize) -> &str {
-        &self.names[i]
-    }
-
-    /// Field index by name.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Attaches the zero-outlier mask (built archive-side from the original
-    /// data via [`Dataset::zero_mask`]).
-    pub fn set_mask(&mut self, mask: ZeroMask) -> Result<()> {
-        if mask.len() != self.num_elements() {
-            return Err(PqrError::ShapeMismatch(format!(
-                "mask covers {} points, dataset has {}",
-                mask.len(),
-                self.num_elements()
-            )));
-        }
-        self.mask = Some(mask);
-        Ok(())
-    }
-
-    /// The attached mask, if any.
-    pub fn mask(&self) -> Option<&ZeroMask> {
-        self.mask.as_ref()
-    }
-
-    /// Total archived bytes across fields (the "original" transfer baseline
-    /// is `num_fields · num_elements · 8` instead).
-    pub fn total_bytes(&self) -> usize {
-        self.fields.iter().map(|f| f.total_bytes()).sum()
-    }
-
-    /// Raw (uncompressed f64) size of the dataset in bytes.
-    pub fn raw_bytes(&self) -> usize {
-        self.num_fields() * self.num_elements() * 8
-    }
-
-    /// Serializes the whole archive (fields, names, mask) into the
-    /// fragment-addressed container format (see [`crate::fragstore`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with_meta(&[])
-    }
-
-    /// Like [`RefactoredDataset::to_bytes`], embedding an opaque
-    /// application-metadata blob in the manifest (e.g. `pqr-core`'s QoI
-    /// registry) so lazily opened archives can read it without touching a
-    /// single payload fragment.
-    pub fn to_bytes_with_meta(&self, app_meta: &[u8]) -> Vec<u8> {
-        container_bytes(
-            &self.dims,
-            &self.names,
-            &self.fields,
-            self.mask.as_ref(),
-            app_meta,
-        )
-    }
-
-    /// Deserializes (fully materialises) an archive from
-    /// [`RefactoredDataset::to_bytes`]. Retrieval paths that only need a
-    /// *part* of the archive should open an
-    /// [`InMemorySource`](crate::fragstore::InMemorySource) on the bytes
-    /// instead.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let src = crate::fragstore::InMemorySource::new(bytes.to_vec())?;
-        Self::from_source(&src)
-    }
-
-    /// Fully materialises an archive by fetching every fragment of every
-    /// field through `source`.
-    pub fn from_source(source: &dyn crate::fragstore::FragmentSource) -> Result<Self> {
-        let manifest = source.manifest()?;
-        let mut names = Vec::with_capacity(manifest.num_fields());
-        let mut fields = Vec::with_capacity(manifest.num_fields());
-        for (i, entry) in manifest.fields.iter().enumerate() {
-            names.push(entry.name.clone());
-            fields.push(crate::fragstore::load_field(source, &manifest, i)?);
-        }
-        if let Some(mask) = &manifest.mask {
-            if mask.len() != manifest.num_elements() {
-                return Err(PqrError::ShapeMismatch(format!(
-                    "mask covers {} points, dataset has {}",
-                    mask.len(),
-                    manifest.num_elements()
-                )));
-            }
-        }
-        Ok(Self {
-            dims: manifest.dims,
-            names,
-            fields,
-            mask: manifest.mask,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragstore::FragmentSource;
     use pqr_qoi::library::velocity_magnitude;
     use pqr_util::stats;
 
@@ -425,6 +304,12 @@ mod tests {
         ds
     }
 
+    fn bytes(src: &InMemorySource) -> Vec<u8> {
+        let mut out = Vec::new();
+        src.copy_to(&mut out).unwrap();
+        out
+    }
+
     #[test]
     fn parallel_refactor_is_deterministic() {
         // the per-field parallel loop must be bit-identical to whatever a
@@ -433,16 +318,13 @@ mod tests {
         // comparing reader byte counts
         let ds = small_dataset();
         for scheme in [Scheme::Psz3Delta, Scheme::PmgardHb, Scheme::Pzfp] {
-            let a = ds.refactor_with_bounds(scheme, &[1e-1, 1e-3]).unwrap();
-            let b = ds.refactor_with_bounds(scheme, &[1e-1, 1e-3]).unwrap();
-            for i in 0..ds.num_fields() {
-                assert_eq!(
-                    a.field(i).to_bytes(),
-                    b.field(i).to_bytes(),
-                    "{} field {i}",
-                    scheme.name()
-                );
-            }
+            let at = |workers| {
+                let src = ds
+                    .refactor_in_memory(scheme, &[1e-1, 1e-3], Some(&[0]), b"m", workers)
+                    .unwrap();
+                bytes(&src)
+            };
+            assert_eq!(at(1), at(8), "{}", scheme.name());
         }
     }
 
@@ -488,26 +370,17 @@ mod tests {
     #[test]
     fn refactor_preserves_names_and_shapes() {
         let ds = small_dataset();
-        let rd = ds
+        let src = ds
             .refactor_with_bounds(Scheme::PmgardHb, &[1e-1, 1e-2])
             .unwrap();
-        assert_eq!(rd.num_fields(), 3);
-        assert_eq!(rd.field_name(2), "Vz");
-        assert_eq!(rd.field_index("Vy"), Some(1));
-        assert_eq!(rd.dims(), &[200]);
-        assert!(rd.total_bytes() > 0);
-        assert_eq!(rd.raw_bytes(), 3 * 200 * 8);
-    }
-
-    #[test]
-    fn mask_shape_validated() {
-        let ds = small_dataset();
-        let mut rd = ds.refactor_with_bounds(Scheme::PmgardHb, &[1e-1]).unwrap();
-        let bad = ZeroMask::new(vec![0], vec![false; 3]);
-        assert!(rd.set_mask(bad).is_err());
-        let good = ds.zero_mask(&[0, 1, 2]);
-        assert!(rd.set_mask(good).is_ok());
-        assert!(rd.mask().is_some());
+        let m = src.manifest().unwrap();
+        assert_eq!(m.num_fields(), 3);
+        assert_eq!(m.fields[2].name, "Vz");
+        assert_eq!(m.field_index("Vy"), Some(1));
+        assert_eq!(m.dims, [200]);
+        assert!(m.total_payload_bytes() > 0);
+        assert_eq!(m.raw_bytes(), 3 * 200 * 8);
+        assert!(m.mask.is_none() && m.app_meta.is_empty());
     }
 
     #[test]
@@ -520,19 +393,21 @@ mod tests {
 
     #[test]
     fn refactored_dataset_serialization_roundtrip() {
+        // the in-memory container, copied out and parsed again, is the
+        // same archive: mask and metadata included, byte for byte
         let ds = small_dataset();
-        let mut rd = ds
-            .refactor_with_bounds(Scheme::Psz3Delta, &[1e-1, 1e-3])
+        let src = ds
+            .refactor_in_memory(Scheme::Psz3Delta, &[1e-1, 1e-3], Some(&[0, 1, 2]), b"m", 0)
             .unwrap();
-        rd.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
-        let bytes = rd.to_bytes();
-        let back = RefactoredDataset::from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_fields(), 3);
-        assert_eq!(back.field_name(1), "Vy");
-        assert_eq!(back.dims(), rd.dims());
-        assert_eq!(back.total_bytes(), rd.total_bytes());
-        assert!(back.mask().is_some());
-        assert!(RefactoredDataset::from_bytes(&bytes[..30]).is_err());
+        let out = bytes(&src);
+        let back = InMemorySource::new(out.clone()).unwrap();
+        assert_eq!(back.manifest().unwrap(), src.manifest().unwrap());
+        assert_eq!(
+            back.manifest().unwrap().mask,
+            Some(ds.zero_mask(&[0, 1, 2]))
+        );
+        assert_eq!(bytes(&back), out);
+        assert!(InMemorySource::new(out[..30].to_vec()).is_err());
     }
 
     #[test]
@@ -568,7 +443,8 @@ mod tests {
                 }
                 std::fs::remove_file(&path).unwrap();
             }
-            // the streamed container parses and matches the in-memory path
+            // the streamed container parses and holds what the in-memory
+            // path holds; only its directory's offsets differ (the slack)
             let path = dir.join(format!("{}_load.pqr", scheme.name()));
             ds.refactor_to_path(
                 scheme,
@@ -580,13 +456,28 @@ mod tests {
                 true,
             )
             .unwrap();
-            let back = RefactoredDataset::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
-            let mut rd = ds.refactor_with_bounds(scheme, &[1e-1, 1e-3]).unwrap();
-            rd.set_mask(ds.zero_mask(&[0, 1])).unwrap();
-            for i in 0..ds.num_fields() {
-                assert_eq!(back.field(i).to_bytes(), rd.field(i).to_bytes());
+            let file = InMemorySource::new(std::fs::read(&path).unwrap()).unwrap();
+            let memory = ds
+                .refactor_in_memory(scheme, &[1e-1, 1e-3], Some(&[0, 1]), b"meta", 2)
+                .unwrap();
+            let strip = |src: &InMemorySource| {
+                let mut m = src.manifest().unwrap();
+                for f in &mut m.fields {
+                    f.fragments.iter_mut().for_each(|x| x.offset = 0);
+                }
+                m
+            };
+            assert_eq!(strip(&file), strip(&memory));
+            let ids = (0..ds.num_fields()).flat_map(|i| {
+                let n = memory.manifest().unwrap().fields[i].fragments.len();
+                (0..n).map(move |k| crate::fragstore::FragmentId {
+                    field: i as u32,
+                    index: k as u32,
+                })
+            });
+            for id in ids {
+                assert_eq!(file.fetch(id).unwrap(), memory.fetch(id).unwrap());
             }
-            assert!(back.mask().is_some());
             std::fs::remove_file(&path).unwrap();
         }
     }

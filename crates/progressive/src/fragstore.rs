@@ -22,7 +22,8 @@
 //!   [`ContainerSource`], over a buffer in memory ([`InMemorySource`]) or
 //!   over a file read by byte ranges ([`FileSource`]). Both run the same
 //!   parse, directory checks, coalesced batch reads and tallies; only how a
-//!   byte range is read differs.
+//!   byte range is read differs. Saving an archive copies its container
+//!   as stored ([`FragmentSource::copy_to`]).
 //!
 //! ## Serialized container
 //!
@@ -37,7 +38,6 @@
 //! ascending and non-overlapping — a corrupt or malicious directory fails
 //! at parse time, not as an allocation bomb or an out-of-range read later.
 
-use crate::backend;
 use crate::mask::ZeroMask;
 use crate::refactored::{RefactoredField, Scheme};
 use pqr_util::byteio::{ByteReader, ByteWriter};
@@ -207,6 +207,16 @@ pub trait FragmentSource: Send + Sync {
     fn stats(&self) -> SourceStats {
         SourceStats::default()
     }
+
+    /// Writes the archive's whole serialized container to `out`, as it is
+    /// stored, without counting a fetch. Only [`ContainerSource`] holds a
+    /// container to copy; the default refuses, so a wrapper over another
+    /// source cannot be saved.
+    fn copy_to(&self, _out: &mut dyn Write) -> Result<()> {
+        Err(PqrError::InvalidRequest(
+            "this fragment source holds no container to copy".into(),
+        ))
+    }
 }
 
 impl<S: FragmentSource + ?Sized> FragmentSource for &S {
@@ -221,6 +231,9 @@ impl<S: FragmentSource + ?Sized> FragmentSource for &S {
     }
     fn stats(&self) -> SourceStats {
         (**self).stats()
+    }
+    fn copy_to(&self, out: &mut dyn Write) -> Result<()> {
+        (**self).copy_to(out)
     }
 }
 
@@ -378,7 +391,15 @@ fn manifest_from_bytes(bytes: &[u8], payload_start: u64, total_len: u64) -> Resu
         });
     }
     let mask = if r.get_u8()? == 1 {
-        Some(ZeroMask::from_bytes(r.get_bytes()?)?)
+        let mask = ZeroMask::from_bytes(r.get_bytes()?)?;
+        let points: usize = dims.iter().product();
+        if mask.len() != points {
+            return Err(PqrError::CorruptStream(format!(
+                "mask covers {} points, archive has {points}",
+                mask.len()
+            )));
+        }
+        Some(mask)
     } else {
         None
     };
@@ -395,7 +416,7 @@ fn manifest_from_bytes(bytes: &[u8], payload_start: u64, total_len: u64) -> Resu
 }
 
 /// Serializes fields that are already encoded — a
-/// [`RefactoredDataset`](crate::field::RefactoredDataset) or a single
+/// [`Dataset`](crate::field::Dataset)'s in memory, or a single
 /// [`RefactoredField`] — into a container in memory. The skeleton is the
 /// fields' own directory, so the layout is tight: the payloads follow the
 /// manifest with no slack.
@@ -443,8 +464,9 @@ fn write_err(e: std::io::Error) -> PqrError {
 /// with at least as many entries per field as the encode yields
 /// upper-bounds the real manifest byte for byte. Fields encoded before the
 /// call pass their own directory, and the layout is tight; fields still to
-/// be encoded reserve their scheme's [`backend::max_fragments`] ceiling.
-/// Payloads start right after the reservation and the actual manifest is
+/// be encoded reserve their scheme's
+/// [`max_fragments`](crate::backend::max_fragments) ceiling. Payloads
+/// start right after the reservation and the actual manifest is
 /// back-patched at the end, with any slack zero-filled.
 /// [`manifest_from_bytes`] only requires fragment offsets to sit
 /// at-or-after the manifest's end, so readers accept the gap.
@@ -584,39 +606,6 @@ fn read_preamble(head: &[u8], total_len: u64) -> Result<(usize, u64)> {
     Ok((mlen as usize, payload_start))
 }
 
-/// Rebuilds one [`RefactoredField`] by fetching every fragment of
-/// field `i` through `source` — the materialising path (deserialization,
-/// debugging); retrieval paths should refine through readers instead. The
-/// field passes the structural validation a reader's open would run on it,
-/// so a hostile archive fails here, not at the first retrieval.
-pub(crate) fn load_field(
-    source: &dyn FragmentSource,
-    manifest: &Manifest,
-    i: usize,
-) -> Result<RefactoredField> {
-    let entry = &manifest.fields[i];
-    let frags = entry
-        .fragments
-        .iter()
-        .enumerate()
-        .map(|(index, info)| {
-            let id = FragmentId {
-                field: i as u32,
-                index: index as u32,
-            };
-            Ok((info.eb_abs, source.fetch(id)?))
-        })
-        .collect::<Result<backend::Fragments>>()?;
-    backend::open(entry, &manifest.dims, || Ok(Arc::clone(&frags[0].1)))?;
-    Ok(RefactoredField {
-        scheme: entry.scheme,
-        dims: manifest.dims.clone(),
-        range: entry.range,
-        max_abs: entry.max_abs,
-        frags,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // The container source
 // ---------------------------------------------------------------------------
@@ -648,6 +637,8 @@ impl AtomicSourceStats {
 #[derive(Debug)]
 pub struct ContainerSource {
     bytes: Bytes,
+    /// The container's total size.
+    len: u64,
     manifest: Manifest,
     header_bytes: usize,
     stats: AtomicSourceStats,
@@ -701,10 +692,10 @@ impl Bytes {
 }
 
 impl ContainerSource {
-    /// Parses a serialized container held in memory (from
-    /// [`RefactoredDataset::to_bytes`] or a file read whole).
-    ///
-    /// [`RefactoredDataset::to_bytes`]: crate::field::RefactoredDataset::to_bytes
+    /// Parses a serialized container held in memory (one a source copied
+    /// out with [`FragmentSource::copy_to`], or a file read whole).
+    /// [`Dataset::refactor`](crate::field::Dataset::refactor) returns its
+    /// output as one.
     pub fn new(bytes: Vec<u8>) -> Result<Self> {
         let total = bytes.len() as u64;
         Self::parse(Bytes::Memory(bytes), total)
@@ -733,6 +724,7 @@ impl ContainerSource {
         let manifest = manifest_from_bytes(&mbytes, payload_start, total)?;
         Ok(Self {
             bytes,
+            len: total,
             manifest,
             header_bytes: PREAMBLE + mlen,
             stats: AtomicSourceStats::default(),
@@ -792,12 +784,36 @@ impl FragmentSource for ContainerSource {
     fn stats(&self) -> SourceStats {
         self.stats.snapshot()
     }
+
+    /// One write of the buffer, or one sequential copy of the file; a file
+    /// that no longer holds the bytes it was opened with is an error.
+    fn copy_to(&self, out: &mut dyn Write) -> Result<()> {
+        match &self.bytes {
+            Bytes::Memory(bytes) => out.write_all(bytes).map_err(write_err),
+            Bytes::File { path, file } => {
+                let mut f = file.lock().unwrap_or_else(|e| e.into_inner());
+                f.seek(SeekFrom::Start(0))
+                    .map_err(|e| io_err(path, "cannot seek in", e))?;
+                let copied = std::io::copy(&mut (&mut *f).take(self.len), out)
+                    .map_err(|e| io_err(path, "cannot copy", e))?;
+                if copied != self.len {
+                    return Err(PqrError::CorruptStream(format!(
+                        "'{}' holds {copied} of its {} container bytes",
+                        path.display(),
+                        self.len
+                    )));
+                }
+                Ok(())
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::field::Dataset;
+    use crate::refactored::FieldReader;
 
     fn dataset(n: usize) -> Dataset {
         let mut ds = Dataset::new(&[n]);
@@ -813,34 +829,33 @@ mod tests {
         ds
     }
 
+    const BOUNDS: [f64; 3] = [1e-1, 1e-3, 1e-5];
+
     fn archive_bytes(scheme: Scheme) -> Vec<u8> {
-        dataset(400)
-            .refactor_with_bounds(scheme, &[1e-1, 1e-3, 1e-5])
-            .unwrap()
-            .to_bytes()
+        let mut bytes = Vec::new();
+        let src = dataset(400).refactor_with_bounds(scheme, &BOUNDS).unwrap();
+        src.copy_to(&mut bytes).unwrap();
+        bytes
     }
 
     #[test]
     fn container_roundtrips_across_schemes() {
+        let ds = dataset(400);
         for scheme in Scheme::extended() {
-            let bytes = archive_bytes(scheme);
-            let src = InMemorySource::new(bytes).unwrap();
+            let src = Arc::new(ds.refactor_with_bounds(scheme, &BOUNDS).unwrap());
             let m = src.manifest().unwrap();
             assert_eq!(m.num_fields(), 2, "{}", scheme.name());
             assert_eq!(m.dims, vec![400]);
             for (i, f) in m.fields.iter().enumerate() {
                 assert_eq!(f.scheme, scheme);
                 assert!(!f.fragments.is_empty());
-                let rebuilt = load_field(&src, &m, i).unwrap();
-                assert_eq!(rebuilt.scheme(), scheme);
-                assert_eq!(rebuilt.dims(), &[400]);
+                FieldReader::open(Arc::clone(&src) as _, &m, i).unwrap();
                 // a field's archived size is what the directory stores
-                assert_eq!(rebuilt.total_bytes(), f.total_bytes());
+                let encoded =
+                    RefactoredField::refactor_with_bounds(scheme, ds.field(i), &[400], &BOUNDS)
+                        .unwrap();
+                assert_eq!(encoded.total_bytes(), f.total_bytes());
             }
-            let encoded = dataset(400)
-                .refactor_with_bounds(scheme, &[1e-1, 1e-3, 1e-5])
-                .unwrap();
-            assert_eq!(encoded.total_bytes(), m.total_payload_bytes());
         }
     }
 
@@ -889,28 +904,9 @@ mod tests {
         assert!(InMemorySource::new(head_only).is_err());
     }
 
-    /// Crafts a minimal container whose single field's directory is
-    /// attacker-controlled.
-    /// A one-field snapshot container whose directory gives the field
-    /// `max_abs` and every snapshot `eb_abs`.
-    fn crafted(fragments: &[(u64, u64)], scheme: Scheme, max_abs: f64, eb_abs: f64) -> Vec<u8> {
-        let mut m = ByteWriter::new();
-        m.put_u8(1); // nd
-        m.put_u64(4); // dim
-        m.put_u32(1); // one field
-        m.put_bytes(b"f");
-        m.put_u8(scheme.tag());
-        m.put_f64(1.0);
-        m.put_f64(max_abs);
-        m.put_u32(fragments.len() as u32);
-        for &(offset, len) in fragments {
-            m.put_u64(offset);
-            m.put_u64(len);
-            m.put_f64(eb_abs);
-        }
-        m.put_u8(0); // no mask
-        m.put_bytes(&[]); // app meta
-        let mbytes = m.finish();
+    /// A container holding `m` and a 64-byte payload region.
+    fn container(m: &Manifest) -> Vec<u8> {
+        let mbytes = manifest_to_bytes(m);
         let mut w = ByteWriter::new();
         w.put_raw(MAGIC);
         w.put_u8(VERSION);
@@ -918,6 +914,30 @@ mod tests {
         w.put_raw(&mbytes);
         w.put_raw(&[0xAB; 64]); // payload region
         w.finish()
+    }
+
+    /// A one-field container over 4 points whose attacker-controlled
+    /// directory gives the field `max_abs` and every fragment `eb_abs`.
+    fn crafted(fragments: &[(u64, u64)], scheme: Scheme, max_abs: f64, eb_abs: f64) -> Vec<u8> {
+        let fragments = fragments.iter();
+        container(&Manifest {
+            dims: vec![4],
+            fields: vec![FieldEntry {
+                name: "f".into(),
+                scheme,
+                range: 1.0,
+                max_abs,
+                fragments: fragments
+                    .map(|&(offset, len)| FragmentInfo {
+                        offset,
+                        len,
+                        eb_abs,
+                    })
+                    .collect(),
+            }],
+            mask: None,
+            app_meta: Vec::new(),
+        })
     }
 
     /// Payload-region start of a crafted container with `n` fragments (the
@@ -979,6 +999,18 @@ mod tests {
         };
         bomb[claim_pos..claim_pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(InMemorySource::new(bomb).is_err());
+        // a mask covering other than the archive's 4 points
+        let masked = |points: usize| {
+            InMemorySource::new(container(&Manifest {
+                dims: vec![4],
+                fields: Vec::new(),
+                mask: Some(ZeroMask::new(vec![0], vec![false; points])),
+                app_meta: Vec::new(),
+            }))
+        };
+        assert!(masked(4).is_ok());
+        assert!(masked(3).is_err());
+        assert!(masked(5).is_err());
     }
 
     #[test]
@@ -997,7 +1029,7 @@ mod tests {
                 let container = crafted(&[(ps, 10)], scheme, max_abs, eb_abs);
                 let src = Arc::new(InMemorySource::new(container).unwrap());
                 let manifest = src.manifest().unwrap();
-                let opened = crate::refactored::FieldReader::open(src, &manifest, 0);
+                let opened = FieldReader::open(src, &manifest, 0);
                 assert!(
                     matches!(opened, Err(PqrError::CorruptStream(_))),
                     "{} max|x| {max_abs} eb {eb_abs} opened",
@@ -1009,7 +1041,7 @@ mod tests {
         let src =
             Arc::new(InMemorySource::new(crafted(&[(ps, 10)], Scheme::Psz3, 0.0, 0.0)).unwrap());
         let manifest = src.manifest().unwrap();
-        assert!(crate::refactored::FieldReader::open(src, &manifest, 0).is_ok());
+        assert!(FieldReader::open(src, &manifest, 0).is_ok());
     }
 
     #[test]
@@ -1019,7 +1051,7 @@ mod tests {
         // exhausted at the zero-vector bound", not index an empty ladder
         let src = Arc::new(InMemorySource::new(crafted(&[], Scheme::Psz3, 1.0, 0.1)).unwrap());
         let manifest = src.manifest().unwrap();
-        let mut reader = crate::refactored::FieldReader::open(src, &manifest, 0).unwrap();
+        let mut reader = FieldReader::open(src, &manifest, 0).unwrap();
         assert!(reader.exhausted());
         reader.refine_to(1e-9).unwrap();
         assert_eq!(reader.total_fetched(), 0);
@@ -1028,15 +1060,17 @@ mod tests {
 
     #[test]
     fn meta_dims_disagreeing_with_manifest_rejected() {
-        // a two-field archive whose manifests we cross-wire: field 0's
-        // metadata fragment describes the right dims, so loading succeeds;
-        // but a manifest lying about the shape must fail load_field
-        let bytes = archive_bytes(Scheme::PmgardHb);
-        let src = InMemorySource::new(bytes).unwrap();
+        // field 0's metadata fragment describes the right dims, so opening
+        // succeeds; but a manifest lying about the shape must fail the open
+        let src = Arc::new(
+            dataset(400)
+                .refactor_with_bounds(Scheme::PmgardHb, &BOUNDS)
+                .unwrap(),
+        );
         let mut m = src.manifest().unwrap();
-        assert!(load_field(&src, &m, 0).is_ok());
+        assert!(FieldReader::open(Arc::clone(&src) as _, &m, 0).is_ok());
         m.dims = vec![999];
-        assert!(load_field(&src, &m, 0).is_err());
+        assert!(FieldReader::open(src, &m, 0).is_err());
     }
 
     #[test]

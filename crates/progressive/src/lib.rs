@@ -6,8 +6,8 @@
 //!
 //! ## Pieces
 //!
-//! * [`field`] — named fields and multi-field datasets with refactor-time
-//!   metadata (value ranges, QoI ranges).
+//! * [`field`] — named multi-field datasets with refactor-time metadata
+//!   (value ranges, QoI ranges); refactoring one writes its container.
 //! * [`refactored`] — the three §V-B progressive representations behind one
 //!   interface (underneath, one crate-private component-expansion `Backend`
 //!   per representation — the only code that tells them apart):
@@ -51,8 +51,9 @@
 //! use pqr_progressive::field::Dataset;
 //! use pqr_progressive::refactored::Scheme;
 //! use pqr_qoi::library::velocity_magnitude;
+//! use std::sync::Arc;
 //!
-//! // archive side: refactor three velocity fields
+//! // archive side: refactor three velocity fields into a container in memory
 //! let n = 512;
 //! let fields: Vec<Vec<f64>> = (0..3)
 //!     .map(|c| (0..n).map(|i| ((i + c * 37) as f64 * 0.01).sin() + 1.5).collect())
@@ -62,11 +63,11 @@
 //! for (name, f) in names.iter().zip(&fields) {
 //!     ds.add_field(name, f.clone()).unwrap();
 //! }
-//! let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+//! let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
 //!
 //! // retrieval side: VTOT within 1e-4 of truth, guaranteed
 //! let qoi = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
-//! let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+//! let mut engine = RetrievalEngine::from_source(archive, EngineConfig::default()).unwrap();
 //! let report = engine.retrieve(&[qoi]).unwrap();
 //! assert!(report.satisfied);
 //!
@@ -86,7 +87,7 @@ pub mod refactored;
 pub mod store;
 
 pub use engine::{EngineConfig, QoiSpec, RetrievalEngine};
-pub use field::{Dataset, RefactoredDataset};
+pub use field::Dataset;
 pub use fragstore::{
     FileSource, FragmentId, FragmentSource, InMemorySource, Manifest, SourceStats,
 };

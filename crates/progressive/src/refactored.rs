@@ -155,26 +155,6 @@ impl RefactoredField {
         })
     }
 
-    /// The representation this field was refactored into.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// Array shape.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    /// True for zero-element fields.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// `max − min` of the original data.
     pub fn value_range(&self) -> f64 {
         self.range
@@ -192,46 +172,25 @@ impl RefactoredField {
         self.frags.iter().map(|(_, p)| p.len()).sum()
     }
 
-    /// Opens a progressive reader at zero fetched fragments over an
-    /// [`InMemorySource`] of this field's container
-    /// ([`RefactoredField::to_bytes`]) — the parse and fetch path every
-    /// archive goes through. The reader owns its source and carries no
-    /// borrow.
+    /// Opens a progressive reader at zero fetched fragments over this
+    /// field's own one-field container, in memory — the parse and fetch
+    /// path every archive goes through. The reader owns its source and
+    /// carries no borrow.
     ///
     /// A field whose metadata fragment does not parse cannot be opened,
     /// and this panics; [`FieldReader::open`] reports it instead.
     pub fn reader(&self) -> FieldReader {
-        let source = InMemorySource::new(self.to_bytes()).expect("a field's own container parses");
+        let source = self.source();
         let manifest = source.manifest().expect("an in-memory manifest");
         FieldReader::open(Arc::new(source), &manifest, 0)
             .expect("a refactored field opens on its own container")
     }
 
-    /// Serializes the archive artifact into the fragment-addressed
-    /// container format (a single-field archive — see [`crate::fragstore`]
-    /// for the layout).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        fragstore::container_bytes(
-            &self.dims,
-            &[String::new()],
-            std::slice::from_ref(self),
-            None,
-            &[],
-        )
-    }
-
-    /// Deserializes (fully materialises) a single-field archive written by
-    /// [`RefactoredField::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let src = InMemorySource::new(bytes.to_vec())?;
-        let manifest = src.manifest()?;
-        if manifest.num_fields() != 1 {
-            return Err(PqrError::CorruptStream(format!(
-                "expected a single-field archive, found {} fields",
-                manifest.num_fields()
-            )));
-        }
-        fragstore::load_field(&src, &manifest, 0)
+    /// This field alone, as a one-field container in memory.
+    pub(crate) fn source(&self) -> InMemorySource {
+        let one = std::slice::from_ref(self);
+        let bytes = fragstore::container_bytes(&self.dims, &[String::new()], one, None, &[]);
+        InMemorySource::new(bytes).expect("a field's own container parses")
     }
 }
 
@@ -778,7 +737,6 @@ mod tests {
             let name = scheme.name();
             let field =
                 RefactoredField::refactor_with_bounds(scheme, &data, &[n], &ladder).unwrap();
-            let bytes = field.to_bytes();
             for corrupt in [false, true] {
                 let front = field.reader().plan_refine_to(1e-4 * range);
                 let loose = front.len();
@@ -790,7 +748,7 @@ mod tests {
                 let bad = tight[tight.len() * 3 / 4];
                 let run = |crew: &Crew| {
                     let source: Arc<dyn FragmentSource> = Arc::new(Faulty {
-                        inner: InMemorySource::new(bytes.clone()).unwrap(),
+                        inner: field.source(),
                         bad,
                         corrupt,
                     });
@@ -910,25 +868,17 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip_all_schemes() {
+    fn a_fields_own_container_describes_it() {
         let data = field_data(800);
         for scheme in Scheme::extended() {
             let rf = RefactoredField::refactor_with_bounds(scheme, &data, &[800], &bounds_short())
                 .unwrap();
-            let bytes = rf.to_bytes();
-            let rf2 = RefactoredField::from_bytes(&bytes).unwrap();
-            assert_eq!(rf2.scheme(), scheme);
-            assert_eq!(rf2.dims(), rf.dims());
-            assert_eq!(rf2.value_range(), rf.value_range());
-            assert_eq!(rf2.total_bytes(), rf.total_bytes());
-            // readers behave identically
-            let range = rf.value_range();
-            let mut a = rf.reader();
-            let mut b = rf2.reader();
-            a.refine_to(1e-4 * range).unwrap();
-            b.refine_to(1e-4 * range).unwrap();
-            assert_eq!(a.data(), b.data());
-            assert_eq!(a.total_fetched(), b.total_fetched());
+            let m = rf.source().manifest().unwrap();
+            assert_eq!((m.num_fields(), &m.dims), (1, &rf.dims));
+            let entry = &m.fields[0];
+            assert_eq!((entry.scheme, entry.range), (scheme, rf.value_range()));
+            assert_eq!(entry.max_abs, rf.max_abs());
+            assert_eq!(entry.total_bytes(), rf.total_bytes());
         }
     }
 
@@ -1070,7 +1020,7 @@ mod tests {
             let field =
                 RefactoredField::refactor_with_bounds(scheme, &data, &[3000], &ladder).unwrap();
             let source = Arc::new(Recording {
-                source: InMemorySource::new(field.to_bytes()).unwrap(),
+                source: field.source(),
                 log: Default::default(),
             });
             let manifest = source.manifest().unwrap();

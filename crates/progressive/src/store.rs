@@ -1034,7 +1034,6 @@ fn master_cost(reader: &FieldReader) -> u64 {
 mod tests {
     use super::*;
     use crate::field::Dataset;
-    use crate::fragstore::InMemorySource;
     use crate::refactored::Scheme;
 
     fn shared_source(scheme: Scheme) -> Arc<dyn FragmentSource> {
@@ -1044,11 +1043,8 @@ mod tests {
             .unwrap();
         ds.add_field("v", (0..n).map(|i| (i as f64 * 0.02).cos() * 3.0).collect())
             .unwrap();
-        let bytes = ds
-            .refactor_with_bounds(scheme, &(1..=8).map(|i| 10f64.powi(-i)).collect::<Vec<_>>())
-            .unwrap()
-            .to_bytes();
-        Arc::new(InMemorySource::new(bytes).unwrap())
+        let ladder: Vec<f64> = (1..=8).map(|i| 10f64.powi(-i)).collect();
+        Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap())
     }
 
     #[test]

@@ -84,9 +84,8 @@ fn flaky_archive(scheme: Scheme) -> Arc<FlakySource> {
     let mut ds = Dataset::new(&[N]);
     ds.add_field("x", truth()).unwrap();
     let ladder: Vec<f64> = (1..=12).map(|i| 10f64.powi(-i)).collect();
-    let bytes = ds.refactor_with_bounds(scheme, &ladder).unwrap().to_bytes();
     Arc::new(FlakySource {
-        inner: InMemorySource::new(bytes).unwrap(),
+        inner: ds.refactor_with_bounds(scheme, &ladder).unwrap(),
         failing: Mutex::new(HashSet::new()),
         on: AtomicBool::new(false),
     })
@@ -291,7 +290,10 @@ fn three_field_bytes(scheme: Scheme) -> Vec<u8> {
         ds.add_field(name, f).unwrap();
     }
     let ladder: Vec<f64> = (1..=12).map(|i| 10f64.powi(-i)).collect();
-    ds.refactor_with_bounds(scheme, &ladder).unwrap().to_bytes()
+    let mut bytes = Vec::new();
+    let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+    archive.copy_to(&mut bytes).unwrap();
+    bytes
 }
 
 #[test]

@@ -8,6 +8,7 @@
 
 use pqr_mgard::{Basis, MgardRefactorer};
 use pqr_progressive::field::Dataset;
+use pqr_progressive::fragstore::FragmentSource;
 use pqr_progressive::refactored::Scheme;
 use pqr_zfp::ZfpRefactorer;
 use proptest::prelude::*;
@@ -55,8 +56,8 @@ fn unique_path(tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The acceptance property of the parallel write path: resident
-    /// refactors at any worker count and streamed archives under every
+    /// The acceptance property of the parallel write path: in-memory
+    /// containers at any worker count and streamed archives under every
     /// (workers, overlap) schedule are byte-identical to the serial
     /// reference.
     #[test]
@@ -68,16 +69,19 @@ proptest! {
         let ds = make_dataset(n, seed);
         let bounds = [1e-1, 1e-3, 1e-5];
 
-        // resident path: 8 workers ≡ 1 worker, field by field
-        let serial = ds.refactor_with_workers(scheme, &bounds, 1).unwrap();
-        let parallel = ds.refactor_with_workers(scheme, &bounds, 8).unwrap();
-        for i in 0..ds.num_fields() {
-            prop_assert_eq!(
-                serial.field(i).to_bytes(),
-                parallel.field(i).to_bytes(),
-                "{} field {} differs at 8 workers", scheme.name(), i
-            );
-        }
+        // in-memory path: 8 workers ≡ 1 worker, container for container
+        let in_memory = |workers| {
+            let src = ds
+                .refactor_in_memory(scheme, &bounds, Some(&[0, 1]), b"pe", workers)
+                .unwrap();
+            let mut bytes = Vec::new();
+            src.copy_to(&mut bytes).unwrap();
+            bytes
+        };
+        prop_assert_eq!(
+            in_memory(1), in_memory(8),
+            "{} in-memory container differs at 8 workers", scheme.name()
+        );
 
         // streamed path: every schedule writes the same file
         let mut reference: Option<Vec<u8>> = None;

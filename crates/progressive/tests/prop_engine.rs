@@ -5,11 +5,13 @@
 
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
-use pqr_progressive::refactored::Scheme;
+use pqr_progressive::fragstore::{FragmentSource, InMemorySource};
+use pqr_progressive::refactored::{FieldReader, Scheme};
 use pqr_qoi::library::{species_product, velocity_magnitude};
 use pqr_qoi::QoiExpr;
 use pqr_util::stats;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
@@ -97,13 +99,13 @@ proptest! {
         // offset 20 keeps VTOT away from the √ blow-up without a mask
         let ds = make_dataset(n, seed, 20.0);
         let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+        let archive = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
         let tol = 10f64.powi(tol_exp);
         let spec = QoiSpec::relative("q", qoi.clone(), tol, &ds).unwrap();
         let tol_abs = spec.tol_abs();
         prop_assume!(tol_abs > 0.0);
 
-        let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+        let mut engine = RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap();
         let report = engine.retrieve(&[spec]).unwrap();
         prop_assume!(report.satisfied); // unsatisfiable = representation floor
 
@@ -138,11 +140,11 @@ proptest! {
             - truth.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assume!(range.is_finite() && range > 1e-9);
 
-        let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+        let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
         let tol = 10f64.powi(tol_exp);
         let spec = QoiSpec::with_range("rand", qoi.clone(), tol, range);
         let tol_abs = spec.tol_abs();
-        let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+        let mut engine = RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap();
         let report = engine.retrieve(&[spec]).unwrap();
         prop_assume!(report.satisfied);
 
@@ -167,7 +169,7 @@ proptest! {
         // same contract as the theorem estimator, generic machinery
         let ds = make_dataset(n, seed, 20.0);
         let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+        let archive = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
         let tol = 10f64.powi(tol_exp);
         let spec = QoiSpec::relative("q", qoi.clone(), tol, &ds).unwrap();
         let tol_abs = spec.tol_abs();
@@ -180,7 +182,7 @@ proptest! {
             },
             ..Default::default()
         };
-        let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+        let mut engine = RetrievalEngine::from_source(archive.clone(), cfg).unwrap();
         let report = engine.retrieve(&[spec]).unwrap();
         prop_assume!(report.satisfied);
 
@@ -204,11 +206,11 @@ proptest! {
     ) {
         let ds = make_dataset(n, seed, 0.0);
         let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+        let archive = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
+        let manifest = archive.manifest().unwrap();
         for f in 0..3 {
-            let field = archive.field(f);
-            let mut reader = field.reader();
-            reader.refine_to(10f64.powi(rel_exp) * field.value_range()).unwrap();
+            let mut reader = FieldReader::open(archive.clone(), &manifest, f).unwrap();
+            reader.refine_to(10f64.powi(rel_exp) * manifest.fields[f].range).unwrap();
             let real = stats::max_abs_diff(ds.field(f), reader.data());
             prop_assert!(
                 real <= reader.guaranteed_bound(),
@@ -231,19 +233,19 @@ proptest! {
         // stopped — same bytes, same reconstructions
         let ds = make_dataset(n, seed, 20.0);
         let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+        let archive = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
         let qoi = velocity_magnitude(0, 3);
         let range = ds.qoi_range(&qoi).unwrap();
         let first = QoiSpec::with_range("v", qoi.clone(), 10f64.powi(save_tol_exp), range);
         let last = QoiSpec::with_range("v", qoi.clone(), 10f64.powi(final_tol_exp), range);
 
-        let mut straight = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+        let mut straight = RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap();
         straight.retrieve(std::slice::from_ref(&first)).unwrap();
         let blob = straight.save_progress();
         straight.retrieve(std::slice::from_ref(&last)).unwrap();
 
         let mut resumed =
-            RetrievalEngine::resume(&archive, EngineConfig::default(), &blob).unwrap();
+            RetrievalEngine::resume_from_source(archive.clone(), EngineConfig::default(), &blob).unwrap();
         resumed.retrieve(std::slice::from_ref(&last)).unwrap();
 
         prop_assert_eq!(straight.total_fetched(), resumed.total_fetched());
@@ -256,16 +258,18 @@ proptest! {
     fn hostile_archive_bytes_never_panic(
         junk in proptest::collection::vec(any::<u8>(), 0..600),
     ) {
-        use pqr_progressive::refactored::RefactoredField;
-        use pqr_progressive::field::RefactoredDataset;
-        let _ = RefactoredField::from_bytes(&junk);
-        let _ = RefactoredDataset::from_bytes(&junk);
-        // junk behind valid magic digs deeper into each parser
-        for magic in [&b"PQRF"[..], &b"PQRD"[..]] {
-            let mut prefixed = magic.to_vec();
-            prefixed.extend_from_slice(&junk);
-            let _ = RefactoredField::from_bytes(&prefixed);
-            let _ = RefactoredDataset::from_bytes(&prefixed);
+        // junk behind a valid magic and version digs deeper into the
+        // parser; whatever parses, opening each of its fields must return
+        for prefix in [&b""[..], &b"PQRX\x01"[..]] {
+            let mut bytes = prefix.to_vec();
+            bytes.extend_from_slice(&junk);
+            if let Ok(src) = InMemorySource::new(bytes) {
+                let src = Arc::new(src);
+                let manifest = src.manifest().unwrap();
+                for i in 0..manifest.num_fields() {
+                    let _ = FieldReader::open(src.clone(), &manifest, i);
+                }
+            }
         }
     }
 
@@ -279,11 +283,11 @@ proptest! {
         // a *real* archive truncated anywhere must return Err, never panic
         // and never silently succeed with wrong content
         let ds = make_dataset(n, seed, 5.0);
-        let ladder = vec![1e-1, 1e-3];
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
-        let bytes = archive.field(0).to_bytes();
+        let archive = ds.refactor_with_bounds(scheme, &[1e-1, 1e-3]).unwrap();
+        let mut bytes = Vec::new();
+        archive.copy_to(&mut bytes).unwrap();
         let cut = ((bytes.len() as f64 * cut_frac) as usize).min(bytes.len() - 1);
-        let result = pqr_progressive::refactored::RefactoredField::from_bytes(&bytes[..cut]);
+        let result = InMemorySource::new(bytes[..cut].to_vec());
         prop_assert!(result.is_err(), "{}: truncation at {cut} accepted", scheme.name());
     }
 
@@ -297,8 +301,8 @@ proptest! {
     ) {
         let ds = make_dataset(n, seed, 20.0);
         let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
-        let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+        let archive = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
+        let mut engine = RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap();
         let qoi = velocity_magnitude(0, 3);
         let range = ds.qoi_range(&qoi).unwrap();
         let mut last = 0usize;

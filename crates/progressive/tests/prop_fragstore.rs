@@ -12,6 +12,7 @@ use pqr_progressive::refactored::{ReaderProgress, Scheme};
 use pqr_qoi::library::velocity_magnitude;
 use pqr_qoi::QoiExpr;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
@@ -49,8 +50,8 @@ fn make_dataset(n: usize, seed: u64) -> Dataset {
     ds
 }
 
-/// Writes `bytes` to a unique temp file and returns its path.
-fn temp_archive(bytes: &[u8], tag: &str) -> std::path::PathBuf {
+/// Copies `archive` to a unique temp file and returns its path.
+fn temp_archive(archive: &InMemorySource, tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("pqr_prop_fragstore");
     std::fs::create_dir_all(&dir).unwrap();
     let unique = format!(
@@ -62,14 +63,16 @@ fn temp_archive(bytes: &[u8], tag: &str) -> std::path::PathBuf {
             .as_nanos()
     );
     let path = dir.join(unique);
-    std::fs::write(&path, bytes).unwrap();
+    archive
+        .copy_to(&mut std::fs::File::create(&path).unwrap())
+        .unwrap();
     path
 }
 
 /// Runs a retrieval through `source` and returns
 /// (per-field reconstructions, per-field bounds, total fetched bytes).
 fn retrieve_via(
-    source: std::sync::Arc<dyn FragmentSource>,
+    source: Arc<dyn FragmentSource>,
     spec: &QoiSpec,
 ) -> (Vec<Vec<f64>>, Vec<f64>, usize) {
     let mut engine = RetrievalEngine::from_source(source, EngineConfig::default()).unwrap();
@@ -96,15 +99,14 @@ proptest! {
     ) {
         let ds = make_dataset(n, seed);
         let ladder: Vec<f64> = (1..=8).map(|i| 10f64.powi(-i)).collect();
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+        let mem = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
         let range = ds.qoi_range(&qoi).unwrap();
         prop_assume!(range.is_finite() && range > 0.0);
         let spec = QoiSpec::with_range("q", qoi, 10f64.powi(tol_exp), range);
 
-        let bytes = archive.to_bytes();
-        let mem = std::sync::Arc::new(InMemorySource::new(bytes.clone()).unwrap());
-        let path = temp_archive(&bytes, scheme.name());
-        let file = std::sync::Arc::new(FileSource::open(&path).unwrap());
+        let path = temp_archive(&mem, scheme.name());
+        let len = std::fs::metadata(&path).unwrap().len();
+        let file = Arc::new(FileSource::open(&path).unwrap());
 
         let (recon_b, bounds_b, fetched_b) = retrieve_via(mem.clone(), &spec);
         let (recon_c, bounds_c, fetched_c) = retrieve_via(file.clone(), &spec);
@@ -123,10 +125,9 @@ proptest! {
         // bytes than the archive holds whenever the request was partial
         let disk = file.disk_bytes_read();
         prop_assert!(
-            disk <= bytes.len() as u64,
-            "{}: read {disk} of a {}-byte archive",
-            scheme.name(),
-            bytes.len()
+            disk <= len,
+            "{}: read {disk} of a {len}-byte archive",
+            scheme.name()
         );
     }
 
@@ -142,7 +143,7 @@ proptest! {
     ) {
         let ds = make_dataset(n, seed);
         let ladder: Vec<f64> = (1..=8).map(|i| 10f64.powi(-i)).collect();
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
+        let archive = Arc::new(ds.refactor_with_bounds(scheme, &ladder).unwrap());
         let qoi = QoiExpr::var(0).pow(2);
         let range = ds.qoi_range(&qoi).unwrap();
         prop_assume!(range.is_finite() && range > 0.0);
@@ -150,7 +151,7 @@ proptest! {
         let tight = QoiSpec::with_range("q", qoi, 10f64.powi(tol_exp - 2), range);
 
         // session 1 runs against the archive in memory, then suspends
-        let mut e1 = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+        let mut e1 = RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap();
         e1.retrieve(std::slice::from_ref(&loose)).unwrap();
         let blob = e1.save_progress();
 
@@ -162,9 +163,8 @@ proptest! {
         }
 
         // session 2 resumes *against the file-backed source*
-        let bytes = archive.to_bytes();
-        let path = temp_archive(&bytes, "resume");
-        let file = std::sync::Arc::new(FileSource::open(&path).unwrap());
+        let path = temp_archive(&archive, "resume");
+        let file = Arc::new(FileSource::open(&path).unwrap());
         let mut e2 =
             RetrievalEngine::resume_from_source(file, EngineConfig::default(), &blob).unwrap();
         prop_assert_eq!(e1.total_fetched(), e2.total_fetched());

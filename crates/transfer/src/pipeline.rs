@@ -191,18 +191,19 @@ pub fn baseline_transfer_secs(
 mod tests {
     use super::*;
     use pqr_datagen::ge::{self, GeConfig};
-    use pqr_progressive::field::{Dataset, RefactoredDataset};
+    use pqr_progressive::field::Dataset;
     use pqr_progressive::fragstore::{InMemorySource, SourceStats};
     use pqr_progressive::refactored::Scheme;
     use pqr_qoi::library::velocity_magnitude;
 
-    /// Builds small GE-large-like blocks: per-block refactored velocity
-    /// fields with their zero mask, plus per-block VTOT ranges.
+    /// Builds small GE-large-like blocks: per-block containers of the
+    /// refactored velocity fields with their zero mask, plus per-block VTOT
+    /// ranges.
     fn build_blocks(
         blocks: usize,
         scheme: Scheme,
         mean_block_len: usize,
-    ) -> (Vec<RefactoredDataset>, Vec<f64>) {
+    ) -> (Vec<Vec<u8>>, Vec<f64>) {
         let cfg = GeConfig {
             blocks,
             mean_block_len,
@@ -219,11 +220,11 @@ mod tests {
                     ds.add_field(name, b.field(name).unwrap().to_vec()).unwrap();
                 }
                 ranges.push(ds.qoi_range(&velocity_magnitude(0, 3)).unwrap());
-                let mut rd = ds
-                    .refactor_with_bounds(scheme, &[1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-                    .unwrap();
-                rd.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
-                rd
+                let ladder = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6];
+                let src = ds.refactor_in_memory(scheme, &ladder, Some(&[0, 1, 2]), &[], 0);
+                let mut bytes = Vec::new();
+                src.unwrap().copy_to(&mut bytes).unwrap();
+                bytes
             })
             .collect();
         (refactored, ranges)
@@ -231,12 +232,10 @@ mod tests {
 
     /// Each block served from its serialized container, so every source
     /// tallies its fetches, bytes and round trips.
-    fn in_memory(blocks: &[RefactoredDataset]) -> Vec<Arc<dyn FragmentSource>> {
+    fn in_memory(blocks: &[Vec<u8>]) -> Vec<Arc<dyn FragmentSource>> {
         blocks
             .iter()
-            .map(|b| {
-                Arc::new(InMemorySource::new(b.to_bytes()).unwrap()) as Arc<dyn FragmentSource>
-            })
+            .map(|b| Arc::new(InMemorySource::new(b.clone()).unwrap()) as Arc<dyn FragmentSource>)
             .collect()
     }
 
@@ -247,10 +246,11 @@ mod tests {
 
     /// Engine-counted bytes that never ride the fragment path: the mask is
     /// manifest metadata, charged by the engine but not fetched by id.
-    fn mask_bytes(blocks: &[RefactoredDataset]) -> usize {
-        blocks
+    fn mask_bytes(sources: &[Arc<dyn FragmentSource>]) -> usize {
+        let mask = |s: &Arc<dyn FragmentSource>| s.manifest().unwrap().mask;
+        sources
             .iter()
-            .map(|b| b.mask().map_or(0, |m| m.storage_bytes()))
+            .map(|s| mask(s).map_or(0, |m| m.storage_bytes()))
             .sum()
     }
 
@@ -286,7 +286,7 @@ mod tests {
         let c = total_stats(&sources);
         assert_eq!(
             result.total_bytes,
-            c.fetched_bytes as usize + mask_bytes(&blocks)
+            c.fetched_bytes as usize + mask_bytes(&sources)
         );
         assert!(
             c.read_ops as usize > blocks.len(),
@@ -326,7 +326,10 @@ mod tests {
         };
         let result = run_pipeline(&sources, &cfg, vtot(&ranges, 1e-5)).unwrap();
         assert!(result.all_satisfied());
-        let raw: usize = blocks.iter().map(|b| b.raw_bytes()).sum();
+        let raw: usize = sources
+            .iter()
+            .map(|s| s.manifest().unwrap().raw_bytes())
+            .sum();
         assert!(
             result.total_bytes < raw,
             "progressive {} B !< raw {} B",
@@ -369,10 +372,13 @@ mod tests {
         assert!(result.all_satisfied());
         assert_eq!(
             result.total_bytes,
-            total_stats(&sources).fetched_bytes as usize + mask_bytes(&blocks)
+            total_stats(&sources).fetched_bytes as usize + mask_bytes(&sources)
         );
         // still far below moving the raw blocks
-        let raw: usize = blocks.iter().map(|b| b.raw_bytes()).sum();
+        let raw: usize = sources
+            .iter()
+            .map(|s| s.manifest().unwrap().raw_bytes())
+            .sum();
         assert!(result.total_bytes < raw / 2);
     }
 

@@ -3,6 +3,8 @@
 
 use pqr::datagen::{ge, hurricane, nyx, s3d};
 use pqr::prelude::*;
+use pqr::progressive::refactored::default_snapshot_bounds;
+use std::sync::Arc;
 
 /// Builds a Dataset from a RawDataset (all fields).
 fn to_dataset(raw: &pqr::datagen::RawDataset) -> Dataset {
@@ -15,8 +17,9 @@ fn to_dataset(raw: &pqr::datagen::RawDataset) -> Dataset {
 
 /// Asserts the paper's central guarantee for one QoI on one archive:
 /// actual ≤ estimated ≤ tolerance.
-fn assert_guarantee(ds: &Dataset, archive: &RefactoredDataset, spec: &QoiSpec) {
-    let mut engine = RetrievalEngine::new(archive, EngineConfig::default()).unwrap();
+fn assert_guarantee(ds: &Dataset, archive: &Arc<InMemorySource>, spec: &QoiSpec) {
+    let mut engine =
+        RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap();
     let report = engine.retrieve(std::slice::from_ref(spec)).unwrap();
     assert!(report.satisfied, "{} not satisfied", spec.name);
     let truth = ds.qoi_values(&spec.expr);
@@ -49,8 +52,8 @@ fn ge_all_qois_all_schemes() {
     let ds = to_dataset(&raw);
     let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
     for scheme in Scheme::extended() {
-        let mut archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
-        archive.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
+        let archive = ds.refactor_in_memory(scheme, &ladder, Some(&[0, 1, 2]), &[], 0);
+        let archive = Arc::new(archive.unwrap());
         for (name, expr) in ge_qoi::all() {
             let spec = QoiSpec::relative(name, expr, 1e-4, &ds).unwrap();
             assert_guarantee(&ds, &archive, &spec);
@@ -67,7 +70,7 @@ fn hurricane_vtot() {
         seed: 3,
     });
     let ds = to_dataset(&raw);
-    let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+    let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
     let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &ds).unwrap();
     assert_guarantee(&ds, &archive, &spec);
 }
@@ -81,7 +84,7 @@ fn nyx_vtot() {
         seed: 5,
     });
     let ds = to_dataset(&raw);
-    let archive = ds.refactor(Scheme::Psz3Delta).unwrap();
+    let archive = Arc::new(ds.refactor(Scheme::Psz3Delta).unwrap());
     let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &ds).unwrap();
     assert_guarantee(&ds, &archive, &spec);
 }
@@ -94,7 +97,7 @@ fn s3d_products() {
         seed: 11,
     });
     let ds = to_dataset(&raw);
-    let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+    let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
     for (a, b) in s3d::PRODUCT_PAIRS {
         let spec =
             QoiSpec::relative(&format!("x{a}x{b}"), species_product(a, b), 1e-6, &ds).unwrap();
@@ -107,18 +110,22 @@ fn facade_roundtrip_through_serialization() {
     // archive → bytes → archive → session must behave identically
     let n = 400;
     let field: Vec<f64> = (0..n).map(|i| (i as f64 * 0.03).sin() * 5.0).collect();
-    let mut ds = Dataset::new(&[n]);
-    ds.add_field("f", field).unwrap();
-    let archive = ds.refactor(Scheme::PmgardHb).unwrap();
-    let restored = RefactoredDataset::from_bytes(&archive.to_bytes()).unwrap();
+    let archive = ArchiveBuilder::new(&[n])
+        .field("f", field)
+        .qoi("f2", QoiExpr::var(0).pow(2))
+        .build()
+        .unwrap();
+    let restored = Archive::from_bytes(&archive.to_bytes()).unwrap();
 
-    let spec = QoiSpec::relative("f2", QoiExpr::var(0).pow(2), 1e-5, &ds).unwrap();
-    let mut e1 = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
-    let mut e2 = RetrievalEngine::new(&restored, EngineConfig::default()).unwrap();
-    let r1 = e1.retrieve(std::slice::from_ref(&spec)).unwrap();
-    let r2 = e2.retrieve(std::slice::from_ref(&spec)).unwrap();
+    let request = RetrievalRequest::new().qoi("f2", 1e-5);
+    let (mut s1, mut s2) = (archive.session().unwrap(), restored.session().unwrap());
+    let r1 = s1.execute(&request).unwrap();
+    let r2 = s2.execute(&request).unwrap();
     assert_eq!(r1.total_fetched, r2.total_fetched);
-    assert_eq!(e1.reconstruction(0), e2.reconstruction(0));
+    assert_eq!(
+        s1.reconstruction("f").unwrap(),
+        s2.reconstruction("f").unwrap()
+    );
 }
 
 #[test]
@@ -132,10 +139,11 @@ fn progressive_series_monotone_bitrate_vs_tolerance() {
     });
     let raw = ge::concat(&blocks);
     let ds = to_dataset(&raw);
-    let mut archive = ds.refactor(Scheme::PmgardHb).unwrap();
-    archive.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
+    let bounds = default_snapshot_bounds();
+    let archive = ds.refactor_in_memory(Scheme::PmgardHb, &bounds, Some(&[0, 1, 2]), &[], 0);
     let base = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1.0, &ds).unwrap();
-    let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+    let archive = Arc::new(archive.unwrap());
+    let mut engine = RetrievalEngine::from_source(archive, EngineConfig::default()).unwrap();
     let mut last = 0usize;
     for i in 1..=8 {
         let spec = base.at_tolerance(0.1 * (2.0f64).powi(-i));

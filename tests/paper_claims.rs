@@ -3,6 +3,7 @@
 
 use pqr::datagen::ge;
 use pqr::prelude::*;
+use std::sync::Arc;
 
 fn ge_dataset(points_per_block: usize, blocks: usize) -> Dataset {
     let raw_blocks = ge::generate(&ge::GeConfig {
@@ -19,6 +20,13 @@ fn ge_dataset(points_per_block: usize, blocks: usize) -> Dataset {
     ds
 }
 
+/// `ds` refactored under PMGARD-HB (ladder-free) with the zero mask over
+/// the velocity fields 0–2.
+fn masked_hb(ds: &Dataset) -> Arc<InMemorySource> {
+    let archive = ds.refactor_in_memory(Scheme::PmgardHb, &[], Some(&[0, 1, 2]), &[], 0);
+    Arc::new(archive.unwrap())
+}
+
 /// §V-B / Fig. 2: under a progressive request series PSZ3 moves the most
 /// bytes (snapshot redundancy); PSZ3-delta and PMGARD-HB are leaner.
 #[test]
@@ -27,8 +35,9 @@ fn psz3_redundancy_ordering() {
     let ladder: Vec<f64> = (1..=10).map(|i| 10f64.powi(-i)).collect();
     let mut totals = std::collections::BTreeMap::new();
     for scheme in [Scheme::Psz3, Scheme::Psz3Delta, Scheme::PmgardHb] {
-        let archive = ds.refactor_with_bounds(scheme, &ladder).unwrap();
-        let field = archive.field(3); // Pressure
+        let pressure = ds.field(3);
+        let field = RefactoredField::refactor_with_bounds(scheme, pressure, ds.dims(), &ladder);
+        let field = field.unwrap();
         let mut reader = field.reader();
         for i in 1..=20 {
             let eb = 0.1 * (2.0f64).powi(-i) * field.value_range();
@@ -50,12 +59,11 @@ fn psz3_redundancy_ordering() {
 #[test]
 fn hb_beats_ob_fig3() {
     let ds = ge_dataset(2000, 4);
-    let hb = ds.refactor(Scheme::PmgardHb).unwrap();
-    let ob = ds.refactor(Scheme::PmgardOb).unwrap();
     for f in 0..5 {
-        let range = hb.field(f).value_range();
-        let mut rh = hb.field(f).reader();
-        let mut ro = ob.field(f).reader();
+        let hb = RefactoredField::refactor(Scheme::PmgardHb, ds.field(f), ds.dims()).unwrap();
+        let ob = RefactoredField::refactor(Scheme::PmgardOb, ds.field(f), ds.dims()).unwrap();
+        let range = hb.value_range();
+        let (mut rh, mut ro) = (hb.reader(), ob.reader());
         let eb = 1e-5 * range;
         rh.refine_to(eb).unwrap();
         ro.refine_to(eb).unwrap();
@@ -77,12 +85,12 @@ fn hb_beats_ob_fig3() {
 #[test]
 fn fig4_estimates_dominate_actuals_over_sweep() {
     let ds = ge_dataset(800, 4);
-    let mut archive = ds.refactor(Scheme::PmgardHb).unwrap();
-    archive.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
+    let archive = masked_hb(&ds);
     for (name, expr) in ge_qoi::all() {
         let truth = ds.qoi_values(&expr);
         let range = ds.qoi_range(&expr).unwrap();
-        let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+        let mut engine =
+            RetrievalEngine::from_source(archive.clone(), EngineConfig::default()).unwrap();
         for i in 0..=6 {
             let tol = 0.1 * (4.0f64).powi(-i);
             let spec = QoiSpec::with_range(name, expr.clone(), tol, range);
@@ -105,7 +113,7 @@ fn fig4_estimates_dominate_actuals_over_sweep() {
 #[test]
 fn mask_vs_exact_sqrt_ablation() {
     let ds = ge_dataset(1200, 4); // contains exact-zero walls
-    let archive = ds.refactor(Scheme::PmgardHb).unwrap();
+    let archive = Arc::new(ds.refactor(Scheme::PmgardHb).unwrap());
     let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-3, &ds).unwrap();
 
     // paper-mode √ without mask: unboundable
@@ -114,7 +122,7 @@ fn mask_vs_exact_sqrt_ablation() {
         max_tightenings: 32,
         ..Default::default()
     };
-    let mut engine = RetrievalEngine::new(&archive, cfg).unwrap();
+    let mut engine = RetrievalEngine::from_source(archive.clone(), cfg).unwrap();
     let r = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
     assert!(!r.satisfied, "paper √ should fail on unmasked zeros");
 
@@ -125,7 +133,7 @@ fn mask_vs_exact_sqrt_ablation() {
     };
     cfg.max_iterations = 64;
     cfg.max_tightenings = 512;
-    let mut engine2 = RetrievalEngine::new(&archive, cfg).unwrap();
+    let mut engine2 = RetrievalEngine::from_source(archive, cfg).unwrap();
     let r2 = engine2.retrieve(std::slice::from_ref(&spec)).unwrap();
     assert!(
         r2.satisfied,
@@ -166,10 +174,10 @@ fn fig9_wire_speedup_exceeds_two() {
         vds.add_field(ds.field_name(i), ds.field(i).to_vec())
             .unwrap();
     }
-    let mut archive = vds.refactor(Scheme::PmgardHb).unwrap();
-    archive.set_mask(vds.zero_mask(&[0, 1, 2])).unwrap();
+    let archive = masked_hb(&vds);
+    let raw = archive.manifest().unwrap().raw_bytes();
     let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &vds).unwrap();
-    let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+    let mut engine = RetrievalEngine::from_source(archive, EngineConfig::default()).unwrap();
     let r = engine.retrieve(&[spec]).unwrap();
     assert!(r.satisfied);
 
@@ -177,7 +185,7 @@ fn fig9_wire_speedup_exceeds_two() {
     // wire-dominated regime (4.67 GB, where throughput dwarfs the session
     // latency). Project the *measured fraction* to the paper's transfer
     // size and run both sides through the calibrated model.
-    let fraction = r.total_fetched as f64 / archive.raw_bytes() as f64;
+    let fraction = r.total_fetched as f64 / raw as f64;
     assert!(fraction < 0.5, "fetched fraction {fraction:.3} too large");
     let net = NetworkModel::globus_mcc_to_anvil();
     let paper_raw = 4_670_000_000usize; // §VI-D raw subset
@@ -203,13 +211,12 @@ fn fig9_bytes_win() {
         vds.add_field(ds.field_name(i), ds.field(i).to_vec())
             .unwrap();
     }
-    let mut archive = vds.refactor(Scheme::PmgardHb).unwrap();
-    archive.set_mask(vds.zero_mask(&[0, 1, 2])).unwrap();
+    let archive = masked_hb(&vds);
+    let raw = archive.manifest().unwrap().raw_bytes();
     let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-5, &vds).unwrap();
-    let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+    let mut engine = RetrievalEngine::from_source(archive, EngineConfig::default()).unwrap();
     let r = engine.retrieve(&[spec]).unwrap();
     assert!(r.satisfied);
-    let raw = archive.raw_bytes();
     assert!(
         r.total_fetched * 2 < raw,
         "{} B fetched vs raw {} B — less than 2x win",

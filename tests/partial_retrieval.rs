@@ -4,6 +4,7 @@
 //! the one `FragmentSource` code path to identical results and tallies.
 
 use pqr::prelude::*;
+use std::sync::Arc;
 
 fn velocity_archive(n: usize) -> Archive {
     let vx: Vec<f64> = (0..n)
@@ -101,9 +102,10 @@ fn all_backends_share_one_code_path() {
         (0..n).map(|i| (i as f64 * 0.019).cos() * 4.0).collect(),
     )
     .unwrap();
-    let archive = ds
-        .refactor_with_bounds(Scheme::PmgardHb, &[1e-1, 1e-3])
-        .unwrap();
+    let mem = Arc::new(
+        ds.refactor_with_bounds(Scheme::PmgardHb, &[1e-1, 1e-3])
+            .unwrap(),
+    );
     let spec = QoiSpec::with_range(
         "uw",
         QoiExpr::var(0).mul(QoiExpr::var(1)),
@@ -111,7 +113,7 @@ fn all_backends_share_one_code_path() {
         ds.qoi_range(&QoiExpr::var(0).mul(QoiExpr::var(1))).unwrap(),
     );
 
-    let run = |source: std::sync::Arc<dyn FragmentSource>| {
+    let run = |source: Arc<dyn FragmentSource>| {
         let mut engine = RetrievalEngine::from_source(source, EngineConfig::default()).unwrap();
         let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
         assert!(report.satisfied);
@@ -122,12 +124,10 @@ fn all_backends_share_one_code_path() {
         )
     };
 
-    let bytes = archive.to_bytes();
     let path = temp_path("backends");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let mem = std::sync::Arc::new(InMemorySource::new(bytes).unwrap());
-    let file = std::sync::Arc::new(FileSource::open(&path).unwrap());
+    mem.copy_to(&mut std::fs::File::create(&path).unwrap())
+        .unwrap();
+    let file = Arc::new(FileSource::open(&path).unwrap());
     let (in_memory, on_file) = (run(mem.clone()), run(file.clone()));
     assert!(
         in_memory.0 == on_file.0 && in_memory.1 == on_file.1,

@@ -6,6 +6,7 @@
 
 use pqr::prelude::*;
 use pqr::qoi::bounds;
+use std::sync::Arc;
 
 /// Dense grid supremum of |f(x') − f(x)| over |x' − x| ≤ eps.
 fn sup_1d(f: impl Fn(f64) -> f64, x: f64, eps: f64) -> f64 {
@@ -182,10 +183,11 @@ fn mask_points_contribute_zero_error_budget() {
     for name in ["Vx", "Vy", "Vz"] {
         ds.add_field(name, vec![0.0; n]).unwrap();
     }
-    let mut archive = ds.refactor(Scheme::PmgardHb).unwrap();
-    archive.set_mask(ds.zero_mask(&[0, 1, 2])).unwrap();
+    // PMGARD-HB is ladder-free: no snapshot bounds
+    let archive = ds.refactor_in_memory(Scheme::PmgardHb, &[], Some(&[0, 1, 2]), &[], 0);
     let spec = QoiSpec::with_range("VTOT", velocity_magnitude(0, 3), 1e-12, 1.0);
-    let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+    let archive = Arc::new(archive.unwrap());
+    let mut engine = RetrievalEngine::from_source(archive, EngineConfig::default()).unwrap();
     let report = engine.retrieve(&[spec]).unwrap();
     assert!(report.satisfied);
     assert_eq!(report.targets[0].max_est_error, 0.0);

@@ -4,6 +4,7 @@
 
 use pqr::datagen::{hurricane, nyx};
 use pqr::prelude::*;
+use std::sync::Arc;
 
 #[test]
 fn mgard_3d_bound_holds_on_anisotropic_volume() {
@@ -68,7 +69,8 @@ fn hurricane_engine_guarantee_through_3d_pipeline() {
             )
             .unwrap();
         let spec = QoiSpec::relative("VTOT", velocity_magnitude(0, 3), 1e-4, &ds).unwrap();
-        let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+        let mut engine =
+            RetrievalEngine::from_source(Arc::new(archive), EngineConfig::default()).unwrap();
         let report = engine.retrieve(std::slice::from_ref(&spec)).unwrap();
         assert!(report.satisfied, "{}", scheme.name());
         let truth = ds.qoi_values(&spec.expr);
@@ -101,7 +103,8 @@ fn nyx_kinetic_energy_multifield_3d() {
     let ke = kinetic_energy(3, 0, 3);
     let archive = ds.refactor(Scheme::PmgardHb).unwrap();
     let spec = QoiSpec::relative("KE", ke.clone(), 1e-4, &ds).unwrap();
-    let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+    let mut engine =
+        RetrievalEngine::from_source(Arc::new(archive), EngineConfig::default()).unwrap();
     let report = engine.retrieve(&[spec]).unwrap();
     assert!(report.satisfied);
     let truth = ds.qoi_values(&ke);
@@ -137,7 +140,8 @@ fn progressive_3d_resolution_of_structure() {
     };
     let true_peak = argmax(&truth[..48 * 48]); // z = 0 slab
 
-    let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+    let mut engine =
+        RetrievalEngine::from_source(Arc::new(archive), EngineConfig::default()).unwrap();
     let spec = QoiSpec::relative("VTOT", vtot.clone(), 3e-2, &ds).unwrap();
     let report = engine.retrieve(&[spec]).unwrap();
     assert!(report.satisfied);
@@ -167,7 +171,8 @@ fn pzfp_3d_volume_through_the_engine() {
     let range = ds.qoi_range(&vtot).unwrap();
     let truth = ds.qoi_values(&vtot);
 
-    let mut engine = RetrievalEngine::new(&archive, EngineConfig::default()).unwrap();
+    let mut engine =
+        RetrievalEngine::from_source(Arc::new(archive), EngineConfig::default()).unwrap();
     for tol in [1e-2, 1e-4, 1e-6] {
         let spec = QoiSpec::with_range("VTOT", vtot.clone(), tol, range);
         let report = engine.retrieve(&[spec]).unwrap();
